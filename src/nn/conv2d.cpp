@@ -1,6 +1,7 @@
 #include "nn/conv2d.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
@@ -70,14 +71,25 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& input, bool /*training*/) {
 }
 
 tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
-  if (!has_saved_) throw std::logic_error("Conv2d::backward before forward");
+  const tensor::Tensor gyflat = accumulate_param_grads(grad_output);
+  // gcols[CKK, L] = Wᵀ[CKK, F] * gy[F, L]
+  const tensor::Tensor wmat = weight_.reshaped(
+      tensor::Shape{out_channels_, in_channels_ * kernel_ * kernel_});
+  return tensor::col2im(tensor::matmul_tn(wmat, gyflat), saved_geom_);
+}
+
+void Conv2d::accumulate_grads(const tensor::Tensor& grad_output) {
+  (void)accumulate_param_grads(grad_output);
+}
+
+tensor::Tensor Conv2d::accumulate_param_grads(const tensor::Tensor& grad_output) {
+  if (!has_saved_) throw std::logic_error("Conv2d: backward before forward");
   const auto& g = saved_geom_;
   const int64_t m = g.batch, oh = g.out_h(), ow = g.out_w();
   if (grad_output.rank() != 4 || grad_output.dim(0) != m ||
       grad_output.dim(1) != out_channels_ || grad_output.dim(2) != oh ||
       grad_output.dim(3) != ow) {
-    throw std::invalid_argument("Conv2d::backward: bad grad shape " +
-                                grad_output.shape().str());
+    throw std::invalid_argument("Conv2d: bad grad shape " + grad_output.shape().str());
   }
   const int64_t plane = oh * ow;
   const int64_t l = m * plane;
@@ -96,13 +108,13 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
     }
   }
 
-  // dW[F, CKK] += gy[F, L] * colsᵀ[L, CKK]
+  // dW[F, CKK] += gy[F, L] * colsᵀ[L, CKK], accumulated in weight_grad_'s
+  // own storage (moved out as a 2-D view and back, no copy).
   {
-    tensor::Tensor wgrad_mat = weight_grad_.reshaped(
+    tensor::Tensor wgrad_mat = std::move(weight_grad_).reshaped(
         tensor::Shape{out_channels_, in_channels_ * kernel_ * kernel_});
     tensor::matmul_nt_acc(gyflat, saved_cols_, wgrad_mat);
-    // reshaped() copies; fold the accumulation back into the 4-D grad.
-    weight_grad_ = wgrad_mat.reshaped(weight_grad_.shape());
+    weight_grad_ = std::move(wgrad_mat).reshaped(weight_.shape());
   }
 
   if (has_bias_) {
@@ -114,12 +126,7 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
       bias_grad_.at(f) += static_cast<float>(acc);
     }
   }
-
-  // gcols[CKK, L] = Wᵀ[CKK, F] * gy[F, L]
-  const tensor::Tensor wmat = weight_.reshaped(
-      tensor::Shape{out_channels_, in_channels_ * kernel_ * kernel_});
-  const tensor::Tensor gcols = tensor::matmul_tn(wmat, gyflat);
-  return tensor::col2im(gcols, g);
+  return gyflat;
 }
 
 std::vector<ParamRef> Conv2d::params() {

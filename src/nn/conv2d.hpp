@@ -16,6 +16,8 @@ class Conv2d final : public Layer {
 
   [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
   [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  /// dW (and db) only: skips the Wᵀ·gy GEMM and col2im of backward().
+  void accumulate_grads(const tensor::Tensor& grad_output) override;
   [[nodiscard]] std::vector<ParamRef> params() override;
   [[nodiscard]] std::string name() const override;
   void reset_state() override;
@@ -32,6 +34,9 @@ class Conv2d final : public Layer {
   [[nodiscard]] const tensor::Tensor& bias() const { return bias_; }
 
  private:
+  /// Accumulates dW (and db); returns gy as [F, M*OH*OW] for the input grad.
+  tensor::Tensor accumulate_param_grads(const tensor::Tensor& grad_output);
+
   int64_t in_channels_, out_channels_, kernel_, stride_, padding_;
   bool has_bias_;
   tensor::Tensor weight_;       // [F, C, KH, KW]

@@ -2,9 +2,10 @@
 //
 // Every layer transforms a time-major activation tensor [T*N, d...] in
 // forward() and propagates gradients in backward() (reverse order of the
-// forward calls). Parameters are exposed through ParamRef views so the
-// optimizer and the sparse-training methods can iterate over them without
-// knowing layer internals.
+// forward calls); accumulate_grads() is backward() without the input
+// gradient, for the first layer of a network. Parameters are exposed
+// through ParamRef views so the optimizer and the sparse-training methods
+// can iterate over them without knowing layer internals.
 #pragma once
 
 #include <memory>
@@ -54,6 +55,14 @@ class Layer {
 
   /// Propagate dL/d(output) to dL/d(input), accumulating parameter grads.
   [[nodiscard]] virtual tensor::Tensor backward(const tensor::Tensor& grad_output) = 0;
+
+  /// Accumulate parameter grads only, for a layer whose input gradient
+  /// nobody reads (the first layer of a network). The grads are bitwise
+  /// those backward() accumulates; layers override this to skip the
+  /// input-gradient work.
+  virtual void accumulate_grads(const tensor::Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
 
   /// Parameter views (empty for stateless layers).
   [[nodiscard]] virtual std::vector<ParamRef> params() { return {}; }

@@ -35,11 +35,16 @@ tensor::Tensor Linear::forward(const tensor::Tensor& input, bool /*training*/) {
 }
 
 tensor::Tensor Linear::backward(const tensor::Tensor& grad_output) {
-  if (!has_saved_) throw std::logic_error("Linear::backward before forward");
+  accumulate_grads(grad_output);
+  // dx[M, in] = gy[M, out] * W[out, in]
+  return tensor::matmul(grad_output, weight_);
+}
+
+void Linear::accumulate_grads(const tensor::Tensor& grad_output) {
+  if (!has_saved_) throw std::logic_error("Linear: backward before forward");
   if (grad_output.rank() != 2 || grad_output.dim(1) != out_features_ ||
       grad_output.dim(0) != saved_input_.dim(0)) {
-    throw std::invalid_argument("Linear::backward: bad grad shape " +
-                                grad_output.shape().str());
+    throw std::invalid_argument("Linear: bad grad shape " + grad_output.shape().str());
   }
   // dW[out, in] += gyᵀ[out, M] * x[M, in]
   tensor::matmul_tn_acc(grad_output, saved_input_, weight_grad_);
@@ -49,8 +54,6 @@ tensor::Tensor Linear::backward(const tensor::Tensor& grad_output) {
       for (int64_t c = 0; c < out_features_; ++c) bias_grad_.at(c) += grad_output.at(r, c);
     }
   }
-  // dx[M, in] = gy[M, out] * W[out, in]
-  return tensor::matmul(grad_output, weight_);
 }
 
 std::vector<ParamRef> Linear::params() {

@@ -15,6 +15,7 @@ class Linear final : public Layer {
 
   [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
   [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  void accumulate_grads(const tensor::Tensor& grad_output) override;
   [[nodiscard]] std::vector<ParamRef> params() override;
   [[nodiscard]] std::string name() const override;
   void reset_state() override;

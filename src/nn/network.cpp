@@ -21,7 +21,7 @@ StepResult SpikingNetwork::train_step(const tensor::Tensor& batch,
   const LossResult lr = loss_.compute(mean_logits, labels);
 
   const tensor::Tensor grad_steps = broadcast_over_time(lr.grad_logits, timesteps_);
-  (void)body_->backward(grad_steps);  // input grads unused (leaf)
+  body_->accumulate_grads(grad_steps);  // the input is a leaf: no input grad
 
   StepResult r;
   r.loss = lr.loss;

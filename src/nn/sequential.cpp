@@ -22,6 +22,13 @@ tensor::Tensor Sequential::backward(const tensor::Tensor& grad_output) {
   return g;
 }
 
+void Sequential::accumulate_grads(const tensor::Tensor& grad_output) {
+  if (layers_.empty()) return;
+  tensor::Tensor g = grad_output;
+  for (std::size_t i = layers_.size(); i-- > 1;) g = layers_[i]->backward(g);
+  layers_[0]->accumulate_grads(g);
+}
+
 std::vector<ParamRef> Sequential::params() {
   std::vector<ParamRef> all;
   for (std::size_t i = 0; i < layers_.size(); ++i) {

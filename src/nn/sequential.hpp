@@ -27,6 +27,8 @@ class Sequential final : public Layer {
 
   [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
   [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  /// backward() through layers n-1..1, then accumulate_grads() on layer 0.
+  void accumulate_grads(const tensor::Tensor& grad_output) override;
   [[nodiscard]] std::vector<ParamRef> params() override;
   [[nodiscard]] std::string name() const override;
   void reset_state() override;

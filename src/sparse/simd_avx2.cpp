@@ -6,12 +6,18 @@
 // __attribute__((target("avx2,fma"))) so this TU compiles under a
 // generic -march (the default local build) and the resulting objects
 // are safe to link anywhere — the instructions only execute after
-// cpuid has proven them legal. The fp32 bodies use explicit
+// cpuid has proven them legal. The fp32 float chains use explicit
 // _mm256_mul_* / _mm256_add_* pairs, never _mm256_fmadd_*: the scalar
 // references round between multiply and add (the build pins
 // -ffp-contract=off), and one fused step would break the cross-tier
-// bitwise guarantee. The quantised bodies use FMA freely.
+// bitwise guarantee. The double chains of matmul_nt use
+// _mm256_fmadd_pd, which is exact there: a float x float product needs
+// at most 48 mantissa bits, so the fused step rounds exactly once, like
+// the scalar add. The quantised bodies use FMA freely.
 #include "sparse/simd_kernels.hpp"
+
+#include <algorithm>
+#include <vector>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define NDSNN_HAVE_AVX2_BODIES 1
@@ -307,36 +313,116 @@ __attribute__((target("avx2,fma"))) void bcsr_spmm_t_f32_avx2(
   }
 }
 
-__attribute__((target("avx2,fma"))) void matmul_nt_f32_avx2(
-    const float* a, const float* bt, int64_t i0, int64_t i1, int64_t k,
-    int64_t n, float* c) {
-  const int64_t n8 = n & ~int64_t{7};
-  for (int64_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    int64_t j = 0;
-    for (; j < n8; j += 8) {
-      __m256d acc_lo = _mm256_setzero_pd();
-      __m256d acc_hi = _mm256_setzero_pd();
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float* p = bt + kk * n + j;
-        const __m256d v = _mm256_set1_pd(static_cast<double>(arow[kk]));
-        acc_lo = _mm256_add_pd(acc_lo,
-                               _mm256_mul_pd(v, _mm256_cvtps_pd(_mm_loadu_ps(p))));
-        acc_hi = _mm256_add_pd(
-            acc_hi, _mm256_mul_pd(v, _mm256_cvtps_pd(_mm_loadu_ps(p + 4))));
-      }
-      const __m256 sum = _mm256_insertf128_ps(
-          _mm256_castps128_ps256(_mm256_cvtpd_ps(acc_lo)), _mm256_cvtpd_ps(acc_hi),
-          1);
-      _mm256_storeu_ps(crow + j, _mm256_add_ps(_mm256_loadu_ps(crow + j), sum));
+namespace {
+
+constexpr int64_t kNtBlockK = 128;  // k columns per transposed panel
+constexpr int64_t kNtTileN = 16;    // output columns per register tile
+
+/// R output rows x 16 output columns over one k block: the 4R double
+/// accumulators stay in registers for the whole block and are carried
+/// between blocks through `acc` ([R][16]). `ad` holds the R rows of A
+/// (as double, row stride kNtBlockK), `panel` the tile's 16 B rows
+/// transposed ([kk][16]). Each lane's chain ascends kk; the fused
+/// multiply-add is exact because a float x float product fits a
+/// double's mantissa, so it rounds once, like the scalar add.
+template <int R>
+__attribute__((target("avx2,fma"))) inline void matmul_nt_tile(const double* ad,
+                                                               const double* panel,
+                                                               int64_t kb, double* acc) {
+  __m256d c[R][4];
+  for (int r = 0; r < R; ++r) {
+    for (int q = 0; q < 4; ++q) c[r][q] = _mm256_loadu_pd(acc + r * kNtTileN + 4 * q);
+  }
+  for (int64_t kk = 0; kk < kb; ++kk) {
+    const double* p = panel + kk * kNtTileN;
+    const __m256d b0 = _mm256_loadu_pd(p);
+    const __m256d b1 = _mm256_loadu_pd(p + 4);
+    const __m256d b2 = _mm256_loadu_pd(p + 8);
+    const __m256d b3 = _mm256_loadu_pd(p + 12);
+    for (int r = 0; r < R; ++r) {
+      const __m256d av = _mm256_broadcast_sd(ad + r * kNtBlockK + kk);
+      c[r][0] = _mm256_fmadd_pd(av, b0, c[r][0]);
+      c[r][1] = _mm256_fmadd_pd(av, b1, c[r][1]);
+      c[r][2] = _mm256_fmadd_pd(av, b2, c[r][2]);
+      c[r][3] = _mm256_fmadd_pd(av, b3, c[r][3]);
     }
-    for (; j < n; ++j) {
-      double acc = 0.0;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        acc += static_cast<double>(arow[kk]) * static_cast<double>(bt[kk * n + j]);
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int q = 0; q < 4; ++q) _mm256_storeu_pd(acc + r * kNtTileN + 4 * q, c[r][q]);
+  }
+}
+
+/// panel[kk][l] = double(b[l * k + kk]) for kk < kb and the tile's
+/// `lanes` valid B rows; lanes past the end of B read as zero. Four
+/// rows at a time go through a 4x4 register transpose.
+__attribute__((target("avx2,fma"))) void load_nt_panel(const float* b, int64_t k,
+                                                       int64_t lanes, int64_t kb,
+                                                       double* panel) {
+  for (int64_t g = 0; g < kNtTileN; g += 4) {
+    double* dst = panel + g;
+    int64_t kk = 0;
+    if (g + 4 <= lanes) {
+      const float* r0 = b + g * k;
+      for (; kk + 4 <= kb; kk += 4) {
+        __m128 x0 = _mm_loadu_ps(r0 + kk);
+        __m128 x1 = _mm_loadu_ps(r0 + k + kk);
+        __m128 x2 = _mm_loadu_ps(r0 + 2 * k + kk);
+        __m128 x3 = _mm_loadu_ps(r0 + 3 * k + kk);
+        _MM_TRANSPOSE4_PS(x0, x1, x2, x3);
+        _mm256_storeu_pd(dst + kk * kNtTileN, _mm256_cvtps_pd(x0));
+        _mm256_storeu_pd(dst + (kk + 1) * kNtTileN, _mm256_cvtps_pd(x1));
+        _mm256_storeu_pd(dst + (kk + 2) * kNtTileN, _mm256_cvtps_pd(x2));
+        _mm256_storeu_pd(dst + (kk + 3) * kNtTileN, _mm256_cvtps_pd(x3));
       }
-      crow[j] += static_cast<float>(acc);
+    }
+    for (; kk < kb; ++kk) {
+      for (int64_t l = 0; l < 4; ++l) {
+        dst[kk * kNtTileN + l] = g + l < lanes ? b[(g + l) * k + kk] : 0.0;
+      }
+    }
+  }
+}
+
+}  // namespace
+
+__attribute__((target("avx2,fma"))) void matmul_nt_f32_avx2(
+    const float* a, const float* b, int64_t i0, int64_t i1, int64_t k,
+    int64_t n, float* c) {
+  const int64_t rows = i1 - i0;
+  if (rows <= 0) return;
+  // Tile-outer: one 16-column tile sweeps all of k, so its 16 B rows and
+  // the A rows are read as a few contiguous streams. acc carries the
+  // tile's double chains across k blocks; the block's panel and A rows
+  // stay cache-resident while the row pairs sweep them.
+  std::vector<double> acc(static_cast<std::size_t>(rows * kNtTileN));
+  std::vector<double> panel(static_cast<std::size_t>(kNtBlockK * kNtTileN));
+  std::vector<double> ad(static_cast<std::size_t>(rows * kNtBlockK));
+  for (int64_t j0 = 0; j0 < n; j0 += kNtTileN) {
+    const int64_t lanes = std::min(kNtTileN, n - j0);
+    std::fill(acc.begin(), acc.end(), 0.0);
+    for (int64_t k0 = 0; k0 < k; k0 += kNtBlockK) {
+      const int64_t kb = std::min(kNtBlockK, k - k0);
+      load_nt_panel(b + j0 * k + k0, k, lanes, kb, panel.data());
+      for (int64_t r = 0; r < rows; ++r) {
+        const float* src = a + (i0 + r) * k + k0;
+        double* dst = ad.data() + r * kNtBlockK;
+        for (int64_t kk = 0; kk < kb; ++kk) dst[kk] = src[kk];
+      }
+      int64_t r = 0;
+      for (; r + 2 <= rows; r += 2) {
+        matmul_nt_tile<2>(ad.data() + r * kNtBlockK, panel.data(), kb,
+                          acc.data() + r * kNtTileN);
+      }
+      if (r < rows) {
+        matmul_nt_tile<1>(ad.data() + r * kNtBlockK, panel.data(), kb,
+                          acc.data() + r * kNtTileN);
+      }
+    }
+    // The pad lanes past n are never written out.
+    for (int64_t r = 0; r < rows; ++r) {
+      float* crow = c + (i0 + r) * n + j0;
+      const double* arow = acc.data() + r * kNtTileN;
+      for (int64_t l = 0; l < lanes; ++l) crow[l] += static_cast<float>(arow[l]);
     }
   }
 }

@@ -9,9 +9,12 @@
 // chains, exact double products for the double chains), so results are
 // bitwise identical across tiers. That only holds because the build
 // pins -ffp-contract=off (see CMakeLists.txt): otherwise -O2 would
-// contract the *scalar* bodies into FMAs these bodies deliberately
-// avoid. Quantised bodies (i8/i4) have no bitwise contract and use
-// FMA + reassociated accumulator chains freely.
+// contract the *scalar* float chains into FMAs these bodies deliberately
+// avoid. A double chain of float x float products is the one place FMA
+// is allowed: the product is exact in double, so fma(a, b, acc) and
+// acc + a * b round identically (matmul_nt_f32_avx2 relies on this).
+// Quantised bodies (i8/i4) have no bitwise contract and use FMA +
+// reassociated accumulator chains freely.
 //
 // The batch-panel spmm_t bodies read B through its transpose
 // bt = Bᵀ [cols x m] (row-major, row stride m): one weight broadcast
@@ -81,10 +84,14 @@ void bcsr_spmm_t_f32_avx2(const int64_t* block_row_ptr,
                           const float* bt, int64_t m, float* cp, int64_t ib0,
                           int64_t ib1);
 
-/// Dense matmul_nt rows [i0, i1): c[i, j] += float(double chain over kk)
-/// with bt = Bᵀ [k x n] built by the caller; contiguous 8-wide loads
-/// and stores over j.
-void matmul_nt_f32_avx2(const float* a, const float* bt, int64_t i0,
+/// Dense matmul_nt rows [i0, i1) with B [n x k] row-major:
+/// c[i, j] += float(double chain over ascending kk of a[i, kk] * b[j, kk]).
+/// k-blocked and register-tiled: for each 16-column tile, 128 k-columns
+/// of its B rows at a time are transposed into a double panel, and 2 rows
+/// x 16 columns of double accumulators stay in registers across the
+/// block, carried between blocks in a small per-call buffer. Bitwise
+/// equal to the scalar gather for any row range.
+void matmul_nt_f32_avx2(const float* a, const float* b, int64_t i0,
                         int64_t i1, int64_t k, int64_t n, float* c);
 
 /// Dense matmul rows [i0, i1): the i-k-j axpy with the zero-skip

@@ -1,5 +1,6 @@
 #include "tensor/im2col.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace ndsnn::tensor {
@@ -18,6 +19,25 @@ void ConvGeometry::validate() const {
   // columns that do not fit a full stride are simply not visited.
 }
 
+namespace {
+
+/// The output columns [lo, hi) whose input column ox*stride + kw - padding
+/// lies inside [0, in_w) for kernel column kw; every other ox reads padding.
+struct ValidSpan {
+  int64_t lo, hi;
+};
+
+ValidSpan valid_span(const ConvGeometry& g, int64_t kw) {
+  const int64_t ow = g.out_w();
+  const int64_t shift = g.padding - kw;     // ix = ox * stride - shift
+  const int64_t last = g.in_w - 1 + shift;  // ix < in_w  <=>  ox * stride <= last
+  const int64_t lo = std::min(shift > 0 ? (shift + g.stride - 1) / g.stride : 0, ow);
+  const int64_t hi = last < 0 ? 0 : std::min(last / g.stride + 1, ow);
+  return {lo, std::max(lo, hi)};
+}
+
+}  // namespace
+
 Tensor im2col(const Tensor& input, const ConvGeometry& g) {
   g.validate();
   if (input.rank() != 4 || input.dim(0) != g.batch || input.dim(1) != g.in_channels ||
@@ -33,21 +53,29 @@ Tensor im2col(const Tensor& input, const ConvGeometry& g) {
   const int64_t hw = g.in_h * g.in_w;
   const int64_t chw = g.in_channels * hw;
 
+  // Each (row, n, oy) segment of ow columns is: zeros, one in-bounds span
+  // (a plain copy at stride 1), zeros. cols starts zero-filled, so only
+  // the in-bounds span is written.
   for (int64_t c = 0; c < g.in_channels; ++c) {
     for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
       for (int64_t kw = 0; kw < g.kernel_w; ++kw) {
         const int64_t row = (c * g.kernel_h + kh) * g.kernel_w + kw;
+        const ValidSpan span = valid_span(g, kw);
+        if (span.hi == span.lo) continue;  // this kernel column only sees padding
+        const int64_t ix0 = span.lo * g.stride + kw - g.padding;
+        const int64_t len = span.hi - span.lo;
         float* drow = dst + row * cols_n;
-        int64_t col = 0;
         for (int64_t n = 0; n < g.batch; ++n) {
           const float* plane = src + n * chw + c * hw;
-          for (int64_t oy = 0; oy < oh; ++oy) {
+          for (int64_t oy = 0; oy < oh; ++oy, drow += ow) {
             const int64_t iy = oy * g.stride + kh - g.padding;
-            for (int64_t ox = 0; ox < ow; ++ox, ++col) {
-              const int64_t ix = ox * g.stride + kw - g.padding;
-              drow[col] = (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w)
-                              ? plane[iy * g.in_w + ix]
-                              : 0.0F;
+            if (iy < 0 || iy >= g.in_h) continue;
+            const float* irow = plane + iy * g.in_w + ix0;
+            float* d = drow + span.lo;
+            if (g.stride == 1) {
+              std::copy(irow, irow + len, d);
+            } else {
+              for (int64_t t = 0; t < len; ++t) d[t] = irow[t * g.stride];
             }
           }
         }
@@ -71,22 +99,25 @@ Tensor col2im(const Tensor& cols, const ConvGeometry& g) {
   const int64_t hw = g.in_h * g.in_w;
   const int64_t chw = g.in_channels * hw;
 
+  // Same traversal as im2col with the padding columns skipped, so every
+  // input pixel receives its adds in ascending (row, n, oy, ox) order.
   for (int64_t c = 0; c < g.in_channels; ++c) {
     for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
       for (int64_t kw = 0; kw < g.kernel_w; ++kw) {
         const int64_t row = (c * g.kernel_h + kh) * g.kernel_w + kw;
+        const ValidSpan span = valid_span(g, kw);
+        if (span.hi == span.lo) continue;  // this kernel column only sees padding
+        const int64_t ix0 = span.lo * g.stride + kw - g.padding;
+        const int64_t len = span.hi - span.lo;
         const float* srow = src + row * cols_n;
-        int64_t col = 0;
         for (int64_t n = 0; n < g.batch; ++n) {
           float* plane = dst + n * chw + c * hw;
-          for (int64_t oy = 0; oy < oh; ++oy) {
+          for (int64_t oy = 0; oy < oh; ++oy, srow += ow) {
             const int64_t iy = oy * g.stride + kh - g.padding;
-            for (int64_t ox = 0; ox < ow; ++ox, ++col) {
-              const int64_t ix = ox * g.stride + kw - g.padding;
-              if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w) {
-                plane[iy * g.in_w + ix] += srow[col];
-              }
-            }
+            if (iy < 0 || iy >= g.in_h) continue;
+            float* orow = plane + iy * g.in_w + ix0;
+            const float* s = srow + span.lo;
+            for (int64_t t = 0; t < len; ++t) orow[t * g.stride] += s[t];
           }
         }
       }

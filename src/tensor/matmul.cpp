@@ -1,7 +1,6 @@
 #include "tensor/matmul.hpp"
 
 #include <stdexcept>
-#include <vector>
 
 #include "sparse/simd_kernels.hpp"
 
@@ -101,23 +100,13 @@ void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& c, util::ThreadPool
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  if (util::simd::resolve(tier) == util::simd::Tier::kAvx2 && simd::built_with_avx2() &&
-      n >= 8) {
-    // Panel route: bt = Bᵀ [k, n] turns the per-output gather into
-    // contiguous 8-wide loads/stores over j; the strided-copy transpose
-    // costs one k*n pass against m*k*n worth of double chains. Each
-    // output's chain is exact, so results stay bitwise identical to the
-    // scalar gather.
-    std::vector<float> bt(static_cast<std::size_t>(k * n));
-    util::parallel_even(pool, 0, k, k * n, [&](int64_t k0, int64_t k1) {
-      simd::transpose_f32(pb, n, k, bt.data(), k0, k1);
-    });
-    util::parallel_even(pool, 0, m, m * k * n, [&](int64_t i0, int64_t i1) {
-      simd::matmul_nt_f32_avx2(pa, bt.data(), i0, i1, k, n, pc);
-    });
-    return;
-  }
+  const bool avx2 =
+      util::simd::resolve(tier) == util::simd::Tier::kAvx2 && simd::built_with_avx2();
   const auto rows = [&](int64_t i0, int64_t i1) {
+    if (avx2) {
+      simd::matmul_nt_f32_avx2(pa, pb, i0, i1, k, n, pc);
+      return;
+    }
     for (int64_t i = i0; i < i1; ++i) {
       const float* arow = pa + i * k;
       float* crow = pc + i * n;

@@ -4,20 +4,31 @@
 // matmul_tn:   C[M,N]  = Aᵀ (A is [K,M]) * B[K,N]
 // matmul_nt:   C[M,N]  = A[M,K] * Bᵀ (B is [N,K])
 //
-// Blocked i-k-j loops; good enough for the CPU-scale experiments here.
+// Scalar references: matmul and matmul_tn are i-k-j axpy loops (float
+// chains, pruned zero weights skipped); matmul_nt is a per-output gather
+// whose dot product runs in a double chain over ascending k, rounded to
+// float once and added to C.
 //
 // matmul and matmul_nt (the two kernels the inference runtime's dense
-// fallback ops run) optionally take a util::ThreadPool and partition by
-// output row of C. Each C row is produced by exactly one chunk with the
-// unchanged serial accumulation order, so the pooled results are
-// bitwise identical to the serial ones for any lane count; small
-// products (work below util::kMinParallelWork) stay serial.
-// matmul and matmul_nt additionally take a kernel tier (resolved via
-// util::simd::resolve): the kAvx2 bodies keep the exact per-output
-// rounding sequence of the scalar loops (explicit mul+add float chains
-// for matmul, exact double chains for matmul_nt), so results are
-// bitwise identical across tiers. matmul_tn (training-only, off the
-// inference hot path) stays scalar.
+// fallback ops run, and the conv forward / weight gradient of training)
+// optionally take a util::ThreadPool and partition by output row of C.
+// Each C row is produced by exactly one chunk with the unchanged serial
+// accumulation order, so the pooled results are bitwise identical to
+// the serial ones for any lane count; small products (work below
+// util::kMinParallelWork) stay serial.
+// They also take a kernel tier (resolved via util::simd::resolve). The
+// kAvx2 bodies keep each output's rounding sequence, so results are
+// bitwise identical across tiers:
+// - matmul: explicit mul+add float chains, 4 weights per pass over C.
+// - matmul_nt: a k-blocked, register-tiled kernel. It transposes 128
+//   k-columns of 16 B rows at a time into a cache-resident double panel
+//   and holds 2 rows x 16 columns of double accumulators in registers
+//   across the block, carrying them to the next block in a small buffer.
+//   Every output's chain still visits k in ascending order. It uses
+//   FMA, which is exact here: a float x float product fits a double's
+//   53-bit mantissa, so fma(a, b, acc) rounds once, just like the
+//   scalar `acc += double(a) * b`.
+// matmul_tn (training-only, off the inference hot path) stays scalar.
 #pragma once
 
 #include "tensor/tensor.hpp"

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "tensor/random.hpp"
 
@@ -39,13 +40,17 @@ float Tensor::at4(int64_t n, int64_t c, int64_t h, int64_t w) const {
   return data_[static_cast<std::size_t>(((n * C + c) * H + h) * W + w)];
 }
 
-Tensor Tensor::reshaped(Shape new_shape) const {
+Tensor Tensor::reshaped(Shape new_shape) const& {
+  Tensor copy = *this;
+  return std::move(copy).reshaped(std::move(new_shape));
+}
+
+Tensor Tensor::reshaped(Shape new_shape) && {
   if (new_shape.numel() != numel()) {
     throw std::invalid_argument("Tensor::reshaped: numel mismatch " + shape_.str() + " -> " +
                                 new_shape.str());
   }
-  Tensor out(std::move(new_shape), data_);
-  return out;
+  return Tensor(std::move(new_shape), std::move(data_));
 }
 
 void Tensor::fill(float value) {

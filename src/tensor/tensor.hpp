@@ -52,8 +52,12 @@ class Tensor {
   [[nodiscard]] float& at4(int64_t n, int64_t c, int64_t h, int64_t w);
   [[nodiscard]] float at4(int64_t n, int64_t c, int64_t h, int64_t w) const;
 
-  /// Reinterpret as a new shape with the same numel (no copy).
-  [[nodiscard]] Tensor reshaped(Shape new_shape) const;
+  /// Copy of this tensor with a new shape of the same numel (the data is
+  /// deep-copied).
+  [[nodiscard]] Tensor reshaped(Shape new_shape) const&;
+  /// Same, but moves the storage out of this tensor instead of copying
+  /// it: after `std::move(t).reshaped(s)`, `t` may only be assigned to.
+  [[nodiscard]] Tensor reshaped(Shape new_shape) &&;
 
   /// In-place fills.
   void fill(float value);

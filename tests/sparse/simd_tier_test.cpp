@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "sparse/bcsr.hpp"
@@ -154,6 +155,68 @@ TEST(SimdTierTest, DenseMatmulNtBitwiseAcrossTiers) {
   for (const Tier tier : kTiers) {
     expect_bitwise(tensor::matmul_nt(a, w, nullptr, tier), ref, "matmul_nt serial");
     expect_bitwise(tensor::matmul_nt(a, w, &pool, tier), ref, "matmul_nt pooled");
+  }
+}
+
+/// The AVX2 matmul_nt body runs k in 128-wide blocks and n in 16-wide
+/// register tiles (two rows at a time), carrying double chains across
+/// blocks. Shapes here straddle every seam: k below, at and several
+/// blocks past the block width with a ragged last block; n not a multiple
+/// of 8 or 16 (75 and 150 are the LeNet-5 conv patch widths); odd m; and
+/// pooled row ranges of 1-4 lanes. Signed zeros in A, B and the C
+/// accumulator must come out with the scalar gather's signs.
+TEST(SimdTierTest, DenseMatmulNtBlockSeamsBitwiseAcrossTiers) {
+  struct Case {
+    int64_t m, k, n;
+  };
+  const Case cases[] = {{13, 300, 75}, {9, 100, 150}, {6, 384, 75}, {7, 129, 150},
+                        {16, 517, 150}, {3, 1, 19}, {1, 257, 5}, {11, 128, 16}};
+  uint64_t seed = 70;
+  for (const Case& cs : cases) {
+    Tensor a = dense_batch(cs.m, cs.k, seed++);
+    Tensor b = sparse_matrix(cs.n, cs.k, 0.3, seed++);
+    Tensor c0 = dense_batch(cs.m, cs.n, seed++);
+    // A cancelling +-2^60 pair at k/3 and 2k/3 absorbs every small term
+    // between them, so any change in the order a chain visits kk (or in
+    // where a block's partial sum is rounded) changes the result.
+    if (cs.k >= 3) {
+      const int64_t p = cs.k / 3, q = 2 * cs.k / 3;
+      for (int64_t i = 0; i < cs.m; ++i) {
+        a.at(i, p) = 0x1p60F;
+        a.at(i, q) = -0x1p60F;
+      }
+      for (int64_t j = 0; j < cs.n; ++j) {
+        b.at(j, p) = 1.0F;
+        b.at(j, q) = 1.0F;
+      }
+    }
+    // Signed zeros: A row 0 all -0.0 against B row n-1 all +0.0 gives a
+    // chain of -0.0 products, whose sum is +0.0 only because the chain
+    // starts at +0.0; C row 0 starts at -0.0, so c[0, n-1] shows that
+    // sign. Scattered +-0.0 elsewhere in A and C.
+    for (int64_t kk = 0; kk < cs.k; ++kk) {
+      a.at(0, kk) = -0.0F;
+      b.at(cs.n - 1, kk) = 0.0F;
+    }
+    for (int64_t i = cs.k; i < a.numel(); i += 7) a.at(i) = (i % 2 == 0) ? -0.0F : 0.0F;
+    for (int64_t j = 0; j < cs.n; ++j) c0.at(0, j) = -0.0F;
+    for (int64_t i = 0; i < c0.numel(); i += 5) c0.at(i) = -0.0F;
+
+    Tensor ref = c0;
+    tensor::matmul_nt_acc(a, b, ref, nullptr, Tier::kScalar);
+    const std::string shape = std::to_string(cs.m) + "x" + std::to_string(cs.k) + "x" +
+                              std::to_string(cs.n);
+    for (const Tier tier : kTiers) {
+      Tensor serial = c0;
+      tensor::matmul_nt_acc(a, b, serial, nullptr, tier);
+      expect_bitwise(serial, ref, ("matmul_nt_acc serial " + shape).c_str());
+      for (int64_t lanes = 1; lanes <= 4; ++lanes) {
+        util::ThreadPool pool(lanes);
+        Tensor pooled = c0;
+        tensor::matmul_nt_acc(a, b, pooled, &pool, tier);
+        expect_bitwise(pooled, ref, ("matmul_nt_acc pooled " + shape).c_str());
+      }
+    }
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "tensor/random.hpp"
 
 namespace ndsnn::tensor {
@@ -98,6 +102,123 @@ TEST(Im2colTest, StridedGeometry) {
   EXPECT_FLOAT_EQ(cols.at(3, 0), 5.0F);
   EXPECT_FLOAT_EQ(cols.at(0, 3), 10.0F);
   EXPECT_FLOAT_EQ(cols.at(3, 3), 15.0F);
+}
+
+// Per-element references: the bounds check sits in the innermost loop,
+// exactly as the lowering was first written. The library versions must
+// match them bitwise, col2im including its per-pixel add order.
+Tensor naive_im2col(const Tensor& input, const ConvGeometry& g) {
+  const int64_t oh = g.out_h(), ow = g.out_w();
+  Tensor cols(Shape{g.patch_rows(), g.patch_cols()});
+  for (int64_t c = 0; c < g.in_channels; ++c) {
+    for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      for (int64_t kw = 0; kw < g.kernel_w; ++kw) {
+        const int64_t row = (c * g.kernel_h + kh) * g.kernel_w + kw;
+        int64_t col = 0;
+        for (int64_t n = 0; n < g.batch; ++n) {
+          for (int64_t oy = 0; oy < oh; ++oy) {
+            const int64_t iy = oy * g.stride + kh - g.padding;
+            for (int64_t ox = 0; ox < ow; ++ox, ++col) {
+              const int64_t ix = ox * g.stride + kw - g.padding;
+              cols.at(row, col) = (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w)
+                                      ? input.at4(n, c, iy, ix)
+                                      : 0.0F;
+            }
+          }
+        }
+      }
+    }
+  }
+  return cols;
+}
+
+Tensor naive_col2im(const Tensor& cols, const ConvGeometry& g) {
+  const int64_t oh = g.out_h(), ow = g.out_w();
+  Tensor out(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
+  for (int64_t c = 0; c < g.in_channels; ++c) {
+    for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      for (int64_t kw = 0; kw < g.kernel_w; ++kw) {
+        const int64_t row = (c * g.kernel_h + kh) * g.kernel_w + kw;
+        int64_t col = 0;
+        for (int64_t n = 0; n < g.batch; ++n) {
+          for (int64_t oy = 0; oy < oh; ++oy) {
+            const int64_t iy = oy * g.stride + kh - g.padding;
+            for (int64_t ox = 0; ox < ow; ++ox, ++col) {
+              const int64_t ix = ox * g.stride + kw - g.padding;
+              if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w) {
+                out.at4(n, c, iy, ix) += cols.at(row, col);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  const auto bytes = static_cast<std::size_t>(a.numel()) * sizeof(float);
+  return a.shape() == b.shape() && std::memcmp(a.data(), b.data(), bytes) == 0;
+}
+
+/// Every valid geometry over strides 1-3, padding 0-3, kernels 1/3/5 and
+/// square, non-square and tiny inputs (some kernel columns then see only
+/// padding).
+std::vector<ConvGeometry> sweep_geometries() {
+  const int64_t sizes[][2] = {{7, 9}, {10, 6}, {8, 8}, {1, 4}, {3, 2}};
+  std::vector<ConvGeometry> out;
+  for (const auto& hw : sizes) {
+    for (const int64_t k : {1, 3, 5}) {
+      for (const int64_t stride : {1, 2, 3}) {
+        for (const int64_t pad : {0, 1, 2, 3}) {
+          ConvGeometry g;
+          g.batch = 2;
+          g.in_channels = 2;
+          g.in_h = hw[0];
+          g.in_w = hw[1];
+          g.kernel_h = k;
+          g.kernel_w = k;
+          g.stride = stride;
+          g.padding = pad;
+          if (g.in_h + 2 * pad >= k && g.in_w + 2 * pad >= k) out.push_back(g);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::string describe(const ConvGeometry& g) {
+  return std::to_string(g.in_h) + "x" + std::to_string(g.in_w) + " k" +
+         std::to_string(g.kernel_h) + " s" + std::to_string(g.stride) + " p" +
+         std::to_string(g.padding);
+}
+
+TEST(Im2colTest, MatchesPerElementReferenceBitwise) {
+  const std::vector<ConvGeometry> geoms = sweep_geometries();
+  ASSERT_GT(geoms.size(), 150U);
+  uint64_t seed = 100;
+  for (const ConvGeometry& g : geoms) {
+    Rng rng(seed++);
+    Tensor x(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
+    x.fill_uniform(rng, -1.0F, 1.0F);
+    x.at(0) = -0.0F;  // signed zeros must survive the copy
+    EXPECT_TRUE(bitwise_equal(im2col(x, g), naive_im2col(x, g))) << describe(g);
+  }
+}
+
+TEST(Im2colTest, Col2imMatchesPerElementReferenceBitwise) {
+  uint64_t seed = 500;
+  for (const ConvGeometry& g : sweep_geometries()) {
+    Rng rng(seed++);
+    Tensor cols(Shape{g.patch_rows(), g.patch_cols()});
+    // A wide value range makes the float sums order-sensitive, so a
+    // changed add order would show.
+    cols.fill_uniform(rng, -1.0F, 1.0F);
+    for (int64_t i = 0; i < cols.numel(); i += 3) cols.at(i) *= 1.0e6F;
+    EXPECT_TRUE(bitwise_equal(col2im(cols, g), naive_col2im(cols, g))) << describe(g);
+  }
 }
 
 TEST(Im2colTest, ShapeMismatchThrows) {
