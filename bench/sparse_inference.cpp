@@ -33,7 +33,6 @@
 
 #include "core/nm_projection.hpp"
 #include "nn/models/zoo.hpp"
-#include "runtime/autotune.hpp"
 #include "runtime/batch_executor.hpp"
 #include "runtime/compiled_network.hpp"
 #include "runtime/trace.hpp"
@@ -430,47 +429,6 @@ int main(int argc, char** argv) {
     } else {
       std::printf("no avx2 on this box; tier gate is informational\n");
     }
-  }
-
-  // Autotuned lowering: the measured {backend, block, tier} pick vs the
-  // heuristic plan on the 0.9-sparsity network, plus the cache effect
-  // on recompilation (the second compile should be decided from cache).
-  std::printf("\nautotuned compile at 0.9 sparsity:\n");
-  {
-    const auto net = ndsnn::nn::make_model(arch, spec);
-    mask_network(*net, 0.9, 7);
-    ndsnn::runtime::autotune_cache_clear();
-    ndsnn::runtime::CompileOptions tuned_opts;
-    tuned_opts.activation_mode = ndsnn::runtime::ActivationMode::kDense;
-    tuned_opts.autotune = true;
-    const ndsnn::util::Stopwatch cold_sw;
-    const CompiledNetwork tuned = CompiledNetwork::compile(*net, tuned_opts);
-    const double cold_compile_ms = cold_sw.millis();
-    const ndsnn::util::Stopwatch warm_sw;
-    const CompiledNetwork tuned2 = CompiledNetwork::compile(*net, tuned_opts);
-    const double warm_compile_ms = warm_sw.millis();
-    (void)tuned2;
-    ndsnn::runtime::CompileOptions heur_opts;
-    heur_opts.activation_mode = ndsnn::runtime::ActivationMode::kDense;
-    const CompiledNetwork heuristic = CompiledNetwork::compile(*net, heur_opts);
-    const double tuned_ms = time_plan(tuned, batch, repeats);
-    const double heur_ms = time_plan(heuristic, batch, repeats);
-    const auto stats = ndsnn::runtime::autotune_cache_stats();
-    std::printf(
-        "  heuristic %.2f ms, autotuned %.2f ms (%.2fx); compile cold %.1f ms, "
-        "warm %.1f ms (%.0fx); cache %lld hits / %lld misses\n",
-        heur_ms, tuned_ms, heur_ms / tuned_ms, cold_compile_ms, warm_compile_ms,
-        cold_compile_ms / std::max(warm_compile_ms, 1e-6),
-        static_cast<long long>(stats.hits), static_cast<long long>(stats.misses));
-    json.key("autotune").begin_object();
-    json.kv("heuristic_ms", heur_ms);
-    json.kv("autotuned_ms", tuned_ms);
-    json.kv("autotune_speedup", heur_ms / tuned_ms);
-    json.kv("compile_cold_ms", cold_compile_ms);
-    json.kv("compile_warm_ms", warm_compile_ms);
-    json.kv("cache_hits", stats.hits);
-    json.kv("cache_misses", stats.misses);
-    json.end_object();
   }
 
   // Quantised value planes, end to end: the same masked network

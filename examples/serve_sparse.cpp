@@ -10,7 +10,6 @@
 //                           [--activation auto|dense|event]
 //                           [--precision auto|fp32|int8|int4]
 //                           [--kernel-tier auto|scalar|vector|avx2]
-//                           [--autotune]
 //                           [--intra-threads 1] [--coalesce 0]
 //                           [--coalesce-wait-us 200] [--slo-ms 0]
 //                           [--save-checkpoint model.ndck]
@@ -223,7 +222,6 @@ void print_help() {
       "\n"
       "backend options (runtime::BackendOptions):\n"
       "  --kernel-tier auto|scalar|vector|avx2   pin the SIMD dispatch tier\n"
-      "  --autotune                              measure per-layer lowering choices\n"
       "\n"
       "quantisation options (runtime::QuantOptions):\n"
       "  --precision auto|fp32|int8|int4         stored weight precision\n"
@@ -280,16 +278,13 @@ int main(int argc, char** argv) {
   opts.weight_precision = ndsnn::runtime::parse_weight_precision(precision_spec);
   opts.num_threads = cli.get_int("--intra-threads", 1);
   // --kernel-tier pins the SIMD dispatch tier (scalar|vector|avx2|auto)
-  // for reproducible serving across heterogeneous fleets; --autotune
-  // replaces the lowering heuristics with measured per-layer decisions
-  // (cached, so checkpoint reloads decide instantly).
+  // for reproducible serving across heterogeneous fleets.
   const std::string tier_spec = cli.get_string("--kernel-tier", "auto");
   if (!ndsnn::util::simd::parse(tier_spec, &opts.kernel_tier)) {
     std::fprintf(stderr, "unknown --kernel-tier '%s' (want scalar|vector|avx2|auto)\n",
                  tier_spec.c_str());
     return 1;
   }
-  opts.autotune = cli.has_flag("--autotune");
 
   ndsnn::runtime::ExecutorOptions exec_opts;
   exec_opts.max_coalesce = cli.get_int("--coalesce", 0);

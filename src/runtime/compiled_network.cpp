@@ -9,7 +9,6 @@
 
 #include "nn/batchnorm.hpp"
 #include "nn/checkpoint.hpp"
-#include "runtime/autotune.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
 #include "nn/lif_activation.hpp"
@@ -150,46 +149,6 @@ sparse::Precision pick_precision(const Tensor& weight, Kernel kernel, bool unifo
   return sparse::Precision::kFp32;
 }
 
-/// The {kernel, precision, per-layer options} one weight layer lowers
-/// with. Bundled because autotuning overrides pieces of the
-/// CompileOptions copy the op receives (block shape, kernel tier) and
-/// the report must stay truthful about whether a measurement decided.
-struct WeightLowering {
-  Kernel kernel = Kernel::kDense;
-  sparse::Precision precision = sparse::Precision::kFp32;
-  CompileOptions opts;  ///< per-layer copy the op constructor consumes
-};
-
-/// Static-heuristic or measured lowering for one weight layer.
-/// Autotune applies only where the probe measures what the op will run:
-/// dense-activation layers under an unforced backend. Everything else
-/// (event path, forced backends) takes the heuristics, with the copied
-/// autotune flag cleared so OpReport::autotuned never lies.
-WeightLowering lower_weight_layer(const Tensor& weight, bool event, bool uniform_error,
-                                  AutotuneProbe probe, Lowering& lw) {
-  const CompileOptions& opts = lw.opts;
-  WeightLowering out;
-  out.opts = opts;
-  const bool tune =
-      opts.autotune && !event && !opts.force_dense && opts.backend == Backend::kAuto;
-  if (tune) {
-    // Calibrate the value-plane precision first (against the CSR
-    // scheme — the dense candidate ignores precision, and the grouped
-    // knob only deploys on CSR), then measure the candidates with it.
-    out.precision = pick_precision(weight, Kernel::kCsr, uniform_error, lw);
-    const AutotuneChoice choice = autotune_layer(weight, out.precision, probe, opts);
-    out.kernel = choice.kernel;
-    out.opts.block_rows = choice.block_rows;
-    out.opts.block_cols = choice.block_cols;
-    out.opts.kernel_tier = choice.tier;
-    return out;
-  }
-  out.opts.autotune = false;
-  out.kernel = pick_kernel(weight, opts);
-  out.precision = pick_precision(weight, out.kernel, uniform_error, lw);
-  return out;
-}
-
 std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw);
 
 std::vector<std::unique_ptr<Op>> compile_chain(
@@ -214,11 +173,10 @@ std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
     lw.now_dense();
     if (lw.dry) return nullptr;
     // Event-path LinearOp builds a uniform-scale plane; measure that.
-    const WeightLowering wl = lower_weight_layer(linear->weight(), event,
-                                                 /*uniform_error=*/event,
-                                                 AutotuneProbe::kSpmmT, lw);
-    return std::make_unique<LinearOp>(*linear, wl.kernel, wl.precision, event, wl.opts,
-                                      lw.pool);
+    const Kernel kernel = pick_kernel(linear->weight(), lw.opts);
+    const sparse::Precision precision =
+        pick_precision(linear->weight(), kernel, /*uniform_error=*/event, lw);
+    return std::make_unique<LinearOp>(*linear, kernel, precision, event, lw.opts, lw.pool);
   }
   if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&layer)) {
     const bool event = lw.event_for_weight_layer();
@@ -226,11 +184,10 @@ std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
     lw.now_dense();
     if (lw.dry) return nullptr;
     // Conv structures keep per-row/per-block scales on every path.
-    const WeightLowering wl = lower_weight_layer(conv->weight(), event,
-                                                 /*uniform_error=*/false,
-                                                 AutotuneProbe::kSpmm, lw);
-    return std::make_unique<ConvOp>(*conv, wl.kernel, wl.precision, event, wl.opts,
-                                    lw.pool);
+    const Kernel kernel = pick_kernel(conv->weight(), lw.opts);
+    const sparse::Precision precision =
+        pick_precision(conv->weight(), kernel, /*uniform_error=*/false, lw);
+    return std::make_unique<ConvOp>(*conv, kernel, precision, event, lw.opts, lw.pool);
   }
   if (const auto* bn = dynamic_cast<const nn::BatchNorm2d*>(&layer)) {
     lw.now_dense();  // the affine shift makes zeros non-zero

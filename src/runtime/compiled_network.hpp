@@ -122,17 +122,6 @@ struct BackendOptions {
   /// and stay CSR regardless. The heuristic regression test in
   /// tests/runtime/compiled_network_test.cpp pins both sides.
   double bcsr_min_occupancy = 0.75;
-  /// Measure instead of guess: microbenchmark each prunable weight
-  /// layer's candidate configurations {dense, CSR, BCSR x block shapes}
-  /// x {kVector, detected tier} on the layer's real extracted weights
-  /// and lower onto the measured winner, overriding the min_sparsity /
-  /// bcsr_min_occupancy heuristics (a forced `backend` still wins).
-  /// Results are cached process-wide keyed by (shape, precision, mask
-  /// fingerprint, CPU tier), so recompiling the same network — or
-  /// loading it again via from_checkpoint — skips the probes entirely.
-  /// Event-path layers keep the heuristic: their gather kernels are not
-  /// what the probe measures. Off by default (compile stays instant).
-  bool autotune = false;
 };
 
 /// Weight quantisation knobs: stored bit width of the sparse value

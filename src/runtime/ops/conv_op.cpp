@@ -21,7 +21,6 @@ ConvOp::ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision
       gemm_(kernel),
       pool_(std::move(pool)),
       tier_(util::simd::resolve(opts.kernel_tier)),
-      autotuned_(opts.autotune),
       precision_(kernel == Kernel::kDense ? sparse::Precision::kFp32 : precision),
       event_(event),
       has_bias_(src.has_bias()),
@@ -320,7 +319,6 @@ OpReport ConvOp::report() const {
   OpReport r{layer_name_, std::string(kernel_tag(gemm_)) + "-conv", weights_, stored_,
              source_sparsity_, event_, precision_, bytes_};
   r.tier = tier_;
-  r.autotuned = autotuned_;
   return r;
 }
 

@@ -54,7 +54,6 @@ class ConvOp final : public Op {
   std::vector<int64_t> channel_weight_prefix_;
   /// Kernel tier resolved once at construction (see LinearOp::tier_).
   util::simd::Tier tier_;
-  bool autotuned_;  ///< {kernel, block, tier} came from runtime::Autotune
   sparse::Precision precision_;
   int64_t bytes_ = 0;
   bool event_;

@@ -21,7 +21,6 @@ LinearOp::LinearOp(const nn::Linear& src, Kernel kernel, sparse::Precision preci
       kernel_(kernel),
       pool_(std::move(pool)),
       tier_(util::simd::resolve(opts.kernel_tier)),
-      autotuned_(opts.autotune),
       precision_(kernel == Kernel::kDense ? sparse::Precision::kFp32 : precision),
       event_(event),
       has_bias_(src.has_bias()),
@@ -217,7 +216,6 @@ OpReport LinearOp::report() const {
   OpReport r{layer_name_, std::string(kernel_tag(kernel_)) + "-linear", weights_, stored_,
              source_sparsity_, event_, precision_, bytes_};
   r.tier = tier_;
-  r.autotuned = autotuned_;
   return r;
 }
 

@@ -53,7 +53,6 @@ class LinearOp final : public Op {
   /// kernel_tier), so the op's dispatch never shifts under a later env
   /// or force() change — a compiled plan executes reproducibly.
   util::simd::Tier tier_;
-  bool autotuned_;  ///< {kernel, block, tier} came from runtime::Autotune
   sparse::Precision precision_;
   int64_t bytes_ = 0;
   bool event_;

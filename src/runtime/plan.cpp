@@ -89,7 +89,7 @@ std::string Plan::summary() const {
       os << " " << sparse::precision_tag(r.precision);
     }
     if (r.weights > 0) {
-      os << " " << util::simd::name(r.tier) << (r.autotuned ? "*" : "");
+      os << " " << util::simd::name(r.tier);
     }
     os << "] " << r.layer;
     if (r.weights > 0) {

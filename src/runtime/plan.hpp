@@ -142,11 +142,6 @@ struct OpReport {
   /// Weightless ops have no tiered kernels and keep the kScalar
   /// default; the plan summary only prints the tier for weight ops.
   util::simd::Tier tier = util::simd::Tier::kScalar;
-  /// True when the op's {kernel, block shape, tier} came from a
-  /// measured runtime::Autotune decision rather than the static
-  /// heuristics (false for event-path and weightless ops even when
-  /// CompileOptions::autotune was set).
-  bool autotuned = false;
 };
 
 /// Opaque per-session mutable state of one op for streaming execution

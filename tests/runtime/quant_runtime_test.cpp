@@ -1,9 +1,10 @@
 // Quantised-value execution through the compiled runtime: precision
 // selection (forced / auto error-bound / per-layer overrides / v3
-// checkpoint records), report plumbing, byte accounting, and a pinned
-// end-to-end sanity run. The tight numeric guarantees live in the
-// differential sweep's lockstep precision axis (testing.hpp) and the
-// kernel-level tests (tests/sparse/quant_test.cpp).
+// checkpoint records), report plumbing, byte accounting, a pinned
+// end-to-end sanity run, and quant_group_size (compile-time validation
+// plus a grouped-int4 lockstep run). The tight numeric guarantees live
+// in the differential sweep's lockstep precision axis (testing.hpp) and
+// the kernel-level tests (tests/sparse/quant_test.cpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +12,9 @@
 #include <vector>
 
 #include "nn/checkpoint.hpp"
+#include "nn/models/zoo.hpp"
+#include "snn/encoder.hpp"
+#include "tensor/random.hpp"
 #include "testing.hpp"
 
 namespace ndsnn::runtime {
@@ -23,6 +27,14 @@ difftest::NetConfig pinned_config() {
   cfg.sparsity = 0.9;
   cfg.seed = 314159;
   return cfg;
+}
+
+/// Uniform [0, 1) image batch of shape [n, c, s, s].
+tensor::Tensor random_batch(int64_t n, int64_t c, int64_t s, uint64_t seed) {
+  tensor::Rng rng(seed);
+  tensor::Tensor batch(tensor::Shape{n, c, s, s});
+  batch.fill_uniform(rng, 0.0F, 1.0F);
+  return batch;
 }
 
 /// Weight-op reports (weights > 0), in body order.
@@ -217,8 +229,52 @@ TEST(QuantRuntimeTest, ParseWeightPrecisionRoundTrips) {
   EXPECT_EQ(parse_weight_precision("fp32"), WeightPrecision::kFp32);
   EXPECT_EQ(parse_weight_precision("int8"), WeightPrecision::kInt8);
   EXPECT_EQ(parse_weight_precision("int4"), WeightPrecision::kInt4);
-  EXPECT_THROW(parse_weight_precision("bf16"), std::invalid_argument);
+  EXPECT_THROW((void)parse_weight_precision("bf16"), std::invalid_argument);
   EXPECT_STREQ(weight_precision_name(WeightPrecision::kInt4), "int4");
+}
+
+TEST(QuantRuntimeTest, QuantGroupSizeValidation) {
+  nn::ModelSpec spec;
+  spec.in_channels = 1;
+  spec.image_size = 8;
+  spec.timesteps = 1;
+  const auto net = nn::make_lenet5(spec);
+  for (const int64_t bad : {3LL, 2LL, 48LL, -8LL}) {
+    CompileOptions opts;
+    opts.quant_group_size = bad;
+    EXPECT_THROW((void)CompiledNetwork::compile(*net, opts), std::invalid_argument)
+        << "group=" << bad;
+  }
+}
+
+TEST(QuantRuntimeTest, GroupedInt4PlanRunsWithinTolerance) {
+  nn::ModelSpec spec;
+  spec.in_channels = 1;
+  spec.image_size = 12;
+  spec.timesteps = 2;
+  const auto net = nn::make_lenet5(spec);
+  difftest::apply_random_masks(*net, 0.9, 61);
+  const tensor::Tensor batch = random_batch(2, 1, 12, 63);
+  difftest::warm_up(*net, batch);
+
+  CompileOptions quant;
+  quant.weight_precision = WeightPrecision::kInt4;
+  quant.quant_group_size = 32;
+  CompileOptions ref = quant;
+  ref.fake_quant = true;  // same effective weights, bitwise fp32 kernels
+
+  const CompiledNetwork q = CompiledNetwork::compile(*net, quant);
+  const CompiledNetwork f = CompiledNetwork::compile(*net, ref);
+  for (const auto& r : q.plan()) {
+    if (r.weights > 0 && r.kind.rfind("csr-", 0) == 0 && !r.event) {
+      EXPECT_EQ(r.precision, sparse::Precision::kInt4) << r.layer;
+    }
+  }
+  snn::DirectEncoder encoder;
+  difftest::expect_lockstep_close(q.plan_ir(), f.plan_ir(),
+                                  encoder.encode(batch, q.timesteps()),
+                                  difftest::quant_tolerance(WeightPrecision::kInt4),
+                                  "grouped int4 lenet5");
 }
 
 }  // namespace

@@ -117,7 +117,7 @@ TEST(QuantPlaneTest, ParseAndTags) {
   EXPECT_EQ(parse_precision("int8"), Precision::kInt8);
   EXPECT_EQ(parse_precision("int4"), Precision::kInt4);
   EXPECT_EQ(parse_precision("fp32"), Precision::kFp32);
-  EXPECT_THROW(parse_precision("int2"), std::invalid_argument);
+  EXPECT_THROW((void)parse_precision("int2"), std::invalid_argument);
   EXPECT_STREQ(precision_tag(Precision::kInt4), "int4");
   EXPECT_EQ(precision_value_bits(Precision::kInt4), 4);
   EXPECT_EQ(precision_value_bits(Precision::kInt8), 8);

@@ -306,11 +306,6 @@ def main(argv):
 
     if not check_kernel_tiers(fresh):
         failed = True
-    autotune = fresh.get("autotune", {})
-    if autotune:
-        print(f"info: autotune compile cold {autotune.get('compile_cold_ms', 0):.1f} ms, "
-              f"warm {autotune.get('compile_warm_ms', 0):.1f} ms, "
-              f"plan speedup {autotune.get('autotune_speedup', 0):.2f}x")
 
     # Informational (not gated: thread/coalescing wins are core-count
     # bound and the snapshot may come from a smaller box than CI).
