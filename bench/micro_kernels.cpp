@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the computational kernels: GEMM,
 // im2col, LIF step, surrogate gradient, drop/grow selection, CSR matvec,
-// and the CSR-vs-BCSR spmm/spmm_t comparison at the structured-sparsity
-// patterns the runtime targets (2:4, 1:4, 4x4 blocks). These quantify
+// and CSR spmm/spmm_t at the structured-sparsity patterns of Sec. III-D
+// (2:4, 1:4, 4x4 blocks). These quantify
 // where the training loop and the inference runtime spend their time.
 #include <benchmark/benchmark.h>
 
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "snn/lif.hpp"
-#include "sparse/bcsr.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/structured.hpp"
 #include "sparse/topk.hpp"
@@ -156,11 +155,11 @@ void BM_CsrMatvec(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrMatvec)->Apply(MinOfRepeats)->Arg(100)->Arg(10)->Arg(2);
 
-// --------------------------------------------------- CSR vs BCSR kernels
+// ------------------------------------------- CSR at structured patterns
 //
 // A 512x512 weight layer at the structured patterns of Sec. III-D.
 // Pattern ids: 0 = 2:4, 1 = 1:4, 2 = random 4x4 block mask (25% of
-// blocks kept). The BCSR variants pack 4x4 dense micro-blocks.
+// blocks kept).
 
 Tensor make_pattern_matrix(int64_t pattern_id, uint64_t seed) {
   Rng rng(seed);
@@ -208,25 +207,6 @@ void BM_CsrSpmm(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrSpmm)->Apply(MinOfRepeats)->Arg(0)->Arg(1)->Arg(2);
 
-void BM_BcsrSpmm(benchmark::State& state) {
-  const Tensor a = make_pattern_matrix(state.range(0), 21);
-  const auto bcsr = ndsnn::sparse::Bcsr::from_dense(a, 4, 4);
-  Rng rng(22);
-  Tensor b(Shape{512, kSpmmCols});
-  b.fill_uniform(rng, -1.0F, 1.0F);
-  (void)bcsr.spmm(b);  // warm-up
-  for (auto _ : state) {
-    Tensor c = bcsr.spmm(b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  char label[96];
-  std::snprintf(label, sizeof label, "%s occupancy=%.2f", pattern_name(state.range(0)),
-                bcsr.occupancy());
-  state.SetLabel(label);
-  state.SetItemsProcessed(state.iterations() * 2 * bcsr.nnz() * kSpmmCols);
-}
-BENCHMARK(BM_BcsrSpmm)->Apply(MinOfRepeats)->Arg(0)->Arg(1)->Arg(2);
-
 void BM_CsrSpmmT(benchmark::State& state) {
   const Tensor a = make_pattern_matrix(state.range(0), 23);
   const auto csr = ndsnn::sparse::Csr::from_dense(a);
@@ -243,30 +223,14 @@ void BM_CsrSpmmT(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrSpmmT)->Apply(MinOfRepeats)->Arg(0)->Arg(1)->Arg(2);
 
-void BM_BcsrSpmmT(benchmark::State& state) {
-  const Tensor a = make_pattern_matrix(state.range(0), 23);
-  const auto bcsr = ndsnn::sparse::Bcsr::from_dense(a, 4, 4);
-  Rng rng(24);
-  Tensor b(Shape{kSpmmTRows, 512});
-  b.fill_uniform(rng, -1.0F, 1.0F);
-  (void)bcsr.spmm_t(b);  // warm-up
-  for (auto _ : state) {
-    Tensor c = bcsr.spmm_t(b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetLabel(pattern_name(state.range(0)));
-  state.SetItemsProcessed(state.iterations() * 2 * bcsr.nnz() * kSpmmTRows);
-}
-BENCHMARK(BM_BcsrSpmmT)->Apply(MinOfRepeats)->Arg(0)->Arg(1)->Arg(2);
-
 // ---------------------------------------------------------- kernel tiers
 //
 // The fc1-scale layer ([120 x 400] at 0.9 unstructured sparsity, the
 // shape the runtime's LinearOp gate targets) through each SIMD tier
-// explicitly. Arg: tier id (1 = scalar, 2 = vector, 3 = avx2). Tiers
-// above what the box detects are skipped instead of measured — the
-// dispatch layer would silently clamp the request and the "avx2" row
-// would quietly time the vector kernel.
+// explicitly. Arg: tier id (1 = scalar, 2 = avx2). Tiers above what
+// the box detects are skipped instead of measured — the dispatch layer
+// would silently clamp the request and the "avx2" row would quietly
+// time the scalar kernel.
 
 Tensor make_fc1_matrix(uint64_t seed) {
   Rng rng(seed);
@@ -297,7 +261,7 @@ void BM_CsrSpmmTTier(benchmark::State& state) {
   state.SetLabel(simd::name(tier));
   state.SetItemsProcessed(state.iterations() * 2 * csr.nnz() * 256);
 }
-BENCHMARK(BM_CsrSpmmTTier)->Apply(MinOfRepeats)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_CsrSpmmTTier)->Apply(MinOfRepeats)->Arg(1)->Arg(2);
 
 void BM_CsrSpmmTier(benchmark::State& state) {
   const auto tier = static_cast<simd::Tier>(state.range(0));
@@ -318,7 +282,7 @@ void BM_CsrSpmmTier(benchmark::State& state) {
   state.SetLabel(simd::name(tier));
   state.SetItemsProcessed(state.iterations() * 2 * csr.nnz() * 256);
 }
-BENCHMARK(BM_CsrSpmmTier)->Apply(MinOfRepeats)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_CsrSpmmTier)->Apply(MinOfRepeats)->Arg(1)->Arg(2);
 
 }  // namespace
 

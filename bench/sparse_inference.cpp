@@ -1,10 +1,10 @@
 // Dense-vs-sparse inference at the paper's sparsity points (0.5-0.99).
 //
 // Builds a zoo model, masks its weights at each target sparsity, compiles
-// a dense plan (force_dense) and a CSR plan, and reports single-thread
-// latency/throughput plus the speedup the compiled sparsity buys.
-// Further sections cover structured (BCSR) kernels, the quantised-value
-// planes — the Sec. III-D 8/4-bit storage claim paired with measured
+// a dense plan (backend = kDense) and a CSR plan, and reports
+// single-thread latency/throughput plus the speedup the compiled
+// sparsity buys. Further sections cover the quantised-value planes —
+// the Sec. III-D 8/4-bit storage claim paired with measured
 // throughput and bytes-touched numbers, both at the kernel level (fp32
 // vs int8/int4 CSR spmm_t on the lenet5 fc1-scale layer) and end to end
 // (whole plans per precision) — and a BatchExecutor thread-pool sweep.
@@ -31,7 +31,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/nm_projection.hpp"
 #include "nn/models/zoo.hpp"
 #include "runtime/batch_executor.hpp"
 #include "runtime/compiled_network.hpp"
@@ -39,7 +38,6 @@
 #include "sparse/csr.hpp"
 #include "sparse/mask.hpp"
 #include "sparse/quant.hpp"
-#include "sparse/structured.hpp"
 #include "tensor/random.hpp"
 #include "util/cli.hpp"
 #include "util/cpuinfo.hpp"
@@ -93,27 +91,6 @@ double time_interpreted(ndsnn::nn::SpikingNetwork& net, const Tensor& batch, int
   return best;
 }
 
-/// Zero random 4x4 blocks of every prunable weight's lowered 2-D form,
-/// keeping `keep` of them — the row-block pattern of FPGA SNN
-/// accelerators (SyncNN-style), the best case for BCSR.
-void block_mask_network(ndsnn::nn::SpikingNetwork& net, double keep, uint64_t seed) {
-  Rng rng(seed);
-  for (const auto& p : net.params()) {
-    if (!p.prunable) continue;
-    const int64_t rows = p.value->dim(0);
-    const int64_t cols = p.value->numel() / rows;
-    float* w = p.value->data();
-    for (int64_t rb = 0; rb < rows; rb += 4) {
-      for (int64_t cb = 0; cb < cols; cb += 4) {
-        if (rng.uniform01() < keep) continue;
-        for (int64_t r = rb; r < std::min(rb + 4, rows); ++r) {
-          for (int64_t c = cb; c < std::min(cb + 4, cols); ++c) w[r * cols + c] = 0.0F;
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -165,7 +142,7 @@ int main(int argc, char** argv) {
     mask_network(*net, sparsity, 7);
 
     CompileOptions dense_opts;
-    dense_opts.force_dense = true;
+    dense_opts.backend = ndsnn::runtime::Backend::kDense;
     dense_opts.activation_mode = ndsnn::runtime::ActivationMode::kDense;
     const CompiledNetwork dense_plan = CompiledNetwork::compile(*net, dense_opts);
     CompileOptions csr_opts;
@@ -201,65 +178,6 @@ int main(int argc, char** argv) {
   std::printf("\nspeedup over the dense path at 0.95 sparsity: %.2fx %s\n", speedup_at_95,
               speedup_at_95 >= 2.0 ? "(>= 2x target met)" : "(below 2x target!)");
   json.kv("speedup_at_095", speedup_at_95);
-
-  // Structured sparsity: the same network projected/masked onto the
-  // hardware-friendly patterns of Sec. III-D, executed with the
-  // element-wise CSR kernels vs the block-CSR kernels (forced backends,
-  // so the comparison isolates the kernel and not the heuristic). The
-  // auto column shows what the measured-occupancy heuristic actually
-  // picks per layer: after the PR-5 recalibration it routes N:M
-  // patterns (~0.5 occupancy, where BCSR measured 0.78x/0.65x) to CSR
-  // and only genuinely blocky masks to BCSR, so auto should track the
-  // better of the two forced columns.
-  std::printf("\nstructured patterns, CSR vs BCSR kernels (4x4 blocks):\n");
-  ndsnn::util::Table structured({"pattern", "sparsity", "csr ms", "bcsr ms", "auto ms",
-                                 "bcsr speedup", "bcsr samples/s"});
-  json.key("structured").begin_array();
-  for (const std::string pattern : {"2:4", "1:4", "blk4x4"}) {
-    const auto net = ndsnn::nn::make_model(arch, spec);
-    double sparsity = 0.0;
-    if (pattern == "blk4x4") {
-      block_mask_network(*net, /*keep=*/0.25, 7);
-    } else {
-      const auto report =
-          ndsnn::core::project_network_nm(*net, ndsnn::sparse::parse_nm(pattern));
-      sparsity = ndsnn::sparse::nm_sparsity(ndsnn::sparse::parse_nm(pattern));
-      (void)report;
-    }
-
-    // Dense activations on both plans: the comparison isolates the
-    // weight kernel, not the activation heuristic.
-    ndsnn::runtime::CompileOptions csr_opts;
-    csr_opts.backend = ndsnn::runtime::Backend::kCsr;
-    csr_opts.activation_mode = ndsnn::runtime::ActivationMode::kDense;
-    ndsnn::runtime::CompileOptions bcsr_opts;
-    bcsr_opts.backend = ndsnn::runtime::Backend::kBcsr;
-    bcsr_opts.activation_mode = ndsnn::runtime::ActivationMode::kDense;
-    ndsnn::runtime::CompileOptions auto_opts;
-    auto_opts.activation_mode = ndsnn::runtime::ActivationMode::kDense;
-    const CompiledNetwork csr_plan = CompiledNetwork::compile(*net, csr_opts);
-    const CompiledNetwork bcsr_plan = CompiledNetwork::compile(*net, bcsr_opts);
-    const CompiledNetwork auto_plan = CompiledNetwork::compile(*net, auto_opts);
-    if (pattern == "blk4x4") sparsity = csr_plan.overall_sparsity();
-
-    const double csr_ms = time_plan(csr_plan, batch, repeats);
-    const double bcsr_ms = time_plan(bcsr_plan, batch, repeats);
-    const double auto_ms = time_plan(auto_plan, batch, repeats);
-    structured.add_row({pattern, ndsnn::util::fmt(sparsity, 2), ndsnn::util::fmt(csr_ms, 2),
-                        ndsnn::util::fmt(bcsr_ms, 2), ndsnn::util::fmt(auto_ms, 2),
-                        ndsnn::util::fmt(csr_ms / bcsr_ms, 2) + "x",
-                        ndsnn::util::fmt(1e3 * batch_size / bcsr_ms, 0)});
-    json.begin_object();
-    json.kv("pattern", pattern);
-    json.kv("sparsity", sparsity);
-    json.kv("csr_ms", csr_ms);
-    json.kv("bcsr_ms", bcsr_ms);
-    json.kv("auto_ms", auto_ms);
-    json.kv("bcsr_speedup", csr_ms / bcsr_ms);
-    json.end_object();
-  }
-  json.end_array();
-  structured.print();
 
   // Quantised value planes, kernel level: the fc1-scale layer
   // ([120 x 400], He-init magnitudes, 0.9 sparsity) under the
@@ -334,15 +252,14 @@ int main(int argc, char** argv) {
   }
 
   // SIMD kernel tiers: the same fc1-scale layer through every tier this
-  // box can execute — the scalar reference, the gcc-vector-extension
-  // baseline, and the hand-written AVX2 kernels — per precision, for
-  // both GEMM orientations the runtime dispatches (spmm_t is what
-  // LinearOp runs, spmm what ConvOp runs). Timing is min-of-repeats:
-  // the minimum over individually-timed calls is the least noisy
-  // location statistic on a shared box, and it is what
-  // tools/check_bench_regression.py gates on. AVX2 columns only exist
+  // box can execute — the scalar reference and the hand-written AVX2
+  // kernels — per precision, for both GEMM orientations the runtime
+  // dispatches (spmm_t is what LinearOp runs, spmm what ConvOp runs).
+  // Timing is min-of-repeats: the minimum over individually-timed calls
+  // is the least noisy location statistic on a shared box, and it is
+  // what tools/check_bench_regression.py gates on. AVX2 columns only exist
   // when the box actually detected avx2 (a forced request would clamp
-  // to the vector tier and silently measure the wrong kernel).
+  // to the scalar tier and silently measure the wrong kernel).
   std::printf("\nkernel tiers, lenet5 fc1-scale [120 x 400] at 0.9 sparsity:\n");
   {
     namespace simd = ndsnn::util::simd;
@@ -372,8 +289,8 @@ int main(int argc, char** argv) {
       return best;
     };
 
-    ndsnn::util::Table tiers_table({"kernel", "precision", "scalar ms", "vector ms",
-                                    "avx2 ms", "avx2 speedup"});
+    ndsnn::util::Table tiers_table(
+        {"kernel", "precision", "scalar ms", "avx2 ms", "avx2 speedup"});
     double avx2_fp32_spmm_t_speedup = has_avx2 ? 0.0 : -1.0;
     json.key("kernel_tiers").begin_object();
     json.kv("detected", simd::name(simd::detected()));
@@ -396,23 +313,21 @@ int main(int argc, char** argv) {
           });
         };
         const double scalar_ms = run_tier(simd::Tier::kScalar);
-        const double vector_ms = run_tier(simd::Tier::kVector);
         const double avx2_ms = has_avx2 ? run_tier(simd::Tier::kAvx2) : -1.0;
-        const double avx2_speedup = has_avx2 ? vector_ms / avx2_ms : -1.0;
+        const double avx2_speedup = has_avx2 ? scalar_ms / avx2_ms : -1.0;
         const char* kname = transposed ? "spmm_t" : "spmm";
         if (transposed && precision == ndsnn::sparse::Precision::kFp32) {
           avx2_fp32_spmm_t_speedup = avx2_speedup;
         }
         tiers_table.add_row(
             {kname, ndsnn::sparse::precision_tag(precision),
-             ndsnn::util::fmt(scalar_ms, 3), ndsnn::util::fmt(vector_ms, 3),
+             ndsnn::util::fmt(scalar_ms, 3),
              has_avx2 ? ndsnn::util::fmt(avx2_ms, 3) : "-",
              has_avx2 ? ndsnn::util::fmt(avx2_speedup, 2) + "x" : "-"});
         json.begin_object();
         json.kv("kernel", kname);
         json.kv("precision", ndsnn::sparse::precision_tag(precision));
         json.kv("scalar_ms", scalar_ms);
-        json.kv("vector_ms", vector_ms);
         json.kv("avx2_ms", avx2_ms);
         json.kv("avx2_speedup", avx2_speedup);
         json.end_object();
@@ -423,7 +338,7 @@ int main(int argc, char** argv) {
     json.end_object();
     tiers_table.print();
     if (has_avx2) {
-      std::printf("avx2 over vector fp32 spmm_t: %.2fx %s\n", avx2_fp32_spmm_t_speedup,
+      std::printf("avx2 over scalar fp32 spmm_t: %.2fx %s\n", avx2_fp32_spmm_t_speedup,
                   avx2_fp32_spmm_t_speedup >= 1.5 ? "(>= 1.5x target met)"
                                                   : "(below 1.5x target!)");
     } else {

@@ -1,6 +1,6 @@
 // Serving demo: train a sparse SNN with NDSNN, optionally project it
 // onto an N:M structured pattern for deployment, compile it to sparse
-// kernels (CSR for unstructured masks, block-CSR for structured ones,
+// kernels (CSR for sparse layers, dense GEMM below the sparsity bar,
 // event-driven gather behind low-rate spike trains — the compiler's
 // heuristics pick per layer), and serve classification requests through
 // the multi-threaded BatchExecutor, reporting p50/p95/p99 latency.
@@ -9,7 +9,7 @@
 //                           [--requests 32] [--batch 8] [--nm 2:4]
 //                           [--activation auto|dense|event]
 //                           [--precision auto|fp32|int8|int4]
-//                           [--kernel-tier auto|scalar|vector|avx2]
+//                           [--kernel-tier auto|scalar|avx2]
 //                           [--intra-threads 1] [--coalesce 0]
 //                           [--coalesce-wait-us 200] [--slo-ms 0]
 //                           [--save-checkpoint model.ndck]
@@ -214,14 +214,11 @@ void serve(const ndsnn::runtime::CompiledNetwork& plan,
 namespace {
 
 /// --help text, grouped to mirror CompileOptions' nested structure
-/// (BackendOptions / QuantOptions / ExecOptions) so the CLI surface and
-/// the API present the same mental model.
+/// (QuantOptions / ExecOptions; BackendOptions has no flag) so the CLI
+/// surface and the API present the same mental model.
 void print_help() {
   std::printf(
       "serve_sparse — train/load a sparse SNN and serve it\n"
-      "\n"
-      "backend options (runtime::BackendOptions):\n"
-      "  --kernel-tier auto|scalar|vector|avx2   pin the SIMD dispatch tier\n"
       "\n"
       "quantisation options (runtime::QuantOptions):\n"
       "  --precision auto|fp32|int8|int4         stored weight precision\n"
@@ -229,6 +226,7 @@ void print_help() {
       "execution options (runtime::ExecOptions):\n"
       "  --activation auto|dense|event           activation representation\n"
       "  --intra-threads N                       intra-op lanes (0 = hw concurrency)\n"
+      "  --kernel-tier auto|scalar|avx2          pin the SIMD dispatch tier\n"
       "\n"
       "executor / scheduling:\n"
       "  --threads N        total request-worker budget (default 4)\n"
@@ -277,11 +275,11 @@ int main(int argc, char** argv) {
   const std::string precision_spec = cli.get_string("--precision", "auto");
   opts.weight_precision = ndsnn::runtime::parse_weight_precision(precision_spec);
   opts.num_threads = cli.get_int("--intra-threads", 1);
-  // --kernel-tier pins the SIMD dispatch tier (scalar|vector|avx2|auto)
+  // --kernel-tier pins the SIMD dispatch tier (scalar|avx2|auto)
   // for reproducible serving across heterogeneous fleets.
   const std::string tier_spec = cli.get_string("--kernel-tier", "auto");
   if (!ndsnn::util::simd::parse(tier_spec, &opts.kernel_tier)) {
-    std::fprintf(stderr, "unknown --kernel-tier '%s' (want scalar|vector|avx2|auto)\n",
+    std::fprintf(stderr, "unknown --kernel-tier '%s' (want scalar|avx2|auto)\n",
                  tier_spec.c_str());
     return 1;
   }
@@ -499,8 +497,8 @@ int main(int argc, char** argv) {
   }
 
   // 4. Compile the masked network into an immutable sparse inference
-  // plan; the kernel heuristic lowers structured layers to BCSR,
-  // unstructured ones to CSR, and spike-fed layers to the event path
+  // plan; the kernel heuristic lowers sparse layers to CSR, the rest to
+  // dense GEMM, and spike-fed layers to the event path
   // (the training run recorded per-layer firing rates it plans on).
   const auto plan = ndsnn::runtime::CompiledNetwork::compile(*exp.network, opts);
   std::printf("%s\n", plan.summary().c_str());

@@ -4,13 +4,10 @@
 // N:M patterns. This pass projects every prunable weight tensor of a
 // trained network onto the pattern in place (keeping the N largest
 // magnitudes per group of M) and reports the magnitude mass each layer
-// loses — the accuracy-relevant damage of the projection. Projection
-// pushes lowered weight matrices toward block occupancy ~n/m (for
-// weights that were dense before projecting), so patterns at or above
-// ~2:4 clear the CompileOptions::bcsr_min_occupancy bar and compile
-// onto the runtime's block-CSR kernels automatically; sparser patterns
-// (1:4) and already-highly-sparse networks measure lower occupancy and
-// correctly stay on element-wise CSR.
+// loses — the accuracy-relevant damage of the projection. The runtime
+// compiles a projected network like any other masked one: layers at or
+// above CompileOptions::min_sparsity lower onto element-wise CSR, which
+// stores exactly the surviving N-of-M entries.
 #pragma once
 
 #include <string>

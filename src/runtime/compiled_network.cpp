@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <initializer_list>
 #include <memory>
 #include <stdexcept>
@@ -24,7 +25,6 @@
 #include "runtime/ops/neuron_ops.hpp"
 #include "runtime/ops/shape_ops.hpp"
 #include "snn/spike_stats.hpp"
-#include "sparse/bcsr.hpp"
 #include "tensor/ops.hpp"
 #include "util/thread_pool.hpp"
 
@@ -91,20 +91,20 @@ struct Lowering {
   }
 };
 
-/// The weight-kernel cost heuristic: dense below the sparsity bar, then
-/// BCSR when the measured pattern (sparse::Bcsr::measure_weights — the
-/// same scan the format itself uses, without materializing block
-/// storage) is blocky enough that dense micro-blocks beat per-element
-/// indexing, else CSR. A forced CompileOptions::backend short-circuits
-/// the measurement.
+/// The weight-kernel cost heuristic: dense below the sparsity bar, else
+/// CSR. Sparsity counts the entries sparse::Csr::from_weights would keep
+/// (|w| > prune_threshold). A forced CompileOptions::backend skips the
+/// count.
 Kernel pick_kernel(const Tensor& weight, const CompileOptions& opts) {
-  if (opts.force_dense || opts.backend == Backend::kDense) return Kernel::kDense;
+  if (opts.backend == Backend::kDense) return Kernel::kDense;
   if (opts.backend == Backend::kCsr) return Kernel::kCsr;
-  if (opts.backend == Backend::kBcsr) return Kernel::kBcsr;
-  const sparse::BcsrStats stats = sparse::Bcsr::measure_weights(
-      weight, opts.block_rows, opts.block_cols, opts.prune_threshold);
-  if (stats.sparsity() < opts.min_sparsity) return Kernel::kDense;
-  return stats.occupancy() >= opts.bcsr_min_occupancy ? Kernel::kBcsr : Kernel::kCsr;
+  const int64_t total = weight.numel();
+  const float* w = weight.data();
+  int64_t nnz = 0;
+  for (int64_t i = 0; i < total; ++i) nnz += std::fabs(w[i]) > opts.prune_threshold;
+  const double sparsity =
+      total == 0 ? 0.0 : 1.0 - static_cast<double>(nnz) / static_cast<double>(total);
+  return sparsity < opts.min_sparsity ? Kernel::kDense : Kernel::kCsr;
 }
 
 /// The value-plane precision heuristic. Quantised planes live on the
@@ -183,7 +183,7 @@ std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
     lw.any_event |= event;
     lw.now_dense();
     if (lw.dry) return nullptr;
-    // Conv structures keep per-row/per-block scales on every path.
+    // Conv structures keep per-row scales on every path.
     const Kernel kernel = pick_kernel(conv->weight(), lw.opts);
     const sparse::Precision precision =
         pick_precision(conv->weight(), kernel, /*uniform_error=*/false, lw);
@@ -280,16 +280,10 @@ CompiledNetwork CompiledNetwork::compile(const nn::SpikingNetwork& net,
   if (opts.min_sparsity < 0.0 || opts.min_sparsity > 1.0) {
     throw std::invalid_argument("CompiledNetwork: min_sparsity must be in [0, 1]");
   }
-  if (opts.block_rows < 1 || opts.block_cols < 1) {
-    throw std::invalid_argument("CompiledNetwork: block dims must be >= 1");
-  }
-  if (opts.bcsr_min_occupancy < 0.0 || opts.bcsr_min_occupancy > 1.0) {
-    throw std::invalid_argument("CompiledNetwork: bcsr_min_occupancy must be in [0, 1]");
-  }
   if (opts.prune_threshold < 0.0F) {
     // Reject up front: under kAuto a negative threshold would otherwise
     // measure every layer as fully dense and silently compile no sparse
-    // kernels at all, instead of failing in Csr/Bcsr::from_dense.
+    // kernels at all, instead of failing in Csr::from_dense.
     throw std::invalid_argument("CompiledNetwork: prune_threshold must be >= 0");
   }
   if (opts.event_max_rate < 0.0 || opts.event_max_rate > 1.0 ||

@@ -9,13 +9,13 @@
 //
 //   1. Walk the network body and pick a *weight kernel* per layer:
 //      dense GEMM below CompileOptions::min_sparsity, element-wise CSR
-//      for unstructured masks, block-CSR when the measured block
-//      occupancy says the pattern is blocky enough (N:M-projected or
-//      block-masked weights) for dense micro-block execution.
+//      at or above it. NDSNN's drop-and-grow masks are unstructured,
+//      and N:M-projected or block-masked weights store exactly their
+//      surviving entries in CSR too.
 //   2. Pick an *activation path* per weight layer: the classic
 //      dense-activation spmm, or the event-driven gather path that
 //      iterates only the active (nonzero) entries of the input spike
-//      train (sparse::Csr/Bcsr::spmv_gather, plus an on-the-fly
+//      train (sparse::Csr::spmv_gather, plus an on-the-fly
 //      event-driven im2col for conv). The choice keys on whether the
 //      input is spike-valued and on a firing-rate estimate taken from
 //      the layers' recorded rates (aggregated with snn::SpikeStats);
@@ -55,10 +55,9 @@ namespace ndsnn::runtime {
 
 /// Which GEMM kernel a weight layer executes with.
 enum class Backend {
-  kAuto,   ///< per-layer cost heuristic (sparsity + block occupancy)
+  kAuto,   ///< per-layer cost heuristic (weight sparsity)
   kDense,  ///< force dense GEMM everywhere (baseline plans)
   kCsr,    ///< force element-wise CSR on every weight layer
-  kBcsr,   ///< force block-CSR on every weight layer
 };
 
 /// How weight layers consume their input activation.
@@ -71,8 +70,8 @@ enum class ActivationMode {
 
 /// Stored bit width of the sparse weight value planes (Sec. III-D).
 /// Dense-kernel layers always execute fp32 — the quantised planes live
-/// on sparse::Csr/Bcsr — so a forced kInt8/kInt4 applies to every
-/// *sparse* weight layer and leaves dense fallbacks untouched.
+/// on sparse::Csr — so a forced kInt8/kInt4 applies to every *sparse*
+/// weight layer and leaves dense fallbacks untouched.
 enum class WeightPrecision {
   kAuto,   ///< per layer: the lowest bit width whose measured weight
            ///< reconstruction error stays <= quant_max_error; a v3
@@ -92,36 +91,17 @@ enum class WeightPrecision {
 /// each weight layer lowers onto. One of the three groups CompileOptions
 /// aggregates (serve_sparse --help mirrors this grouping).
 struct BackendOptions {
-  /// kAuto lowers a weight layer to a sparse kernel when its weight
-  /// sparsity is >= this. Below it, the dense GEMM wins (sparse formats
-  /// pay indexing overhead per value/block).
+  /// kAuto lowers a weight layer to CSR when its weight sparsity (the
+  /// fraction of entries with |w| <= prune_threshold) is >= this. Below
+  /// it, the dense GEMM wins (CSR pays indexing overhead per value).
   double min_sparsity = 0.5;
   /// Entries with |w| <= prune_threshold are dropped when building
-  /// sparse kernels (forwarded to sparse::Csr/Bcsr::from_dense).
+  /// sparse kernels (forwarded to sparse::Csr::from_weights).
   float prune_threshold = 0.0F;
-  /// Keep every layer dense regardless of sparsity (baseline plans).
-  /// Legacy spelling of backend = Backend::kDense; either wins.
-  bool force_dense = false;
-  /// Force one kernel backend for every weight layer, or kAuto to let
-  /// the cost heuristic decide per layer.
+  /// Force one kernel backend for every weight layer (kDense for
+  /// baseline plans), or kAuto to let the cost heuristic decide per
+  /// layer.
   Backend backend = Backend::kAuto;
-  /// Block shape used for BCSR lowering (4x4 suits both 2:4/1:4 groups
-  /// and row-block accelerator tiles).
-  int64_t block_rows = 4;
-  int64_t block_cols = 4;
-  /// kAuto picks BCSR over CSR when the fraction of nonzeros inside the
-  /// occupied block storage (sparse::Bcsr::measure_weights — the same
-  /// measured pattern occupancy the built format reports) is at least
-  /// this. Calibrated end to end with bench/sparse_inference on the zoo
-  /// models: at 0.5 occupancy (an aligned 2:4 pattern) the padding
-  /// FLOPs of the dense micro-blocks already lose to CSR at these layer
-  /// sizes (bcsr_speedup 0.78 in BENCH_sparse_inference.json), at 0.25
-  /// (1:4) they lose badly (0.65), and only genuinely blocky patterns
-  /// (~1.0 occupancy row/block masks, +12%) win — so the crossover sits
-  /// between 0.5 and 1.0. Unstructured high-sparsity masks measure ~0.1
-  /// and stay CSR regardless. The heuristic regression test in
-  /// tests/runtime/compiled_network_test.cpp pins both sides.
-  double bcsr_min_occupancy = 0.75;
 };
 
 /// Weight quantisation knobs: stored bit width of the sparse value
@@ -158,8 +138,8 @@ struct QuantOptions {
   /// group_size), shrinking per-group dynamic range so int4 passes the
   /// quant_max_error bar on layers per-row scaling rejects. The kAuto
   /// precision calibration measures the same grouped scheme. Ignored by
-  /// BCSR (per-block scales are already finer) and by event-path planes
-  /// (the binary-spike int32 gather needs one uniform scale).
+  /// event-path planes (the binary-spike int32 gather needs one uniform
+  /// scale).
   int64_t quant_group_size = 0;
 };
 
@@ -181,9 +161,9 @@ struct ExecOptions {
   /// Intra-op execution lanes: 1 (default) compiles a serial plan, 0
   /// resolves to std::thread::hardware_concurrency(), N > 1 builds a
   /// shared util::ThreadPool the plan owns and every hot kernel
-  /// dispatches through (CSR/BCSR spmm/spmm_t partitioned by output
-  /// row/block row with nnz-balanced splits, the event path over batch
-  /// rows / output channels, dense fallbacks by output row). Layers
+  /// dispatches through (CSR spmm/spmm_t partitioned by output row
+  /// with nnz-balanced splits, the event path over batch rows / output
+  /// channels, dense fallbacks by output row). Layers
   /// whose work sits below util::kMinParallelWork stay serial — thread
   /// handoff costs more than e.g. lenet5's fc2 [84 x 120]. fp32 outputs
   /// stay bitwise identical to the serial plan for any value here.
@@ -192,11 +172,10 @@ struct ExecOptions {
   /// compile time via util::simd::resolve, so a plan's execution is
   /// reproducible regardless of later NDSNN_KERNEL_TIER / force()
   /// changes). kAuto takes the detected tier; explicit tiers clamp to
-  /// it (requesting kAvx2 on a non-AVX2 host runs kVector, never
+  /// it (requesting kAvx2 on a non-AVX2 host runs kScalar, never
   /// SIGILLs). fp32 results are bitwise identical across tiers, so this
   /// is purely a performance knob — pin kScalar to reproduce the
-  /// reference kernels, or kVector to benchmark against the
-  /// autovectorised baseline.
+  /// reference kernels and to benchmark the AVX2 bodies against them.
   util::simd::Tier kernel_tier = util::simd::Tier::kAuto;
 };
 

@@ -52,24 +52,6 @@ ConvOp::ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision
         bytes_ = csr_.memory_bytes();
       }
       break;
-    case Kernel::kBcsr:
-      if (event_) {
-        bcsr_t_ = sparse::Bcsr::from_weights(src.weight(), opts.block_rows, opts.block_cols,
-                                             opts.prune_threshold)
-                      .transposed();
-        (void)bcsr_t_.quantize(precision_);
-        if (opts.fake_quant) bcsr_t_.dequantize();
-        stored_ = bcsr_t_.stored_values();
-        bytes_ = bcsr_t_.memory_bytes();
-      } else {
-        bcsr_ = sparse::Bcsr::from_weights(src.weight(), opts.block_rows, opts.block_cols,
-                                           opts.prune_threshold);
-        (void)bcsr_.quantize(precision_);
-        if (opts.fake_quant) bcsr_.dequantize();
-        stored_ = bcsr_.stored_values();
-        bytes_ = bcsr_.memory_bytes();
-      }
-      break;
     case Kernel::kDense: {
       const int64_t ckk = in_channels_ * kernel_ * kernel_;
       if (event_) {
@@ -98,17 +80,6 @@ ConvOp::ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision
       case Kernel::kCsr:
         for (const int32_t f : csr_t_.col_idx()) ++prefix[static_cast<std::size_t>(f) + 1];
         break;
-      case Kernel::kBcsr: {
-        const int64_t bc = bcsr_t_.block_cols();
-        for (const int32_t jb : bcsr_t_.block_col_idx()) {
-          const int64_t f_begin = static_cast<int64_t>(jb) * bc;
-          const int64_t f_end = std::min(f_begin + bc, out_channels_);
-          for (int64_t f = f_begin; f < f_end; ++f) {
-            prefix[static_cast<std::size_t>(f) + 1] += bcsr_t_.block_rows();
-          }
-        }
-        break;
-      }
       case Kernel::kDense:
         for (int64_t f = 0; f < out_channels_; ++f) {
           prefix[static_cast<std::size_t>(f) + 1] = in_channels_ * kernel_ * kernel_;
@@ -180,9 +151,8 @@ Tensor ConvOp::run_dense(const Tensor& input) const {
                             filters);
   } else {
     util::ThreadPool* pool = pool_.get();
-    const Tensor yflat = gemm_ == Kernel::kCsr    ? csr_.spmm(cols, pool, tier_)
-                         : gemm_ == Kernel::kBcsr ? bcsr_.spmm(cols, pool, tier_)
-                                                  : tensor::matmul(dense_, cols, pool, tier_);
+    const Tensor yflat = gemm_ == Kernel::kCsr ? csr_.spmm(cols, pool, tier_)
+                                               : tensor::matmul(dense_, cols, pool, tier_);
     // Transpose [F, (m, oy, ox)] -> [m, F, oy, ox].
     const float* src = yflat.data();
     float* dst = out.data();
@@ -242,13 +212,6 @@ void ConvOp::event_scatter(const Tensor& in, const SpikeBatch& events, Tensor& o
                 csr_t_.scatter_row(col, v, obegin, plane);
               } else {
                 csr_t_.scatter_row_range(col, v, obegin, plane, f0, f1);
-              }
-              break;
-            case Kernel::kBcsr:
-              if (full) {
-                bcsr_t_.scatter_row(col, v, obegin, plane);
-              } else {
-                bcsr_t_.scatter_row_range(col, v, obegin, plane, f0, f1);
               }
               break;
             case Kernel::kDense: {

@@ -1,11 +1,11 @@
 // ConvOp: 2-D convolution weight op of the compiled plan.
 //
-// Dense-activation path: im2col then CSR/BCSR/dense GEMM, identical to
+// Dense-activation path: im2col then CSR/dense GEMM, identical to
 // nn::Conv2d::forward with the GEMM swapped. Event path: no patch
 // matrix at all — for each active (nonzero) input pixel, enumerate the
 // kernel offsets it reaches (the im2col mapping evaluated on the fly)
 // and scatter value * Wᵀ[patch-column] into the output plane
-// (sparse::Csr/Bcsr::scatter_row). For any fixed output element the
+// (sparse::Csr::scatter_row). For any fixed output element the
 // active pixels arrive in ascending patch-column order, so the float
 // accumulation sequence equals the dense paths' minus exact-zero terms:
 // bitwise identical.
@@ -18,7 +18,6 @@
 #include "nn/conv2d.hpp"
 #include "runtime/compiled_network.hpp"
 #include "runtime/plan.hpp"
-#include "sparse/bcsr.hpp"
 #include "sparse/csr.hpp"
 #include "util/thread_pool.hpp"
 
@@ -63,10 +62,8 @@ class ConvOp final : public Op {
   int64_t stored_;
   double source_sparsity_;
   sparse::Csr csr_;      // W [F, CKK], dense-activation kCsr
-  sparse::Bcsr bcsr_;    // W [F, CKK], dense-activation kBcsr
   tensor::Tensor dense_; // W [F, CKK], dense-activation kDense
-  sparse::Csr csr_t_;    // Wᵀ [CKK, F], event kCsr / kDense
-  sparse::Bcsr bcsr_t_;  // Wᵀ [CKK, F], event kBcsr
+  sparse::Csr csr_t_;    // Wᵀ [CKK, F], event kCsr
   tensor::Tensor dense_t_;  // Wᵀ [CKK, F], event kDense
   tensor::Tensor bias_;
 };

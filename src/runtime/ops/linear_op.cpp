@@ -52,24 +52,6 @@ LinearOp::LinearOp(const nn::Linear& src, Kernel kernel, sparse::Precision preci
         bytes_ = csr_.memory_bytes();
       }
       break;
-    case Kernel::kBcsr:
-      if (event_) {
-        bcsr_t_ = sparse::Bcsr::from_weights(src.weight(), opts.block_rows, opts.block_cols,
-                                             opts.prune_threshold)
-                      .transposed();
-        (void)bcsr_t_.quantize(precision_, /*symmetric=*/true, /*uniform_scale=*/true);
-        if (opts.fake_quant) bcsr_t_.dequantize();
-        stored_ = bcsr_t_.stored_values();
-        bytes_ = bcsr_t_.memory_bytes();
-      } else {
-        bcsr_ = sparse::Bcsr::from_weights(src.weight(), opts.block_rows, opts.block_cols,
-                                           opts.prune_threshold);
-        (void)bcsr_.quantize(precision_);
-        if (opts.fake_quant) bcsr_.dequantize();
-        stored_ = bcsr_.stored_values();
-        bytes_ = bcsr_.memory_bytes();
-      }
-      break;
     case Kernel::kDense:
       if (event_) {
         dense_t_ = Tensor(Shape{in_features_, out_features_});
@@ -95,10 +77,6 @@ LinearOp::LinearOp(const nn::Linear& src, Kernel kernel, sparse::Precision preci
       event_cost_per_active_ =
           std::max<int64_t>(1, csr_t_.nnz() / std::max<int64_t>(1, in_features_));
       break;
-    case Kernel::kBcsr:
-      event_cost_per_active_ =
-          std::max<int64_t>(1, bcsr_t_.stored_values() / std::max<int64_t>(1, in_features_));
-      break;
     case Kernel::kDense:
       event_cost_per_active_ = out_features_;
       break;
@@ -107,9 +85,8 @@ LinearOp::LinearOp(const nn::Linear& src, Kernel kernel, sparse::Precision preci
 
 Tensor LinearOp::run_dense(const Tensor& input) const {
   util::ThreadPool* pool = pool_.get();
-  return kernel_ == Kernel::kCsr    ? csr_.spmm_t(input, pool, tier_)
-         : kernel_ == Kernel::kBcsr ? bcsr_.spmm_t(input, pool, tier_)
-                                    : tensor::matmul_nt(input, dense_, pool, tier_);
+  return kernel_ == Kernel::kCsr ? csr_.spmm_t(input, pool, tier_)
+                                 : tensor::matmul_nt(input, dense_, pool, tier_);
 }
 
 void LinearOp::event_rows(const Activation& input, Tensor& out, int64_t i0, int64_t i1,
@@ -123,8 +100,7 @@ void LinearOp::event_rows(const Activation& input, Tensor& out, int64_t i0, int6
   // int32 scratch for the binary-spike quantised gather fast path; only
   // allocated when a uniform-scale plane can actually use it.
   std::vector<int32_t> iacc;
-  if ((kernel_ == Kernel::kCsr && csr_t_.quantized() && csr_t_.quant().uniform) ||
-      (kernel_ == Kernel::kBcsr && bcsr_t_.quantized() && bcsr_t_.quant().uniform)) {
+  if (kernel_ == Kernel::kCsr && csr_t_.quantized() && csr_t_.quant().uniform) {
     iacc.resize(static_cast<std::size_t>(out_features_));
   }
   int32_t* iaccp = iacc.empty() ? nullptr : iacc.data();
@@ -148,9 +124,6 @@ void LinearOp::event_rows(const Activation& input, Tensor& out, int64_t i0, int6
     switch (kernel_) {
       case Kernel::kCsr:
         csr_t_.spmv_gather(x, active, n_active, acc.data(), iaccp);
-        break;
-      case Kernel::kBcsr:
-        bcsr_t_.spmv_gather(x, active, n_active, acc.data(), iaccp);
         break;
       case Kernel::kDense: {
         const float* wt = dense_t_.data();

@@ -1,9 +1,9 @@
 // LinearOp: fully-connected weight op of the compiled plan.
 //
-// Dense-activation path: CSR/BCSR spmm_t or matmul_nt over the whole
-// input matrix. Event path: per input row, gather only the active
-// (nonzero) input features through the transposed weight structure
-// (sparse::Csr/Bcsr::spmv_gather, or contiguous Wᵀ rows for the dense
+// Dense-activation path: CSR spmm_t or matmul_nt over the whole input
+// matrix. Event path: per input row, gather only the active (nonzero)
+// input features through the transposed weight structure
+// (sparse::Csr::spmv_gather, or contiguous Wᵀ rows for the dense
 // kernel) into per-output double accumulators — the identical
 // ascending-index double accumulation the dense paths run, restricted
 // to the terms that are not exact no-ops, so both paths agree bitwise.
@@ -15,7 +15,6 @@
 #include "nn/linear.hpp"
 #include "runtime/compiled_network.hpp"
 #include "runtime/plan.hpp"
-#include "sparse/bcsr.hpp"
 #include "sparse/csr.hpp"
 #include "util/thread_pool.hpp"
 
@@ -62,10 +61,8 @@ class LinearOp final : public Op {
   int64_t stored_;
   double source_sparsity_;
   sparse::Csr csr_;      // W [out, in], dense-activation kCsr
-  sparse::Bcsr bcsr_;    // W [out, in], dense-activation kBcsr
   tensor::Tensor dense_; // W [out, in], dense-activation kDense
   sparse::Csr csr_t_;    // Wᵀ [in, out], event kCsr
-  sparse::Bcsr bcsr_t_;  // Wᵀ [in, out], event kBcsr
   tensor::Tensor dense_t_;  // Wᵀ [in, out], event kDense
   tensor::Tensor bias_;
 };

@@ -14,7 +14,6 @@ const char* kernel_tag(Kernel k) {
   switch (k) {
     case Kernel::kDense: return "dense";
     case Kernel::kCsr: return "csr";
-    case Kernel::kBcsr: return "bcsr";
   }
   return "?";
 }

@@ -31,7 +31,7 @@ class PlanProfile;  // runtime/trace.hpp: per-op latency/firing-rate aggregation
 
 /// Which GEMM kernel a weight op was lowered onto (resolved from
 /// CompileOptions::backend by the compiler's cost heuristic).
-enum class Kernel { kDense, kCsr, kBcsr };
+enum class Kernel { kDense, kCsr };
 
 [[nodiscard]] const char* kernel_tag(Kernel k);
 
@@ -123,11 +123,11 @@ struct Activation {
 /// summaries and the bench reports). Weightless ops report weights == 0.
 struct OpReport {
   std::string layer;     ///< source layer name(), e.g. "Conv2d(3->64, ...)"
-  std::string kind;      ///< "{dense,csr,bcsr}-{linear,conv}" |
+  std::string kind;      ///< "{dense,csr}-{linear,conv}" |
                          ///< "lif" | "alif" | "bn" | "pool" | "reshape" | "residual"
   int64_t weights = 0;   ///< total weight elements
-  int64_t nnz = 0;       ///< values the kernel stores (CSR nonzeros, BCSR
-                         ///< dense block values, == weights for dense ops)
+  int64_t nnz = 0;       ///< values the kernel stores (CSR nonzeros,
+                         ///< == weights for dense ops)
   double sparsity = 0.0; ///< zero fraction of the source weights
   bool event = false;    ///< weight op executes the event-driven path
   /// Stored bit width of the value plane (kFp32 for dense kernels and

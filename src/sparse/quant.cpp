@@ -50,60 +50,6 @@ int encode_one(float v, const GroupParams& gp, int qmin, int qmax) {
   return std::clamp(static_cast<int>(std::lrintf(v / gp.scale)) + gp.zero, qmin, qmax);
 }
 
-template <typename GroupBounds>
-QuantPlane build_plane(const float* values, int64_t groups, int64_t value_count,
-                       Precision precision, bool symmetric, float* max_abs_error,
-                       bool uniform_scale, const GroupBounds& bounds) {
-  if (precision == Precision::kFp32) {
-    throw std::invalid_argument("quantize: kFp32 is the absence of a plane");
-  }
-  QuantPlane plane;
-  plane.precision = precision;
-  plane.value_count = value_count;
-  plane.uniform = uniform_scale;
-  // Uniform mode: one scale/zero over the whole plane, replicated per
-  // group so kernels keep indexing scale[g] without a special case.
-  const GroupParams shared =
-      uniform_scale ? group_params(values, value_count, precision, symmetric)
-                    : GroupParams{};
-  plane.scale.resize(static_cast<std::size_t>(groups));
-  plane.zero.resize(static_cast<std::size_t>(groups));
-  if (precision == Precision::kInt8) {
-    plane.q8.resize(static_cast<std::size_t>(value_count));
-  } else {
-    plane.q4.assign(static_cast<std::size_t>((value_count + 1) / 2), 0);
-  }
-  // Symmetric mode keeps the +/- code ranges equal; affine uses the full
-  // two's-complement span.
-  const int qmax = qmax_for(precision);
-  const int qmin = symmetric ? -qmax : qmin_for(precision);
-  float worst = 0.0F;
-  for (int64_t g = 0; g < groups; ++g) {
-    const auto [lo_k, hi_k] = bounds(g);
-    const GroupParams gp =
-        uniform_scale ? shared
-                      : group_params(values + lo_k, hi_k - lo_k, precision, symmetric);
-    plane.scale[static_cast<std::size_t>(g)] = gp.scale;
-    plane.zero[static_cast<std::size_t>(g)] = static_cast<int8_t>(gp.zero);
-    for (int64_t k = lo_k; k < hi_k; ++k) {
-      const int q = encode_one(values[k], gp, qmin, qmax);
-      if (precision == Precision::kInt8) {
-        plane.q8[static_cast<std::size_t>(k)] = static_cast<int8_t>(q);
-      } else {
-        const auto nibble = static_cast<uint8_t>(q & 0xF);
-        auto& byte = plane.q4[static_cast<std::size_t>(k >> 1)];
-        byte = (k & 1) != 0 ? static_cast<uint8_t>((byte & 0x0F) | (nibble << 4))
-                            : static_cast<uint8_t>((byte & 0xF0) | nibble);
-      }
-      if (max_abs_error != nullptr) {
-        worst = std::max(worst, std::fabs(plane.dequant(g, k) - values[k]));
-      }
-    }
-  }
-  if (max_abs_error != nullptr) *max_abs_error = worst;
-  return plane;
-}
-
 }  // namespace
 
 const char* precision_tag(Precision p) {
@@ -139,20 +85,56 @@ int64_t QuantPlane::memory_bytes() const {
 QuantPlane quantize_grouped(const float* values, const int64_t* group_ptr, int64_t groups,
                             Precision precision, bool symmetric, float* max_abs_error,
                             bool uniform_scale) {
-  return build_plane(values, groups, group_ptr[groups], precision, symmetric, max_abs_error,
-                     uniform_scale, [group_ptr](int64_t g) {
-                       return std::pair<int64_t, int64_t>{group_ptr[g], group_ptr[g + 1]};
-                     });
-}
-
-QuantPlane quantize_fixed(const float* values, int64_t groups, int64_t group_size,
-                          Precision precision, bool symmetric, float* max_abs_error,
-                          bool uniform_scale) {
-  return build_plane(values, groups, groups * group_size, precision, symmetric,
-                     max_abs_error, uniform_scale, [group_size](int64_t g) {
-                       return std::pair<int64_t, int64_t>{g * group_size,
-                                                          (g + 1) * group_size};
-                     });
+  if (precision == Precision::kFp32) {
+    throw std::invalid_argument("quantize: kFp32 is the absence of a plane");
+  }
+  const int64_t value_count = group_ptr[groups];
+  QuantPlane plane;
+  plane.precision = precision;
+  plane.value_count = value_count;
+  plane.uniform = uniform_scale;
+  // Uniform mode: one scale/zero over the whole plane, replicated per
+  // group so kernels keep indexing scale[g] without a special case.
+  const GroupParams shared =
+      uniform_scale ? group_params(values, value_count, precision, symmetric)
+                    : GroupParams{};
+  plane.scale.resize(static_cast<std::size_t>(groups));
+  plane.zero.resize(static_cast<std::size_t>(groups));
+  if (precision == Precision::kInt8) {
+    plane.q8.resize(static_cast<std::size_t>(value_count));
+  } else {
+    plane.q4.assign(static_cast<std::size_t>((value_count + 1) / 2), 0);
+  }
+  // Symmetric mode keeps the +/- code ranges equal; affine uses the full
+  // two's-complement span.
+  const int qmax = qmax_for(precision);
+  const int qmin = symmetric ? -qmax : qmin_for(precision);
+  float worst = 0.0F;
+  for (int64_t g = 0; g < groups; ++g) {
+    const int64_t lo_k = group_ptr[g];
+    const int64_t hi_k = group_ptr[g + 1];
+    const GroupParams gp =
+        uniform_scale ? shared
+                      : group_params(values + lo_k, hi_k - lo_k, precision, symmetric);
+    plane.scale[static_cast<std::size_t>(g)] = gp.scale;
+    plane.zero[static_cast<std::size_t>(g)] = static_cast<int8_t>(gp.zero);
+    for (int64_t k = lo_k; k < hi_k; ++k) {
+      const int q = encode_one(values[k], gp, qmin, qmax);
+      if (precision == Precision::kInt8) {
+        plane.q8[static_cast<std::size_t>(k)] = static_cast<int8_t>(q);
+      } else {
+        const auto nibble = static_cast<uint8_t>(q & 0xF);
+        auto& byte = plane.q4[static_cast<std::size_t>(k >> 1)];
+        byte = (k & 1) != 0 ? static_cast<uint8_t>((byte & 0x0F) | (nibble << 4))
+                            : static_cast<uint8_t>((byte & 0xF0) | nibble);
+      }
+      if (max_abs_error != nullptr) {
+        worst = std::max(worst, std::fabs(plane.dequant(g, k) - values[k]));
+      }
+    }
+  }
+  if (max_abs_error != nullptr) *max_abs_error = worst;
+  return plane;
 }
 
 float relative_quant_error(const tensor::Tensor& weights, Precision precision,

@@ -1,15 +1,15 @@
-// Quantised value planes for the sparse execution formats (Sec. III-D).
+// Quantised value planes for the sparse execution format (Sec. III-D).
 //
 // Csr::storage_bits has always *accounted* 8/4-bit weight storage; this
 // module makes the runtime actually execute it. A QuantPlane replaces
-// the fp32 value array of a Csr/Bcsr with int8 codes (or two packed
-// int4 codes per byte) plus one scale/zero-point per *group* — a CSR
-// row, or a stored BCSR block — so the kernels touch 4x/8x fewer value
-// bytes and dequantise once per output instead of once per term.
+// the fp32 value array of a Csr with int8 codes (or two packed int4
+// codes per byte) plus one scale/zero-point per *group* — a CSR row by
+// default — so the kernels touch 4x/8x fewer value bytes and
+// dequantise once per output instead of once per term.
 //
 // Zero-point convention: real 0.0 always maps to an exact code
-// (q == zero), so pruned entries and BCSR padding decode back to exact
-// zeros in every mode. The default symmetric mode pins zero == 0, which
+// (q == zero), so explicitly stored zeros decode back to exact zeros
+// in every mode. The default symmetric mode pins zero == 0, which
 // is what the runtime's compile pass emits (weights are near-symmetric
 // and a nonzero zero-point costs a second accumulator per output); the
 // affine mode is kept for round-trip generality and is exercised by the
@@ -42,8 +42,8 @@ enum class Precision : uint8_t { kFp32 = 0, kInt8 = 1, kInt4 = 2 };
 [[nodiscard]] Precision parse_precision(const std::string& s);
 
 /// Quantised value array: `value_count` codes grouped into contiguous
-/// runs that share one scale/zero-point (group g of a Csr is row g, of
-/// a Bcsr the g-th stored block). int8 codes live in q8; int4 codes are
+/// runs that share one scale/zero-point (group g of a Csr is row g).
+/// int8 codes live in q8; int4 codes are
 /// packed two per byte in q4 (value k in byte k/2, even k in the low
 /// nibble), sign-extended from [-8, 7].
 struct QuantPlane {
@@ -61,7 +61,7 @@ struct QuantPlane {
   bool uniform = false;
   /// > 0: the groups are fixed-size runs of this many codes over the
   /// value array (power of two; group of value k is k >> log2(size),
-  /// crossing row/block boundaries), finer than the structural per-row
+  /// crossing row boundaries), finer than the structural per-row
   /// grouping — the CompileOptions::quant_group_size scheme that lets
   /// int4 localize its scales. Grouped planes are always symmetric
   /// (every zero-point 0), so kernels fold scale[k >> shift] straight
@@ -91,7 +91,7 @@ struct QuantPlane {
 
   /// Reconstructed fp32 value of value k in group g. On a fixed-size
   /// grouped plane the group is derived from k and the argument is
-  /// ignored, so per-row/per-block callers stay correct unchanged.
+  /// ignored, so per-row callers stay correct unchanged.
   [[nodiscard]] float dequant(int64_t group, int64_t k) const {
     const auto g = static_cast<std::size_t>(group_size > 0 ? k / group_size : group);
     return scale[g] * static_cast<float>(static_cast<int>(code(k)) - static_cast<int>(zero[g]));
@@ -117,14 +117,6 @@ struct QuantPlane {
                                           bool symmetric = true,
                                           float* max_abs_error = nullptr,
                                           bool uniform_scale = false);
-
-/// Same with equal-sized groups of `group_size` values (the Bcsr stored
-/// block layout). value_count = groups * group_size.
-[[nodiscard]] QuantPlane quantize_fixed(const float* values, int64_t groups,
-                                        int64_t group_size, Precision precision,
-                                        bool symmetric = true,
-                                        float* max_abs_error = nullptr,
-                                        bool uniform_scale = false);
 
 /// Largest |dequant(quant(w)) - w| over the entries with |w| > threshold
 /// of the lowered [dim(0), numel/dim(0)] weight tensor, quantised with

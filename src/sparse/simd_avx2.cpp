@@ -255,64 +255,6 @@ __attribute__((target("avx2,fma"))) void csr_spmm_t_i4_avx2(
   }
 }
 
-__attribute__((target("avx2,fma"))) void bcsr_spmm_t_f32_avx2(
-    const int64_t* block_row_ptr, const int32_t* block_col_idx,
-    const float* values, int64_t rows, int64_t cols, int64_t br, int64_t bc,
-    const float* bt, int64_t m, float* cp, int64_t ib0, int64_t ib1) {
-  const int64_t bs = br * bc;
-  const int64_t m8 = m & ~int64_t{7};
-  for (int64_t i = 0; i < m8; i += 8) {
-    for (int64_t ib = ib0; ib < ib1; ++ib) {
-      const int64_t row0 = ib * br;
-      const int64_t r_lim = rows - row0 < br ? rows - row0 : br;
-      const int64_t k0 = block_row_ptr[ib];
-      const int64_t k1 = block_row_ptr[ib + 1];
-      for (int64_t r = 0; r < r_lim; ++r) {
-        __m256d acc_lo = _mm256_setzero_pd();
-        __m256d acc_hi = _mm256_setzero_pd();
-        for (int64_t k = k0; k < k1; ++k) {
-          const int64_t col0 = static_cast<int64_t>(block_col_idx[k]) * bc;
-          const int64_t c_lim = cols - col0 < bc ? cols - col0 : bc;
-          const float* vrow = values + k * bs + r * bc;
-          for (int64_t cc = 0; cc < c_lim; ++cc) {
-            const float* p = bt + (col0 + cc) * m + i;
-            const __m256d v = _mm256_set1_pd(static_cast<double>(vrow[cc]));
-            acc_lo = _mm256_add_pd(
-                acc_lo, _mm256_mul_pd(v, _mm256_cvtps_pd(_mm_loadu_ps(p))));
-            acc_hi = _mm256_add_pd(
-                acc_hi, _mm256_mul_pd(v, _mm256_cvtps_pd(_mm_loadu_ps(p + 4))));
-          }
-        }
-        float out[8];
-        _mm_storeu_ps(out, _mm256_cvtpd_ps(acc_lo));
-        _mm_storeu_ps(out + 4, _mm256_cvtpd_ps(acc_hi));
-        for (int t = 0; t < 8; ++t) cp[(i + t) * rows + row0 + r] = out[t];
-      }
-    }
-  }
-  for (int64_t i = m8; i < m; ++i) {
-    for (int64_t ib = ib0; ib < ib1; ++ib) {
-      const int64_t row0 = ib * br;
-      const int64_t r_lim = rows - row0 < br ? rows - row0 : br;
-      const int64_t k0 = block_row_ptr[ib];
-      const int64_t k1 = block_row_ptr[ib + 1];
-      for (int64_t r = 0; r < r_lim; ++r) {
-        double acc = 0.0;
-        for (int64_t k = k0; k < k1; ++k) {
-          const int64_t col0 = static_cast<int64_t>(block_col_idx[k]) * bc;
-          const int64_t c_lim = cols - col0 < bc ? cols - col0 : bc;
-          const float* vrow = values + k * bs + r * bc;
-          for (int64_t cc = 0; cc < c_lim; ++cc) {
-            acc += static_cast<double>(vrow[cc]) *
-                   static_cast<double>(bt[(col0 + cc) * m + i]);
-          }
-        }
-        cp[i * rows + row0 + r] = static_cast<float>(acc);
-      }
-    }
-  }
-}
-
 namespace {
 
 constexpr int64_t kNtBlockK = 128;  // k columns per transposed panel
@@ -466,9 +408,6 @@ void csr_spmm_t_i8_avx2(const int64_t*, const int32_t*, const int8_t*,
 void csr_spmm_t_i4_avx2(const int64_t*, const int32_t*, const uint8_t*,
                         const float*, int, int64_t, int64_t, const float*,
                         int64_t, int64_t, float*) {}
-void bcsr_spmm_t_f32_avx2(const int64_t*, const int32_t*, const float*, int64_t,
-                          int64_t, int64_t, int64_t, const float*, int64_t,
-                          float*, int64_t, int64_t) {}
 void matmul_nt_f32_avx2(const float*, const float*, int64_t, int64_t, int64_t,
                         int64_t, float*) {}
 void matmul_f32_avx2(const float*, const float*, int64_t, int64_t, int64_t,

@@ -1,7 +1,6 @@
 // Internal declarations of the hand-written intrinsic kernel bodies
 // (util::simd::Tier::kAvx2). Not part of the public sparse API — the
-// dispatching drivers in csr.cpp / bcsr.cpp / matmul.cpp are the only
-// callers.
+// dispatching drivers in csr.cpp / matmul.cpp are the only callers.
 //
 // Contract: every fp32 body here computes the identical per-output
 // accumulation sequence as its scalar reference (ascending nonzero /
@@ -25,10 +24,8 @@
 // All bodies are compiled with __attribute__((target("avx2,fma"))) so
 // a generic x86-64 build still links and runs — cpuinfo's detected()
 // simply never selects the tier on hardware without AVX2. On non-x86
-// builds the functions are stubbed out and built_with_avx2() is false.
-// AArch64 note: the vector tier's gcc-vector-extension and
-// autovectorized bodies compile directly to NEON, which is why there
-// are no hand-written NEON twins here; see cpuinfo.hpp.
+// builds the functions are stubbed out and built_with_avx2() is false,
+// so every kernel runs its scalar reference body there.
 #pragma once
 
 #include <cstdint>
@@ -74,15 +71,6 @@ void csr_spmm_t_i4_avx2(const int64_t* row_ptr, const int32_t* col_idx,
                         const uint8_t* q4, const float* scale, int group_shift,
                         int64_t r0, int64_t r1, const float* bt, int64_t m,
                         int64_t out_stride, float* cp);
-
-/// fp32 Bcsr::spmm_t block rows [ib0, ib1): same double-chain order as
-/// the scalar worker (ascending block, ascending in-block column per
-/// output row), 8 batch lanes per pass.
-void bcsr_spmm_t_f32_avx2(const int64_t* block_row_ptr,
-                          const int32_t* block_col_idx, const float* values,
-                          int64_t rows, int64_t cols, int64_t br, int64_t bc,
-                          const float* bt, int64_t m, float* cp, int64_t ib0,
-                          int64_t ib1);
 
 /// Dense matmul_nt rows [i0, i1) with B [n x k] row-major:
 /// c[i, j] += float(double chain over ascending kk of a[i, kk] * b[j, kk]).

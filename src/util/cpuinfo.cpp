@@ -3,27 +3,21 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "util/logging.hpp"
+
 namespace ndsnn::util::simd {
 
 namespace {
 
 Tier probe() {
-#if defined(__x86_64__) || defined(_M_X64)
-#if defined(__GNUC__) || defined(__clang__)
+#if (defined(__x86_64__) || defined(_M_X64)) && (defined(__GNUC__) || defined(__clang__))
   // The AVX2 bodies use FMA for the quantised kernels, so both bits
   // must be present before the tier is offered.
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     return Tier::kAvx2;
   }
 #endif
-  return Tier::kVector;
-#elif defined(__aarch64__)
-  // NEON is architectural on AArch64; the vector-extension bodies (and
-  // the guarded NEON blocks in simd_kernels) compile to it directly.
-  return Tier::kVector;
-#else
   return Tier::kScalar;
-#endif
 }
 
 Tier clamp(Tier t, Tier ceiling) { return t > ceiling ? ceiling : t; }
@@ -31,7 +25,10 @@ Tier clamp(Tier t, Tier ceiling) { return t > ceiling ? ceiling : t; }
 Tier env_tier() {
   const char* v = std::getenv("NDSNN_KERNEL_TIER");
   Tier t = Tier::kAuto;
-  if (v != nullptr) parse(v, &t);  // unknown values fall through to kAuto
+  if (v != nullptr && !parse(v, &t)) {
+    log_warn() << "NDSNN_KERNEL_TIER='" << v
+               << "' is not a kernel tier (expected auto|scalar|avx2); using auto";
+  }
   return t;
 }
 
@@ -63,7 +60,6 @@ const char* name(Tier tier) {
   switch (tier) {
     case Tier::kAuto: return "auto";
     case Tier::kScalar: return "scalar";
-    case Tier::kVector: return "vector";
     case Tier::kAvx2: return "avx2";
   }
   return "?";
@@ -72,7 +68,6 @@ const char* name(Tier tier) {
 bool parse(std::string_view text, Tier* out) {
   if (text == "auto") *out = Tier::kAuto;
   else if (text == "scalar") *out = Tier::kScalar;
-  else if (text == "vector") *out = Tier::kVector;
   else if (text == "avx2") *out = Tier::kAvx2;
   else return false;
   return true;

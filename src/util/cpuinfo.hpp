@@ -1,18 +1,15 @@
 // Runtime CPU-feature detection and the kernel-tier dispatch contract.
 //
-// Every hot kernel in src/sparse/ and src/tensor/ exists at up to three
+// Every hot kernel in src/sparse/ and src/tensor/ exists at up to two
 // tiers:
 //
 //   kScalar — portable C++ loops (whatever the compiler autovectorizes;
 //             the bitwise reference semantics).
-//   kVector — the gcc-vector-extension strip-mined paths (Bcsr::spmm's
-//             vfs workers). Kernels without a dedicated vector body run
-//             their scalar body at this tier; the two tiers are then
-//             the same code.
 //   kAvx2   — hand-written AVX2(+FMA) intrinsic bodies, compiled with
 //             `__attribute__((target("avx2,fma")))` so the binary still
 //             runs on pre-AVX2 x86 (the tier is simply never selected
-//             there).
+//             there). Kernels without an AVX2 body run their scalar
+//             body at this tier.
 //
 // Dispatch is data-independent: a kernel call resolves its tier once
 // (request -> active() -> clamped to detected()) and the chosen body
@@ -24,10 +21,11 @@
 //
 // Selection precedence (strongest first):
 //   1. force() — tests and the bench's tier sweeps.
-//   2. NDSNN_KERNEL_TIER=scalar|vector|avx2 env var, read once.
-//   3. detected() — cpuid probe (AVX2 && FMA -> kAvx2, else kVector).
+//   2. NDSNN_KERNEL_TIER=auto|scalar|avx2 env var, read once; any other
+//      value logs one warning and is ignored.
+//   3. detected() — cpuid probe (AVX2 && FMA -> kAvx2, else kScalar).
 // Requests above detected() clamp down (forcing "avx2" on a non-AVX2
-// box runs kVector instead of SIGILLing); kAuto means "no opinion".
+// box runs kScalar instead of SIGILLing); kAuto means "no opinion".
 #pragma once
 
 #include <string_view>
@@ -36,7 +34,7 @@ namespace ndsnn::util::simd {
 
 /// Kernel tier. kAuto is a request value only ("use active()");
 /// detected()/active()/resolve() never return it.
-enum class Tier { kAuto = 0, kScalar = 1, kVector = 2, kAvx2 = 3 };
+enum class Tier { kAuto = 0, kScalar = 1, kAvx2 = 2 };
 
 /// Best tier this CPU can execute (cached cpuid probe; never kAuto).
 Tier detected();
@@ -56,7 +54,7 @@ Tier resolve(Tier request);
 /// force around a measured region); the store itself is atomic.
 void force(Tier tier);
 
-/// "auto" | "scalar" | "vector" | "avx2".
+/// "auto" | "scalar" | "avx2".
 const char* name(Tier tier);
 
 /// Parse a tier name (as accepted by NDSNN_KERNEL_TIER and the

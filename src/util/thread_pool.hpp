@@ -11,10 +11,10 @@
 // the queue and steal chunks from whichever call is in flight.
 //
 // Determinism: the pool changes *who* computes, never *what*. Every
-// kernel that dispatches through it partitions by output row / block
-// row / output channel, so each output element is produced by exactly
-// one chunk running the identical serial accumulation order; fp32
-// results are bitwise independent of the lane count (pinned by
+// kernel that dispatches through it partitions by output row / output
+// channel, so each output element is produced by exactly one chunk
+// running the identical serial accumulation order; fp32 results are
+// bitwise independent of the lane count (pinned by
 // tests/runtime/parallel_runtime_test.cpp across the differential
 // harness configs).
 //
@@ -114,7 +114,7 @@ class ThreadPool {
 /// Split rows [0, rows) into at most `chunks` contiguous ranges of
 /// near-equal *weight*, where `prefix` is a prefix-sum array of length
 /// rows + 1 (weight of row r = prefix[r+1] - prefix[r]; a Csr row_ptr
-/// or Bcsr block_row_ptr is exactly this). Greedy walk against the
+/// is exactly this). Greedy walk against the
 /// ideal cumulative targets; never emits an empty range. Returns the
 /// bounds vector {0, b1, ..., rows} (size = actual chunks + 1).
 [[nodiscard]] std::vector<int64_t> balanced_bounds(const int64_t* prefix, int64_t rows,

@@ -1,9 +1,9 @@
 // CompiledNetwork must reproduce SpikingNetwork::predict on the zoo
 // models, dense and sparse, across T timesteps — plus the backend
-// selection logic: heuristic kernel choice (measured occupancy routes
-// blocky masks to BCSR and N:M patterns to CSR), forced backends, and
-// the structured deployment paths. Scenario plumbing (masking, warm-up,
-// bitwise comparison) comes from the differential harness.
+// selection logic: heuristic kernel choice (sparse layers, structured
+// or not, lower to CSR), forced backends, and the structured
+// deployment paths. Scenario plumbing (masking, warm-up, bitwise
+// comparison) comes from the differential harness.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -54,9 +54,7 @@ TEST(CompiledNetworkTest, LenetSparseMatchesInterpreted) {
   expect_bitwise(compiled.run(batch), expect, "lenet 0.9 sparse, auto backend");
 
   // The plan actually went sparse: LeNet has 3 linear + 2 conv layers.
-  // An unstructured 0.9 mask has low block occupancy, so auto = CSR.
   EXPECT_EQ(count_kinds(compiled, "csr-linear", "csr-conv"), 5);
-  EXPECT_EQ(count_kinds(compiled, "bcsr-linear", "bcsr-conv"), 0);
   EXPECT_GT(compiled.overall_sparsity(), 0.85);
 }
 
@@ -71,7 +69,7 @@ TEST(CompiledNetworkTest, LenetDensePlanMatchesInterpreted) {
 
   const Tensor expect = net->predict(batch);
   CompileOptions opts;
-  opts.force_dense = true;
+  opts.backend = Backend::kDense;
   const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
   expect_bitwise(compiled.run(batch), expect, "lenet dense plan");
   for (const auto& r : compiled.plan()) {
@@ -114,11 +112,9 @@ TEST(CompiledNetworkTest, ResnetSparseMatchesInterpreted) {
   EXPECT_TRUE(has_residual);
 }
 
-// Heuristic regression pin (PR 5): BENCH_sparse_inference.json measured
-// BCSR *losing* to CSR end to end on N:M patterns at these layer sizes
-// (2:4 0.78x, 1:4 0.65x) while winning on genuinely blocky ~1.0-occupancy
-// masks (+12%), so the measured-occupancy crossover sits above 0.5. This
-// test pins both sides of it.
+// Heuristic pin: structured masks get no format of their own. A 2:4
+// projection and a 4x4 block mask both lower every weight layer to CSR
+// under kAuto and stay bitwise equal to predict.
 TEST(CompiledNetworkTest, NmProjectedNetworkAutoStaysCsr) {
   nn::ModelSpec spec;
   spec.in_channels = 1;
@@ -135,13 +131,11 @@ TEST(CompiledNetworkTest, NmProjectedNetworkAutoStaysCsr) {
   const CompiledNetwork compiled = CompiledNetwork::compile(*net);
   expect_bitwise(compiled.run(batch), expect, "lenet 2:4 projected");
 
-  // A 2:4 pattern fills occupied blocks ~50%: below the measured
-  // end-to-end crossover, so every weight layer stays CSR.
+  // 2:4 leaves every layer exactly 50% sparse: at min_sparsity, so CSR.
   EXPECT_EQ(count_kinds(compiled, "csr-linear", "csr-conv"), 5);
-  EXPECT_EQ(count_kinds(compiled, "bcsr-linear", "bcsr-conv"), 0);
 }
 
-TEST(CompiledNetworkTest, BlockMaskedNetworkAutoCompilesToBcsr) {
+TEST(CompiledNetworkTest, BlockMaskedNetworkAutoCompilesToCsr) {
   nn::ModelSpec spec;
   spec.in_channels = 1;
   spec.image_size = 16;
@@ -155,13 +149,9 @@ TEST(CompiledNetworkTest, BlockMaskedNetworkAutoCompilesToBcsr) {
   const CompiledNetwork compiled = CompiledNetwork::compile(*net);
   expect_bitwise(compiled.run(batch), expect, "lenet 4x4 block mask");
 
-  // Aligned layers (the three fc weights are multiples of 4 on both
-  // axes) measure ~1.0 occupancy and go BCSR; layers whose edge-padded
-  // blocks drag the measured occupancy under the bar (conv1 [6, 25])
-  // legitimately stay CSR — the crossover is per layer, per measurement.
-  EXPECT_GE(count_kinds(compiled, "bcsr-linear", "bcsr-conv"), 3);
-  const std::string text = compiled.summary();
-  EXPECT_NE(text.find("bcsr-"), std::string::npos);
+  // Keeping a quarter of the blocks leaves every layer well above
+  // min_sparsity.
+  EXPECT_EQ(count_kinds(compiled, "csr-linear", "csr-conv"), 5);
 }
 
 TEST(CompiledNetworkTest, ForcedBackendOverridesHeuristic) {
@@ -175,7 +165,7 @@ TEST(CompiledNetworkTest, ForcedBackendOverridesHeuristic) {
   warm_up(*net, batch);
   const Tensor expect = net->predict(batch);
 
-  for (const Backend backend : {Backend::kDense, Backend::kCsr, Backend::kBcsr}) {
+  for (const Backend backend : {Backend::kDense, Backend::kCsr}) {
     CompileOptions opts;
     opts.backend = backend;
     const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
@@ -196,7 +186,7 @@ TEST(CompiledNetworkTest, ForcedEventActivationMatchesInterpretedOnAllBackends) 
   warm_up(*net, batch);
   const Tensor expect = net->predict(batch);
 
-  for (const Backend backend : {Backend::kDense, Backend::kCsr, Backend::kBcsr}) {
+  for (const Backend backend : {Backend::kDense, Backend::kCsr}) {
     CompileOptions opts;
     opts.backend = backend;
     opts.activation_mode = ActivationMode::kEvent;
@@ -353,12 +343,6 @@ TEST(CompiledNetworkTest, RejectsBadOptions) {
   spec.timesteps = 1;
   const auto net = nn::make_lenet5(spec);
   CompileOptions opts;
-  opts.block_rows = 0;
-  EXPECT_THROW((void)CompiledNetwork::compile(*net, opts), std::invalid_argument);
-  opts = {};
-  opts.bcsr_min_occupancy = 1.5;
-  EXPECT_THROW((void)CompiledNetwork::compile(*net, opts), std::invalid_argument);
-  opts = {};
   opts.min_sparsity = -0.1;
   EXPECT_THROW((void)CompiledNetwork::compile(*net, opts), std::invalid_argument);
   opts = {};

@@ -1,5 +1,5 @@
 // The randomized differential sweep: many generated network scenarios,
-// each compiled on every backend (auto / dense / CSR / BCSR) crossed
+// each compiled on every backend (auto / dense / CSR) crossed
 // with every activation mode (auto / dense / event-driven) and checked
 // bitwise against the interpreted SpikingNetwork::predict.
 //
@@ -44,10 +44,10 @@ TEST(DifferentialTest, CompiledMatchesInterpretedBitwiseOnAllBackends) {
   cases.push_back(pinned);
   pinned.input = difftest::InputKind::kRandom;
   pinned.sparsity = 0.5;
-  pinned.nm_n = 2;  // 2:4 projection: ~0.5 occupancy -> stays CSR
+  pinned.nm_n = 2;  // 2:4 projection -> CSR
   pinned.nm_m = 4;
   cases.push_back(pinned);
-  pinned.nm_n = 0;  // 4x4 block mask: ~1.0 occupancy -> BCSR
+  pinned.nm_n = 0;  // 4x4 block mask -> CSR
   pinned.nm_m = 0;
   pinned.sparsity = 0.0;
   pinned.block_keep = 0.25;
@@ -64,7 +64,7 @@ TEST(DifferentialTest, CompiledMatchesInterpretedBitwiseOnAllBackends) {
     for (const Backend backend : difftest::all_backends()) {
       for (const ActivationMode activation : difftest::all_activation_modes()) {
         const CompiledNetwork compiled = CompiledNetwork::compile(
-            *net, difftest::options_for(cfg, backend, activation));
+            *net, difftest::options_for(backend, activation));
         if (backend == Backend::kAuto && activation == ActivationMode::kAuto) {
           for (const auto& r : compiled.plan()) {
             ++auto_kinds[r.kind];
@@ -80,10 +80,10 @@ TEST(DifferentialTest, CompiledMatchesInterpretedBitwiseOnAllBackends) {
     }
 
     // Kernel-tier axis: the default compiles above dispatch the detected
-    // tier; forcing the lower tiers onto the same scenario must not move
+    // tier; forcing the scalar tier onto the same scenario must not move
     // a single bit (see the tier-axis note in testing.hpp).
     for (const util::simd::Tier tier : difftest::forced_kernel_tiers()) {
-      CompileOptions topts = difftest::options_for(cfg);
+      CompileOptions topts = difftest::options_for();
       topts.kernel_tier = tier;
       const CompiledNetwork forced = CompiledNetwork::compile(*net, topts);
       difftest::expect_bitwise(forced.run(batch), want,
@@ -105,7 +105,7 @@ TEST(DifferentialTest, CompiledMatchesInterpretedBitwiseOnAllBackends) {
       for (const WeightPrecision p : difftest::quantised_precisions()) {
         for (const Backend backend : difftest::all_backends()) {
           for (const ActivationMode activation : difftest::all_activation_modes()) {
-            CompileOptions qopts = difftest::options_for(cfg, backend, activation);
+            CompileOptions qopts = difftest::options_for(backend, activation);
             qopts.weight_precision = p;
             const CompiledNetwork qplan = CompiledNetwork::compile(*net, qopts);
             CompileOptions fopts = qopts;
@@ -146,14 +146,13 @@ TEST(DifferentialTest, CompiledMatchesInterpretedBitwiseOnAllBackends) {
   }
 
   // The heuristics must have picked each weight kernel — dense
-  // (0.3-sparsity layers), CSR (unstructured masks and N:M patterns),
-  // BCSR (block-masked layers) — and the event-driven activation path
-  // somewhere in the sweep (the silent pinned config guarantees a
-  // measured 0 firing rate, which kAuto maps onto the event path for
-  // its sparse spiking-input layers).
+  // (0.3-sparsity layers), CSR (unstructured, N:M and block masks) —
+  // and the event-driven activation path somewhere in the sweep (the
+  // silent pinned config guarantees a measured 0 firing rate, which
+  // kAuto maps onto the event path for its sparse spiking-input
+  // layers).
   EXPECT_GT(auto_kinds["dense-linear"] + auto_kinds["dense-conv"], 0);
   EXPECT_GT(auto_kinds["csr-linear"] + auto_kinds["csr-conv"], 0);
-  EXPECT_GT(auto_kinds["bcsr-linear"] + auto_kinds["bcsr-conv"], 0);
   EXPECT_GT(auto_event_ops, 0);
   // The precision axis must have put real quantised planes on sparse
   // weight ops (forced int8/int4 applies to every non-dense kernel; the

@@ -1,6 +1,6 @@
 // Intra-op parallel execution must never change the numbers: a plan
 // compiled with CompileOptions::num_threads in {1, 2, 8} partitions its
-// kernels by output row / block row / batch row / output channel, and
+// kernels by output row / batch row / output channel, and
 // every output element is produced by exactly one chunk running the
 // identical serial accumulation order — so fp32 plan outputs are
 // bitwise identical across lane counts AND to the interpreted
@@ -20,7 +20,7 @@ namespace {
 TEST(ParallelRuntimeTest, BitwiseIdenticalAcrossThreadCounts) {
   tensor::Rng rng(difftest::env_seed() ^ 0x9A11E7ULL);
   // A handful of harness configs: enough to hit conv + linear, CSR +
-  // BCSR + dense, event + dense-activation layers; the full-scale sweep
+  // dense, event + dense-activation layers; the full-scale sweep
   // lives in differential_test (serial plans).
   std::vector<difftest::NetConfig> cases;
   difftest::NetConfig pinned;  // big enough that chunks actually dispatch
@@ -29,7 +29,7 @@ TEST(ParallelRuntimeTest, BitwiseIdenticalAcrossThreadCounts) {
   pinned.sparsity = 0.9;
   pinned.seed = 11;
   cases.push_back(pinned);
-  pinned.sparsity = 0.0;  // blocky -> BCSR layers
+  pinned.sparsity = 0.0;  // 4x4 block mask -> CSR layers
   pinned.block_keep = 0.25;
   pinned.seed = 12;
   cases.push_back(pinned);
@@ -43,7 +43,7 @@ TEST(ParallelRuntimeTest, BitwiseIdenticalAcrossThreadCounts) {
     const tensor::Tensor want = net->predict(batch);
 
     for (const int64_t threads : {int64_t{1}, int64_t{2}, int64_t{8}}) {
-      runtime::CompileOptions opts = difftest::options_for(cfg);
+      runtime::CompileOptions opts = difftest::options_for();
       opts.num_threads = threads;
       const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
       EXPECT_EQ(compiled.intra_op_threads(), threads);
@@ -70,7 +70,7 @@ TEST(ParallelRuntimeTest, ForcedBackendsAndActivationsStayBitwiseAtEightLanes) {
   const tensor::Tensor want = net->predict(batch);
   for (const Backend backend : difftest::all_backends()) {
     for (const ActivationMode activation : difftest::all_activation_modes()) {
-      runtime::CompileOptions opts = difftest::options_for(cfg, backend, activation);
+      runtime::CompileOptions opts = difftest::options_for(backend, activation);
       opts.num_threads = 8;
       const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
       difftest::expect_bitwise(compiled.run(batch), want,
@@ -97,7 +97,7 @@ TEST(ParallelRuntimeTest, QuantisedPlansDeterministicAcrossThreadCounts) {
   const tensor::Tensor batch = difftest::random_batch(cfg);
   for (const ActivationMode activation :
        {ActivationMode::kDense, ActivationMode::kEvent}) {
-    runtime::CompileOptions opts = difftest::options_for(cfg, Backend::kCsr, activation);
+    runtime::CompileOptions opts = difftest::options_for(Backend::kCsr, activation);
     opts.weight_precision = WeightPrecision::kInt8;
     opts.num_threads = 1;
     const CompiledNetwork serial = CompiledNetwork::compile(*net, opts);

@@ -1,9 +1,8 @@
-// CSR / BCSR spmm / spmm_t equivalence against the dense GEMM kernels
+// CSR spmm / spmm_t equivalence against the dense GEMM kernels
 // and a naive reference on random masked matrices, plus the degenerate
 // shapes real plans hit (the runtime's correctness cornerstone).
 #include <gtest/gtest.h>
 
-#include "sparse/bcsr.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/mask.hpp"
 #include "tensor/matmul.hpp"
@@ -128,8 +127,7 @@ TEST(SpmmTest, FromWeightsReshapesConvKernels) {
 }
 
 TEST(SpmmTest, EmptyRowsProduceZeroOutputRows) {
-  // Rows 1 and 3 are entirely zero: CSR gets empty row extents, BCSR
-  // gets a fully padded block row (rows 2..3 with 2x2 blocks).
+  // Rows 1 and 3 are entirely zero: CSR gets empty row extents.
   Tensor a(Shape{4, 6});
   for (int64_t c = 0; c < 6; ++c) {
     a.at(0, c) = static_cast<float>(c + 1);
@@ -138,11 +136,9 @@ TEST(SpmmTest, EmptyRowsProduceZeroOutputRows) {
   Tensor b(Shape{6, 3}, 0.5F);
   const Tensor want = naive_ab(a, b);
   expect_near_all(Csr::from_dense(a).spmm(b), want, 1e-5, "csr empty rows");
-  expect_near_all(Bcsr::from_dense(a, 2, 2).spmm(b), want, 1e-5, "bcsr empty rows");
   Tensor x(Shape{2, 6}, 0.25F);
   const Tensor want_t = naive_abt(x, a);
   expect_near_all(Csr::from_dense(a).spmm_t(x), want_t, 1e-5, "csr-t empty rows");
-  expect_near_all(Bcsr::from_dense(a, 2, 2).spmm_t(x), want_t, 1e-5, "bcsr-t empty rows");
 }
 
 TEST(SpmmTest, SingleRowAndSingleColumnShapes) {
@@ -156,9 +152,6 @@ TEST(SpmmTest, SingleRowAndSingleColumnShapes) {
     const std::string ctx = "shape " + shape.str();
     expect_near_all(Csr::from_dense(a).spmm(b), naive_ab(a, b), 1e-5, "csr " + ctx);
     expect_near_all(Csr::from_dense(a).spmm_t(x), naive_abt(x, a), 1e-5, "csr-t " + ctx);
-    expect_near_all(Bcsr::from_dense(a, 4, 4).spmm(b), naive_ab(a, b), 1e-5, "bcsr " + ctx);
-    expect_near_all(Bcsr::from_dense(a, 4, 4).spmm_t(x), naive_abt(x, a), 1e-5,
-                    "bcsr-t " + ctx);
   }
 }
 
@@ -166,16 +159,14 @@ TEST(SpmmTest, AllZeroMatrixAllKernels) {
   const Tensor a(Shape{5, 7});
   Tensor b(Shape{7, 2}, 1.0F);
   Tensor x(Shape{3, 7}, 1.0F);
-  for (const Tensor& out :
-       {Csr::from_dense(a).spmm(b), Csr::from_dense(a).spmm_t(x),
-        Bcsr::from_dense(a, 2, 3).spmm(b), Bcsr::from_dense(a, 2, 3).spmm_t(x)}) {
+  for (const Tensor& out : {Csr::from_dense(a).spmm(b), Csr::from_dense(a).spmm_t(x)}) {
     for (int64_t i = 0; i < out.numel(); ++i) ASSERT_EQ(out.at(i), 0.0F);
   }
 }
 
 TEST(SpmmTest, FuzzAgainstNaiveReference) {
-  // Randomized sweep over shapes, sparsities and block geometries for
-  // both formats and both kernel variants. Seeded via NDSNN_TEST_SEED.
+  // Randomized sweep over shapes and sparsities for both kernel
+  // variants. Seeded via NDSNN_TEST_SEED.
   Rng rng(difftest::env_seed() ^ 0x5B3CC461ULL);
   const int rounds = difftest::env_int("NDSNN_FUZZ_ROUNDS", 40);
   for (int round = 0; round < rounds; ++round) {
@@ -184,12 +175,9 @@ TEST(SpmmTest, FuzzAgainstNaiveReference) {
     const int64_t n = 1 + rng.uniform_int(12);
     const int64_t m = 1 + rng.uniform_int(6);
     const double sparsity = rng.uniform01();
-    const int64_t br = 1 + rng.uniform_int(6);
-    const int64_t bc = 1 + rng.uniform_int(6);
     const std::string ctx = "round " + std::to_string(round) + ": " +
                             std::to_string(rows) + "x" + std::to_string(cols) +
-                            " sparsity=" + std::to_string(sparsity) + " block=" +
-                            std::to_string(br) + "x" + std::to_string(bc);
+                            " sparsity=" + std::to_string(sparsity);
     const Tensor a = random_masked(Shape{rows, cols}, sparsity, rng);
     Tensor b(Shape{cols, n});
     b.fill_uniform(rng, -1.0F, 1.0F);
@@ -199,21 +187,9 @@ TEST(SpmmTest, FuzzAgainstNaiveReference) {
     const Tensor want = naive_ab(a, b);
     const Tensor want_t = naive_abt(x, a);
     const Csr csr = Csr::from_dense(a);
-    const Bcsr bcsr = Bcsr::from_dense(a, br, bc);
-    ASSERT_EQ(bcsr.nnz(), csr.nnz()) << ctx;
     expect_near_all(csr.spmm(b), want, 1e-4, "csr spmm " + ctx);
     expect_near_all(csr.spmm_t(x), want_t, 1e-4, "csr spmm_t " + ctx);
-    expect_near_all(bcsr.spmm(b), want, 1e-4, "bcsr spmm " + ctx);
-    expect_near_all(bcsr.spmm_t(x), want_t, 1e-4, "bcsr spmm_t " + ctx);
     if (::testing::Test::HasFatalFailure()) return;
-
-    // The two sparse kernels agree with each other bitwise (identical
-    // accumulation order), which is what the runtime's differential
-    // harness relies on.
-    const Tensor cs = csr.spmm(b), bs = bcsr.spmm(b);
-    const Tensor cst = csr.spmm_t(x), bst = bcsr.spmm_t(x);
-    for (int64_t i = 0; i < cs.numel(); ++i) ASSERT_EQ(cs.at(i), bs.at(i)) << ctx;
-    for (int64_t i = 0; i < cst.numel(); ++i) ASSERT_EQ(cst.at(i), bst.at(i)) << ctx;
   }
 }
 

@@ -131,7 +131,7 @@ TEST(StreamSessionTest, StreamedMatchesWholeWindowBitwiseAcrossBackends) {
     for (const Backend backend : difftest::all_backends()) {
       for (const ActivationMode activation : difftest::all_activation_modes()) {
         const CompiledNetwork compiled = CompiledNetwork::compile(
-            *net, difftest::options_for(cfg, backend, activation));
+            *net, difftest::options_for(backend, activation));
         expect_stream_matches_window(
             compiled, frames,
             std::string("backend=") + difftest::backend_name(backend) +
@@ -154,7 +154,7 @@ TEST(StreamSessionTest, StreamedMatchesWholeWindowOnQuantisedPlans) {
     const auto net = difftest::build_network(cfg);
     const std::vector<Tensor> frames = scenario_frames(cfg);
     for (const WeightPrecision precision : difftest::quantised_precisions()) {
-      CompileOptions opts = difftest::options_for(cfg);
+      CompileOptions opts = difftest::options_for();
       opts.weight_precision = precision;
       const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
       expect_stream_matches_window(
@@ -172,7 +172,7 @@ TEST(StreamSessionTest, EmptyStepSkipsStatelessStagesObservably) {
   cfg.seed = 1234;
   cfg.sparsity = 0.9;
   const auto net = difftest::build_network(cfg);
-  const CompiledNetwork compiled = CompiledNetwork::compile(*net, difftest::options_for(cfg));
+  const CompiledNetwork compiled = CompiledNetwork::compile(*net, difftest::options_for());
   StreamSession session(compiled);
 
   const Tensor zero(Shape{cfg.batch, cfg.channels, cfg.image, cfg.image});
@@ -224,7 +224,7 @@ TEST(StreamSessionTest, ResetRestoresFirstStepSemantics) {
   cfg.sparsity = 0.8;
   cfg.timesteps = 3;
   const auto net = difftest::build_network(cfg);
-  const CompiledNetwork compiled = CompiledNetwork::compile(*net, difftest::options_for(cfg));
+  const CompiledNetwork compiled = CompiledNetwork::compile(*net, difftest::options_for());
   const std::vector<Tensor> frames = scenario_frames(cfg);
 
   StreamSession session(compiled);

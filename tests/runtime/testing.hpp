@@ -1,6 +1,6 @@
 // Differential / property test harness for the inference runtime.
 //
-// The runtime has three kernel backends (dense / CSR / BCSR) and three
+// The runtime has two kernel backends (dense / CSR) and three
 // activation modes (auto / dense / event-driven) chosen per layer by
 // cost heuristics, which is far too many combinations for hand-written
 // cases. This header generates randomized network configurations
@@ -71,11 +71,9 @@ struct NetConfig {
   int64_t nm_n = 0;       ///< 0 = no N:M projection
   int64_t nm_m = 0;
   double block_keep = 0.0;  ///< > 0: 4x4 block mask keeping this fraction of
-                            ///< blocks (the ~1.0-occupancy row-block pattern
-                            ///< the BCSR heuristic targets); applied instead
-                            ///< of the unstructured mask
-  int64_t block_rows = 4;  ///< BCSR block shape handed to CompileOptions
-  int64_t block_cols = 4;
+                            ///< blocks (the row-block pattern of FPGA SNN
+                            ///< accelerators); applied instead of the
+                            ///< unstructured mask
   InputKind input = InputKind::kRandom;
   uint64_t seed = 1;
 
@@ -87,8 +85,7 @@ struct NetConfig {
                     " sparsity=" + std::to_string(sparsity);
     if (nm_m > 0) s += " nm=" + std::to_string(nm_n) + ":" + std::to_string(nm_m);
     if (block_keep > 0.0) s += " block_keep=" + std::to_string(block_keep);
-    s += " block=" + std::to_string(block_rows) + "x" + std::to_string(block_cols) +
-         " input=" + input_kind_name(input) + " seed=" + std::to_string(seed);
+    s += " input=" + std::string(input_kind_name(input)) + " seed=" + std::to_string(seed);
     return s;
   }
 };
@@ -120,7 +117,7 @@ inline NetConfig random_config(tensor::Rng& rng) {
   // those layers dense; the rest exercise the sparse kernels.
   const double sparsities[] = {0.3, 0.5, 0.8, 0.9, 0.95};
   cfg.sparsity = sparsities[rng.uniform_int(5)];
-  if (rng.bernoulli(0.1)) {  // blocky deployment flavour -> BCSR heuristic
+  if (rng.bernoulli(0.1)) {  // blocky deployment flavour
     cfg.block_keep = 0.25;
     cfg.sparsity = 0.0;
   } else if (rng.bernoulli(0.6)) {  // structured N:M deployment flavour
@@ -129,10 +126,6 @@ inline NetConfig random_config(tensor::Rng& rng) {
     cfg.nm_n = patterns[pick][0];
     cfg.nm_m = patterns[pick][1];
   }
-  const int64_t blocks[][2] = {{4, 4}, {2, 2}, {8, 4}, {1, 4}, {4, 1}};
-  const int64_t pick = rng.uniform_int(5);
-  cfg.block_rows = blocks[pick][0];
-  cfg.block_cols = blocks[pick][1];
   // Mostly uniform-random inputs, with the firing-rate extremes mixed in
   // so the event path's empty-active-list and full-gather branches stay
   // exercised at every sweep size.
@@ -159,10 +152,8 @@ inline void apply_random_masks(nn::SpikingNetwork& net, double sparsity, uint64_
 
 /// Zero random 4x4 blocks of every prunable weight's lowered 2-D form,
 /// keeping `keep` of them — the row-block pattern of FPGA SNN
-/// accelerators, the ~1.0-occupancy structure the BCSR kernel heuristic
-/// selects for (aligned layers measure exactly 1.0; edge-padded blocks
-/// pull small layers below the bar, which is the intended per-layer
-/// behaviour).
+/// accelerators. The runtime lowers it like any other mask: CSR at or
+/// above min_sparsity.
 inline void apply_block_masks(nn::SpikingNetwork& net, double keep, uint64_t seed) {
   tensor::Rng rng(seed);
   for (const auto& p : net.params()) {
@@ -230,15 +221,13 @@ inline std::unique_ptr<nn::SpikingNetwork> build_network(const NetConfig& cfg) {
   return net;
 }
 
-/// CompileOptions matching the scenario's block shape.
+/// CompileOptions for one backend x activation cell of the sweep.
 inline runtime::CompileOptions options_for(
-    const NetConfig& cfg, runtime::Backend backend = runtime::Backend::kAuto,
+    runtime::Backend backend = runtime::Backend::kAuto,
     runtime::ActivationMode activation = runtime::ActivationMode::kAuto) {
   runtime::CompileOptions opts;
   opts.backend = backend;
   opts.activation_mode = activation;
-  opts.block_rows = cfg.block_rows;
-  opts.block_cols = cfg.block_cols;
   return opts;
 }
 
@@ -257,8 +246,7 @@ inline void expect_bitwise(const tensor::Tensor& got, const tensor::Tensor& want
 /// All backends the differential sweep exercises.
 inline const std::vector<runtime::Backend>& all_backends() {
   static const std::vector<runtime::Backend> kBackends = {
-      runtime::Backend::kAuto, runtime::Backend::kDense, runtime::Backend::kCsr,
-      runtime::Backend::kBcsr};
+      runtime::Backend::kAuto, runtime::Backend::kDense, runtime::Backend::kCsr};
   return kBackends;
 }
 
@@ -267,7 +255,6 @@ inline const char* backend_name(runtime::Backend b) {
     case runtime::Backend::kAuto: return "auto";
     case runtime::Backend::kDense: return "dense";
     case runtime::Backend::kCsr: return "csr";
-    case runtime::Backend::kBcsr: return "bcsr";
   }
   return "?";
 }
@@ -300,16 +287,14 @@ inline const char* activation_name(runtime::ActivationMode m) {
 // that promise by re-compiling scenarios with CompileOptions::
 // kernel_tier forced below the detected tier and comparing against the
 // same interpreted reference: the default (kAuto) compile already
-// exercises the *detected* tier, so forcing kScalar and kVector covers
-// every tier the machine can run. On a machine without AVX2 the forced
-// tiers clamp (resolve() never exceeds detected()) and the axis
-// degenerates to re-checking the portable kernels, which is the
-// correct behaviour, not a gap.
+// exercises the *detected* tier, so forcing kScalar covers every tier
+// the machine can run. On a machine without AVX2 the detected tier is
+// kScalar and the axis degenerates to re-checking the portable
+// kernels, which is the correct behaviour, not a gap.
 
 /// Tiers the sweep forces explicitly on top of the default compile.
 inline const std::vector<util::simd::Tier>& forced_kernel_tiers() {
-  static const std::vector<util::simd::Tier> kTiers = {
-      util::simd::Tier::kScalar, util::simd::Tier::kVector};
+  static const std::vector<util::simd::Tier> kTiers = {util::simd::Tier::kScalar};
   return kTiers;
 }
 
@@ -326,8 +311,8 @@ inline const std::vector<util::simd::Tier>& forced_kernel_tiers() {
 // quantised plan against a CompileOptions::fake_quant reference plan —
 // same precision, but the plane is dequantised back to fp32 storage at
 // compile time, so the reference executes the quantised plan's *exact*
-// effective weights (whatever the grouping: per CSR row, per transposed
-// row on the event path, per BCSR block) on the bitwise fp32 kernels.
+// effective weights (whatever the grouping: per CSR row, or per
+// transposed row on the event path) on the bitwise fp32 kernels.
 // Both plans run every op on the *same* input (the reference op's
 // output). Weight-op differences are then pure kernel reassociation,
 // orders of magnitude inside the documented 1e-2 / 5e-2 tolerances, and

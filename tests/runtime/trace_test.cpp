@@ -108,7 +108,7 @@ TEST_F(TraceTest, TracedRunIsBitwiseIdenticalToUntraced) {
   for (int c = 0; c < configs; ++c) {
     const NetConfig cfg = random_config(rng);
     const auto net = build_network(cfg);
-    const CompiledNetwork plan = CompiledNetwork::compile(*net, options_for(cfg));
+    const CompiledNetwork plan = CompiledNetwork::compile(*net, options_for());
     const tensor::Tensor batch = random_batch(cfg);
     const tensor::Tensor untraced = plan.run(batch);
     trace::set_enabled(true);
@@ -128,7 +128,7 @@ TEST_F(TraceTest, EveryPlanOpEmitsASpan) {
   NetConfig cfg;
   cfg.seed = env_seed() ^ 0x5FA7ULL;
   const auto net = build_network(cfg);
-  const CompiledNetwork plan = CompiledNetwork::compile(*net, options_for(cfg));
+  const CompiledNetwork plan = CompiledNetwork::compile(*net, options_for());
   trace::set_enabled(true);
   (void)plan.run(random_batch(cfg));
   trace::set_enabled(false);
@@ -146,7 +146,7 @@ TEST_F(TraceTest, PlanProfileAggregatesRunsAndLatencies) {
   NetConfig cfg;
   cfg.seed = env_seed() ^ 0x90F11EULL;
   const auto net = build_network(cfg);
-  const CompiledNetwork plan = CompiledNetwork::compile(*net, options_for(cfg));
+  const CompiledNetwork plan = CompiledNetwork::compile(*net, options_for());
   EXPECT_FALSE(plan.profiling_enabled());
   EXPECT_EQ(plan.profiled_executes(), 0);
 
@@ -188,7 +188,7 @@ TEST_F(TraceTest, ProfilingDisabledRecordsNothing) {
   NetConfig cfg;
   cfg.seed = env_seed() ^ 0x0FFULL;
   const auto net = build_network(cfg);
-  const CompiledNetwork plan = CompiledNetwork::compile(*net, options_for(cfg));
+  const CompiledNetwork plan = CompiledNetwork::compile(*net, options_for());
   (void)plan.run(random_batch(cfg));
   EXPECT_EQ(plan.profiled_executes(), 0);
   for (const PlanProfile::OpStats& s : plan.profile()) EXPECT_EQ(s.runs, 0);

@@ -106,8 +106,8 @@ TEST(CsrTest, ThresholdDropsTinyEntries) {
   EXPECT_EQ(back.at(1, 0), -0.5F);
   EXPECT_EQ(back.at(1, 2), 2e-2F);
   // The threshold is strict: entries exactly at it are dropped. This is
-  // pinned behavior — Bcsr::from_dense must agree (see
-  // BcsrTest.CsrAndBcsrAgreeOnThresholdSemantics).
+  // pinned behavior — the runtime's kAuto sparsity count uses the same
+  // |w| > threshold test.
   EXPECT_EQ(Csr::from_dense(dense, 0.5F).nnz(), 0);
   // Negative thresholds are rejected.
   EXPECT_THROW((void)Csr::from_dense(dense, -1.0F), std::invalid_argument);

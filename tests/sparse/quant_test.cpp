@@ -1,6 +1,6 @@
 // Quantised value planes: code round-trips, packing, and the error
-// contract of every quantised kernel (spmm / spmm_t / spmv_gather /
-// scatter_row, CSR and BCSR).
+// contract of every quantised CSR kernel (spmm / spmm_t / spmv_gather /
+// scatter_row).
 //
 // The contract under test (sparse/quant.hpp): each reconstructed value
 // is within scale/2 of its fp32 source, so a quantised kernel output
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "../testing_env.hpp"
-#include "sparse/bcsr.hpp"
 #include "sparse/csr.hpp"
 #include "tensor/random.hpp"
 
@@ -263,60 +262,6 @@ TEST(QuantTest, QuantKernelsConsistentWithDequantisedWeights) {
   }
 }
 
-TEST(QuantTest, BcsrKernelsConsistentWithDequantisedWeights) {
-  Rng rng(difftest::env_seed() ^ 0xB5C4ULL);
-  for (const Precision p : {Precision::kInt8, Precision::kInt4}) {
-    // Odd shapes exercise edge blocks; 4x4 hits the specialized fp32
-    // workers on the reference side.
-    const Tensor w = random_masked(27, 38, 0.6, rng);
-    Bcsr q = Bcsr::from_dense(w, 4, 4);
-    const int64_t stored_before = q.stored_values();
-    const double occupancy_before = q.occupancy();
-    q.quantize(p);
-    EXPECT_EQ(q.stored_values(), stored_before);
-    EXPECT_DOUBLE_EQ(q.occupancy(), occupancy_before);
-    const Bcsr ref = Bcsr::from_dense(q.to_dense(), 4, 4);
-    const float tol = 1e-3F;
-
-    Tensor b(Shape{38, 9});
-    b.fill_uniform(rng, -1.0F, 1.0F);
-    EXPECT_LE(max_abs_diff(q.spmm(b), ref.spmm(b)), tol) << precision_tag(p);
-
-    Tensor x(Shape{3, 38});
-    x.fill_uniform(rng, -1.0F, 1.0F);
-    EXPECT_LE(max_abs_diff(q.spmm_t(x), ref.spmm_t(x)), tol) << precision_tag(p);
-
-    Bcsr qt = Bcsr::from_dense(w, 4, 4).transposed();
-    qt.quantize(p);
-    const Bcsr ref_t = Bcsr::from_dense(qt.to_dense(), 4, 4);
-    const Tensor xs = spike_input(2, 27, 0.4, rng);
-    std::vector<int32_t> active;
-    std::vector<double> acc_q(38), acc_ref(38);
-    for (int64_t i = 0; i < 2; ++i) {
-      active.clear();
-      for (int64_t j = 0; j < 27; ++j) {
-        if (xs.at(i, j) != 0.0F) active.push_back(static_cast<int32_t>(j));
-      }
-      std::fill(acc_q.begin(), acc_q.end(), 0.0);
-      std::fill(acc_ref.begin(), acc_ref.end(), 0.0);
-      const float* xrow = xs.data() + i * 27;
-      qt.spmv_gather(xrow, active.data(), static_cast<int64_t>(active.size()), acc_q.data());
-      ref_t.spmv_gather(xrow, active.data(), static_cast<int64_t>(active.size()),
-                        acc_ref.data());
-      for (std::size_t c = 0; c < acc_q.size(); ++c) {
-        EXPECT_NEAR(acc_q[c], acc_ref[c], tol);
-      }
-    }
-
-    std::vector<float> out_q(38 * 3, 0.0F), out_ref(38 * 3, 0.0F);
-    qt.scatter_row(5, 2.0F, out_q.data(), 3);
-    ref_t.scatter_row(5, 2.0F, out_ref.data(), 3);
-    for (std::size_t i = 0; i < out_q.size(); ++i) {
-      EXPECT_NEAR(out_q[i], out_ref[i], tol);
-    }
-  }
-}
-
 /// The documented absolute tolerances, asserted in the regime they are
 /// stated for: LeNet-scale fc1 weights ([120 x 400], |w| <= 0.12 — the
 /// He-init scale of a fan-in-400 layer — at 0.9 sparsity) with binary
@@ -354,11 +299,6 @@ TEST(QuantTest, MemoryBytesShrinkWithPrecision) {
   EXPECT_GE(fp32.memory_bytes() - q8.memory_bytes(),
             3 * fp32.nnz() - (fp32.rows() * 5 + 8));
   EXPECT_EQ(q8.nnz(), fp32.nnz());  // nnz survives the value-array release
-
-  Bcsr b8 = Bcsr::from_dense(w, 4, 4);
-  const Bcsr bfp = Bcsr::from_dense(w, 4, 4);
-  b8.quantize(Precision::kInt8);
-  EXPECT_LT(b8.memory_bytes(), bfp.memory_bytes());
 }
 
 TEST(QuantTest, MisuseThrows) {
@@ -368,10 +308,6 @@ TEST(QuantTest, MisuseThrows) {
   csr.quantize(Precision::kInt8);
   EXPECT_THROW(csr.quantize(Precision::kInt8), std::logic_error);
   EXPECT_THROW((void)csr.transposed(), std::logic_error);
-  Bcsr bcsr = Bcsr::from_dense(w, 4, 4);
-  bcsr.quantize(Precision::kInt4);
-  EXPECT_THROW(bcsr.quantize(Precision::kInt4), std::logic_error);
-  EXPECT_THROW((void)bcsr.transposed(), std::logic_error);
   // kFp32 is a no-op, not an error.
   Csr plain = Csr::from_dense(w);
   EXPECT_EQ(plain.quantize(Precision::kFp32), 0.0F);

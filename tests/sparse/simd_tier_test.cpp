@@ -1,11 +1,11 @@
 // Kernel-tier dispatch contract (util/cpuinfo.hpp): for every tiered
-// fp32 kernel, the scalar, vector and AVX2 bodies must produce bitwise
+// fp32 kernel, the scalar and AVX2 bodies must produce bitwise
 // identical results — including ragged batch tails that exercise the
 // intrinsic bodies' scalar cleanup loops — and quantised bodies must
 // agree with their scalar reference within the QuantPlane error
 // contract. Tiers are passed explicitly (no force() global state), and
 // util::simd::resolve clamps impossible requests to detected(), so on a
-// non-AVX2 host the kAvx2 cases degrade to comparing kVector against
+// non-AVX2 host the kAvx2 cases degrade to comparing kScalar against
 // itself instead of being skipped or faulting.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "sparse/bcsr.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/simd_kernels.hpp"
 #include "tensor/matmul.hpp"
@@ -67,7 +66,7 @@ void expect_close(const Tensor& a, const Tensor& b, float tol, const char* what)
   }
 }
 
-constexpr Tier kTiers[] = {Tier::kScalar, Tier::kVector, Tier::kAvx2};
+constexpr Tier kTiers[] = {Tier::kScalar, Tier::kAvx2};
 
 TEST(SimdTierTest, DetectedTierIsExecutable) {
   const Tier t = util::simd::detected();
@@ -117,22 +116,6 @@ TEST(SimdTierTest, CsrSpmmBitwiseAcrossTiers) {
       expect_bitwise(csr.spmm(b, nullptr, tier), ref, "csr spmm serial");
       expect_bitwise(csr.spmm(b, &pool, tier), ref, "csr spmm pooled");
     }
-  }
-}
-
-TEST(SimdTierTest, BcsrSpmmAndSpmmTBitwiseAcrossTiers) {
-  const Tensor w = sparse_matrix(96, 128, 0.75, 21);
-  const Bcsr bcsr = Bcsr::from_dense(w, 4, 4);
-  util::ThreadPool pool(3);
-  const Tensor bt = dense_batch(13, 128, 17);
-  const Tensor ref_t = bcsr.spmm_t(bt, nullptr, Tier::kScalar);
-  const Tensor bs = dense_batch(128, 24, 19);
-  const Tensor ref_s = bcsr.spmm(bs, nullptr, Tier::kScalar);
-  for (const Tier tier : kTiers) {
-    expect_bitwise(bcsr.spmm_t(bt, nullptr, tier), ref_t, "bcsr spmm_t serial");
-    expect_bitwise(bcsr.spmm_t(bt, &pool, tier), ref_t, "bcsr spmm_t pooled");
-    expect_bitwise(bcsr.spmm(bs, nullptr, tier), ref_s, "bcsr spmm serial");
-    expect_bitwise(bcsr.spmm(bs, &pool, tier), ref_s, "bcsr spmm pooled");
   }
 }
 

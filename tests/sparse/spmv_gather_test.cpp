@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "../testing_env.hpp"
-#include "sparse/bcsr.hpp"
 #include "sparse/csr.hpp"
 #include "tensor/random.hpp"
 #include "tensor/tensor.hpp"
@@ -133,81 +132,6 @@ TEST(SpmvGatherTest, CsrScatterRowMatchesDenseReference) {
   }
 }
 
-TEST(SpmvGatherTest, BcsrTransposedPreservesNnzAndValues) {
-  Rng rng(difftest::env_seed() ^ 0xB5ULL);
-  for (const auto& blocks : {std::pair<int64_t, int64_t>{4, 4}, {2, 3}, {1, 4}}) {
-    const Tensor w = random_sparse(13, 18, 0.8, rng);
-    const Bcsr bcsr = Bcsr::from_dense(w, blocks.first, blocks.second);
-    const Bcsr t = bcsr.transposed();
-    EXPECT_EQ(t.rows(), bcsr.cols());
-    EXPECT_EQ(t.cols(), bcsr.rows());
-    EXPECT_EQ(t.nnz(), bcsr.nnz());
-    EXPECT_EQ(t.block_rows(), blocks.second);
-    EXPECT_EQ(t.block_cols(), blocks.first);
-    const Tensor dense = bcsr.to_dense();
-    const Tensor dense_t = t.to_dense();
-    for (int64_t r = 0; r < dense.dim(0); ++r) {
-      for (int64_t c = 0; c < dense.dim(1); ++c) {
-        ASSERT_EQ(dense_t.at(c, r), dense.at(r, c)) << r << "," << c;
-      }
-    }
-  }
-}
-
-TEST(SpmvGatherTest, BcsrGatherMatchesSpmmTBitwise) {
-  Rng rng(difftest::env_seed() ^ 0xBCE5ULL);
-  for (const auto& blocks : {std::pair<int64_t, int64_t>{4, 4}, {2, 2}, {3, 5}}) {
-    for (const double rate : {0.0, 0.15, 1.0}) {
-      const int64_t out = 14, in = 26;  // deliberately ragged vs the blocks
-      const Tensor w = random_sparse(out, in, 0.6, rng);
-      const Bcsr bcsr = Bcsr::from_dense(w, blocks.first, blocks.second);
-      const Bcsr bcsr_t = bcsr.transposed();
-      const std::vector<float> x = random_sparse_vec(in, rate, rng);
-      const auto active = active_indices(x);
-
-      Tensor xrow(Shape{1, in});
-      for (int64_t j = 0; j < in; ++j) xrow.at(j) = x[static_cast<std::size_t>(j)];
-      const Tensor want = bcsr.spmm_t(xrow);
-
-      std::vector<double> acc(static_cast<std::size_t>(out), 0.0);
-      bcsr_t.spmv_gather(x.data(), active.data(), static_cast<int64_t>(active.size()),
-                         acc.data());
-      for (int64_t r = 0; r < out; ++r) {
-        ASSERT_EQ(static_cast<float>(acc[static_cast<std::size_t>(r)]), want.at(r))
-            << blocks.first << "x" << blocks.second << " rate=" << rate << " out " << r;
-      }
-    }
-  }
-}
-
-TEST(SpmvGatherTest, BcsrScatterRowMatchesDenseReference) {
-  Rng rng(difftest::env_seed() ^ 0xB5CAULL);
-  const int64_t rows = 10, cols = 7;
-  const Tensor w = random_sparse(rows, cols, 0.5, rng);
-  const Bcsr bcsr = Bcsr::from_dense(w, 4, 4);
-  const Tensor dense = bcsr.to_dense();
-  const int64_t stride = 2;
-  for (int64_t r = 0; r < rows; ++r) {
-    const float x = -1.25F;
-    std::vector<float> got(static_cast<std::size_t>(cols * stride), 0.0F);
-    std::vector<float> want = got;
-    bcsr.scatter_row(r, x, got.data(), stride);
-    for (int64_t c = 0; c < cols; ++c) {
-      // BCSR stores whole blocks: explicit zeros scatter 0-contributions,
-      // which the reference reproduces by multiplying the stored value.
-      want[static_cast<std::size_t>(c * stride)] = dense.at(r, c) * x;
-    }
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(got[i], want[i]) << "row " << r << " slot " << i;
-    }
-  }
-}
-
-// ------------------------------------------------------------------
-// Binary-spike int32 gather fast path (uniform-scale quantised planes)
-// and the channel-strip scatter_row_range the parallel conv event path
-// dispatches.
-
 TEST(SpmvGatherTest, CsrBinaryGatherMatchesGeneralQuantisedPath) {
   Rng rng(difftest::env_seed() ^ 0xB1A4ULL);
   for (const Precision p : {Precision::kInt8, Precision::kInt4}) {
@@ -266,30 +190,6 @@ TEST(SpmvGatherTest, CsrBinaryFastPathDeclinesNonBinaryInput) {
   }
 }
 
-TEST(SpmvGatherTest, BcsrBinaryGatherMatchesGeneralQuantisedPath) {
-  Rng rng(difftest::env_seed() ^ 0xBB14ULL);
-  const int64_t out = 14, in = 26;
-  const Tensor w = random_sparse(out, in, 0.5, rng);
-  Bcsr uniform_t = Bcsr::from_dense(w, 4, 4).transposed();
-  (void)uniform_t.quantize(Precision::kInt8, true, /*uniform_scale=*/true);
-  ASSERT_TRUE(uniform_t.quant().uniform);
-  std::vector<float> x(static_cast<std::size_t>(in), 0.0F);
-  for (auto& v : x) {
-    if (rng.uniform01() < 0.25) v = 1.0F;
-  }
-  const auto active = active_indices(x);
-  std::vector<double> general(static_cast<std::size_t>(out), 0.0);
-  uniform_t.spmv_gather(x.data(), active.data(), static_cast<int64_t>(active.size()),
-                        general.data());
-  std::vector<double> fast(static_cast<std::size_t>(out), 0.0);
-  std::vector<int32_t> iacc(static_cast<std::size_t>(out), 99);
-  uniform_t.spmv_gather(x.data(), active.data(), static_cast<int64_t>(active.size()),
-                        fast.data(), iacc.data());
-  for (int64_t r = 0; r < out; ++r) {
-    ASSERT_EQ(fast[static_cast<std::size_t>(r)], general[static_cast<std::size_t>(r)]) << r;
-  }
-}
-
 TEST(SpmvGatherTest, UniformScaleQuantErrorStaysInsideGlobalBound) {
   // Uniform-scale error contract: every reconstructed value within
   // scale/2 of its source, scale = global max|w| / qmax.
@@ -317,29 +217,19 @@ TEST(SpmvGatherTest, ScatterRowRangeStripsTileTheFullScatter) {
   const Tensor w = random_sparse(rows, cols, 0.4, rng);
   for (const bool quantise : {false, true}) {
     Csr csr = Csr::from_dense(w);
-    Bcsr bcsr = Bcsr::from_dense(w, 4, 4);
-    if (quantise) {
-      (void)csr.quantize(Precision::kInt8);
-      (void)bcsr.quantize(Precision::kInt8);
-    }
+    if (quantise) (void)csr.quantize(Precision::kInt8);
     for (int64_t r = 0; r < rows; ++r) {
-      std::vector<float> want_csr(static_cast<std::size_t>(cols * stride), 0.0F);
-      std::vector<float> want_bcsr = want_csr;
-      csr.scatter_row(r, 0.5F, want_csr.data(), stride);
-      bcsr.scatter_row(r, 0.5F, want_bcsr.data(), stride);
+      std::vector<float> want(static_cast<std::size_t>(cols * stride), 0.0F);
+      csr.scatter_row(r, 0.5F, want.data(), stride);
       for (const int64_t strip : {int64_t{1}, int64_t{4}, int64_t{5}}) {
-        std::vector<float> got_csr(static_cast<std::size_t>(cols * stride), 0.0F);
-        std::vector<float> got_bcsr = got_csr;
+        std::vector<float> got(static_cast<std::size_t>(cols * stride), 0.0F);
         for (int64_t c0 = 0; c0 < cols; c0 += strip) {
           const int64_t c1 = std::min(cols, c0 + strip);
-          csr.scatter_row_range(r, 0.5F, got_csr.data(), stride, c0, c1);
-          bcsr.scatter_row_range(r, 0.5F, got_bcsr.data(), stride, c0, c1);
+          csr.scatter_row_range(r, 0.5F, got.data(), stride, c0, c1);
         }
-        for (std::size_t i = 0; i < want_csr.size(); ++i) {
-          ASSERT_EQ(got_csr[i], want_csr[i])
-              << (quantise ? "quant" : "fp32") << " csr row " << r << " strip " << strip;
-          ASSERT_EQ(got_bcsr[i], want_bcsr[i])
-              << (quantise ? "quant" : "fp32") << " bcsr row " << r << " strip " << strip;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(got[i], want[i])
+              << (quantise ? "quant" : "fp32") << " row " << r << " strip " << strip;
         }
       }
     }

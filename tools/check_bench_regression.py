@@ -14,7 +14,7 @@ ratios the bench computes on-box:
 
   - kernel_tiers (required in the fresh document): on a box whose
     detected tier is avx2, the hand-written AVX2 fp32 spmm_t kernel
-    must stay >= 1.5x over the gcc-vector-extension baseline — a
+    must stay >= 1.5x over the scalar reference kernel — a
     same-machine, same-process ratio, so it gates on every runner
     independent of the snapshot box. Elsewhere the tier rows are
     informational.
@@ -23,8 +23,8 @@ TOLERANCE is 30% (noisy-box tolerant): the point is to catch a kernel
 or heuristic change that halves the sparse win, not to chase scheduler
 jitter.
 
-Schema evolution: the bench JSON grows a section per PR (structured,
-quant_kernel, executor, op_breakdown, ...). Sections this script does
+Schema evolution: the bench JSON grows a section per PR (quant_kernel,
+executor, op_breakdown, ...) and sheds the ones whose code is deleted. Sections this script does
 not know about are IGNORED, so adding a section never breaks the gate
 and a fresh bench can be compared against an older snapshot. The
 inverse is not tolerated: if a section this script *requires* is
@@ -75,9 +75,9 @@ SERVING_P50_SCALING_MAX = 1.5
 SERVING_P99_SLO_HEADROOM = 1.25
 SERVING_MIN_CORES = 4
 
-# Floor for the hand-written AVX2 fp32 spmm_t kernel over the
-# gcc-vector-extension baseline, measured by the bench's kernel_tiers
-# section (min-of-repeats on the fc1-scale layer). Binds only when the
+# Floor for the hand-written AVX2 fp32 spmm_t kernel over the scalar
+# reference kernel, measured by the bench's kernel_tiers section
+# (min-of-repeats on the fc1-scale layer). Binds only when the
 # *fresh* run's box detected avx2; elsewhere the tier numbers are
 # printed as informational (the dispatch layer clamps, so there is no
 # AVX2 kernel to gate).
@@ -117,7 +117,7 @@ def sweep_speedups(doc):
 def check_kernel_tiers(doc):
     """Gate the SIMD tier section of the fresh document.
 
-    The AVX2 fp32 spmm_t kernel must beat the vector-extension baseline
+    The AVX2 fp32 spmm_t kernel must beat the scalar reference kernel
     by KERNEL_TIER_AVX2_MIN_SPEEDUP on a box that detected avx2; on any
     other box the tier numbers are informational (there is no AVX2
     kernel running to gate). Gating fresh-against-itself is sound
@@ -133,7 +133,7 @@ def check_kernel_tiers(doc):
     speedup = float(tiers.get("avx2_fp32_spmm_t_speedup", -1.0))
     if gated:
         status = "ok" if speedup >= KERNEL_TIER_AVX2_MIN_SPEEDUP else "REGRESSION"
-        print(f"kernel_tiers: avx2 fp32 spmm_t = {speedup:.2f}x over vector "
+        print(f"kernel_tiers: avx2 fp32 spmm_t = {speedup:.2f}x over scalar "
               f"(floor {KERNEL_TIER_AVX2_MIN_SPEEDUP}x) -> {status} ({mode})")
         if speedup < KERNEL_TIER_AVX2_MIN_SPEEDUP:
             ok = False
@@ -143,11 +143,11 @@ def check_kernel_tiers(doc):
     for entry in tiers.get("kernels", []):
         kernel = entry.get("kernel", "?")
         precision = entry.get("precision", "?")
-        vector_ms = float(entry.get("vector_ms", 0.0))
+        scalar_ms = float(entry.get("scalar_ms", 0.0))
         avx2_ms = float(entry.get("avx2_ms", -1.0))
-        if avx2_ms > 0.0 and vector_ms > 0.0:
+        if avx2_ms > 0.0 and scalar_ms > 0.0:
             print(f"info: {kernel}/{precision} avx2 {avx2_ms:.3f} ms vs "
-                  f"vector {vector_ms:.3f} ms ({vector_ms / avx2_ms:.2f}x)")
+                  f"scalar {scalar_ms:.3f} ms ({scalar_ms / avx2_ms:.2f}x)")
     return ok
 
 
