@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the computational kernels: GEMM,
-// im2col, LIF step, surrogate gradient, drop/grow selection, CSR matvec,
-// and CSR spmm/spmm_t at the structured-sparsity patterns of Sec. III-D
+// im2col, LIF step, surrogate gradient, drop/grow selection, and CSR
+// spmm/spmm_t at the structured-sparsity patterns of Sec. III-D
 // (2:4, 1:4, 4x4 blocks). These quantify
 // where the training loop and the inference runtime spend their time.
 #include <benchmark/benchmark.h>
@@ -138,23 +138,6 @@ void BM_ArgDrop(benchmark::State& state) {
 }
 BENCHMARK(BM_ArgDrop)->Apply(MinOfRepeats)->Arg(10000)->Arg(100000);
 
-void BM_CsrMatvec(benchmark::State& state) {
-  const double density = static_cast<double>(state.range(0)) / 100.0;
-  Rng rng(7);
-  Tensor dense(Shape{512, 512});
-  for (int64_t i = 0; i < dense.numel(); ++i) {
-    dense.at(i) = rng.bernoulli(density) ? rng.uniform(-1.0F, 1.0F) : 0.0F;
-  }
-  const auto csr = ndsnn::sparse::Csr::from_dense(dense);
-  std::vector<float> x(512, 1.0F);
-  (void)csr.matvec(x);  // warm-up
-  for (auto _ : state) {
-    auto y = csr.matvec(x);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_CsrMatvec)->Apply(MinOfRepeats)->Arg(100)->Arg(10)->Arg(2);
-
 // ------------------------------------------- CSR at structured patterns
 //
 // A 512x512 weight layer at the structured patterns of Sec. III-D.
@@ -185,8 +168,10 @@ Tensor make_pattern_matrix(int64_t pattern_id, uint64_t seed) {
 
 const char* pattern_name(int64_t id) { return id == 0 ? "2:4" : id == 1 ? "1:4" : "blk4x4"; }
 
-/// B has 256 columns, conv-like (im2col L for a small feature map).
+/// B has 256 columns, conv-like: im2col L for a batch of 4 samples with
+/// an 8x8 output map, which spmm writes as [4, 512, 64].
 constexpr int64_t kSpmmCols = 256;
+constexpr int64_t kSpmmBatches = 4;
 /// spmm_t batch rows, linear-like (T*N for a serving batch).
 constexpr int64_t kSpmmTRows = 64;
 
@@ -196,9 +181,9 @@ void BM_CsrSpmm(benchmark::State& state) {
   Rng rng(22);
   Tensor b(Shape{512, kSpmmCols});
   b.fill_uniform(rng, -1.0F, 1.0F);
-  (void)csr.spmm(b);  // warm-up
+  (void)csr.spmm(b, kSpmmBatches);  // warm-up
   for (auto _ : state) {
-    Tensor c = csr.spmm(b);
+    Tensor c = csr.spmm(b, kSpmmBatches);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetLabel(std::string(pattern_name(state.range(0))) + " nnz=" +
@@ -262,27 +247,6 @@ void BM_CsrSpmmTTier(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * csr.nnz() * 256);
 }
 BENCHMARK(BM_CsrSpmmTTier)->Apply(MinOfRepeats)->Arg(1)->Arg(2);
-
-void BM_CsrSpmmTier(benchmark::State& state) {
-  const auto tier = static_cast<simd::Tier>(state.range(0));
-  if (tier > simd::detected()) {
-    state.SkipWithError("tier not available on this box");
-    return;
-  }
-  const Tensor a = make_fc1_matrix(31);
-  const auto csr = ndsnn::sparse::Csr::from_dense(a);
-  Rng rng(33);
-  Tensor b(Shape{400, 256});
-  b.fill_uniform(rng, 0.0F, 1.0F);
-  (void)csr.spmm(b, nullptr, tier);  // warm-up
-  for (auto _ : state) {
-    Tensor c = csr.spmm(b, nullptr, tier);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetLabel(simd::name(tier));
-  state.SetItemsProcessed(state.iterations() * 2 * csr.nnz() * 256);
-}
-BENCHMARK(BM_CsrSpmmTier)->Apply(MinOfRepeats)->Arg(1)->Arg(2);
 
 }  // namespace
 

@@ -15,7 +15,7 @@
 // --json additionally writes every table as one machine-readable JSON
 // document (the schema CI uploads as an artifact and the checked-in
 // BENCH_sparse_inference.json snapshot records). New in PR 5: a
-// threads x kernel sweep (row-partitioned CSR spmm/spmm_t through the
+// threads x kernel sweep (row-partitioned CSR spmm_t through the
 // shared util::ThreadPool) and a threads x coalescing executor sweep
 // under 64 concurrent single-sample requests. New in PR 6: an
 // op_breakdown section (PlanProfile per-op mean/p50/p95 latency, runs,
@@ -253,8 +253,8 @@ int main(int argc, char** argv) {
 
   // SIMD kernel tiers: the same fc1-scale layer through every tier this
   // box can execute — the scalar reference and the hand-written AVX2
-  // kernels — per precision, for both GEMM orientations the runtime
-  // dispatches (spmm_t is what LinearOp runs, spmm what ConvOp runs).
+  // kernels — per precision, for spmm_t (what LinearOp runs; the only
+  // CSR kernel with an AVX2 body).
   // Timing is min-of-repeats: the minimum over individually-timed calls
   // is the least noisy location statistic on a shared box, and it is
   // what tools/check_bench_regression.py gates on. AVX2 columns only exist
@@ -272,8 +272,6 @@ int main(int argc, char** argv) {
     }
     Tensor bT(Shape{256, 400});  // spmm_t operand (batch-major activations)
     bT.fill_uniform(krng, 0.0F, 1.0F);
-    Tensor bN(Shape{400, 256});  // spmm operand (im2col patch matrix)
-    bN.fill_uniform(krng, 0.0F, 1.0F);
     const int kernel_repeats = std::max(repeats * 20, 40);
 
     // Min of individually-timed calls after two warm-up calls.
@@ -299,39 +297,35 @@ int main(int argc, char** argv) {
     json.kv("in", static_cast<int64_t>(400));
     json.kv("weight_sparsity", 0.9);
     json.key("kernels").begin_array();
-    for (const bool transposed : {true, false}) {
-      for (const auto precision :
-           {ndsnn::sparse::Precision::kFp32, ndsnn::sparse::Precision::kInt8,
-            ndsnn::sparse::Precision::kInt4}) {
-        ndsnn::sparse::Csr csr = ndsnn::sparse::Csr::from_dense(w);
-        if (precision != ndsnn::sparse::Precision::kFp32) (void)csr.quantize(precision);
-        const auto run_tier = [&](simd::Tier tier) {
-          return min_ms([&] {
-            Tensor c = transposed ? csr.spmm_t(bT, nullptr, tier)
-                                  : csr.spmm(bN, nullptr, tier);
-            (void)c;
-          });
-        };
-        const double scalar_ms = run_tier(simd::Tier::kScalar);
-        const double avx2_ms = has_avx2 ? run_tier(simd::Tier::kAvx2) : -1.0;
-        const double avx2_speedup = has_avx2 ? scalar_ms / avx2_ms : -1.0;
-        const char* kname = transposed ? "spmm_t" : "spmm";
-        if (transposed && precision == ndsnn::sparse::Precision::kFp32) {
-          avx2_fp32_spmm_t_speedup = avx2_speedup;
-        }
-        tiers_table.add_row(
-            {kname, ndsnn::sparse::precision_tag(precision),
-             ndsnn::util::fmt(scalar_ms, 3),
-             has_avx2 ? ndsnn::util::fmt(avx2_ms, 3) : "-",
-             has_avx2 ? ndsnn::util::fmt(avx2_speedup, 2) + "x" : "-"});
-        json.begin_object();
-        json.kv("kernel", kname);
-        json.kv("precision", ndsnn::sparse::precision_tag(precision));
-        json.kv("scalar_ms", scalar_ms);
-        json.kv("avx2_ms", avx2_ms);
-        json.kv("avx2_speedup", avx2_speedup);
-        json.end_object();
+    for (const auto precision :
+         {ndsnn::sparse::Precision::kFp32, ndsnn::sparse::Precision::kInt8,
+          ndsnn::sparse::Precision::kInt4}) {
+      ndsnn::sparse::Csr csr = ndsnn::sparse::Csr::from_dense(w);
+      if (precision != ndsnn::sparse::Precision::kFp32) (void)csr.quantize(precision);
+      const auto run_tier = [&](simd::Tier tier) {
+        return min_ms([&] {
+          Tensor c = csr.spmm_t(bT, nullptr, tier);
+          (void)c;
+        });
+      };
+      const double scalar_ms = run_tier(simd::Tier::kScalar);
+      const double avx2_ms = has_avx2 ? run_tier(simd::Tier::kAvx2) : -1.0;
+      const double avx2_speedup = has_avx2 ? scalar_ms / avx2_ms : -1.0;
+      if (precision == ndsnn::sparse::Precision::kFp32) {
+        avx2_fp32_spmm_t_speedup = avx2_speedup;
       }
+      tiers_table.add_row(
+          {"spmm_t", ndsnn::sparse::precision_tag(precision),
+           ndsnn::util::fmt(scalar_ms, 3),
+           has_avx2 ? ndsnn::util::fmt(avx2_ms, 3) : "-",
+           has_avx2 ? ndsnn::util::fmt(avx2_speedup, 2) + "x" : "-"});
+      json.begin_object();
+      json.kv("kernel", "spmm_t");
+      json.kv("precision", ndsnn::sparse::precision_tag(precision));
+      json.kv("scalar_ms", scalar_ms);
+      json.kv("avx2_ms", avx2_ms);
+      json.kv("avx2_speedup", avx2_speedup);
+      json.end_object();
     }
     json.end_array();
     json.kv("avx2_fp32_spmm_t_speedup", avx2_fp32_spmm_t_speedup);
@@ -383,12 +377,12 @@ int main(int argc, char** argv) {
   }
 
   // Intra-op kernel threading: the lenet5 fc1-scale layer ([120 x 400],
-  // 0.9 sparsity) through the row-partitioned CSR kernels at 1/2/4/8
-  // pool lanes. spmm streams B [400, n]; spmm_t gathers x [m, 400] —
-  // the exact kernels ConvOp/LinearOp dispatch through the plan's
-  // shared pool, nnz-balanced over row_ptr prefix sums.
-  std::printf("\nthreaded CSR kernels, lenet5 fc1-scale [120 x 400] at 0.9 sparsity:\n");
-  double spmm_speedup_4t = 0.0;
+  // 0.9 sparsity) through the row-partitioned CSR spmm_t at 1/2/4/8
+  // pool lanes. spmm_t gathers x [m, 400] — the kernel LinearOp
+  // dispatches through the plan's shared pool, nnz-balanced over
+  // row_ptr prefix sums.
+  std::printf("\nthreaded CSR spmm_t, lenet5 fc1-scale [120 x 400] at 0.9 sparsity:\n");
+  double spmm_t_speedup_4t = 0.0;
   {
     Rng trng(20260728ULL);
     Tensor w(Shape{120, 400});
@@ -396,16 +390,13 @@ int main(int argc, char** argv) {
     for (int64_t i = 0; i < w.numel(); ++i) {
       if (trng.uniform01() < 0.9) w.at(i) = 0.0F;
     }
-    Tensor bN(Shape{400, 256});  // spmm operand
-    bN.fill_uniform(trng, 0.0F, 1.0F);
     Tensor bT(Shape{256, 400});  // spmm_t operand
     bT.fill_uniform(trng, 0.0F, 1.0F);
     const ndsnn::sparse::Csr csr = ndsnn::sparse::Csr::from_dense(w);
     const int kernel_repeats = std::max(repeats * 20, 40);
 
-    ndsnn::util::Table tk({"threads", "spmm ms", "spmm speedup", "spmm_t ms",
-                           "spmm_t speedup"});
-    double spmm_1t = 0.0, spmm_t_1t = 0.0;
+    ndsnn::util::Table tk({"threads", "spmm_t ms", "spmm_t speedup"});
+    double spmm_t_1t = 0.0;
     json.key("threads_kernel").begin_object();
     json.kv("out", static_cast<int64_t>(120));
     json.kv("in", static_cast<int64_t>(400));
@@ -415,38 +406,27 @@ int main(int argc, char** argv) {
     for (const int n : {1, 2, 4, 8}) {
       std::unique_ptr<ndsnn::util::ThreadPool> pool;
       if (n > 1) pool = std::make_unique<ndsnn::util::ThreadPool>(n);
-      (void)csr.spmm(bN, pool.get());  // warm-up
-      const ndsnn::util::Stopwatch sw_n;
-      for (int r = 0; r < kernel_repeats; ++r) (void)csr.spmm(bN, pool.get());
-      const double spmm_ms = sw_n.millis() / kernel_repeats;
-      (void)csr.spmm_t(bT, pool.get());
+      (void)csr.spmm_t(bT, pool.get());  // warm-up
       const ndsnn::util::Stopwatch sw_t;
       for (int r = 0; r < kernel_repeats; ++r) (void)csr.spmm_t(bT, pool.get());
       const double spmm_t_ms = sw_t.millis() / kernel_repeats;
-      if (n == 1) {
-        spmm_1t = spmm_ms;
-        spmm_t_1t = spmm_t_ms;
-      }
-      if (n == 4) spmm_speedup_4t = spmm_1t / spmm_ms;
-      tk.add_row({std::to_string(n), ndsnn::util::fmt(spmm_ms, 3),
-                  ndsnn::util::fmt(spmm_1t / spmm_ms, 2) + "x",
-                  ndsnn::util::fmt(spmm_t_ms, 3),
+      if (n == 1) spmm_t_1t = spmm_t_ms;
+      if (n == 4) spmm_t_speedup_4t = spmm_t_1t / spmm_t_ms;
+      tk.add_row({std::to_string(n), ndsnn::util::fmt(spmm_t_ms, 3),
                   ndsnn::util::fmt(spmm_t_1t / spmm_t_ms, 2) + "x"});
       json.begin_object();
       json.kv("threads", n);
-      json.kv("spmm_ms", spmm_ms);
-      json.kv("spmm_speedup", spmm_1t / spmm_ms);
       json.kv("spmm_t_ms", spmm_t_ms);
       json.kv("spmm_t_speedup", spmm_t_1t / spmm_t_ms);
       json.end_object();
     }
     json.end_array();
     tk.print();
-    std::printf("spmm at 4 threads vs 1: %.2fx %s\n", spmm_speedup_4t,
-                spmm_speedup_4t >= 3.0
+    std::printf("spmm_t at 4 threads vs 1: %.2fx %s\n", spmm_t_speedup_4t,
+                spmm_t_speedup_4t >= 3.0
                     ? "(>= 3x target met)"
                     : "(below 3x target - meaningful only on a >= 4-core box)");
-    json.kv("spmm_speedup_4t", spmm_speedup_4t);
+    json.kv("spmm_t_speedup_4t", spmm_t_speedup_4t);
     json.end_object();
   }
 

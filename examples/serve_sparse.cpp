@@ -213,17 +213,17 @@ void serve(const ndsnn::runtime::CompiledNetwork& plan,
 
 namespace {
 
-/// --help text, grouped to mirror CompileOptions' nested structure
-/// (QuantOptions / ExecOptions; BackendOptions has no flag) so the CLI
+/// --help text, grouped like the CompileOptions field groups
+/// (quantisation, execution; kernel selection has no flag) so the CLI
 /// surface and the API present the same mental model.
 void print_help() {
   std::printf(
       "serve_sparse — train/load a sparse SNN and serve it\n"
       "\n"
-      "quantisation options (runtime::QuantOptions):\n"
+      "quantisation options:\n"
       "  --precision auto|fp32|int8|int4         stored weight precision\n"
       "\n"
-      "execution options (runtime::ExecOptions):\n"
+      "execution options:\n"
       "  --activation auto|dense|event           activation representation\n"
       "  --intra-threads N                       intra-op lanes (0 = hw concurrency)\n"
       "  --kernel-tier auto|scalar|avx2          pin the SIMD dispatch tier\n"

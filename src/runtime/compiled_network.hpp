@@ -87,10 +87,12 @@ enum class WeightPrecision {
 /// std::invalid_argument otherwise.
 [[nodiscard]] WeightPrecision parse_weight_precision(const std::string& s);
 
-/// Kernel/backend selection knobs: which storage format and GEMM kernel
-/// each weight layer lowers onto. One of the three groups CompileOptions
-/// aggregates (serve_sparse --help mirrors this grouping).
-struct BackendOptions {
+/// Knobs for the network -> plan lowering, in three groups: kernel and
+/// storage-format selection, stored bit widths, and execution
+/// (activation path, threads, SIMD tier).
+struct CompileOptions {
+  // Kernel/backend selection: which storage format and GEMM kernel each
+  // weight layer lowers onto.
   /// kAuto lowers a weight layer to CSR when its weight sparsity (the
   /// fraction of entries with |w| <= prune_threshold) is >= this. Below
   /// it, the dense GEMM wins (CSR pays indexing overhead per value).
@@ -102,11 +104,9 @@ struct BackendOptions {
   /// baseline plans), or kAuto to let the cost heuristic decide per
   /// layer.
   Backend backend = Backend::kAuto;
-};
 
-/// Weight quantisation knobs: stored bit width of the sparse value
-/// planes and the calibration that picks it per layer.
-struct QuantOptions {
+  // Weight quantisation: stored bit width of the sparse value planes and
+  // the calibration that picks it per layer.
   /// Stored bit width of the sparse value planes (see WeightPrecision).
   /// Anything other than kFp32 trades the bitwise-vs-predict contract
   /// for the documented quantisation error bound (README, runtime
@@ -141,11 +141,8 @@ struct QuantOptions {
   /// event-path planes (the binary-spike int32 gather needs one uniform
   /// scale).
   int64_t quant_group_size = 0;
-};
 
-/// Execution knobs: how the lowered plan runs — activation path,
-/// threading, SIMD tier.
-struct ExecOptions {
+  // Execution: how the lowered plan runs.
   /// Activation path selection (see ActivationMode).
   ActivationMode activation_mode = ActivationMode::kAuto;
   /// kAuto goes event-driven when the estimated firing rate of a weight
@@ -161,42 +158,24 @@ struct ExecOptions {
   /// Intra-op execution lanes: 1 (default) compiles a serial plan, 0
   /// resolves to std::thread::hardware_concurrency(), N > 1 builds a
   /// shared util::ThreadPool the plan owns and every hot kernel
-  /// dispatches through (CSR spmm/spmm_t partitioned by output row
-  /// with nnz-balanced splits, the event path over batch rows / output
-  /// channels, dense fallbacks by output row). Layers
-  /// whose work sits below util::kMinParallelWork stay serial — thread
-  /// handoff costs more than e.g. lenet5's fc2 [84 x 120]. fp32 outputs
-  /// stay bitwise identical to the serial plan for any value here.
+  /// dispatches through (CSR conv spmm by filter and CSR linear spmm_t
+  /// by output feature, both with nnz-balanced splits, the event path
+  /// over batch rows / output channels, dense fallbacks by output row).
+  /// Layers whose work sits below util::kMinParallelWork stay serial —
+  /// thread handoff costs more than e.g. lenet5's fc2 [84 x 120]. fp32
+  /// outputs stay bitwise identical to the serial plan for any value
+  /// here.
   int64_t num_threads = 1;
-  /// SIMD kernel tier every weight op dispatches with (resolved once at
-  /// compile time via util::simd::resolve, so a plan's execution is
-  /// reproducible regardless of later NDSNN_KERNEL_TIER / force()
-  /// changes). kAuto takes the detected tier; explicit tiers clamp to
-  /// it (requesting kAvx2 on a non-AVX2 host runs kScalar, never
-  /// SIGILLs). fp32 results are bitwise identical across tiers, so this
-  /// is purely a performance knob — pin kScalar to reproduce the
-  /// reference kernels and to benchmark the AVX2 bodies against them.
+  /// SIMD kernel tier of the tiered weight kernels (CSR spmm_t, dense
+  /// matmul/matmul_nt), resolved once at compile time via
+  /// util::simd::resolve so a plan's execution is reproducible
+  /// regardless of later NDSNN_KERNEL_TIER / force() changes. kAuto
+  /// takes the detected tier; explicit tiers clamp to it (requesting
+  /// kAvx2 on a non-AVX2 host runs kScalar, never SIGILLs). fp32
+  /// results are bitwise identical across tiers, so this is purely a
+  /// performance knob — pin kScalar to reproduce the reference kernels
+  /// and to benchmark the AVX2 bodies against them.
   util::simd::Tier kernel_tier = util::simd::Tier::kAuto;
-};
-
-/// Knobs for the network -> plan lowering, grouped by concern:
-/// BackendOptions (kernel/format selection), QuantOptions (stored bit
-/// widths), ExecOptions (activation path, threads, SIMD tier). The
-/// bases keep member access flat — `opts.min_sparsity`,
-/// `opts.num_threads` etc. compile exactly as before the grouping — and
-/// aggregate init takes one brace list per group:
-///
-///   CompileOptions o{{.min_sparsity = 0.9}, {}, {.num_threads = 0}};
-///
-/// Group views (backend_opts() etc.) hand a whole group to code that
-/// only cares about one concern.
-struct CompileOptions : BackendOptions, QuantOptions, ExecOptions {
-  [[nodiscard]] BackendOptions& backend_opts() { return *this; }
-  [[nodiscard]] const BackendOptions& backend_opts() const { return *this; }
-  [[nodiscard]] QuantOptions& quant_opts() { return *this; }
-  [[nodiscard]] const QuantOptions& quant_opts() const { return *this; }
-  [[nodiscard]] ExecOptions& exec_opts() { return *this; }
-  [[nodiscard]] const ExecOptions& exec_opts() const { return *this; }
 };
 
 class CompiledNetwork {

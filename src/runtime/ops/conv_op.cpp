@@ -112,57 +112,27 @@ Tensor ConvOp::run_dense(const Tensor& input) const {
     span.bytes(cols.numel() * static_cast<int64_t>(sizeof(float)));
   }
   const int64_t m = g.batch, oh = g.out_h(), ow = g.out_w();
-  const int64_t plane = oh * ow;
-  Tensor out(Shape{m, out_channels_, oh, ow});
   trace::ScopedSpan gemm_span("conv-gemm", "phase");
   gemm_span.rows(m);
   gemm_span.bytes(bytes_);
-
-  if (gemm_ == Kernel::kCsr && !csr_.quantized()) {
-    // Fused spmm + transpose: accumulate each CSR row f straight into
-    // the [m, F, oy, ox] layout, skipping the [F, L] intermediate. Per
-    // output element the nonzeros are visited in the same order as
-    // Csr::spmm, so results stay bitwise identical. (A quantised plane
-    // takes the spmm + transpose route below: Csr::spmm dispatches to
-    // the dequantise-once-per-output-row kernel internally.) Filters are
-    // independent output rows: the pool partitions them nnz-balanced.
-    const int64_t l = m * plane;
-    const auto& row_ptr = csr_.row_ptr();
-    const auto& col_idx = csr_.col_idx();
-    const auto& values = csr_.values();
-    const float* colsp = cols.data();
-    float* dst = out.data();
-    const auto filters = [&](int64_t f0, int64_t f1) {
-      for (int64_t f = f0; f < f1; ++f) {
-        for (int64_t k = row_ptr[static_cast<std::size_t>(f)];
-             k < row_ptr[static_cast<std::size_t>(f) + 1]; ++k) {
-          const float v = values[static_cast<std::size_t>(k)];
-          const float* brow =
-              colsp + static_cast<int64_t>(col_idx[static_cast<std::size_t>(k)]) * l;
-          for (int64_t mm = 0; mm < m; ++mm) {
-            float* drow = dst + (mm * out_channels_ + f) * plane;
-            const float* s = brow + mm * plane;
-            for (int64_t p = 0; p < plane; ++p) drow[p] += v * s[p];
-          }
-        }
-      }
-    };
-    util::parallel_balanced(pool_.get(), row_ptr.data(), out_channels_, csr_.nnz() * l,
-                            filters);
-  } else {
-    util::ThreadPool* pool = pool_.get();
-    const Tensor yflat = gemm_ == Kernel::kCsr ? csr_.spmm(cols, pool, tier_)
-                                               : tensor::matmul(dense_, cols, pool, tier_);
-    // Transpose [F, (m, oy, ox)] -> [m, F, oy, ox].
-    const float* src = yflat.data();
-    float* dst = out.data();
-    for (int64_t f = 0; f < out_channels_; ++f) {
-      const float* srow = src + f * (m * plane);
-      for (int64_t mm = 0; mm < m; ++mm) {
-        float* drow = dst + (mm * out_channels_ + f) * plane;
-        const float* s = srow + mm * plane;
-        for (int64_t p = 0; p < plane; ++p) drow[p] = s[p];
-      }
+  util::ThreadPool* pool = pool_.get();
+  if (gemm_ == Kernel::kCsr) {
+    // Csr::spmm writes [m, F, oy*ox] directly; filters are independent
+    // output rows, partitioned nnz-balanced over the pool.
+    return csr_.spmm(cols, m, pool).reshaped(Shape{m, out_channels_, oh, ow});
+  }
+  const int64_t plane = oh * ow;
+  Tensor out(Shape{m, out_channels_, oh, ow});
+  const Tensor yflat = tensor::matmul(dense_, cols, pool, tier_);
+  // Transpose [F, (m, oy, ox)] -> [m, F, oy, ox].
+  const float* src = yflat.data();
+  float* dst = out.data();
+  for (int64_t f = 0; f < out_channels_; ++f) {
+    const float* srow = src + f * (m * plane);
+    for (int64_t mm = 0; mm < m; ++mm) {
+      float* drow = dst + (mm * out_channels_ + f) * plane;
+      const float* s = srow + mm * plane;
+      for (int64_t p = 0; p < plane; ++p) drow[p] = s[p];
     }
   }
   return out;

@@ -1,7 +1,10 @@
 // ConvOp: 2-D convolution weight op of the compiled plan.
 //
-// Dense-activation path: im2col then CSR/dense GEMM, identical to
-// nn::Conv2d::forward with the GEMM swapped. Event path: no patch
+// Dense-activation path: im2col then a GEMM, identical to
+// nn::Conv2d::forward with the GEMM swapped. CSR runs sparse::Csr::spmm,
+// which writes the [N, F, OH, OW] output directly for fp32 and
+// quantised planes alike; dense runs tensor::matmul into [F, N*OH*OW]
+// and transposes. Event path: no patch
 // matrix at all — for each active (nonzero) input pixel, enumerate the
 // kernel offsets it reaches (the im2col mapping evaluated on the fly)
 // and scatter value * Wᵀ[patch-column] into the output plane

@@ -142,10 +142,7 @@ Csr Csr::transposed() const {
 }
 
 void Csr::spmv_gather(const float* x, const int32_t* active, int64_t n_active,
-                      double* acc, int32_t* iacc, util::simd::Tier tier) const {
-  // Single body across tiers (see the header); the parameter keeps the
-  // dispatch surface uniform and the request clamping observable.
-  (void)util::simd::resolve(tier);
+                      double* acc, int32_t* iacc) const {
   if (quant_.present()) {
     if (const int shift = quant_.group_shift(); shift >= 0) {
       // Fixed-size grouped plane (always symmetric): fold the group
@@ -212,9 +209,7 @@ void Csr::spmv_gather(const float* x, const int32_t* active, int64_t n_active,
   }
 }
 
-void Csr::scatter_row(int64_t row, float x, float* out, int64_t out_stride,
-                      util::simd::Tier tier) const {
-  (void)util::simd::resolve(tier);  // single body across tiers (see header)
+void Csr::scatter_row(int64_t row, float x, float* out, int64_t out_stride) const {
   const int64_t k0 = row_ptr_[static_cast<std::size_t>(row)];
   const int64_t k1 = row_ptr_[static_cast<std::size_t>(row) + 1];
   if (quant_.present()) {
@@ -270,135 +265,53 @@ void Csr::scatter_row_range(int64_t row, float x, float* out, int64_t out_stride
   }
 }
 
-std::vector<float> Csr::matvec(const std::vector<float>& x) const {
-  if (static_cast<int64_t>(x.size()) != cols_) {
-    throw std::invalid_argument("Csr::matvec: x size mismatch");
-  }
-  std::vector<float> y(static_cast<std::size_t>(rows_), 0.0F);
-  for (int64_t r = 0; r < rows_; ++r) {
-    const int64_t k0 = row_ptr_[static_cast<std::size_t>(r)];
-    const int64_t k1 = row_ptr_[static_cast<std::size_t>(r) + 1];
-    double acc = 0.0;
-    if (const int shift = quant_.group_shift(); shift >= 0) {
-      for (int64_t k = k0; k < k1; ++k) {
-        acc += static_cast<double>(quant_.scale[k >> shift] *
-                                   static_cast<float>(quant_.code(k))) *
-               x[static_cast<std::size_t>(col_idx_[static_cast<std::size_t>(k)])];
-      }
-    } else if (quant_.present()) {
-      double qacc = 0.0, xsum = 0.0;
-      for (int64_t k = k0; k < k1; ++k) {
-        const double xk = x[static_cast<std::size_t>(col_idx_[static_cast<std::size_t>(k)])];
-        qacc += static_cast<double>(quant_.code(k)) * xk;
-        xsum += xk;
-      }
-      const auto g = static_cast<std::size_t>(r);
-      acc = static_cast<double>(quant_.scale[g]) *
-            (qacc - static_cast<double>(quant_.zero[g]) * xsum);
-    } else {
-      for (int64_t k = k0; k < k1; ++k) {
-        acc += static_cast<double>(values_[static_cast<std::size_t>(k)]) *
-               x[static_cast<std::size_t>(col_idx_[static_cast<std::size_t>(k)])];
-      }
-    }
-    y[static_cast<std::size_t>(r)] = static_cast<float>(acc);
-  }
-  return y;
-}
-
-void Csr::spmm_range(int64_t r0, int64_t r1, const float* bp, int64_t n, float* cp) const {
-  if (quant_.present()) {
-    if (const int shift = quant_.group_shift(); shift >= 0) {
-      // Fixed-size grouped plane: the scale changes within a row, so
-      // dequantise per nonzero (one extra multiply per axpy) instead of
-      // once per output row.
-      const float* scale = quant_.scale.data();
-      for (int64_t r = r0; r < r1; ++r) {
-        float* crow = cp + r * n;
-        for (int64_t k = row_ptr_[static_cast<std::size_t>(r)];
-             k < row_ptr_[static_cast<std::size_t>(r) + 1]; ++k) {
-          const float v = scale[k >> shift] * static_cast<float>(quant_.code(k));
-          const float* brow =
-              bp + static_cast<int64_t>(col_idx_[static_cast<std::size_t>(k)]) * n;
-          for (int64_t j = 0; j < n; ++j) crow[j] += v * brow[j];
-        }
-      }
-      return;
-    }
-    // Accumulate raw-code axpys into row r, then dequantise the row
-    // once: C[r, :] = scale_r * (sum_k q_k B[col_k, :] - zero_r * sum_k
-    // B[col_k, :]). The zero-point sum is skipped entirely for the
-    // symmetric planes the runtime builds.
-    std::vector<float> xrow;
-    for (int64_t r = r0; r < r1; ++r) {
-      const int64_t k0 = row_ptr_[static_cast<std::size_t>(r)];
-      const int64_t k1 = row_ptr_[static_cast<std::size_t>(r) + 1];
-      if (k0 == k1) continue;
-      float* crow = cp + r * n;
-      const int zp = quant_.zero[static_cast<std::size_t>(r)];
-      if (zp != 0) xrow.assign(static_cast<std::size_t>(n), 0.0F);
-      for (int64_t k = k0; k < k1; ++k) {
-        const auto qv = static_cast<float>(quant_.code(k));
-        const float* brow =
-            bp + static_cast<int64_t>(col_idx_[static_cast<std::size_t>(k)]) * n;
-        if (zp != 0) {
-          for (int64_t j = 0; j < n; ++j) {
-            crow[j] += qv * brow[j];
-            xrow[static_cast<std::size_t>(j)] += brow[j];
-          }
-        } else {
-          for (int64_t j = 0; j < n; ++j) crow[j] += qv * brow[j];
-        }
-      }
-      const float s = quant_.scale[static_cast<std::size_t>(r)];
-      if (zp != 0) {
-        const auto z = static_cast<float>(zp);
-        for (int64_t j = 0; j < n; ++j) {
-          crow[j] = s * (crow[j] - z * xrow[static_cast<std::size_t>(j)]);
-        }
-      } else {
-        for (int64_t j = 0; j < n; ++j) crow[j] *= s;
-      }
-    }
-    return;
-  }
-  // Row-major streaming: each nonzero A[r, col] scales one full row of B
-  // into row r of C, so the inner loop is a contiguous axpy.
-  for (int64_t r = r0; r < r1; ++r) {
-    float* crow = cp + r * n;
-    for (int64_t k = row_ptr_[static_cast<std::size_t>(r)];
-         k < row_ptr_[static_cast<std::size_t>(r) + 1]; ++k) {
-      const float v = values_[static_cast<std::size_t>(k)];
-      const float* brow = bp + static_cast<int64_t>(col_idx_[static_cast<std::size_t>(k)]) * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] += v * brow[j];
-    }
-  }
-}
-
-tensor::Tensor Csr::spmm(const tensor::Tensor& b, util::ThreadPool* pool,
-                         util::simd::Tier tier) const {
+tensor::Tensor Csr::spmm(const tensor::Tensor& b, int64_t batches,
+                         util::ThreadPool* pool) const {
   if (b.rank() != 2 || b.dim(0) != cols_) {
     throw std::invalid_argument("Csr::spmm: expected B [" + std::to_string(cols_) +
                                 ", n], got " + b.shape().str());
   }
   const int64_t n = b.dim(1);
-  tensor::Tensor c(tensor::Shape{rows_, n});
+  if (batches < 1 || n % batches != 0) {
+    throw std::invalid_argument("Csr::spmm: " + std::to_string(batches) +
+                                " batches do not split n = " + std::to_string(n));
+  }
+  const int64_t plane = n / batches;
+  tensor::Tensor c(batches == 1 ? tensor::Shape{rows_, n}
+                                : tensor::Shape{batches, rows_, plane});
   const float* bp = b.data();
   float* cp = c.data();
-  // The AVX2 fp32 body fuses 4 axpys per pass with the C row held in
-  // registers; it needs a vectorizable row width. Quantised planes keep
-  // the scalar dequantise-per-row structure at every tier.
-  const bool avx2 = util::simd::resolve(tier) == util::simd::Tier::kAvx2 &&
-                    simd::built_with_avx2() && !quant_.present() && n >= 8;
+  // Row-major streaming: each stored A[r, col] scales one row of B into
+  // row r of every batch slab of C, so the inner loop is a contiguous
+  // axpy. `value` (fp32 array or dequantised code) is chosen outside the
+  // loops, so the fp32 loop is the same whichever plane the matrix holds.
+  const auto row_range = [&](int64_t r0, int64_t r1, const auto& value) {
+    for (int64_t r = r0; r < r1; ++r) {
+      for (int64_t k = row_ptr_[static_cast<std::size_t>(r)];
+           k < row_ptr_[static_cast<std::size_t>(r) + 1]; ++k) {
+        const float v = value(r, k);
+        const float* brow =
+            bp + static_cast<int64_t>(col_idx_[static_cast<std::size_t>(k)]) * n;
+        for (int64_t mm = 0; mm < batches; ++mm) {
+          float* crow = cp + (mm * rows_ + r) * plane;
+          const float* s = brow + mm * plane;
+          for (int64_t p = 0; p < plane; ++p) crow[p] += v * s[p];
+        }
+      }
+    }
+  };
   // Output rows are independent: nnz-balanced row ranges (prefix sums
   // over row_ptr, so a dense-heavy row does not serialize its chunk).
   util::parallel_balanced(pool, row_ptr_.data(), rows_, nnz() * n,
                           [&](int64_t r0, int64_t r1) {
-                            if (avx2) {
-                              simd::csr_spmm_f32_avx2(row_ptr_.data(), col_idx_.data(),
-                                                      values_.data(), r0, r1, bp, n, cp);
+                            if (quant_.present()) {
+                              row_range(r0, r1, [this](int64_t r, int64_t k) {
+                                return quant_.dequant(r, k);
+                              });
                             } else {
-                              spmm_range(r0, r1, bp, n, cp);
+                              row_range(r0, r1, [this](int64_t, int64_t k) {
+                                return values_[static_cast<std::size_t>(k)];
+                              });
                             }
                           });
   return c;

@@ -3,8 +3,13 @@
 // Used by the memory-footprint analysis, by the edge-deployment example
 // to export trained sparse models, and by the inference runtime
 // (src/runtime/) as the execution format for pruned weight layers: the
-// spmm kernels below are what make the trained sparsity pay off at
-// forward time instead of only in the analytical cost models.
+// kernels below are what make the trained sparsity pay off at forward
+// time instead of only in the analytical cost models. One kernel per
+// runtime route: spmm (dense-activation conv), spmm_t (dense-activation
+// linear), spmv_gather (event linear) and scatter_row[_range] (event
+// conv). This is the only module that reads the CSR index arrays and
+// the quantised value planes in a hot loop; only spmm_t has an AVX2
+// body.
 #pragma once
 
 #include <cstdint>
@@ -56,24 +61,14 @@ class Csr {
   /// int32 and the shared scale applied once per output, removing the
   /// per-active-input dequantise multiply. Null, non-binary input, or a
   /// per-row-scaled plane all fall back to the general path.
-  ///
-  /// `tier` is accepted for dispatch-surface uniformity and resolved
-  /// like spmm's, but every tier currently runs the same body: the
-  /// gather is a serial scattered-accumulate whose bitwise contract
-  /// (one double chain per output in ascending j order) leaves no
-  /// reassociation for wider lanes to exploit.
   void spmv_gather(const float* x, const int32_t* active, int64_t n_active,
-                   double* acc, int32_t* iacc = nullptr,
-                   util::simd::Tier tier = util::simd::Tier::kAuto) const;
+                   double* acc, int32_t* iacc = nullptr) const;
 
   /// Scatter one row scaled by x: out[col * out_stride] += value * x for
   /// every nonzero of `row`. Float adds, ascending column order. The
   /// event-driven conv path uses this with `this` = Wᵀ [C*K*K, F],
-  /// row = patch column, out_stride = OH*OW. `tier` mirrors
-  /// spmv_gather's: accepted, resolved, single body (strided scatter
-  /// stores have no AVX2 win without scatter instructions).
-  void scatter_row(int64_t row, float x, float* out, int64_t out_stride,
-                   util::simd::Tier tier = util::simd::Tier::kAuto) const;
+  /// row = patch column, out_stride = OH*OW.
+  void scatter_row(int64_t row, float x, float* out, int64_t out_stride) const;
 
   /// scatter_row restricted to columns in [col_begin, col_end): the
   /// ranged form the event-driven conv path uses to partition work by
@@ -82,24 +77,22 @@ class Csr {
   void scatter_row_range(int64_t row, float x, float* out, int64_t out_stride,
                          int64_t col_begin, int64_t col_end) const;
 
-  /// y[rows] = A * x[cols] (sparse mat-vec).
-  [[nodiscard]] std::vector<float> matvec(const std::vector<float>& x) const;
-
-  /// C[rows, n] = A * B for dense B [cols, n] (the "N" variant; conv
-  /// lowering: W_csr[F, CKK] * cols[CKK, L]). With a pool, the rows are
-  /// partitioned into nnz-balanced ranges (prefix sums over row_ptr) and
-  /// computed in parallel; each output row keeps its serial accumulation
-  /// order, so results are bitwise lane-count-independent. Work below
-  /// util::kMinParallelWork stays serial.
-  ///
-  /// `tier` selects the kernel tier (resolved via util::simd::resolve;
-  /// kAuto follows the process-wide active tier). The kAvx2 fp32 body
-  /// keeps the C row in registers across 4 fused axpys with explicit
-  /// mul+add steps, so per output element the rounding sequence — and
-  /// hence the result — is bitwise identical to the scalar body.
-  [[nodiscard]] tensor::Tensor spmm(const tensor::Tensor& b,
-                                    util::ThreadPool* pool = nullptr,
-                                    util::simd::Tier tier = util::simd::Tier::kAuto) const;
+  /// C = A * B for dense B [cols, n], written as [batches, rows,
+  /// n / batches] (rank 2 [rows, n] when batches == 1). This is the
+  /// conv lowering: W_csr[F, CKK] * cols[CKK, N*OH*OW] with batches = N
+  /// lands straight in the [N, F, OH*OW] output layout, with no [F, L]
+  /// intermediate and no transpose. Per output element the nonzeros of
+  /// row r accumulate in ascending order as float mul-then-add steps —
+  /// the dense GEMM's order minus pruned terms, so fp32 results are
+  /// bitwise identical to it. Each stored value is read once per call:
+  /// the fp32 value, or the dequantised code of a quantised plane, so a
+  /// quantised matrix computes exactly what its dequantize()d copy does.
+  /// With a pool, the rows are partitioned into nnz-balanced ranges
+  /// (prefix sums over row_ptr); each output row keeps its serial
+  /// accumulation order, so results are bitwise lane-count-independent.
+  /// Work below util::kMinParallelWork stays serial.
+  [[nodiscard]] tensor::Tensor spmm(const tensor::Tensor& b, int64_t batches = 1,
+                                    util::ThreadPool* pool = nullptr) const;
 
   /// C[m, rows] = B * Aᵀ for dense B [m, cols] (the "T" variant; linear
   /// layers: x[M, in] * Wᵀ with W stored CSR [out, in]). Pool semantics
@@ -122,12 +115,14 @@ class Csr {
   /// one scale/zero-point per row (symmetric by default, so all
   /// zero-points are 0). The fp32 value array is released — the memory
   /// win is real, not just accounted — and every kernel above
-  /// transparently dispatches to its quantised variant, which
-  /// dequantises once per output (or once per active input on the
-  /// gather path) instead of once per term. Quantised kernels carry no
-  /// bitwise contract: they are free to reassociate (multi-accumulator
-  /// float sums) and promise only the QuantPlane error bound
-  /// (sum_k (scale_k / 2) * |x_k| per output; see sparse/quant.hpp).
+  /// transparently dispatches to its quantised variant: spmm
+  /// dequantises once per stored value, spmm_t once per output, the
+  /// gather once per active input, instead of once per term. Apart
+  /// from spmm (bitwise equal to the dequantize()d matrix), quantised
+  /// kernels carry no bitwise contract: they are free to reassociate
+  /// (multi-accumulator float sums) and promise only the QuantPlane
+  /// error bound (sum_k (scale_k / 2) * |x_k| per output; see
+  /// sparse/quant.hpp).
   /// Returns the max-abs reconstruction error over all values. Throws
   /// std::logic_error when already quantised; no-op returning 0 for
   /// kFp32. transposed() must be called *before* quantize (the runtime
@@ -174,10 +169,8 @@ class Csr {
   [[nodiscard]] const std::vector<float>& values() const { return values_; }
 
  private:
-  /// Row-range bodies of spmm/spmm_t (fp32 and quantised): the units the
-  /// pool dispatches. Each runs rows [r0, r1) exactly like the serial
-  /// kernel.
-  void spmm_range(int64_t r0, int64_t r1, const float* bp, int64_t n, float* cp) const;
+  /// Row-range body of spmm_t (fp32 and quantised): the unit the pool
+  /// dispatches. Runs rows [r0, r1) exactly like the serial kernel.
   void spmm_t_range(int64_t r0, int64_t r1, const float* bp, int64_t m, float* cp) const;
 
   int64_t rows_ = 0, cols_ = 0;

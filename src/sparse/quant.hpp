@@ -5,7 +5,7 @@
 // the fp32 value array of a Csr with int8 codes (or two packed int4
 // codes per byte) plus one scale/zero-point per *group* — a CSR row by
 // default — so the kernels touch 4x/8x fewer value bytes and
-// dequantise once per output instead of once per term.
+// dequantise once per output or per stored value, never once per term.
 //
 // Zero-point convention: real 0.0 always maps to an exact code
 // (q == zero), so explicitly stored zeros decode back to exact zeros

@@ -1,6 +1,10 @@
 // Internal declarations of the hand-written intrinsic kernel bodies
 // (util::simd::Tier::kAvx2). Not part of the public sparse API — the
 // dispatching drivers in csr.cpp / matmul.cpp are the only callers.
+// Three kernels have AVX2 bodies: Csr::spmm_t (fp32, int8, int4),
+// tensor::matmul and tensor::matmul_nt. Every other kernel (Csr::spmm,
+// the event gather/scatter) has one body, which the compiler
+// autovectorizes under -march where it can.
 //
 // Contract: every fp32 body here computes the identical per-output
 // accumulation sequence as its scalar reference (ascending nonzero /
@@ -42,13 +46,6 @@ bool built_with_avx2();
 /// in parallel column strips.
 void transpose_f32(const float* in, int64_t rows, int64_t cols, float* out,
                    int64_t c0, int64_t c1);
-
-/// fp32 Csr::spmm rows [r0, r1): C[r, :] += v * B[col, :] per nonzero,
-/// ascending, with the C row kept in registers across 4 nonzeros per
-/// pass (the win over the per-nonzero autovectorized axpy).
-void csr_spmm_f32_avx2(const int64_t* row_ptr, const int32_t* col_idx,
-                       const float* values, int64_t r0, int64_t r1,
-                       const float* bp, int64_t n, float* cp);
 
 /// fp32 Csr::spmm_t rows [r0, r1): cp[i * out_stride + r] =
 /// float(sum_k (double)v_k * (double)bt[col_k * m + i]), 8 batch lanes

@@ -277,5 +277,65 @@ TEST(QuantRuntimeTest, GroupedInt4PlanRunsWithinTolerance) {
                                   "grouped int4 lenet5");
 }
 
+/// Quantised CSR conv reads each dequantised weight once and runs the
+/// fp32 kernel's loop, so it computes exactly what the fake-quant plan
+/// (same effective weights, fp32 storage) computes: bitwise, for per-row
+/// int8/int4 planes and for grouped int4. Each conv op gets the
+/// reference chain's activation and, so the deeper conv sees nonzero
+/// input too, a uniform-random tensor of the same shape.
+TEST(QuantRuntimeTest, QuantisedCsrConvMatchesFakeQuantBitwise) {
+  nn::ModelSpec spec;
+  spec.in_channels = 1;
+  spec.image_size = 12;
+  spec.timesteps = 2;
+  const auto net = nn::make_lenet5(spec);
+  difftest::apply_random_masks(*net, 0.9, 71);
+  const tensor::Tensor batch = random_batch(2, 1, 12, 73);
+  difftest::warm_up(*net, batch);
+
+  struct Case {
+    WeightPrecision precision;
+    int64_t group_size;
+  };
+  for (const Case c : {Case{WeightPrecision::kInt8, 0}, Case{WeightPrecision::kInt4, 0},
+                       Case{WeightPrecision::kInt4, 32}}) {
+    const std::string ctx = std::string(weight_precision_name(c.precision)) +
+                            " group=" + std::to_string(c.group_size);
+    CompileOptions quant =
+        difftest::options_for(Backend::kCsr, ActivationMode::kDense);
+    quant.weight_precision = c.precision;
+    quant.quant_group_size = c.group_size;
+    CompileOptions ref = quant;
+    ref.fake_quant = true;
+    const CompiledNetwork q = CompiledNetwork::compile(*net, quant);
+    const CompiledNetwork f = CompiledNetwork::compile(*net, ref);
+    const Plan& qp = q.plan_ir();
+    const Plan& fp = f.plan_ir();
+    ASSERT_EQ(qp.ops.size(), fp.ops.size()) << ctx;
+
+    snn::DirectEncoder encoder;
+    Activation x(encoder.encode(batch, q.timesteps()));
+    int convs = 0;
+    for (std::size_t i = 0; i < fp.ops.size(); ++i) {
+      Activation want = fp.ops[i]->run(x);
+      if (qp.reports[i].kind == "csr-conv") {
+        ASSERT_EQ(qp.reports[i].precision, difftest::to_sparse_precision(c.precision))
+            << ctx;
+        const std::string op = ctx + " op " + std::to_string(i);
+        difftest::expect_bitwise(qp.ops[i]->run(x).tensor, want.tensor, op);
+        tensor::Tensor noise = random_batch(x.tensor.dim(0), x.tensor.dim(1),
+                                            x.tensor.dim(2), 79 + i);
+        ASSERT_EQ(noise.shape(), x.tensor.shape()) << op;
+        const Activation in(std::move(noise));
+        difftest::expect_bitwise(qp.ops[i]->run(in).tensor, fp.ops[i]->run(in).tensor,
+                                 op + " (random input)");
+        ++convs;
+      }
+      x = std::move(want);
+    }
+    EXPECT_EQ(convs, 2) << ctx;
+  }
+}
+
 }  // namespace
 }  // namespace ndsnn::runtime

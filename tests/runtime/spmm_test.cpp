@@ -58,6 +58,23 @@ Tensor naive_abt(const Tensor& b, const Tensor& a) {  // B * Aᵀ
   return c;
 }
 
+/// [rows, batches * plane] -> [batches, rows, plane]: the layout
+/// Csr::spmm(b, batches) writes, built by plain index arithmetic (rank
+/// 2 unchanged when batches == 1, like spmm).
+Tensor batch_major(const Tensor& c, int64_t batches) {
+  if (batches == 1) return c;
+  const int64_t rows = c.dim(0), plane = c.dim(1) / batches;
+  Tensor out(Shape{batches, rows, plane});
+  for (int64_t mm = 0; mm < batches; ++mm) {
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int64_t p = 0; p < plane; ++p) {
+        out.data()[(mm * rows + r) * plane + p] = c.at(r, mm * plane + p);
+      }
+    }
+  }
+  return out;
+}
+
 void expect_near_all(const Tensor& got, const Tensor& want, double tol,
                      const std::string& context) {
   ASSERT_EQ(got.shape(), want.shape()) << context;
@@ -113,6 +130,31 @@ TEST(SpmmTest, ShapeMismatchThrows) {
   EXPECT_THROW((void)csr.spmm(Tensor(Shape{5, 3})), std::invalid_argument);
   EXPECT_THROW((void)csr.spmm_t(Tensor(Shape{3, 5})), std::invalid_argument);
   EXPECT_THROW((void)csr.spmm(Tensor(Shape{6})), std::invalid_argument);
+  EXPECT_THROW((void)csr.spmm(Tensor(Shape{6, 3}), 2), std::invalid_argument);
+  EXPECT_THROW((void)csr.spmm(Tensor(Shape{6, 3}), 0), std::invalid_argument);
+}
+
+TEST(SpmmTest, BatchedOutputLayoutMatchesNaiveReference) {
+  // The conv lowering: B = [CKK, N * plane] patch columns, C lands as
+  // [N, F, plane]. Each element accumulates the same terms in the same
+  // order as the unbatched call, so the two agree bitwise, serial or
+  // pooled (nnz * n = 600 * 300 clears util::kMinParallelWork).
+  Rng rng(14);
+  const Tensor a = random_masked(Shape{16, 75}, 0.5, rng);
+  const int64_t batches = 3, plane = 100;
+  Tensor b(Shape{75, batches * plane});
+  b.fill_uniform(rng, -1.0F, 1.0F);
+  const Csr csr = Csr::from_dense(a);
+  ASSERT_GT(csr.nnz() * batches * plane, util::kMinParallelWork);
+  const Tensor got = csr.spmm(b, batches);
+  ASSERT_EQ(got.shape(), (Shape{batches, 16, plane}));
+  expect_near_all(got, batch_major(naive_ab(a, b), batches), 1e-5, "batched vs naive");
+  const Tensor flat = batch_major(csr.spmm(b), batches);
+  util::ThreadPool pool(3);
+  for (const Tensor& out : {got, csr.spmm(b, batches, &pool)}) {
+    ASSERT_EQ(out.shape(), flat.shape());
+    for (int64_t i = 0; i < flat.numel(); ++i) ASSERT_EQ(out.at(i), flat.at(i)) << i;
+  }
 }
 
 TEST(SpmmTest, FromWeightsReshapesConvKernels) {
@@ -172,7 +214,8 @@ TEST(SpmmTest, FuzzAgainstNaiveReference) {
   for (int round = 0; round < rounds; ++round) {
     const int64_t rows = 1 + rng.uniform_int(40);
     const int64_t cols = 1 + rng.uniform_int(40);
-    const int64_t n = 1 + rng.uniform_int(12);
+    const int64_t batches = 1 + rng.uniform_int(3);
+    const int64_t n = batches * (1 + rng.uniform_int(12));
     const int64_t m = 1 + rng.uniform_int(6);
     const double sparsity = rng.uniform01();
     const std::string ctx = "round " + std::to_string(round) + ": " +
@@ -188,6 +231,8 @@ TEST(SpmmTest, FuzzAgainstNaiveReference) {
     const Tensor want_t = naive_abt(x, a);
     const Csr csr = Csr::from_dense(a);
     expect_near_all(csr.spmm(b), want, 1e-4, "csr spmm " + ctx);
+    expect_near_all(csr.spmm(b, batches), batch_major(want, batches), 1e-4,
+                    "csr batched spmm " + ctx);
     expect_near_all(csr.spmm_t(x), want_t, 1e-4, "csr spmm_t " + ctx);
     if (::testing::Test::HasFatalFailure()) return;
   }

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "../testing_env.hpp"
@@ -210,21 +211,26 @@ TEST(QuantTest, QuantKernelsConsistentWithDequantisedWeights) {
       x.fill_uniform(rng, -1.0F, 1.0F);
       EXPECT_LE(max_abs_diff(q.spmm_t(x), ref.spmm_t(x)), tol);
 
-      Tensor b(Shape{30, 7});
-      b.fill_uniform(rng, -1.0F, 1.0F);
-      // spmm consumes B [cols, n] of the *transposed* semantic; build
-      // a matching right-hand side for this shape.
+      // spmm consumes B [cols, n]. It reads each dequantised value once,
+      // so it is bitwise equal to the fp32 kernel on the dequantize()d
+      // copy (same structure, explicitly stored zeros included).
       Tensor b2(Shape{44, 7});
       b2.fill_uniform(rng, -1.0F, 1.0F);
       EXPECT_LE(max_abs_diff(q.spmm(b2), ref.spmm(b2)), tol);
+      Csr deq_copy = q;
+      deq_copy.dequantize();
+      const Tensor got = q.spmm(b2), want = deq_copy.spmm(b2);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * want.numel()), 0);
 
+      // Mat-vec shapes: one B column for spmm, one x row for spmm_t.
       std::vector<float> xv(44);
       for (auto& v : xv) v = static_cast<float>(rng.uniform01() * 2.0 - 1.0);
-      const auto y_q = q.matvec(xv);
-      const auto y_ref = ref.matvec(xv);
-      for (std::size_t i = 0; i < y_q.size(); ++i) {
-        EXPECT_NEAR(y_q[i], y_ref[i], tol);
-      }
+      EXPECT_LE(max_abs_diff(q.spmm(Tensor(Shape{44, 1}, xv)),
+                             ref.spmm(Tensor(Shape{44, 1}, xv))),
+                tol);
+      EXPECT_LE(max_abs_diff(q.spmm_t(Tensor(Shape{1, 44}, xv)),
+                             ref.spmm_t(Tensor(Shape{1, 44}, xv))),
+                tol);
 
       // Event kernels run on the transposed structure, quantised after
       // the transpose (per-input groups).
@@ -257,7 +263,6 @@ TEST(QuantTest, QuantKernelsConsistentWithDequantisedWeights) {
       for (std::size_t i = 0; i < out_q.size(); ++i) {
         EXPECT_NEAR(out_q[i], out_ref[i], tol);
       }
-      (void)b;
     }
   }
 }

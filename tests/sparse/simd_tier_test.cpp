@@ -105,20 +105,6 @@ TEST(SimdTierTest, CsrSpmmTSmallBatchFallsBackBitwise) {
   }
 }
 
-TEST(SimdTierTest, CsrSpmmBitwiseAcrossTiers) {
-  const Tensor w = sparse_matrix(64, 120, 0.85, 9);
-  const Csr csr = Csr::from_dense(w);
-  util::ThreadPool pool(2);
-  for (const int64_t n : {24L, 9L}) {  // n % 8 != 0 exercises the j tail
-    const Tensor b = dense_batch(120, n, 13);
-    const Tensor ref = csr.spmm(b, nullptr, Tier::kScalar);
-    for (const Tier tier : kTiers) {
-      expect_bitwise(csr.spmm(b, nullptr, tier), ref, "csr spmm serial");
-      expect_bitwise(csr.spmm(b, &pool, tier), ref, "csr spmm pooled");
-    }
-  }
-}
-
 TEST(SimdTierTest, DenseMatmulBitwiseAcrossTiers) {
   const Tensor a = sparse_matrix(33, 48, 0.6, 31);  // zero-skip path has real zeros
   const Tensor b = dense_batch(48, 19, 37);

@@ -311,7 +311,7 @@ def main(argv):
     # bound and the snapshot may come from a smaller box than CI).
     tk = fresh.get("threads_kernel", {})
     if tk:
-        print(f"info: spmm speedup at 4 threads = {tk.get('spmm_speedup_4t', 0):.2f}x")
+        print(f"info: spmm_t speedup at 4 threads = {tk.get('spmm_t_speedup_4t', 0):.2f}x")
     if "coalesce_speedup" in fresh:
         print(f"info: coalescing speedup = {fresh['coalesce_speedup']:.2f}x")
     breakdown = fresh.get("op_breakdown", {})
