@@ -16,7 +16,7 @@
 //                               [--json out.json]
 //
 // --json writes both sections as one machine-readable document; CI
-// uploads it as a workflow artifact alongside the sparse_inference
+// uploads it as a workflow artifact alongside the serving and streaming
 // JSON.
 #include <cstdio>
 #include <cstdlib>

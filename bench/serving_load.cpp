@@ -12,10 +12,10 @@
 //      measured saturation throughput, so even one worker can keep up)
 //      replayed against 1, 2 and 4 request workers with coalescing on.
 //      On a healthy scheduler, p50 stays flat or falls as workers are
-//      added; the pre-PR-7 pop-and-hold FIFO *inverted* this curve
-//      (BENCH_sparse_inference.json: p50 3.3 ms -> 14.1 ms from 1 to 4
-//      workers). tools/check_bench_regression.py gates
-//      p50@4w <= 1.5 x p50@1w on multi-core runners.
+//      added; the old pop-and-hold FIFO *inverted* this curve (p50
+//      3.3 ms -> 14.1 ms from 1 to 4 workers in the executor sweep of a
+//      since-retired bench). tools/check_bench_regression.py --serving
+//      gates p50@4w <= 1.5 x p50@1w on multi-core runners.
 //
 //   2. slo_sweep — offered load at 0.5x / 0.8x / 1.5x of the full
 //      pool's saturation with an SLO budget set (--slo-ms, default

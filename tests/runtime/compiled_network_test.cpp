@@ -6,7 +6,10 @@
 // comparison) comes from the differential harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <string>
+#include <utility>
 
 #include "core/nm_projection.hpp"
 #include "nn/checkpoint.hpp"
@@ -14,6 +17,7 @@
 #include "runtime/compiled_network.hpp"
 #include "testing.hpp"
 #include "tensor/random.hpp"
+#include "util/stopwatch.hpp"
 
 namespace ndsnn::runtime {
 namespace {
@@ -348,6 +352,68 @@ TEST(CompiledNetworkTest, RejectsBadOptions) {
   opts = {};
   opts.prune_threshold = -1.0F;  // would silently compile all-dense under kAuto
   EXPECT_THROW((void)CompiledNetwork::compile(*net, opts), std::invalid_argument);
+}
+
+/// Mean ms of 5 calls, min over three passes after one warm-up: a
+/// preempted pass only ever reads high, so the min is the stable
+/// statistic on a shared box.
+template <typename Call>
+double min_pass_ms(Call&& call) {
+  call();
+  double best = 1e30;
+  for (int pass = 0; pass < 3; ++pass) {
+    const util::Stopwatch sw;
+    for (int r = 0; r < 5; ++r) call();
+    best = std::min(best, sw.millis() / 5);
+  }
+  return best;
+}
+
+// Speedup floors of the compiled plan over SpikingNetwork::predict:
+// 0.70x the speedup the retired sparse-inference bench recorded at each
+// sparsity in its checked-in snapshot (sparsity_sweep[].speedup, taken
+// on a 1-core box), i.e. that bench's 30% regression tolerance.
+constexpr double kSnapshotSpeedupAt090 = 2.36335;
+constexpr double kSnapshotSpeedupAt095 = 2.3575;
+constexpr double kSpeedupTolerance = 0.30;
+
+/// lenet5 at batch 8, T=2, random masks: predict against the faster of
+/// the CSR dense-activation plan and the kAuto plan.
+///
+/// The ratio depends on what the process allocated before. In a fresh
+/// process glibc serves predict's large per-call buffers with fresh
+/// pages; once the bigger networks elsewhere in this binary have been
+/// freed, its dynamic mmap/trim thresholds sit higher, predict reads
+/// ~2.5x faster and the plan's lead drops to ~1.4x. The floors were
+/// measured in a fresh process, so the gate binds only when it is the
+/// one test running (ctest registers it alone as runtime_speedup_gate).
+TEST(CompiledNetworkTest, SparsePlanBeatsInterpretedAtHighSparsity) {
+  if (const char* why = difftest::timing_gate_skip_reason()) GTEST_SKIP() << why;
+  if (::testing::UnitTest::GetInstance()->test_to_run_count() != 1) {
+    GTEST_SKIP() << "binds only when run alone: ctest -R runtime_speedup_gate";
+  }
+  nn::ModelSpec spec;
+  spec.timesteps = 2;
+  const Tensor batch = random_batch(8, spec.in_channels, spec.image_size, 123);
+  for (const auto& [sparsity, snapshot] :
+       {std::pair{0.9, kSnapshotSpeedupAt090}, std::pair{0.95, kSnapshotSpeedupAt095}}) {
+    const auto net = nn::make_model("lenet5", spec);
+    apply_random_masks(*net, sparsity, 7);
+    CompileOptions csr_opts;
+    csr_opts.activation_mode = ActivationMode::kDense;
+    const CompiledNetwork csr_plan = CompiledNetwork::compile(*net, csr_opts);
+    const CompiledNetwork auto_plan = CompiledNetwork::compile(*net);
+
+    const double predict_ms = min_pass_ms([&] { (void)net->predict(batch); });
+    const double csr_ms = min_pass_ms([&] { (void)csr_plan.run(batch); });
+    const double auto_ms = min_pass_ms([&] { (void)auto_plan.run(batch); });
+    const double speedup = predict_ms / std::min(csr_ms, auto_ms);
+    const double floor = snapshot * (1.0 - kSpeedupTolerance);
+    std::printf("sparsity %.2f: predict %.3f ms, csr %.3f ms, auto %.3f ms -> %.2fx "
+                "(floor %.3fx)\n",
+                sparsity, predict_ms, csr_ms, auto_ms, speedup, floor);
+    EXPECT_GE(speedup, floor) << "sparsity " << sparsity;
+  }
 }
 
 }  // namespace

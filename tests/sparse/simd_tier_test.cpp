@@ -9,15 +9,19 @@
 // itself instead of being skipped or faulting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "../testing_env.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/simd_kernels.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/random.hpp"
 #include "util/cpuinfo.hpp"
+#include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ndsnn::sparse {
@@ -92,6 +96,45 @@ TEST(SimdTierTest, CsrSpmmTBitwiseAcrossTiersAndThreads) {
       expect_bitwise(csr.spmm_t(b, &pool, tier), ref, "csr spmm_t pooled");
     }
   }
+}
+
+// Floor for the hand-written AVX2 fp32 spmm_t kernel over the scalar
+// reference on the fc1-scale layer. Both kernels run on the same box in
+// the same process, so the ratio needs no cross-machine baseline.
+constexpr double kAvx2MinSpeedup = 1.5;
+
+TEST(SimdTierTest, CsrSpmmTAvx2BeatsScalar) {
+  if (const char* why = difftest::timing_gate_skip_reason()) GTEST_SKIP() << why;
+  if (util::simd::detected() < Tier::kAvx2) GTEST_SKIP() << "no avx2 on this host";
+  // lenet5 fc1 scale: [120 x 400] at 0.9 sparsity, batch-major bT [256 x 400].
+  Rng rng(20260728ULL);
+  Tensor w(Shape{120, 400});
+  w.fill_uniform(rng, -0.12F, 0.12F);
+  for (int64_t i = 0; i < w.numel(); ++i) {
+    if (rng.uniform01() < 0.9) w.at(i) = 0.0F;
+  }
+  Tensor bT(Shape{256, 400});
+  bT.fill_uniform(rng, 0.0F, 1.0F);
+  const Csr csr = Csr::from_dense(w);
+  // Min of individually timed calls after two warm-ups: the least noisy
+  // location statistic on a shared box.
+  const auto min_ms = [&](Tier tier) {
+    (void)csr.spmm_t(bT, nullptr, tier);
+    (void)csr.spmm_t(bT, nullptr, tier);
+    double best = 1e300;
+    for (int r = 0; r < 100; ++r) {
+      const util::Stopwatch sw;
+      (void)csr.spmm_t(bT, nullptr, tier);
+      best = std::min(best, sw.millis());
+    }
+    return best;
+  };
+  const double scalar_ms = min_ms(Tier::kScalar);
+  const double avx2_ms = min_ms(Tier::kAvx2);
+  const double speedup = scalar_ms / avx2_ms;
+  std::printf("fp32 spmm_t: scalar %.4f ms, avx2 %.4f ms -> %.2fx (floor %.1fx)\n",
+              scalar_ms, avx2_ms, speedup, kAvx2MinSpeedup);
+  EXPECT_GE(speedup, kAvx2MinSpeedup);
 }
 
 TEST(SimdTierTest, CsrSpmmTSmallBatchFallsBackBitwise) {

@@ -4,6 +4,7 @@
 // failures are reproducible: export the logged NDSNN_TEST_SEED locally
 // to replay the identical sequence. The heavier differential harness
 // (network generation, backend sweeps) lives in runtime/testing.hpp.
+// timing_gate_skip_reason() decides where wall-clock ratio gates bind.
 #pragma once
 
 #include <cstdio>
@@ -35,6 +36,23 @@ inline int env_int(const char* name, int fallback) {
   if (raw == nullptr || *raw == '\0') return fallback;
   const int value = std::atoi(raw);
   return value > 0 ? value : fallback;
+}
+
+/// Why a wall-clock ratio gate cannot bind in this build, or nullptr
+/// when it can. Without NDEBUG (Debug) and under ASan/TSan the kernels
+/// run at distorted relative speeds, so a ratio measured there says
+/// nothing about the optimised build the bound was set on.
+inline const char* timing_gate_skip_reason() {
+#if !defined(NDEBUG)
+  return "timing gate binds only in NDEBUG builds";
+#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return "timing gate does not bind under ASan/TSan";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  return "timing gate does not bind under ASan/TSan";
+#endif
+#endif
+  return nullptr;
 }
 
 }  // namespace ndsnn::difftest
