@@ -1,15 +1,18 @@
 // google-benchmark microbenchmarks of the computational kernels: GEMM,
-// im2col, LIF step, surrogate gradient, drop/grow selection, and CSR
-// spmm/spmm_t at the structured-sparsity patterns of Sec. III-D
-// (2:4, 1:4, 4x4 blocks). These quantify
-// where the training loop and the inference runtime spend their time.
+// im2col, LIF step, surrogate gradient, drop/grow selection, the direct
+// CSR conv2d next to im2col at the plan_batch LeNet-5's conv shapes, and
+// CSR spmm_t at the structured-sparsity patterns of Sec. III-D (2:4,
+// 1:4, 4x4 blocks). These quantify where the training loop and the
+// inference runtime spend their time.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "snn/lif.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/mask.hpp"
 #include "sparse/structured.hpp"
 #include "sparse/topk.hpp"
 #include "tensor/im2col.hpp"
@@ -138,6 +141,69 @@ void BM_ArgDrop(benchmark::State& state) {
 }
 BENCHMARK(BM_ArgDrop)->Apply(MinOfRepeats)->Arg(10000)->Arg(100000);
 
+// ------------------------------------------------ CSR direct conv
+//
+// The two convs of perfbench's plan_batch network (LeNet-5, 32x32 RGB,
+// 5x5 kernels, padding 2) at its 64 plan rows (batch 32 x T = 2), with
+// that network's kept-weight counts drawn at random. Arg: 0 = conv1
+// (3 -> 6 channels, 87/450 kept), 1 = conv2 (6 -> 16 on the pooled
+// 16x16 map, 146/2400 kept). BM_PlanConvIm2col times the patch matrix
+// the dense-kernel route still builds at the same shapes.
+
+struct PlanConv {
+  int64_t in_channels, out_channels, image, kept;
+};
+constexpr PlanConv kPlanConvs[] = {{3, 6, 32, 87}, {6, 16, 16, 146}};
+constexpr int64_t kPlanRows = 64;
+constexpr int64_t kPlanKernel = 5;
+constexpr int64_t kPlanPadding = 2;
+
+Tensor plan_conv_input(const PlanConv& pc) {
+  Rng rng(41);
+  Tensor x(Shape{kPlanRows, pc.in_channels, pc.image, pc.image});
+  x.fill_uniform(rng, 0.0F, 1.0F);
+  return x;
+}
+
+void BM_CsrConv2d(benchmark::State& state) {
+  const PlanConv& pc = kPlanConvs[state.range(0)];
+  Rng rng(42);
+  Tensor w(Shape{pc.out_channels, pc.in_channels, kPlanKernel, kPlanKernel});
+  w.fill_uniform(rng, -0.5F, 0.5F);
+  ndsnn::sparse::Mask(w.shape(), pc.kept, rng).apply(w);
+  const auto csr = ndsnn::sparse::Csr::from_weights(w);
+  const Tensor x = plan_conv_input(pc);
+  (void)csr.conv2d(x, kPlanKernel, 1, kPlanPadding);  // warm-up
+  for (auto _ : state) {
+    Tensor y = csr.conv2d(x, kPlanKernel, 1, kPlanPadding);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetLabel("conv" + std::to_string(state.range(0) + 1) + " nnz=" +
+                 std::to_string(csr.nnz()));
+  state.SetItemsProcessed(state.iterations() * 2 * csr.nnz() * kPlanRows * pc.image *
+                          pc.image);
+}
+BENCHMARK(BM_CsrConv2d)->Apply(MinOfRepeats)->Arg(0)->Arg(1);
+
+void BM_PlanConvIm2col(benchmark::State& state) {
+  const PlanConv& pc = kPlanConvs[state.range(0)];
+  ConvGeometry g;
+  g.batch = kPlanRows;
+  g.in_channels = pc.in_channels;
+  g.in_h = g.in_w = pc.image;
+  g.kernel_h = g.kernel_w = kPlanKernel;
+  g.stride = 1;
+  g.padding = kPlanPadding;
+  const Tensor x = plan_conv_input(pc);
+  (void)ndsnn::tensor::im2col(x, g);  // warm-up
+  for (auto _ : state) {
+    Tensor cols = ndsnn::tensor::im2col(x, g);
+    benchmark::DoNotOptimize(cols.data());
+  }
+  state.SetLabel("conv" + std::to_string(state.range(0) + 1));
+}
+BENCHMARK(BM_PlanConvIm2col)->Apply(MinOfRepeats)->Arg(0)->Arg(1);
+
 // ------------------------------------------- CSR at structured patterns
 //
 // A 512x512 weight layer at the structured patterns of Sec. III-D.
@@ -168,29 +234,8 @@ Tensor make_pattern_matrix(int64_t pattern_id, uint64_t seed) {
 
 const char* pattern_name(int64_t id) { return id == 0 ? "2:4" : id == 1 ? "1:4" : "blk4x4"; }
 
-/// B has 256 columns, conv-like: im2col L for a batch of 4 samples with
-/// an 8x8 output map, which spmm writes as [4, 512, 64].
-constexpr int64_t kSpmmCols = 256;
-constexpr int64_t kSpmmBatches = 4;
 /// spmm_t batch rows, linear-like (T*N for a serving batch).
 constexpr int64_t kSpmmTRows = 64;
-
-void BM_CsrSpmm(benchmark::State& state) {
-  const Tensor a = make_pattern_matrix(state.range(0), 21);
-  const auto csr = ndsnn::sparse::Csr::from_dense(a);
-  Rng rng(22);
-  Tensor b(Shape{512, kSpmmCols});
-  b.fill_uniform(rng, -1.0F, 1.0F);
-  (void)csr.spmm(b, kSpmmBatches);  // warm-up
-  for (auto _ : state) {
-    Tensor c = csr.spmm(b, kSpmmBatches);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetLabel(std::string(pattern_name(state.range(0))) + " nnz=" +
-                 std::to_string(csr.nnz()));
-  state.SetItemsProcessed(state.iterations() * 2 * csr.nnz() * kSpmmCols);
-}
-BENCHMARK(BM_CsrSpmm)->Apply(MinOfRepeats)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_CsrSpmmT(benchmark::State& state) {
   const Tensor a = make_pattern_matrix(state.range(0), 23);

@@ -330,6 +330,13 @@ CompiledNetwork CompiledNetwork::compile(const nn::SpikingNetwork& net,
     compiled.plan_.ops.push_back(compile_layer(body.layer(i), lw));
     compiled.plan_.reports.push_back(compiled.plan_.ops.back()->report());
   }
+  // The leading stateless ops see T identical timesteps under direct
+  // encoding; Plan::execute runs them once per batch.
+  auto& ops = compiled.plan_.ops;
+  compiled.plan_.invariant_prefix = static_cast<std::size_t>(
+      std::find_if(ops.begin(), ops.end(),
+                   [](const auto& op) { return op->make_state() != nullptr; }) -
+      ops.begin());
   compiled.plan_.estimated_spike_rate = lw.stats.average_rate();
   compiled.plan_.pool = std::move(lw.pool);
   compiled.plan_.profile = std::make_shared<PlanProfile>(compiled.plan_.reports);
@@ -366,9 +373,9 @@ InferenceResult CompiledNetwork::infer(const InferenceRequest& request) const {
                                 batch.shape().str());
   }
   const auto start = std::chrono::steady_clock::now();
-  // Direct encoding (compile() rejected every other encoder kind).
-  snn::DirectEncoder encoder;
-  const Tensor x = plan_.execute(encoder.encode(batch, plan_.timesteps));
+  // Direct encoding (compile() rejected every other encoder kind) is
+  // folded into execute(): the invariant prefix runs on the N rows.
+  const Tensor x = plan_.execute(batch, plan_.timesteps);
   if (x.rank() != 2) {
     throw std::invalid_argument("CompiledNetwork::infer: body produced non-matrix logits " +
                                 x.shape().str());

@@ -13,13 +13,15 @@
 //      and N:M-projected or block-masked weights store exactly their
 //      surviving entries in CSR too.
 //   2. Pick an *activation path* per weight layer: the classic
-//      dense-activation spmm, or the event-driven gather path that
-//      iterates only the active (nonzero) entries of the input spike
-//      train (sparse::Csr::spmv_gather, plus an on-the-fly
-//      event-driven im2col for conv). The choice keys on whether the
-//      input is spike-valued and on a firing-rate estimate taken from
-//      the layers' recorded rates (aggregated with snn::SpikeStats);
-//      CompileOptions::activation_mode forces one path everywhere.
+//      dense-activation kernels (sparse::Csr::conv2d, a direct sparse
+//      convolution over input spans, and Csr::spmm_t for linear), or the
+//      event-driven gather path that iterates only the active (nonzero)
+//      entries of the input spike train (sparse::Csr::spmv_gather, plus
+//      an on-the-fly event-driven im2col for conv). The choice keys on
+//      whether the input is spike-valued and on a firing-rate estimate
+//      taken from the layers' recorded rates (aggregated with
+//      snn::SpikeStats); CompileOptions::activation_mode forces one path
+//      everywhere.
 //   3. Emit the Plan IR (src/runtime/plan.hpp): per-op kernels under
 //      src/runtime/ops/, with neuron ops producing SpikeBatch
 //      active-index views alongside their spike tensors so downstream
@@ -37,7 +39,10 @@
 // (see runtime::BatchExecutor). Neuron membrane state lives on the stack
 // of each run(): activations are time-major [T*N, ...] and the LIF op
 // carries v/o across the T timesteps inside one call, exactly like
-// snn::LifLayer::forward.
+// snn::LifLayer::forward. Direct encoding repeats the input frame at
+// every step, so the stateless ops ahead of the first neuron op (conv1
+// -> BN1) compute T identical row blocks; the plan runs them once on the
+// N input rows and tiles their output to T*N (Plan::invariant_prefix).
 #pragma once
 
 #include <string>
@@ -64,7 +69,7 @@ enum class Backend {
 enum class ActivationMode {
   kAuto,   ///< event-driven when the input is spike-valued and its
            ///< estimated firing rate is <= event_max_rate
-  kDense,  ///< always the dense-activation spmm path (PR-2 behaviour)
+  kDense,  ///< always the dense-activation path (conv2d / spmm_t / GEMM)
   kEvent,  ///< force the event-driven gather path on every weight layer
 };
 
@@ -158,9 +163,10 @@ struct CompileOptions {
   /// Intra-op execution lanes: 1 (default) compiles a serial plan, 0
   /// resolves to std::thread::hardware_concurrency(), N > 1 builds a
   /// shared util::ThreadPool the plan owns and every hot kernel
-  /// dispatches through (CSR conv spmm by filter and CSR linear spmm_t
-  /// by output feature, both with nnz-balanced splits, the event path
-  /// over batch rows / output channels, dense fallbacks by output row).
+  /// dispatches through (CSR conv2d by (sample, filter) output plane and
+  /// CSR linear spmm_t by output feature, both with nnz-balanced splits,
+  /// the event path over batch rows / output channels, dense fallbacks
+  /// by output row).
   /// Layers whose work sits below util::kMinParallelWork stay serial —
   /// thread handoff costs more than e.g. lenet5's fc2 [84 x 120]. fp32
   /// outputs stay bitwise identical to the serial plan for any value

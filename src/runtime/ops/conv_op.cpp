@@ -93,6 +93,13 @@ ConvOp::ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision
 }
 
 Tensor ConvOp::run_dense(const Tensor& input) const {
+  util::ThreadPool* pool = pool_.get();
+  if (gemm_ == Kernel::kCsr) {
+    trace::ScopedSpan span("conv-direct", "phase");
+    span.rows(input.dim(0));
+    span.bytes(bytes_);
+    return csr_.conv2d(input, kernel_, stride_, padding_, pool);
+  }
   tensor::ConvGeometry g;
   g.batch = input.dim(0);
   g.in_channels = in_channels_;
@@ -115,12 +122,6 @@ Tensor ConvOp::run_dense(const Tensor& input) const {
   trace::ScopedSpan gemm_span("conv-gemm", "phase");
   gemm_span.rows(m);
   gemm_span.bytes(bytes_);
-  util::ThreadPool* pool = pool_.get();
-  if (gemm_ == Kernel::kCsr) {
-    // Csr::spmm writes [m, F, oy*ox] directly; filters are independent
-    // output rows, partitioned nnz-balanced over the pool.
-    return csr_.spmm(cols, m, pool).reshaped(Shape{m, out_channels_, oh, ow});
-  }
   const int64_t plane = oh * ow;
   Tensor out(Shape{m, out_channels_, oh, ow});
   const Tensor yflat = tensor::matmul(dense_, cols, pool, tier_);

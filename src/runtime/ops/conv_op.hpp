@@ -1,17 +1,16 @@
 // ConvOp: 2-D convolution weight op of the compiled plan.
 //
-// Dense-activation path: im2col then a GEMM, identical to
-// nn::Conv2d::forward with the GEMM swapped. CSR runs sparse::Csr::spmm,
-// which writes the [N, F, OH, OW] output directly for fp32 and
-// quantised planes alike; dense runs tensor::matmul into [F, N*OH*OW]
-// and transposes. Event path: no patch
-// matrix at all — for each active (nonzero) input pixel, enumerate the
-// kernel offsets it reaches (the im2col mapping evaluated on the fly)
-// and scatter value * Wᵀ[patch-column] into the output plane
-// (sparse::Csr::scatter_row). For any fixed output element the
-// active pixels arrive in ascending patch-column order, so the float
-// accumulation sequence equals the dense paths' minus exact-zero terms:
-// bitwise identical.
+// Dense-activation path: CSR runs sparse::Csr::conv2d, a direct sparse
+// convolution that walks each filter's stored taps over input spans and
+// writes the [N, F, OH, OW] output with no patch matrix, for fp32 and
+// quantised planes alike. Dense runs im2col then tensor::matmul into
+// [F, N*OH*OW] and transposes, identical to nn::Conv2d::forward. Event
+// path: for each active (nonzero) input pixel, enumerate the kernel
+// offsets it reaches (the im2col mapping evaluated on the fly) and
+// scatter value * Wᵀ[patch-column] into the output plane
+// (sparse::Csr::scatter_row). Every path accumulates each output
+// element over ascending patch-column index in float mul-then-add
+// steps, and skipped zero terms are exact no-ops: bitwise identical.
 #pragma once
 
 #include <memory>
@@ -31,11 +30,12 @@ class ConvOp final : public Op {
   /// `precision` mirrors LinearOp: quantises the sparse value plane on
   /// the execution orientation; ignored for the dense kernel.
   /// `pool` (null = serial) is the plan's shared intra-op pool: the
-  /// dense-activation path partitions the GEMM by output row (filter),
-  /// the event path partitions the scatter by *output channel* — each
-  /// chunk owns a channel strip, replays the event stream, and scatters
-  /// only its own channels (scatter_row_range), so per-output-element
-  /// accumulation order is unchanged and results stay bitwise.
+  /// CSR dense-activation path partitions the (sample, filter) output
+  /// planes, the dense GEMM its output rows (filters), and the event
+  /// path the scatter by *output channel* — each chunk owns a channel
+  /// strip, replays the event stream, and scatters only its own
+  /// channels (scatter_row_range). Per-output-element accumulation
+  /// order is unchanged on every path, so results stay bitwise.
   ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision, bool event,
          const CompileOptions& opts, std::shared_ptr<util::ThreadPool> pool = nullptr);
 
@@ -64,7 +64,7 @@ class ConvOp final : public Op {
   int64_t weights_;
   int64_t stored_;
   double source_sparsity_;
-  sparse::Csr csr_;      // W [F, CKK], dense-activation kCsr
+  sparse::Csr csr_;      // W [F, CKK], dense-activation kCsr (direct conv)
   tensor::Tensor dense_; // W [F, CKK], dense-activation kDense
   sparse::Csr csr_t_;    // Wᵀ [CKK, F], event kCsr
   tensor::Tensor dense_t_;  // Wᵀ [CKK, F], event kDense

@@ -1,9 +1,13 @@
 #include "runtime/plan.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "runtime/trace.hpp"
+#include "snn/encoder.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ndsnn::runtime {
@@ -36,20 +40,39 @@ double SpikeBatch::rate() const {
   return static_cast<double>(idx.size()) / static_cast<double>(total);
 }
 
-tensor::Tensor Plan::execute(tensor::Tensor encoded) const {
-  Activation x(std::move(encoded));
-  PlanProfile* prof = profile && profile->enabled() ? profile.get() : nullptr;
-  if (prof == nullptr && !trace::enabled()) {
-    // Fast path: with tracing and profiling off (the default), the only
-    // instrumentation cost is the two relaxed loads above — the branch
-    // predicts perfectly across a serving run.
-    for (const auto& op : ops) x = op->run(x);
-    return std::move(x.tensor);
+namespace {
+
+/// Direct-encode the invariant prefix's output: its rows repeated
+/// `timesteps` times, time-major.
+Activation tile_time_major(Activation x, int64_t timesteps) {
+  if (timesteps == 1) return x;
+  snn::DirectEncoder encoder;
+  Activation out(encoder.encode(x.tensor, timesteps));
+  out.spikes = x.spikes;
+  return out;
+}
+
+}  // namespace
+
+tensor::Tensor Plan::execute(tensor::Tensor batch, int64_t timesteps) const {
+  if (timesteps < 1) {
+    throw std::invalid_argument("Plan::execute: timesteps must be >= 1, got " +
+                                std::to_string(timesteps));
   }
+  Activation x(std::move(batch));
+  const std::size_t prefix = std::min(invariant_prefix, ops.size());
+  // With tracing and profiling off (the default), the only
+  // instrumentation cost is the two relaxed loads here — the branch
+  // predicts perfectly across a serving run.
+  PlanProfile* prof = profile && profile->enabled() ? profile.get() : nullptr;
+  const bool instrumented = prof != nullptr || trace::enabled();
   if (prof != nullptr) prof->count_execute();
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    x = trace::run_op_instrumented(*ops[i], reports[i], x, prof, i);
+    if (i == prefix) x = tile_time_major(std::move(x), timesteps);
+    x = instrumented ? trace::run_op_instrumented(*ops[i], reports[i], x, prof, i)
+                     : ops[i]->run(x);
   }
+  if (prefix == ops.size()) x = tile_time_major(std::move(x), timesteps);
   return std::move(x.tensor);
 }
 

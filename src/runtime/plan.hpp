@@ -220,10 +220,23 @@ struct Plan {
   /// BatchExecutor divides its thread budget by.
   [[nodiscard]] int64_t intra_op_threads() const;
 
-  /// Run the op sequence over an already-encoded time-major batch
-  /// (taken by value: callers move the encoder temporary in, so no op
-  /// input is ever deep-copied).
-  [[nodiscard]] tensor::Tensor execute(tensor::Tensor encoded) const;
+  /// Ops [0, invariant_prefix) are stateless and precede every stateful
+  /// op (make_state() == nullptr for each; conv1 -> BN1 on the zoo
+  /// networks). Under direct encoding their T timesteps see identical
+  /// rows, so execute() runs them once on the N input rows. compile()
+  /// sets it.
+  std::size_t invariant_prefix = 0;
+
+  /// Run the plan on `batch` [N, ...] direct-encoded over `timesteps`
+  /// steps: the invariant prefix runs on the N rows, its output is
+  /// tiled to the time-major [T*N, ...] layout DirectEncoder::encode
+  /// produces (an event view is dropped, the `spikes` flag kept), and
+  /// the remaining ops run on that. Stateless ops are row-independent,
+  /// so this is bitwise identical to running every op on the encoded
+  /// batch. timesteps == 1 runs an already time-major window as is (the
+  /// streaming reference). Taken by value: callers move a temporary in.
+  /// Throws std::invalid_argument when timesteps < 1.
+  [[nodiscard]] tensor::Tensor execute(tensor::Tensor batch, int64_t timesteps) const;
 
   /// Weight elements stored by the plan (CSR nnz + dense fallback sizes).
   [[nodiscard]] int64_t stored_weights() const;

@@ -6,11 +6,12 @@
 // per Plan::execute. When enabled, every op run records a span {layer,
 // kind+backend+precision, duration_us, batch rows, observed spike
 // rate, bytes touched, thread id}, the ops add phase sub-spans
-// (im2col, gemm, event-scatter, ...), and the BatchExecutor adds
-// queue-wait / coalesce-wait / fused-split spans. Spans land in a
-// fixed-capacity ring per thread (oldest overwritten, drops counted),
-// so a long serving run keeps the most recent window instead of
-// growing without bound. chrome_json() exports the merged snapshot as
+// (conv-direct for CSR convs, im2col + conv-gemm for dense-kernel convs,
+// event-gather, event-scatter, lif-dynamics, bn-normalize, ...), and the
+// BatchExecutor adds queue-wait / coalesce-wait / fused-split spans.
+// Spans land in a fixed-capacity ring per thread (oldest overwritten,
+// drops counted), so a long serving run keeps the most recent window
+// instead of growing without bound. chrome_json() exports the merged snapshot as
 // Chrome trace-event JSON — load it at chrome://tracing or
 // https://ui.perfetto.dev.
 //

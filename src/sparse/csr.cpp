@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sparse/simd_kernels.hpp"
 
@@ -265,56 +268,120 @@ void Csr::scatter_row_range(int64_t row, float x, float* out, int64_t out_stride
   }
 }
 
-tensor::Tensor Csr::spmm(const tensor::Tensor& b, int64_t batches,
-                         util::ThreadPool* pool) const {
-  if (b.rank() != 2 || b.dim(0) != cols_) {
-    throw std::invalid_argument("Csr::spmm: expected B [" + std::to_string(cols_) +
-                                ", n], got " + b.shape().str());
+namespace {
+
+/// One stored tap of a conv filter, resolved against the input geometry:
+/// it adds value * input over `rows` output rows of `len` elements,
+/// starting at output offset `out` and input offset `in` (relative to
+/// one sample), with the input stepping `stride` per output element.
+/// Taps whose rectangle lies wholly in the padding are never built.
+struct ConvTap {
+  float value;
+  int64_t in, out, rows, len;
+};
+
+/// First and one-past-last output index o in [0, n_out) whose input
+/// index o * stride + offset lies in [0, n_in).
+std::pair<int64_t, int64_t> valid_outputs(int64_t offset, int64_t stride, int64_t n_in,
+                                          int64_t n_out) {
+  const int64_t lo = offset >= 0 ? 0 : (-offset + stride - 1) / stride;
+  const int64_t last = n_in - 1 - offset;  // o * stride <= last
+  const int64_t hi = last < 0 ? 0 : std::min(n_out, last / stride + 1);
+  return {lo, std::max(lo, hi)};
+}
+
+/// Adds every tap of one (sample, filter) plane into `o` (output rows of
+/// `ow`), reading the sample `x` (input rows of `w`). The unit-stride
+/// body is a contiguous axpy the compiler vectorises.
+template <bool kUnitStride>
+void conv_plane(const std::vector<ConvTap>& taps, const float* x, float* o, int64_t stride,
+                int64_t w, int64_t ow) {
+  for (const ConvTap& t : taps) {
+    const float v = t.value;
+    const float* src = x + t.in;
+    float* dst = o + t.out;
+    for (int64_t r = 0; r < t.rows; ++r, src += stride * w, dst += ow) {
+      const float* __restrict__ s = src;
+      float* __restrict__ d = dst;
+      for (int64_t i = 0; i < t.len; ++i) d[i] += v * s[kUnitStride ? i : i * stride];
+    }
   }
-  const int64_t n = b.dim(1);
-  if (batches < 1 || n % batches != 0) {
-    throw std::invalid_argument("Csr::spmm: " + std::to_string(batches) +
-                                " batches do not split n = " + std::to_string(n));
+}
+
+}  // namespace
+
+tensor::Tensor Csr::conv2d(const tensor::Tensor& input, int64_t kernel, int64_t stride,
+                           int64_t padding, util::ThreadPool* pool) const {
+  if (input.rank() != 4 || kernel < 1 || stride < 1 || padding < 0 ||
+      input.dim(1) * kernel * kernel != cols_) {
+    throw std::invalid_argument("Csr::conv2d: expected input [M, C, H, W] with C * " +
+                                std::to_string(kernel) + "^2 = " + std::to_string(cols_) +
+                                ", stride >= 1, padding >= 0; got " + input.shape().str() +
+                                ", stride " + std::to_string(stride) + ", padding " +
+                                std::to_string(padding));
   }
-  const int64_t plane = n / batches;
-  tensor::Tensor c(batches == 1 ? tensor::Shape{rows_, n}
-                                : tensor::Shape{batches, rows_, plane});
-  const float* bp = b.data();
-  float* cp = c.data();
-  // Row-major streaming: each stored A[r, col] scales one row of B into
-  // row r of every batch slab of C, so the inner loop is a contiguous
-  // axpy. `value` (fp32 array or dequantised code) is chosen outside the
-  // loops, so the fp32 loop is the same whichever plane the matrix holds.
-  const auto row_range = [&](int64_t r0, int64_t r1, const auto& value) {
-    for (int64_t r = r0; r < r1; ++r) {
-      for (int64_t k = row_ptr_[static_cast<std::size_t>(r)];
-           k < row_ptr_[static_cast<std::size_t>(r) + 1]; ++k) {
-        const float v = value(r, k);
-        const float* brow =
-            bp + static_cast<int64_t>(col_idx_[static_cast<std::size_t>(k)]) * n;
-        for (int64_t mm = 0; mm < batches; ++mm) {
-          float* crow = cp + (mm * rows_ + r) * plane;
-          const float* s = brow + mm * plane;
-          for (int64_t p = 0; p < plane; ++p) crow[p] += v * s[p];
-        }
+  const int64_t m = input.dim(0), h = input.dim(2), w = input.dim(3);
+  if (h + 2 * padding < kernel || w + 2 * padding < kernel) {
+    throw std::invalid_argument("Csr::conv2d: kernel " + std::to_string(kernel) +
+                                " larger than padded input " + input.shape().str());
+  }
+  const int64_t oh = (h + 2 * padding - kernel) / stride + 1;
+  const int64_t ow = (w + 2 * padding - kernel) / stride + 1;
+  const int64_t plane = oh * ow, sample = input.dim(1) * h * w;
+  tensor::Tensor out(tensor::Shape{m, rows_, oh, ow});
+  const float* xp = input.data();
+  float* op = out.data();
+
+  // Row f's taps, resolved once per run of its planes; the value (fp32
+  // array or dequantised code) is read here and nowhere else.
+  const auto decode = [&](int64_t f, std::vector<ConvTap>& taps) {
+    taps.clear();
+    const int64_t kk = kernel * kernel;
+    for (int64_t k = row_ptr_[static_cast<std::size_t>(f)];
+         k < row_ptr_[static_cast<std::size_t>(f) + 1]; ++k) {
+      const int64_t col = col_idx_[static_cast<std::size_t>(k)];
+      const int64_t c = col / kk, ky = (col / kernel) % kernel, kx = col % kernel;
+      const auto [oy0, oy1] = valid_outputs(ky - padding, stride, h, oh);
+      const auto [ox0, ox1] = valid_outputs(kx - padding, stride, w, ow);
+      if (oy0 == oy1 || ox0 == ox1) continue;  // only padding under this tap
+      const float value =
+          quant_.present() ? quant_.dequant(f, k) : values_[static_cast<std::size_t>(k)];
+      ConvTap tap{value,
+                  c * h * w + (oy0 * stride + ky - padding) * w + ox0 * stride + kx - padding,
+                  oy0 * ow + ox0, oy1 - oy0, ox1 - ox0};
+      // A full-width unit-stride tap on a same-size map reads and writes
+      // rows that abut: one span over all of them.
+      if (stride == 1 && ow == w && tap.len == ow) {
+        tap.len *= tap.rows;
+        tap.rows = 1;
+      }
+      taps.push_back(tap);
+    }
+  };
+  // Planes in filter-major order q = f * m + mm, so a chunk decodes each
+  // filter's taps once; weight of a plane = its filter's nnz.
+  std::vector<int64_t> prefix(static_cast<std::size_t>(rows_ * m) + 1, 0);
+  for (int64_t q = 0; q < rows_ * m; ++q) {
+    const auto f = static_cast<std::size_t>(q / m);
+    prefix[static_cast<std::size_t>(q) + 1] =
+        prefix[static_cast<std::size_t>(q)] + row_ptr_[f + 1] - row_ptr_[f];
+  }
+  const auto plane_range = [&](int64_t q0, int64_t q1) {
+    std::vector<ConvTap> taps;
+    for (int64_t q = q0; q < q1; ++q) {
+      const int64_t f = q / m, mm = q % m;
+      if (q == q0 || mm == 0) decode(f, taps);
+      const float* x = xp + mm * sample;
+      float* o = op + (mm * rows_ + f) * plane;
+      if (stride == 1) {
+        conv_plane<true>(taps, x, o, stride, w, ow);
+      } else {
+        conv_plane<false>(taps, x, o, stride, w, ow);
       }
     }
   };
-  // Output rows are independent: nnz-balanced row ranges (prefix sums
-  // over row_ptr, so a dense-heavy row does not serialize its chunk).
-  util::parallel_balanced(pool, row_ptr_.data(), rows_, nnz() * n,
-                          [&](int64_t r0, int64_t r1) {
-                            if (quant_.present()) {
-                              row_range(r0, r1, [this](int64_t r, int64_t k) {
-                                return quant_.dequant(r, k);
-                              });
-                            } else {
-                              row_range(r0, r1, [this](int64_t, int64_t k) {
-                                return values_[static_cast<std::size_t>(k)];
-                              });
-                            }
-                          });
-  return c;
+  util::parallel_balanced(pool, prefix.data(), rows_ * m, nnz() * m * plane, plane_range);
+  return out;
 }
 
 namespace {

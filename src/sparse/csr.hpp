@@ -5,11 +5,11 @@
 // (src/runtime/) as the execution format for pruned weight layers: the
 // kernels below are what make the trained sparsity pay off at forward
 // time instead of only in the analytical cost models. One kernel per
-// runtime route: spmm (dense-activation conv), spmm_t (dense-activation
-// linear), spmv_gather (event linear) and scatter_row[_range] (event
-// conv). This is the only module that reads the CSR index arrays and
-// the quantised value planes in a hot loop; only spmm_t has an AVX2
-// body.
+// runtime route: conv2d (dense-activation conv), spmm_t
+// (dense-activation linear), spmv_gather (event linear) and
+// scatter_row[_range] (event conv). This is the only module that reads
+// the CSR index arrays and the quantised value planes in a hot loop;
+// only spmm_t has an AVX2 body.
 #pragma once
 
 #include <cstdint>
@@ -77,27 +77,33 @@ class Csr {
   void scatter_row_range(int64_t row, float x, float* out, int64_t out_stride,
                          int64_t col_begin, int64_t col_end) const;
 
-  /// C = A * B for dense B [cols, n], written as [batches, rows,
-  /// n / batches] (rank 2 [rows, n] when batches == 1). This is the
-  /// conv lowering: W_csr[F, CKK] * cols[CKK, N*OH*OW] with batches = N
-  /// lands straight in the [N, F, OH*OW] output layout, with no [F, L]
-  /// intermediate and no transpose. Per output element the nonzeros of
-  /// row r accumulate in ascending order as float mul-then-add steps —
-  /// the dense GEMM's order minus pruned terms, so fp32 results are
-  /// bitwise identical to it. Each stored value is read once per call:
-  /// the fp32 value, or the dequantised code of a quantised plane, so a
-  /// quantised matrix computes exactly what its dequantize()d copy does.
-  /// With a pool, the rows are partitioned into nnz-balanced ranges
-  /// (prefix sums over row_ptr); each output row keeps its serial
-  /// accumulation order, so results are bitwise lane-count-independent.
-  /// Work below util::kMinParallelWork stays serial.
-  [[nodiscard]] tensor::Tensor spmm(const tensor::Tensor& b, int64_t batches = 1,
-                                    util::ThreadPool* pool = nullptr) const;
+  /// Direct sparse convolution: `this` is a conv weight W [F, C*K*K]
+  /// (Csr::from_weights of [F, C, K, K]) applied to input [M, C, H, W]
+  /// with square `kernel` K, `stride` and zero `padding`; returns
+  /// [M, F, OH, OW]. There is no patch matrix: for each output plane
+  /// (m, f) the kernel walks row f's stored taps (c, ky, kx) in
+  /// ascending CSR order and adds v * input over the tap's valid output
+  /// rectangle (a contiguous span per output row when stride == 1, a
+  /// strided one otherwise). Padding is clipped, never read. Each output
+  /// element therefore runs the dense im2col GEMM's float mul-then-add
+  /// sequence minus pruned and padding terms, which are exact no-ops on
+  /// the accumulator, so fp32 results are bitwise identical to
+  /// nn::Conv2d::forward. A filter's taps are decoded once per run of
+  /// its planes, each with the fp32 value or the dequantised code of a
+  /// quantised plane, so a quantised matrix computes exactly what its
+  /// dequantize()d copy does.
+  /// With a pool, the M*F output planes are split into nnz-balanced
+  /// ranges; every plane keeps its serial order, so results are bitwise
+  /// lane-count-independent. Work below util::kMinParallelWork stays
+  /// serial. Throws std::invalid_argument on a bad shape or geometry.
+  [[nodiscard]] tensor::Tensor conv2d(const tensor::Tensor& input, int64_t kernel,
+                                      int64_t stride, int64_t padding,
+                                      util::ThreadPool* pool = nullptr) const;
 
   /// C[m, rows] = B * Aᵀ for dense B [m, cols] (the "T" variant; linear
-  /// layers: x[M, in] * Wᵀ with W stored CSR [out, in]). Pool semantics
-  /// mirror spmm: the CSR rows (columns of C) are nnz-balance
-  /// partitioned, each C element still accumulates serially.
+  /// layers: x[M, in] * Wᵀ with W stored CSR [out, in]). With a pool,
+  /// the CSR rows (columns of C) are nnz-balance partitioned; each C
+  /// element still accumulates serially.
   ///
   /// At kAvx2 (batch m >= 8 and enough nonzeros to amortize it) the
   /// driver first materializes bt = Bᵀ so one broadcast weight serves 8
@@ -115,10 +121,10 @@ class Csr {
   /// one scale/zero-point per row (symmetric by default, so all
   /// zero-points are 0). The fp32 value array is released — the memory
   /// win is real, not just accounted — and every kernel above
-  /// transparently dispatches to its quantised variant: spmm
+  /// transparently dispatches to its quantised variant: conv2d
   /// dequantises once per stored value, spmm_t once per output, the
   /// gather once per active input, instead of once per term. Apart
-  /// from spmm (bitwise equal to the dequantize()d matrix), quantised
+  /// from conv2d (bitwise equal to the dequantize()d matrix), quantised
   /// kernels carry no bitwise contract: they are free to reassociate
   /// (multi-accumulator float sums) and promise only the QuantPlane
   /// error bound (sum_k (scale_k / 2) * |x_k| per output; see

@@ -2,7 +2,7 @@
 // (util::simd::Tier::kAvx2). Not part of the public sparse API — the
 // dispatching drivers in csr.cpp / matmul.cpp are the only callers.
 // Three kernels have AVX2 bodies: Csr::spmm_t (fp32, int8, int4),
-// tensor::matmul and tensor::matmul_nt. Every other kernel (Csr::spmm,
+// tensor::matmul and tensor::matmul_nt. Every other kernel (Csr::conv2d,
 // the event gather/scatter) has one body, which the compiler
 // autovectorizes under -march where it can.
 //

@@ -1,8 +1,13 @@
-// CSR spmm / spmm_t equivalence against the dense GEMM kernels
-// and a naive reference on random masked matrices, plus the degenerate
-// shapes real plans hit (the runtime's correctness cornerstone).
+// CSR conv2d / spmm_t equivalence against the dense kernels
+// (nn::Conv2d::forward, tensor::matmul_nt) and naive references on
+// random masked weights, plus the degenerate shapes real plans hit (the
+// runtime's correctness cornerstone).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
+#include "nn/conv2d.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/mask.hpp"
 #include "tensor/matmul.hpp"
@@ -26,23 +31,8 @@ Tensor random_masked(Shape shape, double sparsity, Rng& rng) {
   return dense;
 }
 
-/// Naive triple-loop references (double accumulation), deliberately
-/// independent of tensor::matmul so kernel and oracle share no code.
-Tensor naive_ab(const Tensor& a, const Tensor& b) {
-  const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor c(Shape{m, n});
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        acc += static_cast<double>(a.at(i, kk)) * static_cast<double>(b.at(kk, j));
-      }
-      c.at(i, j) = static_cast<float>(acc);
-    }
-  }
-  return c;
-}
-
+/// Naive references (double accumulation), deliberately independent of
+/// the kernels under test so kernel and oracle share no code.
 Tensor naive_abt(const Tensor& b, const Tensor& a) {  // B * Aᵀ
   const int64_t m = b.dim(0), k = b.dim(1), r = a.dim(0);
   Tensor c(Shape{m, r});
@@ -58,21 +48,43 @@ Tensor naive_abt(const Tensor& b, const Tensor& a) {  // B * Aᵀ
   return c;
 }
 
-/// [rows, batches * plane] -> [batches, rows, plane]: the layout
-/// Csr::spmm(b, batches) writes, built by plain index arithmetic (rank
-/// 2 unchanged when batches == 1, like spmm).
-Tensor batch_major(const Tensor& c, int64_t batches) {
-  if (batches == 1) return c;
-  const int64_t rows = c.dim(0), plane = c.dim(1) / batches;
-  Tensor out(Shape{batches, rows, plane});
-  for (int64_t mm = 0; mm < batches; ++mm) {
-    for (int64_t r = 0; r < rows; ++r) {
-      for (int64_t p = 0; p < plane; ++p) {
-        out.data()[(mm * rows + r) * plane + p] = c.at(r, mm * plane + p);
+/// Direct convolution by definition: out[m, f, oy, ox] = sum over (c,
+/// ky, kx) of w[f, c, ky, kx] * x[m, c, oy*s + ky - p, ox*s + kx - p],
+/// out-of-range input positions reading as zero.
+Tensor naive_conv(const Tensor& x, const Tensor& w, int64_t stride, int64_t padding) {
+  const int64_t m = x.dim(0), c = x.dim(1), h = x.dim(2), wd = x.dim(3);
+  const int64_t f = w.dim(0), k = w.dim(2);
+  const int64_t oh = (h + 2 * padding - k) / stride + 1;
+  const int64_t ow = (wd + 2 * padding - k) / stride + 1;
+  Tensor out(Shape{m, f, oh, ow});
+  for (int64_t mm = 0; mm < m; ++mm) {
+    for (int64_t ff = 0; ff < f; ++ff) {
+      for (int64_t oy = 0; oy < oh; ++oy) {
+        for (int64_t ox = 0; ox < ow; ++ox) {
+          double acc = 0.0;
+          for (int64_t cc = 0; cc < c; ++cc) {
+            for (int64_t ky = 0; ky < k; ++ky) {
+              for (int64_t kx = 0; kx < k; ++kx) {
+                const int64_t iy = oy * stride + ky - padding;
+                const int64_t ix = ox * stride + kx - padding;
+                if (iy < 0 || iy >= h || ix < 0 || ix >= wd) continue;
+                acc += static_cast<double>(w.data()[((ff * c + cc) * k + ky) * k + kx]) *
+                       static_cast<double>(x.data()[((mm * c + cc) * h + iy) * wd + ix]);
+              }
+            }
+          }
+          out.data()[((mm * f + ff) * oh + oy) * ow + ox] = static_cast<float>(acc);
+        }
       }
     }
   }
   return out;
+}
+
+void expect_bitwise(const Tensor& got, const Tensor& want, const std::string& context) {
+  ASSERT_EQ(got.shape(), want.shape()) << context;
+  ASSERT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * want.numel()), 0)
+      << context;
 }
 
 void expect_near_all(const Tensor& got, const Tensor& want, double tol,
@@ -83,20 +95,101 @@ void expect_near_all(const Tensor& got, const Tensor& want, double tol,
   }
 }
 
-TEST(SpmmTest, MatchesDenseMatmulAcrossSparsities) {
-  Rng rng(11);
-  for (const double sparsity : {0.0, 0.5, 0.9, 0.99}) {
-    const Tensor a = random_masked(Shape{17, 23}, sparsity, rng);
-    Tensor b(Shape{23, 9});
-    b.fill_uniform(rng, -1.0F, 1.0F);
+/// Input [m, c, h, w] uniform in [-1, 1).
+Tensor random_input(int64_t m, int64_t c, int64_t h, int64_t w, Rng& rng) {
+  Tensor x(Shape{m, c, h, w});
+  x.fill_uniform(rng, -1.0F, 1.0F);
+  return x;
+}
 
-    const Tensor expect = tensor::matmul(a, b);
-    const Tensor got = Csr::from_dense(a).spmm(b);
-    ASSERT_EQ(got.shape(), expect.shape());
-    for (int64_t i = 0; i < expect.numel(); ++i) {
-      EXPECT_NEAR(got.at(i), expect.at(i), 1e-5) << "sparsity=" << sparsity << " i=" << i;
+/// nn::Conv2d carrying `weights` [F, C, K, K]: the interpreted forward the
+/// compiled plan must match bitwise.
+Tensor conv_forward(const Tensor& weights, int64_t stride, int64_t padding,
+                    const Tensor& x) {
+  Rng rng(1);
+  nn::Conv2d conv(weights.dim(1), weights.dim(0), weights.dim(2), stride, padding, rng);
+  conv.weight() = weights;
+  return conv.forward(x, /*training=*/false);
+}
+
+TEST(CsrConvTest, MatchesNaiveOracleAndConv2dForwardBitwise) {
+  // k x stride x padding, on H != W inputs, with C = 1, F = 1 and a
+  // general shape. Covers ResNet-19's stride-2 3x3 (k3 s2 p1) and 1x1
+  // shortcut (k1 s2 p0) convs. With F > 1 the last filter keeps no taps.
+  Rng rng(21);
+  struct Channels {
+    int64_t c, f;
+  };
+  for (const Channels ch : {Channels{1, 4}, Channels{3, 1}, Channels{4, 5}}) {
+    for (const int64_t k : {1, 3, 5}) {
+      for (const int64_t stride : {1, 2}) {
+        for (const int64_t padding : {0, 1, 2}) {
+          Tensor w = random_masked(Shape{ch.f, ch.c, k, k}, 0.6, rng);
+          const int64_t per_filter = ch.c * k * k;
+          const int64_t empty = ch.f > 1 ? ch.f - 1 : -1;
+          for (int64_t i = 0; empty >= 0 && i < per_filter; ++i) {
+            w.at(empty * per_filter + i) = 0.0F;
+          }
+          const Tensor x = random_input(2, ch.c, 7, 10, rng);
+          const std::string ctx = "c=" + std::to_string(ch.c) + " f=" + std::to_string(ch.f) +
+                                  " k=" + std::to_string(k) + " s=" + std::to_string(stride) +
+                                  " p=" + std::to_string(padding);
+          const Tensor got = Csr::from_weights(w).conv2d(x, k, stride, padding);
+          expect_near_all(got, naive_conv(x, w, stride, padding), 1e-5, "oracle " + ctx);
+          expect_bitwise(got, conv_forward(w, stride, padding, x), "Conv2d::forward " + ctx);
+          const int64_t plane = got.dim(2) * got.dim(3);
+          for (int64_t mm = 0; empty >= 0 && mm < got.dim(0); ++mm) {
+            for (int64_t p = 0; p < plane; ++p) {
+              ASSERT_EQ(got.data()[(mm * ch.f + empty) * plane + p], 0.0F)
+                  << "empty filter " << ctx;
+            }
+          }
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
     }
   }
+}
+
+TEST(CsrConvTest, AllPrunedMatrixYieldsZeros) {
+  const Tensor w(Shape{4, 2, 3, 3});
+  Rng rng(22);
+  const Tensor got = Csr::from_weights(w).conv2d(random_input(3, 2, 6, 5, rng), 3, 1, 1);
+  ASSERT_EQ(got.shape(), (Shape{3, 4, 6, 5}));
+  for (int64_t i = 0; i < got.numel(); ++i) ASSERT_EQ(got.at(i), 0.0F) << i;
+}
+
+TEST(CsrConvTest, PoolLaneCountDoesNotChangeResult) {
+  // nnz * m * plane ~ 108 * 4 * 256 clears util::kMinParallelWork, so the
+  // pooled calls really split the (sample, filter) planes.
+  Rng rng(23);
+  const Tensor w = random_masked(Shape{8, 3, 3, 3}, 0.5, rng);
+  const Tensor x = random_input(4, 3, 16, 16, rng);
+  const Csr csr = Csr::from_weights(w);
+  ASSERT_GT(csr.nnz() * 4 * 16 * 16, util::kMinParallelWork);
+  for (const int64_t stride : {1, 2}) {
+    const Tensor serial = csr.conv2d(x, 3, stride, 1);
+    for (const int64_t lanes : {1, 2, 4}) {
+      util::ThreadPool pool(lanes);
+      expect_bitwise(csr.conv2d(x, 3, stride, 1, &pool), serial,
+                     "lanes=" + std::to_string(lanes) + " s=" + std::to_string(stride));
+    }
+  }
+}
+
+TEST(CsrConvTest, BadShapeThrows) {
+  const Csr csr = Csr::from_weights(Tensor(Shape{4, 2, 3, 3}, 1.0F));
+  Rng rng(24);
+  const Tensor x = random_input(1, 2, 5, 5, rng);
+  EXPECT_NO_THROW((void)csr.conv2d(x, 3, 1, 0));
+  EXPECT_THROW((void)csr.conv2d(Tensor(Shape{2, 5, 5}), 3, 1, 0), std::invalid_argument);
+  EXPECT_THROW((void)csr.conv2d(random_input(1, 3, 5, 5, rng), 3, 1, 0),
+               std::invalid_argument);  // channels * k * k != cols
+  EXPECT_THROW((void)csr.conv2d(x, 2, 1, 0), std::invalid_argument);
+  EXPECT_THROW((void)csr.conv2d(x, 3, 0, 0), std::invalid_argument);
+  EXPECT_THROW((void)csr.conv2d(x, 3, 1, -1), std::invalid_argument);
+  EXPECT_THROW((void)csr.conv2d(random_input(1, 2, 2, 5, rng), 3, 1, 0),
+               std::invalid_argument);  // kernel larger than padded input
 }
 
 TEST(SpmmTest, TransposedMatchesDenseMatmulNt) {
@@ -117,9 +210,6 @@ TEST(SpmmTest, TransposedMatchesDenseMatmulNt) {
 
 TEST(SpmmTest, EmptyMatrixYieldsZeros) {
   const Csr csr = Csr::from_dense(Tensor(Shape{4, 6}));
-  Tensor b(Shape{6, 3}, 1.0F);
-  const Tensor c = csr.spmm(b);
-  for (int64_t i = 0; i < c.numel(); ++i) EXPECT_EQ(c.at(i), 0.0F);
   Tensor x(Shape{5, 6}, 1.0F);
   const Tensor ct = csr.spmm_t(x);
   for (int64_t i = 0; i < ct.numel(); ++i) EXPECT_EQ(ct.at(i), 0.0F);
@@ -127,34 +217,7 @@ TEST(SpmmTest, EmptyMatrixYieldsZeros) {
 
 TEST(SpmmTest, ShapeMismatchThrows) {
   const Csr csr = Csr::from_dense(Tensor(Shape{4, 6}, 1.0F));
-  EXPECT_THROW((void)csr.spmm(Tensor(Shape{5, 3})), std::invalid_argument);
   EXPECT_THROW((void)csr.spmm_t(Tensor(Shape{3, 5})), std::invalid_argument);
-  EXPECT_THROW((void)csr.spmm(Tensor(Shape{6})), std::invalid_argument);
-  EXPECT_THROW((void)csr.spmm(Tensor(Shape{6, 3}), 2), std::invalid_argument);
-  EXPECT_THROW((void)csr.spmm(Tensor(Shape{6, 3}), 0), std::invalid_argument);
-}
-
-TEST(SpmmTest, BatchedOutputLayoutMatchesNaiveReference) {
-  // The conv lowering: B = [CKK, N * plane] patch columns, C lands as
-  // [N, F, plane]. Each element accumulates the same terms in the same
-  // order as the unbatched call, so the two agree bitwise, serial or
-  // pooled (nnz * n = 600 * 300 clears util::kMinParallelWork).
-  Rng rng(14);
-  const Tensor a = random_masked(Shape{16, 75}, 0.5, rng);
-  const int64_t batches = 3, plane = 100;
-  Tensor b(Shape{75, batches * plane});
-  b.fill_uniform(rng, -1.0F, 1.0F);
-  const Csr csr = Csr::from_dense(a);
-  ASSERT_GT(csr.nnz() * batches * plane, util::kMinParallelWork);
-  const Tensor got = csr.spmm(b, batches);
-  ASSERT_EQ(got.shape(), (Shape{batches, 16, plane}));
-  expect_near_all(got, batch_major(naive_ab(a, b), batches), 1e-5, "batched vs naive");
-  const Tensor flat = batch_major(csr.spmm(b), batches);
-  util::ThreadPool pool(3);
-  for (const Tensor& out : {got, csr.spmm(b, batches, &pool)}) {
-    ASSERT_EQ(out.shape(), flat.shape());
-    for (int64_t i = 0; i < flat.numel(); ++i) ASSERT_EQ(out.at(i), flat.at(i)) << i;
-  }
 }
 
 TEST(SpmmTest, FromWeightsReshapesConvKernels) {
@@ -175,9 +238,6 @@ TEST(SpmmTest, EmptyRowsProduceZeroOutputRows) {
     a.at(0, c) = static_cast<float>(c + 1);
     a.at(2, c) = -static_cast<float>(c + 1);
   }
-  Tensor b(Shape{6, 3}, 0.5F);
-  const Tensor want = naive_ab(a, b);
-  expect_near_all(Csr::from_dense(a).spmm(b), want, 1e-5, "csr empty rows");
   Tensor x(Shape{2, 6}, 0.25F);
   const Tensor want_t = naive_abt(x, a);
   expect_near_all(Csr::from_dense(a).spmm_t(x), want_t, 1e-5, "csr-t empty rows");
@@ -187,53 +247,43 @@ TEST(SpmmTest, SingleRowAndSingleColumnShapes) {
   Rng rng(41);
   for (const auto& shape : {Shape{1, 9}, Shape{9, 1}, Shape{1, 1}}) {
     const Tensor a = random_masked(shape, 0.3, rng);
-    Tensor b(Shape{a.dim(1), 2});
-    b.fill_uniform(rng, -1.0F, 1.0F);
     Tensor x(Shape{3, a.dim(1)});
     x.fill_uniform(rng, -1.0F, 1.0F);
     const std::string ctx = "shape " + shape.str();
-    expect_near_all(Csr::from_dense(a).spmm(b), naive_ab(a, b), 1e-5, "csr " + ctx);
     expect_near_all(Csr::from_dense(a).spmm_t(x), naive_abt(x, a), 1e-5, "csr-t " + ctx);
   }
 }
 
-TEST(SpmmTest, AllZeroMatrixAllKernels) {
-  const Tensor a(Shape{5, 7});
-  Tensor b(Shape{7, 2}, 1.0F);
-  Tensor x(Shape{3, 7}, 1.0F);
-  for (const Tensor& out : {Csr::from_dense(a).spmm(b), Csr::from_dense(a).spmm_t(x)}) {
-    for (int64_t i = 0; i < out.numel(); ++i) ASSERT_EQ(out.at(i), 0.0F);
-  }
-}
-
 TEST(SpmmTest, FuzzAgainstNaiveReference) {
-  // Randomized sweep over shapes and sparsities for both kernel
-  // variants. Seeded via NDSNN_TEST_SEED.
+  // Randomized sweep over shapes and sparsities for both kernels: spmm_t
+  // on matrices, conv2d on conv geometries. Seeded via NDSNN_TEST_SEED.
   Rng rng(difftest::env_seed() ^ 0x5B3CC461ULL);
   const int rounds = difftest::env_int("NDSNN_FUZZ_ROUNDS", 40);
   for (int round = 0; round < rounds; ++round) {
     const int64_t rows = 1 + rng.uniform_int(40);
     const int64_t cols = 1 + rng.uniform_int(40);
-    const int64_t batches = 1 + rng.uniform_int(3);
-    const int64_t n = batches * (1 + rng.uniform_int(12));
     const int64_t m = 1 + rng.uniform_int(6);
     const double sparsity = rng.uniform01();
     const std::string ctx = "round " + std::to_string(round) + ": " +
                             std::to_string(rows) + "x" + std::to_string(cols) +
                             " sparsity=" + std::to_string(sparsity);
     const Tensor a = random_masked(Shape{rows, cols}, sparsity, rng);
-    Tensor b(Shape{cols, n});
-    b.fill_uniform(rng, -1.0F, 1.0F);
     Tensor x(Shape{m, cols});
     x.fill_uniform(rng, -1.0F, 1.0F);
+    expect_near_all(Csr::from_dense(a).spmm_t(x), naive_abt(x, a), 1e-4, "csr spmm_t " + ctx);
 
-    const Tensor want = naive_ab(a, b);
-    const Tensor want_t = naive_abt(x, a);
-    const Csr csr = Csr::from_dense(a);
-    expect_near_all(csr.spmm(b), want, 1e-4, "csr spmm " + ctx);
-    expect_near_all(csr.spmm(b, batches), batch_major(want, batches), 1e-4,
-                    "csr batched spmm " + ctx);
-    expect_near_all(csr.spmm_t(x), want_t, 1e-4, "csr spmm_t " + ctx);
+    const int64_t k = 1 + rng.uniform_int(5), stride = 1 + rng.uniform_int(3);
+    const int64_t padding = rng.uniform_int(3), c = 1 + rng.uniform_int(4);
+    const int64_t h = std::max<int64_t>(1, k - 2 * padding) + rng.uniform_int(8);
+    const int64_t w = std::max<int64_t>(1, k - 2 * padding) + rng.uniform_int(8);
+    const Tensor wt = random_masked(Shape{1 + rng.uniform_int(6), c, k, k}, sparsity, rng);
+    const Tensor in = random_input(m, c, h, w, rng);
+    const std::string conv_ctx = ctx + " conv k=" + std::to_string(k) +
+                                 " s=" + std::to_string(stride) + " p=" +
+                                 std::to_string(padding) + " in=" + in.shape().str();
+    const Tensor got = Csr::from_weights(wt).conv2d(in, k, stride, padding);
+    expect_near_all(got, naive_conv(in, wt, stride, padding), 1e-4, "csr conv2d " + conv_ctx);
+    expect_bitwise(got, conv_forward(wt, stride, padding, in), "Conv2d::forward " + conv_ctx);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

@@ -260,7 +260,7 @@ inline const char* backend_name(runtime::Backend b) {
 }
 
 /// All activation modes the differential sweep crosses with the
-/// backends: the heuristic, the dense-activation spmm path, and the
+/// backends: the heuristic, the dense-activation path, and the
 /// forced event-driven gather path.
 inline const std::vector<runtime::ActivationMode>& all_activation_modes() {
   static const std::vector<runtime::ActivationMode> kModes = {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -125,20 +124,29 @@ TEST_F(TraceTest, TracedRunIsBitwiseIdenticalToUntraced) {
 }
 
 TEST_F(TraceTest, EveryPlanOpEmitsASpan) {
+  // Traced and profiled: one op span per plan op, in plan order. The
+  // invariant prefix (conv1, BN1) runs once on the batch rows, every
+  // later op on the time-major T * batch rows.
   NetConfig cfg;
   cfg.seed = env_seed() ^ 0x5FA7ULL;
   const auto net = build_network(cfg);
   const CompiledNetwork plan = CompiledNetwork::compile(*net, options_for());
+  const std::size_t prefix = plan.plan_ir().invariant_prefix;
+  ASSERT_EQ(prefix, 2U);
   trace::set_enabled(true);
+  plan.enable_profiling(true);
   (void)plan.run(random_batch(cfg));
+  plan.enable_profiling(false);
   trace::set_enabled(false);
-  std::set<std::string> op_span_names;
-  for (const trace::Span& s : trace::snapshot()) {
-    if (std::string(s.cat) == "op") op_span_names.insert(s.name);
+  std::vector<trace::Span> op_spans;
+  for (trace::Span& s : trace::snapshot()) {
+    if (std::string(s.cat) == "op") op_spans.push_back(std::move(s));
   }
-  for (const runtime::OpReport& report : plan.plan()) {
-    EXPECT_TRUE(op_span_names.count(report.layer) == 1)
-        << "no op span for plan op '" << report.layer << "'";
+  ASSERT_EQ(op_spans.size(), plan.plan().size());
+  for (std::size_t i = 0; i < op_spans.size(); ++i) {
+    EXPECT_EQ(op_spans[i].name, plan.plan()[i].layer) << i;
+    EXPECT_EQ(op_spans[i].rows, cfg.batch * (i < prefix ? 1 : cfg.timesteps))
+        << op_spans[i].name;
   }
 }
 
@@ -164,8 +172,10 @@ TEST_F(TraceTest, PlanProfileAggregatesRunsAndLatencies) {
     const PlanProfile::OpStats& s = stats[i];
     EXPECT_EQ(s.layer, plan.plan()[i].layer) << i;
     EXPECT_EQ(s.runs, kRuns) << s.layer;
-    // Rows are time-major (T * batch) for ops behind the encoder.
-    EXPECT_EQ(s.rows, kRuns * cfg.batch * cfg.timesteps) << s.layer;
+    // The invariant prefix runs once on the batch rows; every later op
+    // on the time-major T * batch rows.
+    const int64_t steps = i < plan.plan_ir().invariant_prefix ? 1 : cfg.timesteps;
+    EXPECT_EQ(s.rows, kRuns * cfg.batch * steps) << s.layer;
     EXPECT_GE(s.mean_us, 0.0) << s.layer;
     EXPECT_LE(s.p50_us, s.p95_us) << s.layer;
     if (s.ema_rate >= 0.0) {

@@ -34,8 +34,9 @@ TEST(CsrTest, RowPtrStructure) {
 }
 
 TEST(CsrTest, MatvecMatchesDense) {
-  // A mat-vec is spmm with B = x as one column and spmm_t with x as one
-  // row; both must match the dense product.
+  // A mat-vec is conv2d with a 1x1 kernel on a 1x1 image (x as the
+  // channels) and spmm_t with x as one row; both must match the dense
+  // product.
   Rng rng(6);
   Tensor dense(Shape{8, 10});
   dense.fill_uniform(rng, -1.0F, 1.0F);
@@ -45,9 +46,9 @@ TEST(CsrTest, MatvecMatchesDense) {
 
   std::vector<float> x(10);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<float>(i) * 0.1F;
-  const Tensor y = csr.spmm(Tensor(Shape{10, 1}, x));
+  const Tensor y = csr.conv2d(Tensor(Shape{1, 10, 1, 1}, x), 1, 1, 0);
   const Tensor yt = csr.spmm_t(Tensor(Shape{1, 10}, x));
-  ASSERT_EQ(y.shape(), (Shape{8, 1}));
+  ASSERT_EQ(y.shape(), (Shape{1, 8, 1, 1}));
   ASSERT_EQ(yt.shape(), (Shape{1, 8}));
   for (int64_t r = 0; r < 8; ++r) {
     double expect = 0.0;
@@ -61,7 +62,7 @@ TEST(CsrTest, MatvecMatchesDense) {
 
 TEST(CsrTest, MatvecSizeMismatchThrows) {
   const Csr csr = Csr::from_dense(Tensor(Shape{2, 3}, 1.0F));
-  EXPECT_THROW((void)csr.spmm(Tensor(Shape{4, 1})), std::invalid_argument);
+  EXPECT_THROW((void)csr.conv2d(Tensor(Shape{1, 4, 1, 1}), 1, 1, 0), std::invalid_argument);
   EXPECT_THROW((void)csr.spmm_t(Tensor(Shape{1, 4})), std::invalid_argument);
 }
 
@@ -69,7 +70,7 @@ TEST(CsrTest, EmptyMatrixHandled) {
   const Csr csr = Csr::from_dense(Tensor(Shape{3, 3}));
   EXPECT_EQ(csr.nnz(), 0);
   EXPECT_DOUBLE_EQ(csr.sparsity(), 1.0);
-  for (const Tensor& y : {csr.spmm(Tensor(Shape{3, 1}, 1.0F)),
+  for (const Tensor& y : {csr.conv2d(Tensor(Shape{1, 3, 1, 1}, 1.0F), 1, 1, 0),
                           csr.spmm_t(Tensor(Shape{1, 3}, 1.0F))}) {
     ASSERT_EQ(y.numel(), 3);
     for (int64_t i = 0; i < y.numel(); ++i) EXPECT_EQ(y.at(i), 0.0F);

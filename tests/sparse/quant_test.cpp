@@ -211,23 +211,15 @@ TEST(QuantTest, QuantKernelsConsistentWithDequantisedWeights) {
       x.fill_uniform(rng, -1.0F, 1.0F);
       EXPECT_LE(max_abs_diff(q.spmm_t(x), ref.spmm_t(x)), tol);
 
-      // spmm consumes B [cols, n]. It reads each dequantised value once,
-      // so it is bitwise equal to the fp32 kernel on the dequantize()d
-      // copy (same structure, explicitly stored zeros included).
-      Tensor b2(Shape{44, 7});
-      b2.fill_uniform(rng, -1.0F, 1.0F);
-      EXPECT_LE(max_abs_diff(q.spmm(b2), ref.spmm(b2)), tol);
-      Csr deq_copy = q;
-      deq_copy.dequantize();
-      const Tensor got = q.spmm(b2), want = deq_copy.spmm(b2);
-      EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * want.numel()), 0);
+      // conv2d reads the matrix as a [30, 11 * 2 * 2] conv weight
+      // (bitwise against the dequantize()d copy: see below).
+      Tensor img(Shape{3, 11, 5, 6});
+      img.fill_uniform(rng, -1.0F, 1.0F);
+      EXPECT_LE(max_abs_diff(q.conv2d(img, 2, 1, 1), ref.conv2d(img, 2, 1, 1)), tol);
 
-      // Mat-vec shapes: one B column for spmm, one x row for spmm_t.
+      // Mat-vec shape: one x row for spmm_t.
       std::vector<float> xv(44);
       for (auto& v : xv) v = static_cast<float>(rng.uniform01() * 2.0 - 1.0);
-      EXPECT_LE(max_abs_diff(q.spmm(Tensor(Shape{44, 1}, xv)),
-                             ref.spmm(Tensor(Shape{44, 1}, xv))),
-                tol);
       EXPECT_LE(max_abs_diff(q.spmm_t(Tensor(Shape{1, 44}, xv)),
                              ref.spmm_t(Tensor(Shape{1, 44}, xv))),
                 tol);
@@ -262,6 +254,42 @@ TEST(QuantTest, QuantKernelsConsistentWithDequantisedWeights) {
       ref_t.scatter_row(7, 1.5F, out_ref.data(), 2);
       for (std::size_t i = 0; i < out_q.size(); ++i) {
         EXPECT_NEAR(out_q[i], out_ref[i], tol);
+      }
+    }
+  }
+}
+
+/// conv2d uses each dequantised value exactly as dequantize() stores it,
+/// so on int8, int4 and grouped planes it is bitwise equal to the fp32
+/// kernel on the dequantize()d copy (same structure, explicitly stored
+/// zeros included) — the contract quantised CSR convs keep against their
+/// fake_quant plans. Both strides, serial and pooled.
+TEST(QuantTest, Conv2dBitwiseEqualsDequantisedCopy) {
+  Rng rng(difftest::env_seed() ^ 0xC0417ULL);
+  struct Scheme {
+    Precision precision;
+    bool symmetric;
+    int64_t group;
+  };
+  util::ThreadPool pool(3);
+  for (const Scheme sc :
+       {Scheme{Precision::kInt8, true, 0}, Scheme{Precision::kInt8, false, 0},
+        Scheme{Precision::kInt4, true, 0}, Scheme{Precision::kInt4, false, 0},
+        Scheme{Precision::kInt8, true, 8}, Scheme{Precision::kInt4, true, 4}}) {
+    Csr q = Csr::from_dense(random_masked(16, 4 * 3 * 3, 0.7, rng));  // [F, C*K*K]
+    q.quantize(sc.precision, sc.symmetric, /*uniform_scale=*/false, sc.group);
+    Csr deq = q;
+    deq.dequantize();
+    Tensor img(Shape{4, 4, 12, 9});
+    img.fill_uniform(rng, -1.0F, 1.0F);
+    for (const int64_t stride : {1, 2}) {
+      const Tensor want = deq.conv2d(img, 3, stride, 1);
+      for (util::ThreadPool* lanes : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+        const Tensor got = q.conv2d(img, 3, stride, 1, lanes);
+        ASSERT_EQ(got.shape(), want.shape());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * want.numel()), 0)
+            << precision_tag(sc.precision) << " sym=" << sc.symmetric << " group=" << sc.group
+            << " stride=" << stride << " pooled=" << (lanes != nullptr);
       }
     }
   }
