@@ -73,25 +73,6 @@ void BM_MatmulSparseA(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulSparseA)->Apply(MinOfRepeats)->Arg(100)->Arg(20)->Arg(5)->Arg(1);
 
-void BM_Im2col(benchmark::State& state) {
-  ConvGeometry g;
-  g.batch = 8;
-  g.in_channels = 16;
-  g.in_h = g.in_w = 32;
-  g.kernel_h = g.kernel_w = 3;
-  g.stride = 1;
-  g.padding = 1;
-  Rng rng(3);
-  Tensor x(Shape{8, 16, 32, 32});
-  x.fill_uniform(rng, -1.0F, 1.0F);
-  (void)ndsnn::tensor::im2col(x, g);  // warm-up
-  for (auto _ : state) {
-    Tensor cols = ndsnn::tensor::im2col(x, g);
-    benchmark::DoNotOptimize(cols.data());
-  }
-}
-BENCHMARK(BM_Im2col)->Apply(MinOfRepeats);
-
 void BM_LifForward(benchmark::State& state) {
   const int64_t t = state.range(0);
   ndsnn::snn::LifConfig cfg;
@@ -147,8 +128,8 @@ BENCHMARK(BM_ArgDrop)->Apply(MinOfRepeats)->Arg(10000)->Arg(100000);
 // 5x5 kernels, padding 2) at its 64 plan rows (batch 32 x T = 2), with
 // that network's kept-weight counts drawn at random. Arg: 0 = conv1
 // (3 -> 6 channels, 87/450 kept), 1 = conv2 (6 -> 16 on the pooled
-// 16x16 map, 146/2400 kept). BM_PlanConvIm2col times the patch matrix
-// the dense-kernel route still builds at the same shapes.
+// 16x16 map, 146/2400 kept). BM_Im2col times, next to it, the patch
+// matrix the dense-kernel route still builds at the same shapes.
 
 struct PlanConv {
   int64_t in_channels, out_channels, image, kept;
@@ -185,24 +166,38 @@ void BM_CsrConv2d(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrConv2d)->Apply(MinOfRepeats)->Arg(0)->Arg(1);
 
-void BM_PlanConvIm2col(benchmark::State& state) {
-  const PlanConv& pc = kPlanConvs[state.range(0)];
+/// Arg: 0 = a 3x3 conv (8 rows, 16 channels, 32x32, padding 1), 1 and
+/// 2 = plan_batch's conv1 and conv2 (the patch matrix alone, at the
+/// BM_CsrConv2d shapes).
+void BM_Im2col(benchmark::State& state) {
   ConvGeometry g;
-  g.batch = kPlanRows;
-  g.in_channels = pc.in_channels;
-  g.in_h = g.in_w = pc.image;
-  g.kernel_h = g.kernel_w = kPlanKernel;
+  Tensor x;
+  if (state.range(0) == 0) {
+    g.batch = 8;
+    g.in_channels = 16;
+    g.in_h = g.in_w = 32;
+    g.kernel_h = g.kernel_w = 3;
+    g.padding = 1;
+    Rng rng(3);
+    x = Tensor(Shape{8, 16, 32, 32});
+    x.fill_uniform(rng, -1.0F, 1.0F);
+  } else {
+    const PlanConv& pc = kPlanConvs[state.range(0) - 1];
+    g.batch = kPlanRows;
+    g.in_channels = pc.in_channels;
+    g.in_h = g.in_w = pc.image;
+    g.kernel_h = g.kernel_w = kPlanKernel;
+    g.padding = kPlanPadding;
+    x = plan_conv_input(pc);
+  }
   g.stride = 1;
-  g.padding = kPlanPadding;
-  const Tensor x = plan_conv_input(pc);
   (void)ndsnn::tensor::im2col(x, g);  // warm-up
   for (auto _ : state) {
     Tensor cols = ndsnn::tensor::im2col(x, g);
     benchmark::DoNotOptimize(cols.data());
   }
-  state.SetLabel("conv" + std::to_string(state.range(0) + 1));
 }
-BENCHMARK(BM_PlanConvIm2col)->Apply(MinOfRepeats)->Arg(0)->Arg(1);
+BENCHMARK(BM_Im2col)->Apply(MinOfRepeats)->Arg(0)->Arg(1)->Arg(2);
 
 // ------------------------------------------- CSR at structured patterns
 //

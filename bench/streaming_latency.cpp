@@ -10,7 +10,7 @@
 // not kernels). A window of --frames input frames is fed three ways:
 //
 //   1. whole-window — the frames are concatenated time-major and run
-//      through Plan::execute in one pass, the way CompiledNetwork::run
+//      through Plan::execute_time_major in one pass, the way CompiledNetwork::run
 //      works. Every event's result only exists when the WHOLE window
 //      has finished: per-event latency == window latency.
 //   2. streamed (serial) — a StreamSession consumes one frame per
@@ -89,7 +89,7 @@ double percentile(std::vector<double> v, double p) {
 }
 
 /// Stack frames time-major: row block t*N..(t+1)*N is frame t — the
-/// layout DirectEncoder produces and Plan::execute(window, 1) runs.
+/// layout DirectEncoder produces and Plan::execute_time_major runs.
 Tensor concat_time_major(const std::vector<Tensor>& frames) {
   const int64_t per = frames[0].numel();
   std::vector<int64_t> dims{static_cast<int64_t>(frames.size()) * frames[0].dim(0)};
@@ -137,12 +137,12 @@ int main(int argc, char** argv) {
 
   // --- 1. Whole-window baseline (warmed): one time-major pass. ---
   const Tensor window = concat_time_major(frames);
-  (void)plan.plan_ir().execute(window, 1);
+  (void)plan.plan_ir().execute_time_major(window);
   double whole_window_ms = 0.0;
   Tensor window_out;
   {
     const ndsnn::util::Stopwatch sw;
-    window_out = plan.plan_ir().execute(window, 1);
+    window_out = plan.plan_ir().execute_time_major(window);
     whole_window_ms = sw.millis();
   }
 

@@ -375,7 +375,7 @@ InferenceResult CompiledNetwork::infer(const InferenceRequest& request) const {
   const auto start = std::chrono::steady_clock::now();
   // Direct encoding (compile() rejected every other encoder kind) is
   // folded into execute(): the invariant prefix runs on the N rows.
-  const Tensor x = plan_.execute(batch, plan_.timesteps);
+  const Tensor x = plan_.execute(batch);
   if (x.rank() != 2) {
     throw std::invalid_argument("CompiledNetwork::infer: body produced non-matrix logits " +
                                 x.shape().str());

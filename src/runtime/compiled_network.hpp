@@ -163,7 +163,7 @@ struct CompileOptions {
   /// Intra-op execution lanes: 1 (default) compiles a serial plan, 0
   /// resolves to std::thread::hardware_concurrency(), N > 1 builds a
   /// shared util::ThreadPool the plan owns and every hot kernel
-  /// dispatches through (CSR conv2d by (sample, filter) output plane and
+  /// dispatches through (CSR conv2d by (filter, sample block) and
   /// CSR linear spmm_t by output feature, both with nnz-balanced splits,
   /// the event path over batch rows / output channels, dense fallbacks
   /// by output row).

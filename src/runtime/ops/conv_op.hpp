@@ -30,8 +30,8 @@ class ConvOp final : public Op {
   /// `precision` mirrors LinearOp: quantises the sparse value plane on
   /// the execution orientation; ignored for the dense kernel.
   /// `pool` (null = serial) is the plan's shared intra-op pool: the
-  /// CSR dense-activation path partitions the (sample, filter) output
-  /// planes, the dense GEMM its output rows (filters), and the event
+  /// CSR dense-activation path partitions (filter, sample block) items,
+  /// the dense GEMM its output rows (filters), and the event
   /// path the scatter by *output channel* — each chunk owns a channel
   /// strip, replays the event stream, and scatters only its own
   /// channels (scatter_row_range). Per-output-element accumulation

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -52,28 +51,35 @@ Activation tile_time_major(Activation x, int64_t timesteps) {
   return out;
 }
 
-}  // namespace
-
-tensor::Tensor Plan::execute(tensor::Tensor batch, int64_t timesteps) const {
-  if (timesteps < 1) {
-    throw std::invalid_argument("Plan::execute: timesteps must be >= 1, got " +
-                                std::to_string(timesteps));
-  }
-  Activation x(std::move(batch));
-  const std::size_t prefix = std::min(invariant_prefix, ops.size());
+/// Run the plan's ops on `x`, tiling the invariant prefix's output to
+/// `timesteps` time-major copies (timesteps == 1 leaves it as is).
+tensor::Tensor run_ops(const Plan& plan, tensor::Tensor input, int64_t timesteps) {
+  Activation x(std::move(input));
+  const auto& ops = plan.ops;
+  const std::size_t prefix = std::min(plan.invariant_prefix, ops.size());
   // With tracing and profiling off (the default), the only
   // instrumentation cost is the two relaxed loads here — the branch
   // predicts perfectly across a serving run.
-  PlanProfile* prof = profile && profile->enabled() ? profile.get() : nullptr;
+  PlanProfile* prof = plan.profile && plan.profile->enabled() ? plan.profile.get() : nullptr;
   const bool instrumented = prof != nullptr || trace::enabled();
   if (prof != nullptr) prof->count_execute();
   for (std::size_t i = 0; i < ops.size(); ++i) {
     if (i == prefix) x = tile_time_major(std::move(x), timesteps);
-    x = instrumented ? trace::run_op_instrumented(*ops[i], reports[i], x, prof, i)
+    x = instrumented ? trace::run_op_instrumented(*ops[i], plan.reports[i], x, prof, i)
                      : ops[i]->run(x);
   }
   if (prefix == ops.size()) x = tile_time_major(std::move(x), timesteps);
   return std::move(x.tensor);
+}
+
+}  // namespace
+
+tensor::Tensor Plan::execute(tensor::Tensor batch) const {
+  return run_ops(*this, std::move(batch), timesteps);
+}
+
+tensor::Tensor Plan::execute_time_major(tensor::Tensor window) const {
+  return run_ops(*this, std::move(window), 1);
 }
 
 int64_t Plan::stored_weights() const {

@@ -233,10 +233,13 @@ struct Plan {
   /// produces (an event view is dropped, the `spikes` flag kept), and
   /// the remaining ops run on that. Stateless ops are row-independent,
   /// so this is bitwise identical to running every op on the encoded
-  /// batch. timesteps == 1 runs an already time-major window as is (the
-  /// streaming reference). Taken by value: callers move a temporary in.
-  /// Throws std::invalid_argument when timesteps < 1.
-  [[nodiscard]] tensor::Tensor execute(tensor::Tensor batch, int64_t timesteps) const;
+  /// batch. Taken by value: callers move a temporary in.
+  [[nodiscard]] tensor::Tensor execute(tensor::Tensor batch) const;
+
+  /// Run every op on an already time-major window [T*N, ...] as is, with
+  /// no prefix hoist: the whole-window reference StreamSession is pinned
+  /// against.
+  [[nodiscard]] tensor::Tensor execute_time_major(tensor::Tensor window) const;
 
   /// Weight elements stored by the plan (CSR nnz + dense fallback sizes).
   [[nodiscard]] int64_t stored_weights() const;

@@ -28,7 +28,7 @@
 // Correctness contract: feeding T frames through a session — streamed
 // one by one or pipelined via run_steps() — produces per-step outputs
 // whose time-major concatenation is bitwise identical to
-// plan_ir().execute(window, 1) over the same window (the differential
+// plan_ir().execute_time_major(window) over the same window (the differential
 // harness pins this across backend x activation x precision).
 #pragma once
 

@@ -272,8 +272,9 @@ namespace {
 
 /// One stored tap of a conv filter, resolved against the input geometry:
 /// it adds value * input over `rows` output rows of `len` elements,
-/// starting at output offset `out` and input offset `in` (relative to
-/// one sample), with the input stepping `stride` per output element.
+/// starting at output offset `out` and input offset `in` (in elements
+/// of one sample; conv_block scales both by its block's sample count),
+/// with the input stepping `stride` per output element.
 /// Taps whose rectangle lies wholly in the padding are never built.
 struct ConvTap {
   float value;
@@ -290,20 +291,33 @@ std::pair<int64_t, int64_t> valid_outputs(int64_t offset, int64_t stride, int64_
   return {lo, std::max(lo, hi)};
 }
 
-/// Adds every tap of one (sample, filter) plane into `o` (output rows of
-/// `ow`), reading the sample `x` (input rows of `w`). The unit-stride
-/// body is a contiguous axpy the compiler vectorises.
+/// Output elements a block of conv2d's samples spans per filter: about
+/// one 32x32 plane, so the accumulator stays in L1.
+constexpr int64_t kConvBlockFloats = 1024;
+
+/// Adds every tap of one filter into `o`, the output planes of `nb`
+/// samples interleaved element by element ([OH, OW, nb]), reading `x`,
+/// the same samples' input interleaved alike ([C, H, W, nb]). A tap's
+/// output row is then len * nb floats, contiguous at unit stride, so
+/// short rows still vectorise; nb == 1 is the plain per-sample plane.
 template <bool kUnitStride>
-void conv_plane(const std::vector<ConvTap>& taps, const float* x, float* o, int64_t stride,
-                int64_t w, int64_t ow) {
+void conv_block(const std::vector<ConvTap>& taps, const float* x, float* o, int64_t stride,
+                int64_t w, int64_t ow, int64_t nb) {
   for (const ConvTap& t : taps) {
     const float v = t.value;
-    const float* src = x + t.in;
-    float* dst = o + t.out;
-    for (int64_t r = 0; r < t.rows; ++r, src += stride * w, dst += ow) {
+    const float* src = x + t.in * nb;
+    float* dst = o + t.out * nb;
+    const int64_t len = t.len, span = t.len * nb;
+    for (int64_t r = 0; r < t.rows; ++r, src += stride * w * nb, dst += ow * nb) {
       const float* __restrict__ s = src;
       float* __restrict__ d = dst;
-      for (int64_t i = 0; i < t.len; ++i) d[i] += v * s[kUnitStride ? i : i * stride];
+      if constexpr (kUnitStride) {
+        for (int64_t i = 0; i < span; ++i) d[i] += v * s[i];
+      } else {
+        for (int64_t i = 0; i < len; ++i) {
+          for (int64_t j = 0; j < nb; ++j) d[i * nb + j] += v * s[i * stride * nb + j];
+        }
+      }
     }
   }
 }
@@ -346,41 +360,63 @@ tensor::Tensor Csr::conv2d(const tensor::Tensor& input, int64_t kernel, int64_t 
       if (oy0 == oy1 || ox0 == ox1) continue;  // only padding under this tap
       const float value =
           quant_.present() ? quant_.dequant(f, k) : values_[static_cast<std::size_t>(k)];
-      ConvTap tap{value,
-                  c * h * w + (oy0 * stride + ky - padding) * w + ox0 * stride + kx - padding,
-                  oy0 * ow + ox0, oy1 - oy0, ox1 - ox0};
-      // A full-width unit-stride tap on a same-size map reads and writes
-      // rows that abut: one span over all of them.
-      if (stride == 1 && ow == w && tap.len == ow) {
-        tap.len *= tap.rows;
-        tap.rows = 1;
-      }
-      taps.push_back(tap);
+      taps.push_back({value,
+                      c * h * w + (oy0 * stride + ky - padding) * w + ox0 * stride + kx - padding,
+                      oy0 * ow + ox0, oy1 - oy0, ox1 - ox0});
     }
   };
-  // Planes in filter-major order q = f * m + mm, so a chunk decodes each
-  // filter's taps once; weight of a plane = its filter's nnz.
-  std::vector<int64_t> prefix(static_cast<std::size_t>(rows_ * m) + 1, 0);
-  for (int64_t q = 0; q < rows_ * m; ++q) {
-    const auto f = static_cast<std::size_t>(q / m);
-    prefix[static_cast<std::size_t>(q) + 1] =
-        prefix[static_cast<std::size_t>(q)] + row_ptr_[f + 1] - row_ptr_[f];
+  // Samples go in blocks of nb whose planes together span about
+  // kConvBlockFloats elements; a block's input is interleaved
+  // ([C, H, W, n] for its n samples) so conv_block's spans cover all of
+  // them. Blocks of one sample read the input and write the output in
+  // place.
+  const int64_t nb = std::clamp<int64_t>(kConvBlockFloats / plane, 1, std::max<int64_t>(m, 1));
+  const int64_t blocks = (m + nb - 1) / nb;
+  std::vector<float> interleaved;
+  if (nb > 1) {
+    interleaved.resize(static_cast<std::size_t>(m * sample));
+    for (int64_t m0 = 0; m0 < m; m0 += nb) {
+      const int64_t n = std::min(nb, m - m0);
+      float* dst = interleaved.data() + m0 * sample;
+      for (int64_t j = 0; j < n; ++j) {
+        const float* src = xp + (m0 + j) * sample;
+        for (int64_t e = 0; e < sample; ++e) dst[e * n + j] = src[e];
+      }
+    }
   }
-  const auto plane_range = [&](int64_t q0, int64_t q1) {
+  // Work items in filter-major order q = f * blocks + b, so a chunk
+  // decodes each filter's taps once; weight of an item = its filter's
+  // nnz times its samples.
+  const auto block_size = [&](int64_t b) { return std::min(nb, m - b * nb); };
+  std::vector<int64_t> prefix(static_cast<std::size_t>(rows_ * blocks) + 1, 0);
+  for (int64_t q = 0; q < rows_ * blocks; ++q) {
+    const auto f = static_cast<std::size_t>(q / blocks);
+    const int64_t weight = (row_ptr_[f + 1] - row_ptr_[f]) * block_size(q % blocks);
+    prefix[static_cast<std::size_t>(q) + 1] = prefix[static_cast<std::size_t>(q)] + weight;
+  }
+  const auto block_range = [&](int64_t q0, int64_t q1) {
     std::vector<ConvTap> taps;
+    std::vector<float> acc(static_cast<std::size_t>(nb > 1 ? nb * plane : 0));
     for (int64_t q = q0; q < q1; ++q) {
-      const int64_t f = q / m, mm = q % m;
-      if (q == q0 || mm == 0) decode(f, taps);
-      const float* x = xp + mm * sample;
-      float* o = op + (mm * rows_ + f) * plane;
+      const int64_t f = q / blocks, b = q % blocks, m0 = b * nb, n = block_size(b);
+      if (q == q0 || b == 0) decode(f, taps);
+      const bool in_place = n == 1;
+      const float* x = in_place ? xp + m0 * sample : interleaved.data() + m0 * sample;
+      float* o = in_place ? op + (m0 * rows_ + f) * plane : acc.data();
+      if (!in_place) std::fill(acc.begin(), acc.begin() + n * plane, 0.0F);
       if (stride == 1) {
-        conv_plane<true>(taps, x, o, stride, w, ow);
+        conv_block<true>(taps, x, o, stride, w, ow, n);
       } else {
-        conv_plane<false>(taps, x, o, stride, w, ow);
+        conv_block<false>(taps, x, o, stride, w, ow, n);
+      }
+      if (in_place) continue;
+      for (int64_t j = 0; j < n; ++j) {
+        float* dst = op + ((m0 + j) * rows_ + f) * plane;
+        for (int64_t e = 0; e < plane; ++e) dst[e] = acc[static_cast<std::size_t>(e * n + j)];
       }
     }
   };
-  util::parallel_balanced(pool, prefix.data(), rows_ * m, nnz() * m * plane, plane_range);
+  util::parallel_balanced(pool, prefix.data(), rows_ * blocks, nnz() * m * plane, block_range);
   return out;
 }
 

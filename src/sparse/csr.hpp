@@ -84,7 +84,11 @@ class Csr {
   /// (m, f) the kernel walks row f's stored taps (c, ky, kx) in
   /// ascending CSR order and adds v * input over the tap's valid output
   /// rectangle (a contiguous span per output row when stride == 1, a
-  /// strided one otherwise). Padding is clipped, never read. Each output
+  /// strided one otherwise). Padding is clipped, never read. Samples
+  /// run in blocks whose planes together span about 1024 elements
+  /// (one sample per block from 32x32 planes up); a block's planes are
+  /// interleaved element by element, so a tap's output row is one span
+  /// over all its samples and short rows still vectorise. Each output
   /// element therefore runs the dense im2col GEMM's float mul-then-add
   /// sequence minus pruned and padding terms, which are exact no-ops on
   /// the accumulator, so fp32 results are bitwise identical to
@@ -92,10 +96,10 @@ class Csr {
   /// its planes, each with the fp32 value or the dequantised code of a
   /// quantised plane, so a quantised matrix computes exactly what its
   /// dequantize()d copy does.
-  /// With a pool, the M*F output planes are split into nnz-balanced
-  /// ranges; every plane keeps its serial order, so results are bitwise
-  /// lane-count-independent. Work below util::kMinParallelWork stays
-  /// serial. Throws std::invalid_argument on a bad shape or geometry.
+  /// With a pool, the (filter, sample block) items are split into
+  /// nnz-balanced ranges; every plane keeps its serial order, so
+  /// results are bitwise lane-count-independent. Work below
+  /// util::kMinParallelWork stays serial. Throws std::invalid_argument on a bad shape or geometry.
   [[nodiscard]] tensor::Tensor conv2d(const tensor::Tensor& input, int64_t kernel,
                                       int64_t stride, int64_t padding,
                                       util::ThreadPool* pool = nullptr) const;

@@ -15,6 +15,7 @@
 #include "nn/checkpoint.hpp"
 #include "nn/models/zoo.hpp"
 #include "runtime/compiled_network.hpp"
+#include "snn/encoder.hpp"
 #include "testing.hpp"
 #include "tensor/random.hpp"
 #include "util/stopwatch.hpp"
@@ -146,14 +147,19 @@ TEST(CompiledNetworkTest, HoistedPrefixMatchesPredictAcrossTimesteps) {
   }
 }
 
-TEST(CompiledNetworkTest, ExecuteRejectsZeroTimesteps) {
+// The hoisted entry point and the whole-window one agree: execute() on
+// the raw batch equals execute_time_major() on its direct encoding.
+TEST(CompiledNetworkTest, ExecuteMatchesTimeMajorOnEncodedBatch) {
   nn::ModelSpec spec;
   spec.in_channels = 1;
   spec.image_size = 8;
+  spec.timesteps = 3;
   const auto net = nn::make_lenet5(spec);
   const CompiledNetwork compiled = CompiledNetwork::compile(*net);
-  EXPECT_THROW((void)compiled.plan_ir().execute(random_batch(1, 1, 8, 3), 0),
-               std::invalid_argument);
+  const Tensor batch = random_batch(2, 1, 8, 3);
+  const Tensor encoded = snn::DirectEncoder().encode(batch, spec.timesteps);
+  expect_bitwise(compiled.plan_ir().execute(batch),
+                 compiled.plan_ir().execute_time_major(encoded), "lenet5 T=3");
 }
 
 // Heuristic pin: structured masks get no format of their own. A 2:4

@@ -159,9 +159,33 @@ TEST(CsrConvTest, AllPrunedMatrixYieldsZeros) {
   for (int64_t i = 0; i < got.numel(); ++i) ASSERT_EQ(got.at(i), 0.0F) << i;
 }
 
+TEST(CsrConvTest, SampleBlocksMatchConv2dForwardBitwise) {
+  // conv2d runs samples in blocks of about 1024 output elements per
+  // filter: 20x20 planes give blocks of 2, 2, 1 samples (the last one in
+  // place), 12x12 planes blocks of 7 and 3, 32x32 planes one sample per
+  // block. Serial and on a 3-lane pool, bitwise equal to Conv2d::forward.
+  Rng rng(25);
+  struct Geometry {
+    int64_t m, image;
+  };
+  const Tensor w = random_masked(Shape{6, 3, 3, 3}, 0.5, rng);
+  const Csr csr = Csr::from_weights(w);
+  util::ThreadPool pool(3);
+  for (const Geometry g : {Geometry{5, 20}, Geometry{10, 12}, Geometry{2, 32}}) {
+    const Tensor x = random_input(g.m, 3, g.image, g.image, rng);
+    for (const int64_t stride : {1, 2}) {
+      const std::string ctx = "m=" + std::to_string(g.m) + " image=" +
+                              std::to_string(g.image) + " s=" + std::to_string(stride);
+      const Tensor want = conv_forward(w, stride, 1, x);
+      expect_bitwise(csr.conv2d(x, 3, stride, 1), want, "serial " + ctx);
+      expect_bitwise(csr.conv2d(x, 3, stride, 1, &pool), want, "pooled " + ctx);
+    }
+  }
+}
+
 TEST(CsrConvTest, PoolLaneCountDoesNotChangeResult) {
   // nnz * m * plane ~ 108 * 4 * 256 clears util::kMinParallelWork, so the
-  // pooled calls really split the (sample, filter) planes.
+  // pooled calls really split the (filter, sample block) items.
   Rng rng(23);
   const Tensor w = random_masked(Shape{8, 3, 3, 3}, 0.5, rng);
   const Tensor x = random_input(4, 3, 16, 16, rng);

@@ -33,7 +33,7 @@ using tensor::Shape;
 using tensor::Tensor;
 
 /// Stack frames time-major ([F*N, ...], row block t = frame t), the
-/// layout DirectEncoder produces and Plan::execute(window, 1) runs.
+/// layout DirectEncoder produces and Plan::execute_time_major runs.
 Tensor concat_time_major(const std::vector<Tensor>& frames) {
   const int64_t per = frames[0].numel();
   std::vector<int64_t> dims{static_cast<int64_t>(frames.size()) * frames[0].dim(0)};
@@ -82,7 +82,7 @@ std::vector<Tensor> scenario_frames(const difftest::NetConfig& cfg) {
 void expect_stream_matches_window(const CompiledNetwork& compiled,
                                   const std::vector<Tensor>& frames,
                                   const std::string& context) {
-  const Tensor window_out = compiled.plan_ir().execute(concat_time_major(frames), 1);
+  const Tensor window_out = compiled.plan_ir().execute_time_major(concat_time_major(frames));
   const int64_t rows = frames[0].dim(0);
 
   StreamSession serial(compiled);
@@ -210,7 +210,7 @@ TEST(StreamSessionTest, EmptyStepSkipsStatelessStagesObservably) {
   // Skipping must not change the arithmetic: the two empty steps are
   // steps 0 and 1 of an all-zero window.
   const Tensor window_out =
-      compiled.plan_ir().execute(concat_time_major({zero, zero}), 1);
+      compiled.plan_ir().execute_time_major(concat_time_major({zero, zero}));
   difftest::expect_bitwise(first.logits, step_slice(window_out, 0, cfg.batch),
                            "first empty step");
   difftest::expect_bitwise(second.logits, step_slice(window_out, 1, cfg.batch),
