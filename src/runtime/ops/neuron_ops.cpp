@@ -58,13 +58,8 @@ Activation LifOp::run(const Activation& input) const {
       }
     }
   }
-  if (!emit_events_) {
-    Activation plain(std::move(out));
-    plain.spikes = true;
-    return plain;
-  }
+  if (!emit_events_) return Activation(std::move(out));
   Activation result(std::move(out), builder.finish());
-  result.spikes = true;
   span.rate(result.events.rate());  // observed firing rate, free from the view
   return result;
 }
@@ -139,13 +134,8 @@ Activation LifOp::step(const Activation& input, OpState* state) const {
     }
   }
   std::copy(ot, ot + step, st->prev.begin());
-  if (!emit_events_) {
-    Activation plain(std::move(out));
-    plain.spikes = true;
-    return plain;
-  }
+  if (!emit_events_) return Activation(std::move(out));
   Activation result(std::move(out), builder.finish());
-  result.spikes = true;
   span.rate(result.events.rate());
   return result;
 }
@@ -189,13 +179,8 @@ Activation AlifOp::run(const Activation& input) const {
       if (emit_events_ && ot[i] != 0.0F) builder.push(t * step + i);
     }
   }
-  if (!emit_events_) {
-    Activation plain(std::move(out));
-    plain.spikes = true;
-    return plain;
-  }
+  if (!emit_events_) return Activation(std::move(out));
   Activation result(std::move(out), builder.finish());
-  result.spikes = true;
   span.rate(result.events.rate());
   return result;
 }
@@ -227,13 +212,8 @@ Activation AlifOp::step(const Activation& input, OpState* state) const {
     st->prev_spike[idx] = ot[i];
     if (emit_events_ && ot[i] != 0.0F) builder.push(i);
   }
-  if (!emit_events_) {
-    Activation plain(std::move(out));
-    plain.spikes = true;
-    return plain;
-  }
+  if (!emit_events_) return Activation(std::move(out));
   Activation result(std::move(out), builder.finish());
-  result.spikes = true;
   span.rate(result.events.rate());
   return result;
 }

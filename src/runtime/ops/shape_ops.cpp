@@ -49,41 +49,6 @@ Activation MaxPoolOp::run(const Activation& input) const {
   }
   const int64_t m = in.dim(0), c = in.dim(1), h = in.dim(2), w = in.dim(3);
   const int64_t oh = h / k_, ow = w / k_;
-  // Event path: for a spike train (binary values), max over a window is
-  // the OR of its events, so each active input index scatters 1.0F into
-  // its output cell and the pooled SpikeBatch falls out of a rescan of
-  // the k*k-smaller output rows. Bitwise identical to the dense max:
-  // windows with any spike produce exactly 1.0F either way, windows
-  // without produce the zero-initialised 0.0F. Gated on `spikes` —
-  // on non-binary data max != OR and this transform would be wrong.
-  if (input.has_events && input.spikes && input.events.rows == m &&
-      input.events.row_size == c * h * w) {
-    Tensor out(Shape{m, c, oh, ow});
-    float* dst = out.data();
-    const int64_t orow = c * oh * ow;
-    trace::ScopedSpan span("maxpool-events", "phase");
-    span.rows(m);
-    for (int64_t row = 0; row < m; ++row) {
-      float* obase = dst + row * orow;
-      const int32_t* act = input.events.active_begin(row);
-      const int64_t count = input.events.active_count(row);
-      for (int64_t e = 0; e < count; ++e) {
-        const int64_t flat = act[e];
-        const int64_t ch = flat / (h * w);
-        const int64_t y = (flat / w) % h;
-        const int64_t x = flat % w;
-        obase[ch * oh * ow + (y / k_) * ow + (x / k_)] = 1.0F;
-      }
-    }
-    SpikeBatchBuilder builder(m, orow);
-    for (int64_t flat = 0; flat < m * orow; ++flat) {
-      if (dst[flat] != 0.0F) builder.push(flat);
-    }
-    Activation result(std::move(out), builder.finish());
-    result.spikes = true;
-    span.rate(result.events.rate());
-    return result;
-  }
   Tensor out(Shape{m, c, oh, ow});
   const float* src = in.data();
   float* dst = out.data();
@@ -103,9 +68,7 @@ Activation MaxPoolOp::run(const Activation& input) const {
       }
     }
   }
-  Activation result(std::move(out));
-  result.spikes = input.spikes;  // max of binary values is binary
-  return result;
+  return Activation(std::move(out));
 }
 
 OpReport MaxPoolOp::report() const { return {layer_name_, "pool", 0, 0, 0.0, false}; }
@@ -139,11 +102,8 @@ Activation FlattenOp::run(const Activation& input) const {
   Tensor out = in.reshaped(Shape{m, in.numel() / m});
   // The event view indexes [row, flat-within-row] — invariant under the
   // reshape — so it passes straight through to the linear layers behind.
-  // Values are untouched, so the spike-train marker survives too.
-  Activation result = input.has_events ? Activation(std::move(out), input.events)
-                                       : Activation(std::move(out));
-  result.spikes = input.spikes;
-  return result;
+  return input.has_events ? Activation(std::move(out), input.events)
+                          : Activation(std::move(out));
 }
 
 OpReport FlattenOp::report() const { return {"Flatten", "reshape", 0, 0, 0.0, false}; }

@@ -3,15 +3,10 @@
 //
 // Event-view propagation: FlattenOp forwards an incoming SpikeBatch
 // untouched (reshaping neither the rows nor the per-row flat indices).
-// MaxPoolOp pools the view itself when the input is a spike train
-// (Activation::spikes): max over a k x k window of binary values is the
-// OR of its events, so each active input index scatters to one output
-// cell and the pooled train plus its SpikeBatch come out exactly —
-// pooled layers stay on the event path. AvgPool mixes values and drops
-// the view (an event consumer downstream rescans, cheap next to its
-// GEMM). ResidualOp threads Activations through its compiled
-// sub-chains, so events flow into the block's convs and out of its
-// output LIF.
+// Both poolings drop the view (an event consumer downstream rescans,
+// cheap next to its GEMM). ResidualOp threads Activations through its
+// compiled sub-chains, so events flow into the block's convs and out of
+// its output LIF.
 #pragma once
 
 #include <memory>

@@ -46,9 +46,7 @@ namespace {
 Activation tile_time_major(Activation x, int64_t timesteps) {
   if (timesteps == 1) return x;
   snn::DirectEncoder encoder;
-  Activation out(encoder.encode(x.tensor, timesteps));
-  out.spikes = x.spikes;
-  return out;
+  return Activation(encoder.encode(x.tensor, timesteps));
 }
 
 /// Run the plan's ops on `x`, tiling the invariant prefix's output to

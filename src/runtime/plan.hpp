@@ -47,9 +47,10 @@ struct SpikeBatch {
   std::vector<int32_t> idx;      ///< active indices, ascending per row
 
   /// Build by scanning a dense [M, ...] tensor (rows = dim(0)).
-  /// Utility for tests and tools; the event-driven ops themselves scan
-  /// row by row into a reused scratch buffer instead of materializing a
-  /// whole-tensor view when their input arrives without one.
+  /// ConvOp::run_event scans its whole input this way whenever no usable
+  /// view arrives, and StreamSession scans each input frame for its
+  /// delta path. LinearOp's event path instead scans row by row into a
+  /// reused scratch buffer.
   [[nodiscard]] static SpikeBatch scan(const tensor::Tensor& t);
 
   /// Fraction of nonzero elements over everything indexed.
@@ -100,18 +101,11 @@ class SpikeBatchBuilder {
 /// What flows between ops: the dense activation plus an optional event
 /// view. `has_events` is false whenever the producing op cannot cheaply
 /// maintain the view (weight ops, batch norm, pooling) — consumers that
-/// want events then rescan the dense tensor row by row.
+/// want events then rescan the dense tensor.
 struct Activation {
   tensor::Tensor tensor;
   SpikeBatch events;
   bool has_events = false;
-  /// True when every element is exactly 0.0F or 1.0F (a spike train):
-  /// set by the neuron ops, forwarded by shape-preserving-value ops
-  /// (Flatten) and by MaxPool (max of binary values is binary), cleared
-  /// by everything that mixes values (weight ops, BN, AvgPool). Gates
-  /// transforms that are only exact on binary data, e.g. MaxPool's
-  /// event-scatter path.
-  bool spikes = false;
 
   Activation() = default;
   explicit Activation(tensor::Tensor t) : tensor(std::move(t)) {}
@@ -230,7 +224,7 @@ struct Plan {
   /// Run the plan on `batch` [N, ...] direct-encoded over `timesteps`
   /// steps: the invariant prefix runs on the N rows, its output is
   /// tiled to the time-major [T*N, ...] layout DirectEncoder::encode
-  /// produces (an event view is dropped, the `spikes` flag kept), and
+  /// produces (an event view is dropped), and
   /// the remaining ops run on that. Stateless ops are row-independent,
   /// so this is bitwise identical to running every op on the encoded
   /// batch. Taken by value: callers move a temporary in.

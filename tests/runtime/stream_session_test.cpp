@@ -8,10 +8,13 @@
 // bitwise). On top of that: the delta path must observably skip
 // stateless stages on empty input steps (trace span + metric +
 // InferenceResult::skipped_ops), reset() must restore first-step
-// semantics, and MaxPool must propagate spike-train event views (the
-// PR 3 leftover this file pins).
+// semantics, a MaxPool stack must stream and compile bitwise, and the
+// per-event p99 of a stream must beat the whole-window pass.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "runtime/trace.hpp"
 #include "testing.hpp"
 #include "util/metrics.hpp"
+#include "util/stopwatch.hpp"
 
 namespace ndsnn::runtime {
 namespace {
@@ -253,14 +257,69 @@ TEST(StreamSessionTest, ResetRestoresFirstStepSemantics) {
   EXPECT_THROW((void)session.step(frames[0]), std::invalid_argument);
 }
 
-TEST(StreamSessionTest, MaxPoolPropagatesEventViewsBitwise) {
-  // No zoo model uses MaxPool2d (both poolers are AvgPool2d), so the
-  // PR 3 leftover is pinned on a purpose-built stack: spike trains out
-  // of the LIF flow through MaxPool as event views (max of a binary
-  // window == OR of its events), and the downstream Linear must see a
-  // usable view. Forced-event compile against the interpreted reference
-  // pins the arithmetic; the "maxpool-events" phase span proves the
-  // event path (not the dense fallback) actually executed.
+/// Nearest-rank percentile (rank ceil(q * n), as ExecutorStats and
+/// HistogramSnapshot compute it): over 32 steps p99 is the slowest step.
+double nearest_rank(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(v.size())));
+  return v[std::clamp<std::size_t>(rank, 1, v.size()) - 1];
+}
+
+// The point of streaming: an event's result is ready after its own
+// step, not after the whole window. Masked LeNet-5 (1x16x16, 5% of each
+// weight kept) compiled for T = 32, batch 4, every 2nd frame silent so
+// the delta path runs, seed 42. The window pass is warmed once and
+// timed once; the session is warmed with one step and reset. Holds on
+// any core count: one step can never legitimately take longer than the
+// whole window.
+TEST(StreamSessionTest, PerEventP99BeatsWholeWindow) {
+  if (const char* why = difftest::timing_gate_skip_reason()) GTEST_SKIP() << why;
+  constexpr int64_t kFrames = 32;
+  constexpr int64_t kBatch = 4;
+  constexpr uint64_t kSeed = 42;
+  nn::ModelSpec spec;
+  spec.in_channels = 1;
+  spec.image_size = 16;
+  spec.timesteps = kFrames;  // the window pass is the stream's reference only at T == frames
+  spec.seed = kSeed;
+  const auto net = nn::make_lenet5(spec);
+  difftest::apply_random_masks(*net, 0.95, kSeed + 1);
+  const CompiledNetwork compiled = CompiledNetwork::compile(*net);
+
+  tensor::Rng rng(kSeed + 17);
+  std::vector<Tensor> frames;
+  for (int64_t t = 0; t < kFrames; ++t) {
+    Tensor frame(Shape{kBatch, 1, 16, 16});
+    // [0, 4) drives the LIF layers to fire; odd frames stay all-zero.
+    if (t % 2 == 0) frame.fill_uniform(rng, 0.0F, 4.0F);
+    frames.push_back(std::move(frame));
+  }
+
+  const Tensor window = concat_time_major(frames);
+  (void)compiled.plan_ir().execute_time_major(window);
+  const util::Stopwatch sw;
+  (void)compiled.plan_ir().execute_time_major(window);
+  const double window_ms = sw.millis();
+
+  StreamSession session(compiled);
+  (void)session.step(frames[0]);
+  session.reset();
+  std::vector<double> step_ms;
+  for (const Tensor& frame : frames) step_ms.push_back(session.step(frame).latency_ms);
+  EXPECT_GT(session.delta_skips(), 0) << "the silent frames never took the delta path";
+
+  const double p99 = nearest_rank(step_ms, 0.99);
+  std::printf("per-event p99 %.3f ms vs whole-window %.3f ms\n", p99, window_ms);
+  EXPECT_GT(p99, 0.0);
+  EXPECT_LT(p99, window_ms);
+}
+
+TEST(StreamSessionTest, MaxPoolPlanMatchesPredictAndStreamsBitwise) {
+  // No zoo model uses MaxPool2d (both poolers are AvgPool2d), so it is
+  // pinned on a purpose-built stack: spike trains out of the LIF flow
+  // through MaxPool into an event-driven Linear, which rescans them.
+  // Forced-event compile against the interpreted reference pins the
+  // arithmetic.
   nn::ModelSpec spec;
   spec.in_channels = 1;
   spec.image_size = 8;
@@ -288,19 +347,7 @@ TEST(StreamSessionTest, MaxPoolPropagatesEventViewsBitwise) {
   CompileOptions opts;
   opts.activation_mode = ActivationMode::kEvent;
   const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
-
-  trace::set_enabled(true);
-  trace::reset();
-  const Tensor got = compiled.run(batch);
-  trace::set_enabled(false);
-  difftest::expect_bitwise(got, want, "maxpool event plan vs interpreted");
-  int maxpool_event_spans = 0;
-  for (const trace::Span& s : trace::snapshot()) {
-    if (s.name == "maxpool-events") ++maxpool_event_spans;
-  }
-  trace::reset();
-  EXPECT_GT(maxpool_event_spans, 0)
-      << "MaxPool never took the event path under forced-event compile";
+  difftest::expect_bitwise(compiled.run(batch), want, "maxpool event plan vs interpreted");
 
   // And the streaming contract holds over the same plan.
   std::vector<Tensor> frames;

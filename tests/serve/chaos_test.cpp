@@ -357,6 +357,12 @@ TEST_F(ChaosTest, DrainFinishesInFlightWorkAndShedsNewRequests) {
   // for new work on already-accepted connections (brand-new connects
   // are refused outright once the listen socket is down).
   const int probe_fd = connect_local(server.port());
+  // connect() returns once the kernel queues the handshake; wait until
+  // the acceptor has taken B (C, A, B), or the drain's listen-socket
+  // shutdown resets it and round_trip throws past the joinable threads.
+  while (server.connections() < 3) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   std::atomic<bool> drained{false};
   bool settled = false;

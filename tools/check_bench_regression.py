@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Self-contained gates over the serving and streaming bench JSON.
+"""Self-contained gates over the serving bench JSON.
 
 Each gate compares numbers from one bench run against each other, never
 against a checked-in snapshot: the contracts are scale-free, so no
@@ -13,26 +13,15 @@ cores; on smaller boxes workers share cores, nominal load factors
 overstate true capacity, and every serving number is printed as
 informational instead.
 
-Streaming gates (--streaming bench_streaming_latency.json): three
-things are gated on ANY core count (they hold structurally, not by
-machine speed): the streamed outputs must match the whole-window pass
-bitwise, the delta path must have fired on the bench's silent frames
-(delta_skips > 0), and the streamed per-event p99 must beat the
-whole-window latency (per-event latency is the point of streaming; a
-single step can never legitimately take longer than the whole window).
-The pipelining speedup over the serial session is informational below
-SERVING_MIN_CORES cores.
-
 The kernel-ratio gates (compiled plan vs SpikingNetwork::predict, AVX2
-vs scalar spmm_t) are ctest cases:
-CompiledNetworkTest.SparsePlanBeatsInterpretedAtHighSparsity and
-SimdTierTest.CsrSpmmTAvx2BeatsScalar.
+vs scalar spmm_t) and the streaming per-event p99 gate are ctest cases:
+CompiledNetworkTest.SparsePlanBeatsInterpretedAtHighSparsity,
+SimdTierTest.CsrSpmmTAvx2BeatsScalar and
+StreamSessionTest.PerEventP99BeatsWholeWindow.
 
-Usage: check_bench_regression.py [--serving serving.json]
-                                 [--streaming streaming.json]
-At least one of the two is required.
-Exit 0 = every gate passed, 1 = regression, malformed input or no
-document given.
+Usage: check_bench_regression.py --serving serving.json
+Exit 0 = every gate passed, 1 = regression, malformed input or wrong
+usage.
 """
 
 import json
@@ -96,80 +85,14 @@ def check_serving(doc):
     return ok
 
 
-def check_streaming(doc):
-    """Self-contained streaming gates over a bench_streaming_latency.json.
-
-    Bitwise equivalence, delta-path activity and the per-event latency
-    advantage are structural properties and gate on every box; the
-    pipelining speedup needs real cores and is informational below
-    SERVING_MIN_CORES.
-    """
-    streaming = doc.get("streaming")
-    if not streaming:
-        print("FAIL: 'streaming' section missing/empty in streaming JSON -- "
-              "the streaming bench schema changed; refusing to pass vacuously")
-        return False
-
-    cores = int(doc.get("cores", 0))
-    ok = True
-
-    bitwise = int(streaming.get("bitwise_ok", 0))
-    status = "ok" if bitwise == 1 else "REGRESSION"
-    print(f"streaming: streamed outputs bitwise == whole-window -> {status} (gated)")
-    if bitwise != 1:
-        ok = False
-
-    skips = int(streaming.get("delta_skips", 0))
-    status = "ok" if skips > 0 else "REGRESSION"
-    print(f"streaming: delta_skips {skips} (must be > 0: silent frames must "
-          f"skip weight ops) -> {status} (gated)")
-    if skips <= 0:
-        ok = False
-
-    window_ms = float(streaming.get("whole_window_ms", 0.0))
-    step_p99 = float(streaming.get("step_p99_ms", 0.0))
-    status = "ok" if 0.0 < step_p99 < window_ms else "REGRESSION"
-    print(f"streaming: per-event p99 {step_p99:.2f} ms vs whole-window "
-          f"{window_ms:.2f} ms -> {status} (gated)")
-    if not 0.0 < step_p99 < window_ms:
-        ok = False
-
-    piped_ms = float(streaming.get("pipelined_window_ms", 0.0))
-    if piped_ms > 0.0 and window_ms > 0.0:
-        mode = ("gated would need >= 4 cores; informational"
-                if cores < SERVING_MIN_CORES else "informational")
-        print(f"info: pipelined window {piped_ms:.2f} ms vs whole-window "
-              f"{window_ms:.2f} ms ({window_ms / piped_ms:.2f}x, {mode})")
-    return ok
-
-
-CHECKS = {"--serving": check_serving, "--streaming": check_streaming}
-
-
-def parse_args(args):
-    """Map each gate flag to its JSON path; None when the usage is wrong."""
-    paths = {}
-    while args:
-        flag = args.pop(0)
-        if flag not in CHECKS or flag in paths or not args:
-            return None
-        paths[flag] = args.pop(0)
-    return paths or None
-
-
 def main(argv):
-    paths = parse_args(argv[1:])
-    if paths is None:
+    if len(argv) != 3 or argv[1] != "--serving":
         print(__doc__)
-        print("error: give --serving and/or --streaming, each with one JSON path")
+        print("error: give --serving with one JSON path")
         return 1
-    failed = False
-    for flag, path in paths.items():
-        with open(path) as f:
-            if not CHECKS[flag](json.load(f)):
-                failed = True
-
-    if failed:
+    with open(argv[2]) as f:
+        passed = check_serving(json.load(f))
+    if not passed:
         print("bench regression check FAILED")
         return 1
     print("bench regression check passed")
