@@ -188,6 +188,7 @@ std::future<InferenceResult> BatchExecutor::submit(InferenceRequest request) {
       why = "BatchExecutor: shed — predicted queue wait above SLO budget";
       ++shed_requests_;
     } else {
+      req.probe = sheds_since_probe_ >= kShedProbeInterval;
       sheds_since_probe_ = 0;
       if (!has_first_request_) {
         has_first_request_ = true;
@@ -544,9 +545,12 @@ std::vector<BatchExecutor::Request> BatchExecutor::take_group(
   // admission predictor bounds the queue, but a load spike between
   // admit and dispatch can still doom requests; EDF puts them at the
   // head, where they would otherwise delay every follower too.)
+  // Probes run regardless: they were admitted against the same
+  // forecast, and their completion is what refreshes it.
   if (opts_.slo_ms > 0.0) {
     while (first >= 0) {
       const Request& head = queues_[static_cast<std::size_t>(first)]->q.front();
+      if (head.probe) break;
       const double service_ms =
           ema_service_per_sample_ms_ * static_cast<double>(head.samples);
       const auto finish = std::chrono::steady_clock::now() +

@@ -48,7 +48,9 @@
 // executor is fully idle (no queued or in-flight samples — a new
 // request then truly waits ~nothing), and every kShedProbeInterval-th
 // consecutive would-shed request is admitted anyway as a probe whose
-// completion refreshes the window and the service EMA.
+// completion refreshes the window and the service EMA. A probe is
+// exempt from the dispatch-time shed, which charges the same service
+// EMA and would otherwise drop every probe before it completes.
 //
 // Streaming (PR 9): open_stream() attaches a StreamSession — persistent
 // per-layer neuron state, one timestep per submit_stream() — to the
@@ -91,10 +93,6 @@
 #include "util/metrics.hpp"
 
 namespace ndsnn::runtime {
-
-// SloClass and ShedError moved to runtime/inference.hpp with the
-// consolidated InferenceRequest/InferenceResult pair; included above so
-// existing code naming them through this header keeps compiling.
 
 class StreamSession;
 
@@ -298,6 +296,9 @@ class BatchExecutor {
     double trace_ts_us = 0.0;
     /// Enqueue -> pop wait, filled when a worker takes the request.
     double wait_ms = 0.0;
+    /// Admitted by submit() as a kShedProbeInterval probe: runs even
+    /// when the dispatch-time shed would drop it.
+    bool probe = false;
   };
 
   /// One scheduling bin: every queued request with this SLO class and

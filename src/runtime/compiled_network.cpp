@@ -135,14 +135,9 @@ sparse::Precision pick_precision(const Tensor& weight, Kernel kernel, bool unifo
     case WeightPrecision::kAuto: break;
   }
   if (index < opts.layer_precisions.size()) return opts.layer_precisions[index];
-  // Grouped scales only deploy on non-uniform CSR planes; the error
-  // measurement mirrors exactly the scheme the plane will carry, so a
-  // group size that lets int4 clear the bound also quantises that way.
-  const int64_t group =
-      (kernel == Kernel::kCsr && !uniform_error) ? opts.quant_group_size : 0;
   for (const sparse::Precision p : {sparse::Precision::kInt4, sparse::Precision::kInt8}) {
-    if (sparse::relative_quant_error(weight, p, opts.prune_threshold, uniform_error,
-                                     group) <= static_cast<float>(opts.quant_max_error)) {
+    if (sparse::relative_quant_error(weight, p, opts.prune_threshold, uniform_error) <=
+        static_cast<float>(opts.quant_max_error)) {
       return p;
     }
   }
@@ -293,12 +288,6 @@ CompiledNetwork CompiledNetwork::compile(const nn::SpikingNetwork& net,
   }
   if (opts.quant_max_error < 0.0) {
     throw std::invalid_argument("CompiledNetwork: quant_max_error must be >= 0");
-  }
-  if (opts.quant_group_size != 0 &&
-      (opts.quant_group_size < 4 ||
-       (opts.quant_group_size & (opts.quant_group_size - 1)) != 0)) {
-    throw std::invalid_argument(
-        "CompiledNetwork: quant_group_size must be 0 or a power of two >= 4");
   }
   if (opts.num_threads < 0) {
     throw std::invalid_argument("CompiledNetwork: num_threads must be >= 0 (0 = hardware)");

@@ -137,15 +137,6 @@ struct CompileOptions {
   /// carry the nominal precision; bytes reflect the fp32 storage the
   /// fake plan actually holds.
   bool fake_quant = false;
-  /// Quantisation group size for *CSR* value planes under int8/int4: 0
-  /// (default) keeps one scale per row; a power of two G >= 4 scales
-  /// each run of G stored codes independently (sparse::QuantPlane::
-  /// group_size), shrinking per-group dynamic range so int4 passes the
-  /// quant_max_error bar on layers per-row scaling rejects. The kAuto
-  /// precision calibration measures the same grouped scheme. Ignored by
-  /// event-path planes (the binary-spike int32 gather needs one uniform
-  /// scale).
-  int64_t quant_group_size = 0;
 
   // Execution: how the lowered plan runs.
   /// Activation path selection (see ActivationMode).

@@ -41,12 +41,7 @@ ConvOp::ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision
         bytes_ = csr_t_.memory_bytes();
       } else {
         csr_ = sparse::Csr::from_weights(src.weight(), opts.prune_threshold);
-        // The dense-activation plane takes the grouped-scale knob; the
-        // event plane keeps per-row scales (scatter dequantises per
-        // stored entry either way, but grouping the transposed storage
-        // would regroup across filters — not the calibrated scheme).
-        (void)csr_.quantize(precision_, /*symmetric=*/true, /*uniform_scale=*/false,
-                            opts.quant_group_size);
+        (void)csr_.quantize(precision_);
         if (opts.fake_quant) csr_.dequantize();
         stored_ = csr_.nnz();
         bytes_ = csr_.memory_bytes();

@@ -11,34 +11,12 @@
 
 namespace ndsnn::sparse {
 
-float Csr::quantize(Precision precision, bool symmetric, bool uniform_scale,
-                    int64_t group_size) {
+float Csr::quantize(Precision precision, bool uniform_scale) {
   if (precision == Precision::kFp32) return 0.0F;
   if (quant_.present()) throw std::logic_error("Csr::quantize: already quantised");
   float err = 0.0F;
-  if (group_size > 0) {
-    if (!symmetric || uniform_scale) {
-      throw std::invalid_argument(
-          "Csr::quantize: group_size requires symmetric, non-uniform quantisation");
-    }
-    if ((group_size & (group_size - 1)) != 0) {
-      throw std::invalid_argument("Csr::quantize: group_size must be a power of two");
-    }
-    // Fixed-size groups over the value array, synthesized as a group_ptr
-    // so the per-row machinery is reused verbatim (last group may be
-    // short).
-    std::vector<int64_t> group_ptr;
-    group_ptr.reserve(static_cast<std::size_t>(nnz() / group_size) + 2);
-    for (int64_t k = 0; k < nnz(); k += group_size) group_ptr.push_back(k);
-    group_ptr.push_back(nnz());
-    quant_ = quantize_grouped(values_.data(), group_ptr.data(),
-                              static_cast<int64_t>(group_ptr.size()) - 1, precision,
-                              symmetric, &err, false);
-    quant_.group_size = group_size;
-  } else {
-    quant_ = quantize_grouped(values_.data(), row_ptr_.data(), rows_, precision, symmetric,
-                              &err, uniform_scale);
-  }
+  quant_ = quantize_grouped(values_.data(), row_ptr_.data(), rows_, precision, &err,
+                            uniform_scale);
   values_.clear();
   values_.shrink_to_fit();
   return err;
@@ -147,29 +125,12 @@ Csr Csr::transposed() const {
 void Csr::spmv_gather(const float* x, const int32_t* active, int64_t n_active,
                       double* acc, int32_t* iacc) const {
   if (quant_.present()) {
-    if (const int shift = quant_.group_shift(); shift >= 0) {
-      // Fixed-size grouped plane (always symmetric): fold the group
-      // scale into each code. Groups straddle rows, so there is no
-      // per-input scale to hoist.
-      const float* scale = quant_.scale.data();
-      for (int64_t a = 0; a < n_active; ++a) {
-        const auto j = static_cast<std::size_t>(active[a]);
-        const double xj = static_cast<double>(x[j]);
-        for (int64_t k = row_ptr_[j]; k < row_ptr_[j + 1]; ++k) {
-          acc[col_idx_[static_cast<std::size_t>(k)]] +=
-              static_cast<double>(scale[k >> shift] *
-                                  static_cast<float>(quant_.code(k))) *
-              xj;
-        }
-      }
-      return;
-    }
-    // Binary-spike fast path: with one plane-wide scale (uniform) and a
-    // zero zero-point, {0,1} activations make every contribution a raw
-    // code, so the whole gather is int32 adds plus one scale multiply
-    // per output. Gate on the actual activation values — a forced event
-    // mode can route analog inputs here.
-    if (quant_.uniform && iacc != nullptr && n_active > 0 && quant_.zero[0] == 0) {
+    // Binary-spike fast path: with one plane-wide scale (uniform), {0,1}
+    // activations make every contribution a raw code, so the whole
+    // gather is int32 adds plus one scale multiply per output. Gate on
+    // the actual activation values — a forced event mode can route
+    // analog inputs here.
+    if (quant_.uniform && iacc != nullptr && n_active > 0) {
       bool binary = true;
       for (int64_t a = 0; a < n_active; ++a) binary &= x[active[a]] == 1.0F;
       if (binary) {
@@ -194,10 +155,8 @@ void Csr::spmv_gather(const float* x, const int32_t* active, int64_t n_active,
     for (int64_t a = 0; a < n_active; ++a) {
       const auto j = static_cast<std::size_t>(active[a]);
       const double u = static_cast<double>(quant_.scale[j] * x[j]);
-      const int zp = quant_.zero[j];
       for (int64_t k = row_ptr_[j]; k < row_ptr_[j + 1]; ++k) {
-        acc[col_idx_[static_cast<std::size_t>(k)]] +=
-            static_cast<double>(static_cast<int>(quant_.code(k)) - zp) * u;
+        acc[col_idx_[static_cast<std::size_t>(k)]] += static_cast<double>(quant_.code(k)) * u;
       }
     }
     return;
@@ -216,19 +175,10 @@ void Csr::scatter_row(int64_t row, float x, float* out, int64_t out_stride) cons
   const int64_t k0 = row_ptr_[static_cast<std::size_t>(row)];
   const int64_t k1 = row_ptr_[static_cast<std::size_t>(row) + 1];
   if (quant_.present()) {
-    if (const int shift = quant_.group_shift(); shift >= 0) {
-      const float* scale = quant_.scale.data();
-      for (int64_t k = k0; k < k1; ++k) {
-        out[static_cast<int64_t>(col_idx_[static_cast<std::size_t>(k)]) * out_stride] +=
-            scale[k >> shift] * static_cast<float>(quant_.code(k)) * x;
-      }
-      return;
-    }
     const float xs = quant_.scale[static_cast<std::size_t>(row)] * x;
-    const int zp = quant_.zero[static_cast<std::size_t>(row)];
     for (int64_t k = k0; k < k1; ++k) {
       out[static_cast<int64_t>(col_idx_[static_cast<std::size_t>(k)]) * out_stride] +=
-          static_cast<float>(static_cast<int>(quant_.code(k)) - zp) * xs;
+          static_cast<float>(quant_.code(k)) * xs;
     }
     return;
   }
@@ -247,19 +197,9 @@ void Csr::scatter_row_range(int64_t row, float x, float* out, int64_t out_stride
   const int32_t* cb = col_idx_.data();
   int64_t k = std::lower_bound(cb + k0, cb + k1, static_cast<int32_t>(col_begin)) - cb;
   if (quant_.present()) {
-    if (const int shift = quant_.group_shift(); shift >= 0) {
-      const float* scale = quant_.scale.data();
-      for (; k < k1 && cb[k] < col_end; ++k) {
-        out[static_cast<int64_t>(cb[k]) * out_stride] +=
-            scale[k >> shift] * static_cast<float>(quant_.code(k)) * x;
-      }
-      return;
-    }
     const float xs = quant_.scale[static_cast<std::size_t>(row)] * x;
-    const int zp = quant_.zero[static_cast<std::size_t>(row)];
     for (; k < k1 && cb[k] < col_end; ++k) {
-      out[static_cast<int64_t>(cb[k]) * out_stride] +=
-          static_cast<float>(static_cast<int>(quant_.code(k)) - zp) * xs;
+      out[static_cast<int64_t>(cb[k]) * out_stride] += static_cast<float>(quant_.code(k)) * xs;
     }
     return;
   }
@@ -422,11 +362,10 @@ tensor::Tensor Csr::conv2d(const tensor::Tensor& input, int64_t kernel, int64_t 
 
 namespace {
 
-/// Quantised spmm_t row kernel, int8 symmetric fast path: the bitwise
-/// contract does not apply to quantised execution, so the sum runs in
-/// four independent float partials (the serial double chain the fp32
-/// kernel is pinned to is latency-bound) and dequantises once at the
-/// end.
+/// Quantised spmm_t row kernel, int8: the bitwise contract does not
+/// apply to quantised execution, so the sum runs in four independent
+/// float partials (the serial double chain the fp32 kernel is pinned
+/// to is latency-bound) and dequantises once at the end.
 inline float spmm_t_row_i8(const int8_t* q, const int32_t* col, int64_t count,
                            const float* brow, float scale) {
   float a0 = 0.0F, a1 = 0.0F, a2 = 0.0F, a3 = 0.0F;
@@ -441,11 +380,10 @@ inline float spmm_t_row_i8(const int8_t* q, const int32_t* col, int64_t count,
   return scale * ((a0 + a1) + (a2 + a3));
 }
 
-/// int4 symmetric fast path: the packed codes sit two per byte in
-/// exactly the order the row walks them, so each loaded byte feeds two
-/// independent accumulator chains (plus a third pair on the unrolled
-/// second byte). Leading/trailing odd positions fall back to single
-/// nibble decodes.
+/// int4: the packed codes sit two per byte in exactly the order the
+/// row walks them, so each loaded byte feeds two independent
+/// accumulator chains (plus a third pair on the unrolled second byte).
+/// Leading/trailing odd positions fall back to single nibble decodes.
 inline float spmm_t_row_i4(const uint8_t* q4, int64_t k0, int64_t k1, const int32_t* col,
                            const float* brow, float scale) {
   const auto decode = [q4](int64_t k) {
@@ -471,58 +409,18 @@ inline float spmm_t_row_i4(const uint8_t* q4, int64_t k0, int64_t k1, const int3
   return scale * ((a0 + a1) + (a2 + a3));
 }
 
-/// Fixed-size grouped plane (always symmetric): the scale varies within
-/// the row, so fold scale[k >> shift] into each code. Two independent
-/// partials, matching the other quantised row kernels' reassociation
-/// freedom.
-inline float spmm_t_row_grouped(const QuantPlane& plane, int shift, int64_t k0, int64_t k1,
-                                const int32_t* col, const float* brow) {
-  const float* scale = plane.scale.data();
-  float a0 = 0.0F, a1 = 0.0F;
-  int64_t k = k0;
-  for (; k + 2 <= k1; k += 2) {
-    a0 += scale[k >> shift] * static_cast<float>(plane.code(k)) * brow[col[k]];
-    a1 += scale[(k + 1) >> shift] * static_cast<float>(plane.code(k + 1)) *
-          brow[col[k + 1]];
-  }
-  if (k < k1) a0 += scale[k >> shift] * static_cast<float>(plane.code(k)) * brow[col[k]];
-  return a0 + a1;
-}
-
-/// Generic quantised spmm_t row (nonzero zero-point): accumulate codes
-/// and the activation sum, dequantise once.
-inline float spmm_t_row_quant(const QuantPlane& plane, int64_t g, int64_t k0, int64_t k1,
-                              const int32_t* col, const float* brow) {
-  float qacc = 0.0F, xsum = 0.0F;
-  for (int64_t k = k0; k < k1; ++k) {
-    const float x = brow[col[k]];
-    qacc += static_cast<float>(plane.code(k)) * x;
-    xsum += x;
-  }
-  const auto gi = static_cast<std::size_t>(g);
-  return plane.scale[gi] * (qacc - static_cast<float>(plane.zero[gi]) * xsum);
-}
-
 }  // namespace
 
 void Csr::spmm_t_range(int64_t r0, int64_t r1, const float* bp, int64_t m, float* cp) const {
   if (quant_.present()) {
-    const int shift = quant_.group_shift();
-    bool any_zero = false;
-    for (const int8_t z : quant_.zero) any_zero |= z != 0;
     for (int64_t i = 0; i < m; ++i) {
       const float* brow = bp + i * cols_;
       float* crow = cp + i * rows_;
       for (int64_t r = r0; r < r1; ++r) {
         const int64_t k0 = row_ptr_[static_cast<std::size_t>(r)];
         const int64_t k1 = row_ptr_[static_cast<std::size_t>(r) + 1];
-        if (shift >= 0) {
-          crow[r] = spmm_t_row_grouped(quant_, shift, k0, k1, col_idx_.data(), brow);
-          continue;
-        }
         const float scale = quant_.scale[static_cast<std::size_t>(r)];
-        crow[r] = any_zero ? spmm_t_row_quant(quant_, r, k0, k1, col_idx_.data(), brow)
-                  : quant_.precision == Precision::kInt8
+        crow[r] = quant_.precision == Precision::kInt8
                       ? spmm_t_row_i8(quant_.q8.data() + k0, col_idx_.data() + k0, k1 - k0,
                                       brow, scale)
                       : spmm_t_row_i4(quant_.q4.data(), k0, k1, col_idx_.data(), brow,
@@ -563,22 +461,14 @@ tensor::Tensor Csr::spmm_t(const tensor::Tensor& b, util::ThreadPool* pool,
   // AVX2 batch-panel routes. Building bt = Bᵀ costs one pass over B, so
   // demand a batch wide enough for the 8-lane body (m >= 8) and at
   // least as many nonzeros as B columns (each nonzero is revisited m
-  // times — below that the transpose dominates). Quantised planes
-  // additionally need every zero-point at 0 (the FMA bodies fold codes
-  // directly; the affine path stays scalar).
+  // times — below that the transpose dominates).
   enum class Route { kScalar, kF32, kI8, kI4 };
   Route route = Route::kScalar;
   if (util::simd::resolve(tier) == util::simd::Tier::kAvx2 && simd::built_with_avx2() &&
       m >= 8 && nnz() >= cols_) {
-    if (!quant_.present()) {
-      route = Route::kF32;
-    } else {
-      bool any_zero = false;
-      for (const int8_t z : quant_.zero) any_zero |= z != 0;
-      if (!any_zero) {
-        route = quant_.precision == Precision::kInt8 ? Route::kI8 : Route::kI4;
-      }
-    }
+    route = !quant_.present()                      ? Route::kF32
+            : quant_.precision == Precision::kInt8 ? Route::kI8
+                                                   : Route::kI4;
   }
   if (route == Route::kScalar) {
     // Partition the CSR rows (columns of C): each chunk writes a
@@ -591,7 +481,6 @@ tensor::Tensor Csr::spmm_t(const tensor::Tensor& b, util::ThreadPool* pool,
   util::parallel_even(pool, 0, cols_, cols_ * m, [&](int64_t c0, int64_t c1) {
     simd::transpose_f32(bp, m, cols_, bt.data(), c0, c1);
   });
-  const int shift = quant_.group_shift();
   util::parallel_balanced(
       pool, row_ptr_.data(), rows_, nnz() * m, [&](int64_t r0, int64_t r1) {
         switch (route) {
@@ -601,13 +490,11 @@ tensor::Tensor Csr::spmm_t(const tensor::Tensor& b, util::ThreadPool* pool,
             break;
           case Route::kI8:
             simd::csr_spmm_t_i8_avx2(row_ptr_.data(), col_idx_.data(), quant_.q8.data(),
-                                     quant_.scale.data(), shift, r0, r1, bt.data(), m,
-                                     rows_, cp);
+                                     quant_.scale.data(), r0, r1, bt.data(), m, rows_, cp);
             break;
           case Route::kI4:
             simd::csr_spmm_t_i4_avx2(row_ptr_.data(), col_idx_.data(), quant_.q4.data(),
-                                     quant_.scale.data(), shift, r0, r1, bt.data(), m,
-                                     rows_, cp);
+                                     quant_.scale.data(), r0, r1, bt.data(), m, rows_, cp);
             break;
           case Route::kScalar: break;  // unreachable
         }

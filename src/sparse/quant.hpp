@@ -3,17 +3,14 @@
 // Csr::storage_bits has always *accounted* 8/4-bit weight storage; this
 // module makes the runtime actually execute it. A QuantPlane replaces
 // the fp32 value array of a Csr with int8 codes (or two packed int4
-// codes per byte) plus one scale/zero-point per *group* — a CSR row by
-// default — so the kernels touch 4x/8x fewer value bytes and
-// dequantise once per output or per stored value, never once per term.
+// codes per byte) plus one scale per *group* — a CSR row — so the
+// kernels touch 4x/8x fewer value bytes and dequantise once per output
+// or per stored value, never once per term.
 //
-// Zero-point convention: real 0.0 always maps to an exact code
-// (q == zero), so explicitly stored zeros decode back to exact zeros
-// in every mode. The default symmetric mode pins zero == 0, which
-// is what the runtime's compile pass emits (weights are near-symmetric
-// and a nonzero zero-point costs a second accumulator per output); the
-// affine mode is kept for round-trip generality and is exercised by the
-// unit tests.
+// There is one scheme: symmetric codes (the zero-point is always 0, so
+// real 0.0 encodes exactly and stored zeros decode back to exact zeros)
+// with one scale per row, or one plane-wide scale replicated per row
+// (`uniform`, the event-path gather planes).
 //
 // Error contract: with per-group scale s, every reconstructed value is
 // within s/2 of its fp32 source, so any quantised kernel output differs
@@ -42,7 +39,7 @@ enum class Precision : uint8_t { kFp32 = 0, kInt8 = 1, kInt4 = 2 };
 [[nodiscard]] Precision parse_precision(const std::string& s);
 
 /// Quantised value array: `value_count` codes grouped into contiguous
-/// runs that share one scale/zero-point (group g of a Csr is row g).
+/// runs that share one scale (group g of a Csr is row g).
 /// int8 codes live in q8; int4 codes are
 /// packed two per byte in q4 (value k in byte k/2, even k in the low
 /// nibble), sign-extended from [-8, 7].
@@ -52,34 +49,14 @@ struct QuantPlane {
   std::vector<int8_t> q8;
   std::vector<uint8_t> q4;
   std::vector<float> scale;  ///< one per group
-  std::vector<int8_t> zero;  ///< one per group (all 0 in symmetric mode)
-  /// True when every group shares one plane-wide scale/zero-point
+  /// True when every group shares one plane-wide scale
   /// (still replicated per group so kernels index scale[g] uniformly).
   /// This is what licenses the binary-spike gather fast path: with a
   /// j-independent scale, {0,1} activations let spmv_gather sum raw
   /// codes in int32 and dequantise once per output.
   bool uniform = false;
-  /// > 0: the groups are fixed-size runs of this many codes over the
-  /// value array (power of two; group of value k is k >> log2(size),
-  /// crossing row boundaries), finer than the structural per-row
-  /// grouping — the CompileOptions::quant_group_size scheme that lets
-  /// int4 localize its scales. Grouped planes are always symmetric
-  /// (every zero-point 0), so kernels fold scale[k >> shift] straight
-  /// into the code. 0 means structural groups (dequant's `group`
-  /// argument indexes scale/zero directly). Mutually exclusive with
-  /// `uniform`.
-  int64_t group_size = 0;
 
   [[nodiscard]] bool present() const { return precision != Precision::kFp32; }
-
-  /// log2(group_size) when the plane is fixed-size grouped, else -1 —
-  /// the shift the hot kernels hoist out of their loops.
-  [[nodiscard]] int group_shift() const {
-    if (group_size <= 0) return -1;
-    int s = 0;
-    while ((int64_t{1} << s) < group_size) ++s;
-    return s;
-  }
 
   /// Raw signed code of value k (int8 or sign-extended int4).
   [[nodiscard]] int8_t code(int64_t k) const {
@@ -89,24 +66,20 @@ struct QuantPlane {
     return static_cast<int8_t>(static_cast<int8_t>(nibble << 4) >> 4);
   }
 
-  /// Reconstructed fp32 value of value k in group g. On a fixed-size
-  /// grouped plane the group is derived from k and the argument is
-  /// ignored, so per-row callers stay correct unchanged.
+  /// Reconstructed fp32 value of value k in group g.
   [[nodiscard]] float dequant(int64_t group, int64_t k) const {
-    const auto g = static_cast<std::size_t>(group_size > 0 ? k / group_size : group);
-    return scale[g] * static_cast<float>(static_cast<int>(code(k)) - static_cast<int>(zero[g]));
+    return scale[static_cast<std::size_t>(group)] * static_cast<float>(code(k));
   }
 
-  /// Bytes this plane actually occupies (codes + scales + zero-points).
+  /// Bytes this plane actually occupies (codes + scales).
   [[nodiscard]] int64_t memory_bytes() const;
 };
 
 /// Quantise `values` into groups bounded by `group_ptr` (group g covers
-/// [group_ptr[g], group_ptr[g+1]); the Csr row_ptr layout). Symmetric
-/// mode uses scale = max|v| / qmax and zero = 0; affine mode maps
-/// [min(v, 0), max(v, 0)] onto the signed code range with a zero-point.
+/// [group_ptr[g], group_ptr[g+1]); the Csr row_ptr layout) with
+/// scale = max|v| / qmax and codes clamped to [-qmax, qmax].
 /// `max_abs_error`, when non-null, receives the largest |dequant - v|.
-/// With `uniform_scale` every group takes one plane-wide scale/zero
+/// With `uniform_scale` every group takes one plane-wide scale
 /// (computed over all values, replicated per group, QuantPlane::uniform
 /// set): the per-value error bound becomes scale/2 with
 /// scale = global max|v| / qmax — the same 1/(2*qmax) bound *relative
@@ -114,7 +87,6 @@ struct QuantPlane {
 /// int32 binary-spike gather fast path.
 [[nodiscard]] QuantPlane quantize_grouped(const float* values, const int64_t* group_ptr,
                                           int64_t groups, Precision precision,
-                                          bool symmetric = true,
                                           float* max_abs_error = nullptr,
                                           bool uniform_scale = false);
 
@@ -128,21 +100,9 @@ struct QuantPlane {
 /// the event-path gather structures actually build): same 1/(2*qmax)
 /// worst case, but the *measured* value can sit anywhere under it, so
 /// the heuristic must measure the scheme it will emit.
-///
-/// `group_size` > 0 measures the fixed-size-group scheme instead
-/// (QuantPlane::group_size): surviving entries taken in row-major order,
-/// chunked into `group_size`-wide symmetric groups exactly as
-/// Csr::quantize will emit them. The reported statistic becomes the
-/// *mean* |dequant - w| / global max |w| rather than the max: whichever
-/// group contains the global max keeps the structural 1/(2*qmax) worst
-/// case, so the max statistic could never drop below the per-row
-/// floor no matter how fine the groups — the mean is what grouping
-/// actually improves, and is what the auto-precision bound compares
-/// when a group size is configured.
 [[nodiscard]] float relative_quant_error(const tensor::Tensor& weights, Precision precision,
                                          float threshold = 0.0F,
-                                         bool uniform_scale = false,
-                                         int64_t group_size = 0);
+                                         bool uniform_scale = false);
 
 /// Quantise-dequantise the tensor in place with one symmetric scale per
 /// lowered row — the exact transformation Csr::quantize applies to the

@@ -126,8 +126,8 @@ __attribute__((target("avx2,fma"))) void csr_spmm_t_f32_avx2(
 
 __attribute__((target("avx2,fma"))) void csr_spmm_t_i8_avx2(
     const int64_t* row_ptr, const int32_t* col_idx, const int8_t* q8,
-    const float* scale, int group_shift, int64_t r0, int64_t r1,
-    const float* bt, int64_t m, int64_t out_stride, float* cp) {
+    const float* scale, int64_t r0, int64_t r1, const float* bt, int64_t m,
+    int64_t out_stride, float* cp) {
   const int64_t m8 = m & ~int64_t{7};
   for (int64_t i = 0; i < m8; i += 8) {
     for (int64_t r = r0; r < r1; ++r) {
@@ -138,12 +138,8 @@ __attribute__((target("avx2,fma"))) void csr_spmm_t_i8_avx2(
       const int64_t k1 = row_ptr[r + 1];
       int64_t k = row_ptr[r];
       for (; k + 2 <= k1; k += 2) {
-        float c0 = static_cast<float>(q8[k]);
-        float c1 = static_cast<float>(q8[k + 1]);
-        if (group_shift >= 0) {
-          c0 *= scale[k >> group_shift];
-          c1 *= scale[(k + 1) >> group_shift];
-        }
+        const float c0 = static_cast<float>(q8[k]);
+        const float c1 = static_cast<float>(q8[k + 1]);
         acc_a = _mm256_fmadd_ps(
             _mm256_set1_ps(c0),
             _mm256_loadu_ps(bt + static_cast<int64_t>(col_idx[k]) * m + i), acc_a);
@@ -153,14 +149,12 @@ __attribute__((target("avx2,fma"))) void csr_spmm_t_i8_avx2(
             acc_b);
       }
       if (k < k1) {
-        float c0 = static_cast<float>(q8[k]);
-        if (group_shift >= 0) c0 *= scale[k >> group_shift];
+        const float c0 = static_cast<float>(q8[k]);
         acc_a = _mm256_fmadd_ps(
             _mm256_set1_ps(c0),
             _mm256_loadu_ps(bt + static_cast<int64_t>(col_idx[k]) * m + i), acc_a);
       }
-      __m256 acc = _mm256_add_ps(acc_a, acc_b);
-      if (group_shift < 0) acc = _mm256_mul_ps(acc, _mm256_set1_ps(scale[r]));
+      const __m256 acc = _mm256_mul_ps(_mm256_add_ps(acc_a, acc_b), _mm256_set1_ps(scale[r]));
       float out[8];
       _mm256_storeu_ps(out, acc);
       for (int t = 0; t < 8; ++t) cp[(i + t) * out_stride + r] = out[t];
@@ -171,20 +165,17 @@ __attribute__((target("avx2,fma"))) void csr_spmm_t_i8_avx2(
       float acc = 0.0F;
       const int64_t k1 = row_ptr[r + 1];
       for (int64_t k = row_ptr[r]; k < k1; ++k) {
-        float c0 = static_cast<float>(q8[k]);
-        if (group_shift >= 0) c0 *= scale[k >> group_shift];
-        acc += c0 * bt[static_cast<int64_t>(col_idx[k]) * m + i];
+        acc += static_cast<float>(q8[k]) * bt[static_cast<int64_t>(col_idx[k]) * m + i];
       }
-      if (group_shift < 0) acc *= scale[r];
-      cp[i * out_stride + r] = acc;
+      cp[i * out_stride + r] = acc * scale[r];
     }
   }
 }
 
 __attribute__((target("avx2,fma"))) void csr_spmm_t_i4_avx2(
     const int64_t* row_ptr, const int32_t* col_idx, const uint8_t* q4,
-    const float* scale, int group_shift, int64_t r0, int64_t r1,
-    const float* bt, int64_t m, int64_t out_stride, float* cp) {
+    const float* scale, int64_t r0, int64_t r1, const float* bt, int64_t m,
+    int64_t out_stride, float* cp) {
   const int64_t m8 = m & ~int64_t{7};
   for (int64_t i = 0; i < m8; i += 8) {
     for (int64_t r = r0; r < r1; ++r) {
@@ -193,12 +184,8 @@ __attribute__((target("avx2,fma"))) void csr_spmm_t_i4_avx2(
       const int64_t k1 = row_ptr[r + 1];
       int64_t k = row_ptr[r];
       for (; k + 2 <= k1; k += 2) {
-        float c0 = decode_i4(q4, k);
-        float c1 = decode_i4(q4, k + 1);
-        if (group_shift >= 0) {
-          c0 *= scale[k >> group_shift];
-          c1 *= scale[(k + 1) >> group_shift];
-        }
+        const float c0 = decode_i4(q4, k);
+        const float c1 = decode_i4(q4, k + 1);
         acc_a = _mm256_fmadd_ps(
             _mm256_set1_ps(c0),
             _mm256_loadu_ps(bt + static_cast<int64_t>(col_idx[k]) * m + i), acc_a);
@@ -208,14 +195,12 @@ __attribute__((target("avx2,fma"))) void csr_spmm_t_i4_avx2(
             acc_b);
       }
       if (k < k1) {
-        float c0 = decode_i4(q4, k);
-        if (group_shift >= 0) c0 *= scale[k >> group_shift];
+        const float c0 = decode_i4(q4, k);
         acc_a = _mm256_fmadd_ps(
             _mm256_set1_ps(c0),
             _mm256_loadu_ps(bt + static_cast<int64_t>(col_idx[k]) * m + i), acc_a);
       }
-      __m256 acc = _mm256_add_ps(acc_a, acc_b);
-      if (group_shift < 0) acc = _mm256_mul_ps(acc, _mm256_set1_ps(scale[r]));
+      const __m256 acc = _mm256_mul_ps(_mm256_add_ps(acc_a, acc_b), _mm256_set1_ps(scale[r]));
       float out[8];
       _mm256_storeu_ps(out, acc);
       for (int t = 0; t < 8; ++t) cp[(i + t) * out_stride + r] = out[t];
@@ -226,12 +211,9 @@ __attribute__((target("avx2,fma"))) void csr_spmm_t_i4_avx2(
       float acc = 0.0F;
       const int64_t k1 = row_ptr[r + 1];
       for (int64_t k = row_ptr[r]; k < k1; ++k) {
-        float c0 = decode_i4(q4, k);
-        if (group_shift >= 0) c0 *= scale[k >> group_shift];
-        acc += c0 * bt[static_cast<int64_t>(col_idx[k]) * m + i];
+        acc += decode_i4(q4, k) * bt[static_cast<int64_t>(col_idx[k]) * m + i];
       }
-      if (group_shift < 0) acc *= scale[r];
-      cp[i * out_stride + r] = acc;
+      cp[i * out_stride + r] = acc * scale[r];
     }
   }
 }
@@ -382,10 +364,10 @@ __attribute__((target("avx2,fma"))) void matmul_f32_avx2(const float* a,
 void csr_spmm_t_f32_avx2(const int64_t*, const int32_t*, const float*, int64_t,
                          int64_t, const float*, int64_t, int64_t, float*) {}
 void csr_spmm_t_i8_avx2(const int64_t*, const int32_t*, const int8_t*,
-                        const float*, int, int64_t, int64_t, const float*,
+                        const float*, int64_t, int64_t, const float*,
                         int64_t, int64_t, float*) {}
 void csr_spmm_t_i4_avx2(const int64_t*, const int32_t*, const uint8_t*,
-                        const float*, int, int64_t, int64_t, const float*,
+                        const float*, int64_t, int64_t, const float*,
                         int64_t, int64_t, float*) {}
 void matmul_nt_f32_avx2(const float*, const float*, int64_t, int64_t, int64_t,
                         int64_t, float*) {}

@@ -55,18 +55,15 @@ void csr_spmm_t_f32_avx2(const int64_t* row_ptr, const int32_t* col_idx,
                          const float* bt, int64_t m, int64_t out_stride,
                          float* cp);
 
-/// Quantised symmetric (all zero-points 0) Csr::spmm_t. group_shift < 0:
-/// per-row scales, scale[r] applied once per output. group_shift >= 0:
-/// sub-row grouped plane (quant_group_size), scale[k >> group_shift]
-/// folded into each code — the "SIMD kernels read group scales
-/// natively" path.
+/// Quantised Csr::spmm_t: symmetric codes accumulate raw, and the
+/// row's scale[r] is applied once per output.
 void csr_spmm_t_i8_avx2(const int64_t* row_ptr, const int32_t* col_idx,
-                        const int8_t* q8, const float* scale, int group_shift,
-                        int64_t r0, int64_t r1, const float* bt, int64_t m,
+                        const int8_t* q8, const float* scale, int64_t r0,
+                        int64_t r1, const float* bt, int64_t m,
                         int64_t out_stride, float* cp);
 void csr_spmm_t_i4_avx2(const int64_t* row_ptr, const int32_t* col_idx,
-                        const uint8_t* q4, const float* scale, int group_shift,
-                        int64_t r0, int64_t r1, const float* bt, int64_t m,
+                        const uint8_t* q4, const float* scale, int64_t r0,
+                        int64_t r1, const float* bt, int64_t m,
                         int64_t out_stride, float* cp);
 
 /// Dense matmul_nt rows [i0, i1) with B [n x k] row-major:

@@ -2,6 +2,7 @@
 // only on inputs and the plan, never on worker count or scheduling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <string>
@@ -14,6 +15,7 @@
 #include "runtime/trace.hpp"
 #include "sparse/mask.hpp"
 #include "tensor/random.hpp"
+#include "util/fault_injection.hpp"
 #include "util/metrics.hpp"
 
 namespace ndsnn::runtime {
@@ -317,7 +319,7 @@ TEST(BatchExecutorTest, ExecutorFeedsProcessMetricsRegistry) {
   EXPECT_EQ(reg.counter("executor.requests").value(), before + 5);
 }
 
-// The PR 7 head-of-line pin: two shapes interleaved with coalescing on
+// The head-of-line pin: two shapes interleaved with coalescing on
 // and no hold-open wait. The old single-FIFO take_group stopped at the
 // first incompatible head, so strict A/B interleaving fused *nothing*
 // (fused_batches == 0 always); per-shape sub-queues fuse the A requests
@@ -330,17 +332,28 @@ TEST(BatchExecutorTest, CoalescesAcrossInterleavedShapesWithoutHolBlocking) {
   opts.max_wait_us = 0;  // only fuse what is already queued
   BatchExecutor exec(compiled, 1, opts);
   Rng rng(42);
-  // Strictly interleaved single-sample 16px and double-sample requests
-  // submitted before any worker can drain (1 worker, queue builds up).
+  // Strictly interleaved single-sample 16px and double-sample requests.
   std::vector<Tensor> requests;
   for (int i = 0; i < 12; ++i) {
     Tensor b(Shape{1 + i % 2, 1, 16, 16});
     b.fill_uniform(rng, 0.0F, 1.0F);
     requests.push_back(b);
   }
+  // Hold the lone worker in one injected 50 ms stall on a first request,
+  // so all 12 are queued before it drains any of them, however the
+  // scheduler runs the threads.
+  Tensor first(Shape{1, 1, 16, 16});
+  first.fill_uniform(rng, 0.0F, 1.0F);
+  util::fault::FaultInjector::global().arm("executor.stall", util::fault::Rule{1.0, 1, 0});
+  std::future<Tensor> first_future = exec.submit(first);
+  while (util::fault::FaultInjector::global().fires("executor.stall") < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   std::vector<std::future<Tensor>> futures;
   futures.reserve(requests.size());
   for (const auto& r : requests) futures.push_back(exec.submit(r));
+  util::fault::FaultInjector::global().reset();
+  (void)first_future.get();
   std::vector<Tensor> results;
   results.reserve(futures.size());
   for (auto& f : futures) results.push_back(f.get());
@@ -352,7 +365,7 @@ TEST(BatchExecutorTest, CoalescesAcrossInterleavedShapesWithoutHolBlocking) {
     }
   }
   const ExecutorStats stats = exec.stats();
-  EXPECT_EQ(stats.requests, 12);
+  EXPECT_EQ(stats.requests, 13);
   // The pin itself: interleaved shapes must not collapse coalescing to
   // zero. (Same-shape requests sit in the same sub-queue and fuse even
   // though a foreign shape arrived between them.)
@@ -474,8 +487,60 @@ TEST(BatchExecutorTest, AdmissionRecoversAfterASpikeDrains) {
   EXPECT_EQ(exec.stats().queue_depth, 0);
   EXPECT_LT(exec.stats().predicted_wait_ms, opts.slo_ms);
   // ...and a fresh interactive request is admitted and served instead
-  // of being shed against the ghost of the spike.
-  EXPECT_NO_THROW((void)exec.submit(one).get());
+  // of being shed against the ghost of the spike. On failure, say
+  // whether the service times the predictor learned sat above the
+  // budget.
+  const ExecutorStats before = exec.stats();
+  EXPECT_NO_THROW((void)exec.submit(one).get())
+      << "slo_ms=" << opts.slo_ms << " service p50_ms=" << before.p50_ms
+      << " max_ms=" << before.max_ms << " predicted_wait_ms=" << before.predicted_wait_ms;
+}
+
+// Regression: a shed probe must reach a worker. submit() admits every
+// kShedProbeInterval-th consecutive would-shed request so that its
+// completion refreshes the service EMA. The dispatch-time shed charges
+// that same EMA, so once one pass took longer than the whole budget it
+// dropped every probe too: nothing after the first request ever ran,
+// and admission stayed shut for good. Margins: one pass is 8x the
+// budget, and the budget (a few ms at least) is far above the time a
+// worker takes to pick a request up.
+TEST(BatchExecutorTest, ShedProbesRunWhenOnePassExceedsTheBudget) {
+  const CompiledNetwork compiled = make_compiled(91);
+  Rng rng(92);
+  Tensor big(Shape{256, 1, 16, 16});
+  big.fill_uniform(rng, 0.0F, 1.0F);
+  const Tensor want = compiled.run(big);
+  double pass_ms = 0.0;
+  for (int i = 0; i < 2; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)compiled.run(big);
+    const double ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+            .count();
+    pass_ms = i == 0 ? ms : std::min(pass_ms, ms);
+  }
+  ExecutorOptions opts;
+  opts.slo_ms = pass_ms / 8.0;
+  BatchExecutor exec(compiled, 1, opts);
+  constexpr int kSubmits = 100;  // the 33rd, 65th and 97th are probes
+  int64_t served = 0, shed = 0;
+  for (int i = 0; i < kSubmits; ++i) {
+    try {
+      const Tensor logits = exec.submit(big).get();
+      ASSERT_EQ(logits.shape(), want.shape()) << "submit " << i;
+      for (int64_t j = 0; j < want.numel(); ++j) {
+        ASSERT_EQ(logits.at(j), want.at(j)) << "submit " << i << " elem " << j;
+      }
+      ++served;
+    } catch (const ShedError&) {
+      ++shed;
+    }
+  }
+  const ExecutorStats stats = exec.stats();
+  EXPECT_EQ(served + shed, kSubmits);
+  EXPECT_EQ(stats.requests, served);
+  EXPECT_GT(stats.requests, 1) << "pass_ms=" << pass_ms << " slo_ms=" << opts.slo_ms
+                               << " shed=" << stats.shed_requests;
 }
 
 // Scheduler determinism: per-request logits depend only on the input

@@ -1,8 +1,8 @@
 // Quantised-value execution through the compiled runtime: precision
 // selection (forced / auto error-bound / per-layer overrides / v3
 // checkpoint records), report plumbing, byte accounting, a pinned
-// end-to-end sanity run, and quant_group_size (compile-time validation
-// plus a grouped-int4 lockstep run). The tight numeric guarantees live
+// end-to-end sanity run, and quantised CSR convs bitwise against their
+// fake-quant plans. The tight numeric guarantees live
 // in the differential sweep's lockstep precision axis (testing.hpp) and
 // the kernel-level tests (tests/sparse/quant_test.cpp).
 #include <gtest/gtest.h>
@@ -233,54 +233,10 @@ TEST(QuantRuntimeTest, ParseWeightPrecisionRoundTrips) {
   EXPECT_STREQ(weight_precision_name(WeightPrecision::kInt4), "int4");
 }
 
-TEST(QuantRuntimeTest, QuantGroupSizeValidation) {
-  nn::ModelSpec spec;
-  spec.in_channels = 1;
-  spec.image_size = 8;
-  spec.timesteps = 1;
-  const auto net = nn::make_lenet5(spec);
-  for (const int64_t bad : {3LL, 2LL, 48LL, -8LL}) {
-    CompileOptions opts;
-    opts.quant_group_size = bad;
-    EXPECT_THROW((void)CompiledNetwork::compile(*net, opts), std::invalid_argument)
-        << "group=" << bad;
-  }
-}
-
-TEST(QuantRuntimeTest, GroupedInt4PlanRunsWithinTolerance) {
-  nn::ModelSpec spec;
-  spec.in_channels = 1;
-  spec.image_size = 12;
-  spec.timesteps = 2;
-  const auto net = nn::make_lenet5(spec);
-  difftest::apply_random_masks(*net, 0.9, 61);
-  const tensor::Tensor batch = random_batch(2, 1, 12, 63);
-  difftest::warm_up(*net, batch);
-
-  CompileOptions quant;
-  quant.weight_precision = WeightPrecision::kInt4;
-  quant.quant_group_size = 32;
-  CompileOptions ref = quant;
-  ref.fake_quant = true;  // same effective weights, bitwise fp32 kernels
-
-  const CompiledNetwork q = CompiledNetwork::compile(*net, quant);
-  const CompiledNetwork f = CompiledNetwork::compile(*net, ref);
-  for (const auto& r : q.plan()) {
-    if (r.weights > 0 && r.kind.rfind("csr-", 0) == 0 && !r.event) {
-      EXPECT_EQ(r.precision, sparse::Precision::kInt4) << r.layer;
-    }
-  }
-  snn::DirectEncoder encoder;
-  difftest::expect_lockstep_close(q.plan_ir(), f.plan_ir(),
-                                  encoder.encode(batch, q.timesteps()),
-                                  difftest::quant_tolerance(WeightPrecision::kInt4),
-                                  "grouped int4 lenet5");
-}
-
 /// Quantised CSR conv reads each dequantised weight once and runs the
 /// fp32 kernel's loop, so it computes exactly what the fake-quant plan
-/// (same effective weights, fp32 storage) computes: bitwise, for per-row
-/// int8/int4 planes and for grouped int4. Each conv op gets the
+/// (same effective weights, fp32 storage) computes: bitwise, for int8
+/// and int4 planes. Each conv op gets the
 /// reference chain's activation and, so the deeper conv sees nonzero
 /// input too, a uniform-random tensor of the same shape.
 TEST(QuantRuntimeTest, QuantisedCsrConvMatchesFakeQuantBitwise) {
@@ -293,18 +249,11 @@ TEST(QuantRuntimeTest, QuantisedCsrConvMatchesFakeQuantBitwise) {
   const tensor::Tensor batch = random_batch(2, 1, 12, 73);
   difftest::warm_up(*net, batch);
 
-  struct Case {
-    WeightPrecision precision;
-    int64_t group_size;
-  };
-  for (const Case c : {Case{WeightPrecision::kInt8, 0}, Case{WeightPrecision::kInt4, 0},
-                       Case{WeightPrecision::kInt4, 32}}) {
-    const std::string ctx = std::string(weight_precision_name(c.precision)) +
-                            " group=" + std::to_string(c.group_size);
+  for (const WeightPrecision precision : {WeightPrecision::kInt8, WeightPrecision::kInt4}) {
+    const std::string ctx = weight_precision_name(precision);
     CompileOptions quant =
         difftest::options_for(Backend::kCsr, ActivationMode::kDense);
-    quant.weight_precision = c.precision;
-    quant.quant_group_size = c.group_size;
+    quant.weight_precision = precision;
     CompileOptions ref = quant;
     ref.fake_quant = true;
     const CompiledNetwork q = CompiledNetwork::compile(*net, quant);
@@ -319,8 +268,7 @@ TEST(QuantRuntimeTest, QuantisedCsrConvMatchesFakeQuantBitwise) {
     for (std::size_t i = 0; i < fp.ops.size(); ++i) {
       Activation want = fp.ops[i]->run(x);
       if (qp.reports[i].kind == "csr-conv") {
-        ASSERT_EQ(qp.reports[i].precision, difftest::to_sparse_precision(c.precision))
-            << ctx;
+        ASSERT_EQ(qp.reports[i].precision, difftest::to_sparse_precision(precision)) << ctx;
         const std::string op = ctx + " op " + std::to_string(i);
         difftest::expect_bitwise(qp.ops[i]->run(x).tensor, want.tensor, op);
         tensor::Tensor noise = random_batch(x.tensor.dim(0), x.tensor.dim(1),

@@ -58,43 +58,38 @@ float max_abs_diff(const Tensor& a, const Tensor& b) {
 TEST(QuantPlaneTest, CodesRoundTripWithinHalfScale) {
   Rng rng(difftest::env_seed() ^ 0xDEC0DE01ULL);
   for (const Precision p : {Precision::kInt8, Precision::kInt4}) {
-    for (const bool symmetric : {true, false}) {
-      std::vector<float> values;
-      std::vector<int64_t> group_ptr = {0};
-      for (int g = 0; g < 17; ++g) {
-        const int64_t count = rng.uniform_int(9);  // includes empty groups
-        for (int64_t i = 0; i < count; ++i) {
-          // Mix of zeros (pruned entries) and values on varied ranges.
-          values.push_back(rng.bernoulli(0.3)
-                               ? 0.0F
-                               : static_cast<float>(rng.uniform01() * 2.0 - 1.0));
-        }
-        group_ptr.push_back(static_cast<int64_t>(values.size()));
+    std::vector<float> values;
+    std::vector<int64_t> group_ptr = {0};
+    for (int g = 0; g < 17; ++g) {
+      const int64_t count = rng.uniform_int(9);  // includes empty groups
+      for (int64_t i = 0; i < count; ++i) {
+        // Mix of zeros (pruned entries) and values on varied ranges.
+        values.push_back(rng.bernoulli(0.3) ? 0.0F
+                                            : static_cast<float>(rng.uniform01() * 2.0 - 1.0));
       }
-      float reported_err = -1.0F;
-      const QuantPlane plane =
-          quantize_grouped(values.data(), group_ptr.data(),
-                           static_cast<int64_t>(group_ptr.size()) - 1, p, symmetric,
-                           &reported_err);
-      ASSERT_TRUE(plane.present());
-      EXPECT_EQ(plane.value_count, static_cast<int64_t>(values.size()));
-      float worst = 0.0F;
-      for (std::size_t g = 0; g + 1 < group_ptr.size(); ++g) {
-        const float bound = plane.scale[g] * 0.5F + 1e-6F;
-        for (int64_t k = group_ptr[g]; k < group_ptr[g + 1]; ++k) {
-          const float v = values[static_cast<std::size_t>(k)];
-          const float dq = plane.dequant(static_cast<int64_t>(g), k);
-          EXPECT_LE(std::fabs(dq - v), bound)
-              << precision_tag(p) << " sym=" << symmetric << " group " << g;
-          if (v == 0.0F) {
-            // Pruned entries must reconstruct exactly (code == zero-point).
-            EXPECT_EQ(dq, 0.0F);
-          }
-          worst = std::max(worst, std::fabs(dq - v));
-        }
-      }
-      EXPECT_FLOAT_EQ(reported_err, worst);
+      group_ptr.push_back(static_cast<int64_t>(values.size()));
     }
+    float reported_err = -1.0F;
+    const QuantPlane plane =
+        quantize_grouped(values.data(), group_ptr.data(),
+                         static_cast<int64_t>(group_ptr.size()) - 1, p, &reported_err);
+    ASSERT_TRUE(plane.present());
+    EXPECT_EQ(plane.value_count, static_cast<int64_t>(values.size()));
+    float worst = 0.0F;
+    for (std::size_t g = 0; g + 1 < group_ptr.size(); ++g) {
+      const float bound = plane.scale[g] * 0.5F + 1e-6F;
+      for (int64_t k = group_ptr[g]; k < group_ptr[g + 1]; ++k) {
+        const float v = values[static_cast<std::size_t>(k)];
+        const float dq = plane.dequant(static_cast<int64_t>(g), k);
+        EXPECT_LE(std::fabs(dq - v), bound) << precision_tag(p) << " group " << g;
+        if (v == 0.0F) {
+          // Pruned entries must reconstruct exactly (code 0).
+          EXPECT_EQ(dq, 0.0F);
+        }
+        worst = std::max(worst, std::fabs(dq - v));
+      }
+    }
+    EXPECT_FLOAT_EQ(reported_err, worst);
   }
 }
 
@@ -164,28 +159,25 @@ TEST(QuantTest, FakeQuantizeRowsIsIdempotentAndMatchesCsrQuantize) {
 TEST(QuantTest, CsrSpmmTWithinAnalyticBoundOfFp32) {
   Rng rng(difftest::env_seed() ^ 0xABCD01ULL);
   for (const Precision p : {Precision::kInt8, Precision::kInt4}) {
-    for (const bool symmetric : {true, false}) {
-      const Tensor w = random_masked(33, 57, 0.85, rng);
-      const Csr fp32 = Csr::from_dense(w);
-      Csr q = Csr::from_dense(w);
-      q.quantize(p, symmetric);
-      Tensor x(Shape{5, 57});
-      x.fill_uniform(rng, -1.0F, 1.0F);
-      const Tensor want = fp32.spmm_t(x);
-      const Tensor got = q.spmm_t(x);
-      // Per output [i, r]: |diff| <= (scale_r / 2) * sum_k |x[i, col_k]|.
-      for (int64_t i = 0; i < 5; ++i) {
-        for (int64_t r = 0; r < fp32.rows(); ++r) {
-          double xsum = 0.0;
-          for (int64_t k = fp32.row_ptr()[static_cast<std::size_t>(r)];
-               k < fp32.row_ptr()[static_cast<std::size_t>(r) + 1]; ++k) {
-            xsum += std::fabs(x.at(i, fp32.col_idx()[static_cast<std::size_t>(k)]));
-          }
-          const double bound =
-              0.5 * q.quant().scale[static_cast<std::size_t>(r)] * xsum + 1e-4;
-          EXPECT_LE(std::fabs(got.at(i, r) - want.at(i, r)), bound)
-              << precision_tag(p) << " sym=" << symmetric << " i=" << i << " r=" << r;
+    const Tensor w = random_masked(33, 57, 0.85, rng);
+    const Csr fp32 = Csr::from_dense(w);
+    Csr q = Csr::from_dense(w);
+    q.quantize(p);
+    Tensor x(Shape{5, 57});
+    x.fill_uniform(rng, -1.0F, 1.0F);
+    const Tensor want = fp32.spmm_t(x);
+    const Tensor got = q.spmm_t(x);
+    // Per output [i, r]: |diff| <= (scale_r / 2) * sum_k |x[i, col_k]|.
+    for (int64_t i = 0; i < 5; ++i) {
+      for (int64_t r = 0; r < fp32.rows(); ++r) {
+        double xsum = 0.0;
+        for (int64_t k = fp32.row_ptr()[static_cast<std::size_t>(r)];
+             k < fp32.row_ptr()[static_cast<std::size_t>(r) + 1]; ++k) {
+          xsum += std::fabs(x.at(i, fp32.col_idx()[static_cast<std::size_t>(k)]));
         }
+        const double bound = 0.5 * q.quant().scale[static_cast<std::size_t>(r)] * xsum + 1e-4;
+        EXPECT_LE(std::fabs(got.at(i, r) - want.at(i, r)), bound)
+            << precision_tag(p) << " i=" << i << " r=" << r;
       }
     }
   }
@@ -198,86 +190,76 @@ TEST(QuantTest, CsrSpmmTWithinAnalyticBoundOfFp32) {
 TEST(QuantTest, QuantKernelsConsistentWithDequantisedWeights) {
   Rng rng(difftest::env_seed() ^ 0xFEED02ULL);
   for (const Precision p : {Precision::kInt8, Precision::kInt4}) {
-    for (const bool symmetric : {true, false}) {
-      const Tensor w = random_masked(30, 44, 0.8, rng);
-      Csr q = Csr::from_dense(w);
-      q.quantize(p, symmetric);
-      const Tensor deq = q.to_dense();
-      const Csr ref = Csr::from_dense(deq);
-      const float wmax = 1.0F;  // |w| <= 0.5, inputs <= 1: slack covers reassociation
-      const float tol = 1e-3F * wmax;
+    const Tensor w = random_masked(30, 44, 0.8, rng);
+    Csr q = Csr::from_dense(w);
+    q.quantize(p);
+    const Tensor deq = q.to_dense();
+    const Csr ref = Csr::from_dense(deq);
+    const float wmax = 1.0F;  // |w| <= 0.5, inputs <= 1: slack covers reassociation
+    const float tol = 1e-3F * wmax;
 
-      Tensor x(Shape{4, 44});
-      x.fill_uniform(rng, -1.0F, 1.0F);
-      EXPECT_LE(max_abs_diff(q.spmm_t(x), ref.spmm_t(x)), tol);
+    Tensor x(Shape{4, 44});
+    x.fill_uniform(rng, -1.0F, 1.0F);
+    EXPECT_LE(max_abs_diff(q.spmm_t(x), ref.spmm_t(x)), tol);
 
-      // conv2d reads the matrix as a [30, 11 * 2 * 2] conv weight
-      // (bitwise against the dequantize()d copy: see below).
-      Tensor img(Shape{3, 11, 5, 6});
-      img.fill_uniform(rng, -1.0F, 1.0F);
-      EXPECT_LE(max_abs_diff(q.conv2d(img, 2, 1, 1), ref.conv2d(img, 2, 1, 1)), tol);
+    // conv2d reads the matrix as a [30, 11 * 2 * 2] conv weight
+    // (bitwise against the dequantize()d copy: see below).
+    Tensor img(Shape{3, 11, 5, 6});
+    img.fill_uniform(rng, -1.0F, 1.0F);
+    EXPECT_LE(max_abs_diff(q.conv2d(img, 2, 1, 1), ref.conv2d(img, 2, 1, 1)), tol);
 
-      // Mat-vec shape: one x row for spmm_t.
-      std::vector<float> xv(44);
-      for (auto& v : xv) v = static_cast<float>(rng.uniform01() * 2.0 - 1.0);
-      EXPECT_LE(max_abs_diff(q.spmm_t(Tensor(Shape{1, 44}, xv)),
-                             ref.spmm_t(Tensor(Shape{1, 44}, xv))),
-                tol);
+    // Mat-vec shape: one x row for spmm_t.
+    std::vector<float> xv(44);
+    for (auto& v : xv) v = static_cast<float>(rng.uniform01() * 2.0 - 1.0);
+    EXPECT_LE(max_abs_diff(q.spmm_t(Tensor(Shape{1, 44}, xv)),
+                           ref.spmm_t(Tensor(Shape{1, 44}, xv))),
+              tol);
 
-      // Event kernels run on the transposed structure, quantised after
-      // the transpose (per-input groups).
-      Csr qt = Csr::from_dense(w).transposed();
-      qt.quantize(p, symmetric);
-      const Csr ref_t = Csr::from_dense(qt.to_dense());
-      const Tensor xs = spike_input(3, 30, 0.3, rng);
-      std::vector<int32_t> active;
-      std::vector<double> acc_q(44), acc_ref(44);
-      for (int64_t i = 0; i < 3; ++i) {
-        active.clear();
-        for (int64_t j = 0; j < 30; ++j) {
-          if (xs.at(i, j) != 0.0F) active.push_back(static_cast<int32_t>(j));
-        }
-        std::fill(acc_q.begin(), acc_q.end(), 0.0);
-        std::fill(acc_ref.begin(), acc_ref.end(), 0.0);
-        const float* xrow = xs.data() + i * 30;
-        qt.spmv_gather(xrow, active.data(), static_cast<int64_t>(active.size()),
-                       acc_q.data());
-        ref_t.spmv_gather(xrow, active.data(), static_cast<int64_t>(active.size()),
-                          acc_ref.data());
-        for (std::size_t c = 0; c < acc_q.size(); ++c) {
-          EXPECT_NEAR(acc_q[c], acc_ref[c], tol) << "row " << i;
-        }
+    // Event kernels run on the transposed structure, quantised after
+    // the transpose (per-input groups).
+    Csr qt = Csr::from_dense(w).transposed();
+    qt.quantize(p);
+    const Csr ref_t = Csr::from_dense(qt.to_dense());
+    const Tensor xs = spike_input(3, 30, 0.3, rng);
+    std::vector<int32_t> active;
+    std::vector<double> acc_q(44), acc_ref(44);
+    for (int64_t i = 0; i < 3; ++i) {
+      active.clear();
+      for (int64_t j = 0; j < 30; ++j) {
+        if (xs.at(i, j) != 0.0F) active.push_back(static_cast<int32_t>(j));
       }
-
-      std::vector<float> out_q(44 * 2, 0.0F), out_ref(44 * 2, 0.0F);
-      qt.scatter_row(7, 1.5F, out_q.data(), 2);
-      ref_t.scatter_row(7, 1.5F, out_ref.data(), 2);
-      for (std::size_t i = 0; i < out_q.size(); ++i) {
-        EXPECT_NEAR(out_q[i], out_ref[i], tol);
+      std::fill(acc_q.begin(), acc_q.end(), 0.0);
+      std::fill(acc_ref.begin(), acc_ref.end(), 0.0);
+      const float* xrow = xs.data() + i * 30;
+      qt.spmv_gather(xrow, active.data(), static_cast<int64_t>(active.size()),
+                     acc_q.data());
+      ref_t.spmv_gather(xrow, active.data(), static_cast<int64_t>(active.size()),
+                        acc_ref.data());
+      for (std::size_t c = 0; c < acc_q.size(); ++c) {
+        EXPECT_NEAR(acc_q[c], acc_ref[c], tol) << "row " << i;
       }
+    }
+
+    std::vector<float> out_q(44 * 2, 0.0F), out_ref(44 * 2, 0.0F);
+    qt.scatter_row(7, 1.5F, out_q.data(), 2);
+    ref_t.scatter_row(7, 1.5F, out_ref.data(), 2);
+    for (std::size_t i = 0; i < out_q.size(); ++i) {
+      EXPECT_NEAR(out_q[i], out_ref[i], tol);
     }
   }
 }
 
 /// conv2d uses each dequantised value exactly as dequantize() stores it,
-/// so on int8, int4 and grouped planes it is bitwise equal to the fp32
-/// kernel on the dequantize()d copy (same structure, explicitly stored
-/// zeros included) — the contract quantised CSR convs keep against their
+/// so on int8 and int4 planes it is bitwise equal to the fp32 kernel on
+/// the dequantize()d copy (same structure, explicitly stored zeros
+/// included) — the contract quantised CSR convs keep against their
 /// fake_quant plans. Both strides, serial and pooled.
 TEST(QuantTest, Conv2dBitwiseEqualsDequantisedCopy) {
   Rng rng(difftest::env_seed() ^ 0xC0417ULL);
-  struct Scheme {
-    Precision precision;
-    bool symmetric;
-    int64_t group;
-  };
   util::ThreadPool pool(3);
-  for (const Scheme sc :
-       {Scheme{Precision::kInt8, true, 0}, Scheme{Precision::kInt8, false, 0},
-        Scheme{Precision::kInt4, true, 0}, Scheme{Precision::kInt4, false, 0},
-        Scheme{Precision::kInt8, true, 8}, Scheme{Precision::kInt4, true, 4}}) {
+  for (const Precision p : {Precision::kInt8, Precision::kInt4}) {
     Csr q = Csr::from_dense(random_masked(16, 4 * 3 * 3, 0.7, rng));  // [F, C*K*K]
-    q.quantize(sc.precision, sc.symmetric, /*uniform_scale=*/false, sc.group);
+    q.quantize(p);
     Csr deq = q;
     deq.dequantize();
     Tensor img(Shape{4, 4, 12, 9});
@@ -288,8 +270,7 @@ TEST(QuantTest, Conv2dBitwiseEqualsDequantisedCopy) {
         const Tensor got = q.conv2d(img, 3, stride, 1, lanes);
         ASSERT_EQ(got.shape(), want.shape());
         EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * want.numel()), 0)
-            << precision_tag(sc.precision) << " sym=" << sc.symmetric << " group=" << sc.group
-            << " stride=" << stride << " pooled=" << (lanes != nullptr);
+            << precision_tag(p) << " stride=" << stride << " pooled=" << (lanes != nullptr);
       }
     }
   }
@@ -325,12 +306,8 @@ TEST(QuantTest, MemoryBytesShrinkWithPrecision) {
   q4.quantize(Precision::kInt4);
   EXPECT_LT(q8.memory_bytes(), fp32.memory_bytes());
   EXPECT_LT(q4.memory_bytes(), q8.memory_bytes());
-  // Values went 4 bytes -> 1: the value-plane delta is ~3 * nnz minus
-  // the per-row scale/zero overhead.
-  EXPECT_LE(fp32.memory_bytes() - q8.memory_bytes(),
-            3 * fp32.nnz());
-  EXPECT_GE(fp32.memory_bytes() - q8.memory_bytes(),
-            3 * fp32.nnz() - (fp32.rows() * 5 + 8));
+  // Values went 4 bytes -> 1, plus one 4-byte scale per row.
+  EXPECT_EQ(fp32.memory_bytes() - q8.memory_bytes(), 3 * fp32.nnz() - 4 * fp32.rows());
   EXPECT_EQ(q8.nnz(), fp32.nnz());  // nnz survives the value-array release
 }
 

@@ -251,76 +251,17 @@ TEST(SimdTierTest, TransposeHelperMatchesNaive) {
 /// step itself.
 TEST(SimdTierTest, CsrSpmmTQuantisedTiersAgreeWithinTolerance) {
   for (const Precision p : {Precision::kInt8, Precision::kInt4}) {
-    for (const int64_t group : {0L, 64L}) {
-      Tensor w = sparse_matrix(120, 400, 0.9, 53);
-      Csr csr = Csr::from_dense(w);
-      (void)csr.quantize(p, /*symmetric=*/true, /*uniform_scale=*/false, group);
-      const Tensor b = dense_batch(13, 400, 59);
-      const Tensor ref = csr.spmm_t(b, nullptr, Tier::kScalar);
-      // int4 codes are coarse; the per-output dot products here sum
-      // ~40 nonzero terms of magnitude <= 2, so 1e-3 is far below the
-      // quantisation error yet far above fp32 reassociation noise.
-      for (const Tier tier : kTiers) {
-        expect_close(csr.spmm_t(b, nullptr, tier), ref, 1e-3F, "quantised csr spmm_t");
-      }
+    Tensor w = sparse_matrix(120, 400, 0.9, 53);
+    Csr csr = Csr::from_dense(w);
+    (void)csr.quantize(p);
+    const Tensor b = dense_batch(13, 400, 59);
+    const Tensor ref = csr.spmm_t(b, nullptr, Tier::kScalar);
+    // int4 codes are coarse; the per-output dot products here sum
+    // ~40 nonzero terms of magnitude <= 2, so 1e-3 is far below the
+    // quantisation error yet far above fp32 reassociation noise.
+    for (const Tier tier : kTiers) {
+      expect_close(csr.spmm_t(b, nullptr, tier), ref, 1e-3F, "quantised csr spmm_t");
     }
-  }
-}
-
-TEST(SimdTierTest, GroupedPlaneImprovesInt4Error) {
-  // A matrix with per-row outliers: one large entry per row blows up
-  // the per-row int4 scale; 32-wide groups isolate the outlier.
-  Rng rng(61);
-  Tensor w(Shape{32, 256});
-  w.fill_uniform(rng, -0.1F, 0.1F);
-  for (int64_t r = 0; r < 32; ++r) w.at(r, 7) = 4.0F;
-  const float per_row = relative_quant_error(w, Precision::kInt4, 0.0F, false);
-  const float grouped = relative_quant_error(w, Precision::kInt4, 0.0F, false, 32);
-  EXPECT_LT(grouped, per_row);
-
-  // The grouped plane's reconstruction must respect its group scales:
-  // round-trip through dequant and compare per element.
-  Csr csr = Csr::from_dense(w);
-  (void)csr.quantize(Precision::kInt4, true, false, 32);
-  EXPECT_EQ(csr.quant().group_size, 32);
-  const Tensor back = csr.to_dense();
-  // Small-magnitude entries must reconstruct to ~1/16 of their group
-  // max (0.1), not 1/16 of the row max (4.0).
-  for (int64_t r = 0; r < 32; ++r) {
-    EXPECT_NEAR(back.at(r, 100), w.at(r, 100), 0.1F / 7.0F + 1e-5F);
-  }
-}
-
-TEST(SimdTierTest, GroupedQuantizeValidation) {
-  Csr csr = Csr::from_dense(sparse_matrix(16, 64, 0.5, 67));
-  EXPECT_THROW((void)csr.quantize(Precision::kInt8, true, false, 24),
-               std::invalid_argument);  // not a power of two
-  EXPECT_THROW((void)csr.quantize(Precision::kInt8, true, true, 32),
-               std::invalid_argument);  // uniform + grouped conflict
-  EXPECT_THROW((void)csr.quantize(Precision::kInt8, false, false, 32),
-               std::invalid_argument);  // grouped is symmetric-only
-}
-
-TEST(SimdTierTest, GroupedGatherMatchesOwnDequantisedValues) {
-  // Event-path kernel on a grouped plane: spmv_gather must accumulate
-  // exactly the plane's own dequantised values (to_dense uses the same
-  // QuantPlane::dequant), in the same ascending-j double chains.
-  Tensor w = sparse_matrix(48, 96, 0.8, 71);
-  Csr csr_t = Csr::from_dense(w).transposed();  // Wᵀ [96, 48]
-  (void)csr_t.quantize(Precision::kInt8, true, false, 16);
-  const Tensor deq = csr_t.to_dense();
-  const Tensor b = dense_batch(1, 96, 73);
-  std::vector<int32_t> active;
-  for (int32_t j = 0; j < 96; ++j) active.push_back(j);
-  std::vector<double> acc(48, 0.0);
-  csr_t.spmv_gather(b.data(), active.data(), static_cast<int64_t>(active.size()),
-                    acc.data());
-  for (int64_t r = 0; r < 48; ++r) {
-    double expect = 0.0;
-    for (int64_t j = 0; j < 96; ++j) {
-      expect += static_cast<double>(deq.at(j, r)) * static_cast<double>(b.at(0, j));
-    }
-    EXPECT_NEAR(acc[static_cast<std::size_t>(r)], expect, 1e-12);
   }
 }
 

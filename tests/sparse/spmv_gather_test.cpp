@@ -138,7 +138,7 @@ TEST(SpmvGatherTest, CsrBinaryGatherMatchesGeneralQuantisedPath) {
     const int64_t out = 17, in = 29;
     const Tensor w = random_sparse(out, in, 0.6, rng);
     Csr uniform_t = Csr::from_dense(w).transposed();
-    (void)uniform_t.quantize(p, /*symmetric=*/true, /*uniform_scale=*/true);
+    (void)uniform_t.quantize(p, /*uniform_scale=*/true);
     ASSERT_TRUE(uniform_t.quant().uniform);
     // All scales identical (replicated per group).
     for (const float s : uniform_t.quant().scale) {
@@ -174,7 +174,7 @@ TEST(SpmvGatherTest, CsrBinaryFastPathDeclinesNonBinaryInput) {
   Rng rng(difftest::env_seed() ^ 0xD2C1ULL);
   const Tensor w = random_sparse(9, 12, 0.4, rng);
   Csr uniform_t = Csr::from_dense(w).transposed();
-  (void)uniform_t.quantize(Precision::kInt8, true, /*uniform_scale=*/true);
+  (void)uniform_t.quantize(Precision::kInt8, /*uniform_scale=*/true);
   // 0.5-valued activations must take the general (scale-folding) path
   // even when iacc is offered — passing iacc must not change results.
   std::vector<float> x(12, 0.0F);
@@ -196,7 +196,7 @@ TEST(SpmvGatherTest, UniformScaleQuantErrorStaysInsideGlobalBound) {
   Rng rng(difftest::env_seed() ^ 0x0B0DULL);
   const Tensor w = random_sparse(12, 20, 0.5, rng);
   Csr csr = Csr::from_dense(w);
-  const float err = csr.quantize(Precision::kInt8, true, /*uniform_scale=*/true);
+  const float err = csr.quantize(Precision::kInt8, /*uniform_scale=*/true);
   EXPECT_LE(err, csr.quant().scale[0] * 0.5F + 1e-7F);
   EXPECT_LE(err, w.abs_max() / 127.0F * 0.5F + 1e-7F);
   // relative_quant_error's uniform mode is the measurement the kAuto
