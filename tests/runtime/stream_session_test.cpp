@@ -8,8 +8,9 @@
 // bitwise). On top of that: the delta path must observably skip
 // stateless stages on empty input steps (trace span + metric +
 // InferenceResult::skipped_ops), reset() must restore first-step
-// semantics, a MaxPool stack must stream and compile bitwise, and the
-// per-event p99 of a stream must beat the whole-window pass.
+// semantics, MaxPool and PLIF/ALIF stacks must stream and compile
+// bitwise, and the per-event p99 of a stream must beat the whole-window
+// pass.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "nn/flatten.hpp"
 #include "nn/lif_activation.hpp"
 #include "nn/linear.hpp"
+#include "nn/neuron_activations.hpp"
 #include "nn/pool.hpp"
 #include "runtime/stream_session.hpp"
 #include "runtime/trace.hpp"
@@ -353,6 +355,68 @@ TEST(StreamSessionTest, MaxPoolPlanMatchesPredictAndStreamsBitwise) {
   std::vector<Tensor> frames;
   for (int64_t t = 0; t < spec.timesteps; ++t) frames.push_back(batch);
   expect_stream_matches_window(compiled, frames, "maxpool stream");
+}
+
+TEST(StreamSessionTest, PlifAlifPlanMatchesPredictAndStreamsBitwise) {
+  // No zoo model uses PLIF or ALIF, so both are pinned on a purpose-built
+  // stack: PLIF (trained leak away from LIF's 0.5 default) after a conv,
+  // ALIF after a linear. Every backend x activation mode must match the
+  // interpreted reference bitwise and stream bitwise over its own plan.
+  nn::ModelSpec spec;
+  spec.in_channels = 1;
+  spec.image_size = 8;
+  spec.timesteps = 4;
+  spec.seed = 4343;
+  tensor::Rng rng(spec.seed);
+  snn::PlifConfig plif_cfg;
+  plif_cfg.initial_alpha = 0.8F;
+  plif_cfg.threshold = 0.5F;
+  snn::AlifConfig alif_cfg;
+  alif_cfg.alpha = 0.7F;
+  alif_cfg.beta = 0.5F;
+  alif_cfg.threshold = 0.1F;  // fires often enough that the adaptation matters
+  auto body = std::make_unique<nn::Sequential>();
+  body->emplace<nn::Conv2d>(1, 4, 3, 1, 1, rng);
+  body->emplace<nn::BatchNorm2d>(4);
+  const auto& plif = body->emplace<nn::PlifActivation>(plif_cfg, spec.timesteps);
+  body->emplace<nn::AvgPool2d>(2);
+  body->emplace<nn::Flatten>();
+  body->emplace<nn::Linear>(4 * 4 * 4, 32, rng);
+  const auto& alif = body->emplace<nn::AlifActivation>(alif_cfg, spec.timesteps);
+  body->emplace<nn::Linear>(32, 10, rng);
+  auto net = std::make_unique<nn::SpikingNetwork>(std::move(body), spec.timesteps);
+  difftest::apply_random_masks(*net, 0.5, spec.seed + 1);
+
+  Tensor batch(Shape{2, 1, 8, 8});
+  tensor::Rng batch_rng(spec.seed + 2);
+  batch.fill_uniform(batch_rng, 0.0F, 2.0F);
+  difftest::warm_up(*net, batch);
+  const Tensor want = net->predict(batch);
+  // Both neuron layers must actually fire, or the check is vacuous.
+  EXPECT_GT(plif.last_spike_rate(), 0.0);
+  EXPECT_LT(plif.last_spike_rate(), 1.0);
+  EXPECT_GT(alif.last_spike_rate(), 0.0);
+  EXPECT_LT(alif.last_spike_rate(), 1.0);
+  EXPECT_NE(plif.alpha(), 0.5F);
+
+  std::vector<Tensor> frames;
+  for (int64_t t = 0; t < spec.timesteps; ++t) {
+    Tensor frame(batch.shape());
+    frame.fill_uniform(batch_rng, 0.0F, 2.0F);
+    frames.push_back(std::move(frame));
+  }
+  for (const Backend backend : {Backend::kDense, Backend::kCsr}) {
+    for (const ActivationMode activation : difftest::all_activation_modes()) {
+      const std::string context = std::string("backend=") + difftest::backend_name(backend) +
+                                  " activation=" + difftest::activation_name(activation);
+      const CompiledNetwork compiled =
+          CompiledNetwork::compile(*net, difftest::options_for(backend, activation));
+      difftest::expect_bitwise(compiled.run(batch), want, context + " vs interpreted");
+      if (::testing::Test::HasFatalFailure()) return;
+      expect_stream_matches_window(compiled, frames, context + " stream");
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace
