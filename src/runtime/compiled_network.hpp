@@ -23,9 +23,9 @@
 //      snn::SpikeStats); CompileOptions::activation_mode forces one path
 //      everywhere.
 //   3. Emit the Plan IR (src/runtime/plan.hpp): per-op kernels under
-//      src/runtime/ops/, with neuron ops producing SpikeBatch
-//      active-index views alongside their spike tensors so downstream
-//      event ops skip even the nonzero scan.
+//      src/runtime/ops/. When some weight op runs event-driven, every
+//      neuron op scans its spike train into a SpikeBatch active-index
+//      view, so the event ops downstream need no scan of their own.
 //
 // Every path — any backend x any activation mode — produces bitwise
 // identical logits to the interpreted SpikingNetwork::predict: linear

@@ -1,14 +1,15 @@
 // Neuron ops of the compiled plan: LIF (also PLIF at inference, whose
 // trained leak folds into a LifConfig) and ALIF dynamics over the T
 // timesteps of one call. Inference-only: membrane state lives in rolling
-// per-step buffers instead of the full saved trace BPTT needs, and the
-// arithmetic matches snn::LifLayer / snn::AlifLayer::forward term for
-// term so compiled and interpreted paths agree bitwise.
+// per-step buffers instead of the full saved trace BPTT needs. Each
+// timestep is snn::lif_step / snn::alif_step, the same kernels
+// snn::LifLayer, PlifLayer and AlifLayer::forward run, so compiled and
+// interpreted paths agree bitwise.
 //
-// When `emit_events` is set the op additionally produces the SpikeBatch
-// active-index view of its spike train while writing it (the write loop
-// already touches every element in ascending flat order), so downstream
-// event-driven weight ops skip even the dense nonzero scan.
+// When `emit_events` is set (the plan has event-driven weight ops) the
+// op scans its finished spike train into a SpikeBatch view
+// (SpikeBatch::scan), so downstream event-driven weight ops skip the
+// scan of their own.
 #pragma once
 
 #include <string>
@@ -27,9 +28,9 @@ class LifOp final : public Op {
   [[nodiscard]] Activation run(const Activation& input) const override;
   [[nodiscard]] OpReport report() const override;
 
-  /// Streaming: carries v - theta per neuron across step() calls and
-  /// replays run()'s t==0 / t>0 branches exactly, so T step() calls are
-  /// bitwise identical to one run() over the time-major window.
+  /// Streaming: carries v - theta and the last spikes per neuron across
+  /// step() calls and makes the same lif_step calls as run(), so T step()
+  /// calls are bitwise identical to one run() over the time-major window.
   [[nodiscard]] std::unique_ptr<OpState> make_state() const override;
   [[nodiscard]] Activation step(const Activation& input,
                                 OpState* state) const override;
@@ -51,8 +52,8 @@ class AlifOp final : public Op {
 
   /// Streaming: carries {v, adaptation trace, previous spike} per
   /// neuron. ALIF's recurrence is uniform in t (zero-initialised state
-  /// reproduces the first window step), so step() is run()'s inner loop
-  /// verbatim.
+  /// reproduces the first window step), so step() is one alif_step call
+  /// of run().
   [[nodiscard]] std::unique_ptr<OpState> make_state() const override;
   [[nodiscard]] Activation step(const Activation& input,
                                 OpState* state) const override;

@@ -192,7 +192,10 @@ OpReport ResidualOp::report() const {
       const OpReport sub = op->report();
       r.weights += sub.weights;
       r.nnz += sub.nnz;
+      r.bytes += sub.bytes;
       r.event |= sub.event;
+      // One tier is resolved per plan, so every weight sub-op shares it.
+      if (sub.weights > 0) r.tier = sub.tier;
       zero_weighted += sub.sparsity * static_cast<double>(sub.weights);
     }
   }

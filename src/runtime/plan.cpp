@@ -1,6 +1,7 @@
 #include "runtime/plan.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -22,15 +23,24 @@ const char* kernel_tag(Kernel k) {
 }
 
 SpikeBatch SpikeBatch::scan(const tensor::Tensor& t) {
-  const int64_t rows = t.rank() >= 1 ? t.dim(0) : 1;
-  const int64_t row_size = rows > 0 ? t.numel() / rows : 0;
-  SpikeBatchBuilder builder(rows, row_size);
+  SpikeBatch b;
+  b.rows = t.rank() >= 1 ? t.dim(0) : 1;
+  b.row_size = b.rows > 0 ? t.numel() / b.rows : 0;
+  b.row_ptr.assign(static_cast<std::size_t>(b.rows) + 1, 0);
+  // One row's candidates at a time, branch-free: write every index and
+  // advance past it only when its element is nonzero (-0.0F is not).
+  std::vector<int32_t> row_idx(static_cast<std::size_t>(b.row_size));
   const float* p = t.data();
-  const int64_t total = t.numel();
-  for (int64_t i = 0; i < total; ++i) {
-    if (p[i] != 0.0F) builder.push(i);
+  for (int64_t r = 0; r < b.rows; ++r, p += b.row_size) {
+    std::size_t n = 0;
+    for (int64_t j = 0; j < b.row_size; ++j) {
+      row_idx[n] = static_cast<int32_t>(j);
+      n += p[j] != 0.0F;
+    }
+    b.idx.insert(b.idx.end(), row_idx.begin(), row_idx.begin() + static_cast<std::ptrdiff_t>(n));
+    b.row_ptr[static_cast<std::size_t>(r) + 1] = static_cast<int64_t>(b.idx.size());
   }
-  return builder.finish();
+  return b;
 }
 
 double SpikeBatch::rate() const {

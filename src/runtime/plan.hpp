@@ -5,8 +5,9 @@
 // Ops exchange `Activation` values — the dense time-major tensor the
 // interpreted network would produce, optionally annotated with a
 // `SpikeBatch` event view (per-row active-index lists) that neuron ops
-// emit directly while writing their spike trains. Event-driven weight
-// ops consume the view to skip work proportional to the firing rate;
+// scan from their finished spike trains when the plan has event-driven
+// weight ops. Those consume the view to skip work proportional to the
+// firing rate;
 // every op still produces the bitwise-identical dense tensor, so the
 // event path stays pinned against SpikingNetwork::predict by the
 // differential harness.
@@ -37,8 +38,8 @@ enum class Kernel { kDense, kCsr };
 
 /// Sparse view of a time-major activation [M, features]: for each row m
 /// the ascending list of feature indices whose value is nonzero. Neuron
-/// ops build this for free while writing their spike trains (spikes are
-/// mostly zeros at typical 5-20% firing rates); event-driven weight ops
+/// ops scan it from their spike trains (mostly zeros at typical 5-20%
+/// firing rates) when the plan has event-driven weight ops, which
 /// iterate it instead of scanning the dense tensor.
 struct SpikeBatch {
   int64_t rows = 0;              ///< M = T * N (time-major batch rows)
@@ -46,11 +47,11 @@ struct SpikeBatch {
   std::vector<int64_t> row_ptr;  ///< rows + 1 offsets into idx
   std::vector<int32_t> idx;      ///< active indices, ascending per row
 
-  /// Build by scanning a dense [M, ...] tensor (rows = dim(0)).
-  /// ConvOp::run_event scans its whole input this way whenever no usable
-  /// view arrives, and StreamSession scans each input frame for its
-  /// delta path. LinearOp's event path instead scans row by row into a
-  /// reused scratch buffer.
+  /// Build by scanning a dense [M, ...] tensor (rows = dim(0)), one row
+  /// at a time. Neuron ops emit their views this way, ConvOp::run_event
+  /// scans its whole input this way whenever no usable view arrives, and
+  /// StreamSession scans each input frame for its delta path. LinearOp's
+  /// event path instead scans row by row into a reused scratch buffer.
   [[nodiscard]] static SpikeBatch scan(const tensor::Tensor& t);
 
   /// Fraction of nonzero elements over everything indexed.
@@ -65,43 +66,11 @@ struct SpikeBatch {
   }
 };
 
-/// Incremental SpikeBatch construction for producers that visit elements
-/// in ascending flat order (the neuron ops' t-major write loop). push()
-/// takes the flat index into the [M * row_size] tensor.
-class SpikeBatchBuilder {
- public:
-  SpikeBatchBuilder(int64_t rows, int64_t row_size) {
-    batch_.rows = rows;
-    batch_.row_size = row_size;
-    batch_.row_ptr.assign(static_cast<std::size_t>(rows) + 1, 0);
-  }
-
-  void push(int64_t flat) {
-    const int64_t row = flat / batch_.row_size;
-    while (cur_row_ < row) {
-      batch_.row_ptr[static_cast<std::size_t>(++cur_row_)] =
-          static_cast<int64_t>(batch_.idx.size());
-    }
-    batch_.idx.push_back(static_cast<int32_t>(flat % batch_.row_size));
-  }
-
-  [[nodiscard]] SpikeBatch finish() {
-    while (cur_row_ < batch_.rows) {
-      batch_.row_ptr[static_cast<std::size_t>(++cur_row_)] =
-          static_cast<int64_t>(batch_.idx.size());
-    }
-    return std::move(batch_);
-  }
-
- private:
-  SpikeBatch batch_;
-  int64_t cur_row_ = 0;
-};
-
 /// What flows between ops: the dense activation plus an optional event
-/// view. `has_events` is false whenever the producing op cannot cheaply
-/// maintain the view (weight ops, batch norm, pooling) — consumers that
-/// want events then rescan the dense tensor.
+/// view. Neuron ops attach one when the plan has event-driven weight ops
+/// and Flatten forwards it; every other op (weight ops, batch norm,
+/// pooling) leaves `has_events` false, and consumers that want events
+/// then rescan the dense tensor.
 struct Activation {
   tensor::Tensor tensor;
   SpikeBatch events;

@@ -37,24 +37,13 @@ tensor::Tensor AlifLayer::forward(const tensor::Tensor& current) {
 
   std::vector<float> v(static_cast<std::size_t>(step_size_), 0.0F);
   std::vector<float> trace(static_cast<std::size_t>(step_size_), 0.0F);
-  std::vector<float> prev_spike(static_cast<std::size_t>(step_size_), 0.0F);
 
   int64_t fired = 0;
   for (int64_t t = 0; t < timesteps_; ++t) {
-    const float* it = in + t * step_size_;
-    float* vt = vmt + t * step_size_;
     float* ot = spk + t * step_size_;
-    for (int64_t i = 0; i < step_size_; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      trace[idx] = config_.rho * trace[idx] + prev_spike[idx];
-      const float theta_t = config_.threshold + config_.beta * trace[idx];
-      v[idx] = config_.alpha * v[idx] + it[i] - theta_t * prev_spike[idx];
-      const float dist = v[idx] - theta_t;
-      vt[i] = dist;
-      ot[i] = heaviside(dist);
-      prev_spike[idx] = ot[i];
-      fired += ot[i] != 0.0F;
-    }
+    alif_step(config_, in + t * step_size_, t == 0 ? nullptr : ot - step_size_, v.data(),
+              trace.data(), vmt + t * step_size_, ot, step_size_);
+    for (int64_t i = 0; i < step_size_; ++i) fired += ot[i] != 0.0F;
   }
   last_spike_rate_ = static_cast<double>(fired) / static_cast<double>(total);
   has_saved_ = true;

@@ -10,7 +10,12 @@
 // BPTT treats the adaptation trace as detached (standard practice: the
 // threshold path's gradient is small and noisy); the membrane recursion
 // gradient is exact, with phi evaluated at v[t] - theta[t].
+//
+// alif_step below is the one home of this update: AlifLayer and the
+// compiled plan's AlifOp (whole window and streamed) both call it.
 #pragma once
+
+#include <cstdint>
 
 #include "snn/surrogate.hpp"
 #include "tensor/tensor.hpp"
@@ -26,6 +31,23 @@ struct AlifConfig {
 
   void validate() const;
 };
+
+/// One timestep of the ALIF update over `n` neurons. `v` and `trace`
+/// hold v[t-1] and a[t-1] on entry (zeros at t == 0) and are updated in
+/// place to v[t] and a[t]; `spikes_prev` is o[t-1], or null at t == 0
+/// (no prior spike). Writes v[t] - theta[t] to `dist` and o[t] to
+/// `spikes`; `spikes` may be `spikes_prev`.
+inline void alif_step(const AlifConfig& c, const float* current, const float* spikes_prev,
+                      float* v, float* trace, float* dist, float* spikes, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float o_prev = spikes_prev == nullptr ? 0.0F : spikes_prev[i];
+    trace[i] = c.rho * trace[i] + o_prev;
+    const float theta_t = c.threshold + c.beta * trace[i];
+    v[i] = c.alpha * v[i] + current[i] - theta_t * o_prev;
+    dist[i] = v[i] - theta_t;
+    spikes[i] = heaviside(dist[i]);
+  }
+}
 
 class AlifLayer {
  public:

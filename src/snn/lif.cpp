@@ -32,31 +32,14 @@ tensor::Tensor LifLayer::forward(const tensor::Tensor& current) {
   const float* in = current.data();
   float* vmt = saved_vmt_.data();
   float* spk = saved_spikes_.data();
-  const float alpha = config_.alpha;
-  const float theta = config_.threshold;
 
   int64_t fired = 0;
   for (int64_t t = 0; t < timesteps_; ++t) {
-    const float* it = in + t * step_size_;
     float* vt = vmt + t * step_size_;
     float* ot = spk + t * step_size_;
-    if (t == 0) {
-      // v[0] = I[0] with zero initial membrane and no prior spike.
-      for (int64_t i = 0; i < step_size_; ++i) {
-        const float v = it[i];
-        vt[i] = v - theta;
-        ot[i] = heaviside(v - theta);
-      }
-    } else {
-      const float* vprev = vmt + (t - 1) * step_size_;
-      const float* oprev = spk + (t - 1) * step_size_;
-      for (int64_t i = 0; i < step_size_; ++i) {
-        // Recover v[t-1] = (v[t-1]-theta) + theta.
-        const float v = alpha * (vprev[i] + theta) + it[i] - theta * oprev[i];
-        vt[i] = v - theta;
-        ot[i] = heaviside(v - theta);
-      }
-    }
+    lif_step(in + t * step_size_, t == 0 ? nullptr : vt - step_size_,
+             t == 0 ? nullptr : ot - step_size_, vt, ot, step_size_, config_.alpha,
+             config_.threshold);
     for (int64_t i = 0; i < step_size_; ++i) fired += ot[i] != 0.0F;
   }
   last_spike_rate_ = static_cast<double>(fired) / static_cast<double>(total);

@@ -20,8 +20,13 @@
 //
 // Data layout: activations are time-major [T*N, feat...]; the layer is
 // given T at construction and slices internally.
+//
+// lif_step below is the one home of Eq. 1: LifLayer, PlifLayer (with its
+// trained leak) and the compiled plan's LifOp (whole window and streamed)
+// all advance their membranes through it.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "snn/surrogate.hpp"
@@ -39,6 +44,30 @@ struct LifConfig {
   /// Throws std::invalid_argument when outside valid ranges.
   void validate() const;
 };
+
+/// One timestep of Eq. 1 over `n` neurons: reads the synaptic current
+/// I[t] and the previous state (v[t-1] - theta, o[t-1]), writes
+/// v[t] - theta to `vmt` and o[t] to `spikes`. At t == 0 both previous
+/// pointers are null: zero membrane, no prior spike, so v[0] = I[0]. The
+/// update is element-wise, so `vmt` may be `vmt_prev` and `spikes` may be
+/// `spikes_prev` (in-place update of a rolling state).
+inline void lif_step(const float* current, const float* vmt_prev, const float* spikes_prev,
+                     float* vmt, float* spikes, int64_t n, float alpha, float theta) {
+  if (vmt_prev == nullptr) {
+    for (int64_t i = 0; i < n; ++i) {
+      const float d = current[i] - theta;
+      vmt[i] = d;
+      spikes[i] = heaviside(d);
+    }
+    return;
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    // Recover v[t-1] = (v[t-1] - theta) + theta.
+    const float v = alpha * (vmt_prev[i] + theta) + current[i] - theta * spikes_prev[i];
+    vmt[i] = v - theta;
+    spikes[i] = heaviside(v - theta);
+  }
+}
 
 /// Stateful LIF layer operating on time-major batches.
 ///

@@ -34,37 +34,25 @@ tensor::Tensor PlifLayer::forward(const tensor::Tensor& current) {
   }
   step_size_ = total / timesteps_;
   saved_vmt_ = tensor::Tensor(current.shape());
-  saved_vprev_ = tensor::Tensor(current.shape());
   tensor::Tensor spikes(current.shape());
 
   const float* in = current.data();
   float* vmt = saved_vmt_.data();
-  float* vprev = saved_vprev_.data();
   float* spk = spikes.data();
   const float a = alpha();
-  const float theta = config_.threshold;
 
   int64_t fired = 0;
   for (int64_t t = 0; t < timesteps_; ++t) {
-    const float* it = in + t * step_size_;
     float* vt = vmt + t * step_size_;
-    float* vp = vprev + t * step_size_;
     float* ot = spk + t * step_size_;
-    for (int64_t i = 0; i < step_size_; ++i) {
-      const float prev_v = t == 0 ? 0.0F : vmt[(t - 1) * step_size_ + i] + theta;
-      const float prev_o = t == 0 ? 0.0F : spk[(t - 1) * step_size_ + i];
-      vp[i] = prev_v;
-      const float v = a * prev_v + it[i] - theta * prev_o;
-      vt[i] = v - theta;
-      ot[i] = heaviside(v - theta);
-      fired += ot[i] != 0.0F;
-    }
+    // At t == 0 this is LIF's v = I; the full-recurrence form
+    // a*0 + I - theta*0 would give the same v - theta and spikes.
+    lif_step(in + t * step_size_, t == 0 ? nullptr : vt - step_size_,
+             t == 0 ? nullptr : ot - step_size_, vt, ot, step_size_, a, config_.threshold);
+    for (int64_t i = 0; i < step_size_; ++i) fired += ot[i] != 0.0F;
   }
   last_spike_rate_ = static_cast<double>(fired) / static_cast<double>(total);
   has_saved_ = true;
-  // Keep spikes for the reset path in backward.
-  // (saved via closure over spikes tensor is impossible; store in vprev's
-  // place is wrong -- so recompute from vmt sign in backward instead.)
   return spikes;
 }
 
@@ -76,7 +64,6 @@ tensor::Tensor PlifLayer::backward(const tensor::Tensor& grad_spikes) {
   tensor::Tensor grad_current(grad_spikes.shape());
   const float* gout = grad_spikes.data();
   const float* vmt = saved_vmt_.data();
-  const float* vprev = saved_vprev_.data();
   float* gin = grad_current.data();
   const float a = alpha();
   const float theta = config_.threshold;
@@ -88,7 +75,6 @@ tensor::Tensor PlifLayer::backward(const tensor::Tensor& grad_spikes) {
   for (int64_t t = timesteps_ - 1; t >= 0; --t) {
     const float* dt = gout + t * step_size_;
     const float* vt = vmt + t * step_size_;
-    const float* vp = vprev + t * step_size_;
     float* gt = gin + t * step_size_;
     for (int64_t i = 0; i < step_size_; ++i) {
       const float phi = surrogate_grad(config_.surrogate, vt[i]);
@@ -96,8 +82,10 @@ tensor::Tensor PlifLayer::backward(const tensor::Tensor& grad_spikes) {
       if (with_reset) delta -= theta * eps_next[static_cast<std::size_t>(i)];
       const float eps = delta * phi + a * eps_next[static_cast<std::size_t>(i)];
       gt[i] = eps;
-      // dv[t]/dalpha = v[t-1]; chain through sigmoid.
-      leak_acc += static_cast<double>(eps) * vp[i];
+      // dv[t]/dalpha = v[t-1] = (v[t-1] - theta) + theta, 0 at t == 0;
+      // chain through sigmoid.
+      const float vp = t == 0 ? 0.0F : vt[i - step_size_] + theta;
+      leak_acc += static_cast<double>(eps) * vp;
       eps_next[static_cast<std::size_t>(i)] = eps;
     }
   }
@@ -107,7 +95,6 @@ tensor::Tensor PlifLayer::backward(const tensor::Tensor& grad_spikes) {
 
 void PlifLayer::reset_state() {
   saved_vmt_ = tensor::Tensor();
-  saved_vprev_ = tensor::Tensor();
   has_saved_ = false;
 }
 

@@ -8,7 +8,7 @@
 // i.e. the gradient of the membrane recursion w.r.t. the leak.
 #pragma once
 
-#include "snn/surrogate.hpp"
+#include "snn/lif.hpp"
 #include "tensor/tensor.hpp"
 
 namespace ndsnn::snn {
@@ -50,7 +50,6 @@ class PlifLayer {
   float raw_leak_ = 0.0F;       // a with alpha = sigmoid(a)
   float raw_leak_grad_ = 0.0F;
   tensor::Tensor saved_vmt_;    // v[t] - theta
-  tensor::Tensor saved_vprev_;  // v[t-1] (zero for t = 0)
   int64_t step_size_ = 0;
   bool has_saved_ = false;
   double last_spike_rate_ = 0.0;

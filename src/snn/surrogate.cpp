@@ -1,28 +1,6 @@
 #include "snn/surrogate.hpp"
 
-#include <cmath>
-#include <numbers>
-
 namespace ndsnn::snn {
-
-float heaviside(float x) { return x < 0.0F ? 0.0F : 1.0F; }
-
-float surrogate_grad(SurrogateKind kind, float x) {
-  constexpr float pi2 = static_cast<float>(std::numbers::pi * std::numbers::pi);
-  switch (kind) {
-    case SurrogateKind::kAtan:
-      return 1.0F / (1.0F + pi2 * x * x);
-    case SurrogateKind::kFastSigmoid: {
-      const float d = 1.0F + std::fabs(x);
-      return 1.0F / (d * d);
-    }
-    case SurrogateKind::kRectangle:
-      return std::fabs(x) < 0.5F ? 1.0F : 0.0F;
-    case SurrogateKind::kTriangle:
-      return std::max(0.0F, 1.0F - std::fabs(x));
-  }
-  return 0.0F;
-}
 
 const char* surrogate_name(SurrogateKind kind) {
   switch (kind) {

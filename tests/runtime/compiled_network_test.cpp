@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/nm_projection.hpp"
 #include "nn/checkpoint.hpp"
@@ -111,9 +113,20 @@ TEST(CompiledNetworkTest, ResnetSparseMatchesInterpreted) {
   const CompiledNetwork compiled = CompiledNetwork::compile(*net);
   expect_bitwise(compiled.run(batch), expect, "resnet 0.8 sparse");
 
-  // Residual blocks roll their weight ops into one report entry.
+  // Residual blocks roll their weight ops into one report entry, and it
+  // counts their stored bytes and carries their kernel tier (one tier is
+  // resolved per plan, so the stem conv's) like any other weight op.
+  const OpReport& stem = compiled.plan().front();
+  ASSERT_GT(stem.weights, 0);
   bool has_residual = false;
-  for (const auto& r : compiled.plan()) has_residual |= r.kind == "residual";
+  for (const auto& r : compiled.plan()) {
+    if (r.weights > 0) {
+      EXPECT_GT(r.bytes, 0) << r.kind << " " << r.layer;
+    }
+    if (r.kind != "residual") continue;
+    has_residual = true;
+    EXPECT_EQ(r.tier, stem.tier) << r.layer;
+  }
   EXPECT_TRUE(has_residual);
 }
 
@@ -348,7 +361,7 @@ TEST(CompiledNetworkTest, SummaryAndReports) {
   EXPECT_NE(text.find("csr-linear"), std::string::npos);
 }
 
-TEST(SpikeBatchTest, ScanAndBuilderAgreeOnActiveIndices) {
+TEST(SpikeBatchTest, ScanListsNonzeroIndicesPerRow) {
   Tensor t(Shape{3, 4});
   // Row 0: {1, 3} active; row 1: silent; row 2: all active.
   t.at(0, 1) = 1.0F;
@@ -364,16 +377,37 @@ TEST(SpikeBatchTest, ScanAndBuilderAgreeOnActiveIndices) {
   EXPECT_EQ(scanned.active_begin(0)[1], 3);
   EXPECT_EQ(scanned.active_count(1), 0);
   ASSERT_EQ(scanned.active_count(2), 4);
+  EXPECT_EQ(scanned.row_ptr, (std::vector<int64_t>{0, 2, 2, 6}));
+  EXPECT_EQ(scanned.idx, (std::vector<int32_t>{1, 3, 0, 1, 2, 3}));
 
-  // The incremental builder (what neuron ops run) produces the same view
-  // from ascending flat pushes.
-  SpikeBatchBuilder builder(3, 4);
-  for (int64_t i = 0; i < t.numel(); ++i) {
-    if (t.at(i) != 0.0F) builder.push(i);
-  }
-  const SpikeBatch built = builder.finish();
-  ASSERT_EQ(built.row_ptr, scanned.row_ptr);
-  ASSERT_EQ(built.idx, scanned.idx);
+  // -0.0F compares equal to zero, so it is not an event; rows of a
+  // rank-3 tensor span all trailing dimensions.
+  Tensor signed_zero(Shape{2, 2, 3});
+  signed_zero.at(1) = -0.0F;
+  signed_zero.at(4) = 2.0F;
+  signed_zero.at(7) = -0.0F;
+  signed_zero.at(11) = -1.0F;
+  const SpikeBatch z = SpikeBatch::scan(signed_zero);
+  EXPECT_EQ(z.row_size, 6);
+  EXPECT_EQ(z.row_ptr, (std::vector<int64_t>{0, 1, 2}));
+  EXPECT_EQ(z.idx, (std::vector<int32_t>{4, 5}));
+
+  // All-silent rows: no indices, every offset zero.
+  const SpikeBatch silent = SpikeBatch::scan(Tensor(Shape{4, 5}));
+  EXPECT_EQ(silent.row_ptr, (std::vector<int64_t>(5, 0)));
+  EXPECT_TRUE(silent.idx.empty());
+  EXPECT_EQ(silent.rate(), 0.0);
+
+  // Shape rejects zero dims, so no zero-row tensor exists; the smallest
+  // input is a rank-0 scalar, scanned as one row of one element.
+  EXPECT_THROW(Tensor(Shape{0, 4}), std::invalid_argument);
+  Tensor scalar;
+  const SpikeBatch quiet = SpikeBatch::scan(scalar);
+  EXPECT_EQ(quiet.rows, 1);
+  EXPECT_EQ(quiet.row_size, 1);
+  EXPECT_EQ(quiet.row_ptr, (std::vector<int64_t>{0, 0}));
+  scalar.at(0) = 3.0F;
+  EXPECT_EQ(SpikeBatch::scan(scalar).idx, (std::vector<int32_t>{0}));
 }
 
 TEST(CompiledNetworkTest, RejectsBadInputRank) {

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "snn/lif.hpp"
+#include "tensor/random.hpp"
 
 namespace ndsnn::snn {
 namespace {
@@ -43,6 +48,52 @@ TEST(PlifTest, MatchesLifForwardAtSameLeak) {
   const Tensor a = plif.forward(current);
   const Tensor b = lif.forward(current);
   for (int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a.at(i), b.at(i)) << i;
+}
+
+void expect_bitwise(const Tensor& got, const Tensor& want, const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (int64_t i = 0; i < want.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(got.at(i)), std::bit_cast<uint32_t>(want.at(i)))
+        << what << " at " << i << ": " << got.at(i) << " vs " << want.at(i);
+  }
+}
+
+TEST(PlifTest, MatchesLifBitwiseAtTrainedLeak) {
+  // A PLIF whose leak has moved off its initial value must behave
+  // exactly like a LIF built with that leak: same spikes, same dL/dI.
+  // Inputs include -0.0F and currents exactly at the threshold (v - theta
+  // == 0 fires), with and without the reset path in BPTT.
+  constexpr int64_t kN = 4;
+  constexpr int64_t kFeatures = 6;
+  for (const bool detach : {true, false}) {
+    for (const int64_t t_steps : {1, 2, 4}) {
+      const std::string ctx =
+          "T=" + std::to_string(t_steps) + " detach_reset=" + std::to_string(detach);
+      PlifConfig pc = config(0.3F);
+      pc.detach_reset = detach;
+      PlifLayer plif(pc, t_steps);
+      plif.raw_leak() += 1.25F;  // an SGD update away from the initial leak
+      LifConfig lc;
+      lc.alpha = plif.alpha();
+      lc.threshold = pc.threshold;
+      lc.detach_reset = detach;
+      LifLayer lif(lc, t_steps);
+      ASSERT_NE(lc.alpha, 0.3F);
+
+      tensor::Rng rng(7 + static_cast<uint64_t>(t_steps));
+      Tensor current(Shape{t_steps * kN, kFeatures});
+      current.fill_uniform(rng, -1.0F, 2.0F);
+      for (int64_t i = 0; i < current.numel(); i += 5) current.at(i) = -0.0F;
+      for (int64_t i = 2; i < current.numel(); i += 7) current.at(i) = pc.threshold;
+      Tensor grad(current.shape());
+      grad.fill_uniform(rng, -1.0F, 1.0F);
+
+      expect_bitwise(plif.forward(current), lif.forward(current), ctx + " spikes");
+      expect_bitwise(plif.backward(grad), lif.backward(grad), ctx + " dL/dI");
+      EXPECT_EQ(plif.last_spike_rate(), lif.last_spike_rate()) << ctx;
+      EXPECT_GT(lif.last_spike_rate(), 0.0) << ctx;
+    }
+  }
 }
 
 TEST(PlifTest, LeakGradientMatchesFiniteDifference) {
