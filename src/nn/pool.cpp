@@ -29,24 +29,7 @@ tensor::Tensor AvgPool2d::forward(const tensor::Tensor& input, bool /*training*/
   saved_in_shape_ = input.shape();
   has_saved_ = true;
   tensor::Tensor out(tensor::Shape{m, c, oh, ow});
-  const float inv = 1.0F / static_cast<float>(k_ * k_);
-  const float* src = input.data();
-  float* dst = out.data();
-  for (int64_t mc = 0; mc < m * c; ++mc) {
-    const float* plane = src + mc * h * w;
-    float* oplane = dst + mc * oh * ow;
-    for (int64_t oy = 0; oy < oh; ++oy) {
-      for (int64_t ox = 0; ox < ow; ++ox) {
-        float acc = 0.0F;
-        for (int64_t dy = 0; dy < k_; ++dy) {
-          for (int64_t dx = 0; dx < k_; ++dx) {
-            acc += plane[(oy * k_ + dy) * w + (ox * k_ + dx)];
-          }
-        }
-        oplane[oy * ow + ox] = acc * inv;
-      }
-    }
-  }
+  avg_pool2d(input.data(), out.data(), m * c, h, w, k_);
   return out;
 }
 

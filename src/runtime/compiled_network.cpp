@@ -5,8 +5,10 @@
 #include <cmath>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "nn/batchnorm.hpp"
 #include "nn/checkpoint.hpp"
@@ -40,15 +42,22 @@ namespace {
 /// rates come from the network's recorded firing rates when a forward
 /// pass ran (Layer::last_spike_rate), else from the CompileOptions
 /// fallback; all of them aggregate into a snn::SpikeStats summary the
-/// plan reports.
+/// plan reports. It also tracks which neuron ops' event views reach the
+/// next layer, so each neuron op builds a view only when that layer
+/// reads it.
 struct Lowering {
   const CompileOptions& opts;
   bool spiking = false;  ///< next layer's input is a spike train
   double rate = 1.0;     ///< estimated nonzero fraction of that input
   snn::SpikeStats stats; ///< per-neuron-layer rate aggregate
-  bool emit_events = false;  ///< neuron ops produce SpikeBatch views
   bool dry = false;       ///< walk state only, build no ops (pre-pass)
-  bool any_event = false; ///< some weight layer decided event-driven
+  /// Per neuron op, in walk order: an event-driven weight op reads its
+  /// view. The dry pass fills it; the build pass reads it.
+  std::vector<bool> emits;
+  std::size_t neuron_index = 0;  ///< neuron ops seen, in walk order
+  /// The neuron op (index into `emits`) whose view the next layer sees:
+  /// the producer of the current activation, carried through Flatten.
+  std::optional<std::size_t> view;
   std::size_t weight_index = 0;  ///< weight layers seen, in body order
                                  ///< (indexes CompileOptions::layer_precisions)
   /// Shared intra-op pool the built weight ops borrow (null = serial).
@@ -77,6 +86,22 @@ struct Lowering {
   /// k*k inputs is, so the union bound k*k*rate caps the outgoing rate.
   void pooled(int64_t k) {
     if (spiking) rate = std::min(1.0, rate * static_cast<double>(k * k));
+  }
+
+  /// The next layer consumes the current activation. If it reads events
+  /// (an event-driven weight op), the neuron op whose view reaches it
+  /// emits one. Either way no view gets past it.
+  void consume_view(bool reads) {
+    if (reads && view) emits[*view] = true;
+    view.reset();
+  }
+
+  /// A neuron op produces the current activation: returns whether it
+  /// builds an event view (known once the dry pass has run).
+  bool neuron_output() {
+    view = neuron_index++;
+    if (dry) emits.push_back(false);
+    return emits[*view];
   }
 
   /// Should the weight layer consuming the current activation run
@@ -158,13 +183,13 @@ std::vector<std::unique_ptr<Op>> compile_chain(
 /// One function serves both passes of the staged compile: the dry
 /// pre-pass walks the identical dataflow-state transitions (so the
 /// event decisions cannot diverge between passes) but skips the weight
-/// measurement and op construction, only recording into Lowering
-/// whether any weight layer chooses the event path — which is what
-/// decides if the neuron ops pay for SpikeBatch emission at all.
+/// measurement and op construction, only recording into Lowering which
+/// neuron ops feed an event-driven weight op — the ones that pay for
+/// SpikeBatch emission.
 std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
   if (const auto* linear = dynamic_cast<const nn::Linear*>(&layer)) {
     const bool event = lw.event_for_weight_layer();
-    lw.any_event |= event;
+    lw.consume_view(event);
     lw.now_dense();
     if (lw.dry) return nullptr;
     // Event-path LinearOp builds a uniform-scale plane; measure that.
@@ -175,7 +200,7 @@ std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
   }
   if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&layer)) {
     const bool event = lw.event_for_weight_layer();
-    lw.any_event |= event;
+    lw.consume_view(event);
     lw.now_dense();
     if (lw.dry) return nullptr;
     // Conv structures keep per-row scales on every path.
@@ -185,15 +210,17 @@ std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
     return std::make_unique<ConvOp>(*conv, kernel, precision, event, lw.opts, lw.pool);
   }
   if (const auto* bn = dynamic_cast<const nn::BatchNorm2d*>(&layer)) {
+    lw.consume_view(false);
     lw.now_dense();  // the affine shift makes zeros non-zero
     if (lw.dry) return nullptr;
     return std::make_unique<BatchNormOp>(*bn);
   }
   if (const auto* lif = dynamic_cast<const nn::LifActivation*>(&layer)) {
     lw.now_spiking(lif->last_spike_rate());
+    const bool emit = lw.neuron_output();
     if (lw.dry) return nullptr;
     return std::make_unique<LifOp>(lif->name(), lif->lif().config(),
-                                   lif->lif().timesteps(), lw.emit_events);
+                                   lif->lif().timesteps(), emit);
   }
   if (const auto* plif = dynamic_cast<const nn::PlifActivation*>(&layer)) {
     // PLIF at inference is a LIF with the trained leak alpha = sigmoid(a).
@@ -201,37 +228,44 @@ std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
     cfg.alpha = plif->plif().alpha();
     cfg.threshold = plif->plif().config().threshold;
     lw.now_spiking(plif->last_spike_rate());
+    const bool emit = lw.neuron_output();
     if (lw.dry) return nullptr;
-    return std::make_unique<LifOp>(plif->name(), cfg, plif->plif().timesteps(),
-                                   lw.emit_events);
+    return std::make_unique<LifOp>(plif->name(), cfg, plif->plif().timesteps(), emit);
   }
   if (const auto* alif = dynamic_cast<const nn::AlifActivation*>(&layer)) {
     lw.now_spiking(alif->last_spike_rate());
+    const bool emit = lw.neuron_output();
     if (lw.dry) return nullptr;
     return std::make_unique<AlifOp>(alif->name(), alif->alif().config(),
-                                    alif->alif().timesteps(), lw.emit_events);
+                                    alif->alif().timesteps(), emit);
   }
+  // Pooling returns a view-less activation.
   if (const auto* avg = dynamic_cast<const nn::AvgPool2d*>(&layer)) {
+    lw.consume_view(false);
     lw.pooled(avg->k());
     if (lw.dry) return nullptr;
     return std::make_unique<AvgPoolOp>(avg->name(), avg->k());
   }
   if (const auto* max = dynamic_cast<const nn::MaxPool2d*>(&layer)) {
+    lw.consume_view(false);
     lw.pooled(max->k());
     if (lw.dry) return nullptr;
     return std::make_unique<MaxPoolOp>(max->name(), max->k());
   }
   if (dynamic_cast<const nn::GlobalAvgPool*>(&layer) != nullptr) {
+    lw.consume_view(false);
     lw.now_dense();  // whole-plane averages are rarely exactly zero
     if (lw.dry) return nullptr;
     return std::make_unique<GlobalAvgPoolOp>();
   }
   if (dynamic_cast<const nn::Flatten*>(&layer) != nullptr) {
     if (lw.dry) return nullptr;
-    return std::make_unique<FlattenOp>();  // spiking-ness passes through
+    return std::make_unique<FlattenOp>();  // spiking-ness and views pass through
   }
   if (const auto* res = dynamic_cast<const nn::ResidualBlock*>(&layer)) {
-    // Both chains fork off the same incoming activation state.
+    // Both chains fork off the same incoming activation state. conv1
+    // consumes the incoming view; a projection shortcut's conv, seeing
+    // the same state, takes the same event decision.
     const bool in_spiking = lw.spiking;
     const double in_rate = lw.rate;
     auto main = compile_chain(
@@ -300,16 +334,16 @@ CompiledNetwork CompiledNetwork::compile(const nn::SpikingNetwork& net,
   CompiledNetwork compiled;
   compiled.plan_.timesteps = net.timesteps();
   const nn::Sequential& body = net.body();
-  // Stage 1 (dry): walk the dataflow state to learn whether any weight
-  // layer picks the event path. Stage 2 builds the ops; neuron ops emit
-  // SpikeBatch views only when stage 1 found a consumer for them.
+  // Stage 1 (dry): walk the dataflow state to learn which neuron ops
+  // feed an event-driven weight op. Stage 2 builds the ops; a neuron op
+  // emits SpikeBatch views only when stage 1 found it such a consumer.
   Lowering dry_walk(opts);
   dry_walk.dry = true;
   for (std::size_t i = 0; i < body.size(); ++i) {
     (void)compile_layer(body.layer(i), dry_walk);
   }
   Lowering lw(opts);
-  lw.emit_events = dry_walk.any_event;
+  lw.emits = std::move(dry_walk.emits);
   // One shared pool per plan: ops borrow it for intra-op dispatch, the
   // BatchExecutor reads its lane count to split inter-request vs
   // intra-op parallelism instead of oversubscribing.

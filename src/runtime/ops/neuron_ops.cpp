@@ -14,11 +14,15 @@ using tensor::Tensor;
 
 namespace {
 
-/// The op's output: the spike train, plus its event view when the plan
-/// has event-driven consumers. The span records the observed firing
-/// rate, free from the view.
+/// The op's output: the spike train, plus its event view when
+/// `emit_events` says a consumer reads one. The span records the
+/// observed firing rate: free from the view when there is one, else
+/// counted from the spikes, only while tracing.
 Activation with_events(Tensor spikes, bool emit_events, trace::ScopedSpan& span) {
-  if (!emit_events) return Activation(std::move(spikes));
+  if (!emit_events) {
+    if (span.active()) span.rate(trace::nonzero_fraction(spikes));
+    return Activation(std::move(spikes));
+  }
   SpikeBatch events = SpikeBatch::scan(spikes);
   span.rate(events.rate());
   return {std::move(spikes), std::move(events)};
@@ -110,7 +114,9 @@ Activation LifOp::step(const Activation& input, OpState* state) const {
   st->first = false;
   Tensor out(in_t.shape());
   std::copy(st->prev.begin(), st->prev.end(), out.data());
-  return with_events(std::move(out), emit_events_, span);
+  // Streamed steps always carry the view: StreamSession's delta path
+  // reads it to find a silent step, whatever op comes next.
+  return with_events(std::move(out), /*emit_events=*/true, span);
 }
 
 OpReport LifOp::report() const { return {layer_name_, "lif", 0, 0, 0.0, false}; }
@@ -161,7 +167,7 @@ Activation AlifOp::step(const Activation& input, OpState* state) const {
                  step);
   Tensor out(in_t.shape());
   std::copy(st->prev_spike.begin(), st->prev_spike.end(), out.data());
-  return with_events(std::move(out), emit_events_, span);
+  return with_events(std::move(out), /*emit_events=*/true, span);
 }
 
 OpReport AlifOp::report() const { return {layer_name_, "alif", 0, 0, 0.0, false}; }

@@ -6,10 +6,11 @@
 // snn::LifLayer, PlifLayer and AlifLayer::forward run, so compiled and
 // interpreted paths agree bitwise.
 //
-// When `emit_events` is set (the plan has event-driven weight ops) the
-// op scans its finished spike train into a SpikeBatch view
-// (SpikeBatch::scan), so downstream event-driven weight ops skip the
-// scan of their own.
+// When `emit_events` is set (compile found an event-driven weight op
+// that reads this op's output, directly or through Flatten) run() scans
+// its finished spike train into a SpikeBatch view (SpikeBatch::scan), so
+// that consumer skips the scan of its own. step() always builds the
+// view: the streaming delta path reads it to spot silent steps.
 #pragma once
 
 #include <string>

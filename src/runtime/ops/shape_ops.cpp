@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "nn/pool.hpp"
 #include "runtime/trace.hpp"
 #include "tensor/ops.hpp"
 
@@ -19,24 +20,7 @@ Activation AvgPoolOp::run(const Activation& input) const {
   const int64_t m = in.dim(0), c = in.dim(1), h = in.dim(2), w = in.dim(3);
   const int64_t oh = h / k_, ow = w / k_;
   Tensor out(Shape{m, c, oh, ow});
-  const float inv = 1.0F / static_cast<float>(k_ * k_);
-  const float* src = in.data();
-  float* dst = out.data();
-  for (int64_t mc = 0; mc < m * c; ++mc) {
-    const float* plane = src + mc * h * w;
-    float* oplane = dst + mc * oh * ow;
-    for (int64_t oy = 0; oy < oh; ++oy) {
-      for (int64_t ox = 0; ox < ow; ++ox) {
-        float acc = 0.0F;
-        for (int64_t dy = 0; dy < k_; ++dy) {
-          for (int64_t dx = 0; dx < k_; ++dx) {
-            acc += plane[(oy * k_ + dy) * w + (ox * k_ + dx)];
-          }
-        }
-        oplane[oy * ow + ox] = acc * inv;
-      }
-    }
-  }
+  nn::avg_pool2d(in.data(), out.data(), m * c, h, w, k_);
   return Activation(std::move(out));
 }
 

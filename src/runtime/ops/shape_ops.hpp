@@ -17,6 +17,8 @@
 
 namespace ndsnn::runtime {
 
+/// Runs nn::avg_pool2d, the body AvgPool2d::forward runs, so the plan
+/// pools bitwise like predict.
 class AvgPoolOp final : public Op {
  public:
   AvgPoolOp(std::string layer_name, int64_t k)
@@ -75,6 +77,9 @@ class ResidualOp final : public Op {
   [[nodiscard]] std::unique_ptr<OpState> make_state() const override;
   [[nodiscard]] Activation step(const Activation& input,
                                 OpState* state) const override;
+
+  /// The main chain conv1 -> bn1 -> lif1 -> conv2 -> bn2, in run order.
+  [[nodiscard]] const std::vector<std::unique_ptr<Op>>& main_chain() const { return main_; }
 
  private:
   std::string layer_name_;

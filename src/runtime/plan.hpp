@@ -4,10 +4,10 @@
 // an immutable sequence of Ops (src/runtime/ops/) plus per-op reports.
 // Ops exchange `Activation` values — the dense time-major tensor the
 // interpreted network would produce, optionally annotated with a
-// `SpikeBatch` event view (per-row active-index lists) that neuron ops
-// scan from their finished spike trains when the plan has event-driven
-// weight ops. Those consume the view to skip work proportional to the
-// firing rate;
+// `SpikeBatch` event view (per-row active-index lists) that a neuron op
+// scans from its finished spike train when an event-driven weight op
+// reads its output. That op consumes the view to skip work proportional
+// to the firing rate;
 // every op still produces the bitwise-identical dense tensor, so the
 // event path stays pinned against SpikingNetwork::predict by the
 // differential harness.
@@ -37,10 +37,10 @@ enum class Kernel { kDense, kCsr };
 [[nodiscard]] const char* kernel_tag(Kernel k);
 
 /// Sparse view of a time-major activation [M, features]: for each row m
-/// the ascending list of feature indices whose value is nonzero. Neuron
-/// ops scan it from their spike trains (mostly zeros at typical 5-20%
-/// firing rates) when the plan has event-driven weight ops, which
-/// iterate it instead of scanning the dense tensor.
+/// the ascending list of feature indices whose value is nonzero. A
+/// neuron op scans it from its spike train (mostly zeros at typical
+/// 5-20% firing rates) when an event-driven weight op reads that train,
+/// and the weight op iterates it instead of scanning the dense tensor.
 struct SpikeBatch {
   int64_t rows = 0;              ///< M = T * N (time-major batch rows)
   int64_t row_size = 0;          ///< features per row
@@ -67,10 +67,12 @@ struct SpikeBatch {
 };
 
 /// What flows between ops: the dense activation plus an optional event
-/// view. Neuron ops attach one when the plan has event-driven weight ops
-/// and Flatten forwards it; every other op (weight ops, batch norm,
-/// pooling) leaves `has_events` false, and consumers that want events
-/// then rescan the dense tensor.
+/// view. A neuron op attaches one when compile found an event-driven
+/// weight op reading its output (directly, through Flatten, or as a
+/// residual block's input), and on every streamed step(), where the
+/// delta path reads it; Flatten forwards it. Every other op (weight
+/// ops, batch norm, pooling) leaves `has_events` false, and consumers
+/// that want events then rescan the dense tensor.
 struct Activation {
   tensor::Tensor tensor;
   SpikeBatch events;

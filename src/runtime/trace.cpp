@@ -251,10 +251,6 @@ void PlanProfile::reset() {
 
 namespace trace {
 
-namespace {
-
-/// Observed nonzero fraction of a dense tensor (the spike rate of a
-/// neuron op's output when no event view was built).
 double nonzero_fraction(const tensor::Tensor& t) {
   const int64_t n = t.numel();
   if (n == 0) return 0.0;
@@ -263,8 +259,6 @@ double nonzero_fraction(const tensor::Tensor& t) {
   for (int64_t i = 0; i < n; ++i) nz += p[i] != 0.0F;
   return static_cast<double>(nz) / static_cast<double>(n);
 }
-
-}  // namespace
 
 Activation run_op_instrumented(const Op& op, const OpReport& report, const Activation& in,
                                PlanProfile* profile, std::size_t index) {

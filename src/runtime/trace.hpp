@@ -140,6 +140,8 @@ class ScopedSpan {
   void rate(double r) {
     if (active_) span_.spike_rate = r;
   }
+  /// True when tracing was on at construction: the span will record.
+  [[nodiscard]] bool active() const { return active_; }
   void bytes(int64_t b) {
     if (active_) span_.bytes = b;
   }
@@ -202,6 +204,10 @@ class PlanProfile {
 };
 
 namespace trace {
+/// Observed nonzero fraction of a dense tensor: the spike rate of a
+/// neuron op's output when it built no event view.
+[[nodiscard]] double nonzero_fraction(const tensor::Tensor& t);
+
 /// Run one op through the instrumented path: times the run, records an
 /// "op" span when tracing is enabled (kind/backend/precision, rows,
 /// observed spike rate, approximate bytes touched) and folds the

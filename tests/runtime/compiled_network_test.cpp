@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -15,8 +17,14 @@
 
 #include "core/nm_projection.hpp"
 #include "nn/checkpoint.hpp"
+#include "nn/flatten.hpp"
+#include "nn/lif_activation.hpp"
+#include "nn/linear.hpp"
 #include "nn/models/zoo.hpp"
+#include "nn/pool.hpp"
+#include "nn/sequential.hpp"
 #include "runtime/compiled_network.hpp"
+#include "runtime/ops/shape_ops.hpp"
 #include "snn/encoder.hpp"
 #include "testing.hpp"
 #include "tensor/random.hpp"
@@ -304,6 +312,97 @@ TEST(CompiledNetworkTest, AutoActivationGoesEventOnlyBehindSpikingInputs) {
   for (const auto& r : busy.plan()) EXPECT_FALSE(r.event) << r.layer;
 }
 
+/// Run `compiled` op by op on the direct-encoded `batch`, as perfbench's
+/// traced pass does, and list for each neuron op in run order whether
+/// its output carries an event view. A residual block contributes its
+/// inner LIF (run through the main chain) and then its output LIF.
+std::vector<bool> neuron_views(const CompiledNetwork& compiled, const Tensor& batch) {
+  const Plan& plan = compiled.plan_ir();
+  const auto is_neuron = [](const std::string& kind) {
+    return kind == "lif" || kind == "alif";
+  };
+  std::vector<bool> views;
+  Activation x(snn::DirectEncoder().encode(batch, plan.timesteps));
+  for (std::size_t i = 0; i < plan.ops.size(); ++i) {
+    if (const auto* res = dynamic_cast<const ResidualOp*>(plan.ops[i].get())) {
+      Activation inner = x;
+      for (const auto& op : res->main_chain()) {
+        inner = op->run(inner);
+        if (is_neuron(op->report().kind)) views.push_back(inner.has_events);
+      }
+    }
+    x = plan.ops[i]->run(x);
+    if (is_neuron(plan.reports[i].kind) || plan.reports[i].kind == "residual") {
+      views.push_back(x.has_events);
+    }
+  }
+  return views;
+}
+
+// A neuron op builds its SpikeBatch view only when an event-driven weight
+// op reads it: directly, through Flatten, or as a residual block's input.
+// Pooling drops views, so a LIF that feeds a pool never builds one, even
+// when every weight op runs event-driven.
+TEST(CompiledNetworkTest, NeuronOpsBuildViewsOnlyForEventReaders) {
+  nn::ModelSpec spec;
+  spec.in_channels = 1;
+  spec.image_size = 16;
+  spec.timesteps = 2;
+  const auto lenet = nn::make_lenet5(spec);
+  apply_random_masks(*lenet, 0.9, 85);
+  const Tensor batch = random_batch(2, 1, 16, 86);
+  // No warm-up: kAuto plans on the fallback estimate 0.15, so fc2 and
+  // fc3 (behind LIF3 and LIF4) go event-driven while conv2 and fc1 see
+  // pooled rates above event_max_rate.
+  CompileOptions opts;
+  const CompiledNetwork autos = CompiledNetwork::compile(*lenet, opts);
+  std::vector<bool> event_linears;
+  for (const auto& r : autos.plan()) {
+    if (r.kind.find("linear") != std::string::npos) event_linears.push_back(r.event);
+  }
+  EXPECT_EQ(event_linears, (std::vector<bool>{false, true, true}));
+  EXPECT_EQ(neuron_views(autos, batch), (std::vector<bool>{false, false, true, true}));
+
+  opts.activation_mode = ActivationMode::kEvent;
+  EXPECT_EQ(neuron_views(CompiledNetwork::compile(*lenet, opts), batch),
+            (std::vector<bool>{false, false, true, true}));
+  opts.activation_mode = ActivationMode::kDense;
+  EXPECT_EQ(neuron_views(CompiledNetwork::compile(*lenet, opts), batch),
+            (std::vector<bool>(4, false)));
+
+  // Without pooling, every neuron op under kEvent feeds an event reader.
+  Rng rng(87);
+  auto body = std::make_unique<nn::Sequential>();
+  body->emplace<nn::Flatten>();
+  body->emplace<nn::Linear>(16 * 16, 32, rng);
+  body->emplace<nn::LifActivation>(spec.lif, spec.timesteps);
+  body->emplace<nn::Flatten>();
+  body->emplace<nn::Linear>(32, 16, rng);
+  body->emplace<nn::LifActivation>(spec.lif, spec.timesteps);
+  body->emplace<nn::Linear>(16, 10, rng);
+  const nn::SpikingNetwork mlp(std::move(body), spec.timesteps);
+  opts.activation_mode = ActivationMode::kEvent;
+  EXPECT_EQ(neuron_views(CompiledNetwork::compile(mlp, opts), batch),
+            (std::vector<bool>{true, true}));
+
+  // resnet19: stem LIF, then per block its inner LIF and output LIF,
+  // then the classifier's hidden LIF. Under kEvent every one feeds an
+  // event conv or linear except the last block's output, which feeds
+  // GlobalAvgPool. The stride-2 blocks' projection shortcuts read their
+  // input views alongside conv1.
+  spec.in_channels = 3;
+  spec.width_scale = 0.0625;
+  const auto resnet = nn::make_resnet19(spec);
+  apply_random_masks(*resnet, 0.8, 88);
+  const Tensor rgb = random_batch(2, 3, 16, 89);
+  std::vector<bool> want(1 + 2 * 8 + 1, true);
+  want[want.size() - 2] = false;
+  EXPECT_EQ(neuron_views(CompiledNetwork::compile(*resnet, opts), rgb), want);
+  opts.activation_mode = ActivationMode::kDense;
+  EXPECT_EQ(neuron_views(CompiledNetwork::compile(*resnet, opts), rgb),
+            std::vector<bool>(want.size(), false));
+}
+
 TEST(CompiledNetworkTest, FromCheckpointServesWithoutATrainingNetwork) {
   nn::ModelSpec spec;
   spec.in_channels = 1;
@@ -408,6 +507,68 @@ TEST(SpikeBatchTest, ScanListsNonzeroIndicesPerRow) {
   EXPECT_EQ(quiet.row_ptr, (std::vector<int64_t>{0, 0}));
   scalar.at(0) = 3.0F;
   EXPECT_EQ(SpikeBatch::scan(scalar).idx, (std::vector<int32_t>{0}));
+}
+
+/// Plain AvgPool reference: each k x k window summed row by row from a
+/// 0.0F start, times 1 / (k * k).
+Tensor reference_avg_pool(const Tensor& x, int64_t k) {
+  const int64_t m = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  Tensor out(Shape{m, c, h / k, w / k});
+  const float inv = 1.0F / static_cast<float>(k * k);
+  int64_t o = 0;
+  for (int64_t p = 0; p < m * c; ++p) {
+    for (int64_t oy = 0; oy < h / k; ++oy) {
+      for (int64_t ox = 0; ox < w / k; ++ox) {
+        float acc = 0.0F;
+        for (int64_t dy = 0; dy < k; ++dy) {
+          for (int64_t dx = 0; dx < k; ++dx) {
+            acc += x.at(p * h * w + (oy * k + dy) * w + ox * k + dx);
+          }
+        }
+        out.at(o++) = acc * inv;
+      }
+    }
+  }
+  return out;
+}
+
+void expect_same_bits(const Tensor& got, const Tensor& want, const std::string& context) {
+  ASSERT_EQ(got.shape(), want.shape()) << context;
+  for (int64_t i = 0; i < want.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(got.at(i)), std::bit_cast<uint32_t>(want.at(i)))
+        << context << " at flat index " << i << " (got " << std::hexfloat << got.at(i)
+        << ", want " << want.at(i) << std::defaultfloat << ")";
+  }
+}
+
+// AvgPoolOp (plan), AvgPool2d::forward (training and predict) and a
+// plain loop agree bit for bit, signed zeros included: the k == 2 body
+// keeps the generic loop's (((0 + a) + b) + c) + d order, and a window
+// of -0.0F averages to +0.0F because the sum starts at 0.0F.
+TEST(AvgPoolKernelTest, PlanLayerAndReferenceAgreeBitwise) {
+  Rng rng(91);
+  for (const int64_t k : {1, 2, 3, 4}) {
+    for (const int64_t channels : {1, 3, 5}) {
+      const std::string context =
+          "k=" + std::to_string(k) + " channels=" + std::to_string(channels);
+      Tensor x(Shape{2, channels, 3 * k, 5 * k});
+      x.fill_uniform(rng, -2.0F, 2.0F);
+      for (int64_t i = 0; i < x.numel(); ++i) {
+        if (i % 7 == 0) x.at(i) = -0.0F;
+        if (i % 11 == 0) x.at(i) = i % 2 == 0 ? 1e-40F : -1e-40F;  // subnormal
+      }
+      // The first window holds only -0.0F.
+      for (int64_t dy = 0; dy < k; ++dy) {
+        for (int64_t dx = 0; dx < k; ++dx) x.at(dy * 5 * k + dx) = -0.0F;
+      }
+      const Tensor want = reference_avg_pool(x, k);
+      ASSERT_EQ(std::bit_cast<uint32_t>(want.at(0)), 0U) << context;
+      nn::AvgPool2d layer(k);
+      expect_same_bits(layer.forward(x, /*training=*/false), want, context + " layer");
+      const AvgPoolOp op("pool", k);
+      expect_same_bits(op.run(Activation(x)).tensor, want, context + " plan op");
+    }
+  }
 }
 
 TEST(CompiledNetworkTest, RejectsBadInputRank) {

@@ -259,8 +259,51 @@ TEST(StreamSessionTest, ResetRestoresFirstStepSemantics) {
   EXPECT_THROW((void)session.step(frames[0]), std::invalid_argument);
 }
 
+// A LIF whose plan output carries no event view (it feeds AvgPool, not
+// an event-driven weight op) still builds one on each streamed step, so
+// the pool behind it is delta-skipped on a repeated silent frame. The
+// conv has no bias, so zero frames keep the LIF silent.
+TEST(StreamSessionTest, PoolBehindSilentLifIsSkippedWithoutAViewReader) {
+  constexpr int64_t kSteps = 4;
+  tensor::Rng rng(4141);
+  snn::LifConfig lif;
+  auto body = std::make_unique<nn::Sequential>();
+  body->emplace<nn::Conv2d>(1, 4, 3, 1, 1, rng);
+  body->emplace<nn::LifActivation>(lif, kSteps);
+  body->emplace<nn::AvgPool2d>(2);
+  body->emplace<nn::Flatten>();
+  body->emplace<nn::Linear>(4 * 4 * 4, 10, rng);
+  const nn::SpikingNetwork net(std::move(body), kSteps);
+  const CompiledNetwork compiled = CompiledNetwork::compile(net, difftest::options_for());
+
+  const Tensor zero(Shape{2, 1, 8, 8});
+  Tensor busy(Shape{2, 1, 8, 8});
+  busy.fill_uniform(rng, 0.0F, 4.0F);
+  const std::vector<Tensor> frames{zero, zero, busy, zero};
+  const Plan& plan = compiled.plan_ir();
+  ASSERT_EQ(plan.reports[1].kind, "lif");
+  ASSERT_EQ(plan.reports[2].kind, "pool");
+  const Activation conv_out = plan.ops[0]->run(Activation(concat_time_major(frames)));
+  EXPECT_FALSE(plan.ops[1]->run(conv_out).has_events) << "no op of the plan reads LIF's view";
+
+  const Tensor window_out = plan.execute_time_major(concat_time_major(frames));
+  StreamSession session(compiled);
+  std::vector<int64_t> skipped;
+  for (std::size_t t = 0; t < frames.size(); ++t) {
+    const InferenceResult r = session.step(frames[t]);
+    skipped.push_back(r.skipped_ops);
+    difftest::expect_bitwise(r.logits, step_slice(window_out, static_cast<int64_t>(t), 2),
+                             "step " + std::to_string(t));
+  }
+  // Step 0 fills the zero-input caches. Step 1 skips the conv (silent
+  // frame) and the pool (silent LIF view); Flatten and the linear get
+  // the pool's view-less output and run.
+  EXPECT_EQ(skipped[0], 0);
+  EXPECT_EQ(skipped[1], 2);
+}
+
 /// Nearest-rank percentile (rank ceil(q * n), as ExecutorStats and
-/// HistogramSnapshot compute it): over 32 steps p99 is the slowest step.
+/// HistogramSnapshot compute it).
 double nearest_rank(std::vector<double> v, double q) {
   std::sort(v.begin(), v.end());
   const auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(v.size())));
@@ -271,11 +314,15 @@ double nearest_rank(std::vector<double> v, double q) {
 // step, not after the whole window. Masked LeNet-5 (1x16x16, 5% of each
 // weight kept) compiled for T = 32, batch 4, every 2nd frame silent so
 // the delta path runs, seed 42. The window pass is warmed once and
-// timed once; the session is warmed with one step and reset. Holds on
-// any core count: one step can never legitimately take longer than the
-// whole window.
+// timed kRuns times; the session is warmed with one step and reset,
+// then streams the same 32 frames kRuns times with a reset() between
+// runs. p99 over the 32 * kRuns steps is the 4th slowest, not the
+// maximum, so one host stall cannot decide the gate, and it is compared
+// against the median window time. Holds on any core count: one step
+// can never legitimately take longer than the whole window.
 TEST(StreamSessionTest, PerEventP99BeatsWholeWindow) {
   if (const char* why = difftest::timing_gate_skip_reason()) GTEST_SKIP() << why;
+  constexpr int kRuns = 10;
   constexpr int64_t kFrames = 32;
   constexpr int64_t kBatch = 4;
   constexpr uint64_t kSeed = 42;
@@ -299,19 +346,25 @@ TEST(StreamSessionTest, PerEventP99BeatsWholeWindow) {
 
   const Tensor window = concat_time_major(frames);
   (void)compiled.plan_ir().execute_time_major(window);
-  const util::Stopwatch sw;
-  (void)compiled.plan_ir().execute_time_major(window);
-  const double window_ms = sw.millis();
+  std::vector<double> runs_ms;
+  for (int run = 0; run < kRuns; ++run) {
+    const util::Stopwatch sw;
+    (void)compiled.plan_ir().execute_time_major(window);
+    runs_ms.push_back(sw.millis());
+  }
+  const double window_ms = nearest_rank(runs_ms, 0.5);
 
   StreamSession session(compiled);
   (void)session.step(frames[0]);
-  session.reset();
   std::vector<double> step_ms;
-  for (const Tensor& frame : frames) step_ms.push_back(session.step(frame).latency_ms);
+  for (int run = 0; run < kRuns; ++run) {
+    session.reset();
+    for (const Tensor& frame : frames) step_ms.push_back(session.step(frame).latency_ms);
+  }
   EXPECT_GT(session.delta_skips(), 0) << "the silent frames never took the delta path";
 
   const double p99 = nearest_rank(step_ms, 0.99);
-  std::printf("per-event p99 %.3f ms vs whole-window %.3f ms\n", p99, window_ms);
+  std::printf("per-event p99 %.3f ms vs median whole-window %.3f ms\n", p99, window_ms);
   EXPECT_GT(p99, 0.0);
   EXPECT_LT(p99, window_ms);
 }

@@ -150,6 +150,30 @@ TEST_F(TraceTest, EveryPlanOpEmitsASpan) {
   }
 }
 
+TEST_F(TraceTest, NeuronPhaseSpansRecordTheFiringRate) {
+  // A lenet5 kAuto plan builds views only on the LIFs feeding event
+  // linears; every lif-dynamics span still records the rate its op
+  // span observed, with a view or without one.
+  NetConfig cfg;
+  cfg.seed = env_seed() ^ 0x11FULL;
+  const auto net = build_network(cfg);
+  const CompiledNetwork plan = CompiledNetwork::compile(*net, options_for());
+  trace::set_enabled(true);
+  (void)plan.run(random_batch(cfg));
+  trace::set_enabled(false);
+  std::vector<double> phase_rates, op_rates;
+  for (const trace::Span& s : trace::snapshot()) {
+    if (s.name == "lif-dynamics") phase_rates.push_back(s.spike_rate);
+    if (std::string(s.cat) == "op" && s.kind == "lif") op_rates.push_back(s.spike_rate);
+  }
+  ASSERT_EQ(phase_rates.size(), 4U);
+  ASSERT_EQ(op_rates.size(), 4U);
+  for (std::size_t i = 0; i < phase_rates.size(); ++i) {
+    EXPECT_GE(phase_rates[i], 0.0) << i;
+    EXPECT_DOUBLE_EQ(phase_rates[i], op_rates[i]) << i;
+  }
+}
+
 TEST_F(TraceTest, PlanProfileAggregatesRunsAndLatencies) {
   NetConfig cfg;
   cfg.seed = env_seed() ^ 0x90F11EULL;
