@@ -3,7 +3,12 @@
 // cost_i = (spike_rate_sparse_i * density_i) / spike_rate_dense_i, epoch
 // mean, in percent of the dense run (Sec. IV-C). Paper reference points:
 // NDSNN VGG-16 CIFAR-10 = 10.5% of dense and 31.35% of LTH; ResNet-19 =
-// 40.89% of LTH.
+// 40.89% of LTH. Next to that modelled cost, the "wall %" columns give
+// the realised one: each run's measured Trainer::run wall time in percent
+// of the dense run's on the same host.
+//
+//   ./build/bench/fig5_training_cost [--epochs 12] [--samples 384]
+//       [--sparsity 0.95] [--full]
 #include <cstdio>
 #include <vector>
 
@@ -24,7 +29,8 @@ int main(int argc, char** argv) {
   std::printf("paper: NDSNN = 10.5%% of dense (VGG-16/CIFAR-10); NDSNN/LTH = 31.35%%\n");
   std::printf("(VGG-16) and 40.89%% (ResNet-19).\n\n");
 
-  ndsnn::util::Table table({"arch", "dataset", "Dense %", "LTH %", "NDSNN %", "NDSNN/LTH %"});
+  ndsnn::util::Table table({"arch", "dataset", "Dense %", "LTH %", "NDSNN %", "NDSNN/LTH %",
+                            "LTH wall %", "NDSNN wall %"});
   const std::vector<std::pair<const char*, const char*>> combos = {
       {"lenet5", "cifar10"},
       {"lenet5", "cifar100"},
@@ -55,10 +61,16 @@ int main(int argc, char** argv) {
 
     const double lth_cost = ndsnn::core::normalized_training_cost_pct(lth, dense);
     const double nd_cost = ndsnn::core::normalized_training_cost_pct(ndsnn_run, dense);
+    const auto wall_pct = [&](const ndsnn::core::TrainResult& run) {
+      return dense.wall_seconds > 0 ? 100.0 * run.wall_seconds / dense.wall_seconds : 0.0;
+    };
     table.add_row({arch, dataset, "100.00", ndsnn::util::fmt(lth_cost),
                    ndsnn::util::fmt(nd_cost),
-                   ndsnn::util::fmt(lth_cost > 0 ? 100.0 * nd_cost / lth_cost : 0.0)});
+                   ndsnn::util::fmt(lth_cost > 0 ? 100.0 * nd_cost / lth_cost : 0.0),
+                   ndsnn::util::fmt(wall_pct(lth)), ndsnn::util::fmt(wall_pct(ndsnn_run))});
   }
   table.print();
+  std::printf("\nDense/LTH/NDSNN %%: modelled cost (spike rate x weight density). wall %%:\n");
+  std::printf("measured Trainer::run wall time. Both in percent of the dense run.\n");
   return 0;
 }

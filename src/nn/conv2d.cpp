@@ -1,5 +1,6 @@
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -43,46 +44,63 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& input, bool /*training*/) {
   g.padding = padding_;
   g.validate();
 
-  saved_cols_ = tensor::im2col(input, g);
-  saved_geom_ = g;
+  // The patch matrix lives across steps: im2col rewrites its in-bounds
+  // entries in place, and the padding entries stay zero from the
+  // allocation. Only a new geometry gets a new zero-filled matrix.
+  if (!(g == saved_geom_)) {
+    saved_cols_ = tensor::Tensor();  // free the old matrix before the new one
+    saved_cols_ = tensor::Tensor(tensor::Shape{g.patch_rows(), g.patch_cols()});
+    saved_geom_ = g;
+  }
+  tensor::im2col_into(input, g, saved_cols_);
   has_saved_ = true;
 
-  // yflat[F, L] = W[F, CKK] * cols[CKK, L],  L = M*OH*OW
+  // out[m] [F, OH*OW] = W[F, CKK] * cols[CKK, columns of sample m]: one
+  // GEMM per sample, written straight into the [M, F, OH, OW] output.
   const tensor::Tensor wmat = weight_.reshaped(
       tensor::Shape{out_channels_, in_channels_ * kernel_ * kernel_});
-  tensor::Tensor yflat = tensor::matmul(wmat, saved_cols_);
-
-  // Transpose [F, (m, oy, ox)] -> [m, F, oy, ox].
   const int64_t m = g.batch, oh = g.out_h(), ow = g.out_w();
   const int64_t plane = oh * ow;
   tensor::Tensor out(tensor::Shape{m, out_channels_, oh, ow});
-  const float* src = yflat.data();
-  float* dst = out.data();
-  for (int64_t f = 0; f < out_channels_; ++f) {
-    const float* srow = src + f * (m * plane);
-    for (int64_t mm = 0; mm < m; ++mm) {
-      float* drow = dst + (mm * out_channels_ + f) * plane;
-      const float* s = srow + mm * plane;
-      for (int64_t p = 0; p < plane; ++p) drow[p] = s[p];
-    }
+  for (int64_t mm = 0; mm < m; ++mm) {
+    tensor::matmul_acc_block(wmat, saved_cols_.data() + mm * plane, g.patch_cols(),
+                             out.data() + mm * out_channels_ * plane, plane, plane);
   }
   if (has_bias_) tensor::add_channel_bias_(out, bias_);
   return out;
 }
 
 tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
-  const tensor::Tensor gyflat = accumulate_param_grads(grad_output);
-  // gcols[CKK, L] = Wᵀ[CKK, F] * gy[F, L]
-  const tensor::Tensor wmat = weight_.reshaped(
-      tensor::Shape{out_channels_, in_channels_ * kernel_ * kernel_});
-  return tensor::col2im(tensor::matmul_tn(wmat, gyflat), saved_geom_);
+  accumulate_param_grads(grad_output);
+  // dx one sample at a time: gcols[CKK, OH*OW] = Wᵀ[CKK, F] * gy[F, OH*OW]
+  // over that sample's columns, scattered into its slice of dx. Every dx
+  // pixel belongs to one sample, so it gets the adds of the whole-matrix
+  // col2im(Wᵀ * gy) in the same order, and each gcols entry keeps its
+  // float chain over ascending F: the result is bitwise that product's.
+  const auto& g = saved_geom_;
+  const int64_t ckk = in_channels_ * kernel_ * kernel_;
+  const int64_t plane = g.out_h() * g.out_w();
+  const int64_t fplane = out_channels_ * plane;
+  const tensor::Tensor wmat = weight_.reshaped(tensor::Shape{out_channels_, ckk});
+  tensor::Tensor gy(tensor::Shape{out_channels_, plane});
+  tensor::Tensor gcols(tensor::Shape{ckk, plane});
+  tensor::Tensor dx(tensor::Shape{g.batch, in_channels_, g.in_h, g.in_w});
+  for (int64_t n = 0; n < g.batch; ++n) {
+    // grad_output[n] is gy's [F, OH*OW] block of sample n.
+    const float* src = grad_output.data() + n * fplane;
+    std::copy(src, src + fplane, gy.data());
+    gcols.zero();
+    tensor::matmul_tn_acc(wmat, gy, gcols);
+    tensor::col2im_sample_add(gcols, g, n, dx);
+  }
+  return dx;
 }
 
 void Conv2d::accumulate_grads(const tensor::Tensor& grad_output) {
-  (void)accumulate_param_grads(grad_output);
+  accumulate_param_grads(grad_output);
 }
 
-tensor::Tensor Conv2d::accumulate_param_grads(const tensor::Tensor& grad_output) {
+void Conv2d::accumulate_param_grads(const tensor::Tensor& grad_output) {
   if (!has_saved_) throw std::logic_error("Conv2d: backward before forward");
   const auto& g = saved_geom_;
   const int64_t m = g.batch, oh = g.out_h(), ow = g.out_w();
@@ -126,7 +144,6 @@ tensor::Tensor Conv2d::accumulate_param_grads(const tensor::Tensor& grad_output)
       bias_grad_.at(f) += static_cast<float>(acc);
     }
   }
-  return gyflat;
 }
 
 std::vector<ParamRef> Conv2d::params() {
@@ -149,9 +166,6 @@ std::string Conv2d::name() const {
          ", p=" + std::to_string(padding_) + ")";
 }
 
-void Conv2d::reset_state() {
-  saved_cols_ = tensor::Tensor();
-  has_saved_ = false;
-}
+void Conv2d::reset_state() { has_saved_ = false; }
 
 }  // namespace ndsnn::nn

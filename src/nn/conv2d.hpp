@@ -9,6 +9,13 @@ namespace ndsnn::nn {
 
 /// Conv2d over time-flattened batches: input [M, C, H, W] -> output
 /// [M, F, OH, OW], M = T*N. Weight [F, C, KH, KW] is `prunable`.
+///
+/// The forward's patch matrix is the layer's workspace: it lives across
+/// steps (reset_state() keeps it) and is rewritten in place while the
+/// conv geometry stays the same, so a training step at a steady batch
+/// shape allocates no patch matrix. The input gradient is built one
+/// sample at a time from a small [C*K*K, OH*OW] block; there is no
+/// [C*K*K, M*OH*OW] input-gradient matrix.
 class Conv2d final : public Layer {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel, int64_t stride,
@@ -20,6 +27,7 @@ class Conv2d final : public Layer {
   void accumulate_grads(const tensor::Tensor& grad_output) override;
   [[nodiscard]] std::vector<ParamRef> params() override;
   [[nodiscard]] std::string name() const override;
+  /// Drops the saved forward but keeps the patch matrix's storage.
   void reset_state() override;
   [[nodiscard]] std::optional<MaskedLayerView> masked_view() const override;
 
@@ -34,8 +42,8 @@ class Conv2d final : public Layer {
   [[nodiscard]] const tensor::Tensor& bias() const { return bias_; }
 
  private:
-  /// Accumulates dW (and db); returns gy as [F, M*OH*OW] for the input grad.
-  tensor::Tensor accumulate_param_grads(const tensor::Tensor& grad_output);
+  /// Accumulates dW (and db) of the saved forward.
+  void accumulate_param_grads(const tensor::Tensor& grad_output);
 
   int64_t in_channels_, out_channels_, kernel_, stride_, padding_;
   bool has_bias_;
@@ -43,9 +51,11 @@ class Conv2d final : public Layer {
   tensor::Tensor weight_grad_;
   tensor::Tensor bias_;         // [F]
   tensor::Tensor bias_grad_;
-  tensor::Tensor saved_cols_;   // [C*K*K, M*OH*OW]
+  // Patch matrix [C*K*K, M*OH*OW] of saved_geom_, kept across steps.
+  // Its padding entries are zero from the allocation and never written.
+  tensor::Tensor saved_cols_;
   tensor::ConvGeometry saved_geom_{};
-  bool has_saved_ = false;
+  bool has_saved_ = false;  // a forward is saved for backward
 };
 
 }  // namespace ndsnn::nn

@@ -70,7 +70,10 @@ class Layer {
   /// Layer type name for logging / model summaries.
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Clear temporal state and saved activations (between batches).
+  /// Clear temporal state and saved activations (between batches). A
+  /// layer may keep the capacity of its workspaces, so the next batch of
+  /// the same shape allocates nothing; no value of a previous batch is
+  /// read again.
   virtual void reset_state() {}
 
   /// Firing fraction of the last forward if this layer spikes, else < 0.

@@ -332,22 +332,20 @@ __attribute__((target("avx2,fma"))) void matmul_nt_f32_avx2(
   }
 }
 
-__attribute__((target("avx2,fma"))) void matmul_f32_avx2(const float* a,
-                                                         const float* b,
-                                                         int64_t i0, int64_t i1,
-                                                         int64_t k, int64_t n,
-                                                         float* c) {
+__attribute__((target("avx2,fma"))) void matmul_f32_avx2(
+    const float* a, const float* b, int64_t ldb, int64_t i0, int64_t i1, int64_t k,
+    int64_t n, float* c, int64_t ldc) {
   const float* brows[4];
   float vs[4];
   for (int64_t i = i0; i < i1; ++i) {
     const float* arow = a + i * k;
-    float* crow = c + i * n;
+    float* crow = c + i * ldc;
     int cnt = 0;
     for (int64_t kk = 0; kk < k; ++kk) {
       const float aval = arow[kk];
       if (aval == 0.0F) continue;  // pruned entries stay exact no-ops
       vs[cnt] = aval;
-      brows[cnt] = b + kk * n;
+      brows[cnt] = b + kk * ldb;
       if (++cnt == 4) {
         axpy_group(crow, n, vs, brows, 4);
         cnt = 0;
@@ -372,7 +370,7 @@ void csr_spmm_t_i4_avx2(const int64_t*, const int32_t*, const uint8_t*,
 void matmul_nt_f32_avx2(const float*, const float*, int64_t, int64_t, int64_t,
                         int64_t, float*) {}
 void matmul_f32_avx2(const float*, const float*, int64_t, int64_t, int64_t,
-                     int64_t, float*) {}
+                     int64_t, int64_t, float*, int64_t) {}
 
 #endif
 

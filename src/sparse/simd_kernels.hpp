@@ -79,8 +79,9 @@ void matmul_nt_f32_avx2(const float* a, const float* b, int64_t i0,
 /// Dense matmul rows [i0, i1): the i-k-j axpy with the zero-skip
 /// preserved (pruned weights must stay exact no-ops — adding an
 /// explicit 0 term could flip a -0.0 output) and the C row held across
-/// up to 4 surviving nonzeros per pass.
-void matmul_f32_avx2(const float* a, const float* b, int64_t i0, int64_t i1,
-                     int64_t k, int64_t n, float* c);
+/// up to 4 surviving nonzeros per pass. B [k, n] and C rows have row
+/// strides ldb and ldc (blocks of larger matrices).
+void matmul_f32_avx2(const float* a, const float* b, int64_t ldb, int64_t i0,
+                     int64_t i1, int64_t k, int64_t n, float* c, int64_t ldc);
 
 }  // namespace ndsnn::sparse::simd

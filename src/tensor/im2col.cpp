@@ -38,15 +38,18 @@ ValidSpan valid_span(const ConvGeometry& g, int64_t kw) {
 
 }  // namespace
 
-Tensor im2col(const Tensor& input, const ConvGeometry& g) {
+void im2col_into(const Tensor& input, const ConvGeometry& g, Tensor& cols) {
   g.validate();
   if (input.rank() != 4 || input.dim(0) != g.batch || input.dim(1) != g.in_channels ||
       input.dim(2) != g.in_h || input.dim(3) != g.in_w) {
     throw std::invalid_argument("im2col: input shape " + input.shape().str() +
                                 " does not match geometry");
   }
+  if (cols.rank() != 2 || cols.dim(0) != g.patch_rows() || cols.dim(1) != g.patch_cols()) {
+    throw std::invalid_argument("im2col: cols shape " + cols.shape().str() +
+                                " does not match geometry");
+  }
   const int64_t oh = g.out_h(), ow = g.out_w();
-  Tensor cols(Shape{g.patch_rows(), g.patch_cols()});
   const float* src = input.data();
   float* dst = cols.data();
   const int64_t cols_n = g.patch_cols();
@@ -54,8 +57,8 @@ Tensor im2col(const Tensor& input, const ConvGeometry& g) {
   const int64_t chw = g.in_channels * hw;
 
   // Each (row, n, oy) segment of ow columns is: zeros, one in-bounds span
-  // (a plain copy at stride 1), zeros. cols starts zero-filled, so only
-  // the in-bounds span is written.
+  // (a plain copy at stride 1), zeros. The zeros are already there, so
+  // only the in-bounds span is written.
   for (int64_t c = 0; c < g.in_channels; ++c) {
     for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
       for (int64_t kw = 0; kw < g.kernel_w; ++kw) {
@@ -82,25 +85,27 @@ Tensor im2col(const Tensor& input, const ConvGeometry& g) {
       }
     }
   }
+}
+
+Tensor im2col(const Tensor& input, const ConvGeometry& g) {
+  g.validate();
+  Tensor cols(Shape{g.patch_rows(), g.patch_cols()});
+  im2col_into(input, g, cols);
   return cols;
 }
 
-Tensor col2im(const Tensor& cols, const ConvGeometry& g) {
-  g.validate();
-  if (cols.rank() != 2 || cols.dim(0) != g.patch_rows() || cols.dim(1) != g.patch_cols()) {
-    throw std::invalid_argument("col2im: cols shape " + cols.shape().str() +
-                                " does not match geometry");
-  }
+namespace {
+
+/// Scatter-adds the patch columns of samples [n0, n1), held contiguously
+/// in `src` ([C*KH*KW, (n1 - n0)*OH*OW]), into their planes of `dst`
+/// ([N, C, H, W]). Same traversal as im2col with the padding columns
+/// skipped, so every input pixel receives its adds in ascending
+/// (row, oy, ox) order.
+void col2im_add(const float* src, const ConvGeometry& g, int64_t n0, int64_t n1, float* dst) {
   const int64_t oh = g.out_h(), ow = g.out_w();
-  Tensor out(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
-  const float* src = cols.data();
-  float* dst = out.data();
-  const int64_t cols_n = g.patch_cols();
+  const int64_t cols_n = (n1 - n0) * oh * ow;
   const int64_t hw = g.in_h * g.in_w;
   const int64_t chw = g.in_channels * hw;
-
-  // Same traversal as im2col with the padding columns skipped, so every
-  // input pixel receives its adds in ascending (row, n, oy, ox) order.
   for (int64_t c = 0; c < g.in_channels; ++c) {
     for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
       for (int64_t kw = 0; kw < g.kernel_w; ++kw) {
@@ -110,7 +115,7 @@ Tensor col2im(const Tensor& cols, const ConvGeometry& g) {
         const int64_t ix0 = span.lo * g.stride + kw - g.padding;
         const int64_t len = span.hi - span.lo;
         const float* srow = src + row * cols_n;
-        for (int64_t n = 0; n < g.batch; ++n) {
+        for (int64_t n = n0; n < n1; ++n) {
           float* plane = dst + n * chw + c * hw;
           for (int64_t oy = 0; oy < oh; ++oy, srow += ow) {
             const int64_t iy = oy * g.stride + kh - g.padding;
@@ -123,7 +128,34 @@ Tensor col2im(const Tensor& cols, const ConvGeometry& g) {
       }
     }
   }
+}
+
+}  // namespace
+
+Tensor col2im(const Tensor& cols, const ConvGeometry& g) {
+  g.validate();
+  if (cols.rank() != 2 || cols.dim(0) != g.patch_rows() || cols.dim(1) != g.patch_cols()) {
+    throw std::invalid_argument("col2im: cols shape " + cols.shape().str() +
+                                " does not match geometry");
+  }
+  Tensor out(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
+  col2im_add(cols.data(), g, 0, g.batch, out.data());
   return out;
+}
+
+void col2im_sample_add(const Tensor& cols, const ConvGeometry& g, int64_t n, Tensor& out) {
+  g.validate();
+  if (cols.rank() != 2 || cols.dim(0) != g.patch_rows() ||
+      cols.dim(1) != g.out_h() * g.out_w()) {
+    throw std::invalid_argument("col2im_sample_add: cols shape " + cols.shape().str() +
+                                " does not match geometry");
+  }
+  if (n < 0 || n >= g.batch || out.rank() != 4 || out.dim(0) != g.batch ||
+      out.dim(1) != g.in_channels || out.dim(2) != g.in_h || out.dim(3) != g.in_w) {
+    throw std::invalid_argument("col2im_sample_add: bad sample or output shape " +
+                                out.shape().str());
+  }
+  col2im_add(cols.data(), g, n, n + 1, out.data());
 }
 
 }  // namespace ndsnn::tensor

@@ -28,12 +28,26 @@ struct ConvGeometry {
 
   /// Throws when kernel/stride/padding are inconsistent with the input.
   void validate() const;
+
+  bool operator==(const ConvGeometry&) const = default;
 };
 
 /// Lower input [N, C, H, W] into the patch matrix [C*KH*KW, N*OH*OW].
 [[nodiscard]] Tensor im2col(const Tensor& input, const ConvGeometry& g);
 
+/// im2col into `cols` [C*KH*KW, N*OH*OW], which must already have that
+/// shape. Only the in-bounds entries are written; the padding entries,
+/// whose positions depend on the geometry alone, are never written and
+/// must already be zero. So `cols` is either freshly zero-filled or was
+/// last written by im2col_into with an equal geometry.
+void im2col_into(const Tensor& input, const ConvGeometry& g, Tensor& cols);
+
 /// Adjoint of im2col: scatter-add patch matrix back to [N, C, H, W].
 [[nodiscard]] Tensor col2im(const Tensor& cols, const ConvGeometry& g);
+
+/// col2im of one sample: scatter-add `cols` [C*KH*KW, OH*OW], the patch
+/// columns of sample `n`, into out[n] of `out` [N, C, H, W]. Each pixel
+/// receives its adds in the same order as in col2im of the whole matrix.
+void col2im_sample_add(const Tensor& cols, const ConvGeometry& g, int64_t n, Tensor& out);
 
 }  // namespace ndsnn::tensor

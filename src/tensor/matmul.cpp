@@ -17,6 +17,34 @@ void check_rank2(const Tensor& t, const char* name) {
 }
 }  // namespace
 
+namespace {
+/// C[m, n] += A[m, k] * B[k, n], with B and C rows ldb and ldc apart.
+void gemm_acc(const float* pa, const float* pb, int64_t ldb, float* pc, int64_t ldc,
+              int64_t m, int64_t k, int64_t n, util::ThreadPool* pool, util::simd::Tier tier) {
+  const bool avx2 = util::simd::resolve(tier) == util::simd::Tier::kAvx2 &&
+                    simd::built_with_avx2() && n >= 8;
+  // i-k-j ordering: unit-stride inner loop over B and C rows. Rows of C
+  // are independent, so the pooled path hands each chunk a row range.
+  const auto rows = [&](int64_t i0, int64_t i1) {
+    if (avx2) {
+      simd::matmul_f32_avx2(pa, pb, ldb, i0, i1, k, n, pc, ldc);
+      return;
+    }
+    for (int64_t i = i0; i < i1; ++i) {
+      float* crow = pc + i * ldc;
+      const float* arow = pa + i * k;
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const float aval = arow[kk];
+        if (aval == 0.0F) continue;  // sparse weights: skip pruned entries
+        const float* brow = pb + kk * ldb;
+        for (int64_t j = 0; j < n; ++j) crow[j] += aval * brow[j];
+      }
+    }
+  };
+  util::parallel_even(pool, 0, m, m * k * n, rows);
+}
+}  // namespace
+
 void matmul_acc(const Tensor& a, const Tensor& b, Tensor& c, util::ThreadPool* pool,
                 util::simd::Tier tier) {
   check_rank2(a, "A");
@@ -26,30 +54,16 @@ void matmul_acc(const Tensor& a, const Tensor& b, Tensor& c, util::ThreadPool* p
     throw std::invalid_argument("matmul_acc: shape mismatch A" + a.shape().str() + " B" +
                                 b.shape().str() + " C" + c.shape().str());
   }
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  const bool avx2 = util::simd::resolve(tier) == util::simd::Tier::kAvx2 &&
-                    simd::built_with_avx2() && n >= 8;
-  // i-k-j ordering: unit-stride inner loop over B and C rows. Rows of C
-  // are independent, so the pooled path hands each chunk a row range.
-  const auto rows = [&](int64_t i0, int64_t i1) {
-    if (avx2) {
-      simd::matmul_f32_avx2(pa, pb, i0, i1, k, n, pc);
-      return;
-    }
-    for (int64_t i = i0; i < i1; ++i) {
-      float* crow = pc + i * n;
-      const float* arow = pa + i * k;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float aval = arow[kk];
-        if (aval == 0.0F) continue;  // sparse weights: skip pruned entries
-        const float* brow = pb + kk * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += aval * brow[j];
-      }
-    }
-  };
-  util::parallel_even(pool, 0, m, m * k * n, rows);
+  gemm_acc(a.data(), b.data(), n, c.data(), n, m, k, n, pool, tier);
+}
+
+void matmul_acc_block(const Tensor& a, const float* b, int64_t ldb, float* c, int64_t ldc,
+                      int64_t n, util::ThreadPool* pool, util::simd::Tier tier) {
+  check_rank2(a, "A");
+  if (n < 0 || ldb < n || ldc < n) {
+    throw std::invalid_argument("matmul_acc_block: row strides must cover n columns");
+  }
+  gemm_acc(a.data(), b, ldb, c, ldc, a.dim(0), a.dim(1), n, pool, tier);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, util::ThreadPool* pool,

@@ -48,6 +48,12 @@ namespace ndsnn::tensor {
 /// C += A * B (accumulating variant used by BPTT weight-gradient sums).
 void matmul_acc(const Tensor& a, const Tensor& b, Tensor& c, util::ThreadPool* pool = nullptr,
                 util::simd::Tier tier = util::simd::Tier::kAuto);
+/// matmul_acc on blocks of larger row-major matrices: C [M, n] += A [M, K]
+/// * B [K, n], where consecutive rows of B are `ldb` floats apart and of
+/// C `ldc` apart. Every output gets matmul_acc's rounding sequence.
+void matmul_acc_block(const Tensor& a, const float* b, int64_t ldb, float* c, int64_t ldc,
+                      int64_t n, util::ThreadPool* pool = nullptr,
+                      util::simd::Tier tier = util::simd::Tier::kAuto);
 /// C += Aᵀ * B
 void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& c);
 /// C += A * Bᵀ

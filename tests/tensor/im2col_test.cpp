@@ -205,6 +205,12 @@ TEST(Im2colTest, MatchesPerElementReferenceBitwise) {
     x.fill_uniform(rng, -1.0F, 1.0F);
     x.at(0) = -0.0F;  // signed zeros must survive the copy
     EXPECT_TRUE(bitwise_equal(im2col(x, g), naive_im2col(x, g))) << describe(g);
+    // In place over a matrix that already holds another input's patches.
+    Tensor other(x.shape());
+    other.fill_uniform(rng, 2.0F, 3.0F);
+    Tensor reused = im2col(other, g);
+    im2col_into(x, g, reused);
+    EXPECT_TRUE(bitwise_equal(reused, naive_im2col(x, g))) << "into: " << describe(g);
   }
 }
 
@@ -218,6 +224,17 @@ TEST(Im2colTest, Col2imMatchesPerElementReferenceBitwise) {
     cols.fill_uniform(rng, -1.0F, 1.0F);
     for (int64_t i = 0; i < cols.numel(); i += 3) cols.at(i) *= 1.0e6F;
     EXPECT_TRUE(bitwise_equal(col2im(cols, g), naive_col2im(cols, g))) << describe(g);
+    // One sample at a time, from that sample's columns alone.
+    const int64_t plane = g.out_h() * g.out_w();
+    Tensor per_sample(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
+    Tensor block(Shape{g.patch_rows(), plane});
+    for (int64_t n = 0; n < g.batch; ++n) {
+      for (int64_t r = 0; r < g.patch_rows(); ++r) {
+        for (int64_t p = 0; p < plane; ++p) block.at(r, p) = cols.at(r, n * plane + p);
+      }
+      col2im_sample_add(block, g, n, per_sample);
+    }
+    EXPECT_TRUE(bitwise_equal(per_sample, naive_col2im(cols, g))) << "per sample: " << describe(g);
   }
 }
 
