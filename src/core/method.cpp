@@ -61,6 +61,18 @@ void MaskedMethodBase::mask_gradients() {
   }
 }
 
+void MaskedMethodBase::send_grad_masks(bool dense) {
+  for (auto& l : layers_) {
+    nn::GradMask* sink = l.ref.grad_mask;
+    if (sink == nullptr) continue;
+    if (dense) {
+      sink->keep_all();
+    } else {
+      sink->keep_only(l.mask.bits());
+    }
+  }
+}
+
 void MaskedMethodBase::mask_weights() {
   for (auto& l : layers_) l.mask.apply(*l.ref.value);
 }

@@ -48,6 +48,8 @@ class MaskedMethodBase : public SparseTrainingMethod {
   void before_step(int64_t iteration) override;
   [[nodiscard]] double overall_sparsity() const override;
   [[nodiscard]] std::vector<double> layer_sparsities() const override;
+  /// Mask of the `layer`-th prunable parameter (throws std::out_of_range).
+  [[nodiscard]] const sparse::Mask& mask(std::size_t layer) const { return layers_.at(layer).mask; }
 
  protected:
   struct MaskedLayer {
@@ -64,6 +66,12 @@ class MaskedMethodBase : public SparseTrainingMethod {
   void mask_gradients();
   /// Zero weights of masked-out connections.
   void mask_weights();
+  /// Tell each layer which weight-gradient entries the next step needs:
+  /// only the active ones (the current masks), or all of them when
+  /// `dense` (the step reads gradients before mask_gradients()). Called
+  /// at the end of initialize() and after_step(); a method that never
+  /// calls it leaves its layers computing dense gradients.
+  void send_grad_masks(bool dense);
 
   [[nodiscard]] std::vector<MaskedLayer>& layers() { return layers_; }
   [[nodiscard]] const std::vector<MaskedLayer>& layers() const { return layers_; }

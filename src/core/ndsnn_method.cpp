@@ -51,6 +51,11 @@ void NdsnnMethod::initialize(const std::vector<nn::ParamRef>& params, tensor::Rn
   }
   death_ = std::make_unique<sparse::DeathRateSchedule>(
       config_.initial_death_rate, config_.min_death_rate, /*t0=*/0, config_.delta_t, rounds);
+  send_grad_masks(reads_dense_grads(0));
+}
+
+bool NdsnnMethod::reads_dense_grads(int64_t iteration) const {
+  return config_.gradient_growth && is_update_step(iteration);
 }
 
 bool NdsnnMethod::is_update_step(int64_t iteration) const {
@@ -120,6 +125,7 @@ void NdsnnMethod::after_step(int64_t iteration) {
     snapshot_.clear();
   }
   mask_weights();
+  send_grad_masks(reads_dense_grads(iteration + 1));
 }
 
 }  // namespace ndsnn::core

@@ -50,6 +50,10 @@ class NdsnnMethod final : public MaskedMethodBase {
   [[nodiscard]] double death_rate(int64_t iteration) const;
   /// True when `iteration` is a drop-and-grow round boundary.
   [[nodiscard]] bool is_update_step(int64_t iteration) const;
+  /// True when before_step(iteration) snapshots dense gradients (gradient
+  /// growth on an update step); on every other step the layers compute
+  /// only the active weight-gradient entries.
+  [[nodiscard]] bool reads_dense_grads(int64_t iteration) const;
 
  private:
   NdsnnConfig config_;

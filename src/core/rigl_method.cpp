@@ -26,6 +26,7 @@ void RiglMethod::initialize(const std::vector<nn::ParamRef>& params, tensor::Rng
   death_ = std::make_unique<sparse::DeathRateSchedule>(
       config_.initial_death_rate, config_.min_death_rate, 0, config_.delta_t,
       config_.rounds());
+  send_grad_masks(is_update_step(0));
 }
 
 bool RiglMethod::is_update_step(int64_t iteration) const {
@@ -65,6 +66,8 @@ void RiglMethod::after_step(int64_t iteration) {
     snapshot_.clear();
   }
   mask_weights();
+  // Growth reads dense gradients on update steps only.
+  send_grad_masks(is_update_step(iteration + 1));
 }
 
 }  // namespace ndsnn::core

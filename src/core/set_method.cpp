@@ -27,6 +27,7 @@ void SetMethod::initialize(const std::vector<nn::ParamRef>& params, tensor::Rng&
   death_ = std::make_unique<sparse::DeathRateSchedule>(
       config_.initial_death_rate, config_.min_death_rate, 0, config_.delta_t,
       config_.rounds());
+  send_grad_masks(/*dense=*/false);
 }
 
 bool SetMethod::is_update_step(int64_t iteration) const {
@@ -54,6 +55,8 @@ void SetMethod::after_step(int64_t iteration) {
     }
   }
   mask_weights();
+  // Random growth reads no gradient: every step needs active entries only.
+  send_grad_masks(/*dense=*/false);
 }
 
 }  // namespace ndsnn::core

@@ -1,7 +1,10 @@
 #include "core/trainer.hpp"
 
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
+#include "runtime/compiled_network.hpp"
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
 
@@ -28,12 +31,43 @@ int64_t Trainer::iterations_per_epoch() const {
   return (train_set_.size() + config_.batch_size - 1) / config_.batch_size;
 }
 
+namespace {
+
+/// Every layer back to dense weight gradients, so no gradient mask of an
+/// earlier method outlives its run.
+void clear_grad_masks(nn::SpikingNetwork& network) {
+  for (const nn::ParamRef& p : network.params()) {
+    if (p.grad_mask != nullptr) p.grad_mask->keep_all();
+  }
+}
+
+}  // namespace
+
 double Trainer::evaluate() {
-  data::DataLoader loader(test_set_, config_.batch_size, /*seed=*/1, /*shuffle=*/false);
-  loader.start_epoch();
+  // A serial fp32 plan's logits are bitwise those of predict (the
+  // runtime's contract, for every backend), so the counts are
+  // eval_step's, at a fraction of the interpreted forward's cost. CSR on
+  // every weight layer: a dense conv fallback would allocate a patch
+  // matrix on top of the training workspaces. Networks the runtime
+  // cannot lower (non-direct encoders) fall back to eval_step.
+  std::optional<runtime::CompiledNetwork> plan;
+  try {
+    runtime::CompileOptions options;
+    options.backend = runtime::Backend::kCsr;
+    plan.emplace(runtime::CompiledNetwork::compile(network_, options));
+  } catch (const std::invalid_argument&) {
+  }
   int64_t correct = 0, total = 0;
-  while (auto batch = loader.next()) {
-    const nn::StepResult r = network_.eval_step(batch->images, batch->labels);
+  for (const data::Batch& batch : test_batches()) {
+    if (plan) {
+      const std::vector<int64_t> predicted = plan->classify(batch.images);
+      for (std::size_t i = 0; i < predicted.size(); ++i) {
+        correct += predicted[i] == batch.labels[i] ? 1 : 0;
+      }
+      total += batch.size();
+      continue;
+    }
+    const nn::StepResult r = network_.eval_step(batch.images, batch.labels);
     correct += r.correct;
     total += r.batch;
   }
@@ -41,9 +75,23 @@ double Trainer::evaluate() {
   return 100.0 * static_cast<double>(correct) / static_cast<double>(total);
 }
 
+const std::vector<data::Batch>& Trainer::test_batches() {
+  if (test_batches_.empty()) {
+    data::DataLoader loader(test_set_, config_.batch_size, /*seed=*/1, /*shuffle=*/false);
+    loader.start_epoch();
+    while (auto batch = loader.next()) test_batches_.push_back(std::move(*batch));
+  }
+  return test_batches_;
+}
+
+void Trainer::replay_last_test_batch() {
+  if (!test_batches().empty()) (void)network_.predict(test_batches().back().images);
+}
+
 TrainResult Trainer::run() {
   util::Stopwatch watch;
   tensor::Rng rng(config_.seed);
+  clear_grad_masks(network_);
   method_.initialize(network_.params(), rng);
 
   opt::SgdConfig sgd_config;
@@ -113,6 +161,8 @@ TrainResult Trainer::run() {
     result.cost_index += e.spike_rate * (1.0 - e.sparsity);
   }
   result.cost_index /= static_cast<double>(result.epochs.size());
+  clear_grad_masks(network_);
+  replay_last_test_batch();
   result.wall_seconds = watch.seconds();
   return result;
 }

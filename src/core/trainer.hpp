@@ -67,7 +67,9 @@ class Trainer {
   /// Run the full schedule and return the trace.
   [[nodiscard]] TrainResult run();
 
-  /// Evaluate current weights on the test set (percent accuracy).
+  /// Evaluate current weights on the test set (percent accuracy): on a
+  /// serial fp32 plan compiled from them (bitwise predict's logits), or
+  /// through eval_step when the network cannot be compiled.
   [[nodiscard]] double evaluate();
 
   [[nodiscard]] int64_t iterations_per_epoch() const;
@@ -76,11 +78,24 @@ class Trainer {
   }
 
  private:
+  /// The test set in evaluation order, built on first use: the dataset
+  /// is immutable, and generating its images every epoch took about as
+  /// long as evaluating them on the plan.
+  const std::vector<data::Batch>& test_batches();
+  /// Run the last evaluation batch through the interpreted forward, so
+  /// the network ends a run as eval_step-based evaluation left it: the
+  /// spiking layers' recorded firing rates, which
+  /// runtime::CompiledNetwork::compile's kAuto lowering reads, come from
+  /// that held-out batch, and no training step's saved activations stay
+  /// alive.
+  void replay_last_test_batch();
+
   nn::SpikingNetwork& network_;
   SparseTrainingMethod& method_;
   const data::Dataset& train_set_;
   const data::Dataset& test_set_;
   TrainerConfig config_;
+  std::vector<data::Batch> test_batches_;
 };
 
 }  // namespace ndsnn::core

@@ -70,28 +70,67 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& input, bool /*training*/) {
   return out;
 }
 
+void Conv2d::Taps::build(const float* w, int64_t filters, int64_t rows) {
+  start.assign(static_cast<std::size_t>(rows + 1), 0);
+  for (int64_t f = 0; f < filters; ++f) {
+    for (int64_t r = 0; r < rows; ++r) {
+      start[static_cast<std::size_t>(r + 1)] += w[f * rows + r] != 0.0F ? 1 : 0;
+    }
+  }
+  for (int64_t r = 0; r < rows; ++r) {
+    start[static_cast<std::size_t>(r + 1)] += start[static_cast<std::size_t>(r)];
+  }
+  const auto nnz = static_cast<std::size_t>(start[static_cast<std::size_t>(rows)]);
+  filter.resize(nnz);
+  value.resize(nnz);
+  // Filters ascend in the outer loop, so each row's entries land in
+  // ascending filter order; `start` serves as the fill cursor and is
+  // shifted back afterwards.
+  for (int64_t f = 0; f < filters; ++f) {
+    for (int64_t r = 0; r < rows; ++r) {
+      const float v = w[f * rows + r];
+      if (v == 0.0F) continue;
+      const auto t = static_cast<std::size_t>(start[static_cast<std::size_t>(r)]++);
+      filter[t] = static_cast<int32_t>(f);
+      value[t] = v;
+    }
+  }
+  for (int64_t r = rows; r > 0; --r) {
+    start[static_cast<std::size_t>(r)] = start[static_cast<std::size_t>(r - 1)];
+  }
+  start[0] = 0;
+}
+
 tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
   accumulate_param_grads(grad_output);
-  // dx one sample at a time: gcols[CKK, OH*OW] = Wᵀ[CKK, F] * gy[F, OH*OW]
-  // over that sample's columns, scattered into its slice of dx. Every dx
-  // pixel belongs to one sample, so it gets the adds of the whole-matrix
-  // col2im(Wᵀ * gy) in the same order, and each gcols entry keeps its
-  // float chain over ascending F: the result is bitwise that product's.
+  // dx one patch row at a time: row r of the whole-matrix Wᵀ * gy is, for
+  // every sample n, gcols[r, n, :] = sum over ascending f of W[f, r] *
+  // gy[n, f, :], the GEMM's float chain (it skips zero weights too), then
+  // scattered into dx. Rows ascend, so every dx pixel gets its adds in
+  // col2im(Wᵀ * gy)'s order. A row with no nonzero weight adds only
+  // zeros, so it is skipped. The result is bitwise that product's.
   const auto& g = saved_geom_;
   const int64_t ckk = in_channels_ * kernel_ * kernel_;
   const int64_t plane = g.out_h() * g.out_w();
   const int64_t fplane = out_channels_ * plane;
-  const tensor::Tensor wmat = weight_.reshaped(tensor::Shape{out_channels_, ckk});
-  tensor::Tensor gy(tensor::Shape{out_channels_, plane});
-  tensor::Tensor gcols(tensor::Shape{ckk, plane});
+  taps_.build(weight_.data(), out_channels_, ckk);
+  dx_row_.resize(static_cast<std::size_t>(g.batch * plane));
   tensor::Tensor dx(tensor::Shape{g.batch, in_channels_, g.in_h, g.in_w});
-  for (int64_t n = 0; n < g.batch; ++n) {
-    // grad_output[n] is gy's [F, OH*OW] block of sample n.
-    const float* src = grad_output.data() + n * fplane;
-    std::copy(src, src + fplane, gy.data());
-    gcols.zero();
-    tensor::matmul_tn_acc(wmat, gy, gcols);
-    tensor::col2im_sample_add(gcols, g, n, dx);
+  for (int64_t r = 0; r < ckk; ++r) {
+    const int64_t t0 = taps_.start[static_cast<std::size_t>(r)];
+    const int64_t t1 = taps_.start[static_cast<std::size_t>(r + 1)];
+    if (t0 == t1) continue;
+    for (int64_t n = 0; n < g.batch; ++n) {
+      float* row = dx_row_.data() + n * plane;
+      const float* gy = grad_output.data() + n * fplane;
+      std::fill(row, row + plane, 0.0F);
+      for (int64_t t = t0; t < t1; ++t) {
+        const float w = taps_.value[static_cast<std::size_t>(t)];
+        const float* src = gy + taps_.filter[static_cast<std::size_t>(t)] * plane;
+        for (int64_t p = 0; p < plane; ++p) row[p] += w * src[p];
+      }
+    }
+    tensor::col2im_row_add(dx_row_.data(), g, r, dx);
   }
   return dx;
 }
@@ -127,11 +166,20 @@ void Conv2d::accumulate_param_grads(const tensor::Tensor& grad_output) {
   }
 
   // dW[F, CKK] += gy[F, L] * colsᵀ[L, CKK], accumulated in weight_grad_'s
-  // own storage (moved out as a 2-D view and back, no copy).
+  // own storage (moved out as a 2-D view and back, no copy). Under a
+  // sparse enough gradient mask, only the kept entries.
+  const uint8_t* keep = grad_mask_.bits();
+  if (keep != nullptr && grad_mask_.size() != weight_.numel()) {
+    throw std::logic_error("Conv2d: gradient mask size does not match the weight");
+  }
   {
     tensor::Tensor wgrad_mat = std::move(weight_grad_).reshaped(
         tensor::Shape{out_channels_, in_channels_ * kernel_ * kernel_});
-    tensor::matmul_nt_acc(gyflat, saved_cols_, wgrad_mat);
+    if (keep != nullptr && masked_grad_pays(grad_mask_.density(), out_channels_)) {
+      tensor::matmul_nt_masked_acc(gyflat, saved_cols_, keep, wgrad_mat);
+    } else {
+      tensor::matmul_nt_acc(gyflat, saved_cols_, wgrad_mat);
+    }
     weight_grad_ = std::move(wgrad_mat).reshaped(weight_.shape());
   }
 
@@ -148,7 +196,7 @@ void Conv2d::accumulate_param_grads(const tensor::Tensor& grad_output) {
 
 std::vector<ParamRef> Conv2d::params() {
   std::vector<ParamRef> refs;
-  refs.push_back({"weight", &weight_, &weight_grad_, /*prunable=*/true});
+  refs.push_back({"weight", &weight_, &weight_grad_, /*prunable=*/true, &grad_mask_});
   if (has_bias_) refs.push_back({"bias", &bias_, &bias_grad_, /*prunable=*/false});
   return refs;
 }

@@ -8,6 +8,7 @@
 // can iterate over them without knowing layer internals.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -16,6 +17,33 @@
 #include "tensor/tensor.hpp"
 
 namespace ndsnn::nn {
+
+/// Which weight-gradient entries the next backward must produce. A
+/// sparse-training method that zeroes the gradients of pruned weights
+/// anyway sends its mask before each step it will do that on, and sends
+/// "all" before any step that reads dense gradients (growth by gradient
+/// magnitude). The layer keeps its own copy of the bits. While a mask is
+/// set, the layer computes only the entries whose bit is 1 and leaves the
+/// others as they were (zero after zero_grads), so its gradient equals
+/// the dense gradient with the pruned entries zeroed, bit for bit.
+class GradMask {
+ public:
+  /// Compute only the entries whose bit is nonzero (copied).
+  void keep_only(const std::vector<uint8_t>& bits);
+  /// Compute every entry (the default).
+  void keep_all() { on_ = false; }
+  /// The kept bits, or nullptr when every entry is computed.
+  [[nodiscard]] const uint8_t* bits() const { return on_ ? bits_.data() : nullptr; }
+  /// Number of bits set by the last keep_only().
+  [[nodiscard]] int64_t size() const { return static_cast<int64_t>(bits_.size()); }
+  /// Fraction of kept entries (1 when every entry is computed).
+  [[nodiscard]] double density() const { return on_ ? density_ : 1.0; }
+
+ private:
+  std::vector<uint8_t> bits_;
+  double density_ = 1.0;
+  bool on_ = false;
+};
 
 /// Non-owning view of one parameter tensor and its gradient.
 ///
@@ -27,6 +55,9 @@ struct ParamRef {
   tensor::Tensor* value = nullptr;
   tensor::Tensor* grad = nullptr;
   bool prunable = false;
+  /// The owning layer's gradient mask, for layers whose backward can
+  /// skip pruned weight-gradient entries; nullptr otherwise.
+  GradMask* grad_mask = nullptr;
 };
 
 /// Uniform view of a layer's maskable weight tensor and optional bias,

@@ -36,8 +36,44 @@ tensor::Tensor Linear::forward(const tensor::Tensor& input, bool /*training*/) {
 
 tensor::Tensor Linear::backward(const tensor::Tensor& grad_output) {
   accumulate_grads(grad_output);
-  // dx[M, in] = gy[M, out] * W[out, in]
-  return tensor::matmul(grad_output, weight_);
+  // dx[M, in] = gy[M, out] * W[out, in], built transposed: for each
+  // nonzero W[o, j] in ascending o, dxᵀ[j, :] += W[o, j] * gyᵀ[o, :].
+  // Every dx entry gets the dense GEMM's float chain over ascending o.
+  // The GEMM skips zero gy terms and this walk skips zero W terms; either
+  // skipped term is an exact zero product (for finite gradients) and
+  // every chain starts at +0, so no skip changes a bit.
+  const int64_t m = grad_output.dim(0);
+  const auto nonzero = weight_.numel() - weight_.count_zeros();
+  if (static_cast<double>(nonzero) > kSparseDxMaxDensity * static_cast<double>(weight_.numel())) {
+    return tensor::matmul(grad_output, weight_);
+  }
+  const auto mn = static_cast<std::size_t>(m);
+  grad_t_.resize(static_cast<std::size_t>(out_features_) * mn);
+  dx_t_.assign(static_cast<std::size_t>(in_features_) * mn, 0.0F);
+  const float* gy = grad_output.data();
+  for (int64_t r = 0; r < m; ++r) {
+    for (int64_t o = 0; o < out_features_; ++o) {
+      grad_t_[static_cast<std::size_t>(o * m + r)] = gy[r * out_features_ + o];
+    }
+  }
+  for (int64_t o = 0; o < out_features_; ++o) {
+    const float* wrow = weight_.data() + o * in_features_;
+    const float* g = grad_t_.data() + o * m;
+    for (int64_t j = 0; j < in_features_; ++j) {
+      const float w = wrow[j];
+      if (w == 0.0F) continue;
+      float* d = dx_t_.data() + j * m;
+      for (int64_t r = 0; r < m; ++r) d[r] += w * g[r];
+    }
+  }
+  tensor::Tensor dx(tensor::Shape{m, in_features_});
+  float* pdx = dx.data();
+  for (int64_t r = 0; r < m; ++r) {
+    for (int64_t j = 0; j < in_features_; ++j) {
+      pdx[r * in_features_ + j] = dx_t_[static_cast<std::size_t>(j * m + r)];
+    }
+  }
+  return dx;
 }
 
 void Linear::accumulate_grads(const tensor::Tensor& grad_output) {

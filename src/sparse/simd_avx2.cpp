@@ -17,6 +17,8 @@
 #include "sparse/simd_kernels.hpp"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 #include <vector>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -355,6 +357,153 @@ __attribute__((target("avx2,fma"))) void matmul_f32_avx2(
   }
 }
 
+namespace {
+
+constexpr int64_t kMaskedBlockK = 256;  // k columns per A panel
+constexpr int kMaskedChunk = 2;         // work items of one B row per chunk
+constexpr int kMaskedPass = 4;          // chunks (B rows) per pass
+
+/// One pass of up to 4 chunks over one k block. Chunk i covers B row
+/// b[i] with N_i work items (N_i in 0..2; a zero chunk is absent); item g
+/// multiplies b[i][kk], broadcast, by 4 rows of the A panel at
+/// lane[2i + g] + kk * mp, and carries its chains between blocks through
+/// acc[i][4g, 4g + 4). Up to 8 chains are in flight. The next `ahead`
+/// floats of every B row (their next block) are prefetched: the rows are
+/// read a block at a time, more rows than the hardware tracks streams.
+/// The B rows are converted to double first, so each step broadcasts
+/// with a plain load instead of a register permute.
+template <int N0, int N1, int N2, int N3>
+__attribute__((target("avx2,fma"))) void masked_pass(const double* const* lane,
+                                                     const float* const* b, int64_t mp,
+                                                     int64_t kb, int64_t ahead,
+                                                     double* const* acc) {
+  constexpr int kN[kMaskedPass] = {N0, N1, N2, N3};
+  for (int i = 0; i < kMaskedPass; ++i) {
+    if (kN[i] == 0) continue;
+    for (int64_t off = 0; off < ahead; off += 16) {
+      _mm_prefetch(reinterpret_cast<const char*>(b[i] + kb + off), _MM_HINT_T0);
+    }
+  }
+  alignas(32) double bd[kMaskedPass][kMaskedBlockK];
+  for (int i = 0; i < kMaskedPass; ++i) {
+    if (kN[i] == 0) continue;
+    int64_t kk = 0;
+    for (; kk + 4 <= kb; kk += 4) {
+      _mm256_store_pd(bd[i] + kk, _mm256_cvtps_pd(_mm_loadu_ps(b[i] + kk)));
+    }
+    for (; kk < kb; ++kk) bd[i][kk] = b[i][kk];
+  }
+  __m256d c[kMaskedPass][kMaskedChunk];
+  for (int i = 0; i < kMaskedPass; ++i) {
+    for (int g = 0; g < kN[i]; ++g) c[i][g] = _mm256_loadu_pd(acc[i] + 4 * g);
+  }
+  for (int64_t kk = 0; kk < kb; ++kk) {
+    const int64_t row = kk * mp;
+    for (int i = 0; i < kMaskedPass; ++i) {
+      if (kN[i] == 0) continue;
+      const __m256d s = _mm256_broadcast_sd(bd[i] + kk);
+      for (int g = 0; g < kN[i]; ++g) {
+        c[i][g] = _mm256_fmadd_pd(s, _mm256_loadu_pd(lane[2 * i + g] + row), c[i][g]);
+      }
+    }
+  }
+  for (int i = 0; i < kMaskedPass; ++i) {
+    for (int g = 0; g < kN[i]; ++g) _mm256_storeu_pd(acc[i] + 4 * g, c[i][g]);
+  }
+}
+
+using MaskedPassFn = void (*)(const double* const*, const float* const*, int64_t, int64_t,
+                              int64_t, double* const*);
+
+/// kMaskedPassFns[((N0 * 3 + N1) * 3 + N2) * 3 + N3] = masked_pass<N0, N1, N2, N3>.
+template <std::size_t... I>
+constexpr std::array<MaskedPassFn, sizeof...(I)> masked_pass_table(std::index_sequence<I...>) {
+  return {masked_pass<static_cast<int>(I / 27), static_cast<int>(I / 9 % 3),
+                      static_cast<int>(I / 3 % 3), static_cast<int>(I % 3)>...};
+}
+constexpr auto kMaskedPassFns = masked_pass_table(std::make_index_sequence<81>{});
+
+/// One pass: up to kMaskedPass chunks, each a B row with 1 or 2 items.
+struct MaskedPass {
+  std::size_t fn = 0;
+  int64_t col[kMaskedPass] = {};
+  const double* lane[kMaskedPass * kMaskedChunk] = {};
+  double* acc[kMaskedPass] = {};
+};
+
+}  // namespace
+
+__attribute__((target("avx2,fma"))) void matmul_nt_masked_f32_avx2(
+    const float* a, const float* b, const uint8_t* keep, int64_t m, int64_t k, int64_t n,
+    float* c) {
+  // Work items: (B row j, 4-row group of A) pairs with a kept entry, in
+  // ascending (j, group) order. A B row's items form chunks of up to
+  // kMaskedChunk, and consecutive chunks form passes of up to kMaskedPass.
+  const int64_t mp = (m + 3) / 4 * 4;
+  std::vector<int64_t> item_col, item_group;
+  for (int64_t j = 0; j < n; ++j) {
+    for (int64_t g = 0; g < mp; g += 4) {
+      bool any = false;
+      for (int64_t r = g; r < std::min(g + 4, m); ++r) any = any || keep[r * n + j] != 0;
+      if (!any) continue;
+      item_col.push_back(j);
+      item_group.push_back(g);
+    }
+  }
+  const auto items = static_cast<int64_t>(item_col.size());
+  if (items == 0) return;
+  // The A panel holds one k block of all m rows as doubles, [kk][mp]; its
+  // pad rows stay zero and their lanes are never written out.
+  const int64_t block_k = std::clamp<int64_t>(4096 / mp / 4 * 4, 4, kMaskedBlockK);
+  std::vector<double> panel(static_cast<std::size_t>(block_k * mp), 0.0);
+  std::vector<double> acc(static_cast<std::size_t>(items * 4), 0.0);
+  std::vector<MaskedPass> passes;
+  {
+    int64_t t = 0;
+    while (t < items) {
+      MaskedPass pass;
+      int counts[kMaskedPass] = {};
+      for (int i = 0; i < kMaskedPass && t < items; ++i) {
+        const int64_t j = item_col[static_cast<std::size_t>(t)];
+        pass.col[i] = j;
+        pass.acc[i] = acc.data() + 4 * t;
+        while (counts[i] < kMaskedChunk && t < items &&
+               item_col[static_cast<std::size_t>(t)] == j) {
+          pass.lane[kMaskedChunk * i + counts[i]] =
+              panel.data() + item_group[static_cast<std::size_t>(t)];
+          ++counts[i];
+          ++t;
+        }
+      }
+      pass.fn = static_cast<std::size_t>(((counts[0] * 3 + counts[1]) * 3 + counts[2]) * 3 +
+                                         counts[3]);
+      passes.push_back(pass);
+    }
+  }
+  for (int64_t k0 = 0; k0 < k; k0 += block_k) {
+    const int64_t kb = std::min(block_k, k - k0);
+    const int64_t ahead = std::min(block_k, k - k0 - kb);
+    for (int64_t r = 0; r < m; ++r) {
+      const float* src = a + r * k + k0;
+      for (int64_t kk = 0; kk < kb; ++kk) panel[static_cast<std::size_t>(kk * mp + r)] = src[kk];
+    }
+    for (const MaskedPass& pass : passes) {
+      const float* rows[kMaskedPass];
+      for (int i = 0; i < kMaskedPass; ++i) rows[i] = b + pass.col[i] * k + k0;
+      kMaskedPassFns[pass.fn](pass.lane, rows, mp, kb, ahead, pass.acc);
+    }
+  }
+  for (int64_t t = 0; t < items; ++t) {
+    const int64_t j = item_col[static_cast<std::size_t>(t)];
+    const int64_t g = item_group[static_cast<std::size_t>(t)];
+    for (int64_t r = g; r < std::min(g + 4, m); ++r) {
+      if (keep[r * n + j] != 0) {
+        c[r * n + j] += static_cast<float>(acc[static_cast<std::size_t>(4 * t + r - g)]);
+      }
+    }
+  }
+}
+
 #else  // !NDSNN_HAVE_AVX2_BODIES — stubs; dispatch never reaches them
        // because built_with_avx2() is false and detected() caps below
        // kAvx2 off x86.
@@ -369,6 +518,8 @@ void csr_spmm_t_i4_avx2(const int64_t*, const int32_t*, const uint8_t*,
                         int64_t, int64_t, float*) {}
 void matmul_nt_f32_avx2(const float*, const float*, int64_t, int64_t, int64_t,
                         int64_t, float*) {}
+void matmul_nt_masked_f32_avx2(const float*, const float*, const uint8_t*, int64_t,
+                               int64_t, int64_t, float*) {}
 void matmul_f32_avx2(const float*, const float*, int64_t, int64_t, int64_t,
                      int64_t, int64_t, float*, int64_t) {}
 

@@ -76,6 +76,18 @@ void csr_spmm_t_i4_avx2(const int64_t* row_ptr, const int32_t* col_idx,
 void matmul_nt_f32_avx2(const float* a, const float* b, int64_t i0,
                         int64_t i1, int64_t k, int64_t n, float* c);
 
+/// matmul_nt over all m rows at the entries whose keep byte ([m x n],
+/// row-major) is nonzero; the others are not written. A-stationary: per
+/// k block, all m rows of A go into a double panel [kk][m rounded up to
+/// 4]. Each (B row j, 4-row group of A) with a kept entry is one work
+/// item, a 4-lane double chain of b[j, kk] (broadcast) times the group's
+/// panel lanes, so B is read row by row and only the rows with a kept
+/// entry are read at all. A pass runs up to 8 items of up to 4 B rows,
+/// 8 chains in flight. Each kept entry's chain ascends kk from 0, so it
+/// is bitwise the scalar gather.
+void matmul_nt_masked_f32_avx2(const float* a, const float* b, const uint8_t* keep,
+                               int64_t m, int64_t k, int64_t n, float* c);
+
 /// Dense matmul rows [i0, i1): the i-k-j axpy with the zero-skip
 /// preserved (pruned weights must stay exact no-ops — adding an
 /// explicit 0 term could flip a -0.0 output) and the C row held across

@@ -96,35 +96,32 @@ Tensor im2col(const Tensor& input, const ConvGeometry& g) {
 
 namespace {
 
-/// Scatter-adds the patch columns of samples [n0, n1), held contiguously
-/// in `src` ([C*KH*KW, (n1 - n0)*OH*OW]), into their planes of `dst`
-/// ([N, C, H, W]). Same traversal as im2col with the padding columns
-/// skipped, so every input pixel receives its adds in ascending
-/// (row, oy, ox) order.
-void col2im_add(const float* src, const ConvGeometry& g, int64_t n0, int64_t n1, float* dst) {
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  const int64_t cols_n = (n1 - n0) * oh * ow;
+/// Scatter-adds patch row `row` of samples [0, g.batch) (`src`, OH*OW
+/// values per sample, `ld` apart) into their input planes of `dst`
+/// ([N, C, H, W]), padding positions skipped. Every input pixel receives
+/// at most one add.
+void col2im_row(const float* src, int64_t ld, const ConvGeometry& g, int64_t row, float* dst) {
+  const int64_t kw = row % g.kernel_w;
+  const int64_t kh = (row / g.kernel_w) % g.kernel_h;
+  const int64_t c = row / (g.kernel_w * g.kernel_h);
+  const ValidSpan span = valid_span(g, kw);
+  if (span.hi == span.lo) return;  // this kernel column only sees padding
+  const int64_t ow = g.out_w();
+  const int64_t ix0 = span.lo * g.stride + kw - g.padding;
+  const int64_t len = span.hi - span.lo;
   const int64_t hw = g.in_h * g.in_w;
-  const int64_t chw = g.in_channels * hw;
-  for (int64_t c = 0; c < g.in_channels; ++c) {
-    for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
-      for (int64_t kw = 0; kw < g.kernel_w; ++kw) {
-        const int64_t row = (c * g.kernel_h + kh) * g.kernel_w + kw;
-        const ValidSpan span = valid_span(g, kw);
-        if (span.hi == span.lo) continue;  // this kernel column only sees padding
-        const int64_t ix0 = span.lo * g.stride + kw - g.padding;
-        const int64_t len = span.hi - span.lo;
-        const float* srow = src + row * cols_n;
-        for (int64_t n = n0; n < n1; ++n) {
-          float* plane = dst + n * chw + c * hw;
-          for (int64_t oy = 0; oy < oh; ++oy, srow += ow) {
-            const int64_t iy = oy * g.stride + kh - g.padding;
-            if (iy < 0 || iy >= g.in_h) continue;
-            float* orow = plane + iy * g.in_w + ix0;
-            const float* s = srow + span.lo;
-            for (int64_t t = 0; t < len; ++t) orow[t * g.stride] += s[t];
-          }
-        }
+  for (int64_t n = 0; n < g.batch; ++n) {
+    float* plane = dst + (n * g.in_channels + c) * hw;
+    const float* srow = src + n * ld;
+    for (int64_t oy = 0; oy < g.out_h(); ++oy) {
+      const int64_t iy = oy * g.stride + kh - g.padding;
+      if (iy < 0 || iy >= g.in_h) continue;
+      float* orow = plane + iy * g.in_w + ix0;
+      const float* s = srow + oy * ow + span.lo;
+      if (g.stride == 1) {
+        for (int64_t t = 0; t < len; ++t) orow[t] += s[t];
+      } else {
+        for (int64_t t = 0; t < len; ++t) orow[t * g.stride] += s[t];
       }
     }
   }
@@ -138,24 +135,22 @@ Tensor col2im(const Tensor& cols, const ConvGeometry& g) {
     throw std::invalid_argument("col2im: cols shape " + cols.shape().str() +
                                 " does not match geometry");
   }
+  // Rows ascend in the outer loop, so every input pixel receives its
+  // adds in ascending (row, oy, ox) order.
   Tensor out(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
-  col2im_add(cols.data(), g, 0, g.batch, out.data());
+  const int64_t plane = g.out_h() * g.out_w();
+  for (int64_t row = 0; row < g.patch_rows(); ++row) {
+    col2im_row(cols.data() + row * g.patch_cols(), plane, g, row, out.data());
+  }
   return out;
 }
 
-void col2im_sample_add(const Tensor& cols, const ConvGeometry& g, int64_t n, Tensor& out) {
-  g.validate();
-  if (cols.rank() != 2 || cols.dim(0) != g.patch_rows() ||
-      cols.dim(1) != g.out_h() * g.out_w()) {
-    throw std::invalid_argument("col2im_sample_add: cols shape " + cols.shape().str() +
-                                " does not match geometry");
-  }
-  if (n < 0 || n >= g.batch || out.rank() != 4 || out.dim(0) != g.batch ||
+void col2im_row_add(const float* row_values, const ConvGeometry& g, int64_t row, Tensor& out) {
+  if (row < 0 || row >= g.patch_rows() || out.rank() != 4 || out.dim(0) != g.batch ||
       out.dim(1) != g.in_channels || out.dim(2) != g.in_h || out.dim(3) != g.in_w) {
-    throw std::invalid_argument("col2im_sample_add: bad sample or output shape " +
-                                out.shape().str());
+    throw std::invalid_argument("col2im_row_add: bad row or output shape " + out.shape().str());
   }
-  col2im_add(cols.data(), g, n, n + 1, out.data());
+  col2im_row(row_values, g.out_h() * g.out_w(), g, row, out.data());
 }
 
 }  // namespace ndsnn::tensor

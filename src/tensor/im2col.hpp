@@ -45,9 +45,11 @@ void im2col_into(const Tensor& input, const ConvGeometry& g, Tensor& cols);
 /// Adjoint of im2col: scatter-add patch matrix back to [N, C, H, W].
 [[nodiscard]] Tensor col2im(const Tensor& cols, const ConvGeometry& g);
 
-/// col2im of one sample: scatter-add `cols` [C*KH*KW, OH*OW], the patch
-/// columns of sample `n`, into out[n] of `out` [N, C, H, W]. Each pixel
-/// receives its adds in the same order as in col2im of the whole matrix.
-void col2im_sample_add(const Tensor& cols, const ConvGeometry& g, int64_t n, Tensor& out);
+/// col2im of one patch row: scatter-add `row_values` (N*OH*OW values,
+/// row `row` of the patch matrix) into `out` [N, C, H, W]. Calling it
+/// for the rows in ascending order gives every pixel its adds in
+/// col2im's order; a row that is all zeros may be skipped (its adds of
+/// +0 change no pixel, whose sum starts at +0).
+void col2im_row_add(const float* row_values, const ConvGeometry& g, int64_t row, Tensor& out);
 
 }  // namespace ndsnn::tensor

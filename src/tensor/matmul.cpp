@@ -142,4 +142,32 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b, util::ThreadPool* pool,
   return c;
 }
 
+void matmul_nt_masked_acc(const Tensor& a, const Tensor& b, const uint8_t* keep, Tensor& c,
+                          util::simd::Tier tier) {
+  check_rank2(a, "A");
+  check_rank2(b, "B");
+  const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
+  if (b.dim(1) != k || c.dim(0) != m || c.dim(1) != n || keep == nullptr) {
+    throw std::invalid_argument("matmul_nt_masked_acc: shape mismatch A" + a.shape().str() +
+                                " B" + b.shape().str() + " C" + c.shape().str());
+  }
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* pc = c.data();
+  if (util::simd::resolve(tier) == util::simd::Tier::kAvx2 && simd::built_with_avx2()) {
+    simd::matmul_nt_masked_f32_avx2(pa, pb, keep, m, k, n, pc);
+    return;
+  }
+  for (int64_t i = 0; i < m; ++i) {
+    const float* arow = pa + i * k;
+    for (int64_t j = 0; j < n; ++j) {
+      if (keep[i * n + j] == 0) continue;
+      const float* brow = pb + j * k;
+      double acc = 0.0;
+      for (int64_t kk = 0; kk < k; ++kk) acc += static_cast<double>(arow[kk]) * brow[kk];
+      pc[i * n + j] += static_cast<float>(acc);
+    }
+  }
+}
+
 }  // namespace ndsnn::tensor

@@ -28,6 +28,8 @@
 //   FMA, which is exact here: a float x float product fits a double's
 //   53-bit mantissa, so fma(a, b, acc) rounds once, just like the
 //   scalar `acc += double(a) * b`.
+// - matmul_nt_masked_acc: the same double chains for the kept entries
+//   only (training's masked weight gradient of Conv2d).
 // matmul_tn (training-only, off the inference hot path) stays scalar.
 #pragma once
 
@@ -59,5 +61,14 @@ void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& c);
 /// C += A * Bᵀ
 void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& c, util::ThreadPool* pool = nullptr,
                    util::simd::Tier tier = util::simd::Tier::kAuto);
+/// matmul_nt_acc at the entries of C whose `keep` byte (row-major, C's
+/// shape) is nonzero; the other entries of C are not touched. Each kept
+/// entry gets matmul_nt_acc's double chain over ascending k, so it is
+/// bitwise that kernel's, on either tier. The AVX2 body runs 4 rows of
+/// A per lane group and skips every (column, 4-row group) with no kept
+/// entry, so its work follows the kept fraction; at high kept fractions
+/// the dense kernel is faster.
+void matmul_nt_masked_acc(const Tensor& a, const Tensor& b, const uint8_t* keep, Tensor& c,
+                          util::simd::Tier tier = util::simd::Tier::kAuto);
 
 }  // namespace ndsnn::tensor

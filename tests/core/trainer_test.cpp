@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/dense_method.hpp"
 #include "core/ndsnn_method.hpp"
+#include "data/dataloader.hpp"
 #include "data/synthetic.hpp"
+#include "nn/conv2d.hpp"
+#include "nn/flatten.hpp"
+#include "nn/lif_activation.hpp"
+#include "nn/linear.hpp"
 #include "nn/models/zoo.hpp"
+#include "snn/encoder.hpp"
 
 namespace ndsnn::core {
 namespace {
@@ -128,6 +136,89 @@ TEST(TrainerTest, DeterministicGivenSeed) {
     EXPECT_DOUBLE_EQ(a.epochs[i].train_loss, b.epochs[i].train_loss);
     EXPECT_DOUBLE_EQ(a.epochs[i].test_acc, b.epochs[i].test_acc);
   }
+}
+
+/// Test accuracy through the interpreted forward, as Trainer::evaluate
+/// computed it before it ran on the compiled plan.
+double predict_accuracy(nn::SpikingNetwork& net, const data::Dataset& test, int64_t batch) {
+  data::DataLoader loader(test, batch, /*seed=*/1, /*shuffle=*/false);
+  loader.start_epoch();
+  int64_t correct = 0, total = 0;
+  while (auto b = loader.next()) {
+    const nn::StepResult r = net.eval_step(b->images, b->labels);
+    correct += r.correct;
+    total += r.batch;
+  }
+  return 100.0 * static_cast<double>(correct) / static_cast<double>(total);
+}
+
+// Trainer::evaluate runs a compiled plan; its accuracy must be exactly
+// the interpreted predict's, on a trained (sparse, firing) lenet5 and a
+// small resnet19, with a partial last test batch.
+TEST(TrainerTest, EvaluateOnPlanMatchesPredict) {
+  for (const std::string arch : {"lenet5", "resnet19"}) {
+    SCOPED_TRACE(arch);
+    nn::ModelSpec spec;
+    spec.num_classes = 4;
+    spec.in_channels = 1;
+    spec.image_size = 8;
+    spec.timesteps = 2;
+    spec.width_scale = arch == "resnet19" ? 1.0 / 16.0 : 1.0;
+    auto model = nn::make_model(arch, spec);
+    NdsnnConfig nc;
+    nc.initial_sparsity = 0.5;
+    nc.final_sparsity = 0.8;
+    nc.delta_t = 2;
+    nc.t_end = 6;
+    NdsnnMethod method(nc);
+    data::SyntheticVision train(tiny_data()), test(tiny_data(40));
+    Trainer trainer(*model, method, train, test, fast_config(2));
+    const TrainResult r = trainer.run();
+    const double planned = trainer.evaluate();
+    EXPECT_EQ(planned, r.final_test_acc);
+    EXPECT_EQ(planned, predict_accuracy(*model, test, fast_config().batch_size));
+  }
+}
+
+// Evaluation runs no interpreted forward, so Trainer::run replays the
+// last test batch through predict: the spiking layers' recorded firing
+// rates, which CompiledNetwork::compile reads, are those of that batch,
+// as they were when evaluation ran eval_step.
+TEST(TrainerTest, RunLeavesSpikeRatesOfLastTestBatch) {
+  auto model = tiny_model();
+  DenseMethod method;
+  data::SyntheticVision train(tiny_data()), test(tiny_data(40));
+  Trainer trainer(*model, method, train, test, fast_config(1));
+  (void)trainer.run();
+  const double after_run = model->body().last_spike_rate();
+  data::DataLoader loader(test, fast_config().batch_size, /*seed=*/1, /*shuffle=*/false);
+  loader.start_epoch();
+  std::optional<data::Batch> last;
+  while (auto b = loader.next()) last = std::move(b);
+  ASSERT_TRUE(last.has_value());
+  EXPECT_GT(after_run, 0.0);  // the network fires, so the rates say something
+  (void)model->predict(last->images);
+  EXPECT_EQ(after_run, model->body().last_spike_rate());
+}
+
+// A network the runtime cannot compile (Poisson rate coding) is
+// evaluated through eval_step instead.
+TEST(TrainerTest, EvaluateFallsBackForNonDirectEncoders) {
+  tensor::Rng rng(3);
+  auto body = std::make_unique<nn::Sequential>();
+  body->emplace<nn::Conv2d>(1, 4, 3, 1, 1, rng);
+  body->emplace<nn::LifActivation>(snn::LifConfig{}, 2);
+  body->emplace<nn::Flatten>();
+  body->emplace<nn::Linear>(4 * 8 * 8, 4, rng);
+  nn::SpikingNetwork net(std::move(body), 2, std::make_unique<snn::PoissonEncoder>(9));
+  DenseMethod method;
+  data::SyntheticVision train(tiny_data(16)), test(tiny_data(20));
+  Trainer trainer(net, method, train, test, fast_config(1));
+  (void)trainer.run();
+  double accuracy = -1.0;
+  EXPECT_NO_THROW(accuracy = trainer.evaluate());
+  EXPECT_GE(accuracy, 0.0);
+  EXPECT_LE(accuracy, 100.0);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Fault budget of a steady training step. Conv2d keeps its patch matrix
 // across steps and builds the input gradient one sample at a time, so a
 // LeNet-5 train_step at a fixed batch shape allocates no patch-sized
-// buffer. A step that page-faults more pages than one conv1 patch
-// matrix holds is re-allocating one.
+// buffer, with or without gradient masks. A step that page-faults more
+// pages than one conv1 patch matrix holds is re-allocating one.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <vector>
 
 #include "nn/models/zoo.hpp"
@@ -39,8 +40,12 @@ long minor_faults() {
 }
 #endif
 
-TEST(TrainingFaultsTest, SteadyTrainStepFaultsLessThanOnePatchMatrix) {
-  if (const char* reason = fault_budget_skip_reason()) GTEST_SKIP() << reason;
+/// Minor page faults per steady LeNet-5 train_step at batch 32, T = 2,
+/// next to the budget: one conv1 patch matrix in pages. With `masked`,
+/// the conv weights are pruned to random masks whose gradient masks the
+/// layers hold, so the steps run the masked weight gradient and the
+/// weight-sparse input gradient.
+void expect_faults_within_budget(bool masked) {
 #if defined(__linux__)
   ModelSpec spec;
   spec.in_channels = 3;
@@ -54,6 +59,21 @@ TEST(TrainingFaultsTest, SteadyTrainStepFaultsLessThanOnePatchMatrix) {
   std::vector<int64_t> labels(kBatch);
   for (int64_t i = 0; i < kBatch; ++i) labels[static_cast<std::size_t>(i)] = i % 10;
   const std::vector<ParamRef> params = net->params();
+  if (masked) {
+    const std::vector<float> densities = {0.35F, 0.12F};
+    std::size_t conv = 0;
+    for (const ParamRef& p : params) {
+      if (p.grad_mask == nullptr) continue;
+      std::vector<uint8_t> keep(static_cast<std::size_t>(p.value->numel()));
+      for (int64_t i = 0; i < p.value->numel(); ++i) {
+        keep[static_cast<std::size_t>(i)] = rng.uniform(0.0F, 1.0F) < densities.at(conv) ? 1 : 0;
+        if (keep[static_cast<std::size_t>(i)] == 0) p.value->at(i) = 0.0F;
+      }
+      p.grad_mask->keep_only(keep);
+      ++conv;
+    }
+    ASSERT_EQ(conv, densities.size());
+  }
 
   const auto step = [&] {
     zero_grads(params);
@@ -69,10 +89,24 @@ TEST(TrainingFaultsTest, SteadyTrainStepFaultsLessThanOnePatchMatrix) {
   // conv1's patch matrix: [3*5*5, T*N*32*32] fp32.
   const double patch_pages = 75.0 * (spec.timesteps * kBatch * 32 * 32) * sizeof(float) /
                              static_cast<double>(sysconf(_SC_PAGESIZE));
-  std::printf("minor faults per train_step: %.1f (budget %.0f pages)\n", per_step,
-              patch_pages);
+  std::printf("minor faults per %strain_step: %.1f (budget %.0f pages)\n",
+              masked ? "masked " : "", per_step, patch_pages);
   EXPECT_LT(per_step, patch_pages);
+#else
+  (void)masked;
 #endif
+}
+
+TEST(TrainingFaultsTest, SteadyTrainStepFaultsLessThanOnePatchMatrix) {
+  if (const char* reason = fault_budget_skip_reason()) GTEST_SKIP() << reason;
+  expect_faults_within_budget(/*masked=*/false);
+}
+
+// The masked weight gradient and the weight-sparse input gradient keep
+// their workspaces across steps too.
+TEST(TrainingFaultsTest, SteadyMaskedTrainStepFaultsLessThanOnePatchMatrix) {
+  if (const char* reason = fault_budget_skip_reason()) GTEST_SKIP() << reason;
+  expect_faults_within_budget(/*masked=*/true);
 }
 
 }  // namespace

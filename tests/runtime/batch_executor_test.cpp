@@ -380,23 +380,33 @@ TEST(BatchExecutorTest, UtilizationIgnoresIdleTimeBeforeFirstRequest) {
   const CompiledNetwork compiled = make_compiled(43);
   BatchExecutor exec(compiled, 1);
   EXPECT_EQ(exec.stats().worker_utilization, 0.0);  // no traffic yet
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  // Two chunky requests queued back-to-back: the single worker is busy
-  // for nearly the whole first-submit -> last-completion window, with
-  // only one wakeup gap for a contended ctest run to stretch (many
-  // small requests would hand the OS a preemption window per group).
-  std::vector<std::future<Tensor>> futures;
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  // Both requests queue behind one injected 50 ms stall on the first, so
+  // the lone worker runs them back to back, with no wake-up between
+  // them, however the scheduler runs the threads. The window from the
+  // first request to the stats() call then holds the stall, the two
+  // passes and two thread wake-ups; the passes are sized to dominate it.
   Rng rng(44);
+  std::vector<Tensor> batches;
   for (int i = 0; i < 2; ++i) {
-    Tensor b(Shape{16, 1, 16, 16});
+    Tensor b(Shape{768, 1, 16, 16});
     b.fill_uniform(rng, 0.0F, 1.0F);
-    futures.push_back(exec.submit(std::move(b)));
+    batches.push_back(std::move(b));
   }
+  std::vector<std::future<Tensor>> futures;
+  util::fault::FaultInjector::global().arm("executor.stall", util::fault::Rule{1.0, 1, 0});
+  futures.push_back(exec.submit(batches[0]));
+  while (util::fault::FaultInjector::global().fires("executor.stall") < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  futures.push_back(exec.submit(batches[1]));
+  util::fault::FaultInjector::global().reset();
   for (auto& f : futures) (void)f.get();
   const ExecutorStats stats = exec.stats();
-  // Counted from construction, the 200 ms idle prefix would push this
-  // under ~0.1 (the busy window runs ~10-30 ms); measured from the
-  // first request it stays high even on an oversubscribed CI core.
+  // Counted from construction, the 600 ms idle prefix would hold this
+  // under ~0.25 even if the passes took 200 ms; counted from the first
+  // request it reads ~0.6 here, and more on a loaded box, where the
+  // passes stretch and the stall does not.
   EXPECT_GT(stats.worker_utilization, 0.3);
   EXPECT_LE(stats.worker_utilization, 1.0 + 1e-9);
 }

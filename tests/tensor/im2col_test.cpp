@@ -224,17 +224,14 @@ TEST(Im2colTest, Col2imMatchesPerElementReferenceBitwise) {
     cols.fill_uniform(rng, -1.0F, 1.0F);
     for (int64_t i = 0; i < cols.numel(); i += 3) cols.at(i) *= 1.0e6F;
     EXPECT_TRUE(bitwise_equal(col2im(cols, g), naive_col2im(cols, g))) << describe(g);
-    // One sample at a time, from that sample's columns alone.
-    const int64_t plane = g.out_h() * g.out_w();
-    Tensor per_sample(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
-    Tensor block(Shape{g.patch_rows(), plane});
-    for (int64_t n = 0; n < g.batch; ++n) {
-      for (int64_t r = 0; r < g.patch_rows(); ++r) {
-        for (int64_t p = 0; p < plane; ++p) block.at(r, p) = cols.at(r, n * plane + p);
-      }
-      col2im_sample_add(block, g, n, per_sample);
+    // One patch row at a time, rows ascending, from that row alone.
+    Tensor per_row(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
+    std::vector<float> row(static_cast<std::size_t>(g.patch_cols()));
+    for (int64_t r = 0; r < g.patch_rows(); ++r) {
+      for (int64_t l = 0; l < g.patch_cols(); ++l) row[static_cast<std::size_t>(l)] = cols.at(r, l);
+      col2im_row_add(row.data(), g, r, per_row);
     }
-    EXPECT_TRUE(bitwise_equal(per_sample, naive_col2im(cols, g))) << "per sample: " << describe(g);
+    EXPECT_TRUE(bitwise_equal(per_row, naive_col2im(cols, g))) << "per row: " << describe(g);
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "tensor/random.hpp"
 
 namespace ndsnn::tensor {
@@ -94,6 +97,62 @@ TEST(MatmulTest, IdentityIsNoop) {
   for (int64_t i = 0; i < 5; ++i) eye.at(i, i) = 1.0F;
   const Tensor c = matmul(a, eye);
   for (int64_t i = 0; i < a.numel(); ++i) EXPECT_FLOAT_EQ(c.at(i), a.at(i));
+}
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof(float)) == 0; }
+
+// matmul_nt_masked_acc must give every kept entry matmul_nt_acc's bits
+// and leave every other entry of C as it was, on both tiers: row counts
+// off the 4-row lane groups, column counts off the 16-column tiles, k
+// across several panel blocks and off the 4-wide unroll, and masks with
+// empty and full rows and columns.
+TEST(MaskedMatmulTest, NtMaskedEqualsDenseAtKeptEntries) {
+  struct Case {
+    int64_t m, k, n;
+  };
+  const std::vector<Case> cases = {{1, 1, 1},  {3, 5, 7},    {6, 67, 75},
+                                   {16, 300, 150}, {17, 1030, 18}, {5, 4, 33}};
+  const std::vector<double> densities = {0.0, 0.1, 0.35, 1.0};
+  for (const util::simd::Tier tier : {util::simd::Tier::kScalar, util::simd::Tier::kAvx2}) {
+    for (const Case& cs : cases) {
+      for (const double density : densities) {
+        SCOPED_TRACE(testing::Message() << util::simd::name(tier) << " m=" << cs.m << " k="
+                                        << cs.k << " n=" << cs.n << " density=" << density);
+        Rng rng(static_cast<uint64_t>(cs.m * 1000 + cs.k * 10 + cs.n));
+        Tensor a(Shape{cs.m, cs.k}), b(Shape{cs.n, cs.k}), c0(Shape{cs.m, cs.n});
+        a.fill_uniform(rng, -1.0F, 1.0F);
+        b.fill_uniform(rng, -1.0F, 1.0F);
+        c0.fill_uniform(rng, -1.0F, 1.0F);
+        std::vector<uint8_t> keep(static_cast<std::size_t>(cs.m * cs.n));
+        for (auto& bit : keep) bit = rng.uniform(0.0F, 1.0F) < density ? 1 : 0;
+        if (cs.m > 2 && density > 0.0) {
+          // One empty row and one full row.
+          for (int64_t j = 0; j < cs.n; ++j) {
+            keep[static_cast<std::size_t>(j)] = 0;
+            keep[static_cast<std::size_t>(cs.n + j)] = 1;
+          }
+        }
+        if (cs.n > 2) {
+          for (int64_t i = 0; i < cs.m; ++i) keep[static_cast<std::size_t>(i * cs.n + 1)] = 0;
+        }
+        Tensor dense = c0;
+        matmul_nt_acc(a, b, dense, nullptr, tier);
+        Tensor masked = c0;
+        matmul_nt_masked_acc(a, b, keep.data(), masked, tier);
+        for (int64_t i = 0; i < cs.m * cs.n; ++i) {
+          const float want = keep[static_cast<std::size_t>(i)] != 0 ? dense.at(i) : c0.at(i);
+          ASSERT_TRUE(same_bits(masked.at(i), want))
+              << "entry " << i << ": " << masked.at(i) << " vs " << want;
+        }
+      }
+    }
+  }
+}
+
+TEST(MaskedMatmulTest, NtMaskedRejectsShapeMismatch) {
+  Tensor a(Shape{2, 3}), b(Shape{4, 2}), c(Shape{2, 4});
+  std::vector<uint8_t> keep(8, 1);
+  EXPECT_THROW(matmul_nt_masked_acc(a, b, keep.data(), c), std::invalid_argument);
 }
 
 }  // namespace
