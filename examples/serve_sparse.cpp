@@ -22,9 +22,9 @@
 //                           [--metrics-dump metrics.json]
 //
 // --threads is the executor's *total* worker budget; --intra-threads
-// compiles the plan with a shared intra-op pool (0 = hardware
-// concurrency, 1 = serial plan) and the executor divides the budget by
-// it. --coalesce N fuses queued small requests into one time-major pass
+// compiles the plan with that many shard lanes, each running a row
+// shard of a request's batch (0 = hardware concurrency, 1 = serial
+// plan), and the executor divides the budget by it. --coalesce N fuses queued small requests into one time-major pass
 // of up to N samples (waiting up to --coalesce-wait-us for stragglers);
 // fused results are bitwise identical to solo runs.
 //
@@ -142,7 +142,7 @@ void serve(const ndsnn::runtime::CompiledNetwork& plan,
     trace::set_enabled(true);
   }
   ndsnn::runtime::BatchExecutor exec(plan, threads, exec_opts);
-  std::printf("  %lld request worker(s) x %lld intra-op lane(s)%s\n",
+  std::printf("  %lld request worker(s) x %lld shard lane(s)%s\n",
               static_cast<long long>(exec.num_threads()),
               static_cast<long long>(exec.intra_op_threads()),
               exec_opts.max_coalesce > 1 ? ", request coalescing on" : "");
@@ -225,7 +225,7 @@ void print_help() {
       "\n"
       "execution options:\n"
       "  --activation auto|dense|event           activation representation\n"
-      "  --intra-threads N                       intra-op lanes (0 = hw concurrency)\n"
+      "  --intra-threads N                       plan shard lanes (0 = hw concurrency)\n"
       "  --kernel-tier auto|scalar|avx2          pin the SIMD dispatch tier\n"
       "\n"
       "executor / scheduling:\n"

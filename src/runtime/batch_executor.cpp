@@ -8,6 +8,7 @@
 
 #include "runtime/stream_session.hpp"
 #include "runtime/trace.hpp"
+#include "tensor/ops.hpp"
 #include "util/fault_injection.hpp"
 #include "util/metrics.hpp"
 #include "util/stopwatch.hpp"
@@ -55,22 +56,6 @@ struct ExecutorMetrics {
   }
 };
 
-/// Concatenate request batches along dim 0.
-Tensor concat_rows(const std::vector<Tensor*>& parts) {
-  int64_t total = 0;
-  for (const Tensor* t : parts) total += t->dim(0);
-  std::vector<int64_t> dims;
-  dims.push_back(total);
-  for (int64_t d = 1; d < parts[0]->rank(); ++d) dims.push_back(parts[0]->dim(d));
-  Tensor fused((Shape(dims)));
-  float* dst = fused.data();
-  for (const Tensor* t : parts) {
-    std::copy(t->data(), t->data() + t->numel(), dst);
-    dst += t->numel();
-  }
-  return fused;
-}
-
 }  // namespace
 
 BatchExecutor::BatchExecutor(const CompiledNetwork& net, int64_t num_threads,
@@ -80,8 +65,8 @@ BatchExecutor::BatchExecutor(const CompiledNetwork& net, int64_t num_threads,
     throw std::invalid_argument("BatchExecutor: num_threads must be >= 1");
   }
   recent_wait_buckets_.reserve(kPredictorWindow);
-  // Split the budget: a plan with an intra-op pool already fans each
-  // request across intra_op_threads lanes, so spawning num_threads
+  // Split the budget: a plan with a shard pool already fans each
+  // request's rows across intra_op_threads lanes, so spawning num_threads
   // request workers on top would oversubscribe the machine.
   const int64_t request_workers = std::max<int64_t>(1, num_threads / intra_op_threads_);
   busy_ms_.assign(static_cast<std::size_t>(request_workers), 0.0);
@@ -649,10 +634,10 @@ void BatchExecutor::run_group(std::vector<Request>& group, std::size_t worker) {
         // One time-major pass over the concatenated batch. Every op
         // treats batch rows independently, so slicing the fused logits
         // reproduces each request's solo result bitwise.
-        std::vector<Tensor*> parts;
+        std::vector<const Tensor*> parts;
         parts.reserve(group.size());
-        for (Request& r : group) parts.push_back(&r.batch);
-        logits = net_.run(concat_rows(parts));
+        for (const Request& r : group) parts.push_back(&r.batch);
+        logits = net_.run(tensor::concat_rows(parts));
       }
     }
     const double ms = sw.millis();
@@ -666,14 +651,11 @@ void BatchExecutor::run_group(std::vector<Request>& group, std::size_t worker) {
     } else {
       trace::ScopedSpan span("fused-split", "split");
       span.rows(samples);
-      const int64_t classes = logits.dim(1);
-      const float* src = logits.data();
       int64_t row = 0;
       for (Request& r : group) {
-        Tensor slice(Shape{r.samples, classes});
-        std::copy(src + row * classes, src + (row + r.samples) * classes, slice.data());
+        r.promise.set_value(
+            InferenceResult{tensor::slice_rows(logits, row, row + r.samples), r.wait_ms + ms, 0});
         row += r.samples;
-        r.promise.set_value(InferenceResult{std::move(slice), r.wait_ms + ms, 0});
       }
     }
   } catch (...) {

@@ -62,11 +62,12 @@
 // StreamSession::run_steps pass.
 //
 // Thread budget: the constructor's num_threads is the *total* worker
-// budget. When the plan was compiled with an intra-op pool
-// (CompileOptions::num_threads > 1), the executor spawns
-// max(1, num_threads / intra_op_threads) request workers so
-// inter-request and intra-op parallelism split the budget instead of
-// oversubscribing the machine.
+// budget. When the plan was compiled with a shard pool
+// (CompileOptions::num_threads > 1), each worker's infer() call runs
+// the batch's row shards on that pool's lanes, so the executor spawns
+// max(1, num_threads / intra_op_threads) request workers: workers x
+// plan lanes stays within the budget instead of oversubscribing the
+// machine.
 //
 // Determinism: a request's logits depend only on its input and the
 // plan — never on which worker ran it, how many workers exist, which
@@ -250,11 +251,11 @@ class BatchExecutor {
   void shutdown();
 
   /// Request workers actually spawned (the budget divided by the plan's
-  /// intra-op lanes).
+  /// shard lanes).
   [[nodiscard]] int64_t num_threads() const {
     return static_cast<int64_t>(workers_.size());
   }
-  /// Intra-op lanes of the served plan (1 = serial plan).
+  /// Shard lanes of the served plan (1 = serial plan).
   [[nodiscard]] int64_t intra_op_threads() const { return intra_op_threads_; }
 
   /// Requests fully processed so far.

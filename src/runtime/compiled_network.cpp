@@ -60,8 +60,6 @@ struct Lowering {
   std::optional<std::size_t> view;
   std::size_t weight_index = 0;  ///< weight layers seen, in body order
                                  ///< (indexes CompileOptions::layer_precisions)
-  /// Shared intra-op pool the built weight ops borrow (null = serial).
-  std::shared_ptr<util::ThreadPool> pool;
 
   explicit Lowering(const CompileOptions& o) : opts(o) {}
 
@@ -196,7 +194,7 @@ std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
     const Kernel kernel = pick_kernel(linear->weight(), lw.opts);
     const sparse::Precision precision =
         pick_precision(linear->weight(), kernel, /*uniform_error=*/event, lw);
-    return std::make_unique<LinearOp>(*linear, kernel, precision, event, lw.opts, lw.pool);
+    return std::make_unique<LinearOp>(*linear, kernel, precision, event, lw.opts);
   }
   if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&layer)) {
     const bool event = lw.event_for_weight_layer();
@@ -207,7 +205,7 @@ std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
     const Kernel kernel = pick_kernel(conv->weight(), lw.opts);
     const sparse::Precision precision =
         pick_precision(conv->weight(), kernel, /*uniform_error=*/false, lw);
-    return std::make_unique<ConvOp>(*conv, kernel, precision, event, lw.opts, lw.pool);
+    return std::make_unique<ConvOp>(*conv, kernel, precision, event, lw.opts);
   }
   if (const auto* bn = dynamic_cast<const nn::BatchNorm2d*>(&layer)) {
     lw.consume_view(false);
@@ -344,11 +342,6 @@ CompiledNetwork CompiledNetwork::compile(const nn::SpikingNetwork& net,
   }
   Lowering lw(opts);
   lw.emits = std::move(dry_walk.emits);
-  // One shared pool per plan: ops borrow it for intra-op dispatch, the
-  // BatchExecutor reads its lane count to split inter-request vs
-  // intra-op parallelism instead of oversubscribing.
-  const int64_t lanes = util::ThreadPool::resolve_lanes(opts.num_threads);
-  if (lanes > 1) lw.pool = std::make_shared<util::ThreadPool>(lanes);
   for (std::size_t i = 0; i < body.size(); ++i) {
     compiled.plan_.ops.push_back(compile_layer(body.layer(i), lw));
     compiled.plan_.reports.push_back(compiled.plan_.ops.back()->report());
@@ -361,7 +354,11 @@ CompiledNetwork CompiledNetwork::compile(const nn::SpikingNetwork& net,
                    [](const auto& op) { return op->make_state() != nullptr; }) -
       ops.begin());
   compiled.plan_.estimated_spike_rate = lw.stats.average_rate();
-  compiled.plan_.pool = std::move(lw.pool);
+  // One pool per plan: infer runs a row shard of the batch per lane, and
+  // the BatchExecutor reads its lane count to split its thread budget
+  // instead of oversubscribing.
+  const int64_t lanes = util::ThreadPool::resolve_lanes(opts.num_threads);
+  if (lanes > 1) compiled.plan_.pool = std::make_shared<util::ThreadPool>(lanes);
   compiled.plan_.profile = std::make_shared<PlanProfile>(compiled.plan_.reports);
   return compiled;
 }
@@ -389,13 +386,7 @@ CompiledNetwork CompiledNetwork::from_checkpoint(const std::string& path,
   return compile(*net, opts);
 }
 
-InferenceResult CompiledNetwork::infer(const InferenceRequest& request) const {
-  const Tensor& batch = request.batch;
-  if (batch.rank() < 2) {
-    throw std::invalid_argument("CompiledNetwork::infer: expected [N, ...], got " +
-                                batch.shape().str());
-  }
-  const auto start = std::chrono::steady_clock::now();
+Tensor CompiledNetwork::mean_logits(const Tensor& batch) const {
   // Direct encoding (compile() rejected every other encoder kind) is
   // folded into execute(): the invariant prefix runs on the N rows.
   const Tensor x = plan_.execute(batch);
@@ -403,8 +394,37 @@ InferenceResult CompiledNetwork::infer(const InferenceRequest& request) const {
     throw std::invalid_argument("CompiledNetwork::infer: body produced non-matrix logits " +
                                 x.shape().str());
   }
+  return nn::mean_over_time(x, plan_.timesteps);
+}
+
+InferenceResult CompiledNetwork::infer(const InferenceRequest& request) const {
+  const Tensor& batch = request.batch;
+  if (batch.rank() < 2) {
+    throw std::invalid_argument("CompiledNetwork::infer: expected [N, ...], got " +
+                                batch.shape().str());
+  }
+  const auto start = std::chrono::steady_clock::now();
+  if (plan_.profile && plan_.profile->enabled()) plan_.profile->count_execute();
+  // Every op is row-independent at inference (BN reads running
+  // statistics, neurons and the time mean work per sample), so
+  // contiguous row shards through the serial plan, stacked in order,
+  // give the whole batch's logits bitwise. One shard per lane; the ops
+  // themselves never touch the pool.
+  const int64_t n = batch.dim(0);
+  const int64_t shards = plan_.pool ? std::min(n, plan_.pool->lanes()) : 1;
   InferenceResult result;
-  result.logits = nn::mean_over_time(x, plan_.timesteps);
+  if (shards <= 1) {
+    result.logits = mean_logits(batch);
+  } else {
+    std::vector<Tensor> parts(static_cast<std::size_t>(shards));
+    plan_.pool->parallel_chunks(shards, [&](int64_t c) {
+      parts[static_cast<std::size_t>(c)] =
+          mean_logits(tensor::slice_rows(batch, n * c / shards, n * (c + 1) / shards));
+    });
+    std::vector<const Tensor*> ordered;
+    for (const Tensor& p : parts) ordered.push_back(&p);
+    result.logits = tensor::concat_rows(ordered);
+  }
   result.latency_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
           .count();

@@ -151,17 +151,13 @@ struct CompileOptions {
   /// from a checkpoint, before any forward pass ran). Typical LIF/PLIF/
   /// ALIF layers fire 5-20% of the time.
   double firing_rate_estimate = 0.15;
-  /// Intra-op execution lanes: 1 (default) compiles a serial plan, 0
-  /// resolves to std::thread::hardware_concurrency(), N > 1 builds a
-  /// shared util::ThreadPool the plan owns and every hot kernel
-  /// dispatches through (CSR conv2d by (filter, sample block) and
-  /// CSR linear spmm_t by output feature, both with nnz-balanced splits,
-  /// the event path over batch rows / output channels, dense fallbacks
-  /// by output row).
-  /// Layers whose work sits below util::kMinParallelWork stay serial —
-  /// thread handoff costs more than e.g. lenet5's fc2 [84 x 120]. fp32
-  /// outputs stay bitwise identical to the serial plan for any value
-  /// here.
+  /// Shard lanes: 1 (default) compiles a serial plan, 0 resolves to
+  /// std::thread::hardware_concurrency(), N > 1 builds a
+  /// util::ThreadPool the plan owns. infer() then splits a batch of M
+  /// rows into min(M, N) contiguous row shards and runs each through
+  /// the serial plan on its own lane; a 1-row batch runs serially. No
+  /// kernel splits its own work. fp32 outputs stay bitwise identical to
+  /// the serial plan for any value here.
   int64_t num_threads = 1;
   /// SIMD kernel tier of the tiered weight kernels (CSR spmm_t, dense
   /// matmul/matmul_nt), resolved once at compile time via
@@ -198,7 +194,9 @@ class CompiledNetwork {
   /// (BatchExecutor::submit) and streaming (StreamSession::step) paths
   /// speak. Mean logits over `timesteps()` of direct encoding, matching
   /// SpikingNetwork::predict; `latency_ms` is the call's wall time, the
-  /// SLO class is ignored (no queue on the direct path). Thread-safe.
+  /// SLO class is ignored (no queue on the direct path). A plan with
+  /// several lanes runs one contiguous row shard per lane (see
+  /// CompileOptions::num_threads). Thread-safe.
   [[nodiscard]] InferenceResult infer(const InferenceRequest& request) const;
 
   /// Mean logits [N, classes] for a static input batch [N, ...]. Thin
@@ -215,7 +213,7 @@ class CompiledNetwork {
   /// walks to compare two plans op by op (run() stays the serving API).
   [[nodiscard]] const Plan& plan_ir() const { return plan_; }
   [[nodiscard]] int64_t timesteps() const { return plan_.timesteps; }
-  /// Intra-op lanes of the plan's shared thread pool (1 = serial plan).
+  /// Shard lanes of the plan's thread pool (1 = serial plan).
   [[nodiscard]] int64_t intra_op_threads() const { return plan_.intra_op_threads(); }
   /// Compile-time mean firing-rate estimate over the spiking layers
   /// (recorded rates where available, CompileOptions fallback otherwise).
@@ -238,7 +236,8 @@ class CompiledNetwork {
   [[nodiscard]] std::vector<PlanProfile::OpStats> profile() const {
     return plan_.profile ? plan_.profile->snapshot() : std::vector<PlanProfile::OpStats>{};
   }
-  /// Plan runs recorded by the profile.
+  /// infer() calls recorded by the profile (one per call, however many
+  /// shards it ran).
   [[nodiscard]] int64_t profiled_executes() const {
     return plan_.profile ? plan_.profile->executes() : 0;
   }
@@ -260,6 +259,9 @@ class CompiledNetwork {
 
  private:
   CompiledNetwork() = default;
+
+  /// Mean logits [N, classes] of `batch` through the serial plan.
+  [[nodiscard]] tensor::Tensor mean_logits(const tensor::Tensor& batch) const;
 
   Plan plan_;
 };

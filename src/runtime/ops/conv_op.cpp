@@ -15,11 +15,9 @@ using tensor::Shape;
 using tensor::Tensor;
 
 ConvOp::ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision,
-               bool event, const CompileOptions& opts,
-               std::shared_ptr<util::ThreadPool> pool)
+               bool event, const CompileOptions& opts)
     : layer_name_(src.name()),
       gemm_(kernel),
-      pool_(std::move(pool)),
       tier_(util::simd::resolve(opts.kernel_tier)),
       precision_(kernel == Kernel::kDense ? sparse::Precision::kFp32 : precision),
       event_(event),
@@ -65,35 +63,14 @@ ConvOp::ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision
     }
   }
   if (has_bias_) bias_ = src.bias();
-  if (event_) {
-    // Per-output-channel weight histogram of the transposed structure:
-    // the prefix sums that let the parallel event path hand each chunk a
-    // channel strip with balanced scatter work.
-    channel_weight_prefix_.assign(static_cast<std::size_t>(out_channels_) + 1, 0);
-    auto& prefix = channel_weight_prefix_;
-    switch (gemm_) {
-      case Kernel::kCsr:
-        for (const int32_t f : csr_t_.col_idx()) ++prefix[static_cast<std::size_t>(f) + 1];
-        break;
-      case Kernel::kDense:
-        for (int64_t f = 0; f < out_channels_; ++f) {
-          prefix[static_cast<std::size_t>(f) + 1] = in_channels_ * kernel_ * kernel_;
-        }
-        break;
-    }
-    for (int64_t f = 0; f < out_channels_; ++f) {
-      prefix[static_cast<std::size_t>(f) + 1] += prefix[static_cast<std::size_t>(f)];
-    }
-  }
 }
 
 Tensor ConvOp::run_dense(const Tensor& input) const {
-  util::ThreadPool* pool = pool_.get();
   if (gemm_ == Kernel::kCsr) {
     trace::ScopedSpan span("conv-direct", "phase");
     span.rows(input.dim(0));
     span.bytes(bytes_);
-    return csr_.conv2d(input, kernel_, stride_, padding_, pool);
+    return csr_.conv2d(input, kernel_, stride_, padding_);
   }
   tensor::ConvGeometry g;
   g.batch = input.dim(0);
@@ -118,29 +95,40 @@ Tensor ConvOp::run_dense(const Tensor& input) const {
   gemm_span.rows(m);
   gemm_span.bytes(bytes_);
   const int64_t plane = oh * ow;
+  // out[mm] [F, OH*OW] = W[F, CKK] * cols[CKK, columns of sample mm].
   Tensor out(Shape{m, out_channels_, oh, ow});
-  const Tensor yflat = tensor::matmul(dense_, cols, pool, tier_);
-  // Transpose [F, (m, oy, ox)] -> [m, F, oy, ox].
-  const float* src = yflat.data();
-  float* dst = out.data();
-  for (int64_t f = 0; f < out_channels_; ++f) {
-    const float* srow = src + f * (m * plane);
-    for (int64_t mm = 0; mm < m; ++mm) {
-      float* drow = dst + (mm * out_channels_ + f) * plane;
-      const float* s = srow + mm * plane;
-      for (int64_t p = 0; p < plane; ++p) drow[p] = s[p];
-    }
+  for (int64_t mm = 0; mm < m; ++mm) {
+    tensor::matmul_acc_block(dense_, cols.data() + mm * plane, g.patch_cols(),
+                             out.data() + mm * out_channels_ * plane, plane, plane, tier_);
   }
   return out;
 }
 
-void ConvOp::event_scatter(const Tensor& in, const SpikeBatch& events, Tensor& out,
-                           int64_t oh, int64_t ow, int64_t f0, int64_t f1) const {
+Tensor ConvOp::run_event(const Activation& input) const {
+  const Tensor& in = input.tensor;
   const int64_t m = in.dim(0), h = in.dim(2), w = in.dim(3);
+  const int64_t oh = (h + 2 * padding_ - kernel_) / stride_ + 1;
+  const int64_t ow = (w + 2 * padding_ - kernel_) / stride_ + 1;
+  if (oh < 1 || ow < 1) {
+    throw std::invalid_argument("ConvOp: kernel larger than padded input " +
+                                in.shape().str());
+  }
   const int64_t in_plane = h * w;
   const int64_t row_size = in_channels_ * in_plane;
   const int64_t plane = oh * ow;
-  const bool full = f0 == 0 && f1 == out_channels_;
+  Tensor out(Shape{m, out_channels_, oh, ow});
+
+  const bool use_events =
+      input.has_events && input.events.rows == m && input.events.row_size == row_size;
+  SpikeBatch scanned;
+  if (!use_events) scanned = SpikeBatch::scan(in);
+  const SpikeBatch& events = use_events ? input.events : scanned;
+
+  trace::ScopedSpan span("event-scatter", "phase");
+  span.rows(m);
+  span.rate(events.rate());
+  span.bytes(bytes_);
+
   const float* inp = in.data();
   float* dst = out.data();
   for (int64_t mm = 0; mm < m; ++mm) {
@@ -157,9 +145,7 @@ void ConvOp::event_scatter(const Tensor& in, const SpikeBatch& events, Tensor& o
       // Every kernel offset (ky, kx) that maps pixel (y, x) onto a valid
       // output position; for a fixed output element exactly one offset
       // matches, so ascending (c, y, x) scatters in ascending
-      // patch-column order per output — the dense GEMM's order. A
-      // channel strip [f0, f1) only restricts *which* outputs a chunk
-      // owns, never the order of their contributions.
+      // patch-column order per output — the dense GEMM's order.
       for (int64_t ky = 0; ky < kernel_; ++ky) {
         const int64_t oy_num = y + padding_ - ky;
         if (oy_num < 0 || oy_num % stride_ != 0) continue;
@@ -174,15 +160,11 @@ void ConvOp::event_scatter(const Tensor& in, const SpikeBatch& events, Tensor& o
           float* obegin = obase + oy * ow + ox;
           switch (gemm_) {
             case Kernel::kCsr:
-              if (full) {
-                csr_t_.scatter_row(col, v, obegin, plane);
-              } else {
-                csr_t_.scatter_row_range(col, v, obegin, plane, f0, f1);
-              }
+              csr_t_.scatter_row(col, v, obegin, plane);
               break;
             case Kernel::kDense: {
               const float* wrow = dense_t_.data() + col * out_channels_;
-              for (int64_t f = f0; f < f1; ++f) {
+              for (int64_t f = 0; f < out_channels_; ++f) {
                 obegin[f * plane] += wrow[f] * v;
               }
               break;
@@ -192,45 +174,6 @@ void ConvOp::event_scatter(const Tensor& in, const SpikeBatch& events, Tensor& o
       }
     }
   }
-}
-
-Tensor ConvOp::run_event(const Activation& input) const {
-  const Tensor& in = input.tensor;
-  const int64_t m = in.dim(0), h = in.dim(2), w = in.dim(3);
-  const int64_t oh = (h + 2 * padding_ - kernel_) / stride_ + 1;
-  const int64_t ow = (w + 2 * padding_ - kernel_) / stride_ + 1;
-  if (oh < 1 || ow < 1) {
-    throw std::invalid_argument("ConvOp: kernel larger than padded input " +
-                                in.shape().str());
-  }
-  const int64_t row_size = in_channels_ * h * w;
-  Tensor out(Shape{m, out_channels_, oh, ow});
-
-  const bool use_events =
-      input.has_events && input.events.rows == m && input.events.row_size == row_size;
-  // Without a usable view the event stream is rebuilt once up front (the
-  // scan is shared by every channel chunk).
-  SpikeBatch scanned;
-  if (!use_events) scanned = SpikeBatch::scan(in);
-  const SpikeBatch& events = use_events ? input.events : scanned;
-
-  trace::ScopedSpan span("event-scatter", "phase");
-  span.rows(m);
-  span.rate(events.rate());
-  span.bytes(bytes_);
-
-  // Output channels partition the scatter: each chunk replays the whole
-  // event stream but writes only its own channel strip, nnz-balanced by
-  // the per-channel weight histogram. Work per event ~ k*k offsets times
-  // the average weights per patch column.
-  const int64_t ckk = in_channels_ * kernel_ * kernel_;
-  const int64_t cost_per_active =
-      kernel_ * kernel_ * std::max<int64_t>(1, stored_ / std::max<int64_t>(1, ckk));
-  const int64_t total_active = static_cast<int64_t>(events.idx.size());
-  util::parallel_balanced(pool_.get(), channel_weight_prefix_.data(), out_channels_,
-                          total_active * cost_per_active, [&](int64_t f0, int64_t f1) {
-                            event_scatter(in, events, out, oh, ow, f0, f1);
-                          });
   return out;
 }
 

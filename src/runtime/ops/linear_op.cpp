@@ -15,11 +15,9 @@ using tensor::Shape;
 using tensor::Tensor;
 
 LinearOp::LinearOp(const nn::Linear& src, Kernel kernel, sparse::Precision precision,
-                   bool event, const CompileOptions& opts,
-                   std::shared_ptr<util::ThreadPool> pool)
+                   bool event, const CompileOptions& opts)
     : layer_name_(src.name()),
       kernel_(kernel),
-      pool_(std::move(pool)),
       tier_(util::simd::resolve(opts.kernel_tier)),
       precision_(kernel == Kernel::kDense ? sparse::Precision::kFp32 : precision),
       event_(event),
@@ -67,28 +65,28 @@ LinearOp::LinearOp(const nn::Linear& src, Kernel kernel, sparse::Precision preci
       break;
   }
   if (has_bias_) bias_ = src.bias();
-  // Rough gather work per active input — the parallel-dispatch estimate
-  // for run_event (events touch one Wᵀ row each).
-  switch (kernel_) {
-    case Kernel::kCsr:
-      event_cost_per_active_ =
-          std::max<int64_t>(1, csr_t_.nnz() / std::max<int64_t>(1, in_features_));
-      break;
-    case Kernel::kDense:
-      event_cost_per_active_ = out_features_;
-      break;
-  }
 }
 
 Tensor LinearOp::run_dense(const Tensor& input) const {
-  util::ThreadPool* pool = pool_.get();
-  return kernel_ == Kernel::kCsr ? csr_.spmm_t(input, pool, tier_)
-                                 : tensor::matmul_nt(input, dense_, pool, tier_);
+  return kernel_ == Kernel::kCsr ? csr_.spmm_t(input, tier_)
+                                 : tensor::matmul_nt(input, dense_, tier_);
 }
 
-void LinearOp::event_rows(const Activation& input, Tensor& out, int64_t i0, int64_t i1,
-                          bool use_events) const {
+Tensor LinearOp::run_event(const Activation& input) const {
   const Tensor& in = input.tensor;
+  const int64_t m = in.dim(0);
+  Tensor out(Shape{m, out_features_});
+
+  // The event view is usable only when it indexes exactly this layout
+  // (it survives flatten, not pooling / batch norm); otherwise scan.
+  const bool use_events =
+      input.has_events && input.events.rows == m && input.events.row_size == in_features_;
+
+  trace::ScopedSpan span("event-gather", "phase");
+  span.rows(m);
+  if (use_events) span.rate(input.events.rate());
+  span.bytes(bytes_);
+
   const float* inp = in.data();
   float* outp = out.data();
   std::vector<int32_t> scratch;
@@ -102,7 +100,7 @@ void LinearOp::event_rows(const Activation& input, Tensor& out, int64_t i0, int6
   }
   int32_t* iaccp = iacc.empty() ? nullptr : iacc.data();
 
-  for (int64_t i = i0; i < i1; ++i) {
+  for (int64_t i = 0; i < m; ++i) {
     const float* x = inp + i * in_features_;
     const int32_t* active;
     int64_t n_active;
@@ -140,33 +138,6 @@ void LinearOp::event_rows(const Activation& input, Tensor& out, int64_t i0, int6
       orow[r] = static_cast<float>(acc[static_cast<std::size_t>(r)]);
     }
   }
-}
-
-Tensor LinearOp::run_event(const Activation& input) const {
-  const Tensor& in = input.tensor;
-  const int64_t m = in.dim(0);
-  Tensor out(Shape{m, out_features_});
-
-  // The event view is usable only when it indexes exactly this layout
-  // (it survives flatten, not pooling / batch norm); otherwise scan.
-  const bool use_events =
-      input.has_events && input.events.rows == m && input.events.row_size == in_features_;
-
-  trace::ScopedSpan span("event-gather", "phase");
-  span.rows(m);
-  if (use_events) span.rate(input.events.rate());
-  span.bytes(bytes_);
-
-  // Batch rows are independent: partition them across the pool (each
-  // chunk keeps its own scratch/accumulators). The work estimate counts
-  // active inputs times the per-active gather cost; the no-view case
-  // adds the dense rescan.
-  const int64_t active_estimate =
-      use_events ? static_cast<int64_t>(input.events.idx.size()) : in.numel();
-  util::parallel_even(pool_.get(), 0, m, active_estimate * event_cost_per_active_,
-                      [&](int64_t i0, int64_t i1) {
-                        event_rows(input, out, i0, i1, use_events);
-                      });
   return out;
 }
 

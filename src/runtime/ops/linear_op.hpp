@@ -9,14 +9,12 @@
 // to the terms that are not exact no-ops, so both paths agree bitwise.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "nn/linear.hpp"
 #include "runtime/compiled_network.hpp"
 #include "runtime/plan.hpp"
 #include "sparse/csr.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ndsnn::runtime {
 
@@ -29,11 +27,8 @@ class LinearOp final : public Op {
   /// int32 code-summing gather (see sparse::Csr::spmv_gather). See
   /// sparse::Csr::quantize for the error contract the quantised kernels
   /// carry instead of bitwise equality.
-  /// `pool` (may be null = serial) is the plan's shared intra-op pool:
-  /// the dense-activation path partitions the GEMM by output row, the
-  /// event path partitions the gather by batch row.
   LinearOp(const nn::Linear& src, Kernel kernel, sparse::Precision precision, bool event,
-           const CompileOptions& opts, std::shared_ptr<util::ThreadPool> pool = nullptr);
+           const CompileOptions& opts);
 
   [[nodiscard]] Activation run(const Activation& input) const override;
   [[nodiscard]] OpReport report() const override;
@@ -41,13 +36,9 @@ class LinearOp final : public Op {
  private:
   [[nodiscard]] tensor::Tensor run_dense(const tensor::Tensor& input) const;
   [[nodiscard]] tensor::Tensor run_event(const Activation& input) const;
-  void event_rows(const Activation& input, tensor::Tensor& out, int64_t i0, int64_t i1,
-                  bool use_events) const;
 
   std::string layer_name_;
   Kernel kernel_;
-  std::shared_ptr<util::ThreadPool> pool_;
-  int64_t event_cost_per_active_ = 1;  ///< gather work per active input
   /// Kernel tier resolved once at construction (CompileOptions::
   /// kernel_tier), so the op's dispatch never shifts under a later env
   /// or force() change — a compiled plan executes reproducibly.

@@ -70,7 +70,6 @@ tensor::Tensor run_ops(const Plan& plan, tensor::Tensor input, int64_t timesteps
   // predicts perfectly across a serving run.
   PlanProfile* prof = plan.profile && plan.profile->enabled() ? plan.profile.get() : nullptr;
   const bool instrumented = prof != nullptr || trace::enabled();
-  if (prof != nullptr) prof->count_execute();
   for (std::size_t i = 0; i < ops.size(); ++i) {
     if (i == prefix) x = tile_time_major(std::move(x), timesteps);
     x = instrumented ? trace::run_op_instrumented(*ops[i], plan.reports[i], x, prof, i)

@@ -167,11 +167,10 @@ struct Plan {
   std::vector<OpReport> reports;
   int64_t timesteps = 1;
   double estimated_spike_rate = 0.0;  ///< mean over spiking layers (compile-time estimate)
-  /// Shared intra-op execution pool (CompileOptions::num_threads > 1 or
-  /// 0 = hardware concurrency): weight ops borrow it for row-partitioned
-  /// kernel dispatch. Null for serial plans. The pool never changes what
-  /// is computed — fp32 outputs are bitwise identical for any lane count
-  /// — and it is safe to drive from many threads at once (the
+  /// Shard pool (CompileOptions::num_threads > 1 or 0 = hardware
+  /// concurrency): CompiledNetwork::infer runs one row shard of a batch
+  /// per lane through execute(). Ops never use it. Null for serial
+  /// plans. Safe to drive from many threads at once (the
   /// BatchExecutor's request workers share it).
   std::shared_ptr<util::ThreadPool> pool;
   /// Per-op profiling slots (runtime/trace.hpp), allocated by compile()
@@ -181,7 +180,7 @@ struct Plan {
   /// snapshot it without mutating the immutable plan itself.
   std::shared_ptr<PlanProfile> profile;
 
-  /// Lanes of the intra-op pool (1 for serial plans). What the
+  /// Lanes of the shard pool (1 for serial plans). What the
   /// BatchExecutor divides its thread budget by.
   [[nodiscard]] int64_t intra_op_threads() const;
 

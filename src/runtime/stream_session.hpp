@@ -55,8 +55,8 @@ class StreamSession {
   /// pointer to the plan, not a copy).
   ///
   /// `pipeline_threads` sizes the session's own inter-layer pipeline
-  /// pool (distinct from the plan's intra-op pool, which keeps serving
-  /// whatever ops borrow it): 1 (default) executes stages serially on
+  /// pool (distinct from the plan's shard pool, which only infer()
+  /// uses): 1 (default) executes stages serially on
   /// the calling thread, 0 resolves to hardware concurrency, N > 1
   /// runs up to N (stage, step) tasks of a wavefront concurrently.
   /// Results are bitwise identical for any value.

@@ -188,26 +188,6 @@ void Csr::scatter_row(int64_t row, float x, float* out, int64_t out_stride) cons
   }
 }
 
-void Csr::scatter_row_range(int64_t row, float x, float* out, int64_t out_stride,
-                            int64_t col_begin, int64_t col_end) const {
-  const int64_t k0 = row_ptr_[static_cast<std::size_t>(row)];
-  const int64_t k1 = row_ptr_[static_cast<std::size_t>(row) + 1];
-  // Columns are ascending within the row: binary-search the strip start,
-  // walk until the strip ends.
-  const int32_t* cb = col_idx_.data();
-  int64_t k = std::lower_bound(cb + k0, cb + k1, static_cast<int32_t>(col_begin)) - cb;
-  if (quant_.present()) {
-    const float xs = quant_.scale[static_cast<std::size_t>(row)] * x;
-    for (; k < k1 && cb[k] < col_end; ++k) {
-      out[static_cast<int64_t>(cb[k]) * out_stride] += static_cast<float>(quant_.code(k)) * xs;
-    }
-    return;
-  }
-  for (; k < k1 && cb[k] < col_end; ++k) {
-    out[static_cast<int64_t>(cb[k]) * out_stride] += values_[static_cast<std::size_t>(k)] * x;
-  }
-}
-
 namespace {
 
 /// One stored tap of a conv filter, resolved against the input geometry:
@@ -265,7 +245,7 @@ void conv_block(const std::vector<ConvTap>& taps, const float* x, float* o, int6
 }  // namespace
 
 tensor::Tensor Csr::conv2d(const tensor::Tensor& input, int64_t kernel, int64_t stride,
-                           int64_t padding, util::ThreadPool* pool) const {
+                           int64_t padding) const {
   if (input.rank() != 4 || kernel < 1 || stride < 1 || padding < 0 ||
       input.dim(1) * kernel * kernel != cols_) {
     throw std::invalid_argument("Csr::conv2d: expected input [M, C, H, W] with C * " +
@@ -311,7 +291,6 @@ tensor::Tensor Csr::conv2d(const tensor::Tensor& input, int64_t kernel, int64_t 
   // them. Blocks of one sample read the input and write the output in
   // place.
   const int64_t nb = std::clamp<int64_t>(kConvBlockFloats / plane, 1, std::max<int64_t>(m, 1));
-  const int64_t blocks = (m + nb - 1) / nb;
   std::vector<float> interleaved;
   if (nb > 1) {
     interleaved.resize(static_cast<std::size_t>(m * sample));
@@ -324,22 +303,12 @@ tensor::Tensor Csr::conv2d(const tensor::Tensor& input, int64_t kernel, int64_t 
       }
     }
   }
-  // Work items in filter-major order q = f * blocks + b, so a chunk
-  // decodes each filter's taps once; weight of an item = its filter's
-  // nnz times its samples.
-  const auto block_size = [&](int64_t b) { return std::min(nb, m - b * nb); };
-  std::vector<int64_t> prefix(static_cast<std::size_t>(rows_ * blocks) + 1, 0);
-  for (int64_t q = 0; q < rows_ * blocks; ++q) {
-    const auto f = static_cast<std::size_t>(q / blocks);
-    const int64_t weight = (row_ptr_[f + 1] - row_ptr_[f]) * block_size(q % blocks);
-    prefix[static_cast<std::size_t>(q) + 1] = prefix[static_cast<std::size_t>(q)] + weight;
-  }
-  const auto block_range = [&](int64_t q0, int64_t q1) {
-    std::vector<ConvTap> taps;
-    std::vector<float> acc(static_cast<std::size_t>(nb > 1 ? nb * plane : 0));
-    for (int64_t q = q0; q < q1; ++q) {
-      const int64_t f = q / blocks, b = q % blocks, m0 = b * nb, n = block_size(b);
-      if (q == q0 || b == 0) decode(f, taps);
+  std::vector<float> acc(static_cast<std::size_t>(nb > 1 ? nb * plane : 0));
+  std::vector<ConvTap> taps;
+  for (int64_t f = 0; f < rows_; ++f) {
+    decode(f, taps);
+    for (int64_t m0 = 0; m0 < m; m0 += nb) {
+      const int64_t n = std::min(nb, m - m0);
       const bool in_place = n == 1;
       const float* x = in_place ? xp + m0 * sample : interleaved.data() + m0 * sample;
       float* o = in_place ? op + (m0 * rows_ + f) * plane : acc.data();
@@ -355,8 +324,7 @@ tensor::Tensor Csr::conv2d(const tensor::Tensor& input, int64_t kernel, int64_t 
         for (int64_t e = 0; e < plane; ++e) dst[e] = acc[static_cast<std::size_t>(e * n + j)];
       }
     }
-  };
-  util::parallel_balanced(pool, prefix.data(), rows_ * blocks, nnz() * m * plane, block_range);
+  }
   return out;
 }
 
@@ -411,12 +379,12 @@ inline float spmm_t_row_i4(const uint8_t* q4, int64_t k0, int64_t k1, const int3
 
 }  // namespace
 
-void Csr::spmm_t_range(int64_t r0, int64_t r1, const float* bp, int64_t m, float* cp) const {
+void Csr::spmm_t_scalar(const float* bp, int64_t m, float* cp) const {
   if (quant_.present()) {
     for (int64_t i = 0; i < m; ++i) {
       const float* brow = bp + i * cols_;
       float* crow = cp + i * rows_;
-      for (int64_t r = r0; r < r1; ++r) {
+      for (int64_t r = 0; r < rows_; ++r) {
         const int64_t k0 = row_ptr_[static_cast<std::size_t>(r)];
         const int64_t k1 = row_ptr_[static_cast<std::size_t>(r) + 1];
         const float scale = quant_.scale[static_cast<std::size_t>(r)];
@@ -434,7 +402,7 @@ void Csr::spmm_t_range(int64_t r0, int64_t r1, const float* bp, int64_t m, float
   for (int64_t i = 0; i < m; ++i) {
     const float* brow = bp + i * cols_;
     float* crow = cp + i * rows_;
-    for (int64_t r = r0; r < r1; ++r) {
+    for (int64_t r = 0; r < rows_; ++r) {
       // Double accumulator to mirror matmul_nt, which the dense linear
       // path uses; keeps sparse and dense logits numerically close.
       double acc = 0.0;
@@ -448,8 +416,7 @@ void Csr::spmm_t_range(int64_t r0, int64_t r1, const float* bp, int64_t m, float
   }
 }
 
-tensor::Tensor Csr::spmm_t(const tensor::Tensor& b, util::ThreadPool* pool,
-                           util::simd::Tier tier) const {
+tensor::Tensor Csr::spmm_t(const tensor::Tensor& b, util::simd::Tier tier) const {
   if (b.rank() != 2 || b.dim(1) != cols_) {
     throw std::invalid_argument("Csr::spmm_t: expected B [m, " + std::to_string(cols_) +
                                 "], got " + b.shape().str());
@@ -471,34 +438,26 @@ tensor::Tensor Csr::spmm_t(const tensor::Tensor& b, util::ThreadPool* pool,
                                                    : Route::kI4;
   }
   if (route == Route::kScalar) {
-    // Partition the CSR rows (columns of C): each chunk writes a
-    // disjoint column strip of every C row, per-element order unchanged.
-    util::parallel_balanced(pool, row_ptr_.data(), rows_, nnz() * m,
-                            [&](int64_t r0, int64_t r1) { spmm_t_range(r0, r1, bp, m, cp); });
+    spmm_t_scalar(bp, m, cp);
     return c;
   }
   std::vector<float> bt(static_cast<std::size_t>(cols_ * m));
-  util::parallel_even(pool, 0, cols_, cols_ * m, [&](int64_t c0, int64_t c1) {
-    simd::transpose_f32(bp, m, cols_, bt.data(), c0, c1);
-  });
-  util::parallel_balanced(
-      pool, row_ptr_.data(), rows_, nnz() * m, [&](int64_t r0, int64_t r1) {
-        switch (route) {
-          case Route::kF32:
-            simd::csr_spmm_t_f32_avx2(row_ptr_.data(), col_idx_.data(), values_.data(), r0,
-                                      r1, bt.data(), m, rows_, cp);
-            break;
-          case Route::kI8:
-            simd::csr_spmm_t_i8_avx2(row_ptr_.data(), col_idx_.data(), quant_.q8.data(),
-                                     quant_.scale.data(), r0, r1, bt.data(), m, rows_, cp);
-            break;
-          case Route::kI4:
-            simd::csr_spmm_t_i4_avx2(row_ptr_.data(), col_idx_.data(), quant_.q4.data(),
-                                     quant_.scale.data(), r0, r1, bt.data(), m, rows_, cp);
-            break;
-          case Route::kScalar: break;  // unreachable
-        }
-      });
+  simd::transpose_f32(bp, m, cols_, bt.data(), 0, cols_);
+  switch (route) {
+    case Route::kF32:
+      simd::csr_spmm_t_f32_avx2(row_ptr_.data(), col_idx_.data(), values_.data(), 0, rows_,
+                                bt.data(), m, rows_, cp);
+      break;
+    case Route::kI8:
+      simd::csr_spmm_t_i8_avx2(row_ptr_.data(), col_idx_.data(), quant_.q8.data(),
+                               quant_.scale.data(), 0, rows_, bt.data(), m, rows_, cp);
+      break;
+    case Route::kI4:
+      simd::csr_spmm_t_i4_avx2(row_ptr_.data(), col_idx_.data(), quant_.q4.data(),
+                               quant_.scale.data(), 0, rows_, bt.data(), m, rows_, cp);
+      break;
+    case Route::kScalar: break;  // handled above
+  }
   return c;
 }
 

@@ -7,9 +7,11 @@
 // time instead of only in the analytical cost models. One kernel per
 // runtime route: conv2d (dense-activation conv), spmm_t
 // (dense-activation linear), spmv_gather (event linear) and
-// scatter_row[_range] (event conv). This is the only module that reads
-// the CSR index arrays and the quantised value planes in a hot loop;
-// only spmm_t has an AVX2 body.
+// scatter_row (event conv). Each runs serially on the calling thread: a
+// plan with several lanes runs one row shard of its batch per lane
+// (runtime::CompiledNetwork::infer), never a split inside a kernel.
+// This is the only module that reads the CSR index arrays and the
+// quantised value planes in a hot loop; only spmm_t has an AVX2 body.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +20,6 @@
 #include "sparse/quant.hpp"
 #include "tensor/tensor.hpp"
 #include "util/cpuinfo.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ndsnn::sparse {
 
@@ -70,13 +71,6 @@ class Csr {
   /// row = patch column, out_stride = OH*OW.
   void scatter_row(int64_t row, float x, float* out, int64_t out_stride) const;
 
-  /// scatter_row restricted to columns in [col_begin, col_end): the
-  /// ranged form the event-driven conv path uses to partition work by
-  /// output channel — each chunk owns a disjoint channel strip, and
-  /// within a strip the per-output accumulation order is unchanged.
-  void scatter_row_range(int64_t row, float x, float* out, int64_t out_stride,
-                         int64_t col_begin, int64_t col_end) const;
-
   /// Direct sparse convolution: `this` is a conv weight W [F, C*K*K]
   /// (Csr::from_weights of [F, C, K, K]) applied to input [M, C, H, W]
   /// with square `kernel` K, `stride` and zero `padding`; returns
@@ -95,19 +89,17 @@ class Csr {
   /// nn::Conv2d::forward. A filter's taps are decoded once per run of
   /// its planes, each with the fp32 value or the dequantised code of a
   /// quantised plane, so a quantised matrix computes exactly what its
-  /// dequantize()d copy does.
-  /// With a pool, the (filter, sample block) items are split into
-  /// nnz-balanced ranges; every plane keeps its serial order, so
-  /// results are bitwise lane-count-independent. Work below
-  /// util::kMinParallelWork stays serial. Throws std::invalid_argument on a bad shape or geometry.
+  /// dequantize()d copy does. Each sample's planes depend on that
+  /// sample's input only, so a batch split into row shards gives the
+  /// same bits. Throws std::invalid_argument on a bad shape or geometry.
   [[nodiscard]] tensor::Tensor conv2d(const tensor::Tensor& input, int64_t kernel,
-                                      int64_t stride, int64_t padding,
-                                      util::ThreadPool* pool = nullptr) const;
+                                      int64_t stride, int64_t padding) const;
 
   /// C[m, rows] = B * Aᵀ for dense B [m, cols] (the "T" variant; linear
-  /// layers: x[M, in] * Wᵀ with W stored CSR [out, in]). With a pool,
-  /// the CSR rows (columns of C) are nnz-balance partitioned; each C
-  /// element still accumulates serially.
+  /// layers: x[M, in] * Wᵀ with W stored CSR [out, in]). On fp32
+  /// planes each C row depends on its B row only; on quantised planes
+  /// its rounding also depends on the route below (m >= 8 or not) and
+  /// on its place in an 8-row panel.
   ///
   /// At kAvx2 (batch m >= 8 and enough nonzeros to amortize it) the
   /// driver first materializes bt = Bᵀ so one broadcast weight serves 8
@@ -118,7 +110,6 @@ class Csr {
   /// per-row scale once per output (quantised execution carries only
   /// the QuantPlane error contract, not bitwise equality).
   [[nodiscard]] tensor::Tensor spmm_t(const tensor::Tensor& b,
-                                      util::ThreadPool* pool = nullptr,
                                       util::simd::Tier tier = util::simd::Tier::kAuto) const;
 
   /// Quantise the value plane in place: int8 or packed-int4 codes with
@@ -173,9 +164,8 @@ class Csr {
   [[nodiscard]] const std::vector<float>& values() const { return values_; }
 
  private:
-  /// Row-range body of spmm_t (fp32 and quantised): the unit the pool
-  /// dispatches. Runs rows [r0, r1) exactly like the serial kernel.
-  void spmm_t_range(int64_t r0, int64_t r1, const float* bp, int64_t m, float* cp) const;
+  /// Scalar body of spmm_t (fp32 and quantised): C [m, rows] from B.
+  void spmm_t_scalar(const float* bp, int64_t m, float* cp) const;
 
   int64_t rows_ = 0, cols_ = 0;
   std::vector<int64_t> row_ptr_;

@@ -22,8 +22,7 @@
 // The batch-panel spmm_t bodies read B through its transpose
 // bt = Bᵀ [cols x m] (row-major, row stride m): one weight broadcast
 // then serves 8 batch lanes from a contiguous load. Callers build bt
-// once per call (transpose_f32) before fanning the row ranges out to
-// the pool.
+// once per call (transpose_f32).
 //
 // All bodies are compiled with __attribute__((target("avx2,fma"))) so
 // a generic x86-64 build still links and runs — cpuinfo's detected()
@@ -42,8 +41,8 @@ namespace ndsnn::sparse::simd {
 bool built_with_avx2();
 
 /// out[c * rows + r] = in[r * cols + c]. Plain strided copy (no FP
-/// ops, trivially bitwise); exposed so the spmm_t drivers can build bt
-/// in parallel column strips.
+/// ops, trivially bitwise) of columns [c0, c1); the spmm_t driver
+/// builds bt with it.
 void transpose_f32(const float* in, int64_t rows, int64_t cols, float* out,
                    int64_t c0, int64_t c1);
 

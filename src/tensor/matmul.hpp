@@ -11,12 +11,7 @@
 //
 // matmul and matmul_nt (the two kernels the inference runtime's dense
 // fallback ops run, and the conv forward / weight gradient of training)
-// optionally take a util::ThreadPool and partition by output row of C.
-// Each C row is produced by exactly one chunk with the unchanged serial
-// accumulation order, so the pooled results are bitwise identical to
-// the serial ones for any lane count; small products (work below
-// util::kMinParallelWork) stay serial.
-// They also take a kernel tier (resolved via util::simd::resolve). The
+// take a kernel tier (resolved via util::simd::resolve). The
 // kAvx2 bodies keep each output's rounding sequence, so results are
 // bitwise identical across tiers:
 // - matmul: explicit mul+add float chains, 4 weights per pass over C.
@@ -35,31 +30,27 @@
 
 #include "tensor/tensor.hpp"
 #include "util/cpuinfo.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ndsnn::tensor {
 
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b,
-                            util::ThreadPool* pool = nullptr,
                             util::simd::Tier tier = util::simd::Tier::kAuto);
 [[nodiscard]] Tensor matmul_tn(const Tensor& a, const Tensor& b);
 [[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b,
-                               util::ThreadPool* pool = nullptr,
                                util::simd::Tier tier = util::simd::Tier::kAuto);
 
 /// C += A * B (accumulating variant used by BPTT weight-gradient sums).
-void matmul_acc(const Tensor& a, const Tensor& b, Tensor& c, util::ThreadPool* pool = nullptr,
+void matmul_acc(const Tensor& a, const Tensor& b, Tensor& c,
                 util::simd::Tier tier = util::simd::Tier::kAuto);
 /// matmul_acc on blocks of larger row-major matrices: C [M, n] += A [M, K]
 /// * B [K, n], where consecutive rows of B are `ldb` floats apart and of
 /// C `ldc` apart. Every output gets matmul_acc's rounding sequence.
 void matmul_acc_block(const Tensor& a, const float* b, int64_t ldb, float* c, int64_t ldc,
-                      int64_t n, util::ThreadPool* pool = nullptr,
-                      util::simd::Tier tier = util::simd::Tier::kAuto);
+                      int64_t n, util::simd::Tier tier = util::simd::Tier::kAuto);
 /// C += Aᵀ * B
 void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& c);
 /// C += A * Bᵀ
-void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& c, util::ThreadPool* pool = nullptr,
+void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& c,
                    util::simd::Tier tier = util::simd::Tier::kAuto);
 /// matmul_nt_acc at the entries of C whose `keep` byte (row-major, C's
 /// shape) is nonzero; the other entries of C are not touched. Each kept

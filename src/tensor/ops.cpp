@@ -1,7 +1,9 @@
 #include "tensor/ops.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace ndsnn::tensor {
 
@@ -134,6 +136,24 @@ Tensor softmax_rows(const Tensor& logits) {
     const auto inv = static_cast<float>(1.0 / denom);
     for (int64_t c = 0; c < cols; ++c) out.at(r, c) *= inv;
   }
+  return out;
+}
+
+Tensor slice_rows(const Tensor& t, int64_t lo, int64_t hi) {
+  std::vector<int64_t> dims = t.shape().dims();
+  dims[0] = hi - lo;
+  const int64_t row = t.numel() / t.dim(0);
+  return Tensor(Shape(std::move(dims)),
+                std::vector<float>(t.data() + lo * row, t.data() + hi * row));
+}
+
+Tensor concat_rows(const std::vector<const Tensor*>& parts) {
+  std::vector<int64_t> dims = parts.front()->shape().dims();
+  dims[0] = 0;
+  for (const Tensor* t : parts) dims[0] += t->dim(0);
+  Tensor out((Shape(std::move(dims))));
+  float* dst = out.data();
+  for (const Tensor* t : parts) dst = std::copy(t->data(), t->data() + t->numel(), dst);
   return out;
 }
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "tensor/tensor.hpp"
 
@@ -49,6 +50,12 @@ void add_channel_bias_(Tensor& out, const Tensor& bias);
 
 /// argmax over each row of a [N, C] matrix -> N indices.
 [[nodiscard]] std::vector<int64_t> argmax_rows(const Tensor& m);
+
+/// Rows [lo, hi) of a [N, ...] tensor (along dim 0) as their own tensor.
+[[nodiscard]] Tensor slice_rows(const Tensor& t, int64_t lo, int64_t hi);
+
+/// Stack [n_i, ...] tensors of one trailing shape along dim 0.
+[[nodiscard]] Tensor concat_rows(const std::vector<const Tensor*>& parts);
 
 /// Mean of all elements.
 [[nodiscard]] double mean(const Tensor& a);

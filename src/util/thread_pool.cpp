@@ -1,6 +1,5 @@
 #include "util/thread_pool.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "util/metrics.hpp"
@@ -9,20 +8,17 @@ namespace ndsnn::util {
 
 namespace {
 
-/// Dispatch counters in the process metrics registry: how often kernels
-/// actually fork-join vs fall through serially (work below
-/// kMinParallelWork), and how many chunks the forks fanned out. Cached
+/// Dispatch counters in the process metrics registry: how often callers
+/// fork-join and how many chunks the forks fanned out. Cached
 /// references — registry lookups lock, the counters themselves are one
 /// relaxed atomic add.
 struct PoolMetrics {
   Counter& fork_joins;
   Counter& chunks;
-  Counter& serial_inline;
 
   static PoolMetrics& get() {
     auto& reg = MetricsRegistry::global();
-    static PoolMetrics m{reg.counter("pool.fork_joins"), reg.counter("pool.chunks"),
-                         reg.counter("pool.serial_inline")};
+    static PoolMetrics m{reg.counter("pool.fork_joins"), reg.counter("pool.chunks")};
     return m;
   }
 };
@@ -56,15 +52,6 @@ int64_t ThreadPool::resolve_lanes(int64_t requested) {
   return hw > 0 ? hw : 1;
 }
 
-int64_t ThreadPool::chunks_for(int64_t work, int64_t max_chunks) const {
-  const int64_t by_work = work / kMinParallelWork;
-  return std::max<int64_t>(1, std::min({lanes_, by_work, max_chunks}));
-}
-
-int64_t chunks_for(const ThreadPool* pool, int64_t work, int64_t max_chunks) {
-  return pool == nullptr ? 1 : pool->chunks_for(work, max_chunks);
-}
-
 void ThreadPool::run_chunk(Job& job, int64_t c) {
   try {
     (*job.fn)(c);
@@ -81,7 +68,6 @@ void ThreadPool::run_chunk(Job& job, int64_t c) {
 void ThreadPool::parallel_chunks(int64_t chunks, const std::function<void(int64_t)>& fn) {
   if (chunks <= 0) return;
   if (chunks == 1 || lanes_ <= 1) {
-    PoolMetrics::get().serial_inline.add();
     for (int64_t c = 0; c < chunks; ++c) fn(c);
     return;
   }
@@ -110,14 +96,6 @@ void ThreadPool::parallel_chunks(int64_t chunks, const std::function<void(int64_
   if (job->error) std::rethrow_exception(job->error);
 }
 
-void ThreadPool::parallel_for(int64_t begin, int64_t end, int64_t chunks,
-                              const std::function<void(int64_t, int64_t)>& fn) {
-  const std::vector<int64_t> bounds = even_bounds(begin, end, chunks);
-  parallel_chunks(static_cast<int64_t>(bounds.size()) - 1,
-                  [&](int64_t c) { fn(bounds[static_cast<std::size_t>(c)],
-                                      bounds[static_cast<std::size_t>(c) + 1]); });
-}
-
 void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
@@ -135,63 +113,6 @@ void ThreadPool::worker_loop() {
     run_chunk(*job, c);
     lock.lock();
   }
-}
-
-std::vector<int64_t> balanced_bounds(const int64_t* prefix, int64_t rows, int64_t chunks) {
-  if (chunks > rows) chunks = rows;
-  if (chunks < 1) chunks = 1;
-  std::vector<int64_t> bounds;
-  bounds.reserve(static_cast<std::size_t>(chunks) + 1);
-  bounds.push_back(0);
-  const int64_t base = prefix[0];
-  const int64_t total = prefix[rows] - base;
-  int64_t cut = 0;
-  for (int64_t c = 1; c < chunks; ++c) {
-    // Cut at the first row whose cumulative weight reaches the c-th
-    // ideal target, leaving at least one row per remaining chunk.
-    const int64_t target = base + (total * c) / chunks;
-    const int64_t max_cut = rows - (chunks - c);
-    cut = std::max(cut, bounds.back() + 1);
-    while (cut < max_cut && prefix[cut] < target) ++cut;
-    bounds.push_back(cut);
-  }
-  bounds.push_back(rows);
-  return bounds;
-}
-
-void parallel_balanced(ThreadPool* pool, const int64_t* prefix, int64_t rows, int64_t work,
-                       const std::function<void(int64_t, int64_t)>& fn) {
-  const int64_t chunks = chunks_for(pool, work, rows);
-  if (chunks <= 1) {
-    fn(0, rows);
-    return;
-  }
-  const std::vector<int64_t> bounds = balanced_bounds(prefix, rows, chunks);
-  pool->parallel_chunks(static_cast<int64_t>(bounds.size()) - 1, [&](int64_t c) {
-    fn(bounds[static_cast<std::size_t>(c)], bounds[static_cast<std::size_t>(c) + 1]);
-  });
-}
-
-void parallel_even(ThreadPool* pool, int64_t begin, int64_t end, int64_t work,
-                   const std::function<void(int64_t, int64_t)>& fn) {
-  const int64_t chunks = chunks_for(pool, work, end - begin);
-  if (chunks <= 1) {
-    fn(begin, end);
-    return;
-  }
-  pool->parallel_for(begin, end, chunks, fn);
-}
-
-std::vector<int64_t> even_bounds(int64_t begin, int64_t end, int64_t chunks) {
-  const int64_t extent = end - begin;
-  if (chunks > extent) chunks = extent;
-  if (chunks < 1) chunks = 1;
-  std::vector<int64_t> bounds;
-  bounds.reserve(static_cast<std::size_t>(chunks) + 1);
-  for (int64_t c = 0; c <= chunks; ++c) {
-    bounds.push_back(begin + (extent * c) / chunks);
-  }
-  return bounds;
 }
 
 }  // namespace ndsnn::util

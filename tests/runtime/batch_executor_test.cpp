@@ -451,10 +451,9 @@ TEST(BatchExecutorTest, ShedsLoadOnceSloBudgetIsExceeded) {
 
 // Regression: the admission predictor must not latch shut after a
 // spike. A burst of batch-class requests (4x the interactive budget)
-// is admitted while the predictor is cold and drains through one
-// worker, legitimately recording queue waits far above the
-// *interactive* budget. The wait window only refreshes through
-// completions, so a predictor that keeps trusting it while the
+// drains through one worker, legitimately recording queue waits far
+// above the *interactive* budget. The wait window only refreshes
+// through completions, so a predictor that keeps trusting it while the
 // executor sits idle sheds every interactive request forever — the
 // idle gate (stale window ignored with nothing queued or in flight)
 // and the probe admissions are what re-open it.
@@ -477,9 +476,29 @@ TEST(BatchExecutorTest, AdmissionRecoversAfterASpikeDrains) {
   ExecutorOptions opts;
   opts.slo_ms = std::max(5.0, 4.0 * service_ms);
   BatchExecutor exec(compiled, 1, opts);
+  // Controlled schedule. One request runs alone, so the service EMA is
+  // known. The next is held past dispatch by one injected 50 ms stall,
+  // and the spike is submitted while the worker sleeps: admission
+  // forecasts the backlog, so once it passes the batch budget it sheds,
+  // admitting every kShedProbeInterval-th would-shed request as a probe.
+  // After the stall every queued non-probe is past its deadline and is
+  // dropped at dispatch, and the probes run: the wait window ends up
+  // holding waits of 50 ms and more, however the threads are scheduled.
+  // The spike is sized so the forecast passes the batch budget well
+  // inside it even at 0.01 ms per sample (~0.04 ms here).
+  constexpr int kSpike = 4096;
   std::vector<std::future<Tensor>> futures;
-  futures.reserve(256);
-  for (int i = 0; i < 256; ++i) {
+  futures.reserve(kSpike);
+  futures.push_back(exec.submit(one, SloClass::kBatch));
+  futures.back().wait();
+  auto& faults = util::fault::FaultInjector::global();
+  faults.arm("executor.stall", util::fault::Rule{1.0, 1, 0});
+  futures.push_back(exec.submit(one, SloClass::kBatch));
+  while (faults.fires("executor.stall") < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  faults.reset();
+  while (static_cast<int>(futures.size()) < kSpike) {
     futures.push_back(exec.submit(one, SloClass::kBatch));
   }
   int64_t completed = 0;

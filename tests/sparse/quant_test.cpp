@@ -253,10 +253,9 @@ TEST(QuantTest, QuantKernelsConsistentWithDequantisedWeights) {
 /// so on int8 and int4 planes it is bitwise equal to the fp32 kernel on
 /// the dequantize()d copy (same structure, explicitly stored zeros
 /// included) — the contract quantised CSR convs keep against their
-/// fake_quant plans. Both strides, serial and pooled.
+/// fake_quant plans. Both strides.
 TEST(QuantTest, Conv2dBitwiseEqualsDequantisedCopy) {
   Rng rng(difftest::env_seed() ^ 0xC0417ULL);
-  util::ThreadPool pool(3);
   for (const Precision p : {Precision::kInt8, Precision::kInt4}) {
     Csr q = Csr::from_dense(random_masked(16, 4 * 3 * 3, 0.7, rng));  // [F, C*K*K]
     q.quantize(p);
@@ -266,12 +265,10 @@ TEST(QuantTest, Conv2dBitwiseEqualsDequantisedCopy) {
     img.fill_uniform(rng, -1.0F, 1.0F);
     for (const int64_t stride : {1, 2}) {
       const Tensor want = deq.conv2d(img, 3, stride, 1);
-      for (util::ThreadPool* lanes : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-        const Tensor got = q.conv2d(img, 3, stride, 1, lanes);
-        ASSERT_EQ(got.shape(), want.shape());
-        EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * want.numel()), 0)
-            << precision_tag(p) << " stride=" << stride << " pooled=" << (lanes != nullptr);
-      }
+      const Tensor got = q.conv2d(img, 3, stride, 1);
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * want.numel()), 0)
+          << precision_tag(p) << " stride=" << stride;
     }
   }
 }

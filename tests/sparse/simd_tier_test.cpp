@@ -22,7 +22,6 @@
 #include "tensor/random.hpp"
 #include "util/cpuinfo.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ndsnn::sparse {
 namespace {
@@ -82,19 +81,15 @@ TEST(SimdTierTest, DetectedTierIsExecutable) {
   EXPECT_TRUE(simd::built_with_avx2() || util::simd::detected() != Tier::kAvx2);
 }
 
-TEST(SimdTierTest, CsrSpmmTBitwiseAcrossTiersAndThreads) {
+TEST(SimdTierTest, CsrSpmmTBitwiseAcrossTiers) {
   // fc1 scale, plus a ragged batch (13 = 8 + 5 tail) so the 8-lane
   // AVX2 batch panels hit their cleanup path.
   const Tensor w = sparse_matrix(120, 400, 0.9, 7);
   const Csr csr = Csr::from_dense(w);
-  util::ThreadPool pool(3);
   for (const int64_t m : {13L, 8L, 32L}) {
     const Tensor b = dense_batch(m, 400, 11);
-    const Tensor ref = csr.spmm_t(b, nullptr, Tier::kScalar);
-    for (const Tier tier : kTiers) {
-      expect_bitwise(csr.spmm_t(b, nullptr, tier), ref, "csr spmm_t serial");
-      expect_bitwise(csr.spmm_t(b, &pool, tier), ref, "csr spmm_t pooled");
-    }
+    const Tensor ref = csr.spmm_t(b, Tier::kScalar);
+    for (const Tier tier : kTiers) expect_bitwise(csr.spmm_t(b, tier), ref, "csr spmm_t");
   }
 }
 
@@ -119,12 +114,12 @@ TEST(SimdTierTest, CsrSpmmTAvx2BeatsScalar) {
   // Min of individually timed calls after two warm-ups: the least noisy
   // location statistic on a shared box.
   const auto min_ms = [&](Tier tier) {
-    (void)csr.spmm_t(bT, nullptr, tier);
-    (void)csr.spmm_t(bT, nullptr, tier);
+    (void)csr.spmm_t(bT, tier);
+    (void)csr.spmm_t(bT, tier);
     double best = 1e300;
     for (int r = 0; r < 100; ++r) {
       const util::Stopwatch sw;
-      (void)csr.spmm_t(bT, nullptr, tier);
+      (void)csr.spmm_t(bT, tier);
       best = std::min(best, sw.millis());
     }
     return best;
@@ -142,31 +137,25 @@ TEST(SimdTierTest, CsrSpmmTSmallBatchFallsBackBitwise) {
   const Tensor w = sparse_matrix(40, 64, 0.8, 3);
   const Csr csr = Csr::from_dense(w);
   const Tensor b = dense_batch(3, 64, 5);
-  const Tensor ref = csr.spmm_t(b, nullptr, Tier::kScalar);
+  const Tensor ref = csr.spmm_t(b, Tier::kScalar);
   for (const Tier tier : kTiers) {
-    expect_bitwise(csr.spmm_t(b, nullptr, tier), ref, "csr spmm_t small batch");
+    expect_bitwise(csr.spmm_t(b, tier), ref, "csr spmm_t small batch");
   }
 }
 
 TEST(SimdTierTest, DenseMatmulBitwiseAcrossTiers) {
   const Tensor a = sparse_matrix(33, 48, 0.6, 31);  // zero-skip path has real zeros
   const Tensor b = dense_batch(48, 19, 37);
-  util::ThreadPool pool(2);
-  const Tensor ref = tensor::matmul(a, b, nullptr, Tier::kScalar);
-  for (const Tier tier : kTiers) {
-    expect_bitwise(tensor::matmul(a, b, nullptr, tier), ref, "matmul serial");
-    expect_bitwise(tensor::matmul(a, b, &pool, tier), ref, "matmul pooled");
-  }
+  const Tensor ref = tensor::matmul(a, b, Tier::kScalar);
+  for (const Tier tier : kTiers) expect_bitwise(tensor::matmul(a, b, tier), ref, "matmul");
 }
 
 TEST(SimdTierTest, DenseMatmulNtBitwiseAcrossTiers) {
   const Tensor a = dense_batch(13, 48, 41);
   const Tensor w = sparse_matrix(31, 48, 0.5, 43);  // B of matmul_nt = weights [n, k]
-  util::ThreadPool pool(3);
-  const Tensor ref = tensor::matmul_nt(a, w, nullptr, Tier::kScalar);
+  const Tensor ref = tensor::matmul_nt(a, w, Tier::kScalar);
   for (const Tier tier : kTiers) {
-    expect_bitwise(tensor::matmul_nt(a, w, nullptr, tier), ref, "matmul_nt serial");
-    expect_bitwise(tensor::matmul_nt(a, w, &pool, tier), ref, "matmul_nt pooled");
+    expect_bitwise(tensor::matmul_nt(a, w, tier), ref, "matmul_nt");
   }
 }
 
@@ -174,8 +163,8 @@ TEST(SimdTierTest, DenseMatmulNtBitwiseAcrossTiers) {
 /// register tiles (two rows at a time), carrying double chains across
 /// blocks. Shapes here straddle every seam: k below, at and several
 /// blocks past the block width with a ragged last block; n not a multiple
-/// of 8 or 16 (75 and 150 are the LeNet-5 conv patch widths); odd m; and
-/// pooled row ranges of 1-4 lanes. Signed zeros in A, B and the C
+/// of 8 or 16 (75 and 150 are the LeNet-5 conv patch widths); and odd m.
+/// Signed zeros in A, B and the C
 /// accumulator must come out with the scalar gather's signs.
 TEST(SimdTierTest, DenseMatmulNtBlockSeamsBitwiseAcrossTiers) {
   struct Case {
@@ -215,19 +204,13 @@ TEST(SimdTierTest, DenseMatmulNtBlockSeamsBitwiseAcrossTiers) {
     for (int64_t i = 0; i < c0.numel(); i += 5) c0.at(i) = -0.0F;
 
     Tensor ref = c0;
-    tensor::matmul_nt_acc(a, b, ref, nullptr, Tier::kScalar);
+    tensor::matmul_nt_acc(a, b, ref, Tier::kScalar);
     const std::string shape = std::to_string(cs.m) + "x" + std::to_string(cs.k) + "x" +
                               std::to_string(cs.n);
     for (const Tier tier : kTiers) {
-      Tensor serial = c0;
-      tensor::matmul_nt_acc(a, b, serial, nullptr, tier);
-      expect_bitwise(serial, ref, ("matmul_nt_acc serial " + shape).c_str());
-      for (int64_t lanes = 1; lanes <= 4; ++lanes) {
-        util::ThreadPool pool(lanes);
-        Tensor pooled = c0;
-        tensor::matmul_nt_acc(a, b, pooled, &pool, tier);
-        expect_bitwise(pooled, ref, ("matmul_nt_acc pooled " + shape).c_str());
-      }
+      Tensor got = c0;
+      tensor::matmul_nt_acc(a, b, got, tier);
+      expect_bitwise(got, ref, ("matmul_nt_acc " + shape).c_str());
     }
   }
 }
@@ -255,12 +238,12 @@ TEST(SimdTierTest, CsrSpmmTQuantisedTiersAgreeWithinTolerance) {
     Csr csr = Csr::from_dense(w);
     (void)csr.quantize(p);
     const Tensor b = dense_batch(13, 400, 59);
-    const Tensor ref = csr.spmm_t(b, nullptr, Tier::kScalar);
+    const Tensor ref = csr.spmm_t(b, Tier::kScalar);
     // int4 codes are coarse; the per-output dot products here sum
     // ~40 nonzero terms of magnitude <= 2, so 1e-3 is far below the
     // quantisation error yet far above fp32 reassociation noise.
     for (const Tier tier : kTiers) {
-      expect_close(csr.spmm_t(b, nullptr, tier), ref, 1e-3F, "quantised csr spmm_t");
+      expect_close(csr.spmm_t(b, tier), ref, 1e-3F, "quantised csr spmm_t");
     }
   }
 }

@@ -208,33 +208,5 @@ TEST(SpmvGatherTest, UniformScaleQuantErrorStaysInsideGlobalBound) {
   EXPECT_NEAR(measured, err / w.abs_max(), 1e-6F);
 }
 
-TEST(SpmvGatherTest, ScatterRowRangeStripsTileTheFullScatter) {
-  // Any partition of the columns into strips must reproduce the
-  // unrestricted scatter exactly — per output element the strip only
-  // selects, never reorders.
-  Rng rng(difftest::env_seed() ^ 0x57A1ULL);
-  const int64_t rows = 9, cols = 13, stride = 3;
-  const Tensor w = random_sparse(rows, cols, 0.4, rng);
-  for (const bool quantise : {false, true}) {
-    Csr csr = Csr::from_dense(w);
-    if (quantise) (void)csr.quantize(Precision::kInt8);
-    for (int64_t r = 0; r < rows; ++r) {
-      std::vector<float> want(static_cast<std::size_t>(cols * stride), 0.0F);
-      csr.scatter_row(r, 0.5F, want.data(), stride);
-      for (const int64_t strip : {int64_t{1}, int64_t{4}, int64_t{5}}) {
-        std::vector<float> got(static_cast<std::size_t>(cols * stride), 0.0F);
-        for (int64_t c0 = 0; c0 < cols; c0 += strip) {
-          const int64_t c1 = std::min(cols, c0 + strip);
-          csr.scatter_row_range(r, 0.5F, got.data(), stride, c0, c1);
-        }
-        for (std::size_t i = 0; i < want.size(); ++i) {
-          ASSERT_EQ(got[i], want[i])
-              << (quantise ? "quant" : "fp32") << " row " << r << " strip " << strip;
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace ndsnn::sparse

@@ -136,7 +136,7 @@ TEST(MaskedMatmulTest, NtMaskedEqualsDenseAtKeptEntries) {
           for (int64_t i = 0; i < cs.m; ++i) keep[static_cast<std::size_t>(i * cs.n + 1)] = 0;
         }
         Tensor dense = c0;
-        matmul_nt_acc(a, b, dense, nullptr, tier);
+        matmul_nt_acc(a, b, dense, tier);
         Tensor masked = c0;
         matmul_nt_masked_acc(a, b, keep.data(), masked, tier);
         for (int64_t i = 0; i < cs.m * cs.n; ++i) {

@@ -1,8 +1,8 @@
-// ThreadPool: the fork-join primitive every parallel kernel dispatches
-// through. Covers chunk coverage (each index computed exactly once),
-// weighted range splitting, the serial-work threshold, exception
-// propagation, and concurrent fork-joins from many caller threads (the
-// BatchExecutor sharing pattern; also the TSan job's main target).
+// ThreadPool: the fork-join primitive a plan's batch shards and a
+// streamed session's pipeline stages run on. Covers chunk coverage (each
+// chunk run exactly once), exception propagation, and concurrent
+// fork-joins from many caller threads (the BatchExecutor sharing
+// pattern; also the TSan job's main target).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,12 +26,10 @@ TEST(ThreadPoolTest, RejectsZeroLanes) {
   EXPECT_THROW(ThreadPool(0), std::invalid_argument);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
+TEST(ThreadPoolTest, ParallelChunksRunsEveryChunkOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> marks(1000);
-  pool.parallel_for(0, 1000, 8, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) marks[static_cast<std::size_t>(i)]++;
-  });
+  pool.parallel_chunks(1000, [&](int64_t c) { marks[static_cast<std::size_t>(c)]++; });
   for (const auto& m : marks) EXPECT_EQ(m.load(), 1);
 }
 
@@ -39,53 +37,8 @@ TEST(ThreadPoolTest, SingleLanePoolRunsInline) {
   ThreadPool pool(1);
   int64_t sum = 0;
   // One lane: chunks execute serially on the caller, no races possible.
-  pool.parallel_for(0, 100, 4, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) sum += i;
-  });
+  pool.parallel_chunks(100, [&](int64_t c) { sum += c; });
   EXPECT_EQ(sum, 99 * 100 / 2);
-}
-
-TEST(ThreadPoolTest, ChunksForRespectsWorkThreshold) {
-  ThreadPool pool(8);
-  // Tiny work stays serial regardless of lanes.
-  EXPECT_EQ(pool.chunks_for(kMinParallelWork - 1, 100), 1);
-  // Big work is capped by lanes and by the partitionable extent.
-  EXPECT_EQ(pool.chunks_for(kMinParallelWork * 100, 100), 8);
-  EXPECT_EQ(pool.chunks_for(kMinParallelWork * 100, 3), 3);
-  // Medium work: one chunk per kMinParallelWork.
-  EXPECT_EQ(pool.chunks_for(kMinParallelWork * 2, 100), 2);
-  // Null pool is always serial.
-  EXPECT_EQ(chunks_for(nullptr, kMinParallelWork * 100, 100), 1);
-}
-
-TEST(ThreadPoolTest, BalancedBoundsSplitByWeight) {
-  // Weights 10, 0, 0, 0, 10, 10: prefix {0, 10, 10, 10, 10, 20, 30}.
-  const std::vector<int64_t> prefix = {0, 10, 10, 10, 10, 20, 30};
-  const auto bounds = balanced_bounds(prefix.data(), 6, 3);
-  ASSERT_EQ(bounds.size(), 4U);
-  EXPECT_EQ(bounds.front(), 0);
-  EXPECT_EQ(bounds.back(), 6);
-  for (std::size_t i = 1; i < bounds.size(); ++i) {
-    EXPECT_GT(bounds[i], bounds[i - 1]);  // never an empty range
-  }
-  // The heavy first row gets its own chunk; the zero-weight rows ride
-  // along with a weighted one instead of wasting a chunk.
-  EXPECT_EQ(bounds[1], 1);
-}
-
-TEST(ThreadPoolTest, BalancedBoundsClampToRowCount) {
-  const std::vector<int64_t> prefix = {0, 1, 2, 3};
-  const auto bounds = balanced_bounds(prefix.data(), 3, 8);
-  ASSERT_EQ(bounds.size(), 4U);  // at most rows chunks
-  EXPECT_EQ(bounds.back(), 3);
-}
-
-TEST(ThreadPoolTest, EvenBoundsCoverRange) {
-  const auto bounds = even_bounds(5, 25, 4);
-  ASSERT_EQ(bounds.size(), 5U);
-  EXPECT_EQ(bounds.front(), 5);
-  EXPECT_EQ(bounds.back(), 25);
-  for (std::size_t i = 1; i < bounds.size(); ++i) EXPECT_GT(bounds[i], bounds[i - 1]);
 }
 
 TEST(ThreadPoolTest, ChunkExceptionPropagatesToCaller) {
@@ -115,10 +68,10 @@ TEST(ThreadPoolTest, ConcurrentForkJoinsFromManyThreads) {
     callers.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
         std::vector<std::atomic<int64_t>> partial(8);
-        pool.parallel_for(0, 800, 8, [&](int64_t lo, int64_t hi) {
+        pool.parallel_chunks(8, [&](int64_t c) {
           int64_t s = 0;
-          for (int64_t i = lo; i < hi; ++i) s += i;
-          partial[static_cast<std::size_t>(lo / 100)] += s;
+          for (int64_t i = c * 100; i < (c + 1) * 100; ++i) s += i;
+          partial[static_cast<std::size_t>(c)] += s;
         });
         int64_t total = 0;
         for (const auto& p : partial) total += p.load();
