@@ -442,19 +442,19 @@ tensor::Tensor Csr::spmm_t(const tensor::Tensor& b, util::simd::Tier tier) const
     return c;
   }
   std::vector<float> bt(static_cast<std::size_t>(cols_ * m));
-  simd::transpose_f32(bp, m, cols_, bt.data(), 0, cols_);
+  simd::transpose_f32(bp, m, cols_, bt.data());
   switch (route) {
     case Route::kF32:
-      simd::csr_spmm_t_f32_avx2(row_ptr_.data(), col_idx_.data(), values_.data(), 0, rows_,
-                                bt.data(), m, rows_, cp);
+      simd::csr_spmm_t_f32_avx2(row_ptr_.data(), col_idx_.data(), values_.data(), rows_,
+                                bt.data(), m, cp);
       break;
     case Route::kI8:
       simd::csr_spmm_t_i8_avx2(row_ptr_.data(), col_idx_.data(), quant_.q8.data(),
-                               quant_.scale.data(), 0, rows_, bt.data(), m, rows_, cp);
+                               quant_.scale.data(), rows_, bt.data(), m, cp);
       break;
     case Route::kI4:
       simd::csr_spmm_t_i4_avx2(row_ptr_.data(), col_idx_.data(), quant_.q4.data(),
-                               quant_.scale.data(), 0, rows_, bt.data(), m, rows_, cp);
+                               quant_.scale.data(), rows_, bt.data(), m, cp);
       break;
     case Route::kScalar: break;  // handled above
   }

@@ -36,9 +36,8 @@ bool built_with_avx2() {
 #endif
 }
 
-void transpose_f32(const float* in, int64_t rows, int64_t cols, float* out,
-                   int64_t c0, int64_t c1) {
-  for (int64_t c = c0; c < c1; ++c) {
+void transpose_f32(const float* in, int64_t rows, int64_t cols, float* out) {
+  for (int64_t c = 0; c < cols; ++c) {
     float* orow = out + c * rows;
     const float* ip = in + c;
     for (int64_t r = 0; r < rows; ++r) orow[r] = ip[r * cols];
@@ -87,11 +86,10 @@ __attribute__((target("avx2,fma"))) inline float decode_i4(const uint8_t* q4,
 
 __attribute__((target("avx2,fma"))) void csr_spmm_t_f32_avx2(
     const int64_t* row_ptr, const int32_t* col_idx, const float* values,
-    int64_t r0, int64_t r1, const float* bt, int64_t m, int64_t out_stride,
-    float* cp) {
+    int64_t rows, const float* bt, int64_t m, float* cp) {
   const int64_t m8 = m & ~int64_t{7};
   for (int64_t i = 0; i < m8; i += 8) {
-    for (int64_t r = r0; r < r1; ++r) {
+    for (int64_t r = 0; r < rows; ++r) {
       // Two independent 4-wide double chains: per output lane the adds
       // still run in ascending-k order (lane t only ever meets its own
       // chain), and a float*float product is exact in double, so each
@@ -110,29 +108,28 @@ __attribute__((target("avx2,fma"))) void csr_spmm_t_f32_avx2(
       float out[8];
       _mm_storeu_ps(out, _mm256_cvtpd_ps(acc_lo));
       _mm_storeu_ps(out + 4, _mm256_cvtpd_ps(acc_hi));
-      for (int t = 0; t < 8; ++t) cp[(i + t) * out_stride + r] = out[t];
+      for (int t = 0; t < 8; ++t) cp[(i + t) * rows + r] = out[t];
     }
   }
   for (int64_t i = m8; i < m; ++i) {  // batch tail: the scalar chain
-    for (int64_t r = r0; r < r1; ++r) {
+    for (int64_t r = 0; r < rows; ++r) {
       double acc = 0.0;
       const int64_t k1 = row_ptr[r + 1];
       for (int64_t k = row_ptr[r]; k < k1; ++k) {
         acc += static_cast<double>(values[k]) *
                static_cast<double>(bt[static_cast<int64_t>(col_idx[k]) * m + i]);
       }
-      cp[i * out_stride + r] = static_cast<float>(acc);
+      cp[i * rows + r] = static_cast<float>(acc);
     }
   }
 }
 
 __attribute__((target("avx2,fma"))) void csr_spmm_t_i8_avx2(
     const int64_t* row_ptr, const int32_t* col_idx, const int8_t* q8,
-    const float* scale, int64_t r0, int64_t r1, const float* bt, int64_t m,
-    int64_t out_stride, float* cp) {
+    const float* scale, int64_t rows, const float* bt, int64_t m, float* cp) {
   const int64_t m8 = m & ~int64_t{7};
   for (int64_t i = 0; i < m8; i += 8) {
-    for (int64_t r = r0; r < r1; ++r) {
+    for (int64_t r = 0; r < rows; ++r) {
       // No bitwise contract: two reassociated FMA chains over even/odd
       // nonzeros hide the FMA latency.
       __m256 acc_a = _mm256_setzero_ps();
@@ -159,28 +156,27 @@ __attribute__((target("avx2,fma"))) void csr_spmm_t_i8_avx2(
       const __m256 acc = _mm256_mul_ps(_mm256_add_ps(acc_a, acc_b), _mm256_set1_ps(scale[r]));
       float out[8];
       _mm256_storeu_ps(out, acc);
-      for (int t = 0; t < 8; ++t) cp[(i + t) * out_stride + r] = out[t];
+      for (int t = 0; t < 8; ++t) cp[(i + t) * rows + r] = out[t];
     }
   }
   for (int64_t i = m8; i < m; ++i) {
-    for (int64_t r = r0; r < r1; ++r) {
+    for (int64_t r = 0; r < rows; ++r) {
       float acc = 0.0F;
       const int64_t k1 = row_ptr[r + 1];
       for (int64_t k = row_ptr[r]; k < k1; ++k) {
         acc += static_cast<float>(q8[k]) * bt[static_cast<int64_t>(col_idx[k]) * m + i];
       }
-      cp[i * out_stride + r] = acc * scale[r];
+      cp[i * rows + r] = acc * scale[r];
     }
   }
 }
 
 __attribute__((target("avx2,fma"))) void csr_spmm_t_i4_avx2(
     const int64_t* row_ptr, const int32_t* col_idx, const uint8_t* q4,
-    const float* scale, int64_t r0, int64_t r1, const float* bt, int64_t m,
-    int64_t out_stride, float* cp) {
+    const float* scale, int64_t rows, const float* bt, int64_t m, float* cp) {
   const int64_t m8 = m & ~int64_t{7};
   for (int64_t i = 0; i < m8; i += 8) {
-    for (int64_t r = r0; r < r1; ++r) {
+    for (int64_t r = 0; r < rows; ++r) {
       __m256 acc_a = _mm256_setzero_ps();
       __m256 acc_b = _mm256_setzero_ps();
       const int64_t k1 = row_ptr[r + 1];
@@ -205,17 +201,17 @@ __attribute__((target("avx2,fma"))) void csr_spmm_t_i4_avx2(
       const __m256 acc = _mm256_mul_ps(_mm256_add_ps(acc_a, acc_b), _mm256_set1_ps(scale[r]));
       float out[8];
       _mm256_storeu_ps(out, acc);
-      for (int t = 0; t < 8; ++t) cp[(i + t) * out_stride + r] = out[t];
+      for (int t = 0; t < 8; ++t) cp[(i + t) * rows + r] = out[t];
     }
   }
   for (int64_t i = m8; i < m; ++i) {
-    for (int64_t r = r0; r < r1; ++r) {
+    for (int64_t r = 0; r < rows; ++r) {
       float acc = 0.0F;
       const int64_t k1 = row_ptr[r + 1];
       for (int64_t k = row_ptr[r]; k < k1; ++k) {
         acc += decode_i4(q4, k) * bt[static_cast<int64_t>(col_idx[k]) * m + i];
       }
-      cp[i * out_stride + r] = acc * scale[r];
+      cp[i * rows + r] = acc * scale[r];
     }
   }
 }
@@ -293,9 +289,7 @@ __attribute__((target("avx2,fma"))) void load_nt_panel(const float* b, int64_t k
 }  // namespace
 
 __attribute__((target("avx2,fma"))) void matmul_nt_f32_avx2(
-    const float* a, const float* b, int64_t i0, int64_t i1, int64_t k,
-    int64_t n, float* c) {
-  const int64_t rows = i1 - i0;
+    const float* a, const float* b, int64_t rows, int64_t k, int64_t n, float* c) {
   if (rows <= 0) return;
   // Tile-outer: one 16-column tile sweeps all of k, so its 16 B rows and
   // the A rows are read as a few contiguous streams. acc carries the
@@ -311,7 +305,7 @@ __attribute__((target("avx2,fma"))) void matmul_nt_f32_avx2(
       const int64_t kb = std::min(kNtBlockK, k - k0);
       load_nt_panel(b + j0 * k + k0, k, lanes, kb, panel.data());
       for (int64_t r = 0; r < rows; ++r) {
-        const float* src = a + (i0 + r) * k + k0;
+        const float* src = a + r * k + k0;
         double* dst = ad.data() + r * kNtBlockK;
         for (int64_t kk = 0; kk < kb; ++kk) dst[kk] = src[kk];
       }
@@ -327,7 +321,7 @@ __attribute__((target("avx2,fma"))) void matmul_nt_f32_avx2(
     }
     // The pad lanes past n are never written out.
     for (int64_t r = 0; r < rows; ++r) {
-      float* crow = c + (i0 + r) * n + j0;
+      float* crow = c + r * n + j0;
       const double* arow = acc.data() + r * kNtTileN;
       for (int64_t l = 0; l < lanes; ++l) crow[l] += static_cast<float>(arow[l]);
     }
@@ -335,11 +329,11 @@ __attribute__((target("avx2,fma"))) void matmul_nt_f32_avx2(
 }
 
 __attribute__((target("avx2,fma"))) void matmul_f32_avx2(
-    const float* a, const float* b, int64_t ldb, int64_t i0, int64_t i1, int64_t k,
-    int64_t n, float* c, int64_t ldc) {
+    const float* a, const float* b, int64_t ldb, int64_t m, int64_t k, int64_t n, float* c,
+    int64_t ldc) {
   const float* brows[4];
   float vs[4];
-  for (int64_t i = i0; i < i1; ++i) {
+  for (int64_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * ldc;
     int cnt = 0;
@@ -509,19 +503,16 @@ __attribute__((target("avx2,fma"))) void matmul_nt_masked_f32_avx2(
        // kAvx2 off x86.
 
 void csr_spmm_t_f32_avx2(const int64_t*, const int32_t*, const float*, int64_t,
-                         int64_t, const float*, int64_t, int64_t, float*) {}
-void csr_spmm_t_i8_avx2(const int64_t*, const int32_t*, const int8_t*,
-                        const float*, int64_t, int64_t, const float*,
-                        int64_t, int64_t, float*) {}
-void csr_spmm_t_i4_avx2(const int64_t*, const int32_t*, const uint8_t*,
-                        const float*, int64_t, int64_t, const float*,
-                        int64_t, int64_t, float*) {}
-void matmul_nt_f32_avx2(const float*, const float*, int64_t, int64_t, int64_t,
-                        int64_t, float*) {}
+                         const float*, int64_t, float*) {}
+void csr_spmm_t_i8_avx2(const int64_t*, const int32_t*, const int8_t*, const float*,
+                        int64_t, const float*, int64_t, float*) {}
+void csr_spmm_t_i4_avx2(const int64_t*, const int32_t*, const uint8_t*, const float*,
+                        int64_t, const float*, int64_t, float*) {}
+void matmul_nt_f32_avx2(const float*, const float*, int64_t, int64_t, int64_t, float*) {}
 void matmul_nt_masked_f32_avx2(const float*, const float*, const uint8_t*, int64_t,
                                int64_t, int64_t, float*) {}
-void matmul_f32_avx2(const float*, const float*, int64_t, int64_t, int64_t,
-                     int64_t, int64_t, float*, int64_t) {}
+void matmul_f32_avx2(const float*, const float*, int64_t, int64_t, int64_t, int64_t,
+                     float*, int64_t) {}
 
 #endif
 

@@ -41,39 +41,34 @@ namespace ndsnn::sparse::simd {
 bool built_with_avx2();
 
 /// out[c * rows + r] = in[r * cols + c]. Plain strided copy (no FP
-/// ops, trivially bitwise) of columns [c0, c1); the spmm_t driver
-/// builds bt with it.
-void transpose_f32(const float* in, int64_t rows, int64_t cols, float* out,
-                   int64_t c0, int64_t c1);
+/// ops, trivially bitwise); the spmm_t driver builds bt with it.
+void transpose_f32(const float* in, int64_t rows, int64_t cols, float* out);
 
-/// fp32 Csr::spmm_t rows [r0, r1): cp[i * out_stride + r] =
+/// fp32 Csr::spmm_t over all `rows` CSR rows: cp[i * rows + r] =
 /// float(sum_k (double)v_k * (double)bt[col_k * m + i]), 8 batch lanes
 /// per pass in two 4-wide double chains.
 void csr_spmm_t_f32_avx2(const int64_t* row_ptr, const int32_t* col_idx,
-                         const float* values, int64_t r0, int64_t r1,
-                         const float* bt, int64_t m, int64_t out_stride,
-                         float* cp);
+                         const float* values, int64_t rows, const float* bt,
+                         int64_t m, float* cp);
 
 /// Quantised Csr::spmm_t: symmetric codes accumulate raw, and the
 /// row's scale[r] is applied once per output.
 void csr_spmm_t_i8_avx2(const int64_t* row_ptr, const int32_t* col_idx,
-                        const int8_t* q8, const float* scale, int64_t r0,
-                        int64_t r1, const float* bt, int64_t m,
-                        int64_t out_stride, float* cp);
+                        const int8_t* q8, const float* scale, int64_t rows,
+                        const float* bt, int64_t m, float* cp);
 void csr_spmm_t_i4_avx2(const int64_t* row_ptr, const int32_t* col_idx,
-                        const uint8_t* q4, const float* scale, int64_t r0,
-                        int64_t r1, const float* bt, int64_t m,
-                        int64_t out_stride, float* cp);
+                        const uint8_t* q4, const float* scale, int64_t rows,
+                        const float* bt, int64_t m, float* cp);
 
-/// Dense matmul_nt rows [i0, i1) with B [n x k] row-major:
+/// Dense matmul_nt over all m rows of A with B [n x k] row-major:
 /// c[i, j] += float(double chain over ascending kk of a[i, kk] * b[j, kk]).
 /// k-blocked and register-tiled: for each 16-column tile, 128 k-columns
 /// of its B rows at a time are transposed into a double panel, and 2 rows
 /// x 16 columns of double accumulators stay in registers across the
 /// block, carried between blocks in a small per-call buffer. Bitwise
-/// equal to the scalar gather for any row range.
-void matmul_nt_f32_avx2(const float* a, const float* b, int64_t i0,
-                        int64_t i1, int64_t k, int64_t n, float* c);
+/// equal to the scalar gather.
+void matmul_nt_f32_avx2(const float* a, const float* b, int64_t m, int64_t k,
+                        int64_t n, float* c);
 
 /// matmul_nt over all m rows at the entries whose keep byte ([m x n],
 /// row-major) is nonzero; the others are not written. A-stationary: per
@@ -87,12 +82,12 @@ void matmul_nt_f32_avx2(const float* a, const float* b, int64_t i0,
 void matmul_nt_masked_f32_avx2(const float* a, const float* b, const uint8_t* keep,
                                int64_t m, int64_t k, int64_t n, float* c);
 
-/// Dense matmul rows [i0, i1): the i-k-j axpy with the zero-skip
+/// Dense matmul over all m rows of A: the i-k-j axpy with the zero-skip
 /// preserved (pruned weights must stay exact no-ops — adding an
 /// explicit 0 term could flip a -0.0 output) and the C row held across
 /// up to 4 surviving nonzeros per pass. B [k, n] and C rows have row
 /// strides ldb and ldc (blocks of larger matrices).
-void matmul_f32_avx2(const float* a, const float* b, int64_t ldb, int64_t i0,
-                     int64_t i1, int64_t k, int64_t n, float* c, int64_t ldc);
+void matmul_f32_avx2(const float* a, const float* b, int64_t ldb, int64_t m,
+                     int64_t k, int64_t n, float* c, int64_t ldc);
 
 }  // namespace ndsnn::sparse::simd

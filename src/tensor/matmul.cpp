@@ -23,7 +23,7 @@ void gemm_acc(const float* pa, const float* pb, int64_t ldb, float* pc, int64_t 
               int64_t m, int64_t k, int64_t n, util::simd::Tier tier) {
   if (util::simd::resolve(tier) == util::simd::Tier::kAvx2 && simd::built_with_avx2() &&
       n >= 8) {
-    simd::matmul_f32_avx2(pa, pb, ldb, 0, m, k, n, pc, ldc);
+    simd::matmul_f32_avx2(pa, pb, ldb, m, k, n, pc, ldc);
     return;
   }
   // i-k-j ordering: unit-stride inner loop over B and C rows.
@@ -107,7 +107,7 @@ void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& c, util::simd::Tier
   const float* pb = b.data();
   float* pc = c.data();
   if (util::simd::resolve(tier) == util::simd::Tier::kAvx2 && simd::built_with_avx2()) {
-    simd::matmul_nt_f32_avx2(pa, pb, 0, m, k, n, pc);
+    simd::matmul_nt_f32_avx2(pa, pb, m, k, n, pc);
     return;
   }
   for (int64_t i = 0; i < m; ++i) {

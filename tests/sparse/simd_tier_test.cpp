@@ -219,7 +219,7 @@ TEST(SimdTierTest, TransposeHelperMatchesNaive) {
   const int64_t rows = 13, cols = 23;
   const Tensor in = dense_batch(rows, cols, 47);
   std::vector<float> out(static_cast<std::size_t>(rows * cols), -1.0F);
-  simd::transpose_f32(in.data(), rows, cols, out.data(), 0, cols);
+  simd::transpose_f32(in.data(), rows, cols, out.data());
   for (int64_t r = 0; r < rows; ++r) {
     for (int64_t c = 0; c < cols; ++c) {
       EXPECT_EQ(out[static_cast<std::size_t>(c * rows + r)], in.at(r, c));
