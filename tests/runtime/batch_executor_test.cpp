@@ -485,7 +485,8 @@ TEST(BatchExecutorTest, AdmissionRecoversAfterASpikeDrains) {
   // dropped at dispatch, and the probes run: the wait window ends up
   // holding waits of 50 ms and more, however the threads are scheduled.
   // The spike is sized so the forecast passes the batch budget well
-  // inside it even at 0.01 ms per sample (~0.04 ms here).
+  // inside it even at 0.01 ms per sample (this model takes ~0.04 ms per
+  // sample on a 4-vCPU x86-64 host).
   constexpr int kSpike = 4096;
   std::vector<std::future<Tensor>> futures;
   futures.reserve(kSpike);
