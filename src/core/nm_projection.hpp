@@ -6,8 +6,9 @@
 // magnitudes per group of M) and reports the magnitude mass each layer
 // loses — the accuracy-relevant damage of the projection. The runtime
 // compiles a projected network like any other masked one: layers at or
-// above CompileOptions::min_sparsity lower onto element-wise CSR, which
-// stores exactly the surviving N-of-M entries.
+// above the compiler's 0.5 sparsity bar (2:4 sits exactly on it) lower
+// onto element-wise CSR, which stores exactly the surviving N-of-M
+// entries.
 #pragma once
 
 #include <string>

@@ -79,7 +79,7 @@ BatchExecutor::BatchExecutor(const CompiledNetwork& net, int64_t num_threads,
 BatchExecutor::~BatchExecutor() { shutdown(); }
 
 double BatchExecutor::budget_ms(SloClass slo) const {
-  return slo == SloClass::kBatch ? opts_.slo_ms * opts_.batch_slo_factor : opts_.slo_ms;
+  return slo == SloClass::kBatch ? opts_.slo_ms * kBatchSloFactor : opts_.slo_ms;
 }
 
 double BatchExecutor::predicted_wait_ms_locked() const {
@@ -222,8 +222,8 @@ std::vector<Tensor> BatchExecutor::run_all(const std::vector<Tensor>& batches) {
   return results;
 }
 
-uint64_t BatchExecutor::open_stream(int64_t pipeline_threads) {
-  auto session = std::make_unique<StreamSession>(net_, pipeline_threads);
+uint64_t BatchExecutor::open_stream() {
+  auto session = std::make_unique<StreamSession>(net_);
   const std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) throw ShedError("BatchExecutor: open_stream after shutdown");
   const uint64_t sid = next_stream_id_++;
@@ -687,12 +687,9 @@ void BatchExecutor::drain_stream(uint64_t sid, std::unique_lock<std::mutex>& loc
   StreamSession* session = entry.session.get();
   lock.unlock();
 
-  const auto run_start = std::chrono::steady_clock::now();
-  std::vector<Tensor> frames;
-  frames.reserve(steps.size());
-  for (StreamStep& s : steps) frames.push_back(std::move(s.frame));
   const util::Stopwatch sw;
   std::vector<InferenceResult> results;
+  results.reserve(steps.size());
   std::exception_ptr error;
   try {
     if (util::fault::should_fail("executor.stall")) {
@@ -703,15 +700,15 @@ void BatchExecutor::drain_stream(uint64_t sid, std::unique_lock<std::mutex>& loc
     }
     trace::ScopedSpan span("stream-drain", "serve");
     span.rows(static_cast<int64_t>(steps.size()));
-    results = session->run_steps(frames);
-    // Each step's pipeline latency is relative to run_start; the client
-    // observes queue wait on top.
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      results[i].latency_ms += ms_between(steps[i].enqueued, run_start);
+    // One step per queued frame, in order. A step's latency runs from
+    // its enqueue to its completion, so the client sees queue wait too.
+    for (const StreamStep& s : steps) {
+      results.push_back(session->step(s.frame));
+      results.back().latency_ms = ms_between(s.enqueued, std::chrono::steady_clock::now());
     }
   } catch (...) {
     error = std::current_exception();
-    // The pipeline died mid-sequence: per-layer state is part-way
+    // The drain died mid-sequence: per-layer state is part-way
     // through an undefined step. Reset so the session restarts clean
     // rather than silently continuing from a corrupt carry.
     session->reset();

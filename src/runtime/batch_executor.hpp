@@ -11,7 +11,7 @@
 // interactive class before batch class, earliest deadline first (EDF)
 // within a class. A request's deadline is its enqueue time plus its
 // class's SLO budget (ExecutorOptions::slo_ms, scaled by
-// batch_slo_factor for the batch class); with no SLO configured the
+// kBatchSloFactor for the batch class); with no SLO configured the
 // deadline degenerates to the enqueue time and EDF is exactly
 // arrival-order FIFO.
 //
@@ -58,8 +58,8 @@
 // part of the semantics, so they never mix into the shape-binned
 // sub-queues and are never shed by admission control), outrank every
 // queued request (slo_priority: kStream < kInteractive < kBatch), and a
-// free worker drains ALL queued steps of a session in one pipelined
-// StreamSession::run_steps pass.
+// free worker drains ALL queued steps of a session in one pass, one
+// StreamSession::step per frame.
 //
 // Thread budget: the constructor's num_threads is the *total* worker
 // budget. When the plan was compiled with a shard pool
@@ -69,11 +69,16 @@
 // plan lanes stays within the budget instead of oversubscribing the
 // machine.
 //
-// Determinism: a request's logits depend only on its input and the
-// plan — never on which worker ran it, how many workers exist, which
-// requests it was fused with, or which other requests were shed
-// (fusing is bitwise-exact because every op processes batch rows
-// independently). Shedding affects only *whether* a request runs.
+// Determinism: a request's logits never depend on which worker ran it,
+// how many workers exist or which other requests were shed; shedding
+// affects only *whether* a request runs. Fusing and row sharding are
+// bitwise-exact for fp32 plans, and for quantised plans whose linear
+// layers read spike inputs (every op processes batch rows independently,
+// and integer-code sums of spikes are exact). A quantised linear layer
+// fed non-spike activations is not: quantised Csr::spmm_t sums in a
+// different order when a pass has >= 8 rows (its AVX2 route) than below,
+// so a fused or sharded request can differ from a solo run in the last
+// bits.
 #pragma once
 
 #include <chrono>
@@ -171,8 +176,6 @@ struct ExecutorOptions {
   /// deadlines, admission control (shedding) and SLO-violation
   /// accounting; 0 disables all three (nothing is ever shed).
   double slo_ms = 0.0;
-  /// The batch class's budget is slo_ms * batch_slo_factor.
-  double batch_slo_factor = 4.0;
   /// Per-session cap on *queued* stream steps (the step being executed
   /// no longer counts). A submit_stream() that would exceed it resolves
   /// with BackpressureError instead of queueing — session state
@@ -216,15 +219,12 @@ class BatchExecutor {
 
   /// Open a streaming session over the served plan: persistent neuron
   /// state on the executor, one timestep per submit_stream() call.
-  /// `pipeline_threads` sizes the session's layer pipeline (1 = serial;
-  /// see StreamSession) — serial by default so many concurrent sessions
-  /// do not multiply thread counts. Returns the session id. Throws
-  /// ShedError after shutdown().
-  [[nodiscard]] uint64_t open_stream(int64_t pipeline_threads = 1);
+  /// Returns the session id. Throws ShedError after shutdown().
+  [[nodiscard]] uint64_t open_stream();
 
   /// Enqueue one timestep frame [N, ...] for an open stream. Steps of a
   /// session run in submission order; a worker drains every queued step
-  /// of the session in one pipelined pass (StreamSession::run_steps).
+  /// of the session in one pass (StreamSession::step per frame).
   /// Stream steps outrank interactive requests (slo_priority) and are
   /// never shed by admission control — dropping a middle timestep would
   /// corrupt the temporal state — but steps queued at shutdown() or
@@ -281,6 +281,8 @@ class BatchExecutor {
   /// is admitted anyway, so the predictor keeps observing reality and
   /// can re-open once the overload has passed.
   static constexpr int64_t kShedProbeInterval = 32;
+  /// The batch class's SLO budget is slo_ms * kBatchSloFactor.
+  static constexpr double kBatchSloFactor = 4.0;
 
  private:
   struct Request {
@@ -335,8 +337,8 @@ class BatchExecutor {
   /// Lowest-id stream with runnable steps and no worker on it, or 0.
   /// Caller holds mu_.
   [[nodiscard]] uint64_t pick_stream_locked() const;
-  /// Drain every queued step of stream `sid` in one pipelined pass and
-  /// resolve the promises. Called by a worker that holds `lock`;
+  /// Drain every queued step of stream `sid` in one pass and resolve
+  /// the promises. Called by a worker that holds `lock`;
   /// releases it around execution, reacquires before returning.
   void drain_stream(uint64_t sid, std::unique_lock<std::mutex>& lock,
                     std::size_t worker);

@@ -36,17 +36,39 @@ using tensor::Tensor;
 
 namespace {
 
+/// kAuto lowers a weight layer to CSR at or above this weight sparsity;
+/// below it the dense GEMM wins (CSR pays indexing overhead per value).
+constexpr double kMinSparsity = 0.5;
+/// kAuto goes event-driven when the estimated firing rate of a weight
+/// layer's spike-valued input is <= this. Calibrated with
+/// bench/activation_sparsity: the gather kernels beat dense-activation
+/// CSR below ~0.25-0.3 firing and win >2x at <=0.1.
+constexpr double kEventMaxRate = 0.25;
+/// Input-rate estimate for spike-valued activations when the source
+/// network has no recorded firing rates (e.g. compiled straight from a
+/// checkpoint, before any forward pass ran). Typical LIF/PLIF/ALIF
+/// layers fire 5-20% of the time.
+constexpr double kFiringRateEstimate = 0.15;
+/// kAuto precision bar: quantise a layer only when its symmetric
+/// reconstruction error (max |dequant - w| / max |w|,
+/// sparse::relative_quant_error) stays at or under this. It admits int8
+/// everywhere (~0.4% per-row error) and rejects int4 (~7%), so int4
+/// comes only from a forced precision or a v3 checkpoint record.
+constexpr float kQuantMaxError = 0.02F;
+
 /// Forward dataflow the compiler tracks while walking the body: whether
 /// the activation entering the next layer is spike-valued (mostly-zero),
 /// and the best available estimate of its nonzero fraction. Neuron-layer
 /// rates come from the network's recorded firing rates when a forward
-/// pass ran (Layer::last_spike_rate), else from the CompileOptions
-/// fallback; all of them aggregate into a snn::SpikeStats summary the
-/// plan reports. It also tracks which neuron ops' event views reach the
-/// next layer, so each neuron op builds a view only when that layer
-/// reads it.
+/// pass ran (Layer::last_spike_rate), else from kFiringRateEstimate; all
+/// of them aggregate into a snn::SpikeStats summary the plan reports. It
+/// also tracks which neuron ops' event views reach the next layer, so
+/// each neuron op builds a view only when that layer reads it.
 struct Lowering {
   const CompileOptions& opts;
+  /// A v3 checkpoint's per-weight-layer precisions in body order; they
+  /// win under kAuto (empty when compiling a live network).
+  std::vector<sparse::Precision> recorded;
   bool spiking = false;  ///< next layer's input is a spike train
   double rate = 1.0;     ///< estimated nonzero fraction of that input
   snn::SpikeStats stats; ///< per-neuron-layer rate aggregate
@@ -59,7 +81,7 @@ struct Lowering {
   /// the producer of the current activation, carried through Flatten.
   std::optional<std::size_t> view;
   std::size_t weight_index = 0;  ///< weight layers seen, in body order
-                                 ///< (indexes CompileOptions::layer_precisions)
+                                 ///< (indexes `recorded`)
 
   explicit Lowering(const CompileOptions& o) : opts(o) {}
 
@@ -73,7 +95,7 @@ struct Lowering {
     // last_spike_rate() is 0.0 both before any forward pass and for a
     // genuinely silent layer; either way the fallback estimate is the
     // safer planning number (a silent input favours the event path too).
-    rate = measured_rate > 0.0 ? measured_rate : opts.firing_rate_estimate;
+    rate = measured_rate > 0.0 ? measured_rate : kFiringRateEstimate;
     // SpikeStats counts elements; layer shapes are unknown at compile
     // time, so weight every layer equally at a fixed resolution (the
     // summary only needs ~1e-6 precision on the mean).
@@ -108,7 +130,7 @@ struct Lowering {
     switch (opts.activation_mode) {
       case ActivationMode::kDense: return false;
       case ActivationMode::kEvent: return true;
-      case ActivationMode::kAuto: return spiking && rate <= opts.event_max_rate;
+      case ActivationMode::kAuto: return spiking && rate <= kEventMaxRate;
     }
     return false;
   }
@@ -116,29 +138,28 @@ struct Lowering {
 
 /// The weight-kernel cost heuristic: dense below the sparsity bar, else
 /// CSR. Sparsity counts the entries sparse::Csr::from_weights would keep
-/// (|w| > prune_threshold). A forced CompileOptions::backend skips the
-/// count.
+/// (|w| > 0). A forced CompileOptions::backend skips the count.
 Kernel pick_kernel(const Tensor& weight, const CompileOptions& opts) {
   if (opts.backend == Backend::kDense) return Kernel::kDense;
   if (opts.backend == Backend::kCsr) return Kernel::kCsr;
   const int64_t total = weight.numel();
   const float* w = weight.data();
   int64_t nnz = 0;
-  for (int64_t i = 0; i < total; ++i) nnz += std::fabs(w[i]) > opts.prune_threshold;
+  for (int64_t i = 0; i < total; ++i) nnz += std::fabs(w[i]) > 0.0F;
   const double sparsity =
       total == 0 ? 0.0 : 1.0 - static_cast<double>(nnz) / static_cast<double>(total);
-  return sparsity < opts.min_sparsity ? Kernel::kDense : Kernel::kCsr;
+  return sparsity < kMinSparsity ? Kernel::kDense : Kernel::kCsr;
 }
 
 /// The value-plane precision heuristic. Quantised planes live on the
 /// sparse formats, so dense-kernel layers always execute fp32. Under
-/// kAuto a per-layer override vector (filled from a v3 checkpoint's
-/// quantisation record) wins; otherwise the layer takes the lowest bit
-/// width whose measured per-row reconstruction error stays under
-/// quant_max_error — a calibration on the actual weight values, not a
-/// fixed bitwidth-based rule, so outlier-heavy layers stay fp32. The
+/// kAuto a v3 checkpoint's recorded precision wins; otherwise the layer
+/// takes the lowest bit width whose measured per-row reconstruction
+/// error stays under kQuantMaxError — a calibration on the actual
+/// weight values, not a fixed bitwidth-based rule, so outlier-heavy
+/// layers stay fp32. The
 /// weight-layer counter advances for *every* weight layer (dense ones
-/// included) to keep the override indexing aligned with the prunable
+/// included) to keep the record indexing aligned with the prunable
 /// parameter order. The measurement matches the scheme the op will
 /// actually emit: event-path linear layers quantise Wᵀ with a *uniform*
 /// plane-wide scale (the binary-spike int32 gather's precondition), so
@@ -157,12 +178,9 @@ sparse::Precision pick_precision(const Tensor& weight, Kernel kernel, bool unifo
     case WeightPrecision::kInt4: return sparse::Precision::kInt4;
     case WeightPrecision::kAuto: break;
   }
-  if (index < opts.layer_precisions.size()) return opts.layer_precisions[index];
+  if (index < lw.recorded.size()) return lw.recorded[index];
   for (const sparse::Precision p : {sparse::Precision::kInt4, sparse::Precision::kInt8}) {
-    if (sparse::relative_quant_error(weight, p, opts.prune_threshold, uniform_error) <=
-        static_cast<float>(opts.quant_max_error)) {
-      return p;
-    }
+    if (sparse::relative_quant_error(weight, p, uniform_error) <= kQuantMaxError) return p;
   }
   return sparse::Precision::kFp32;
 }
@@ -304,23 +322,12 @@ WeightPrecision parse_weight_precision(const std::string& s) {
 
 CompiledNetwork CompiledNetwork::compile(const nn::SpikingNetwork& net,
                                          const CompileOptions& opts) {
-  if (opts.min_sparsity < 0.0 || opts.min_sparsity > 1.0) {
-    throw std::invalid_argument("CompiledNetwork: min_sparsity must be in [0, 1]");
-  }
-  if (opts.prune_threshold < 0.0F) {
-    // Reject up front: under kAuto a negative threshold would otherwise
-    // measure every layer as fully dense and silently compile no sparse
-    // kernels at all, instead of failing in Csr::from_dense.
-    throw std::invalid_argument("CompiledNetwork: prune_threshold must be >= 0");
-  }
-  if (opts.event_max_rate < 0.0 || opts.event_max_rate > 1.0 ||
-      opts.firing_rate_estimate < 0.0 || opts.firing_rate_estimate > 1.0) {
-    throw std::invalid_argument(
-        "CompiledNetwork: event_max_rate and firing_rate_estimate must be in [0, 1]");
-  }
-  if (opts.quant_max_error < 0.0) {
-    throw std::invalid_argument("CompiledNetwork: quant_max_error must be >= 0");
-  }
+  return lower(net, opts, {});
+}
+
+CompiledNetwork CompiledNetwork::lower(const nn::SpikingNetwork& net,
+                                       const CompileOptions& opts,
+                                       std::vector<sparse::Precision> recorded) {
   if (opts.num_threads < 0) {
     throw std::invalid_argument("CompiledNetwork: num_threads must be >= 0 (0 = hardware)");
   }
@@ -342,6 +349,7 @@ CompiledNetwork CompiledNetwork::compile(const nn::SpikingNetwork& net,
   }
   Lowering lw(opts);
   lw.emits = std::move(dry_walk.emits);
+  lw.recorded = std::move(recorded);
   for (std::size_t i = 0; i < body.size(); ++i) {
     compiled.plan_.ops.push_back(compile_layer(body.layer(i), lw));
     compiled.plan_.reports.push_back(compiled.plan_.ops.back()->report());
@@ -368,22 +376,14 @@ CompiledNetwork CompiledNetwork::from_checkpoint(const std::string& path,
   // The architecture-tagged checkpoint rebuilds its own zoo network; the
   // caller only ever sees the compiled plan. The freshly-built network
   // has no recorded firing rates, so kAuto activation decisions run on
-  // CompileOptions::firing_rate_estimate.
+  // kFiringRateEstimate.
   nn::QuantRecord record;
   const auto net = nn::load_checkpoint_network(path, &record);
-  // A v3 quantisation record pins the deployed per-layer precisions;
-  // it applies under kAuto (explicit fp32/int8/int4 always wins), and
-  // caller-supplied overrides are respected.
-  if (opts.weight_precision == WeightPrecision::kAuto && opts.layer_precisions.empty() &&
-      !record.layers.empty()) {
-    CompileOptions effective = opts;
-    effective.layer_precisions.reserve(record.layers.size());
-    for (const nn::QuantRecordLayer& layer : record.layers) {
-      effective.layer_precisions.push_back(layer.precision);
-    }
-    return compile(*net, effective);
-  }
-  return compile(*net, opts);
+  // A v3 quantisation record pins the deployed per-layer precisions; it
+  // applies under kAuto (an explicit fp32/int8/int4 always wins).
+  std::vector<sparse::Precision> recorded;
+  for (const nn::QuantRecordLayer& layer : record.layers) recorded.push_back(layer.precision);
+  return lower(*net, opts, std::move(recorded));
 }
 
 Tensor CompiledNetwork::mean_logits(const Tensor& batch) const {

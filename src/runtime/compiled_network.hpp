@@ -8,8 +8,8 @@
 // staged lowering that exploits both sides of every matmul:
 //
 //   1. Walk the network body and pick a *weight kernel* per layer:
-//      dense GEMM below CompileOptions::min_sparsity, element-wise CSR
-//      at or above it. NDSNN's drop-and-grow masks are unstructured,
+//      dense GEMM below 50% weight sparsity, element-wise CSR at or
+//      above it. NDSNN's drop-and-grow masks are unstructured,
 //      and N:M-projected or block-masked weights store exactly their
 //      surviving entries in CSR too.
 //   2. Pick an *activation path* per weight layer: the classic
@@ -68,7 +68,7 @@ enum class Backend {
 /// How weight layers consume their input activation.
 enum class ActivationMode {
   kAuto,   ///< event-driven when the input is spike-valued and its
-           ///< estimated firing rate is <= event_max_rate
+           ///< estimated firing rate is <= 0.25
   kDense,  ///< always the dense-activation path (conv2d / spmm_t / GEMM)
   kEvent,  ///< force the event-driven gather path on every weight layer
 };
@@ -79,9 +79,9 @@ enum class ActivationMode {
 /// weight layer and leaves dense fallbacks untouched.
 enum class WeightPrecision {
   kAuto,   ///< per layer: the lowest bit width whose measured weight
-           ///< reconstruction error stays <= quant_max_error; a v3
-           ///< checkpoint's recorded per-layer precisions win when
-           ///< compiling via from_checkpoint
+           ///< reconstruction error stays <= 0.02; a v3 checkpoint's
+           ///< recorded per-layer precisions win when compiling via
+           ///< from_checkpoint
   kFp32,   ///< no quantisation (default: keeps the bitwise contract)
   kInt8,
   kInt4,
@@ -92,43 +92,23 @@ enum class WeightPrecision {
 /// std::invalid_argument otherwise.
 [[nodiscard]] WeightPrecision parse_weight_precision(const std::string& s);
 
-/// Knobs for the network -> plan lowering, in three groups: kernel and
-/// storage-format selection, stored bit widths, and execution
-/// (activation path, threads, SIMD tier).
+/// Knobs for the network -> plan lowering: kernel backend, stored bit
+/// width, and execution (activation path, threads, SIMD tier). The
+/// heuristics' thresholds are fixed constants of compiled_network.cpp:
+/// kAuto lowers a weight layer to CSR at >= 0.5 weight sparsity, goes
+/// event-driven at an estimated input firing rate <= 0.25 (0.15 when the
+/// network recorded no rates) and quantises a layer when its measured
+/// reconstruction error stays <= 0.02.
 struct CompileOptions {
-  // Kernel/backend selection: which storage format and GEMM kernel each
-  // weight layer lowers onto.
-  /// kAuto lowers a weight layer to CSR when its weight sparsity (the
-  /// fraction of entries with |w| <= prune_threshold) is >= this. Below
-  /// it, the dense GEMM wins (CSR pays indexing overhead per value).
-  double min_sparsity = 0.5;
-  /// Entries with |w| <= prune_threshold are dropped when building
-  /// sparse kernels (forwarded to sparse::Csr::from_weights).
-  float prune_threshold = 0.0F;
   /// Force one kernel backend for every weight layer (kDense for
   /// baseline plans), or kAuto to let the cost heuristic decide per
-  /// layer.
+  /// layer. Sparse kernels keep exactly the nonzero weights.
   Backend backend = Backend::kAuto;
-
-  // Weight quantisation: stored bit width of the sparse value planes and
-  // the calibration that picks it per layer.
   /// Stored bit width of the sparse value planes (see WeightPrecision).
   /// Anything other than kFp32 trades the bitwise-vs-predict contract
   /// for the documented quantisation error bound (README, runtime
   /// precision section).
   WeightPrecision weight_precision = WeightPrecision::kFp32;
-  /// kAuto precision bar: quantise a layer only when its per-row
-  /// symmetric reconstruction error (max |dequant - w| / max |w|,
-  /// sparse::relative_quant_error) stays at or under this. The default
-  /// 0.02 admits int8 everywhere (~0.4% per-row error) and rejects int4
-  /// (~7%) — int4 is an explicit opt-in.
-  double quant_max_error = 0.02;
-  /// kAuto only: per-weight-layer precision overrides in body order
-  /// (the order Plan::reports lists weight ops, == the order of
-  /// prunable parameters). from_checkpoint fills this from a v3
-  /// checkpoint's quantisation record; layers beyond the vector fall
-  /// back to the error-bound heuristic.
-  std::vector<sparse::Precision> layer_precisions;
   /// Fake-quant evaluation: quantise each sparse value plane, then
   /// dequantise it back to fp32 storage, so the plan executes the
   /// *exact effective weights* of the quantised deployment on the
@@ -137,20 +117,8 @@ struct CompileOptions {
   /// carry the nominal precision; bytes reflect the fp32 storage the
   /// fake plan actually holds.
   bool fake_quant = false;
-
-  // Execution: how the lowered plan runs.
   /// Activation path selection (see ActivationMode).
   ActivationMode activation_mode = ActivationMode::kAuto;
-  /// kAuto goes event-driven when the estimated firing rate of a weight
-  /// layer's spike-valued input is <= this. Calibrated with
-  /// bench/activation_sparsity: the gather kernels beat dense-activation
-  /// CSR below ~0.25-0.3 firing and win >2x at <=0.1.
-  double event_max_rate = 0.25;
-  /// Fallback input-rate estimate for spike-valued activations when the
-  /// source network has no recorded firing rates (e.g. compiled straight
-  /// from a checkpoint, before any forward pass ran). Typical LIF/PLIF/
-  /// ALIF layers fire 5-20% of the time.
-  double firing_rate_estimate = 0.15;
   /// Shard lanes: 1 (default) compiles a serial plan, 0 resolves to
   /// std::thread::hardware_concurrency(), N > 1 builds a
   /// util::ThreadPool the plan owns. infer() then splits a batch of M
@@ -259,6 +227,13 @@ class CompiledNetwork {
 
  private:
   CompiledNetwork() = default;
+
+  /// compile() plus a v3 checkpoint's per-layer precisions, which win
+  /// under kAuto in body order; layers past `recorded` take the error
+  /// bound (from_checkpoint).
+  [[nodiscard]] static CompiledNetwork lower(const nn::SpikingNetwork& net,
+                                             const CompileOptions& opts,
+                                             std::vector<sparse::Precision> recorded);
 
   /// Mean logits [N, classes] of `batch` through the serial plan.
   [[nodiscard]] tensor::Tensor mean_logits(const tensor::Tensor& batch) const;

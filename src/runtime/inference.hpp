@@ -22,7 +22,7 @@ namespace ndsnn::runtime {
 /// Priority tier of a request. Stream steps schedule before everything
 /// (their latency budget is per event, not per window), interactive
 /// requests before batch requests; the batch class also gets a longer
-/// SLO budget (ExecutorOptions::batch_slo_factor) before admission
+/// SLO budget (BatchExecutor::kBatchSloFactor) before admission
 /// control sheds it. Numeric values are wire-stable (serve/wire.*
 /// carries them as a byte); scheduling order is defined by
 /// slo_priority(), not by the enum values.

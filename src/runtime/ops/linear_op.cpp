@@ -34,13 +34,13 @@ LinearOp::LinearOp(const nn::Linear& src, Kernel kernel, sparse::Precision preci
   switch (kernel_) {
     case Kernel::kCsr:
       if (event_) {
-        csr_t_ = sparse::Csr::from_weights(src.weight(), opts.prune_threshold).transposed();
+        csr_t_ = sparse::Csr::from_weights(src.weight()).transposed();
         (void)csr_t_.quantize(precision_, /*uniform_scale=*/true);
         if (opts.fake_quant) csr_t_.dequantize();
         stored_ = csr_t_.nnz();
         bytes_ = csr_t_.memory_bytes();
       } else {
-        csr_ = sparse::Csr::from_weights(src.weight(), opts.prune_threshold);
+        csr_ = sparse::Csr::from_weights(src.weight());
         (void)csr_.quantize(precision_);
         if (opts.fake_quant) csr_.dequantize();
         stored_ = csr_.nnz();

@@ -1,13 +1,11 @@
 #include "runtime/stream_session.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
 
 #include "runtime/trace.hpp"
 #include "util/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ndsnn::runtime {
 
@@ -37,8 +35,7 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-StreamSession::StreamSession(const CompiledNetwork& net, int64_t pipeline_threads)
-    : plan_(&net.plan_ir()) {
+StreamSession::StreamSession(const CompiledNetwork& net) : plan_(&net.plan_ir()) {
   if (plan_->ops.empty()) {
     throw std::invalid_argument("StreamSession: plan has no ops");
   }
@@ -49,13 +46,7 @@ StreamSession::StreamSession(const CompiledNetwork& net, int64_t pipeline_thread
     stage.state = op->make_state();
     stages_.push_back(std::move(stage));
   }
-  const int64_t lanes = util::ThreadPool::resolve_lanes(pipeline_threads);
-  if (lanes > 1) pool_ = std::make_unique<util::ThreadPool>(lanes);
 }
-
-StreamSession::~StreamSession() = default;
-
-int64_t StreamSession::pipeline_threads() const { return pool_ ? pool_->lanes() : 1; }
 
 Activation StreamSession::make_input(const Tensor& frame) {
   if (frame.rank() < 2) {
@@ -77,7 +68,7 @@ Activation StreamSession::run_stage(Stage& stage, const Activation& input,
       trace::ScopedSpan span("delta-skip", "stream");
       span.rows(input.tensor.dim(0));
       StreamMetrics::get().delta_skips.add(1);
-      delta_skips_.fetch_add(1, std::memory_order_relaxed);
+      ++delta_skips_;
       ++*skips;
       return stage.zero_out;
     }
@@ -106,53 +97,6 @@ InferenceResult StreamSession::step(const InferenceRequest& request) {
 
 InferenceResult StreamSession::step(const Tensor& frame) {
   return step(InferenceRequest{frame, SloClass::kStream});
-}
-
-std::vector<InferenceResult> StreamSession::run_steps(const std::vector<Tensor>& frames) {
-  if (frames.empty()) return {};
-  const auto start = std::chrono::steady_clock::now();
-  const auto num_frames = static_cast<int64_t>(frames.size());
-  const auto num_stages = static_cast<int64_t>(stages_.size());
-  std::vector<Activation> cur(frames.size());
-  std::vector<int64_t> skips(frames.size(), 0);
-  std::vector<InferenceResult> results(frames.size());
-  trace::ScopedSpan window_span("stream-window", "stream");
-  window_span.rows(num_frames);
-  // Wavefront schedule: all (stage s, step t) with s + t == w run in
-  // one fork-join. Distinct tasks of a wavefront touch distinct stages
-  // (per-stage state) and distinct steps (cur/skips/results slots), so
-  // lanes never race; the barrier between wavefronts orders every
-  // stage's steps, which keeps the results bitwise identical to the
-  // serial step() loop for any lane count.
-  for (int64_t w = 0; w < num_stages + num_frames - 1; ++w) {
-    const int64_t t_lo = std::max<int64_t>(0, w - num_stages + 1);
-    const int64_t t_hi = std::min<int64_t>(num_frames - 1, w);
-    const auto run_task = [&](int64_t k) {
-      const int64_t t = t_lo + k;
-      const int64_t s = w - t;
-      const Activation in =
-          s == 0 ? make_input(frames[static_cast<std::size_t>(t)])
-                 : std::move(cur[static_cast<std::size_t>(t)]);
-      cur[static_cast<std::size_t>(t)] =
-          run_stage(stages_[static_cast<std::size_t>(s)], in,
-                    &skips[static_cast<std::size_t>(t)]);
-      if (s == num_stages - 1) {
-        auto& result = results[static_cast<std::size_t>(t)];
-        result.logits = std::move(cur[static_cast<std::size_t>(t)].tensor);
-        result.skipped_ops = skips[static_cast<std::size_t>(t)];
-        result.latency_ms = ms_since(start);
-      }
-    };
-    const int64_t tasks = t_hi - t_lo + 1;
-    if (pool_ && tasks > 1) {
-      pool_->parallel_chunks(tasks, run_task);
-    } else {
-      for (int64_t k = 0; k < tasks; ++k) run_task(k);
-    }
-  }
-  steps_ += num_frames;
-  StreamMetrics::get().steps.add(num_frames);
-  return results;
 }
 
 void StreamSession::reset() {

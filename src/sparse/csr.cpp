@@ -41,13 +41,10 @@ int64_t Csr::memory_bytes() const {
                                      : static_cast<int64_t>(values_.size()) * 4);
 }
 
-Csr Csr::from_dense(const tensor::Tensor& dense, float threshold) {
+Csr Csr::from_dense(const tensor::Tensor& dense) {
   if (dense.rank() != 2) {
     throw std::invalid_argument("Csr::from_dense: expected rank-2, got " +
                                 dense.shape().str());
-  }
-  if (threshold < 0.0F) {
-    throw std::invalid_argument("Csr::from_dense: threshold must be >= 0");
   }
   Csr csr;
   csr.rows_ = dense.dim(0);
@@ -57,7 +54,7 @@ Csr Csr::from_dense(const tensor::Tensor& dense, float threshold) {
   for (int64_t r = 0; r < csr.rows_; ++r) {
     for (int64_t c = 0; c < csr.cols_; ++c) {
       const float v = dense.at(r, c);
-      if (std::fabs(v) > threshold) {
+      if (std::fabs(v) > 0.0F) {
         csr.col_idx_.push_back(static_cast<int32_t>(c));
         csr.values_.push_back(v);
       }
@@ -67,14 +64,13 @@ Csr Csr::from_dense(const tensor::Tensor& dense, float threshold) {
   return csr;
 }
 
-Csr Csr::from_weights(const tensor::Tensor& weights, float threshold) {
+Csr Csr::from_weights(const tensor::Tensor& weights) {
   if (weights.rank() < 2) {
     throw std::invalid_argument("Csr::from_weights: expected rank >= 2, got " +
                                 weights.shape().str());
   }
   const int64_t rows = weights.dim(0);
-  return from_dense(weights.reshaped(tensor::Shape{rows, weights.numel() / rows}),
-                    threshold);
+  return from_dense(weights.reshaped(tensor::Shape{rows, weights.numel() / rows}));
 }
 
 tensor::Tensor Csr::to_dense() const {

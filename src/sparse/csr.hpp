@@ -26,17 +26,14 @@ namespace ndsnn::sparse {
 /// CSR matrix: row_ptr has rows+1 entries; col_idx/values have nnz each.
 class Csr {
  public:
-  /// Compress a rank-2 tensor, keeping entries with |x| > threshold.
-  /// The default threshold 0 keeps everything that is not exactly zero;
-  /// a positive threshold deliberately drops tiny-but-nonzero weights
-  /// (e.g. numerically dirty mask-pruned entries).
-  [[nodiscard]] static Csr from_dense(const tensor::Tensor& dense, float threshold = 0.0F);
+  /// Compress a rank-2 tensor, keeping every entry with |x| > 0.
+  [[nodiscard]] static Csr from_dense(const tensor::Tensor& dense);
 
   /// Masked-weight extractor: reshape a weight tensor of any rank to
   /// [dim(0), numel/dim(0)] (conv [F, C, KH, KW] -> [F, C*KH*KW], linear
   /// [out, in] unchanged) and compress it. This is the uniform path from
   /// a trained, mask-zeroed parameter tensor to an executable kernel.
-  [[nodiscard]] static Csr from_weights(const tensor::Tensor& weights, float threshold = 0.0F);
+  [[nodiscard]] static Csr from_weights(const tensor::Tensor& weights);
 
   /// Expand back to dense [rows, cols].
   [[nodiscard]] tensor::Tensor to_dense() const;

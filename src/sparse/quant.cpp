@@ -103,7 +103,7 @@ QuantPlane quantize_grouped(const float* values, const int64_t* group_ptr, int64
 }
 
 float relative_quant_error(const tensor::Tensor& weights, Precision precision,
-                           float threshold, bool uniform_scale) {
+                           bool uniform_scale) {
   if (precision == Precision::kFp32 || weights.numel() == 0) return 0.0F;
   if (weights.rank() < 1) return 0.0F;
   const int64_t rows = weights.dim(0);
@@ -115,7 +115,7 @@ float relative_quant_error(const tensor::Tensor& weights, Precision precision,
   if (uniform_scale) {
     for (int64_t i = 0; i < rows * cols; ++i) {
       const float a = std::fabs(w[i]);
-      if (a > threshold) global_max = std::max(global_max, a);
+      if (a > 0.0F) global_max = std::max(global_max, a);
     }
     if (global_max == 0.0F) return 0.0F;
   }
@@ -125,13 +125,13 @@ float relative_quant_error(const tensor::Tensor& weights, Precision precision,
     float row_max = 0.0F;
     for (int64_t c = 0; c < cols; ++c) {
       const float a = std::fabs(row[c]);
-      if (a > threshold) row_max = std::max(row_max, a);
+      if (a > 0.0F) row_max = std::max(row_max, a);
     }
     if (row_max == 0.0F) continue;
     global_max = std::max(global_max, row_max);
     const float scale = (uniform_scale ? global_max : row_max) / static_cast<float>(qmax);
     for (int64_t c = 0; c < cols; ++c) {
-      if (std::fabs(row[c]) <= threshold) continue;
+      if (std::fabs(row[c]) <= 0.0F) continue;
       const int q = encode_one(row[c], scale, qmax);
       worst = std::max(worst, std::fabs(scale * static_cast<float>(q) - row[c]));
     }

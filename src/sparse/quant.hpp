@@ -90,8 +90,8 @@ struct QuantPlane {
                                           float* max_abs_error = nullptr,
                                           bool uniform_scale = false);
 
-/// Largest |dequant(quant(w)) - w| over the entries with |w| > threshold
-/// of the lowered [dim(0), numel/dim(0)] weight tensor, quantised with
+/// Largest |dequant(quant(w)) - w| over the nonzero entries of the
+/// lowered [dim(0), numel/dim(0)] weight tensor, quantised with
 /// one symmetric scale per lowered row, divided by the global max |w|
 /// (0 when the tensor has no surviving entry, or for kFp32). This is
 /// the measurement the runtime's precision heuristic bounds: per-row
@@ -101,7 +101,6 @@ struct QuantPlane {
 /// worst case, but the *measured* value can sit anywhere under it, so
 /// the heuristic must measure the scheme it will emit.
 [[nodiscard]] float relative_quant_error(const tensor::Tensor& weights, Precision precision,
-                                         float threshold = 0.0F,
                                          bool uniform_scale = false);
 
 /// Quantise-dequantise the tensor in place with one symmetric scale per

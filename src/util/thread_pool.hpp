@@ -2,9 +2,8 @@
 //
 // One fixed set of worker threads serves a compiled plan's batch shards
 // (runtime::Plan owns the pool; CompiledNetwork::infer runs one row
-// shard of the batch per lane through the serial plan) and a streamed
-// session's pipeline stages, so a call pays a queue handoff instead of
-// a thread spawn. parallel_chunks() is a blocking fork-join: the
+// shard of the batch per lane through the serial plan), so a call pays
+// a queue handoff instead of a thread spawn. parallel_chunks() is a blocking fork-join: the
 // calling thread claims chunks alongside the workers (a pool of `lanes`
 // applies `lanes` execution lanes with lanes-1 helper threads), and
 // concurrent calls from different threads — the BatchExecutor's request

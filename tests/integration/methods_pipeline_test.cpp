@@ -1,11 +1,10 @@
 // Pipeline coverage for the extension methods (GMP, SNIP) and the
-// FLOPs/checkpoint utilities inside real training runs.
+// checkpoint utilities inside real training runs.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "core/experiment.hpp"
-#include "core/flops_model.hpp"
 #include "nn/checkpoint.hpp"
 #include "util/logging.hpp"
 
@@ -67,21 +66,6 @@ TEST_F(MethodsPipelineTest, CheckpointAfterSparseTrainingRoundTrips) {
   for (std::size_t p = 0; p < pa.size(); ++p) {
     ASSERT_EQ(pa[p].value->count_zeros(), pb[p].value->count_zeros()) << pa[p].name;
   }
-}
-
-TEST_F(MethodsPipelineTest, FlopsModelTracksMeasuredSparsity) {
-  auto cfg = small_config("ndsnn");
-  Experiment exp = build_experiment(cfg);
-  Trainer trainer(*exp.network, *exp.method, *exp.train_set, *exp.test_set, exp.trainer);
-  const TrainResult r = trainer.run();
-
-  FlopsModel flops(*exp.network, exp.train_set->channels(), exp.train_set->image_size());
-  const double dense = flops.training_macs_per_sample(1.0, r.epochs.back().spike_rate,
-                                                      cfg.timesteps);
-  const double sparse = flops.training_macs_per_sample(
-      1.0 - r.final_sparsity, r.epochs.back().spike_rate, cfg.timesteps);
-  EXPECT_NEAR(sparse / dense, 1.0 - r.final_sparsity, 1e-9);
-  EXPECT_GT(dense, 0.0);
 }
 
 }  // namespace

@@ -202,7 +202,7 @@ TEST(CompiledNetworkTest, NmProjectedNetworkAutoStaysCsr) {
   const CompiledNetwork compiled = CompiledNetwork::compile(*net);
   expect_bitwise(compiled.run(batch), expect, "lenet 2:4 projected");
 
-  // 2:4 leaves every layer exactly 50% sparse: at min_sparsity, so CSR.
+  // 2:4 leaves every layer exactly 50% sparse: at the 0.5 bar, so CSR.
   EXPECT_EQ(count_kinds(compiled, "csr-linear", "csr-conv"), 5);
 }
 
@@ -220,8 +220,8 @@ TEST(CompiledNetworkTest, BlockMaskedNetworkAutoCompilesToCsr) {
   const CompiledNetwork compiled = CompiledNetwork::compile(*net);
   expect_bitwise(compiled.run(batch), expect, "lenet 4x4 block mask");
 
-  // Keeping a quarter of the blocks leaves every layer well above
-  // min_sparsity.
+  // Keeping a quarter of the blocks leaves every layer well above the
+  // 0.5 sparsity bar.
   EXPECT_EQ(count_kinds(compiled, "csr-linear", "csr-conv"), 5);
 }
 
@@ -282,7 +282,7 @@ TEST(CompiledNetworkTest, AutoActivationGoesEventOnlyBehindSpikingInputs) {
   const auto net = nn::make_lenet5(spec);
   apply_random_masks(*net, 0.9, 81);
   // No warm-up: no recorded rates, so kAuto plans on the fallback
-  // estimate (0.15 <= event_max_rate) for every spike-valued input.
+  // estimate (0.15 <= the 0.25 event bar) for every spike-valued input.
   CompileOptions opts;
   const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
 
@@ -304,12 +304,6 @@ TEST(CompiledNetworkTest, AutoActivationGoesEventOnlyBehindSpikingInputs) {
   opts.activation_mode = ActivationMode::kDense;
   const CompiledNetwork dense_act = CompiledNetwork::compile(*net, opts);
   for (const auto& r : dense_act.plan()) EXPECT_FALSE(r.event) << r.layer;
-
-  // Rates above the bar keep the plan on dense activations.
-  opts.activation_mode = ActivationMode::kAuto;
-  opts.firing_rate_estimate = 0.9;
-  const CompiledNetwork busy = CompiledNetwork::compile(*net, opts);
-  for (const auto& r : busy.plan()) EXPECT_FALSE(r.event) << r.layer;
 }
 
 /// Run `compiled` op by op on the direct-encoded `batch`, as perfbench's
@@ -353,7 +347,7 @@ TEST(CompiledNetworkTest, NeuronOpsBuildViewsOnlyForEventReaders) {
   const Tensor batch = random_batch(2, 1, 16, 86);
   // No warm-up: kAuto plans on the fallback estimate 0.15, so fc2 and
   // fc3 (behind LIF3 and LIF4) go event-driven while conv2 and fc1 see
-  // pooled rates above event_max_rate.
+  // pooled rates above the 0.25 event bar.
   CompileOptions opts;
   const CompiledNetwork autos = CompiledNetwork::compile(*lenet, opts);
   std::vector<bool> event_linears;
@@ -425,24 +419,6 @@ TEST(CompiledNetworkTest, FromCheckpointServesWithoutATrainingNetwork) {
   const std::string v1_path = ::testing::TempDir() + "/params_only.ndck";
   nn::save_checkpoint_file(v1_path, *net);
   EXPECT_THROW((void)CompiledNetwork::from_checkpoint(v1_path), std::runtime_error);
-}
-
-TEST(CompiledNetworkTest, PruneThresholdDropsTinyWeights) {
-  nn::ModelSpec spec;
-  spec.in_channels = 1;
-  spec.image_size = 16;
-  spec.timesteps = 1;
-  const auto net = nn::make_lenet5(spec);
-  apply_random_masks(*net, 0.5, 51);
-
-  CompileOptions strict;
-  strict.backend = Backend::kCsr;  // CSR storage counts individual nonzeros
-  const CompiledNetwork base = CompiledNetwork::compile(*net, strict);
-
-  CompileOptions pruned = strict;
-  pruned.prune_threshold = 0.05F;  // drop small surviving weights too
-  const CompiledNetwork trimmed = CompiledNetwork::compile(*net, pruned);
-  EXPECT_LT(trimmed.stored_weights(), base.stored_weights());
 }
 
 TEST(CompiledNetworkTest, SummaryAndReports) {
@@ -588,10 +564,7 @@ TEST(CompiledNetworkTest, RejectsBadOptions) {
   spec.timesteps = 1;
   const auto net = nn::make_lenet5(spec);
   CompileOptions opts;
-  opts.min_sparsity = -0.1;
-  EXPECT_THROW((void)CompiledNetwork::compile(*net, opts), std::invalid_argument);
-  opts = {};
-  opts.prune_threshold = -1.0F;  // would silently compile all-dense under kAuto
+  opts.num_threads = -1;
   EXPECT_THROW((void)CompiledNetwork::compile(*net, opts), std::invalid_argument);
 }
 

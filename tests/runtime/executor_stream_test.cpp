@@ -15,6 +15,7 @@
 #include "runtime/batch_executor.hpp"
 #include "runtime/compiled_network.hpp"
 #include "runtime/stream_session.hpp"
+#include "runtime/trace.hpp"
 #include "sparse/mask.hpp"
 #include "tensor/random.hpp"
 #include "util/fault_injection.hpp"
@@ -73,10 +74,10 @@ TEST(ExecutorStreamTest, StreamedStepsMatchDirectSessionInOrder) {
   for (const Tensor& f : frames) want.push_back(reference.step(f).logits);
 
   // Same frames through the executor: submit everything up front (the
-  // worker drains multiple queued steps in one pipelined pass) and the
-  // per-step results must come back in temporal order, bitwise equal.
+  // worker drains multiple queued steps in one pass) and the per-step
+  // results must come back in temporal order, bitwise equal.
   BatchExecutor exec(compiled, 2);
-  const uint64_t sid = exec.open_stream(/*pipeline_threads=*/2);
+  const uint64_t sid = exec.open_stream();
   EXPECT_EQ(exec.open_streams(), 1);
   std::vector<std::future<InferenceResult>> futures;
   for (const Tensor& f : frames) futures.push_back(exec.submit_stream(sid, f));
@@ -89,6 +90,72 @@ TEST(ExecutorStreamTest, StreamedStepsMatchDirectSessionInOrder) {
   EXPECT_EQ(stats.stream_steps, static_cast<int64_t>(frames.size()));
   exec.close_stream(sid);
   EXPECT_EQ(exec.open_streams(), 0);
+}
+
+TEST(ExecutorStreamTest, StepsQueuedBehindAStallDrainInOnePass) {
+  using Clock = std::chrono::steady_clock;
+  const auto ms = [](Clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
+  const CompiledNetwork compiled = make_compiled(101);
+  const std::vector<Tensor> frames = make_frames(6, 102);
+
+  StreamSession reference(compiled);
+  std::vector<Tensor> want;
+  for (const Tensor& f : frames) want.push_back(reference.step(f).logits);
+
+  // Hold the lone worker in a 50 ms stall while it drains step 0, so
+  // steps 1-5 queue behind it and the next drain takes all of them.
+  BatchExecutor exec(compiled, 1);
+  const uint64_t sid = exec.open_stream();
+  trace::set_enabled(true);
+  trace::reset();
+  util::fault::FaultInjector::global().arm("executor.stall",
+                                           util::fault::Rule{1.0, 1, 0});
+  // Each step's enqueue lies in [before[i], after[i]]; the stall starts
+  // after before[0] and lasts at least 50 ms.
+  std::vector<Clock::time_point> before(frames.size());
+  std::vector<Clock::time_point> after(frames.size());
+  std::vector<std::future<InferenceResult>> futures;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    before[i] = Clock::now();
+    futures.push_back(exec.submit_stream(sid, frames[i]));
+    after[i] = Clock::now();
+    if (i == 0) {
+      while (util::fault::FaultInjector::global().fires("executor.stall") < 1) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  }
+  std::vector<InferenceResult> results;
+  for (auto& f : futures) results.push_back(f.get());
+  trace::set_enabled(false);
+  util::fault::FaultInjector::global().reset();
+
+  const auto stall_end = before[0] + std::chrono::milliseconds(50);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const std::string ctx = "step " + std::to_string(i);
+    expect_bitwise(results[i].logits, want[i], ctx);
+    // latency_ms covers enqueue -> completion, so it holds the queue
+    // wait: no step starts before the stall ends.
+    EXPECT_GE(results[i].latency_ms, ms(stall_end - after[i])) << ctx;
+    // Steps 1-5 complete in order; their enqueue instants are known
+    // only to the submit spacing, so a latency may fall below the
+    // previous step's by at most that spacing.
+    if (i >= 2) {
+      EXPECT_GE(results[i].latency_ms,
+                results[i - 1].latency_ms - ms(after[i] - before[i - 1]))
+          << ctx;
+    }
+  }
+  int full_drains = 0;
+  for (const trace::Span& span : trace::snapshot()) {
+    if (span.name == "stream-drain" && span.rows == 5) ++full_drains;
+  }
+  trace::reset();
+  EXPECT_EQ(full_drains, 1) << "steps 1-5 did not drain in one pass";
+  EXPECT_EQ(exec.stats().stream_steps, static_cast<int64_t>(frames.size()));
+  exec.close_stream(sid);
 }
 
 TEST(ExecutorStreamTest, StreamsInterleaveWithOneShotRequests) {

@@ -1,6 +1,6 @@
 // Quantised-value execution through the compiled runtime: precision
-// selection (forced / auto error-bound / per-layer overrides / v3
-// checkpoint records), report plumbing, byte accounting, a pinned
+// selection (forced / auto error-bound / v3 checkpoint records, whole
+// and per layer), report plumbing, byte accounting, a pinned
 // end-to-end sanity run, and quantised CSR convs bitwise against their
 // fake-quant plans. The tight numeric guarantees live
 // in the differential sweep's lockstep precision axis (testing.hpp) and
@@ -98,35 +98,46 @@ TEST(QuantRuntimeTest, AutoPrecisionFollowsTheMeasuredErrorBound) {
   for (const auto& r : weight_reports(CompiledNetwork::compile(*net, opts))) {
     EXPECT_EQ(r.precision, sparse::Precision::kInt8) << r.layer;
   }
-  // A generous bound admits int4 (the heuristic prefers the lowest width).
-  opts.quant_max_error = 0.2;
-  for (const auto& r : weight_reports(CompiledNetwork::compile(*net, opts))) {
-    EXPECT_EQ(r.precision, sparse::Precision::kInt4) << r.layer;
-  }
-  // An unattainable bound keeps everything fp32.
-  opts.quant_max_error = 1e-7;
-  for (const auto& r : weight_reports(CompiledNetwork::compile(*net, opts))) {
-    EXPECT_EQ(r.precision, sparse::Precision::kFp32) << r.layer;
-  }
-  opts.quant_max_error = -0.5;
-  EXPECT_THROW((void)CompiledNetwork::compile(*net, opts), std::invalid_argument);
+}
+
+/// Save `net` (pinned_config's lenet5) as a v3 checkpoint carrying
+/// `record`; returns the path.
+std::string save_v3(nn::SpikingNetwork& net, const nn::QuantRecord& record,
+                    const std::string& name) {
+  const difftest::NetConfig cfg = pinned_config();
+  nn::ModelSpec spec;
+  spec.in_channels = cfg.channels;
+  spec.image_size = cfg.image;
+  spec.timesteps = cfg.timesteps;
+  spec.seed = cfg.seed;
+  const std::string path = ::testing::TempDir() + "/" + name;
+  nn::save_checkpoint_file(path, net, nn::CheckpointMeta{"lenet5", spec}, record);
+  return path;
 }
 
 TEST(QuantRuntimeTest, LayerPrecisionOverridesApplyInBodyOrder) {
   const auto net = difftest::build_network(pinned_config());
+  // A hand-built record covering only the first three weight layers.
+  nn::QuantRecord record = nn::build_quant_record(*net, sparse::Precision::kInt4);
+  ASSERT_GE(record.layers.size(), 4U);  // lenet5: conv1 conv2 fc1 fc2 fc3
+  record.layers.resize(3);
+  record.layers[1] = nn::build_quant_record(*net, sparse::Precision::kFp32).layers[1];
+  record.layers[2] = nn::build_quant_record(*net, sparse::Precision::kInt8).layers[2];
+  const std::string path = save_v3(*net, record, "quant_v3_mixed.ndck");
+
   CompileOptions opts;
   opts.backend = Backend::kCsr;
   opts.weight_precision = WeightPrecision::kAuto;
-  opts.layer_precisions = {sparse::Precision::kInt4, sparse::Precision::kFp32,
-                           sparse::Precision::kInt8};
-  const auto reports = weight_reports(CompiledNetwork::compile(*net, opts));
-  ASSERT_GE(reports.size(), 4U);  // lenet5: conv1 conv2 fc1 fc2 fc3
+  const auto reports = weight_reports(CompiledNetwork::from_checkpoint(path, opts));
+  ASSERT_GE(reports.size(), 4U);
   EXPECT_EQ(reports[0].precision, sparse::Precision::kInt4);
   EXPECT_EQ(reports[1].precision, sparse::Precision::kFp32);
   EXPECT_EQ(reports[2].precision, sparse::Precision::kInt8);
-  // Layers past the override vector fall back to the error-bound
-  // heuristic (int8 under the default bound).
-  EXPECT_EQ(reports[3].precision, sparse::Precision::kInt8);
+  // Layers past the record fall back to the error-bound heuristic
+  // (int8 under the fixed bound).
+  for (std::size_t i = 3; i < reports.size(); ++i) {
+    EXPECT_EQ(reports[i].precision, sparse::Precision::kInt8) << reports[i].layer;
+  }
 }
 
 TEST(QuantRuntimeTest, FakeQuantPlanExecutesFp32KernelsWithQuantisedWeights) {
@@ -194,14 +205,8 @@ TEST(QuantRuntimeTest, PinnedFirstOpInt8OutputStaysCloseToFp32) {
 
 TEST(QuantRuntimeTest, FromCheckpointHonorsV3RecordUnderAuto) {
   const auto net = difftest::build_network(pinned_config());
-  const std::string path = ::testing::TempDir() + "/quant_v3.ndck";
-  nn::ModelSpec spec;
-  spec.in_channels = pinned_config().channels;
-  spec.image_size = pinned_config().image;
-  spec.timesteps = pinned_config().timesteps;
-  spec.seed = pinned_config().seed;
-  const nn::QuantRecord record = nn::build_quant_record(*net, sparse::Precision::kInt4);
-  nn::save_checkpoint_file(path, *net, nn::CheckpointMeta{"lenet5", spec}, record);
+  const std::string path =
+      save_v3(*net, nn::build_quant_record(*net, sparse::Precision::kInt4), "quant_v3.ndck");
 
   // kAuto honors the record: every sparse layer serves int4.
   CompileOptions opts;

@@ -113,8 +113,9 @@ inline NetConfig random_config(tensor::Rng& rng) {
   }
   cfg.batch = 1 + rng.uniform_int(3);
   cfg.timesteps = 1 + rng.uniform_int(3);
-  // 0.3 sits below the default min_sparsity so the auto heuristic keeps
-  // those layers dense; the rest exercise the sparse kernels.
+  // 0.3 sits below the compiler's 0.5 sparsity bar so the auto
+  // heuristic keeps those layers dense; the rest exercise the sparse
+  // kernels.
   const double sparsities[] = {0.3, 0.5, 0.8, 0.9, 0.95};
   cfg.sparsity = sparsities[rng.uniform_int(5)];
   if (rng.bernoulli(0.1)) {  // blocky deployment flavour
@@ -153,7 +154,7 @@ inline void apply_random_masks(nn::SpikingNetwork& net, double sparsity, uint64_
 /// Zero random 4x4 blocks of every prunable weight's lowered 2-D form,
 /// keeping `keep` of them — the row-block pattern of FPGA SNN
 /// accelerators. The runtime lowers it like any other mask: CSR at or
-/// above min_sparsity.
+/// above the 0.5 sparsity bar.
 inline void apply_block_masks(nn::SpikingNetwork& net, double keep, uint64_t seed) {
   tensor::Rng rng(seed);
   for (const auto& p : net.params()) {

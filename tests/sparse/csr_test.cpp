@@ -101,26 +101,12 @@ TEST(CsrTest, RejectsNonMatrix) {
   EXPECT_THROW((void)Csr::from_dense(Tensor(Shape{2, 2, 2})), std::invalid_argument);
 }
 
-TEST(CsrTest, ThresholdDropsTinyEntries) {
+TEST(CsrTest, KeepsEveryNonzeroEntry) {
   Tensor dense(Shape{2, 3}, std::vector<float>{0.5F, 1e-3F, -1e-3F,  //
                                                -0.5F, 0.0F, 2e-2F});
-  // Default threshold 0 keeps every nonzero, however tiny.
+  // Every nonzero stays, however tiny; only exact zeros are dropped.
+  // The runtime's kAuto sparsity count uses the same |w| > 0 test.
   EXPECT_EQ(Csr::from_dense(dense).nnz(), 5);
-  // |x| > 1e-2 keeps only the deliberate weights.
-  const Csr csr = Csr::from_dense(dense, 1e-2F);
-  EXPECT_EQ(csr.nnz(), 3);
-  const Tensor back = csr.to_dense();
-  EXPECT_EQ(back.at(0, 0), 0.5F);
-  EXPECT_EQ(back.at(0, 1), 0.0F);
-  EXPECT_EQ(back.at(0, 2), 0.0F);
-  EXPECT_EQ(back.at(1, 0), -0.5F);
-  EXPECT_EQ(back.at(1, 2), 2e-2F);
-  // The threshold is strict: entries exactly at it are dropped. This is
-  // pinned behavior — the runtime's kAuto sparsity count uses the same
-  // |w| > threshold test.
-  EXPECT_EQ(Csr::from_dense(dense, 0.5F).nnz(), 0);
-  // Negative thresholds are rejected.
-  EXPECT_THROW((void)Csr::from_dense(dense, -1.0F), std::invalid_argument);
 }
 
 }  // namespace

@@ -203,7 +203,7 @@ TEST(SpmvGatherTest, UniformScaleQuantErrorStaysInsideGlobalBound) {
   // precision heuristic gates event-path layers on: it must equal the
   // error of the plane quantize() actually builds, normalized by the
   // global max.
-  const float measured = relative_quant_error(w, Precision::kInt8, 0.0F,
+  const float measured = relative_quant_error(w, Precision::kInt8,
                                               /*uniform_scale=*/true);
   EXPECT_NEAR(measured, err / w.abs_max(), 1e-6F);
 }
