@@ -215,12 +215,12 @@ int main(int argc, char** argv) {
     ndsnn::runtime::CompileOptions opts;
     opts.activation_mode = mode;
     const auto plan = ndsnn::runtime::CompiledNetwork::compile(*net, opts);
-    const double ms = time_ms([&] { return plan.run(batch); }, repeats);
+    const double ms = time_ms([&] { return plan.infer({batch, {}}); }, repeats);
     // Observed firing rate via the PlanProfile hooks (one profiled run
     // outside the timed loop): mean over the ops that saw a rate — the
     // measured counterpart of the compile-time fallback estimate.
     plan.enable_profiling(true);
-    (void)plan.run(batch);
+    (void)plan.infer({batch, {}});
     plan.enable_profiling(false);
     double rate_sum = 0.0;
     int rated_ops = 0;

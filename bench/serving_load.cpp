@@ -119,10 +119,10 @@ int main(int argc, char** argv) {
   double service_ms = 0.0;
   {
     BatchExecutor warm(plan, 1);
-    for (int i = 0; i < 4; ++i) (void)warm.submit(sample).get();
+    for (int i = 0; i < 4; ++i) (void)warm.submit({sample, {}}).get();
     const ndsnn::util::Stopwatch sw;
     constexpr int kCalib = 20;
-    for (int i = 0; i < kCalib; ++i) (void)warm.submit(sample).get();
+    for (int i = 0; i < kCalib; ++i) (void)warm.submit({sample, {}}).get();
     service_ms = sw.millis() / kCalib;
   }
   const double sat_rps_1w = 1000.0 / service_ms;  // one worker's ceiling
@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
     eopts.max_coalesce = 32;  // exercise the hold-open path the old
     eopts.max_wait_us = 200;  // scheduler head-of-line blocked on
     BatchExecutor exec(plan, w, eopts);
-    (void)exec.submit(sample).get();  // warm this pool
+    (void)exec.submit({sample, {}}).get();  // warm this pool
     LoadgenOptions lopts;
     lopts.offered_rps = fixed_rps;
     lopts.requests = requests;
@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
     eopts.max_wait_us = 200;
     eopts.slo_ms = slo_ms;
     BatchExecutor exec(plan, threads, eopts);
-    (void)exec.submit(sample).get();
+    (void)exec.submit({sample, {}}).get();
     LoadgenOptions lopts;
     lopts.offered_rps = factor * sat_rps_pool;
     lopts.requests = requests;

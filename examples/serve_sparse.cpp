@@ -147,15 +147,15 @@ void serve(const ndsnn::runtime::CompiledNetwork& plan,
               static_cast<long long>(exec.intra_op_threads()),
               exec_opts.max_coalesce > 1 ? ", request coalescing on" : "");
   const ndsnn::util::Stopwatch sw;
-  // Submit everything up front (the run_all pattern), then collect in
-  // order so --metrics-every can narrate progress between completions.
-  std::vector<std::future<ndsnn::tensor::Tensor>> futures;
+  // Submit everything up front, then collect in order so
+  // --metrics-every can narrate progress between completions.
+  std::vector<std::future<ndsnn::runtime::InferenceResult>> futures;
   futures.reserve(requests.size());
-  for (const auto& batch : requests) futures.push_back(exec.submit(batch));
+  for (const auto& batch : requests) futures.push_back(exec.submit({batch, {}}));
   std::vector<ndsnn::tensor::Tensor> logits;
   logits.reserve(futures.size());
   for (std::size_t i = 0; i < futures.size(); ++i) {
-    logits.push_back(futures[i].get());
+    logits.push_back(futures[i].get().logits);
     if (tel.metrics_every > 0 && (i + 1) % static_cast<std::size_t>(tel.metrics_every) == 0) {
       const auto s = exec.stats();
       std::printf(

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "runtime/compiled_network.hpp"
+#include "tensor/ops.hpp"
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
 
@@ -60,7 +61,8 @@ double Trainer::evaluate() {
   int64_t correct = 0, total = 0;
   for (const data::Batch& batch : test_batches()) {
     if (plan) {
-      const std::vector<int64_t> predicted = plan->classify(batch.images);
+      const std::vector<int64_t> predicted =
+          tensor::argmax_rows(plan->infer({batch.images, {}}).logits);
       for (std::size_t i = 0; i < predicted.size(); ++i) {
         correct += predicted[i] == batch.labels[i] ? 1 : 0;
       }

@@ -40,6 +40,7 @@ struct ExecutorMetrics {
   util::Counter& requests;
   util::Counter& coalesced;
   util::Counter& shed;
+  util::Counter& backpressure;
   util::Gauge& queue_depth;
   util::Histogram& queue_wait_us;
   util::Histogram& service_us;
@@ -49,6 +50,7 @@ struct ExecutorMetrics {
     static ExecutorMetrics m{reg.counter("executor.requests"),
                              reg.counter("executor.coalesced_requests"),
                              reg.counter("executor.shed_requests"),
+                             reg.counter("executor.backpressure"),
                              reg.gauge("executor.queue_depth"),
                              reg.histogram("executor.queue_wait_us"),
                              reg.histogram("executor.service_us")};
@@ -200,28 +202,6 @@ std::future<InferenceResult> BatchExecutor::submit(InferenceRequest request) {
   return future;
 }
 
-std::future<Tensor> BatchExecutor::submit(Tensor batch, SloClass slo) {
-  // Deferred unwrap: get()/wait() on the returned future blocks on the
-  // same underlying promise (and rethrows the same ShedError/execution
-  // errors), it just drops the InferenceResult envelope.
-  auto inner = submit(InferenceRequest{std::move(batch), slo});
-  return std::async(std::launch::deferred, [inner = std::move(inner)]() mutable {
-    return std::move(inner.get().logits);
-  });
-}
-
-std::vector<Tensor> BatchExecutor::run_all(const std::vector<Tensor>& batches) {
-  std::vector<std::future<InferenceResult>> futures;
-  futures.reserve(batches.size());
-  for (const auto& batch : batches) {
-    futures.push_back(submit(InferenceRequest{batch, SloClass::kInteractive}));
-  }
-  std::vector<Tensor> results;
-  results.reserve(batches.size());
-  for (auto& f : futures) results.push_back(std::move(f.get().logits));
-  return results;
-}
-
 uint64_t BatchExecutor::open_stream() {
   auto session = std::make_unique<StreamSession>(net_);
   const std::lock_guard<std::mutex> lock(mu_);
@@ -252,9 +232,7 @@ std::future<InferenceResult> BatchExecutor::submit_stream(uint64_t stream,
       reject = stopping_ ? "BatchExecutor: stream step after shutdown"
                          : "BatchExecutor: stream step after close_stream";
       ++shed_requests_;
-    } else if ((opts_.max_stream_queue > 0 &&
-                static_cast<int64_t>(it->second.steps.size()) >=
-                    opts_.max_stream_queue) ||
+    } else if (static_cast<int64_t>(it->second.steps.size()) >= kMaxStreamQueue ||
                util::fault::should_fail("executor.backpressure")) {
       // Rejected BEFORE the step touches the session: its carry state is
       // exactly what it was, so resubmitting the same frame is safe and
@@ -271,7 +249,7 @@ std::future<InferenceResult> BatchExecutor::submit_stream(uint64_t stream,
   if (invalid) {
     step.promise.set_exception(std::make_exception_ptr(std::invalid_argument(reject)));
   } else if (backpressure) {
-    util::MetricsRegistry::global().counter("executor.backpressure").add();
+    ExecutorMetrics::get().backpressure.add(1);
     step.promise.set_exception(std::make_exception_ptr(BackpressureError(reject)));
   } else if (reject != nullptr) {
     ExecutorMetrics::get().shed.add(1);
@@ -292,11 +270,6 @@ void BatchExecutor::close_stream(uint64_t stream) {
   if (!it->second.busy && it->second.steps.empty()) streams_.erase(it);
 }
 
-int64_t BatchExecutor::open_streams() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(streams_.size());
-}
-
 void BatchExecutor::shutdown() {
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -308,16 +281,6 @@ void BatchExecutor::shutdown() {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-}
-
-int64_t BatchExecutor::completed_requests() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return completed_requests_;
-}
-
-int64_t BatchExecutor::completed_samples() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return completed_samples_;
 }
 
 namespace {
@@ -352,17 +315,15 @@ WindowStats window_stats(std::vector<double> sorted) {
 }  // namespace
 
 ExecutorStats BatchExecutor::stats() const {
-  std::vector<double> latencies;
-  std::vector<double> waits;
-  std::vector<double> e2e;
+  std::vector<Latency> latencies;
   std::vector<double> busy;
   ExecutorStats s;
   bool has_first = false;
   std::chrono::steady_clock::time_point first{};
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    s.requests = completed_requests_;
-    s.samples = completed_samples_;
+    s.requests = done_requests_;
+    s.samples = done_samples_;
     s.fused_batches = fused_batches_;
     s.coalesced_requests = coalesced_requests_;
     s.shed_requests = shed_requests_;
@@ -372,14 +333,23 @@ ExecutorStats BatchExecutor::stats() const {
     s.open_streams = static_cast<int64_t>(streams_.size());
     s.stream_steps = stream_steps_;
     s.predicted_wait_ms = predicted_wait_ms_locked();
-    latencies = latencies_ms_;
-    waits = waits_ms_;
-    e2e = e2e_ms_;
+    latencies = latencies_;
     busy = busy_ms_;
     has_first = has_first_request_;
     first = first_request_;
   }
-  const WindowStats service = window_stats(std::move(latencies));
+  std::vector<double> services;
+  std::vector<double> waits;
+  std::vector<double> e2e;
+  services.reserve(latencies.size());
+  waits.reserve(latencies.size());
+  e2e.reserve(latencies.size());
+  for (const Latency& l : latencies) {
+    services.push_back(l.service_ms);
+    waits.push_back(l.wait_ms);
+    e2e.push_back(l.wait_ms + l.service_ms);
+  }
+  const WindowStats service = window_stats(std::move(services));
   s.mean_ms = service.mean;
   s.p50_ms = service.p50;
   s.p95_ms = service.p95;
@@ -417,8 +387,8 @@ void BatchExecutor::record(const std::vector<Request>& group, int64_t samples, d
   metrics.service_us.record(ms * 1e3);
   const std::lock_guard<std::mutex> lock(mu_);
   inflight_samples_ -= samples;
-  completed_requests_ += static_cast<int64_t>(group.size());
-  completed_samples_ += samples;
+  done_requests_ += static_cast<int64_t>(group.size());
+  done_samples_ += samples;
   if (fused) {
     ++fused_batches_;
     coalesced_requests_ += static_cast<int64_t>(group.size());
@@ -435,26 +405,13 @@ void BatchExecutor::record(const std::vector<Request>& group, int64_t samples, d
                                      : per_sample;
   }
   for (const Request& r : group) {
-    if (latencies_ms_.size() < kLatencyWindow) {
-      latencies_ms_.push_back(ms);
+    if (latencies_.size() < kLatencyWindow) {
+      latencies_.push_back({r.wait_ms, ms});
     } else {
-      latencies_ms_[latency_next_] = ms;
+      latencies_[latency_next_] = {r.wait_ms, ms};
     }
     latency_next_ = (latency_next_ + 1) % kLatencyWindow;
-    if (waits_ms_.size() < kLatencyWindow) {
-      waits_ms_.push_back(r.wait_ms);
-    } else {
-      waits_ms_[wait_next_] = r.wait_ms;
-    }
-    wait_next_ = (wait_next_ + 1) % kLatencyWindow;
-    const double e2e = r.wait_ms + ms;
-    if (e2e_ms_.size() < kLatencyWindow) {
-      e2e_ms_.push_back(e2e);
-    } else {
-      e2e_ms_[e2e_next_] = e2e;
-    }
-    e2e_next_ = (e2e_next_ + 1) % kLatencyWindow;
-    if (opts_.slo_ms > 0.0 && e2e > budget_ms(r.slo)) ++slo_violations_;
+    if (opts_.slo_ms > 0.0 && r.wait_ms + ms > budget_ms(r.slo)) ++slo_violations_;
     // Sliding predictor histogram: add this wait's bucket, retire the
     // oldest once the window is full.
     const int bucket = util::HistogramSnapshot::bucket_index(r.wait_ms * 1e3);
@@ -629,7 +586,7 @@ void BatchExecutor::run_group(std::vector<Request>& group, std::size_t worker) {
       trace::ScopedSpan span("execute", "serve");
       span.rows(samples);
       if (!fused) {
-        logits = net_.run(group.front().batch);
+        logits = net_.infer({std::move(group.front().batch), group.front().slo}).logits;
       } else {
         // One time-major pass over the concatenated batch. Every op
         // treats batch rows independently, so slicing the fused logits
@@ -637,7 +594,7 @@ void BatchExecutor::run_group(std::vector<Request>& group, std::size_t worker) {
         std::vector<const Tensor*> parts;
         parts.reserve(group.size());
         for (const Request& r : group) parts.push_back(&r.batch);
-        logits = net_.run(tensor::concat_rows(parts));
+        logits = net_.infer({tensor::concat_rows(parts), group.front().slo}).logits;
       }
     }
     const double ms = sw.millis();
@@ -726,8 +683,8 @@ void BatchExecutor::drain_stream(uint64_t sid, std::unique_lock<std::mutex>& loc
   }
   // Fulfil the promises only after the books are settled, still under
   // the lock: a client that has observed a resolved step future must
-  // see stats()/open_streams() reflect this drain (and a close_stream
-  // racing in cannot find the entry busy after its last step resolved).
+  // see stats() reflect this drain (and a close_stream racing in
+  // cannot find the entry busy after its last step resolved).
   if (!error) {
     for (std::size_t i = 0; i < steps.size(); ++i) {
       steps[i].promise.set_value(std::move(results[i]));

@@ -146,7 +146,7 @@ struct ExecutorStats {
   /// `requests` — stream steps never enter the request sub-queues).
   int64_t stream_steps = 0;
   /// Stream steps refused at submit because their session's queue was
-  /// at ExecutorOptions::max_stream_queue (futures threw
+  /// at BatchExecutor::kMaxStreamQueue (futures threw
   /// BackpressureError). Counted apart from shed_requests: these steps
   /// are expected to be *resubmitted*, not abandoned.
   int64_t backpressure_rejections = 0;
@@ -176,13 +176,6 @@ struct ExecutorOptions {
   /// deadlines, admission control (shedding) and SLO-violation
   /// accounting; 0 disables all three (nothing is ever shed).
   double slo_ms = 0.0;
-  /// Per-session cap on *queued* stream steps (the step being executed
-  /// no longer counts). A submit_stream() that would exceed it resolves
-  /// with BackpressureError instead of queueing — session state
-  /// untouched, resubmit the same frame. 0 = unbounded (the
-  /// pre-robustness behavior; a stalled worker then lets one session
-  /// queue without limit).
-  int64_t max_stream_queue = 0;
 };
 
 class BatchExecutor {
@@ -210,13 +203,6 @@ class BatchExecutor {
   /// not the request queue.
   [[nodiscard]] std::future<InferenceResult> submit(InferenceRequest request);
 
-  /// Thin wrapper over submit(InferenceRequest) keeping the original
-  /// tensor-in/tensor-out signature: the returned future yields just
-  /// the logits (deferred unwrap; get() blocks on the same underlying
-  /// result and rethrows the same errors).
-  [[nodiscard]] std::future<tensor::Tensor> submit(
-      tensor::Tensor batch, SloClass slo = SloClass::kInteractive);
-
   /// Open a streaming session over the served plan: persistent neuron
   /// state on the executor, one timestep per submit_stream() call.
   /// Returns the session id. Throws ShedError after shutdown().
@@ -228,23 +214,17 @@ class BatchExecutor {
   /// Stream steps outrank interactive requests (slo_priority) and are
   /// never shed by admission control — dropping a middle timestep would
   /// corrupt the temporal state — but steps queued at shutdown() or
-  /// after close_stream() resolve with ShedError. latency_ms of each
-  /// result covers enqueue -> step completion. Unknown ids resolve with
-  /// std::invalid_argument through the future.
+  /// after close_stream() resolve with ShedError, and a step that finds
+  /// kMaxStreamQueue steps already queued resolves with
+  /// BackpressureError (session untouched: resubmit the same frame).
+  /// latency_ms of each result covers enqueue -> step completion.
+  /// Unknown ids resolve with std::invalid_argument through the future.
   [[nodiscard]] std::future<InferenceResult> submit_stream(uint64_t stream,
                                                           tensor::Tensor frame);
 
   /// Close a stream: queued steps still run, then the session and its
   /// neuron state are dropped. Idempotent; unknown ids are a no-op.
   void close_stream(uint64_t stream);
-
-  /// Streaming sessions currently open.
-  [[nodiscard]] int64_t open_streams() const;
-
-  /// Convenience: submit every batch, wait for all, return results in
-  /// submission order. Rethrows the first ShedError/execution error.
-  [[nodiscard]] std::vector<tensor::Tensor> run_all(
-      const std::vector<tensor::Tensor>& batches);
 
   /// Stop accepting work, finish queued requests, join workers.
   /// Idempotent; also called by the destructor.
@@ -258,11 +238,6 @@ class BatchExecutor {
   /// Shard lanes of the served plan (1 = serial plan).
   [[nodiscard]] int64_t intra_op_threads() const { return intra_op_threads_; }
 
-  /// Requests fully processed so far.
-  [[nodiscard]] int64_t completed_requests() const;
-  /// Samples (batch rows) fully processed so far.
-  [[nodiscard]] int64_t completed_samples() const;
-
   /// Throughput totals, service / queue-wait / end-to-end percentiles
   /// over the most recent kLatencyWindow requests (nearest rank), shed
   /// and SLO-violation counts, queue depth, the admission predictor's
@@ -271,6 +246,12 @@ class BatchExecutor {
 
   /// Latency samples retained for percentile estimation.
   static constexpr std::size_t kLatencyWindow = 8192;
+  /// Per-session cap on *queued* stream steps (the step being executed
+  /// no longer counts). The wire server queues at most one step per
+  /// session (it waits on each step before reading the next frame), so
+  /// the cap only binds a client pipelining steps in process, and keeps
+  /// a stalled worker from letting one session queue without limit.
+  static constexpr int64_t kMaxStreamQueue = 64;
   /// Queue waits retained by the admission predictor's histogram; a
   /// short window so the prediction decays quickly after a load spike.
   /// The window only refreshes through completions — the idle gate and
@@ -397,8 +378,8 @@ class BatchExecutor {
   bool stopping_ = false;
   bool has_first_request_ = false;
   std::chrono::steady_clock::time_point first_request_;  ///< utilization denominator
-  int64_t completed_requests_ = 0;
-  int64_t completed_samples_ = 0;
+  int64_t done_requests_ = 0;  ///< requests fully processed (all-time)
+  int64_t done_samples_ = 0;   ///< batch rows fully processed (all-time)
   int64_t fused_batches_ = 0;
   int64_t coalesced_requests_ = 0;
   int64_t shed_requests_ = 0;
@@ -410,12 +391,13 @@ class BatchExecutor {
   /// Consecutive would-shed submits since the last admission; at
   /// kShedProbeInterval the next one is admitted as a probe.
   int64_t sheds_since_probe_ = 0;
-  std::vector<double> latencies_ms_;  ///< ring of the last kLatencyWindow requests
-  std::size_t latency_next_ = 0;      ///< ring write cursor
-  std::vector<double> waits_ms_;      ///< queue-wait ring, same window
-  std::size_t wait_next_ = 0;
-  std::vector<double> e2e_ms_;        ///< wait + service ring, same window
-  std::size_t e2e_next_ = 0;
+  /// One completed request's latencies; e2e is their sum.
+  struct Latency {
+    double wait_ms = 0.0;
+    double service_ms = 0.0;
+  };
+  std::vector<Latency> latencies_;  ///< ring of the last kLatencyWindow requests
+  std::size_t latency_next_ = 0;    ///< ring write cursor
   /// Admission predictor: log-bucket counts (util::HistogramSnapshot
   /// bucket math) over the last kPredictorWindow queue waits in us.
   std::array<int32_t, util::HistogramSnapshot::kBuckets> recent_wait_counts_{};

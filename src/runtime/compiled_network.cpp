@@ -431,12 +431,4 @@ InferenceResult CompiledNetwork::infer(const InferenceRequest& request) const {
   return result;
 }
 
-Tensor CompiledNetwork::run(const Tensor& batch) const {
-  return infer({batch, SloClass::kInteractive}).logits;
-}
-
-std::vector<int64_t> CompiledNetwork::classify(const Tensor& batch) const {
-  return tensor::argmax_rows(run(batch));
-}
-
 }  // namespace ndsnn::runtime

@@ -35,9 +35,9 @@
 // pins this across the full differential matrix).
 //
 // The resulting plan is immutable and shares no mutable state across
-// run() calls, so one CompiledNetwork can serve many threads concurrently
+// infer() calls, so one CompiledNetwork can serve many threads concurrently
 // (see runtime::BatchExecutor). Neuron membrane state lives on the stack
-// of each run(): activations are time-major [T*N, ...] and the LIF op
+// of each infer(): activations are time-major [T*N, ...] and the LIF op
 // carries v/o across the T timesteps inside one call, exactly like
 // snn::LifLayer::forward. Direct encoding repeats the input frame at
 // every step, so the stateless ops ahead of the first neuron op (conv1
@@ -167,18 +167,10 @@ class CompiledNetwork {
   /// CompileOptions::num_threads). Thread-safe.
   [[nodiscard]] InferenceResult infer(const InferenceRequest& request) const;
 
-  /// Mean logits [N, classes] for a static input batch [N, ...]. Thin
-  /// wrapper over infer() for callers that only want the tensor — the
-  /// original PR-2 signature. Thread-safe.
-  [[nodiscard]] tensor::Tensor run(const tensor::Tensor& batch) const;
-
-  /// argmax class per sample. Thread-safe.
-  [[nodiscard]] std::vector<int64_t> classify(const tensor::Tensor& batch) const;
-
   /// Per-op reports of the compiled plan.
   [[nodiscard]] const std::vector<OpReport>& plan() const { return plan_.reports; }
   /// The full plan IR, ops included — what the differential harness
-  /// walks to compare two plans op by op (run() stays the serving API).
+  /// walks to compare two plans op by op (infer() stays the serving API).
   [[nodiscard]] const Plan& plan_ir() const { return plan_; }
   [[nodiscard]] int64_t timesteps() const { return plan_.timesteps; }
   /// Shard lanes of the plan's thread pool (1 = serial plan).
@@ -189,7 +181,7 @@ class CompiledNetwork {
 
   /// Toggle per-op profiling (durations + observed firing rates folded
   /// into the plan's PlanProfile on every run). Off by default; while
-  /// off, run() takes the uninstrumented fast path. Safe to flip while
+  /// off, infer() takes the uninstrumented fast path. Safe to flip while
   /// other threads are serving. Const: profiling observes execution,
   /// it never changes what is computed.
   void enable_profiling(bool on) const {

@@ -6,10 +6,8 @@
 //   - streaming:  StreamSession::step(InferenceRequest) and the
 //                 executor's submit_stream()
 //
-// The older call shapes (CompiledNetwork::run, BatchExecutor::submit
-// taking a bare Tensor) remain as thin documented wrappers over these
-// types, so code written against PR 1-8 keeps compiling while new code
-// has a single vocabulary for "an inference" across all three paths.
+// Every path answers with an InferenceResult, never a bare tensor;
+// callers that want classes take tensor::argmax_rows of its logits.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +52,7 @@ class ShedError : public std::runtime_error {
 };
 
 /// Thrown through the future of a stream step rejected because its
-/// session's queue already holds ExecutorOptions::max_stream_queue
+/// session's queue already holds BatchExecutor::kMaxStreamQueue
 /// steps. Subclasses ShedError — generic handlers keep treating it as
 /// back-pressure — but carries a stronger contract: the rejection never
 /// touched the session's carry state, so the client must resubmit the

@@ -1,6 +1,6 @@
 // Streaming temporal inference over a compiled plan.
 //
-// CompiledNetwork::run() is whole-window: every call direct-encodes T
+// CompiledNetwork::infer() is whole-window: every call direct-encodes T
 // timesteps, runs them to completion and throws the membrane state
 // away. A StreamSession turns the same plan into an always-on temporal
 // pipeline: it owns persistent per-layer neuron state (the v /
@@ -47,14 +47,15 @@ class StreamSession {
   StreamSession& operator=(const StreamSession&) = delete;
 
   /// Advance the session by one timestep. `request.batch` is one frame
-  /// [N, ...] (the shape run() would encode per step; N is pinned at
+  /// [N, ...] (the shape infer() would encode per step; N is pinned at
   /// the first step until reset()). Returns that step's output
   /// activation [N, classes] — NOT a mean-over-time readout; averaging
-  /// the step logits over a window reproduces run()'s logits — with
+  /// the step logits over a window reproduces infer()'s logits — with
   /// the call's wall time and this step's delta-skip count.
   [[nodiscard]] InferenceResult step(const InferenceRequest& request);
 
-  /// Tensor-only convenience wrapper over step(InferenceRequest).
+  /// step(InferenceRequest) for a bare frame; the executor's stream
+  /// drain and the repo benchmark call it.
   [[nodiscard]] InferenceResult step(const tensor::Tensor& frame);
 
   /// Drop all persistent neuron state: the next step() behaves exactly

@@ -41,7 +41,7 @@ LoadgenResult run_open_loop(runtime::BatchExecutor& exec, const tensor::Tensor& 
   res.offered_rps = opts.offered_rps;
   res.offered = opts.requests;
 
-  std::vector<std::future<tensor::Tensor>> futures;
+  std::vector<std::future<runtime::InferenceResult>> futures;
   futures.reserve(arrivals.size());
   const clock::time_point start = clock::now();
   for (const double at_ms : arrivals) {
@@ -52,7 +52,7 @@ LoadgenResult run_open_loop(runtime::BatchExecutor& exec, const tensor::Tensor& 
                                    class_rng.uniform01() < opts.batch_fraction)
                                       ? runtime::SloClass::kBatch
                                       : runtime::SloClass::kInteractive;
-    futures.push_back(exec.submit(sample, slo));
+    futures.push_back(exec.submit({sample, slo}));
   }
   for (auto& f : futures) {
     try {

@@ -290,17 +290,18 @@ void Server::handle_connection(Connection& conn) {
           if (draining_.load()) {
             throw DrainShed();
           }
-          const RequestFrame req = decode_request(payload.data(), payload.size());
+          RequestFrame req = decode_request(payload.data(), payload.size());
           const std::string& name =
               req.model.empty() ? opts_.default_model : req.model;
           if (req.slo_class > static_cast<uint8_t>(runtime::SloClass::kBatch)) {
             throw std::invalid_argument("serve: unknown SLO class");
           }
           auto model = registry_.acquire(name);
-          resp.logits =
-              model->executor()
-                  .submit(req.batch, static_cast<runtime::SloClass>(req.slo_class))
-                  .get();
+          resp.logits = model->executor()
+                            .submit({std::move(req.batch),
+                                     static_cast<runtime::SloClass>(req.slo_class)})
+                            .get()
+                            .logits;
           resp.status = Status::kOk;
         }
       } catch (const DrainShed&) {

@@ -9,7 +9,7 @@
 // but a thread apiece.
 //
 // Error surface, per request: BackpressureError (a stream step over
-// ExecutorOptions::max_stream_queue) maps to Status::kBackpressure,
+// BatchExecutor::kMaxStreamQueue) maps to Status::kBackpressure,
 // any other ShedError (admission control or shutdown) to Status::kShed;
 // any other server-side exception (unknown model, bad input shape) maps
 // to Status::kError with the exception message. Only a protocol-level
@@ -134,8 +134,8 @@ class Server {
   /// waits for this to reach zero.
   std::atomic<int64_t> inflight_requests_{0};
   /// Streams open on live connections; drain() waits for their closes
-  /// (or the deadline). Distinct from executor open_streams(): this is
-  /// the wire-side count.
+  /// (or the deadline). Distinct from ExecutorStats::open_streams: this
+  /// is the wire-side count.
   std::atomic<int64_t> open_wire_streams_{0};
   std::thread acceptor_;
   mutable std::mutex conn_mu_;

@@ -34,7 +34,7 @@
 // writable), kShedding marks a draining server refusing *new* work
 // (reconnect elsewhere; in-flight work still completes), and
 // kBackpressure is a stream step rejected because the session's queue
-// is at ExecutorOptions::max_stream_queue (session state untouched —
+// is at BatchExecutor::kMaxStreamQueue (session state untouched —
 // resubmit the same frame, see stream_step_retry).
 //
 // The encode/decode half works on byte buffers and is testable without

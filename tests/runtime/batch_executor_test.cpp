@@ -53,6 +53,17 @@ std::vector<Tensor> make_requests(int64_t count, uint64_t seed) {
   return batches;
 }
 
+/// Submit every batch, then wait for all: logits in submission order.
+std::vector<Tensor> serve_in_order(BatchExecutor& exec, const std::vector<Tensor>& batches) {
+  std::vector<std::future<InferenceResult>> futures;
+  futures.reserve(batches.size());
+  for (const auto& batch : batches) futures.push_back(exec.submit({batch, {}}));
+  std::vector<Tensor> logits;
+  logits.reserve(futures.size());
+  for (auto& f : futures) logits.push_back(f.get().logits);
+  return logits;
+}
+
 TEST(BatchExecutorTest, DeterministicAcrossThreadCounts) {
   const CompiledNetwork compiled = make_compiled(5);
   const std::vector<Tensor> requests = make_requests(12, 6);
@@ -60,12 +71,12 @@ TEST(BatchExecutorTest, DeterministicAcrossThreadCounts) {
   std::vector<Tensor> single;
   {
     BatchExecutor exec(compiled, 1);
-    single = exec.run_all(requests);
+    single = serve_in_order(exec, requests);
   }
   std::vector<Tensor> pooled;
   {
     BatchExecutor exec(compiled, 4);
-    pooled = exec.run_all(requests);
+    pooled = serve_in_order(exec, requests);
   }
   ASSERT_EQ(single.size(), pooled.size());
   for (std::size_t i = 0; i < single.size(); ++i) {
@@ -81,10 +92,10 @@ TEST(BatchExecutorTest, ResultsMatchDirectRunAndPreserveOrder) {
   const CompiledNetwork compiled = make_compiled(7);
   const std::vector<Tensor> requests = make_requests(6, 8);
   BatchExecutor exec(compiled, 3);
-  const std::vector<Tensor> results = exec.run_all(requests);
+  const std::vector<Tensor> results = serve_in_order(exec, requests);
   ASSERT_EQ(results.size(), requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const Tensor expect = compiled.run(requests[i]);
+    const Tensor expect = compiled.infer({requests[i], {}}).logits;
     ASSERT_EQ(results[i].shape(), expect.shape());
     for (int64_t j = 0; j < expect.numel(); ++j) {
       ASSERT_EQ(results[i].at(j), expect.at(j));
@@ -98,9 +109,10 @@ TEST(BatchExecutorTest, CountsCompletedWork) {
   const std::vector<Tensor> requests = make_requests(5, 10);
   int64_t samples = 0;
   for (const auto& r : requests) samples += r.dim(0);
-  (void)exec.run_all(requests);
-  EXPECT_EQ(exec.completed_requests(), 5);
-  EXPECT_EQ(exec.completed_samples(), samples);
+  (void)serve_in_order(exec, requests);
+  const ExecutorStats stats = exec.stats();
+  EXPECT_EQ(stats.requests, 5);
+  EXPECT_EQ(stats.samples, samples);
 }
 
 TEST(BatchExecutorTest, LatencyPercentilesTrackCompletedRequests) {
@@ -114,7 +126,7 @@ TEST(BatchExecutorTest, LatencyPercentilesTrackCompletedRequests) {
   const std::vector<Tensor> requests = make_requests(8, 18);
   int64_t samples = 0;
   for (const auto& r : requests) samples += r.dim(0);
-  (void)exec.run_all(requests);
+  (void)serve_in_order(exec, requests);
 
   const ExecutorStats stats = exec.stats();
   EXPECT_EQ(stats.requests, 8);
@@ -130,20 +142,47 @@ TEST(BatchExecutorTest, LatencyPercentilesTrackCompletedRequests) {
   EXPECT_LE(stats.mean_ms, stats.max_ms);
 }
 
+// The percentiles cover a ring of the last kLatencyWindow requests: once
+// that many newer requests complete, an old outlier leaves the window
+// (max_ms included), while the all-time counters keep counting it. The
+// outlier is a large batch, whose service time is measured, rather than
+// an injected executor.stall, which sleeps before the service clock
+// starts and so never reaches max_ms.
+TEST(BatchExecutorTest, LatencyWindowDropsRequestsOlderThanTheWindow) {
+  const CompiledNetwork compiled = make_compiled(51);
+  BatchExecutor exec(compiled, 1);
+  Rng rng(52);
+  // ~40 ms of service on a 4-vCPU x86-64 host, ~1000x a 1-row pass.
+  Tensor big(Shape{1024, 1, 16, 16});
+  big.fill_uniform(rng, 0.0F, 1.0F);
+  Tensor one(Shape{1, 1, 16, 16});
+  one.fill_uniform(rng, 0.0F, 1.0F);
+  (void)exec.submit({big, {}}).get();
+  const double outlier_ms = exec.stats().max_ms;
+  ASSERT_GT(outlier_ms, 0.0);
+  for (std::size_t i = 0; i < BatchExecutor::kLatencyWindow; ++i) {
+    (void)exec.submit({one, {}}).get();
+  }
+  const ExecutorStats stats = exec.stats();
+  EXPECT_EQ(stats.requests, static_cast<int64_t>(BatchExecutor::kLatencyWindow) + 1);
+  EXPECT_EQ(stats.samples, static_cast<int64_t>(BatchExecutor::kLatencyWindow) + 1024);
+  EXPECT_LT(stats.max_ms, outlier_ms) << "p50_ms=" << stats.p50_ms;
+}
+
 TEST(BatchExecutorTest, ShutdownDrainsQueueAndRejectsNewWork) {
   const CompiledNetwork compiled = make_compiled(11);
   BatchExecutor exec(compiled, 2);
-  std::vector<std::future<Tensor>> futures;
+  std::vector<std::future<InferenceResult>> futures;
   const std::vector<Tensor> requests = make_requests(4, 12);
   futures.reserve(requests.size());
-  for (const auto& r : requests) futures.push_back(exec.submit(r));
+  for (const auto& r : requests) futures.push_back(exec.submit({r, {}}));
   exec.shutdown();
   for (auto& f : futures) EXPECT_NO_THROW((void)f.get());
   // submit() itself must never throw after shutdown — a serve loop
   // racing shutdown would die mid-drain. The rejection arrives through
   // the future as ShedError, and is counted as a shed request.
-  std::future<Tensor> late;
-  EXPECT_NO_THROW(late = exec.submit(requests[0]));
+  std::future<InferenceResult> late;
+  EXPECT_NO_THROW(late = exec.submit({requests[0], {}}));
   EXPECT_THROW((void)late.get(), ShedError);
   EXPECT_EQ(exec.stats().shed_requests, 1);
   EXPECT_NO_THROW(exec.shutdown());  // idempotent
@@ -188,10 +227,10 @@ TEST(BatchExecutorTest, CoalescedResultsMatchSoloRunsBitwise) {
   opts.max_coalesce = 8;
   opts.max_wait_us = 2000;
   BatchExecutor exec(compiled, 2, opts);
-  const std::vector<Tensor> fused = exec.run_all(requests);
+  const std::vector<Tensor> fused = serve_in_order(exec, requests);
   ASSERT_EQ(fused.size(), requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const Tensor solo = compiled.run(requests[i]);
+    const Tensor solo = compiled.infer({requests[i], {}}).logits;
     ASSERT_EQ(fused[i].shape(), solo.shape()) << "request " << i;
     for (int64_t j = 0; j < solo.numel(); ++j) {
       // Ops process batch rows independently, so fusing requests into
@@ -216,17 +255,17 @@ TEST(BatchExecutorTest, CoalescingRespectsSampleCapAndShapeBoundary) {
   opts.max_wait_us = 0;  // fuse only what is already queued
   BatchExecutor exec(compiled, 1, opts);
   Rng rng(28);
-  std::vector<std::future<Tensor>> futures;
+  std::vector<std::future<InferenceResult>> futures;
   // Two sizes interleaved: [1, ...] and [3, ...]; a [3] request cannot
   // join a group already holding 2+ samples under the cap of 4, and
   // different trailing shapes never fuse at all.
   for (int i = 0; i < 6; ++i) {
     Tensor b(Shape{1 + 2 * (i % 2), 1, 16, 16});
     b.fill_uniform(rng, 0.0F, 1.0F);
-    futures.push_back(exec.submit(std::move(b)));
+    futures.push_back(exec.submit({std::move(b), {}}));
   }
   for (std::size_t i = 0; i < futures.size(); ++i) {
-    const Tensor logits = futures[i].get();
+    const Tensor logits = futures[i].get().logits;
     EXPECT_EQ(logits.dim(0), 1 + 2 * static_cast<int64_t>(i % 2)) << i;
   }
   const ExecutorStats stats = exec.stats();
@@ -241,7 +280,7 @@ TEST(BatchExecutorTest, QueueWaitStatsTrackEnqueueToStart) {
   // service-latency percentiles alone would never show.
   BatchExecutor exec(compiled, 1);
   const std::vector<Tensor> requests = make_requests(8, 32);
-  (void)exec.run_all(requests);
+  (void)serve_in_order(exec, requests);
   const ExecutorStats stats = exec.stats();
   EXPECT_GT(stats.queue_p95_ms, 0.0);
   EXPECT_LE(stats.queue_p50_ms, stats.queue_p95_ms);
@@ -263,7 +302,7 @@ TEST(BatchExecutorTest, EmptyExecutorReportsZeroWaitAndDepth) {
 TEST(BatchExecutorTest, WorkerUtilizationIsAMeaningfulFraction) {
   const CompiledNetwork compiled = make_compiled(35);
   BatchExecutor exec(compiled, 2);
-  (void)exec.run_all(make_requests(8, 36));
+  (void)serve_in_order(exec, make_requests(8, 36));
   const ExecutorStats stats = exec.stats();
   ASSERT_EQ(stats.utilization_per_worker.size(), 2U);
   EXPECT_GT(stats.worker_utilization, 0.0);
@@ -293,7 +332,7 @@ TEST(BatchExecutorTest, TracedServingEmitsQueueAndExecuteSpans) {
       b.fill_uniform(rng, 0.0F, 1.0F);
       singles.push_back(std::move(b));
     }
-    (void)exec.run_all(singles);
+    (void)serve_in_order(exec, singles);
   }
   trace::set_enabled(false);
   int queue_spans = 0, execute_spans = 0;
@@ -315,7 +354,7 @@ TEST(BatchExecutorTest, ExecutorFeedsProcessMetricsRegistry) {
   const int64_t before = reg.counter("executor.requests").value();
   const CompiledNetwork compiled = make_compiled(39);
   BatchExecutor exec(compiled, 2);
-  (void)exec.run_all(make_requests(5, 40));
+  (void)serve_in_order(exec, make_requests(5, 40));
   EXPECT_EQ(reg.counter("executor.requests").value(), before + 5);
 }
 
@@ -345,20 +384,20 @@ TEST(BatchExecutorTest, CoalescesAcrossInterleavedShapesWithoutHolBlocking) {
   Tensor first(Shape{1, 1, 16, 16});
   first.fill_uniform(rng, 0.0F, 1.0F);
   util::fault::FaultInjector::global().arm("executor.stall", util::fault::Rule{1.0, 1, 0});
-  std::future<Tensor> first_future = exec.submit(first);
+  std::future<InferenceResult> first_future = exec.submit({first, {}});
   while (util::fault::FaultInjector::global().fires("executor.stall") < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  std::vector<std::future<Tensor>> futures;
+  std::vector<std::future<InferenceResult>> futures;
   futures.reserve(requests.size());
-  for (const auto& r : requests) futures.push_back(exec.submit(r));
+  for (const auto& r : requests) futures.push_back(exec.submit({r, {}}));
   util::fault::FaultInjector::global().reset();
   (void)first_future.get();
   std::vector<Tensor> results;
   results.reserve(futures.size());
-  for (auto& f : futures) results.push_back(f.get());
+  for (auto& f : futures) results.push_back(f.get().logits);
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const Tensor solo = compiled.run(requests[i]);
+    const Tensor solo = compiled.infer({requests[i], {}}).logits;
     ASSERT_EQ(results[i].shape(), solo.shape()) << "request " << i;
     for (int64_t j = 0; j < solo.numel(); ++j) {
       ASSERT_EQ(results[i].at(j), solo.at(j)) << "request " << i << " elem " << j;
@@ -393,13 +432,13 @@ TEST(BatchExecutorTest, UtilizationIgnoresIdleTimeBeforeFirstRequest) {
     b.fill_uniform(rng, 0.0F, 1.0F);
     batches.push_back(std::move(b));
   }
-  std::vector<std::future<Tensor>> futures;
+  std::vector<std::future<InferenceResult>> futures;
   util::fault::FaultInjector::global().arm("executor.stall", util::fault::Rule{1.0, 1, 0});
-  futures.push_back(exec.submit(batches[0]));
+  futures.push_back(exec.submit({batches[0], {}}));
   while (util::fault::FaultInjector::global().fires("executor.stall") < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  futures.push_back(exec.submit(batches[1]));
+  futures.push_back(exec.submit({batches[1], {}}));
   util::fault::FaultInjector::global().reset();
   for (auto& f : futures) (void)f.get();
   const ExecutorStats stats = exec.stats();
@@ -421,18 +460,18 @@ TEST(BatchExecutorTest, ShedsLoadOnceSloBudgetIsExceeded) {
   BatchExecutor exec(compiled, 1, opts);
   Rng rng(46);
   std::vector<Tensor> requests;
-  std::vector<std::future<Tensor>> futures;
+  std::vector<std::future<InferenceResult>> futures;
   for (int i = 0; i < 32; ++i) {
     Tensor b(Shape{2, 1, 16, 16});
     b.fill_uniform(rng, 0.0F, 1.0F);
     requests.push_back(b);
-    futures.push_back(exec.submit(std::move(b)));
+    futures.push_back(exec.submit({std::move(b), {}}));
   }
   int64_t ok = 0, shed = 0;
   for (std::size_t i = 0; i < futures.size(); ++i) {
     try {
-      const Tensor logits = futures[i].get();
-      const Tensor solo = compiled.run(requests[i]);
+      const Tensor logits = futures[i].get().logits;
+      const Tensor solo = compiled.infer({requests[i], {}}).logits;
       ASSERT_EQ(logits.shape(), solo.shape());
       for (int64_t j = 0; j < solo.numel(); ++j) {
         ASSERT_EQ(logits.at(j), solo.at(j)) << "request " << i;
@@ -468,7 +507,7 @@ TEST(BatchExecutorTest, AdmissionRecoversAfterASpikeDrains) {
   {
     BatchExecutor warm(compiled, 1);
     const auto t0 = std::chrono::steady_clock::now();
-    (void)warm.submit(one).get();
+    (void)warm.submit({one, {}}).get();
     service_ms = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - t0)
                      .count();
@@ -488,19 +527,19 @@ TEST(BatchExecutorTest, AdmissionRecoversAfterASpikeDrains) {
   // inside it even at 0.01 ms per sample (this model takes ~0.04 ms per
   // sample on a 4-vCPU x86-64 host).
   constexpr int kSpike = 4096;
-  std::vector<std::future<Tensor>> futures;
+  std::vector<std::future<InferenceResult>> futures;
   futures.reserve(kSpike);
-  futures.push_back(exec.submit(one, SloClass::kBatch));
+  futures.push_back(exec.submit({one, SloClass::kBatch}));
   futures.back().wait();
   auto& faults = util::fault::FaultInjector::global();
   faults.arm("executor.stall", util::fault::Rule{1.0, 1, 0});
-  futures.push_back(exec.submit(one, SloClass::kBatch));
+  futures.push_back(exec.submit({one, SloClass::kBatch}));
   while (faults.fires("executor.stall") < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   faults.reset();
   while (static_cast<int>(futures.size()) < kSpike) {
-    futures.push_back(exec.submit(one, SloClass::kBatch));
+    futures.push_back(exec.submit({one, SloClass::kBatch}));
   }
   int64_t completed = 0;
   for (auto& f : futures) {
@@ -521,7 +560,7 @@ TEST(BatchExecutorTest, AdmissionRecoversAfterASpikeDrains) {
   // whether the service times the predictor learned sat above the
   // budget.
   const ExecutorStats before = exec.stats();
-  EXPECT_NO_THROW((void)exec.submit(one).get())
+  EXPECT_NO_THROW((void)exec.submit({one, {}}).get())
       << "slo_ms=" << opts.slo_ms << " service p50_ms=" << before.p50_ms
       << " max_ms=" << before.max_ms << " predicted_wait_ms=" << before.predicted_wait_ms;
 }
@@ -539,11 +578,11 @@ TEST(BatchExecutorTest, ShedProbesRunWhenOnePassExceedsTheBudget) {
   Rng rng(92);
   Tensor big(Shape{256, 1, 16, 16});
   big.fill_uniform(rng, 0.0F, 1.0F);
-  const Tensor want = compiled.run(big);
+  const Tensor want = compiled.infer({big, {}}).logits;
   double pass_ms = 0.0;
   for (int i = 0; i < 2; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
-    (void)compiled.run(big);
+    (void)compiled.infer({big, {}});
     const double ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -556,7 +595,7 @@ TEST(BatchExecutorTest, ShedProbesRunWhenOnePassExceedsTheBudget) {
   int64_t served = 0, shed = 0;
   for (int i = 0; i < kSubmits; ++i) {
     try {
-      const Tensor logits = exec.submit(big).get();
+      const Tensor logits = exec.submit({big, {}}).get().logits;
       ASSERT_EQ(logits.shape(), want.shape()) << "submit " << i;
       for (int64_t j = 0; j < want.numel(); ++j) {
         ASSERT_EQ(logits.at(j), want.at(j)) << "submit " << i << " elem " << j;
@@ -581,21 +620,21 @@ TEST(BatchExecutorTest, DeterministicUnderSloSchedulingAndMixedClasses) {
   const std::vector<Tensor> requests = make_requests(10, 48);
   std::vector<Tensor> reference;
   reference.reserve(requests.size());
-  for (const auto& r : requests) reference.push_back(compiled.run(r));
+  for (const auto& r : requests) reference.push_back(compiled.infer({r, {}}).logits);
 
   for (const int workers : {1, 3}) {
     ExecutorOptions opts;
     opts.max_coalesce = 4;
     opts.slo_ms = 1e6;  // EDF + admission active, budget never binds
     BatchExecutor exec(compiled, workers, opts);
-    std::vector<std::future<Tensor>> futures;
+    std::vector<std::future<InferenceResult>> futures;
     futures.reserve(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const SloClass slo = i % 3 == 0 ? SloClass::kBatch : SloClass::kInteractive;
-      futures.push_back(exec.submit(requests[i], slo));
+      futures.push_back(exec.submit({requests[i], slo}));
     }
     for (std::size_t i = 0; i < futures.size(); ++i) {
-      const Tensor logits = futures[i].get();
+      const Tensor logits = futures[i].get().logits;
       ASSERT_EQ(logits.shape(), reference[i].shape()) << workers << " workers, " << i;
       for (int64_t j = 0; j < logits.numel(); ++j) {
         ASSERT_EQ(logits.at(j), reference[i].at(j))
@@ -611,7 +650,7 @@ TEST(BatchExecutorTest, DeterministicUnderSloSchedulingAndMixedClasses) {
 TEST(BatchExecutorTest, EndToEndPercentilesIncludeQueueWait) {
   const CompiledNetwork compiled = make_compiled(49);
   BatchExecutor exec(compiled, 1);
-  (void)exec.run_all(make_requests(8, 50));
+  (void)serve_in_order(exec, make_requests(8, 50));
   const ExecutorStats stats = exec.stats();
   EXPECT_GT(stats.e2e_p50_ms, 0.0);
   EXPECT_LE(stats.e2e_p50_ms, stats.e2e_p95_ms);
@@ -624,7 +663,7 @@ TEST(BatchExecutorTest, EndToEndPercentilesIncludeQueueWait) {
 TEST(BatchExecutorTest, PropagatesRunErrorsThroughFuture) {
   const CompiledNetwork compiled = make_compiled(15);
   BatchExecutor exec(compiled, 1);
-  auto bad = exec.submit(Tensor(Shape{3, 3, 3, 3}));  // wrong channel count
+  auto bad = exec.submit({Tensor(Shape{3, 3, 3, 3}), {}});  // wrong channel count
   EXPECT_THROW((void)bad.get(), std::invalid_argument);
 }
 

@@ -66,7 +66,7 @@ TEST(CompiledNetworkTest, LenetSparseMatchesInterpreted) {
 
   const Tensor expect = net->predict(batch);
   const CompiledNetwork compiled = CompiledNetwork::compile(*net);
-  expect_bitwise(compiled.run(batch), expect, "lenet 0.9 sparse, auto backend");
+  expect_bitwise(compiled.infer({batch, {}}).logits, expect, "lenet 0.9 sparse, auto backend");
 
   // The plan actually went sparse: LeNet has 3 linear + 2 conv layers.
   EXPECT_EQ(count_kinds(compiled, "csr-linear", "csr-conv"), 5);
@@ -86,7 +86,7 @@ TEST(CompiledNetworkTest, LenetDensePlanMatchesInterpreted) {
   CompileOptions opts;
   opts.backend = Backend::kDense;
   const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
-  expect_bitwise(compiled.run(batch), expect, "lenet dense plan");
+  expect_bitwise(compiled.infer({batch, {}}).logits, expect, "lenet dense plan");
   for (const auto& r : compiled.plan()) {
     EXPECT_TRUE(r.kind.find("csr") == std::string::npos) << r.layer << " " << r.kind;
   }
@@ -104,7 +104,7 @@ TEST(CompiledNetworkTest, VggSparseMatchesInterpreted) {
 
   const Tensor expect = net->predict(batch);
   const CompiledNetwork compiled = CompiledNetwork::compile(*net);
-  expect_bitwise(compiled.run(batch), expect, "vgg 0.95 sparse");
+  expect_bitwise(compiled.infer({batch, {}}).logits, expect, "vgg 0.95 sparse");
 }
 
 TEST(CompiledNetworkTest, ResnetSparseMatchesInterpreted) {
@@ -119,7 +119,7 @@ TEST(CompiledNetworkTest, ResnetSparseMatchesInterpreted) {
 
   const Tensor expect = net->predict(batch);
   const CompiledNetwork compiled = CompiledNetwork::compile(*net);
-  expect_bitwise(compiled.run(batch), expect, "resnet 0.8 sparse");
+  expect_bitwise(compiled.infer({batch, {}}).logits, expect, "resnet 0.8 sparse");
 
   // Residual blocks roll their weight ops into one report entry, and it
   // counts their stored bytes and carries their kernel tier (one tier is
@@ -162,7 +162,7 @@ TEST(CompiledNetworkTest, HoistedPrefixMatchesPredictAcrossTimesteps) {
         const std::string ctx = cfg.str() + " backend " + difftest::backend_name(backend);
         // Conv -> BN lead every zoo network; the first neuron op ends it.
         ASSERT_EQ(compiled.plan_ir().invariant_prefix, 2U) << ctx;
-        expect_bitwise(compiled.run(batch), expect, ctx);
+        expect_bitwise(compiled.infer({batch, {}}).logits, expect, ctx);
       }
     }
   }
@@ -200,7 +200,7 @@ TEST(CompiledNetworkTest, NmProjectedNetworkAutoStaysCsr) {
 
   const Tensor expect = net->predict(batch);
   const CompiledNetwork compiled = CompiledNetwork::compile(*net);
-  expect_bitwise(compiled.run(batch), expect, "lenet 2:4 projected");
+  expect_bitwise(compiled.infer({batch, {}}).logits, expect, "lenet 2:4 projected");
 
   // 2:4 leaves every layer exactly 50% sparse: at the 0.5 bar, so CSR.
   EXPECT_EQ(count_kinds(compiled, "csr-linear", "csr-conv"), 5);
@@ -218,7 +218,7 @@ TEST(CompiledNetworkTest, BlockMaskedNetworkAutoCompilesToCsr) {
 
   const Tensor expect = net->predict(batch);
   const CompiledNetwork compiled = CompiledNetwork::compile(*net);
-  expect_bitwise(compiled.run(batch), expect, "lenet 4x4 block mask");
+  expect_bitwise(compiled.infer({batch, {}}).logits, expect, "lenet 4x4 block mask");
 
   // Keeping a quarter of the blocks leaves every layer well above the
   // 0.5 sparsity bar.
@@ -242,7 +242,7 @@ TEST(CompiledNetworkTest, ForcedBackendOverridesHeuristic) {
     const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
     const std::string tag = difftest::backend_name(backend);
     EXPECT_EQ(count_kinds(compiled, tag + "-linear", tag + "-conv"), 5) << tag;
-    expect_bitwise(compiled.run(batch), expect, "forced backend " + tag);
+    expect_bitwise(compiled.infer({batch, {}}).logits, expect, "forced backend " + tag);
   }
 }
 
@@ -268,7 +268,7 @@ TEST(CompiledNetworkTest, ForcedEventActivationMatchesInterpretedOnAllBackends) 
         EXPECT_TRUE(r.event) << r.layer << " " << r.kind;
       }
     }
-    expect_bitwise(compiled.run(batch), expect,
+    expect_bitwise(compiled.infer({batch, {}}).logits, expect,
                    std::string("event activation, backend ") +
                        difftest::backend_name(backend));
   }
@@ -412,7 +412,7 @@ TEST(CompiledNetworkTest, FromCheckpointServesWithoutATrainingNetwork) {
   nn::save_checkpoint_file(path, *net, nn::CheckpointMeta{"lenet5", spec});
 
   const CompiledNetwork compiled = CompiledNetwork::from_checkpoint(path);
-  expect_bitwise(compiled.run(batch), expect, "compiled from checkpoint");
+  expect_bitwise(compiled.infer({batch, {}}).logits, expect, "compiled from checkpoint");
   EXPECT_GT(compiled.overall_sparsity(), 0.85);
 
   // v1 checkpoints carry no architecture record and must be rejected.
@@ -554,7 +554,7 @@ TEST(CompiledNetworkTest, RejectsBadInputRank) {
   spec.timesteps = 1;
   const auto net = nn::make_lenet5(spec);
   const CompiledNetwork compiled = CompiledNetwork::compile(*net);
-  EXPECT_THROW((void)compiled.run(Tensor(Shape{4})), std::invalid_argument);
+  EXPECT_THROW((void)compiled.infer({Tensor(Shape{4}), {}}), std::invalid_argument);
 }
 
 TEST(CompiledNetworkTest, RejectsBadOptions) {
@@ -617,8 +617,8 @@ TEST(CompiledNetworkTest, SparsePlanBeatsInterpretedAtHighSparsity) {
     // predict call faults in fresh pages and flatters the plan.
     (void)net->predict(random_batch(4 * batch.dim(0), spec.in_channels, spec.image_size, 124));
     const double predict_ms = min_pass_ms([&] { (void)net->predict(batch); });
-    const double csr_ms = min_pass_ms([&] { (void)csr_plan.run(batch); });
-    const double auto_ms = min_pass_ms([&] { (void)auto_plan.run(batch); });
+    const double csr_ms = min_pass_ms([&] { (void)csr_plan.infer({batch, {}}); });
+    const double auto_ms = min_pass_ms([&] { (void)auto_plan.infer({batch, {}}); });
     const double speedup = predict_ms / std::min(csr_ms, auto_ms);
     const double floor = snapshot * (1.0 - kSpeedupTolerance);
     std::printf("sparsity %.2f: predict %.3f ms, csr %.3f ms, auto %.3f ms -> %.2fx "

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "tensor/ops.hpp"
 #include "testing.hpp"
 
 namespace ndsnn::runtime {
@@ -72,7 +73,7 @@ TEST(DifferentialTest, CompiledMatchesInterpretedBitwiseOnAllBackends) {
           }
         }
         difftest::expect_bitwise(
-            compiled.run(batch), want,
+            compiled.infer({batch, {}}).logits, want,
             std::string("backend=") + difftest::backend_name(backend) +
                 " activation=" + difftest::activation_name(activation));
         if (::testing::Test::HasFatalFailure()) return;  // one config is enough to debug
@@ -86,7 +87,7 @@ TEST(DifferentialTest, CompiledMatchesInterpretedBitwiseOnAllBackends) {
       CompileOptions topts = difftest::options_for();
       topts.kernel_tier = tier;
       const CompiledNetwork forced = CompiledNetwork::compile(*net, topts);
-      difftest::expect_bitwise(forced.run(batch), want,
+      difftest::expect_bitwise(forced.infer({batch, {}}).logits, want,
                                std::string("kernel_tier=") + util::simd::name(tier));
       if (::testing::Test::HasFatalFailure()) return;
     }
@@ -170,7 +171,7 @@ TEST(DifferentialTest, ClassifyAgreesWithInterpretedArgmax) {
     const auto net = difftest::build_network(cfg);
     const tensor::Tensor batch = difftest::random_batch(cfg);
     const CompiledNetwork compiled = CompiledNetwork::compile(*net);
-    const auto classes = compiled.classify(batch);
+    const auto classes = tensor::argmax_rows(compiled.infer({batch, {}}).logits);
     const tensor::Tensor logits = net->predict(batch);
     ASSERT_EQ(static_cast<int64_t>(classes.size()), cfg.batch);
     for (int64_t b = 0; b < cfg.batch; ++b) {

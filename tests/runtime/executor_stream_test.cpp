@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -78,7 +79,7 @@ TEST(ExecutorStreamTest, StreamedStepsMatchDirectSessionInOrder) {
   // results must come back in temporal order, bitwise equal.
   BatchExecutor exec(compiled, 2);
   const uint64_t sid = exec.open_stream();
-  EXPECT_EQ(exec.open_streams(), 1);
+  EXPECT_EQ(exec.stats().open_streams, 1);
   std::vector<std::future<InferenceResult>> futures;
   for (const Tensor& f : frames) futures.push_back(exec.submit_stream(sid, f));
   for (std::size_t i = 0; i < futures.size(); ++i) {
@@ -89,7 +90,7 @@ TEST(ExecutorStreamTest, StreamedStepsMatchDirectSessionInOrder) {
   const ExecutorStats stats = exec.stats();
   EXPECT_EQ(stats.stream_steps, static_cast<int64_t>(frames.size()));
   exec.close_stream(sid);
-  EXPECT_EQ(exec.open_streams(), 0);
+  EXPECT_EQ(exec.stats().open_streams, 0);
 }
 
 TEST(ExecutorStreamTest, StepsQueuedBehindAStallDrainInOnePass) {
@@ -166,7 +167,7 @@ TEST(ExecutorStreamTest, StreamsInterleaveWithOneShotRequests) {
   oneshot.fill_uniform(rng, 0.0F, 1.0F);
 
   BatchExecutor exec(compiled, 2);
-  const Tensor want_oneshot = compiled.run(oneshot);
+  const Tensor want_oneshot = compiled.infer({oneshot, {}}).logits;
   StreamSession reference(compiled);
 
   const uint64_t sid = exec.open_stream();
@@ -196,7 +197,7 @@ TEST(ExecutorStreamTest, TwoSessionsKeepIndependentState) {
   const uint64_t a = exec.open_stream();
   const uint64_t b = exec.open_stream();
   EXPECT_NE(a, b);
-  EXPECT_EQ(exec.open_streams(), 2);
+  EXPECT_EQ(exec.stats().open_streams, 2);
   for (std::size_t i = 0; i < frames.size(); ++i) {
     auto fa = exec.submit_stream(a, frames[i]);
     auto fb = exec.submit_stream(b, frames[i]);
@@ -205,7 +206,7 @@ TEST(ExecutorStreamTest, TwoSessionsKeepIndependentState) {
   }
   exec.close_stream(a);
   exec.close_stream(b);
-  EXPECT_EQ(exec.open_streams(), 0);
+  EXPECT_EQ(exec.stats().open_streams, 0);
 }
 
 TEST(ExecutorStreamTest, ClosedAndUnknownStreamsShedCleanly) {
@@ -242,15 +243,16 @@ TEST(ExecutorStreamTest, ShutdownShedsStreamsAndRefusesNewOnes) {
 
 TEST(ExecutorStreamTest, StreamQueueCapRejectsWithBackpressureError) {
   const CompiledNetwork compiled = make_compiled(61);
-  const std::vector<Tensor> frames = make_frames(4, 62);
+  // Frame 0 runs, kMaxStreamQueue frames fill the queue, the last one is
+  // over the cap.
+  constexpr auto kCap = static_cast<std::size_t>(BatchExecutor::kMaxStreamQueue);
+  const std::vector<Tensor> frames = make_frames(static_cast<int64_t>(kCap) + 2, 62);
 
   StreamSession reference(compiled);
   std::vector<Tensor> want;
   for (const Tensor& f : frames) want.push_back(reference.step(f).logits);
 
-  ExecutorOptions opts;
-  opts.max_stream_queue = 2;
-  BatchExecutor exec(compiled, 1, opts);
+  BatchExecutor exec(compiled, 1);
   const uint64_t sid = exec.open_stream();
 
   // Hold the single worker mid-drain with an injected 50 ms stall, so
@@ -258,23 +260,27 @@ TEST(ExecutorStreamTest, StreamQueueCapRejectsWithBackpressureError) {
   // racing a fast worker.
   util::fault::FaultInjector::global().arm("executor.stall",
                                            util::fault::Rule{1.0, 1, 0});
-  auto f0 = exec.submit_stream(sid, frames[0]);
+  std::vector<std::future<InferenceResult>> queued;
+  queued.push_back(exec.submit_stream(sid, frames[0]));
   while (util::fault::FaultInjector::global().fires("executor.stall") < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Worker is sleeping with frame 0 already taken off the queue: these
-  // two fill the cap (queued = 2 = max_stream_queue)...
-  auto f1 = exec.submit_stream(sid, frames[1]);
-  auto f2 = exec.submit_stream(sid, frames[2]);
-  // ...and the third is over it. Typed rejection through the future;
+  // fill the cap (queued = kMaxStreamQueue)...
+  for (std::size_t i = 1; i <= kCap; ++i) queued.push_back(exec.submit_stream(sid, frames[i]));
+  // ...and the next is over it. Typed rejection through the future;
   // nothing about the session changed.
-  auto f3 = exec.submit_stream(sid, frames[3]);
-  EXPECT_THROW((void)f3.get(), BackpressureError);
+  auto over = exec.submit_stream(sid, frames[kCap + 1]);
+  EXPECT_THROW((void)over.get(), BackpressureError);
 
-  expect_bitwise(f0.get().logits, want[0], "capped step 0");
-  expect_bitwise(f1.get().logits, want[1], "capped step 1");
-  expect_bitwise(f2.get().logits, want[2], "capped step 2");
+  for (std::size_t i = 0; i < queued.size(); ++i) {
+    expect_bitwise(queued[i].get().logits, want[i], "capped step " + std::to_string(i));
+  }
   EXPECT_EQ(exec.stats().backpressure_rejections, 1);
+  // The session state is exactly where the last accepted step left it:
+  // resubmitting the rejected frame continues the reference bitwise.
+  expect_bitwise(exec.submit_stream(sid, frames[kCap + 1]).get().logits, want[kCap + 1],
+                 "resubmitted step");
   exec.close_stream(sid);
   util::fault::FaultInjector::global().reset();
 }

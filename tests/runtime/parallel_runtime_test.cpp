@@ -47,7 +47,7 @@ TEST(ParallelRuntimeTest, BitwiseIdenticalAcrossThreadCounts) {
       opts.num_threads = threads;
       const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
       EXPECT_EQ(compiled.intra_op_threads(), threads);
-      difftest::expect_bitwise(compiled.run(batch), want,
+      difftest::expect_bitwise(compiled.infer({batch, {}}).logits, want,
                                "num_threads=" + std::to_string(threads));
       if (::testing::Test::HasFatalFailure()) return;
     }
@@ -72,7 +72,7 @@ TEST(ParallelRuntimeTest, ForcedBackendsAndActivationsStayBitwiseAtEightLanes) {
       runtime::CompileOptions opts = difftest::options_for(backend, activation);
       opts.num_threads = 8;
       const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
-      difftest::expect_bitwise(compiled.run(batch), want,
+      difftest::expect_bitwise(compiled.infer({batch, {}}).logits, want,
                                std::string("backend=") + difftest::backend_name(backend) +
                                    " activation=" + difftest::activation_name(activation) +
                                    " threads=8");
@@ -100,11 +100,11 @@ TEST(ParallelRuntimeTest, QuantisedPlansDeterministicAcrossThreadCounts) {
     opts.weight_precision = WeightPrecision::kInt8;
     opts.num_threads = 1;
     const CompiledNetwork serial = CompiledNetwork::compile(*net, opts);
-    const tensor::Tensor want = serial.run(batch);
+    const tensor::Tensor want = serial.infer({batch, {}}).logits;
     for (const int64_t threads : {int64_t{2}, int64_t{8}}) {
       opts.num_threads = threads;
       const CompiledNetwork pooled = CompiledNetwork::compile(*net, opts);
-      difftest::expect_bitwise(pooled.run(batch), want,
+      difftest::expect_bitwise(pooled.infer({batch, {}}).logits, want,
                                std::string("int8 ") + difftest::activation_name(activation) +
                                    " threads=" + std::to_string(threads));
       if (::testing::Test::HasFatalFailure()) return;

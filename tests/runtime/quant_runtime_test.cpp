@@ -70,7 +70,7 @@ TEST(QuantRuntimeTest, ForcedPrecisionQuantisesSparseLayersAndShrinksBytes) {
 
   // And the quantised plan still serves: finite logits, right shape.
   const tensor::Tensor batch = difftest::random_batch(pinned_config());
-  const tensor::Tensor logits = q8.run(batch);
+  const tensor::Tensor logits = q8.infer({batch, {}}).logits;
   EXPECT_EQ(logits.dim(0), batch.dim(0));
   for (int64_t i = 0; i < logits.numel(); ++i) {
     EXPECT_TRUE(std::isfinite(logits.at(i)));

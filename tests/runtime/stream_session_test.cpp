@@ -391,7 +391,8 @@ TEST(StreamSessionTest, MaxPoolPlanMatchesPredictAndStreamsBitwise) {
   CompileOptions opts;
   opts.activation_mode = ActivationMode::kEvent;
   const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
-  difftest::expect_bitwise(compiled.run(batch), want, "maxpool event plan vs interpreted");
+  difftest::expect_bitwise(compiled.infer({batch, {}}).logits, want,
+                           "maxpool event plan vs interpreted");
 
   // And the streaming contract holds over the same plan.
   std::vector<Tensor> frames;
@@ -453,7 +454,8 @@ TEST(StreamSessionTest, PlifAlifPlanMatchesPredictAndStreamsBitwise) {
                                   " activation=" + difftest::activation_name(activation);
       const CompiledNetwork compiled =
           CompiledNetwork::compile(*net, difftest::options_for(backend, activation));
-      difftest::expect_bitwise(compiled.run(batch), want, context + " vs interpreted");
+      difftest::expect_bitwise(compiled.infer({batch, {}}).logits, want,
+                               context + " vs interpreted");
       if (::testing::Test::HasFatalFailure()) return;
       expect_stream_matches_window(compiled, frames, context + " stream");
       if (::testing::Test::HasFatalFailure()) return;

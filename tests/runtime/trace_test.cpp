@@ -109,12 +109,12 @@ TEST_F(TraceTest, TracedRunIsBitwiseIdenticalToUntraced) {
     const auto net = build_network(cfg);
     const CompiledNetwork plan = CompiledNetwork::compile(*net, options_for());
     const tensor::Tensor batch = random_batch(cfg);
-    const tensor::Tensor untraced = plan.run(batch);
+    const tensor::Tensor untraced = plan.infer({batch, {}}).logits;
     trace::set_enabled(true);
-    const tensor::Tensor traced = plan.run(batch);
+    const tensor::Tensor traced = plan.infer({batch, {}}).logits;
     // Profiling on top of tracing must not perturb the output either.
     plan.enable_profiling(true);
-    const tensor::Tensor both = plan.run(batch);
+    const tensor::Tensor both = plan.infer({batch, {}}).logits;
     plan.enable_profiling(false);
     trace::set_enabled(false);
     expect_bitwise(traced, untraced, "traced vs untraced: " + cfg.str());
@@ -135,7 +135,7 @@ TEST_F(TraceTest, EveryPlanOpEmitsASpan) {
   ASSERT_EQ(prefix, 2U);
   trace::set_enabled(true);
   plan.enable_profiling(true);
-  (void)plan.run(random_batch(cfg));
+  (void)plan.infer({random_batch(cfg), {}});
   plan.enable_profiling(false);
   trace::set_enabled(false);
   std::vector<trace::Span> op_spans;
@@ -159,7 +159,7 @@ TEST_F(TraceTest, NeuronPhaseSpansRecordTheFiringRate) {
   const auto net = build_network(cfg);
   const CompiledNetwork plan = CompiledNetwork::compile(*net, options_for());
   trace::set_enabled(true);
-  (void)plan.run(random_batch(cfg));
+  (void)plan.infer({random_batch(cfg), {}});
   trace::set_enabled(false);
   std::vector<double> phase_rates, op_rates;
   for (const trace::Span& s : trace::snapshot()) {
@@ -185,7 +185,7 @@ TEST_F(TraceTest, PlanProfileAggregatesRunsAndLatencies) {
   plan.enable_profiling(true);
   const tensor::Tensor batch = random_batch(cfg);
   constexpr int kRuns = 3;
-  for (int r = 0; r < kRuns; ++r) (void)plan.run(batch);
+  for (int r = 0; r < kRuns; ++r) (void)plan.infer({batch, {}});
   plan.enable_profiling(false);
 
   EXPECT_EQ(plan.profiled_executes(), kRuns);
@@ -223,7 +223,7 @@ TEST_F(TraceTest, ProfilingDisabledRecordsNothing) {
   cfg.seed = env_seed() ^ 0x0FFULL;
   const auto net = build_network(cfg);
   const CompiledNetwork plan = CompiledNetwork::compile(*net, options_for());
-  (void)plan.run(random_batch(cfg));
+  (void)plan.infer({random_batch(cfg), {}});
   EXPECT_EQ(plan.profiled_executes(), 0);
   for (const PlanProfile::OpStats& s : plan.profile()) EXPECT_EQ(s.runs, 0);
 }

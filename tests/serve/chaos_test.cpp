@@ -93,7 +93,7 @@ TEST_F(ChaosTest, ShortReadsAndWritesAreInvisibleToResults) {
   server.start();
 
   const Tensor batch = make_batch(2, 302);
-  const Tensor reference = registry.acquire("m")->executor().submit(batch).get();
+  const Tensor reference = registry.acquire("m")->executor().submit({batch, {}}).get().logits;
 
   // Every single syscall on both sides now moves one byte: the resume
   // loops in write_exact/read_exact must absorb it with zero effect on
@@ -386,7 +386,7 @@ TEST_F(ChaosTest, DrainFinishesInFlightWorkAndShedsNewRequests) {
   ::close(slow_fd);
   ASSERT_EQ(slow_resp.status, Status::kOk) << slow_resp.message;
   expect_bitwise_equal(slow_resp.logits,
-                       registry.acquire("m")->executor().submit(batch).get());
+                       registry.acquire("m")->executor().submit({batch, {}}).get().logits);
 
   // Still draining: the stream on C is open. Close it and the drain
   // settles inside the deadline.
@@ -462,7 +462,7 @@ TEST_F(ChaosTest, SeededFaultScheduleKeepsEveryInvariant) {
   Server server(registry, sopts);
   server.start();
   const Tensor batch = make_batch(2, 328);
-  const Tensor reference = registry.acquire("m")->executor().submit(batch).get();
+  const Tensor reference = registry.acquire("m")->executor().submit({batch, {}}).get().logits;
 
   for (const uint64_t seed : {11ULL, 12ULL, 13ULL}) {
     FaultInjector::global().reset();

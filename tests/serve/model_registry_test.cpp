@@ -98,7 +98,7 @@ TEST(ModelRegistryTest, BudgetRequantisesThenEvictsTheColdestModel) {
   Rng rng(9);
   Tensor batch(Shape{2, 1, 16, 16});
   batch.fill_uniform(rng, 0.0F, 1.0F);
-  const Tensor logits = registry.acquire("a")->executor().submit(batch).get();
+  const Tensor logits = registry.acquire("a")->executor().submit({batch, {}}).get().logits;
   EXPECT_EQ(logits.dim(0), 2);
 }
 
@@ -126,7 +126,7 @@ TEST(ModelRegistryTest, EvictsWhenRequantisingCannotFitAndReloadsOnDemand) {
   Rng rng(13);
   Tensor batch(Shape{1, 1, 16, 16});
   batch.fill_uniform(rng, 0.0F, 1.0F);
-  EXPECT_EQ(a->executor().submit(batch).get().dim(0), 1);
+  EXPECT_EQ(a->executor().submit({batch, {}}).get().logits.dim(0), 1);
 
   // Re-acquiring an evicted model reloads it through the Loader (the
   // budgeter may trigger further loads squeezing "b", hence GE).

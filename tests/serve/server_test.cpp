@@ -72,7 +72,7 @@ TEST(ServerTest, SocketRoundTripMatchesInProcessSubmitBitwise) {
   const Tensor batch = make_batch(2, 22);
   // The spiking forward pass is deterministic per plan, so serving the
   // same batch twice (socket and in-process) must agree to the bit.
-  const Tensor reference = registry.acquire("a")->executor().submit(batch).get();
+  const Tensor reference = registry.acquire("a")->executor().submit({batch, {}}).get().logits;
 
   const int fd = connect_local(server.port());
   RequestFrame req;
@@ -97,7 +97,7 @@ TEST(ServerTest, EmptyModelNameFallsBackToTheDefaultModel) {
   server.start();
 
   const Tensor batch = make_batch(1, 24);
-  const Tensor reference = registry.acquire("only")->executor().submit(batch).get();
+  const Tensor reference = registry.acquire("only")->executor().submit({batch, {}}).get().logits;
 
   const int fd = connect_local(server.port());
   RequestFrame req;  // model left empty
@@ -147,7 +147,7 @@ TEST(ServerTest, ManySequentialRequestsOnOneConnection) {
   const int fd = connect_local(server.port());
   for (int i = 0; i < 6; ++i) {
     const Tensor batch = make_batch(1 + i % 2, 30 + static_cast<uint64_t>(i));
-    const Tensor reference = model->executor().submit(batch).get();
+    const Tensor reference = model->executor().submit({batch, {}}).get().logits;
     RequestFrame req;
     req.batch = batch;
     const ResponseFrame resp = round_trip(fd, req);
@@ -227,7 +227,7 @@ TEST(ServerTest, StreamedStepsOverTheSocketMatchADirectSession) {
     expect_bitwise_equal(resp.logits, reference.step(frame).logits);
   }
   EXPECT_EQ(stream_close(fd).status, Status::kOk);
-  EXPECT_EQ(model->executor().open_streams(), 0);
+  EXPECT_EQ(model->executor().stats().open_streams, 0);
   ::close(fd);
   server.stop();
 }
@@ -276,14 +276,14 @@ TEST(ServerTest, DisconnectWithAnOpenStreamDoesNotLeakTheSession) {
     const int fd = connect_local(server.port());
     ASSERT_EQ(stream_open(fd, "").status, Status::kOk);  // default model
     ASSERT_EQ(stream_step(fd, make_batch(1, 48)).status, Status::kOk);
-    EXPECT_EQ(model->executor().open_streams(), 1);
+    EXPECT_EQ(model->executor().stats().open_streams, 1);
     ::close(fd);  // vanish mid-stream, no stream-close
   }
   // The handler notices the EOF asynchronously and closes the executor
   // session on its way out.
   bool reaped = false;
   for (int attempt = 0; attempt < 100 && !reaped; ++attempt) {
-    reaped = model->executor().open_streams() == 0;
+    reaped = model->executor().stats().open_streams == 0;
     if (!reaped) std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   EXPECT_TRUE(reaped);
