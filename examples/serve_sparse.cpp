@@ -1,15 +1,14 @@
-// Serving demo: train a sparse SNN with NDSNN, optionally project it
-// onto an N:M structured pattern for deployment, compile it to sparse
-// kernels (CSR for sparse layers, dense GEMM below the sparsity bar,
-// event-driven gather behind low-rate spike trains — the compiler's
-// heuristics pick per layer), and serve classification requests through
-// the multi-threaded BatchExecutor, reporting p50/p95/p99 latency.
+// Serving demo: train a sparse SNN with NDSNN, compile its unstructured
+// mask as it is to sparse kernels (CSR for sparse layers, dense GEMM
+// below the sparsity bar, event-driven gather behind low-rate spike
+// trains — the compiler's heuristics pick per layer), and serve
+// classification requests through the multi-threaded BatchExecutor,
+// reporting p50/p95/p99 latency.
 //
 //   ./examples/serve_sparse [--sparsity 0.95] [--epochs 4] [--threads 4]
-//                           [--requests 32] [--batch 8] [--nm 2:4]
+//                           [--requests 32] [--batch 8]
 //                           [--activation auto|dense|event]
 //                           [--precision auto|fp32|int8|int4]
-//                           [--kernel-tier auto|scalar|avx2]
 //                           [--intra-threads 1] [--coalesce 0]
 //                           [--coalesce-wait-us 200] [--slo-ms 0]
 //                           [--save-checkpoint model.ndck]
@@ -73,18 +72,15 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "core/nm_projection.hpp"
 #include "nn/checkpoint.hpp"
 #include "runtime/batch_executor.hpp"
 #include "runtime/compiled_network.hpp"
 #include "runtime/trace.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/server.hpp"
-#include "sparse/structured.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
 #include "util/cli.hpp"
-#include "util/cpuinfo.hpp"
 #include "util/fault_injection.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
@@ -226,7 +222,7 @@ void print_help() {
       "execution options:\n"
       "  --activation auto|dense|event           activation representation\n"
       "  --intra-threads N                       plan shard lanes (0 = hw concurrency)\n"
-      "  --kernel-tier auto|scalar|avx2          pin the SIMD dispatch tier\n"
+      "  (SIMD tier: set env NDSNN_KERNEL_TIER=auto|scalar|avx2)\n"
       "\n"
       "executor / scheduling:\n"
       "  --threads N        total request-worker budget (default 4)\n"
@@ -235,7 +231,7 @@ void print_help() {
       "  --slo-ms MS        admission-control latency target (0 = off)\n"
       "\n"
       "workload / training:\n"
-      "  --sparsity F --epochs N --requests N --batch N --nm N:M\n"
+      "  --sparsity F --epochs N --requests N --batch N\n"
       "  --save-checkpoint FILE | --checkpoint FILE\n"
       "\n"
       "serving front-end (--listen):\n"
@@ -266,7 +262,6 @@ int main(int argc, char** argv) {
   const int threads = cli.get_int("--threads", 4);
   const int num_requests = cli.get_int("--requests", 32);
   const int batch_size = cli.get_int("--batch", 8);
-  const std::string nm_spec = cli.get_string("--nm", "");
   const std::string checkpoint = cli.get_string("--checkpoint", "");
   const std::string save_checkpoint = cli.get_string("--save-checkpoint", "");
 
@@ -275,14 +270,6 @@ int main(int argc, char** argv) {
   const std::string precision_spec = cli.get_string("--precision", "auto");
   opts.weight_precision = ndsnn::runtime::parse_weight_precision(precision_spec);
   opts.num_threads = cli.get_int("--intra-threads", 1);
-  // --kernel-tier pins the SIMD dispatch tier (scalar|avx2|auto)
-  // for reproducible serving across heterogeneous fleets.
-  const std::string tier_spec = cli.get_string("--kernel-tier", "auto");
-  if (!ndsnn::util::simd::parse(tier_spec, &opts.kernel_tier)) {
-    std::fprintf(stderr, "unknown --kernel-tier '%s' (want scalar|avx2|auto)\n",
-                 tier_spec.c_str());
-    return 1;
-  }
 
   ndsnn::runtime::ExecutorOptions exec_opts;
   exec_opts.max_coalesce = cli.get_int("--coalesce", 0);
@@ -462,18 +449,7 @@ int main(int argc, char** argv) {
   std::printf("trained: %.2f%% accuracy at %.1f%% sparsity\n\n", result.best_test_acc,
               100.0 * result.final_sparsity);
 
-  // 2. (Optional) Deployment projection: snap the unstructured trained
-  // mask onto an N:M pattern so structured-sparsity hardware — and the
-  // runtime's block-CSR kernels — can execute it.
-  if (!nm_spec.empty()) {
-    const auto pattern = ndsnn::sparse::parse_nm(nm_spec);
-    const auto report = ndsnn::core::project_network_nm(*exp.network, pattern);
-    std::printf("projected onto %lld:%lld — mean |w| mass lost %.2f%%\n",
-                static_cast<long long>(pattern.n), static_cast<long long>(pattern.m),
-                100.0 * ndsnn::core::mean_projection_loss(report));
-  }
-
-  // 3. (Optional) Persist as an architecture-tagged checkpoint a later
+  // 2. (Optional) Persist as an architecture-tagged checkpoint a later
   // `--checkpoint` run can serve without retraining. An explicit
   // quantised --precision makes it a v3 checkpoint carrying the
   // deployment's per-layer precision + per-row scales.
@@ -496,14 +472,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 4. Compile the masked network into an immutable sparse inference
+  // 3. Compile the masked network into an immutable sparse inference
   // plan; the kernel heuristic lowers sparse layers to CSR, the rest to
   // dense GEMM, and spike-fed layers to the event path
   // (the training run recorded per-layer firing rates it plans on).
   const auto plan = ndsnn::runtime::CompiledNetwork::compile(*exp.network, opts);
   std::printf("%s\n", plan.summary().c_str());
 
-  // 5. Serve requests from the test distribution through a worker pool.
+  // 4. Serve requests from the test distribution through a worker pool.
   std::vector<ndsnn::tensor::Tensor> requests;
   std::vector<std::vector<int64_t>> labels;
   for (int r = 0; r < num_requests; ++r) {

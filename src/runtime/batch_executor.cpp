@@ -34,6 +34,31 @@ double ms_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
+/// Resolve a request's or stream step's future with ShedError. Caller
+/// must NOT hold mu_.
+template <typename Item>
+void shed(Item& item, const char* why) {
+  item.promise.set_exception(std::make_exception_ptr(ShedError(why)));
+}
+
+/// Fail every promise of `items` with its own copy of `error`, same
+/// what(): a shared one's refcount is invisible to ThreadSanitizer.
+template <typename Items>
+void fail_each(const std::exception_ptr& error, Items& items) {
+  const auto fail = [&](const auto& copy) {
+    for (auto& item : items) item.promise.set_exception(std::make_exception_ptr(copy));
+  };
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::invalid_argument& e) {  // a malformed batch or frame stays one
+    fail(std::invalid_argument(e.what()));
+  } catch (const std::exception& e) {
+    fail(std::runtime_error(e.what()));
+  } catch (...) {
+    fail(std::runtime_error("BatchExecutor: unknown error"));
+  }
+}
+
 /// Process-wide serving metrics (util::MetricsRegistry). Looked up once;
 /// the references stay valid for the process lifetime.
 struct ExecutorMetrics {
@@ -122,14 +147,6 @@ double BatchExecutor::predicted_wait_ms_locked() const {
     }
   }
   return std::max(depth_ms, hist_ms);
-}
-
-void BatchExecutor::shed(Request& req, const char* why) {
-  req.promise.set_exception(std::make_exception_ptr(ShedError(why)));
-}
-
-void BatchExecutor::shed_step(StreamStep& step, const char* why) {
-  step.promise.set_exception(std::make_exception_ptr(ShedError(why)));
 }
 
 std::future<InferenceResult> BatchExecutor::submit(InferenceRequest request) {
@@ -253,7 +270,7 @@ std::future<InferenceResult> BatchExecutor::submit_stream(uint64_t stream,
     step.promise.set_exception(std::make_exception_ptr(BackpressureError(reject)));
   } else if (reject != nullptr) {
     ExecutorMetrics::get().shed.add(1);
-    shed_step(step, reject);
+    shed(step, reject);
   } else {
     cv_.notify_one();
   }
@@ -621,7 +638,7 @@ void BatchExecutor::run_group(std::vector<Request>& group, std::size_t worker) {
       const std::lock_guard<std::mutex> lock(mu_);
       inflight_samples_ -= samples;
     }
-    for (Request& r : group) r.promise.set_exception(std::current_exception());
+    fail_each(std::current_exception(), group);
   }
 }
 
@@ -690,7 +707,7 @@ void BatchExecutor::drain_stream(uint64_t sid, std::unique_lock<std::mutex>& loc
       steps[i].promise.set_value(std::move(results[i]));
     }
   } else {
-    for (StreamStep& s : steps) s.promise.set_exception(error);
+    fail_each(error, steps);
   }
 }
 

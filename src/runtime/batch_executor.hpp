@@ -349,10 +349,6 @@ class BatchExecutor {
   void run_group(std::vector<Request>& group, std::size_t worker);
   void record(const std::vector<Request>& group, int64_t samples, double ms, bool fused,
               std::size_t worker);
-  /// Resolve a request's future with ShedError. Caller must NOT hold mu_.
-  static void shed(Request& req, const char* why);
-  /// Same for a stream step.
-  static void shed_step(StreamStep& step, const char* why);
 
   const CompiledNetwork& net_;
   const ExecutorOptions opts_;

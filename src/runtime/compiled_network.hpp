@@ -9,9 +9,8 @@
 //
 //   1. Walk the network body and pick a *weight kernel* per layer:
 //      dense GEMM below 50% weight sparsity, element-wise CSR at or
-//      above it. NDSNN's drop-and-grow masks are unstructured,
-//      and N:M-projected or block-masked weights store exactly their
-//      surviving entries in CSR too.
+//      above it. NDSNN's unstructured masks compile as they are: CSR
+//      stores exactly the surviving entries, wherever they sit.
 //   2. Pick an *activation path* per weight layer: the classic
 //      dense-activation kernels (sparse::Csr::conv2d, a direct sparse
 //      convolution over input spans, and Csr::spmm_t for linear), or the
@@ -54,7 +53,6 @@
 #include "runtime/trace.hpp"
 #include "sparse/quant.hpp"
 #include "tensor/tensor.hpp"
-#include "util/cpuinfo.hpp"
 
 namespace ndsnn::runtime {
 
@@ -93,11 +91,11 @@ enum class WeightPrecision {
 [[nodiscard]] WeightPrecision parse_weight_precision(const std::string& s);
 
 /// Knobs for the network -> plan lowering: kernel backend, stored bit
-/// width, and execution (activation path, threads, SIMD tier). The
-/// heuristics' thresholds are fixed constants of compiled_network.cpp:
-/// kAuto lowers a weight layer to CSR at >= 0.5 weight sparsity, goes
-/// event-driven at an estimated input firing rate <= 0.25 (0.15 when the
-/// network recorded no rates) and quantises a layer when its measured
+/// width, and execution (activation path, threads). The heuristics'
+/// thresholds are fixed constants of compiled_network.cpp: kAuto lowers
+/// a weight layer to CSR at >= 0.5 weight sparsity, goes event-driven at
+/// an estimated input firing rate <= 0.25 (0.15 when the network
+/// recorded no rates) and quantises a layer when its measured
 /// reconstruction error stays <= 0.02.
 struct CompileOptions {
   /// Force one kernel backend for every weight layer (kDense for
@@ -127,16 +125,6 @@ struct CompileOptions {
   /// kernel splits its own work. fp32 outputs stay bitwise identical to
   /// the serial plan for any value here.
   int64_t num_threads = 1;
-  /// SIMD kernel tier of the tiered weight kernels (CSR spmm_t, dense
-  /// matmul/matmul_nt), resolved once at compile time via
-  /// util::simd::resolve so a plan's execution is reproducible
-  /// regardless of later NDSNN_KERNEL_TIER / force() changes. kAuto
-  /// takes the detected tier; explicit tiers clamp to it (requesting
-  /// kAvx2 on a non-AVX2 host runs kScalar, never SIGILLs). fp32
-  /// results are bitwise identical across tiers, so this is purely a
-  /// performance knob — pin kScalar to reproduce the reference kernels
-  /// and to benchmark the AVX2 bodies against them.
-  util::simd::Tier kernel_tier = util::simd::Tier::kAuto;
 };
 
 class CompiledNetwork {

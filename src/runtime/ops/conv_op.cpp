@@ -18,7 +18,7 @@ ConvOp::ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision
                bool event, const CompileOptions& opts)
     : layer_name_(src.name()),
       gemm_(kernel),
-      tier_(util::simd::resolve(opts.kernel_tier)),
+      tier_(util::simd::active()),
       precision_(kernel == Kernel::kDense ? sparse::Precision::kFp32 : precision),
       event_(event),
       has_bias_(src.has_bias()),

@@ -18,7 +18,7 @@ LinearOp::LinearOp(const nn::Linear& src, Kernel kernel, sparse::Precision preci
                    bool event, const CompileOptions& opts)
     : layer_name_(src.name()),
       kernel_(kernel),
-      tier_(util::simd::resolve(opts.kernel_tier)),
+      tier_(util::simd::active()),
       precision_(kernel == Kernel::kDense ? sparse::Precision::kFp32 : precision),
       event_(event),
       has_bias_(src.has_bias()),

@@ -39,9 +39,8 @@ class LinearOp final : public Op {
 
   std::string layer_name_;
   Kernel kernel_;
-  /// Kernel tier resolved once at construction (CompileOptions::
-  /// kernel_tier), so the op's dispatch never shifts under a later env
-  /// or force() change — a compiled plan executes reproducibly.
+  /// Kernel tier fixed at construction (util::simd::active()), so a
+  /// later force() never shifts a compiled plan's dispatch.
   util::simd::Tier tier_;
   sparse::Precision precision_;
   int64_t bytes_ = 0;

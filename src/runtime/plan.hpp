@@ -103,7 +103,7 @@ struct OpReport {
   /// column sums.
   int64_t bytes = 0;
   /// SIMD kernel tier the op's GEMM/gather kernels dispatch with —
-  /// resolved once at compile time from CompileOptions::kernel_tier.
+  /// resolved once at compile time from util::simd::active().
   /// Weightless ops have no tiered kernels and keep the kScalar
   /// default; the plan summary only prints the tier for weight ops.
   util::simd::Tier tier = util::simd::Tier::kScalar;

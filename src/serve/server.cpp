@@ -239,6 +239,9 @@ void Server::handle_connection(Connection& conn) {
       }
       ResponseFrame resp;
       const ScopedCount inflight(inflight_requests_);
+      // Holds the executor's result until the catches below have read its
+      // error, so this thread, not the worker, frees the exception.
+      std::shared_future<runtime::InferenceResult> pending;
       try {
         const FrameHeader hdr = peek_header(payload.data(), payload.size());
         if (hdr.kind == kKindStreamOpen) {
@@ -266,10 +269,8 @@ void Server::handle_connection(Connection& conn) {
           if (!stream_model) {
             throw std::invalid_argument("serve: stream-step before stream-open");
           }
-          resp.logits = stream_model->executor()
-                            .submit_stream(stream_id, step.frame)
-                            .get()
-                            .logits;
+          pending = stream_model->executor().submit_stream(stream_id, step.frame).share();
+          resp.logits = pending.get().logits;
           resp.status = Status::kOk;
         } else if (hdr.kind == kKindStreamClose) {
           decode_stream_close(payload.data(), payload.size());
@@ -297,11 +298,11 @@ void Server::handle_connection(Connection& conn) {
             throw std::invalid_argument("serve: unknown SLO class");
           }
           auto model = registry_.acquire(name);
-          resp.logits = model->executor()
-                            .submit({std::move(req.batch),
-                                     static_cast<runtime::SloClass>(req.slo_class)})
-                            .get()
-                            .logits;
+          pending = model->executor()
+                        .submit({std::move(req.batch),
+                                 static_cast<runtime::SloClass>(req.slo_class)})
+                        .share();
+          resp.logits = pending.get().logits;
           resp.status = Status::kOk;
         }
       } catch (const DrainShed&) {

@@ -57,8 +57,7 @@ void force(Tier tier);
 /// "auto" | "scalar" | "avx2".
 const char* name(Tier tier);
 
-/// Parse a tier name (as accepted by NDSNN_KERNEL_TIER and the
-/// serve_sparse --kernel-tier flag). Returns false on unknown input.
+/// Parse a NDSNN_KERNEL_TIER value. Returns false on unknown input.
 bool parse(std::string_view text, Tier* out);
 
 }  // namespace ndsnn::util::simd

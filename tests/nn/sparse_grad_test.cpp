@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "../testing_env.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "tensor/im2col.hpp"
@@ -18,6 +19,7 @@
 namespace ndsnn::nn {
 namespace {
 
+using difftest::TierGuard;
 using tensor::Rng;
 using tensor::Shape;
 using tensor::Tensor;
@@ -39,14 +41,6 @@ void apply_keep(Tensor& grad, const std::vector<uint8_t>& keep) {
     if (keep[static_cast<std::size_t>(i)] == 0) grad.at(i) = 0.0F;
   }
 }
-
-/// Restores the process-wide kernel tier when a test ends.
-struct TierGuard {
-  explicit TierGuard(util::simd::Tier tier) { util::simd::force(tier); }
-  ~TierGuard() { util::simd::force(util::simd::Tier::kAuto); }
-  TierGuard(const TierGuard&) = delete;
-  TierGuard& operator=(const TierGuard&) = delete;
-};
 
 /// col2im(Wᵀ · gy) over the whole [C*K*K, M*OH*OW] gradient matrix: the
 /// dense input gradient the weight-sparse walk must reproduce.

@@ -1,9 +1,9 @@
 // CompiledNetwork must reproduce SpikingNetwork::predict on the zoo
 // models, dense and sparse, across T timesteps — plus the backend
-// selection logic: heuristic kernel choice (sparse layers, structured
-// or not, lower to CSR), forced backends, and the structured
-// deployment paths. Scenario plumbing (masking, warm-up, bitwise
-// comparison) comes from the differential harness.
+// selection logic: heuristic kernel choice (sparse layers, unstructured
+// or block-masked, lower to CSR), forced backends, and the compile-time
+// kernel tier. Scenario plumbing (masking, warm-up, bitwise comparison)
+// comes from the differential harness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/nm_projection.hpp"
 #include "nn/checkpoint.hpp"
 #include "nn/flatten.hpp"
 #include "nn/lif_activation.hpp"
@@ -183,27 +182,31 @@ TEST(CompiledNetworkTest, ExecuteMatchesTimeMajorOnEncodedBatch) {
                  compiled.plan_ir().execute_time_major(encoded), "lenet5 T=3");
 }
 
-// Heuristic pin: structured masks get no format of their own. A 2:4
-// projection and a 4x4 block mask both lower every weight layer to CSR
-// under kAuto and stay bitwise equal to predict.
-TEST(CompiledNetworkTest, NmProjectedNetworkAutoStaysCsr) {
+// Heuristic pin: the sparsity bar is inclusive. An unstructured mask
+// that leaves every prunable layer exactly 50% sparse lowers all five
+// weight layers to CSR under kAuto, bitwise equal to predict. Block
+// masks get no format of their own either (next test).
+TEST(CompiledNetworkTest, HalfSparseNetworkAutoLowersToCsr) {
   nn::ModelSpec spec;
   spec.in_channels = 1;
   spec.image_size = 16;
   spec.timesteps = 2;
   const auto net = nn::make_lenet5(spec);
-  const auto report = core::project_network_nm(*net, {2, 4});
-  ASSERT_EQ(report.size(), 5U);  // 2 conv + 3 linear prunable weights
-  for (const auto& r : report) EXPECT_NEAR(r.sparsity, 0.5, 0.05) << r.param;
+  apply_random_masks(*net, /*sparsity=*/0.5, 51);
   const Tensor batch = random_batch(2, 1, 16, 52);
   warm_up(*net, batch);
 
   const Tensor expect = net->predict(batch);
   const CompiledNetwork compiled = CompiledNetwork::compile(*net);
-  expect_bitwise(compiled.infer({batch, {}}).logits, expect, "lenet 2:4 projected");
+  expect_bitwise(compiled.infer({batch, {}}).logits, expect, "lenet 50% unstructured");
 
-  // 2:4 leaves every layer exactly 50% sparse: at the 0.5 bar, so CSR.
+  // 2 conv + 3 linear weight layers, each exactly at the 0.5 bar.
   EXPECT_EQ(count_kinds(compiled, "csr-linear", "csr-conv"), 5);
+  for (const auto& r : compiled.plan()) {
+    if (r.weights > 0) {
+      EXPECT_EQ(r.sparsity, 0.5) << r.layer;
+    }
+  }
 }
 
 TEST(CompiledNetworkTest, BlockMaskedNetworkAutoCompilesToCsr) {
@@ -434,6 +437,40 @@ TEST(CompiledNetworkTest, SummaryAndReports) {
   const std::string text = compiled.summary();
   EXPECT_NE(text.find("csr-conv"), std::string::npos);
   EXPECT_NE(text.find("csr-linear"), std::string::npos);
+}
+
+// A plan resolves its SIMD kernel tier once, at compile time: one
+// compiled under force(kScalar) still reports and runs kScalar after
+// the force is cleared, bitwise equal to predict, while a plan compiled
+// afterwards takes whatever kAuto resolves to again.
+TEST(CompiledNetworkTest, PlanKeepsItsCompileTimeTierAfterForceClears) {
+  nn::ModelSpec spec;
+  spec.in_channels = 1;
+  spec.image_size = 8;
+  spec.timesteps = 2;
+  const auto net = nn::make_lenet5(spec);
+  apply_random_masks(*net, 0.9, 81);
+  const Tensor batch = random_batch(2, 1, 8, 82);
+  warm_up(*net, batch);
+  const Tensor expect = net->predict(batch);
+
+  const CompiledNetwork scalar = [&] {
+    const difftest::TierGuard guard(util::simd::Tier::kScalar);
+    return CompiledNetwork::compile(*net);
+  }();  // the guard has restored force(kAuto)
+  const CompiledNetwork later = CompiledNetwork::compile(*net);
+
+  for (const auto& r : scalar.plan()) {
+    if (r.weights > 0) {
+      EXPECT_EQ(r.tier, util::simd::Tier::kScalar) << r.layer;
+    }
+  }
+  for (const auto& r : later.plan()) {
+    if (r.weights > 0) {
+      EXPECT_EQ(r.tier, util::simd::active()) << r.layer;
+    }
+  }
+  expect_bitwise(scalar.infer({batch, {}}).logits, expect, "plan compiled under kScalar");
 }
 
 TEST(SpikeBatchTest, ScanListsNonzeroIndicesPerRow) {

@@ -44,13 +44,9 @@ TEST(DifferentialTest, CompiledMatchesInterpretedBitwiseOnAllBackends) {
   pinned.input = difftest::InputKind::kSaturated;  // all-firing spike trains
   cases.push_back(pinned);
   pinned.input = difftest::InputKind::kRandom;
-  pinned.sparsity = 0.5;
-  pinned.nm_n = 2;  // 2:4 projection -> CSR
-  pinned.nm_m = 4;
+  pinned.sparsity = 0.5;  // exactly at the 0.5 sparsity bar -> CSR
   cases.push_back(pinned);
-  pinned.nm_n = 0;  // 4x4 block mask -> CSR
-  pinned.nm_m = 0;
-  pinned.sparsity = 0.0;
+  pinned.sparsity = 0.0;  // 4x4 block mask -> CSR
   pinned.block_keep = 0.25;
   cases.push_back(pinned);
   for (int i = 0; i < configs; ++i) cases.push_back(difftest::random_config(rng));
@@ -81,14 +77,15 @@ TEST(DifferentialTest, CompiledMatchesInterpretedBitwiseOnAllBackends) {
     }
 
     // Kernel-tier axis: the default compiles above dispatch the detected
-    // tier; forcing the scalar tier onto the same scenario must not move
-    // a single bit (see the tier-axis note in testing.hpp).
-    for (const util::simd::Tier tier : difftest::forced_kernel_tiers()) {
-      CompileOptions topts = difftest::options_for();
-      topts.kernel_tier = tier;
-      const CompiledNetwork forced = CompiledNetwork::compile(*net, topts);
+    // tier; a plan compiled under a forced scalar tier must not move a
+    // single bit (see the tier-axis note in testing.hpp).
+    for (const util::simd::Tier tier : difftest::forced_tiers()) {
+      const CompiledNetwork forced = [&] {
+        const difftest::TierGuard guard(tier);
+        return CompiledNetwork::compile(*net);
+      }();
       difftest::expect_bitwise(forced.infer({batch, {}}).logits, want,
-                               std::string("kernel_tier=") + util::simd::name(tier));
+                               std::string("tier=") + util::simd::name(tier));
       if (::testing::Test::HasFatalFailure()) return;
     }
 
@@ -128,15 +125,16 @@ TEST(DifferentialTest, CompiledMatchesInterpretedBitwiseOnAllBackends) {
               // Tier axis on the quantised kernels: unlike fp32 they
               // only promise a bounded error, and the bound must hold
               // at every forced tier, not just the dispatched one.
-              for (const util::simd::Tier tier : difftest::forced_kernel_tiers()) {
-                CompileOptions topts = qopts;
-                topts.kernel_tier = tier;
-                const CompiledNetwork tplan = CompiledNetwork::compile(*net, topts);
+              for (const util::simd::Tier tier : difftest::forced_tiers()) {
+                const CompiledNetwork tplan = [&] {
+                  const difftest::TierGuard guard(tier);
+                  return CompiledNetwork::compile(*net, qopts);
+                }();
                 difftest::expect_lockstep_close(
                     tplan.plan_ir(), fplan.plan_ir(),
                     encoder.encode(batch, tplan.timesteps()), difftest::quant_tolerance(p),
                     std::string("precision=") + weight_precision_name(p) +
-                        " kernel_tier=" + util::simd::name(tier));
+                        " tier=" + util::simd::name(tier));
                 if (::testing::Test::HasFatalFailure()) return;
               }
             }
@@ -147,7 +145,7 @@ TEST(DifferentialTest, CompiledMatchesInterpretedBitwiseOnAllBackends) {
   }
 
   // The heuristics must have picked each weight kernel — dense
-  // (0.3-sparsity layers), CSR (unstructured, N:M and block masks) —
+  // (0.3-sparsity layers), CSR (unstructured and block masks) —
   // and the event-driven activation path somewhere in the sweep (the
   // silent pinned config guarantees a measured 0 firing rate, which
   // kAuto maps onto the event path for its sparse spiking-input

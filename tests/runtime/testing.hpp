@@ -4,7 +4,7 @@
 // activation modes (auto / dense / event-driven) chosen per layer by
 // cost heuristics, which is far too many combinations for hand-written
 // cases. This header generates randomized network configurations
-// (architecture x sparsity x N:M pattern x batch/timestep shapes x
+// (architecture x sparsity x mask pattern x batch/timestep shapes x
 // input regime, including all-silent and all-firing extremes) from a
 // seeded RNG and checks that CompiledNetwork reproduces the interpreted
 // SpikingNetwork::predict *bitwise* on every backend x activation-mode
@@ -30,13 +30,11 @@
 #include <vector>
 
 #include "../testing_env.hpp"
-#include "core/nm_projection.hpp"
 #include "nn/models/zoo.hpp"
 #include "runtime/compiled_network.hpp"
 #include "snn/encoder.hpp"
 #include "sparse/mask.hpp"
 #include "sparse/quant.hpp"
-#include "sparse/structured.hpp"
 #include "tensor/random.hpp"
 #include "util/cpuinfo.hpp"
 
@@ -67,9 +65,7 @@ struct NetConfig {
   int64_t batch = 2;
   int64_t timesteps = 2;
   double width_scale = 1.0;
-  double sparsity = 0.9;  ///< unstructured mask fraction (before projection)
-  int64_t nm_n = 0;       ///< 0 = no N:M projection
-  int64_t nm_m = 0;
+  double sparsity = 0.9;  ///< unstructured mask fraction
   double block_keep = 0.0;  ///< > 0: 4x4 block mask keeping this fraction of
                             ///< blocks (the row-block pattern of FPGA SNN
                             ///< accelerators); applied instead of the
@@ -83,7 +79,6 @@ struct NetConfig {
                     " T=" + std::to_string(timesteps) +
                     " ws=" + std::to_string(width_scale) +
                     " sparsity=" + std::to_string(sparsity);
-    if (nm_m > 0) s += " nm=" + std::to_string(nm_n) + ":" + std::to_string(nm_m);
     if (block_keep > 0.0) s += " block_keep=" + std::to_string(block_keep);
     s += " input=" + std::string(input_kind_name(input)) + " seed=" + std::to_string(seed);
     return s;
@@ -121,11 +116,6 @@ inline NetConfig random_config(tensor::Rng& rng) {
   if (rng.bernoulli(0.1)) {  // blocky deployment flavour
     cfg.block_keep = 0.25;
     cfg.sparsity = 0.0;
-  } else if (rng.bernoulli(0.6)) {  // structured N:M deployment flavour
-    const int64_t patterns[][2] = {{2, 4}, {1, 4}, {2, 8}, {4, 8}};
-    const int64_t pick = rng.uniform_int(4);
-    cfg.nm_n = patterns[pick][0];
-    cfg.nm_m = patterns[pick][1];
   }
   // Mostly uniform-random inputs, with the firing-rate extremes mixed in
   // so the event path's empty-active-list and full-gather branches stay
@@ -175,7 +165,7 @@ inline void apply_block_masks(nn::SpikingNetwork& net, double keep, uint64_t see
 
 /// One training step to make BatchNorm running statistics non-trivial,
 /// so equivalence checks exercise the real eval path. train_step only
-/// accumulates gradients (no optimizer), so masks/projections survive.
+/// accumulates gradients (no optimizer), so masks survive.
 inline void warm_up(nn::SpikingNetwork& net, const tensor::Tensor& batch) {
   std::vector<int64_t> labels(static_cast<std::size_t>(batch.dim(0)), 0);
   (void)net.train_step(batch, labels);
@@ -200,8 +190,8 @@ inline tensor::Tensor random_batch(const NetConfig& cfg, uint64_t salt = 0) {
   return batch;
 }
 
-/// Build the scenario's network: zoo model -> unstructured mask ->
-/// optional N:M projection -> BN warm-up step.
+/// Build the scenario's network: zoo model -> unstructured or block
+/// mask -> BN warm-up step.
 inline std::unique_ptr<nn::SpikingNetwork> build_network(const NetConfig& cfg) {
   nn::ModelSpec spec;
   spec.in_channels = cfg.channels;
@@ -214,9 +204,6 @@ inline std::unique_ptr<nn::SpikingNetwork> build_network(const NetConfig& cfg) {
     apply_block_masks(*net, cfg.block_keep, cfg.seed + 1);
   } else {
     apply_random_masks(*net, cfg.sparsity, cfg.seed + 1);
-  }
-  if (cfg.nm_m > 0) {
-    (void)core::project_network_nm(*net, {cfg.nm_n, cfg.nm_m});
   }
   warm_up(*net, random_batch(cfg, /*salt=*/1));
   return net;
@@ -285,16 +272,17 @@ inline const char* activation_name(runtime::ActivationMode m) {
 // The SIMD tiers (util/cpuinfo.hpp) promise that fp32 execution is
 // bitwise identical whichever tier dispatches — the intrinsic bodies
 // replicate the scalar accumulation order exactly. The sweep enforces
-// that promise by re-compiling scenarios with CompileOptions::
-// kernel_tier forced below the detected tier and comparing against the
-// same interpreted reference: the default (kAuto) compile already
-// exercises the *detected* tier, so forcing kScalar covers every tier
-// the machine can run. On a machine without AVX2 the detected tier is
-// kScalar and the axis degenerates to re-checking the portable
-// kernels, which is the correct behaviour, not a gap.
+// that promise by re-compiling scenarios under a TierGuard that forces
+// a tier below the detected one (each op resolves its tier once, at
+// compile time) and comparing against the same interpreted reference:
+// the default compile already exercises the *detected* tier, so
+// forcing kScalar covers every tier the machine can run. On a machine
+// without AVX2 the detected tier is kScalar and the axis degenerates to
+// re-checking the portable kernels, which is the correct behaviour,
+// not a gap.
 
 /// Tiers the sweep forces explicitly on top of the default compile.
-inline const std::vector<util::simd::Tier>& forced_kernel_tiers() {
+inline const std::vector<util::simd::Tier>& forced_tiers() {
   static const std::vector<util::simd::Tier> kTiers = {util::simd::Tier::kScalar};
   return kTiers;
 }

@@ -4,12 +4,15 @@
 // failures are reproducible: export the logged NDSNN_TEST_SEED locally
 // to replay the identical sequence. The heavier differential harness
 // (network generation, backend sweeps) lives in runtime/testing.hpp.
-// timing_gate_skip_reason() decides where wall-clock ratio gates bind.
+// timing_gate_skip_reason() decides where wall-clock ratio gates bind;
+// TierGuard scopes a forced SIMD kernel tier.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstdint>
+
+#include "util/cpuinfo.hpp"
 
 namespace ndsnn::difftest {
 
@@ -54,5 +57,15 @@ inline const char* timing_gate_skip_reason() {
 #endif
   return nullptr;
 }
+
+/// Forces a SIMD kernel tier for its scope and restores kAuto after. A
+/// plan resolves its tier when it is compiled, so compiling under a
+/// guard pins that plan's dispatch.
+struct TierGuard {
+  explicit TierGuard(util::simd::Tier tier) { util::simd::force(tier); }
+  ~TierGuard() { util::simd::force(util::simd::Tier::kAuto); }
+  TierGuard(const TierGuard&) = delete;
+  TierGuard& operator=(const TierGuard&) = delete;
+};
 
 }  // namespace ndsnn::difftest
