@@ -47,6 +47,7 @@ int main(int argc, char** argv) {
   base.sparsity = cli.get_double("--sparsity", 0.95);
   base.epochs = cli.get_int("--epochs", 12);
   base.train_samples = cli.get_int("--samples", 384);
+  cli.reject_unknown();
   base.test_samples = 192;
   base.model_scale = 2.0;
   base.data_scale = 0.5;

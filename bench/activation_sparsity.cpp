@@ -3,9 +3,9 @@
 // streaming the whole activation through the CSR kernels?
 //
 // Section 1 sweeps the linear kernels on a lenet5-scale layer (fc1,
-// [120 x 400] by default): dense-activation Csr::spmm_t vs per-row
-// nonzero scan + Csr::spmv_gather on Wᵀ — the exact code path
-// runtime::LinearOp runs in each mode. Every cell is verified bitwise
+// [120 x 400] by default): dense-activation Csr::spmm_t vs a
+// SpikeBatch::scan of the input + per-row Csr::spmv_gather on Wᵀ — the
+// exact code path runtime::LinearOp runs in each mode. Every cell is verified bitwise
 // before timing. Section 2 compiles a masked LeNet-5 end to end under
 // the three activation modes. The crossover reported by section 1
 // calibrates the compiler's fixed event bar (kEventMaxRate = 0.25 in
@@ -26,6 +26,7 @@
 
 #include "nn/models/zoo.hpp"
 #include "runtime/compiled_network.hpp"
+#include "runtime/plan.hpp"
 #include "runtime/trace.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/mask.hpp"
@@ -62,23 +63,19 @@ Tensor spike_input(int64_t rows, int64_t in, double rate, Rng& rng) {
 }
 
 /// The event path of runtime::LinearOp without a SpikeBatch view: scan
-/// each row for nonzeros, gather through Wᵀ into double accumulators.
+/// the input into one (SpikeBatch::scan), then per row gather through
+/// Wᵀ into double accumulators.
 Tensor event_spmm_t(const Csr& csr_t, const Tensor& x) {
   const int64_t m = x.dim(0), in = x.dim(1), out = csr_t.cols();
   Tensor y(Shape{m, out});
-  std::vector<int32_t> active;
-  active.reserve(static_cast<std::size_t>(in));
+  const ndsnn::runtime::SpikeBatch events = ndsnn::runtime::SpikeBatch::scan(x);
   std::vector<double> acc(static_cast<std::size_t>(out));
   const float* xp = x.data();
   float* yp = y.data();
   for (int64_t i = 0; i < m; ++i) {
-    const float* xrow = xp + i * in;
-    active.clear();
-    for (int64_t j = 0; j < in; ++j) {
-      if (xrow[j] != 0.0F) active.push_back(static_cast<int32_t>(j));
-    }
     std::fill(acc.begin(), acc.end(), 0.0);
-    csr_t.spmv_gather(xrow, active.data(), static_cast<int64_t>(active.size()), acc.data());
+    csr_t.spmv_gather(xp + i * in, events.active_begin(i), events.active_count(i),
+                      acc.data());
     float* yrow = yp + i * out;
     for (int64_t r = 0; r < out; ++r) yrow[r] = static_cast<float>(acc[static_cast<std::size_t>(r)]);
   }
@@ -104,6 +101,7 @@ int main(int argc, char** argv) {
   const int batch_size = cli.get_int("--batch", 8);
   const int timesteps = cli.get_int("--timesteps", 2);
   const std::string json_path = cli.get_string("--json", "");
+  cli.reject_unknown();
 
   std::printf(
       "event-driven vs dense-activation kernels: W [%lld x %lld], input [%lld rows]\n\n",

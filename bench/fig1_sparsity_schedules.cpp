@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
   const int64_t epochs = cli.get_int("--epochs", 300);
   const double target = cli.get_double("--target", 0.95);
   const double theta_i = cli.get_double("--initial", 0.8);
+  cli.reject_unknown();
 
   std::printf("=== Fig. 1: sparsity schedules (target sparsity %.2f) ===\n", target);
   std::printf("paper: train-prune-retrain is dense for ~150 epochs; LTH rises\n");

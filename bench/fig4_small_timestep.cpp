@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   const std::string arch = cli.get_string("--arch", "lenet5");
   const int64_t epochs = cli.get_int("--epochs", 12);
   const int64_t samples = cli.get_int("--samples", full ? 768 : 384);
+  cli.reject_unknown();
 
   const std::vector<double> sparsities = {0.90, 0.95, 0.98, 0.99};
 

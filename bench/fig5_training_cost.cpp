@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const int64_t epochs = cli.get_int("--epochs", 12);
   const int64_t samples = cli.get_int("--samples", full ? 768 : 384);
   const double sparsity = cli.get_double("--sparsity", 0.95);
+  cli.reject_unknown();
 
   std::printf("=== Fig. 5: normalized training cost (sparsity %.2f) ===\n", sparsity);
   std::printf("paper: NDSNN = 10.5%% of dense (VGG-16/CIFAR-10); NDSNN/LTH = 31.35%%\n");

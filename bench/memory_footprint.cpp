@@ -5,9 +5,11 @@
 
 #include "nn/models/zoo.hpp"
 #include "sparse/memory_model.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  ndsnn::util::Cli(argc, argv).reject_unknown();  // takes no flags
   std::printf("=== Sec. III-D: memory footprint (1-theta)((1+t)N*b_w + N*b_idx) ===\n\n");
 
   // Full-width architectures at the paper's resolutions.

@@ -103,6 +103,7 @@ int main(int argc, char** argv) {
   const double slo_override = cli.get_double("--slo-ms", 0.0);
   const auto seed = static_cast<uint64_t>(cli.get_int("--seed", 42));
   const std::string json_path = cli.get_string("--json", "");
+  cli.reject_unknown();
 
   const CompiledNetwork plan = make_plan(seed);
   Rng rng(seed + 17);

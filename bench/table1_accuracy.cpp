@@ -58,11 +58,13 @@ int main(int argc, char** argv) {
   const auto datasets = split_csv(cli.get_string("--datasets", "cifar10"));
   const int64_t epochs = cli.get_int("--epochs", 12);
   const int64_t samples = cli.get_int("--samples", full ? 768 : 384);
+  // --extended adds the GMP and SNIP baselines (beyond the paper's set).
+  const bool extended = cli.has_flag("--extended");
+  cli.reject_unknown();
 
   const std::vector<double> sparsities = {0.90, 0.95, 0.98, 0.99};
   std::vector<std::string> methods = {"lth", "set", "rigl", "ndsnn"};
-  // --extended adds the GMP and SNIP baselines (beyond the paper's set).
-  if (cli.has_flag("--extended")) {
+  if (extended) {
     methods.insert(methods.begin(), {"gmp", "snip"});
   }
 

@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   const bool full = cli.has_flag("--full");
   const int64_t epochs = cli.get_int("--epochs", 10);
   const int64_t samples = cli.get_int("--samples", full ? 512 : 256);
+  cli.reject_unknown();
 
   const std::vector<double> sparsities = {0.40, 0.50, 0.60, 0.75};
 

@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   const std::string arch = cli.get_string("--arch", "lenet5");
   const int64_t epochs = cli.get_int("--epochs", 12);
   const int64_t samples = cli.get_int("--samples", full ? 768 : 384);
+  cli.reject_unknown();
 
   const std::vector<double> targets = {0.95, 0.98};
   const std::vector<double> initials = {0.9, 0.8, 0.7, 0.6, 0.5};

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   cfg.method = "ndsnn";
   cfg.sparsity = cli.get_double("--sparsity", 0.95);
   cfg.epochs = cli.get_int("--epochs", 8);
+  cli.reject_unknown();
   cfg.train_samples = 320;
   cfg.test_samples = 128;
   cfg.model_scale = 1.0;

@@ -62,6 +62,7 @@ int main(int argc, char** argv) {
   const ndsnn::util::Cli cli(argc, argv);
   const double sparsity = cli.get_double("--sparsity", 0.9);
   const int64_t epochs = cli.get_int("--epochs", 8);
+  cli.reject_unknown();
 
   // Shared dataset: the synthetic CIFAR-10 stand-in at 8x8.
   ndsnn::data::SyntheticSpec train_spec = ndsnn::data::synthetic_cifar10(0.5, 320);

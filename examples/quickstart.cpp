@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   cfg.method = "ndsnn";
   cfg.sparsity = cli.get_double("--sparsity", 0.9);
   cfg.epochs = cli.get_int("--epochs", 8);
+  cli.reject_unknown();
   cfg.train_samples = 320;
   cfg.test_samples = 128;
   cfg.batch_size = 32;

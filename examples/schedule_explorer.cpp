@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   const double theta_f = cli.get_double("--final", 0.95);
   const int64_t rounds = cli.get_int("--rounds", 20);
   const std::string arch = cli.get_string("--arch", "resnet19");
+  cli.reject_unknown();
 
   // 1. The two schedules over training (Eq. 4 and Eq. 5).
   std::printf("NDSNN schedules: theta %.2f -> %.2f over %lld rounds\n\n", theta_i, theta_f,

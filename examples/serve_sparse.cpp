@@ -281,12 +281,21 @@ int main(int argc, char** argv) {
   tel.metrics_every = cli.get_int("--metrics-every", 0);
   tel.profile = cli.has_flag("--profile");
 
+  const int listen_port = cli.get_int("--listen", -1);
+  std::string spec_list = cli.get_string("--models", "");
+  const int mem_budget_mb = cli.get_int("--mem-budget-mb", 0);
+  const int conn_timeout_ms = cli.get_int("--conn-timeout-ms", 0);
+  const auto drain_ms = std::chrono::milliseconds(cli.get_int("--drain-ms", 5000));
+  const std::string metrics_dump = cli.get_string("--metrics-dump", "");
+  const int serve_seconds = cli.get_int("--serve-seconds", 0);
+  const double sparsity = cli.get_double("--sparsity", 0.95);
+  const int epochs = cli.get_int("--epochs", 8);
+  cli.reject_unknown();
+
   // Socket front-end: --listen replaces the demo loop with the real
   // TCP server over a ModelRegistry (see the header comment).
-  const int listen_port = cli.get_int("--listen", -1);
   if (listen_port >= 0) {
     std::vector<std::pair<std::string, std::string>> models;
-    std::string spec_list = cli.get_string("--models", "");
     while (!spec_list.empty()) {
       const std::size_t comma = spec_list.find(',');
       const std::string pair = spec_list.substr(0, comma);
@@ -308,8 +317,7 @@ int main(int argc, char** argv) {
     }
 
     ndsnn::serve::RegistryOptions ropts;
-    ropts.mem_budget_bytes =
-        static_cast<int64_t>(cli.get_int("--mem-budget-mb", 0)) * (1 << 20);
+    ropts.mem_budget_bytes = static_cast<int64_t>(mem_budget_mb) * (1 << 20);
     ropts.executor_threads = threads;
     ropts.executor = exec_opts;
     ndsnn::serve::ModelRegistry registry(ropts);
@@ -325,10 +333,7 @@ int main(int argc, char** argv) {
     ndsnn::serve::ServerOptions sopts;
     sopts.port = static_cast<uint16_t>(listen_port);
     sopts.default_model = models.front().first;
-    sopts.conn_timeout_ms = cli.get_int("--conn-timeout-ms", 0);
-    const auto drain_ms =
-        std::chrono::milliseconds(cli.get_int("--drain-ms", 5000));
-    const std::string metrics_dump = cli.get_string("--metrics-dump", "");
+    sopts.conn_timeout_ms = conn_timeout_ms;
     ndsnn::serve::Server server(registry, sopts);
     server.start();
     std::printf("listening on 127.0.0.1:%u — %zu model(s), default '%s', "
@@ -347,7 +352,6 @@ int main(int argc, char** argv) {
     // and the exit code reports whether everything settled.
     std::signal(SIGTERM, on_shutdown_signal);
     std::signal(SIGINT, on_shutdown_signal);
-    const int serve_seconds = cli.get_int("--serve-seconds", 0);
     const auto serve_until = std::chrono::steady_clock::now() +
                              std::chrono::seconds(serve_seconds);
     // shared_ptr, not a stack flag: the watcher is detached at exit
@@ -433,8 +437,8 @@ int main(int argc, char** argv) {
   cfg.arch = "lenet5";
   cfg.dataset = "cifar10";
   cfg.method = "ndsnn";
-  cfg.sparsity = cli.get_double("--sparsity", 0.95);
-  cfg.epochs = cli.get_int("--epochs", 8);
+  cfg.sparsity = sparsity;
+  cfg.epochs = epochs;
   cfg.train_samples = 320;
   cfg.test_samples = 128;
   cfg.data_scale = 0.5;

@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   const ndsnn::util::Cli cli(argc, argv);
   const int64_t epochs = cli.get_int("--epochs", 8);
   const double sparsity = cli.get_double("--sparsity", 0.8);
+  cli.reject_unknown();
 
   // Event data: [2*T_ev, S, S] channels carry the whole stream; the SNN
   // then runs its own T timesteps over it (direct encoding of the event

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sparse/csr.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
 
@@ -70,63 +71,36 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& input, bool /*training*/) {
   return out;
 }
 
-void Conv2d::Taps::build(const float* w, int64_t filters, int64_t rows) {
-  start.assign(static_cast<std::size_t>(rows + 1), 0);
-  for (int64_t f = 0; f < filters; ++f) {
-    for (int64_t r = 0; r < rows; ++r) {
-      start[static_cast<std::size_t>(r + 1)] += w[f * rows + r] != 0.0F ? 1 : 0;
-    }
-  }
-  for (int64_t r = 0; r < rows; ++r) {
-    start[static_cast<std::size_t>(r + 1)] += start[static_cast<std::size_t>(r)];
-  }
-  const auto nnz = static_cast<std::size_t>(start[static_cast<std::size_t>(rows)]);
-  filter.resize(nnz);
-  value.resize(nnz);
-  // Filters ascend in the outer loop, so each row's entries land in
-  // ascending filter order; `start` serves as the fill cursor and is
-  // shifted back afterwards.
-  for (int64_t f = 0; f < filters; ++f) {
-    for (int64_t r = 0; r < rows; ++r) {
-      const float v = w[f * rows + r];
-      if (v == 0.0F) continue;
-      const auto t = static_cast<std::size_t>(start[static_cast<std::size_t>(r)]++);
-      filter[t] = static_cast<int32_t>(f);
-      value[t] = v;
-    }
-  }
-  for (int64_t r = rows; r > 0; --r) {
-    start[static_cast<std::size_t>(r)] = start[static_cast<std::size_t>(r - 1)];
-  }
-  start[0] = 0;
-}
-
 tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
   accumulate_param_grads(grad_output);
   // dx one patch row at a time: row r of the whole-matrix Wᵀ * gy is, for
   // every sample n, gcols[r, n, :] = sum over ascending f of W[f, r] *
   // gy[n, f, :], the GEMM's float chain (it skips zero weights too), then
-  // scattered into dx. Rows ascend, so every dx pixel gets its adds in
-  // col2im(Wᵀ * gy)'s order. A row with no nonzero weight adds only
-  // zeros, so it is skipped. The result is bitwise that product's.
+  // scattered into dx. Row r of the CSR Wᵀ lists exactly those nonzero
+  // W[f, r], filters ascending. Rows ascend, so every dx pixel gets its
+  // adds in col2im(Wᵀ * gy)'s order. A row with no nonzero weight adds
+  // only zeros, so it is skipped. The result is bitwise that product's.
   const auto& g = saved_geom_;
   const int64_t ckk = in_channels_ * kernel_ * kernel_;
   const int64_t plane = g.out_h() * g.out_w();
   const int64_t fplane = out_channels_ * plane;
-  taps_.build(weight_.data(), out_channels_, ckk);
+  const sparse::Csr wt = sparse::Csr::from_weights(weight_).transposed();
+  const std::vector<int64_t>& start = wt.row_ptr();
+  const std::vector<int32_t>& filter = wt.col_idx();
+  const std::vector<float>& value = wt.values();
   dx_row_.resize(static_cast<std::size_t>(g.batch * plane));
   tensor::Tensor dx(tensor::Shape{g.batch, in_channels_, g.in_h, g.in_w});
   for (int64_t r = 0; r < ckk; ++r) {
-    const int64_t t0 = taps_.start[static_cast<std::size_t>(r)];
-    const int64_t t1 = taps_.start[static_cast<std::size_t>(r + 1)];
+    const int64_t t0 = start[static_cast<std::size_t>(r)];
+    const int64_t t1 = start[static_cast<std::size_t>(r + 1)];
     if (t0 == t1) continue;
     for (int64_t n = 0; n < g.batch; ++n) {
       float* row = dx_row_.data() + n * plane;
       const float* gy = grad_output.data() + n * fplane;
       std::fill(row, row + plane, 0.0F);
       for (int64_t t = t0; t < t1; ++t) {
-        const float w = taps_.value[static_cast<std::size_t>(t)];
-        const float* src = gy + taps_.filter[static_cast<std::size_t>(t)] * plane;
+        const float w = value[static_cast<std::size_t>(t)];
+        const float* src = gy + filter[static_cast<std::size_t>(t)] * plane;
         for (int64_t p = 0; p < plane; ++p) row[p] += w * src[p];
       }
     }

@@ -16,7 +16,8 @@ namespace ndsnn::nn {
 /// steps (reset_state() keeps it) and is rewritten in place while the
 /// conv geometry stays the same, so a training step at a steady batch
 /// shape allocates no patch matrix. The input gradient is built one
-/// patch row at a time from the weight's nonzeros; there is no
+/// patch row at a time from the weight's nonzeros (a sparse::Csr of
+/// Wᵀ, the layout the runtime's event conv reads); there is no
 /// [C*K*K, M*OH*OW] input-gradient matrix.
 ///
 /// Under a GradMask (see layer.hpp) the weight gradient is computed only
@@ -65,17 +66,6 @@ class Conv2d final : public Layer {
   [[nodiscard]] const tensor::Tensor& bias() const { return bias_; }
 
  private:
-  /// The nonzero entries of the weight as a row-major [F, C*K*K] matrix,
-  /// listed by patch row (column of the matrix), each row's entries in
-  /// ascending filter order. build() reuses the vectors' capacity.
-  struct Taps {
-    std::vector<int64_t> start;  ///< [C*K*K + 1]: row r is [start[r], start[r + 1])
-    std::vector<int32_t> filter;
-    std::vector<float> value;
-
-    void build(const float* w, int64_t filters, int64_t rows);
-  };
-
   /// Accumulates dW (and db) of the saved forward.
   void accumulate_param_grads(const tensor::Tensor& grad_output);
 
@@ -91,9 +81,8 @@ class Conv2d final : public Layer {
   tensor::ConvGeometry saved_geom_{};
   bool has_saved_ = false;  // a forward is saved for backward
   GradMask grad_mask_;
-  // Input-gradient workspaces: the weight's nonzeros by patch row and
-  // one patch row of the input gradient matrix, [M, OH*OW].
-  Taps taps_;
+  // Input-gradient workspace: one patch row of the input gradient
+  // matrix, [M, OH*OW].
   std::vector<float> dx_row_;
 };
 

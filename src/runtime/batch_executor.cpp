@@ -589,6 +589,10 @@ void BatchExecutor::run_group(std::vector<Request>& group, std::size_t worker) {
   const bool fused = group.size() > 1;
   bool recorded = false;
   try {
+    // The service clock covers an injected stall, as drain_stream's
+    // does: a slow pass shows in latency_ms, the service percentiles,
+    // utilization and the admission EMA.
+    const util::Stopwatch sw;
     if (util::fault::should_fail("executor.stall")) {
       // A slow pass: long enough for tests to observe queueing behind
       // it, short enough to never threaten a deadline.
@@ -597,7 +601,6 @@ void BatchExecutor::run_group(std::vector<Request>& group, std::size_t worker) {
     if (util::fault::should_fail("executor.run")) {
       throw std::runtime_error("injected fault: executor.run");
     }
-    const util::Stopwatch sw;
     Tensor logits;
     {
       trace::ScopedSpan span("execute", "serve");

@@ -27,6 +27,7 @@
 #include "runtime/ops/neuron_ops.hpp"
 #include "runtime/ops/shape_ops.hpp"
 #include "snn/spike_stats.hpp"
+#include "sparse/csr.hpp"
 #include "tensor/ops.hpp"
 #include "util/thread_pool.hpp"
 
@@ -151,23 +152,19 @@ Kernel pick_kernel(const Tensor& weight, const CompileOptions& opts) {
   return sparsity < kMinSparsity ? Kernel::kDense : Kernel::kCsr;
 }
 
-/// The value-plane precision heuristic. Quantised planes live on the
-/// sparse formats, so dense-kernel layers always execute fp32. Under
-/// kAuto a v3 checkpoint's recorded precision wins; otherwise the layer
-/// takes the lowest bit width whose measured per-row reconstruction
-/// error stays under kQuantMaxError — a calibration on the actual
-/// weight values, not a fixed bitwidth-based rule, so outlier-heavy
-/// layers stay fp32. The
+/// The value-plane precision heuristic. Quantised planes live on CSR,
+/// so layers picked for the dense kernel always execute fp32, on the
+/// event path too. Under kAuto a v3 checkpoint's recorded precision
+/// wins; otherwise the layer takes the lowest bit width whose measured
+/// per-row reconstruction error stays under kQuantMaxError — a
+/// calibration on the actual weight values, not a fixed bitwidth-based
+/// rule, so outlier-heavy layers stay fp32. The error is measured on
+/// the orientation the op stores (Wᵀ on the event path, whose rows are
+/// input features), so the bound gates the real plane. The
 /// weight-layer counter advances for *every* weight layer (dense ones
 /// included) to keep the record indexing aligned with the prunable
-/// parameter order. The measurement matches the scheme the op will
-/// actually emit: event-path linear layers quantise Wᵀ with a *uniform*
-/// plane-wide scale (the binary-spike int32 gather's precondition), so
-/// `uniform_error` measures that scheme instead of the per-row one —
-/// both share the 1/(2*qmax) worst case on the global-relative metric,
-/// but the measured values differ and the bound must gate the real
-/// plane.
-sparse::Precision pick_precision(const Tensor& weight, Kernel kernel, bool uniform_error,
+/// parameter order.
+sparse::Precision pick_precision(const Tensor& weight, Kernel kernel, bool event,
                                  Lowering& lw) {
   const CompileOptions& opts = lw.opts;
   const std::size_t index = lw.weight_index++;
@@ -179,8 +176,11 @@ sparse::Precision pick_precision(const Tensor& weight, Kernel kernel, bool unifo
     case WeightPrecision::kAuto: break;
   }
   if (index < lw.recorded.size()) return lw.recorded[index];
+  const Tensor transposed =
+      event ? sparse::Csr::from_weights(weight).transposed().to_dense() : Tensor();
+  const Tensor& stored = event ? transposed : weight;
   for (const sparse::Precision p : {sparse::Precision::kInt4, sparse::Precision::kInt8}) {
-    if (sparse::relative_quant_error(weight, p, uniform_error) <= kQuantMaxError) return p;
+    if (sparse::relative_quant_error(stored, p) <= kQuantMaxError) return p;
   }
   return sparse::Precision::kFp32;
 }
@@ -208,10 +208,8 @@ std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
     lw.consume_view(event);
     lw.now_dense();
     if (lw.dry) return nullptr;
-    // Event-path LinearOp builds a uniform-scale plane; measure that.
     const Kernel kernel = pick_kernel(linear->weight(), lw.opts);
-    const sparse::Precision precision =
-        pick_precision(linear->weight(), kernel, /*uniform_error=*/event, lw);
+    const sparse::Precision precision = pick_precision(linear->weight(), kernel, event, lw);
     return std::make_unique<LinearOp>(*linear, kernel, precision, event, lw.opts);
   }
   if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&layer)) {
@@ -219,10 +217,8 @@ std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
     lw.consume_view(event);
     lw.now_dense();
     if (lw.dry) return nullptr;
-    // Conv structures keep per-row scales on every path.
     const Kernel kernel = pick_kernel(conv->weight(), lw.opts);
-    const sparse::Precision precision =
-        pick_precision(conv->weight(), kernel, /*uniform_error=*/false, lw);
+    const sparse::Precision precision = pick_precision(conv->weight(), kernel, event, lw);
     return std::make_unique<ConvOp>(*conv, kernel, precision, event, lw.opts);
   }
   if (const auto* bn = dynamic_cast<const nn::BatchNorm2d*>(&layer)) {

@@ -14,13 +14,15 @@
 //   2. Pick an *activation path* per weight layer: the classic
 //      dense-activation kernels (sparse::Csr::conv2d, a direct sparse
 //      convolution over input spans, and Csr::spmm_t for linear), or the
-//      event-driven gather path that iterates only the active (nonzero)
-//      entries of the input spike train (sparse::Csr::spmv_gather, plus
-//      an on-the-fly event-driven im2col for conv). The choice keys on
-//      whether the input is spike-valued and on a firing-rate estimate
-//      taken from the layers' recorded rates (aggregated with
-//      snn::SpikeStats); CompileOptions::activation_mode forces one path
-//      everywhere.
+//      event-driven path that iterates only the active (nonzero) entries
+//      of the input spike train (sparse::Csr::spmv_gather for linear, an
+//      on-the-fly event-driven im2col into Csr::scatter_row for conv).
+//      An event-driven layer always holds Wᵀ as CSR, whatever kernel
+//      stage 1 picked; a layer below the sparsity bar keeps an fp32
+//      plane there. The choice keys on whether the input is
+//      spike-valued and on a firing-rate estimate taken from the
+//      layers' recorded rates (aggregated with snn::SpikeStats);
+//      CompileOptions::activation_mode forces one path everywhere.
 //   3. Emit the Plan IR (src/runtime/plan.hpp): per-op kernels under
 //      src/runtime/ops/. When some weight op runs event-driven, every
 //      neuron op scans its spike train into a SpikeBatch active-index
@@ -30,8 +32,9 @@
 // identical logits to the interpreted SpikingNetwork::predict: linear
 // kernels accumulate per output in doubles over ascending input index,
 // conv kernels in floats over ascending patch-column index, and skipped
-// zero-activation terms are exact no-ops (tests/runtime/testing.hpp
-// pins this across the full differential matrix).
+// zero terms (silent inputs, pruned weights) are exact no-ops because
+// every accumulator starts at +0 (tests/runtime/testing.hpp pins this
+// across the full differential matrix).
 //
 // The resulting plan is immutable and shares no mutable state across
 // infer() calls, so one CompiledNetwork can serve many threads concurrently
@@ -56,10 +59,12 @@
 
 namespace ndsnn::runtime {
 
-/// Which GEMM kernel a weight layer executes with.
+/// Which GEMM kernel a weight layer executes with on the
+/// dense-activation path. Event-driven layers always hold CSR Wᵀ; one
+/// the backend puts on the dense kernel keeps an fp32 plane there.
 enum class Backend {
   kAuto,   ///< per-layer cost heuristic (weight sparsity)
-  kDense,  ///< force dense GEMM everywhere (baseline plans)
+  kDense,  ///< force dense GEMM on every layer (baseline plans)
   kCsr,    ///< force element-wise CSR on every weight layer
 };
 
@@ -72,9 +77,10 @@ enum class ActivationMode {
 };
 
 /// Stored bit width of the sparse weight value planes (Sec. III-D).
-/// Dense-kernel layers always execute fp32 — the quantised planes live
-/// on sparse::Csr — so a forced kInt8/kInt4 applies to every *sparse*
-/// weight layer and leaves dense fallbacks untouched.
+/// Layers picked for the dense kernel always execute fp32 — the
+/// quantised planes live on sparse::Csr — so a forced kInt8/kInt4
+/// applies to every layer at or above the sparsity bar and leaves the
+/// rest fp32, on the event path too.
 enum class WeightPrecision {
   kAuto,   ///< per layer: the lowest bit width whose measured weight
            ///< reconstruction error stays <= 0.02; a v3 checkpoint's

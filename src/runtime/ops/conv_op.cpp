@@ -1,8 +1,6 @@
 #include "runtime/ops/conv_op.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 #include "runtime/trace.hpp"
 #include "tensor/im2col.hpp"
@@ -17,9 +15,7 @@ using tensor::Tensor;
 ConvOp::ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision,
                bool event, const CompileOptions& opts)
     : layer_name_(src.name()),
-      gemm_(kernel),
       tier_(util::simd::active()),
-      precision_(kernel == Kernel::kDense ? sparse::Precision::kFp32 : precision),
       event_(event),
       has_bias_(src.has_bias()),
       in_channels_(src.in_channels()),
@@ -28,49 +24,17 @@ ConvOp::ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision
       stride_(src.stride()),
       padding_(src.padding()),
       weights_(src.weight().numel()),
-      source_sparsity_(src.masked_view()->sparsity()) {
-  switch (gemm_) {
-    case Kernel::kCsr:
-      if (event_) {
-        csr_t_ = sparse::Csr::from_weights(src.weight()).transposed();
-        (void)csr_t_.quantize(precision_);
-        if (opts.fake_quant) csr_t_.dequantize();
-        stored_ = csr_t_.nnz();
-        bytes_ = csr_t_.memory_bytes();
-      } else {
-        csr_ = sparse::Csr::from_weights(src.weight());
-        (void)csr_.quantize(precision_);
-        if (opts.fake_quant) csr_.dequantize();
-        stored_ = csr_.nnz();
-        bytes_ = csr_.memory_bytes();
-      }
-      break;
-    case Kernel::kDense: {
-      const int64_t ckk = in_channels_ * kernel_ * kernel_;
-      if (event_) {
-        dense_t_ = Tensor(Shape{ckk, out_channels_});
-        const float* w = src.weight().data();
-        float* wt = dense_t_.data();
-        for (int64_t f = 0; f < out_channels_; ++f) {
-          for (int64_t c = 0; c < ckk; ++c) wt[c * out_channels_ + f] = w[f * ckk + c];
-        }
-      } else {
-        dense_ = src.weight().reshaped(Shape{out_channels_, ckk});
-      }
-      stored_ = weights_;
-      bytes_ = weights_ * 4;
-      break;
-    }
-  }
+      source_sparsity_(src.masked_view()->sparsity()),
+      store_(src.weight(), kernel, precision, event, opts.fake_quant) {
   if (has_bias_) bias_ = src.bias();
 }
 
 Tensor ConvOp::run_dense(const Tensor& input) const {
-  if (gemm_ == Kernel::kCsr) {
+  if (store_.kernel == Kernel::kCsr) {
     trace::ScopedSpan span("conv-direct", "phase");
     span.rows(input.dim(0));
-    span.bytes(bytes_);
-    return csr_.conv2d(input, kernel_, stride_, padding_);
+    span.bytes(store_.bytes);
+    return store_.csr.conv2d(input, kernel_, stride_, padding_);
   }
   tensor::ConvGeometry g;
   g.batch = input.dim(0);
@@ -93,12 +57,12 @@ Tensor ConvOp::run_dense(const Tensor& input) const {
   const int64_t m = g.batch, oh = g.out_h(), ow = g.out_w();
   trace::ScopedSpan gemm_span("conv-gemm", "phase");
   gemm_span.rows(m);
-  gemm_span.bytes(bytes_);
+  gemm_span.bytes(store_.bytes);
   const int64_t plane = oh * ow;
   // out[mm] [F, OH*OW] = W[F, CKK] * cols[CKK, columns of sample mm].
   Tensor out(Shape{m, out_channels_, oh, ow});
   for (int64_t mm = 0; mm < m; ++mm) {
-    tensor::matmul_acc_block(dense_, cols.data() + mm * plane, g.patch_cols(),
+    tensor::matmul_acc_block(store_.dense, cols.data() + mm * plane, g.patch_cols(),
                              out.data() + mm * out_channels_ * plane, plane, plane, tier_);
   }
   return out;
@@ -127,7 +91,7 @@ Tensor ConvOp::run_event(const Activation& input) const {
   trace::ScopedSpan span("event-scatter", "phase");
   span.rows(m);
   span.rate(events.rate());
-  span.bytes(bytes_);
+  span.bytes(store_.bytes);
 
   const float* inp = in.data();
   float* dst = out.data();
@@ -157,19 +121,7 @@ Tensor ConvOp::run_event(const Activation& input) const {
           const int64_t ox = ox_num / stride_;
           if (ox >= ow) continue;
           const int64_t col = (c * kernel_ + ky) * kernel_ + kx;
-          float* obegin = obase + oy * ow + ox;
-          switch (gemm_) {
-            case Kernel::kCsr:
-              csr_t_.scatter_row(col, v, obegin, plane);
-              break;
-            case Kernel::kDense: {
-              const float* wrow = dense_t_.data() + col * out_channels_;
-              for (int64_t f = 0; f < out_channels_; ++f) {
-                obegin[f * plane] += wrow[f] * v;
-              }
-              break;
-            }
-          }
+          store_.csr.scatter_row(col, v, obase + oy * ow + ox, plane);
         }
       }
     }
@@ -188,8 +140,8 @@ Activation ConvOp::run(const Activation& input) const {
 }
 
 OpReport ConvOp::report() const {
-  OpReport r{layer_name_, std::string(kernel_tag(gemm_)) + "-conv", weights_, stored_,
-             source_sparsity_, event_, precision_, bytes_};
+  OpReport r{layer_name_, std::string(kernel_tag(store_.kernel)) + "-conv", weights_,
+             store_.stored, source_sparsity_, event_, store_.precision, store_.bytes};
   r.tier = tier_;
   return r;
 }

@@ -6,12 +6,14 @@
 // quantised planes alike. Dense runs im2col, then one GEMM per sample
 // straight into that sample's [F, OH, OW] planes
 // (tensor::matmul_acc_block), identical to nn::Conv2d::forward. Event
-// path: for each active (nonzero) input pixel, enumerate the kernel
-// offsets it reaches (the im2col mapping evaluated on the fly) and
-// scatter value * Wᵀ[patch-column] into the output plane
-// (sparse::Csr::scatter_row). Every path accumulates each output
-// element over ascending patch-column index in float mul-then-add
-// steps, and skipped zero terms are exact no-ops: bitwise identical.
+// path, whatever the kernel: for each active (nonzero) input pixel,
+// enumerate the kernel offsets it reaches (the im2col mapping evaluated
+// on the fly) and scatter value * Wᵀ[patch-column], held as CSR, into
+// the output plane (sparse::Csr::scatter_row). Every path accumulates
+// each output element over ascending patch-column index in float
+// mul-then-add steps, and skipped zero terms (silent pixels, pruned
+// weights) are exact no-ops on an accumulator that starts at +0:
+// bitwise identical.
 #pragma once
 
 #include <string>
@@ -19,14 +21,13 @@
 #include "nn/conv2d.hpp"
 #include "runtime/compiled_network.hpp"
 #include "runtime/plan.hpp"
-#include "sparse/csr.hpp"
 
 namespace ndsnn::runtime {
 
 class ConvOp final : public Op {
  public:
-  /// `precision` mirrors LinearOp: quantises the sparse value plane on
-  /// the execution orientation; ignored for the dense kernel.
+  /// `precision` mirrors LinearOp: quantises the CSR value plane on the
+  /// stored orientation; ignored for a layer picked for the dense kernel.
   ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision, bool event,
          const CompileOptions& opts);
 
@@ -38,21 +39,14 @@ class ConvOp final : public Op {
   [[nodiscard]] tensor::Tensor run_event(const Activation& input) const;
 
   std::string layer_name_;
-  Kernel gemm_;
   /// Kernel tier resolved once at construction (see LinearOp::tier_).
   util::simd::Tier tier_;
-  sparse::Precision precision_;
-  int64_t bytes_ = 0;
   bool event_;
   bool has_bias_;
   int64_t in_channels_, out_channels_, kernel_, stride_, padding_;
   int64_t weights_;
-  int64_t stored_;
   double source_sparsity_;
-  sparse::Csr csr_;      // W [F, CKK], dense-activation kCsr (direct conv)
-  tensor::Tensor dense_; // W [F, CKK], dense-activation kDense
-  sparse::Csr csr_t_;    // Wᵀ [CKK, F], event kCsr
-  tensor::Tensor dense_t_;  // Wᵀ [CKK, F], event kDense
+  WeightStore store_;  // W [F, CKK], or Wᵀ [CKK, F] on the event path
   tensor::Tensor bias_;
 };
 

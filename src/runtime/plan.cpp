@@ -22,6 +22,24 @@ const char* kernel_tag(Kernel k) {
   return "?";
 }
 
+WeightStore::WeightStore(const tensor::Tensor& weight, Kernel picked,
+                         sparse::Precision requested, bool event, bool fake_quant)
+    : kernel(event ? Kernel::kCsr : picked),
+      precision(picked == Kernel::kDense ? sparse::Precision::kFp32 : requested) {
+  if (kernel == Kernel::kDense) {
+    dense = weight.reshaped(tensor::Shape{weight.dim(0), weight.numel() / weight.dim(0)});
+    stored = dense.numel();
+    bytes = stored * static_cast<int64_t>(sizeof(float));
+    return;
+  }
+  csr = sparse::Csr::from_weights(weight);
+  if (event) csr = csr.transposed();
+  (void)csr.quantize(precision);
+  if (fake_quant) csr.dequantize();
+  stored = csr.nnz();
+  bytes = csr.memory_bytes();
+}
+
 SpikeBatch SpikeBatch::scan(const tensor::Tensor& t) {
   SpikeBatch b;
   b.rows = t.rank() >= 1 ? t.dim(0) : 1;

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "sparse/csr.hpp"
 #include "sparse/quant.hpp"
 #include "tensor/tensor.hpp"
 #include "util/cpuinfo.hpp"
@@ -36,6 +37,27 @@ enum class Kernel { kDense, kCsr };
 
 [[nodiscard]] const char* kernel_tag(Kernel k);
 
+/// The one weight structure a conv or linear op runs on, lowered once at
+/// compile time from its parameter read as [dim(0), numel/dim(0)] (conv
+/// [F, C, K, K] as [F, C*K*K]). The event path always holds Wᵀ as CSR,
+/// whatever kernel the layer was picked for, so an active input selects
+/// one row; the dense-activation path holds W as CSR (kCsr) or as the
+/// dense [rows, cols] tensor (kDense). A CSR plane is quantised to
+/// `requested` with one symmetric scale per stored row, then under
+/// `fake_quant` dequantised back to fp32 storage. Layers picked for the
+/// dense kernel stay fp32 on either path.
+struct WeightStore {
+  WeightStore(const tensor::Tensor& weight, Kernel picked, sparse::Precision requested,
+              bool event, bool fake_quant);
+
+  Kernel kernel;                ///< kCsr whenever `csr` holds the weights
+  sparse::Precision precision;  ///< of the stored plane
+  sparse::Csr csr;              ///< W, or Wᵀ on the event path
+  tensor::Tensor dense;         ///< W [rows, cols] (dense-activation kDense)
+  int64_t stored = 0;           ///< values held
+  int64_t bytes = 0;            ///< bytes held
+};
+
 /// Sparse view of a time-major activation [M, features]: for each row m
 /// the ascending list of feature indices whose value is nonzero. A
 /// neuron op scans it from its spike train (mostly zeros at typical
@@ -48,10 +70,10 @@ struct SpikeBatch {
   std::vector<int32_t> idx;      ///< active indices, ascending per row
 
   /// Build by scanning a dense [M, ...] tensor (rows = dim(0)), one row
-  /// at a time. Neuron ops emit their views this way, ConvOp::run_event
-  /// scans its whole input this way whenever no usable view arrives, and
-  /// StreamSession scans each input frame for its delta path. LinearOp's
-  /// event path instead scans row by row into a reused scratch buffer.
+  /// at a time. Neuron ops emit their views this way, the event paths of
+  /// ConvOp and LinearOp scan their whole input this way whenever no
+  /// usable view arrives, and StreamSession scans each input frame for
+  /// its delta path.
   [[nodiscard]] static SpikeBatch scan(const tensor::Tensor& t);
 
   /// Fraction of nonzero elements over everything indexed.

@@ -11,12 +11,11 @@
 
 namespace ndsnn::sparse {
 
-float Csr::quantize(Precision precision, bool uniform_scale) {
+float Csr::quantize(Precision precision) {
   if (precision == Precision::kFp32) return 0.0F;
   if (quant_.present()) throw std::logic_error("Csr::quantize: already quantised");
   float err = 0.0F;
-  quant_ = quantize_grouped(values_.data(), row_ptr_.data(), rows_, precision, &err,
-                            uniform_scale);
+  quant_ = quantize_grouped(values_.data(), row_ptr_.data(), rows_, precision, &err);
   values_.clear();
   values_.shrink_to_fit();
   return err;
@@ -119,32 +118,8 @@ Csr Csr::transposed() const {
 }
 
 void Csr::spmv_gather(const float* x, const int32_t* active, int64_t n_active,
-                      double* acc, int32_t* iacc) const {
+                      double* acc) const {
   if (quant_.present()) {
-    // Binary-spike fast path: with one plane-wide scale (uniform), {0,1}
-    // activations make every contribution a raw code, so the whole
-    // gather is int32 adds plus one scale multiply per output. Gate on
-    // the actual activation values — a forced event mode can route
-    // analog inputs here.
-    if (quant_.uniform && iacc != nullptr && n_active > 0) {
-      bool binary = true;
-      for (int64_t a = 0; a < n_active; ++a) binary &= x[active[a]] == 1.0F;
-      if (binary) {
-        std::fill(iacc, iacc + cols_, 0);
-        for (int64_t a = 0; a < n_active; ++a) {
-          const auto j = static_cast<std::size_t>(active[a]);
-          for (int64_t k = row_ptr_[j]; k < row_ptr_[j + 1]; ++k) {
-            iacc[col_idx_[static_cast<std::size_t>(k)]] +=
-                static_cast<int32_t>(quant_.code(k));
-          }
-        }
-        const double s = static_cast<double>(quant_.scale[0]);
-        for (int64_t c = 0; c < cols_; ++c) {
-          if (iacc[c] != 0) acc[c] += s * static_cast<double>(iacc[c]);
-        }
-        return;
-      }
-    }
     // `this` is Wᵀ, so a group (row) is one input feature: fold its
     // scale into the activation once per active input, then each term
     // is a small-int multiply-add.

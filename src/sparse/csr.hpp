@@ -50,17 +50,12 @@ class Csr {
   /// products/adds. Per output element the contributions accumulate in
   /// ascending j order — the same sequence Csr::spmm_t runs on W
   /// restricted to the nonzero x[j], and skipped zero terms are exact
-  /// no-ops on the accumulator — so float(acc) is bitwise identical to
-  /// the dense-activation result. `acc` must hold cols() zeros on entry.
-  ///
-  /// `iacc` (cols() int32 slots, any contents — the kernel zeroes them)
-  /// enables the binary-spike fast path on uniform-scale quantised
-  /// planes: when every active x[j] == 1.0 the raw codes are summed in
-  /// int32 and the shared scale applied once per output, removing the
-  /// per-active-input dequantise multiply. Null, non-binary input, or a
-  /// per-row-scaled plane all fall back to the general path.
+  /// no-ops — so float(acc) is bitwise identical to the
+  /// dense-activation result. `acc` must hold cols() zeros on entry. A
+  /// quantised plane folds row j's scale into x[j] once per active
+  /// input.
   void spmv_gather(const float* x, const int32_t* active, int64_t n_active,
-                   double* acc, int32_t* iacc = nullptr) const;
+                   double* acc) const;
 
   /// Scatter one row scaled by x: out[col * out_stride] += value * x for
   /// every nonzero of `row`. Float adds, ascending column order. The
@@ -125,11 +120,7 @@ class Csr {
   /// std::logic_error when already quantised; no-op returning 0 for
   /// kFp32. transposed() must be called *before* quantize (the runtime
   /// quantises the final execution-orientation structure).
-  /// `uniform_scale` shares one plane-wide scale across all rows (see
-  /// sparse::quantize_grouped) — what the runtime requests for
-  /// event-path gather structures so binary spike batches can take the
-  /// int32 fast path in spmv_gather.
-  float quantize(Precision precision, bool uniform_scale = false);
+  float quantize(Precision precision);
 
   /// Inverse companion of quantize(): materialize the *dequantised*
   /// fp32 values and drop the plane, so the bitwise fp32 kernels above

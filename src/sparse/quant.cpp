@@ -57,7 +57,7 @@ int64_t QuantPlane::memory_bytes() const {
 }
 
 QuantPlane quantize_grouped(const float* values, const int64_t* group_ptr, int64_t groups,
-                            Precision precision, float* max_abs_error, bool uniform_scale) {
+                            Precision precision, float* max_abs_error) {
   if (precision == Precision::kFp32) {
     throw std::invalid_argument("quantize: kFp32 is the absence of a plane");
   }
@@ -65,10 +65,6 @@ QuantPlane quantize_grouped(const float* values, const int64_t* group_ptr, int64
   QuantPlane plane;
   plane.precision = precision;
   plane.value_count = value_count;
-  plane.uniform = uniform_scale;
-  // Uniform mode: one scale over the whole plane, replicated per group
-  // so kernels keep indexing scale[g] without a special case.
-  const float shared = uniform_scale ? group_scale(values, value_count, precision) : 1.0F;
   plane.scale.resize(static_cast<std::size_t>(groups));
   if (precision == Precision::kInt8) {
     plane.q8.resize(static_cast<std::size_t>(value_count));
@@ -80,8 +76,7 @@ QuantPlane quantize_grouped(const float* values, const int64_t* group_ptr, int64
   for (int64_t g = 0; g < groups; ++g) {
     const int64_t lo_k = group_ptr[g];
     const int64_t hi_k = group_ptr[g + 1];
-    const float scale =
-        uniform_scale ? shared : group_scale(values + lo_k, hi_k - lo_k, precision);
+    const float scale = group_scale(values + lo_k, hi_k - lo_k, precision);
     plane.scale[static_cast<std::size_t>(g)] = scale;
     for (int64_t k = lo_k; k < hi_k; ++k) {
       const int q = encode_one(values[k], scale, qmax);
@@ -102,8 +97,7 @@ QuantPlane quantize_grouped(const float* values, const int64_t* group_ptr, int64
   return plane;
 }
 
-float relative_quant_error(const tensor::Tensor& weights, Precision precision,
-                           bool uniform_scale) {
+float relative_quant_error(const tensor::Tensor& weights, Precision precision) {
   if (precision == Precision::kFp32 || weights.numel() == 0) return 0.0F;
   if (weights.rank() < 1) return 0.0F;
   const int64_t rows = weights.dim(0);
@@ -112,13 +106,6 @@ float relative_quant_error(const tensor::Tensor& weights, Precision precision,
   const float* w = weights.data();
   const int qmax = qmax_for(precision);
   float global_max = 0.0F;
-  if (uniform_scale) {
-    for (int64_t i = 0; i < rows * cols; ++i) {
-      const float a = std::fabs(w[i]);
-      if (a > 0.0F) global_max = std::max(global_max, a);
-    }
-    if (global_max == 0.0F) return 0.0F;
-  }
   float worst = 0.0F;
   for (int64_t r = 0; r < rows; ++r) {
     const float* row = w + r * cols;
@@ -129,7 +116,7 @@ float relative_quant_error(const tensor::Tensor& weights, Precision precision,
     }
     if (row_max == 0.0F) continue;
     global_max = std::max(global_max, row_max);
-    const float scale = (uniform_scale ? global_max : row_max) / static_cast<float>(qmax);
+    const float scale = row_max / static_cast<float>(qmax);
     for (int64_t c = 0; c < cols; ++c) {
       if (std::fabs(row[c]) <= 0.0F) continue;
       const int q = encode_one(row[c], scale, qmax);

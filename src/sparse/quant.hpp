@@ -9,8 +9,8 @@
 //
 // There is one scheme: symmetric codes (the zero-point is always 0, so
 // real 0.0 encodes exactly and stored zeros decode back to exact zeros)
-// with one scale per row, or one plane-wide scale replicated per row
-// (`uniform`, the event-path gather planes).
+// with one scale per row of the stored orientation (W for the
+// dense-activation kernels, Wᵀ for the event path).
 //
 // Error contract: with per-group scale s, every reconstructed value is
 // within s/2 of its fp32 source, so any quantised kernel output differs
@@ -49,12 +49,6 @@ struct QuantPlane {
   std::vector<int8_t> q8;
   std::vector<uint8_t> q4;
   std::vector<float> scale;  ///< one per group
-  /// True when every group shares one plane-wide scale
-  /// (still replicated per group so kernels index scale[g] uniformly).
-  /// This is what licenses the binary-spike gather fast path: with a
-  /// j-independent scale, {0,1} activations let spmv_gather sum raw
-  /// codes in int32 and dequantise once per output.
-  bool uniform = false;
 
   [[nodiscard]] bool present() const { return precision != Precision::kFp32; }
 
@@ -79,16 +73,9 @@ struct QuantPlane {
 /// [group_ptr[g], group_ptr[g+1]); the Csr row_ptr layout) with
 /// scale = max|v| / qmax and codes clamped to [-qmax, qmax].
 /// `max_abs_error`, when non-null, receives the largest |dequant - v|.
-/// With `uniform_scale` every group takes one plane-wide scale
-/// (computed over all values, replicated per group, QuantPlane::uniform
-/// set): the per-value error bound becomes scale/2 with
-/// scale = global max|v| / qmax — the same 1/(2*qmax) bound *relative
-/// to the global max* that per-group scaling gives, traded for the
-/// int32 binary-spike gather fast path.
 [[nodiscard]] QuantPlane quantize_grouped(const float* values, const int64_t* group_ptr,
                                           int64_t groups, Precision precision,
-                                          float* max_abs_error = nullptr,
-                                          bool uniform_scale = false);
+                                          float* max_abs_error = nullptr);
 
 /// Largest |dequant(quant(w)) - w| over the nonzero entries of the
 /// lowered [dim(0), numel/dim(0)] weight tensor, quantised with
@@ -96,12 +83,7 @@ struct QuantPlane {
 /// (0 when the tensor has no surviving entry, or for kFp32). This is
 /// the measurement the runtime's precision heuristic bounds: per-row
 /// symmetric int8 lands near 1/254 ~ 0.4%, int4 near 1/14 ~ 7%.
-/// `uniform_scale` measures one plane-wide scale instead (the scheme
-/// the event-path gather structures actually build): same 1/(2*qmax)
-/// worst case, but the *measured* value can sit anywhere under it, so
-/// the heuristic must measure the scheme it will emit.
-[[nodiscard]] float relative_quant_error(const tensor::Tensor& weights, Precision precision,
-                                         bool uniform_scale = false);
+[[nodiscard]] float relative_quant_error(const tensor::Tensor& weights, Precision precision);
 
 /// Quantise-dequantise the tensor in place with one symmetric scale per
 /// lowered row — the exact transformation Csr::quantize applies to the

@@ -3,6 +3,7 @@
 //   ndsnn::util::Cli cli(argc, argv);
 //   const int epochs = cli.get_int("--epochs", 20);
 //   const bool fast = cli.has_flag("--fast");
+//   cli.reject_unknown();  // after the last flag read
 #pragma once
 
 #include <string>
@@ -11,8 +12,9 @@
 
 namespace ndsnn::util {
 
-/// Parses `--key value` pairs and bare `--flag`s. Unknown arguments are
-/// kept and can be inspected via positional().
+/// Parses `--key value` pairs and bare `--flag`s. Every flag name a
+/// query asks for is recorded, so reject_unknown() can name the flags
+/// on the command line that nothing read.
 class Cli {
  public:
   Cli(int argc, const char* const* argv);
@@ -28,9 +30,19 @@ class Cli {
   /// Arguments that are not flags and not flag values.
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Exits with status 2, naming each `--flag` on the command line that
+  /// no query above asked for, so a misspelt or retired flag fails
+  /// instead of being ignored. Call once, after the program's last flag
+  /// read; returns when every flag was asked for.
+  void reject_unknown() const;
+
  private:
+  /// Index of the argument after `--name`, or args_.size() when absent.
+  [[nodiscard]] std::size_t value_index(std::string_view name) const;
+
   std::vector<std::string> args_;
   std::vector<std::string> positional_;
+  mutable std::vector<std::string> asked_;
 };
 
 }  // namespace ndsnn::util

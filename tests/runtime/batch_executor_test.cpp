@@ -145,9 +145,7 @@ TEST(BatchExecutorTest, LatencyPercentilesTrackCompletedRequests) {
 // The percentiles cover a ring of the last kLatencyWindow requests: once
 // that many newer requests complete, an old outlier leaves the window
 // (max_ms included), while the all-time counters keep counting it. The
-// outlier is a large batch, whose service time is measured, rather than
-// an injected executor.stall, which sleeps before the service clock
-// starts and so never reaches max_ms.
+// outlier is a large batch, whose service time is measured.
 TEST(BatchExecutorTest, LatencyWindowDropsRequestsOlderThanTheWindow) {
   const CompiledNetwork compiled = make_compiled(51);
   BatchExecutor exec(compiled, 1);
@@ -167,6 +165,22 @@ TEST(BatchExecutorTest, LatencyWindowDropsRequestsOlderThanTheWindow) {
   EXPECT_EQ(stats.requests, static_cast<int64_t>(BatchExecutor::kLatencyWindow) + 1);
   EXPECT_EQ(stats.samples, static_cast<int64_t>(BatchExecutor::kLatencyWindow) + 1024);
   EXPECT_LT(stats.max_ms, outlier_ms) << "p50_ms=" << stats.p50_ms;
+}
+
+// An injected executor.stall is a slow pass: it runs inside the
+// service clock, so the stalled request's latency and the service
+// statistics both carry its 50 ms.
+TEST(BatchExecutorTest, StallCountsAsServiceTime) {
+  const CompiledNetwork compiled = make_compiled(55);
+  BatchExecutor exec(compiled, 1);
+  Rng rng(56);
+  Tensor one(Shape{1, 1, 16, 16});
+  one.fill_uniform(rng, 0.0F, 1.0F);
+  util::fault::FaultInjector::global().arm("executor.stall", util::fault::Rule{1.0, 1, 0});
+  const InferenceResult result = exec.submit({one, {}}).get();
+  util::fault::FaultInjector::global().reset();
+  EXPECT_GE(result.latency_ms, 50.0);
+  EXPECT_GE(exec.stats().max_ms, 50.0);
 }
 
 TEST(BatchExecutorTest, ShutdownDrainsQueueAndRejectsNewWork) {

@@ -86,8 +86,9 @@ TEST(CompiledNetworkTest, LenetDensePlanMatchesInterpreted) {
   opts.backend = Backend::kDense;
   const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
   expect_bitwise(compiled.infer({batch, {}}).logits, expect, "lenet dense plan");
+  // Only the event path holds CSR (Wᵀ, whatever the backend).
   for (const auto& r : compiled.plan()) {
-    EXPECT_TRUE(r.kind.find("csr") == std::string::npos) << r.layer << " " << r.kind;
+    EXPECT_EQ(r.kind.find("csr") != std::string::npos, r.event) << r.layer << " " << r.kind;
   }
 }
 
@@ -239,13 +240,28 @@ TEST(CompiledNetworkTest, ForcedBackendOverridesHeuristic) {
   warm_up(*net, batch);
   const Tensor expect = net->predict(batch);
 
+  // The backend picks the dense-activation kernel; every event op holds
+  // CSR Wᵀ whatever the backend.
   for (const Backend backend : {Backend::kDense, Backend::kCsr}) {
-    CompileOptions opts;
-    opts.backend = backend;
-    const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
-    const std::string tag = difftest::backend_name(backend);
-    EXPECT_EQ(count_kinds(compiled, tag + "-linear", tag + "-conv"), 5) << tag;
-    expect_bitwise(compiled.infer({batch, {}}).logits, expect, "forced backend " + tag);
+    for (const ActivationMode activation : {ActivationMode::kDense, ActivationMode::kEvent}) {
+      CompileOptions opts;
+      opts.backend = backend;
+      opts.activation_mode = activation;
+      const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
+      const bool event = activation == ActivationMode::kEvent;
+      const std::string tag =
+          std::string(event ? "csr" : difftest::backend_name(backend)) + "-";
+      const std::string what = std::string("forced backend ") +
+                               difftest::backend_name(backend) + ", activation " +
+                               difftest::activation_name(activation);
+      EXPECT_EQ(count_kinds(compiled, tag + "linear", tag + "conv"), 5) << what;
+      for (const auto& r : compiled.plan()) {
+        if (r.weights > 0) {
+          EXPECT_EQ(r.event, event) << what << ": " << r.layer;
+        }
+      }
+      expect_bitwise(compiled.infer({batch, {}}).logits, expect, what);
+    }
   }
 }
 
@@ -265,10 +281,12 @@ TEST(CompiledNetworkTest, ForcedEventActivationMatchesInterpretedOnAllBackends) 
     opts.backend = backend;
     opts.activation_mode = ActivationMode::kEvent;
     const CompiledNetwork compiled = CompiledNetwork::compile(*net, opts);
-    // Every weight op runs the event path, whatever its kernel.
+    // Every weight op runs the event path over CSR Wᵀ, whatever the
+    // backend.
     for (const auto& r : compiled.plan()) {
       if (r.weights > 0) {
         EXPECT_TRUE(r.event) << r.layer << " " << r.kind;
+        EXPECT_EQ(r.kind.rfind("csr-", 0), 0U) << r.layer << " " << r.kind;
       }
     }
     expect_bitwise(compiled.infer({batch, {}}).logits, expect,

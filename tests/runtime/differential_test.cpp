@@ -64,7 +64,7 @@ TEST(DifferentialTest, CompiledMatchesInterpretedBitwiseOnAllBackends) {
             *net, difftest::options_for(backend, activation));
         if (backend == Backend::kAuto && activation == ActivationMode::kAuto) {
           for (const auto& r : compiled.plan()) {
-            ++auto_kinds[r.kind];
+            ++auto_kinds[r.kind + (r.event ? "+event" : "")];
             auto_event_ops += r.event;
           }
         }
@@ -144,13 +144,14 @@ TEST(DifferentialTest, CompiledMatchesInterpretedBitwiseOnAllBackends) {
     }
   }
 
-  // The heuristics must have picked each weight kernel — dense
-  // (0.3-sparsity layers), CSR (unstructured and block masks) —
+  // The heuristics must have picked each dense-activation weight kernel
+  // — dense (0.3-sparsity layers), CSR (unstructured and block masks) —
   // and the event-driven activation path somewhere in the sweep (the
   // silent pinned config guarantees a measured 0 firing rate, which
-  // kAuto maps onto the event path for its sparse spiking-input
-  // layers).
+  // kAuto maps onto the event path for its spiking-input layers). The
+  // event path holds CSR Wᵀ on every layer, so no dense op runs it.
   EXPECT_GT(auto_kinds["dense-linear"] + auto_kinds["dense-conv"], 0);
+  EXPECT_EQ(auto_kinds["dense-linear+event"] + auto_kinds["dense-conv+event"], 0);
   EXPECT_GT(auto_kinds["csr-linear"] + auto_kinds["csr-conv"], 0);
   EXPECT_GT(auto_event_ops, 0);
   // The precision axis must have put real quantised planes on sparse

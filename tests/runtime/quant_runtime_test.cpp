@@ -88,6 +88,36 @@ TEST(QuantRuntimeTest, DenseKernelLayersAlwaysExecuteFp32) {
   }
 }
 
+// The event path holds CSR Wᵀ on every layer, but a layer below the
+// sparsity bar keeps the fp32 plane the dense kernel it was picked for
+// would run: a forced int8 quantises only the layer above the bar.
+TEST(QuantRuntimeTest, EventLayersBelowTheSparsityBarStayFp32) {
+  difftest::NetConfig cfg = pinned_config();
+  cfg.sparsity = 0.3;  // every layer below the 0.5 bar...
+  const auto net = difftest::build_network(cfg);
+  nn::ParamRef last;
+  for (const auto& p : net->params()) {
+    if (p.prunable) last = p;
+  }
+  tensor::Rng rng(271828);
+  const sparse::Mask mask(last.value->shape(), last.value->numel() / 10, rng);
+  mask.apply(*last.value);  // ...but the last, now 0.9 sparse
+
+  CompileOptions opts;
+  opts.activation_mode = ActivationMode::kEvent;
+  opts.weight_precision = WeightPrecision::kInt8;
+  const std::vector<OpReport> reports = weight_reports(CompiledNetwork::compile(*net, opts));
+  ASSERT_EQ(reports.size(), 5U);
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const OpReport& r = reports[i];
+    EXPECT_TRUE(r.event) << r.layer;
+    EXPECT_EQ(r.kind.rfind("csr-", 0), 0U) << r.layer << " " << r.kind;
+    EXPECT_EQ(r.precision,
+              i + 1 == reports.size() ? sparse::Precision::kInt8 : sparse::Precision::kFp32)
+        << r.layer;
+  }
+}
+
 TEST(QuantRuntimeTest, AutoPrecisionFollowsTheMeasuredErrorBound) {
   const auto net = difftest::build_network(pinned_config());
   CompileOptions opts;

@@ -39,5 +39,20 @@ TEST(CliTest, PositionalArgsCollected) {
   EXPECT_EQ(cli.positional()[1], "output.bin");
 }
 
+TEST(CliTest, RejectUnknownPassesWhenEveryFlagWasAskedFor) {
+  const Cli cli = make({"--fast", "--epochs", "5", "input.bin"});
+  (void)cli.has_flag("--fast");
+  (void)cli.get_int("--epochs", 0);
+  (void)cli.get_string("--name", "");  // asked for, absent: fine
+  cli.reject_unknown();                // returns
+}
+
+TEST(CliTest, RejectUnknownExitsNamingEveryFlagNothingAskedFor) {
+  const Cli cli = make({"--epochs", "1", "--kernel-tier", "scalar", "--nm"});
+  (void)cli.get_int("--epochs", 0);
+  EXPECT_EXIT(cli.reject_unknown(), ::testing::ExitedWithCode(2),
+              "unknown flag --kernel-tier\nunknown flag --nm");
+}
+
 }  // namespace
 }  // namespace ndsnn::util
