@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "sparse/csr.hpp"
-#include "tensor/matmul.hpp"
+#include "tensor/conv_gemm.hpp"
 #include "tensor/ops.hpp"
 
 namespace ndsnn::nn {
@@ -34,39 +34,12 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& input, bool /*training*/) {
                                 std::to_string(in_channels_) + ", H, W], got " +
                                 input.shape().str());
   }
-  tensor::ConvGeometry g;
-  g.batch = input.dim(0);
-  g.in_channels = in_channels_;
-  g.in_h = input.dim(2);
-  g.in_w = input.dim(3);
-  g.kernel_h = kernel_;
-  g.kernel_w = kernel_;
-  g.stride = stride_;
-  g.padding = padding_;
+  const auto g = tensor::ConvGeometry::of(input, kernel_, stride_, padding_);
   g.validate();
-
-  // The patch matrix lives across steps: im2col rewrites its in-bounds
-  // entries in place, and the padding entries stay zero from the
-  // allocation. Only a new geometry gets a new zero-filled matrix.
-  if (!(g == saved_geom_)) {
-    saved_cols_ = tensor::Tensor();  // free the old matrix before the new one
-    saved_cols_ = tensor::Tensor(tensor::Shape{g.patch_rows(), g.patch_cols()});
-    saved_geom_ = g;
-  }
-  tensor::im2col_into(input, g, saved_cols_);
+  saved_input_ = input;  // reuses the storage while the shape repeats
   has_saved_ = true;
-
-  // out[m] [F, OH*OW] = W[F, CKK] * cols[CKK, columns of sample m]: one
-  // GEMM per sample, written straight into the [M, F, OH, OW] output.
-  const tensor::Tensor wmat = weight_.reshaped(
-      tensor::Shape{out_channels_, in_channels_ * kernel_ * kernel_});
-  const int64_t m = g.batch, oh = g.out_h(), ow = g.out_w();
-  const int64_t plane = oh * ow;
-  tensor::Tensor out(tensor::Shape{m, out_channels_, oh, ow});
-  for (int64_t mm = 0; mm < m; ++mm) {
-    tensor::matmul_acc_block(wmat, saved_cols_.data() + mm * plane, g.patch_cols(),
-                             out.data() + mm * out_channels_ * plane, plane, plane);
-  }
+  tensor::Tensor out = tensor::conv2d_gemm(
+      input, weight_.reshaped(tensor::Shape{out_channels_, in_channels_ * kernel_ * kernel_}), g);
   if (has_bias_) tensor::add_channel_bias_(out, bias_);
   return out;
 }
@@ -80,7 +53,7 @@ tensor::Tensor Conv2d::backward(const tensor::Tensor& grad_output) {
   // W[f, r], filters ascending. Rows ascend, so every dx pixel gets its
   // adds in col2im(Wᵀ * gy)'s order. A row with no nonzero weight adds
   // only zeros, so it is skipped. The result is bitwise that product's.
-  const auto& g = saved_geom_;
+  const auto g = tensor::ConvGeometry::of(saved_input_, kernel_, stride_, padding_);
   const int64_t ckk = in_channels_ * kernel_ * kernel_;
   const int64_t plane = g.out_h() * g.out_w();
   const int64_t fplane = out_channels_ * plane;
@@ -115,28 +88,12 @@ void Conv2d::accumulate_grads(const tensor::Tensor& grad_output) {
 
 void Conv2d::accumulate_param_grads(const tensor::Tensor& grad_output) {
   if (!has_saved_) throw std::logic_error("Conv2d: backward before forward");
-  const auto& g = saved_geom_;
-  const int64_t m = g.batch, oh = g.out_h(), ow = g.out_w();
+  const auto g = tensor::ConvGeometry::of(saved_input_, kernel_, stride_, padding_);
+  const int64_t m = g.batch, plane = g.out_h() * g.out_w();
   if (grad_output.rank() != 4 || grad_output.dim(0) != m ||
-      grad_output.dim(1) != out_channels_ || grad_output.dim(2) != oh ||
-      grad_output.dim(3) != ow) {
+      grad_output.dim(1) != out_channels_ || grad_output.dim(2) != g.out_h() ||
+      grad_output.dim(3) != g.out_w()) {
     throw std::invalid_argument("Conv2d: bad grad shape " + grad_output.shape().str());
-  }
-  const int64_t plane = oh * ow;
-  const int64_t l = m * plane;
-
-  // gyflat[F, L] is the transpose of grad_output's [m, F] leading dims.
-  tensor::Tensor gyflat(tensor::Shape{out_channels_, l});
-  {
-    const float* src = grad_output.data();
-    float* dst = gyflat.data();
-    for (int64_t mm = 0; mm < m; ++mm) {
-      for (int64_t f = 0; f < out_channels_; ++f) {
-        const float* s = src + (mm * out_channels_ + f) * plane;
-        float* d = dst + f * l + mm * plane;
-        for (int64_t p = 0; p < plane; ++p) d[p] = s[p];
-      }
-    }
   }
 
   // dW[F, CKK] += gy[F, L] * colsᵀ[L, CKK], accumulated in weight_grad_'s
@@ -146,23 +103,20 @@ void Conv2d::accumulate_param_grads(const tensor::Tensor& grad_output) {
   if (keep != nullptr && grad_mask_.size() != weight_.numel()) {
     throw std::logic_error("Conv2d: gradient mask size does not match the weight");
   }
-  {
-    tensor::Tensor wgrad_mat = std::move(weight_grad_).reshaped(
-        tensor::Shape{out_channels_, in_channels_ * kernel_ * kernel_});
-    if (keep != nullptr && masked_grad_pays(grad_mask_.density(), out_channels_)) {
-      tensor::matmul_nt_masked_acc(gyflat, saved_cols_, keep, wgrad_mat);
-    } else {
-      tensor::matmul_nt_acc(gyflat, saved_cols_, wgrad_mat);
-    }
-    weight_grad_ = std::move(wgrad_mat).reshaped(weight_.shape());
-  }
+  if (keep != nullptr && !masked_grad_pays(grad_mask_.density(), out_channels_)) keep = nullptr;
+  tensor::Tensor wgrad_mat = std::move(weight_grad_).reshaped(
+      tensor::Shape{out_channels_, in_channels_ * kernel_ * kernel_});
+  tensor::conv2d_weight_grad(grad_output, saved_input_, g, keep, wgrad_mat);
+  weight_grad_ = std::move(wgrad_mat).reshaped(weight_.shape());
 
   if (has_bias_) {
-    const float* src = gyflat.data();
+    // db[f] sums gy[:, f, :] in ascending (sample, pixel) order.
     for (int64_t f = 0; f < out_channels_; ++f) {
       double acc = 0.0;
-      const float* row = src + f * l;
-      for (int64_t p = 0; p < l; ++p) acc += row[p];
+      for (int64_t mm = 0; mm < m; ++mm) {
+        const float* row = grad_output.data() + (mm * out_channels_ + f) * plane;
+        for (int64_t p = 0; p < plane; ++p) acc += row[p];
+      }
       bias_grad_.at(f) += static_cast<float>(acc);
     }
   }

@@ -1,4 +1,4 @@
-// 2-D convolution layer (im2col + GEMM) with manual backprop.
+// 2-D convolution layer (cache-blocked patch GEMM) with manual backprop.
 #pragma once
 
 #include <algorithm>
@@ -12,13 +12,15 @@ namespace ndsnn::nn {
 /// Conv2d over time-flattened batches: input [M, C, H, W] -> output
 /// [M, F, OH, OW], M = T*N. Weight [F, C, KH, KW] is `prunable`.
 ///
-/// The forward's patch matrix is the layer's workspace: it lives across
-/// steps (reset_state() keeps it) and is rewritten in place while the
-/// conv geometry stays the same, so a training step at a steady batch
-/// shape allocates no patch matrix. The input gradient is built one
-/// patch row at a time from the weight's nonzeros (a sparse::Csr of
-/// Wᵀ, the layout the runtime's event conv reads); there is no
-/// [C*K*K, M*OH*OW] input-gradient matrix.
+/// No [C*K*K, M*OH*OW] patch matrix exists. The forward and the weight
+/// gradient run tensor::conv2d_gemm / conv2d_weight_grad, which stage
+/// the patch columns of a cache-sized block of samples at a time, with
+/// the whole-matrix GEMMs' bits. The layer saves only a copy of its
+/// input, whose storage lives across steps (reset_state() keeps it), so
+/// a training step at a steady batch shape allocates no input-sized
+/// buffer for it. The input gradient is built one patch row at a time
+/// from the weight's nonzeros (a sparse::Csr of Wᵀ, the layout the
+/// runtime's event conv reads).
 ///
 /// Under a GradMask (see layer.hpp) the weight gradient is computed only
 /// at the kept entries while masked_grad_pays(); otherwise the dense GEMM
@@ -35,7 +37,7 @@ class Conv2d final : public Layer {
   void accumulate_grads(const tensor::Tensor& grad_output) override;
   [[nodiscard]] std::vector<ParamRef> params() override;
   [[nodiscard]] std::string name() const override;
-  /// Drops the saved forward but keeps the patch matrix's storage.
+  /// Drops the saved forward but keeps the saved input's storage.
   void reset_state() override;
   [[nodiscard]] std::optional<MaskedLayerView> masked_view() const override;
 
@@ -75,11 +77,8 @@ class Conv2d final : public Layer {
   tensor::Tensor weight_grad_;
   tensor::Tensor bias_;         // [F]
   tensor::Tensor bias_grad_;
-  // Patch matrix [C*K*K, M*OH*OW] of saved_geom_, kept across steps.
-  // Its padding entries are zero from the allocation and never written.
-  tensor::Tensor saved_cols_;
-  tensor::ConvGeometry saved_geom_{};
-  bool has_saved_ = false;  // a forward is saved for backward
+  tensor::Tensor saved_input_;  // [M, C, H, W], storage kept across steps
+  bool has_saved_ = false;      // a forward is saved for backward
   GradMask grad_mask_;
   // Input-gradient workspace: one patch row of the input gradient
   // matrix, [M, OH*OW].

@@ -3,8 +3,7 @@
 #include <stdexcept>
 
 #include "runtime/trace.hpp"
-#include "tensor/im2col.hpp"
-#include "tensor/matmul.hpp"
+#include "tensor/conv_gemm.hpp"
 #include "tensor/ops.hpp"
 
 namespace ndsnn::runtime {
@@ -36,36 +35,11 @@ Tensor ConvOp::run_dense(const Tensor& input) const {
     span.bytes(store_.bytes);
     return store_.csr.conv2d(input, kernel_, stride_, padding_);
   }
-  tensor::ConvGeometry g;
-  g.batch = input.dim(0);
-  g.in_channels = in_channels_;
-  g.in_h = input.dim(2);
-  g.in_w = input.dim(3);
-  g.kernel_h = kernel_;
-  g.kernel_w = kernel_;
-  g.stride = stride_;
-  g.padding = padding_;
-  g.validate();
-
-  Tensor cols;
-  {
-    trace::ScopedSpan span("im2col", "phase");
-    span.rows(g.batch);
-    cols = tensor::im2col(input, g);
-    span.bytes(cols.numel() * static_cast<int64_t>(sizeof(float)));
-  }
-  const int64_t m = g.batch, oh = g.out_h(), ow = g.out_w();
-  trace::ScopedSpan gemm_span("conv-gemm", "phase");
-  gemm_span.rows(m);
-  gemm_span.bytes(store_.bytes);
-  const int64_t plane = oh * ow;
-  // out[mm] [F, OH*OW] = W[F, CKK] * cols[CKK, columns of sample mm].
-  Tensor out(Shape{m, out_channels_, oh, ow});
-  for (int64_t mm = 0; mm < m; ++mm) {
-    tensor::matmul_acc_block(store_.dense, cols.data() + mm * plane, g.patch_cols(),
-                             out.data() + mm * out_channels_ * plane, plane, plane, tier_);
-  }
-  return out;
+  trace::ScopedSpan span("conv-gemm", "phase");
+  span.rows(input.dim(0));
+  span.bytes(store_.bytes);
+  return tensor::conv2d_gemm(input, store_.dense,
+                             tensor::ConvGeometry::of(input, kernel_, stride_, padding_), tier_);
 }
 
 Tensor ConvOp::run_event(const Activation& input) const {

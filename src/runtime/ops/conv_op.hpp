@@ -3,9 +3,8 @@
 // Dense-activation path: CSR runs sparse::Csr::conv2d, a direct sparse
 // convolution that walks each filter's stored taps over input spans and
 // writes the [N, F, OH, OW] output with no patch matrix, for fp32 and
-// quantised planes alike. Dense runs im2col, then one GEMM per sample
-// straight into that sample's [F, OH, OW] planes
-// (tensor::matmul_acc_block), identical to nn::Conv2d::forward. Event
+// quantised planes alike. Dense runs tensor::conv2d_gemm, the
+// cache-blocked patch GEMM of nn::Conv2d::forward, with its bits. Event
 // path, whatever the kernel: for each active (nonzero) input pixel,
 // enumerate the kernel offsets it reaches (the im2col mapping evaluated
 // on the fly) and scatter value * Wᵀ[patch-column], held as CSR, into

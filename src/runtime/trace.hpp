@@ -6,7 +6,8 @@
 // per Plan::execute. When enabled, every op run records a span {layer,
 // kind+backend+precision, duration_us, batch rows, observed spike
 // rate, bytes touched, thread id}, the ops add phase sub-spans
-// (conv-direct for CSR convs, im2col + conv-gemm for dense-kernel convs,
+// (conv-direct for CSR convs, conv-gemm for dense-kernel convs, which
+// stage their patch blocks inside that span,
 // event-gather, event-scatter, lif-dynamics, bn-normalize, ...), and the
 // BatchExecutor adds queue-wait / coalesce-wait / fused-split spans.
 // Spans land in a fixed-capacity ring per thread (oldest overwritten,

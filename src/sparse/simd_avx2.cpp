@@ -223,18 +223,19 @@ constexpr int64_t kNtTileN = 16;    // output columns per register tile
 
 /// R output rows x 16 output columns over one k block: the 4R double
 /// accumulators stay in registers for the whole block and are carried
-/// between blocks through `acc` ([R][16]). `ad` holds the R rows of A
-/// (as double, row stride kNtBlockK), `panel` the tile's 16 B rows
-/// transposed ([kk][16]). Each lane's chain ascends kk; the fused
-/// multiply-add is exact because a float x float product fits a
+/// between blocks through `acc` (R rows of 16, `ld` apart). `ad` holds
+/// the R rows of A (as double, row stride kNtBlockK), `panel` the tile's
+/// 16 B rows transposed ([kk][16]). Each lane's chain ascends kk; the
+/// fused multiply-add is exact because a float x float product fits a
 /// double's mantissa, so it rounds once, like the scalar add.
 template <int R>
 __attribute__((target("avx2,fma"))) inline void matmul_nt_tile(const double* ad,
                                                                const double* panel,
-                                                               int64_t kb, double* acc) {
+                                                               int64_t kb, double* acc,
+                                                               int64_t ld) {
   __m256d c[R][4];
   for (int r = 0; r < R; ++r) {
-    for (int q = 0; q < 4; ++q) c[r][q] = _mm256_loadu_pd(acc + r * kNtTileN + 4 * q);
+    for (int q = 0; q < 4; ++q) c[r][q] = _mm256_loadu_pd(acc + r * ld + 4 * q);
   }
   for (int64_t kk = 0; kk < kb; ++kk) {
     const double* p = panel + kk * kNtTileN;
@@ -251,26 +252,29 @@ __attribute__((target("avx2,fma"))) inline void matmul_nt_tile(const double* ad,
     }
   }
   for (int r = 0; r < R; ++r) {
-    for (int q = 0; q < 4; ++q) _mm256_storeu_pd(acc + r * kNtTileN + 4 * q, c[r][q]);
+    for (int q = 0; q < 4; ++q) _mm256_storeu_pd(acc + r * ld + 4 * q, c[r][q]);
   }
 }
 
-/// panel[kk][l] = double(b[l * k + kk]) for kk < kb and the tile's
+/// panel[kk][l] = double(rows[l][k0 + kk]) for kk < kb and the tile's
 /// `lanes` valid B rows; lanes past the end of B read as zero. Four
 /// rows at a time go through a 4x4 register transpose.
-__attribute__((target("avx2,fma"))) void load_nt_panel(const float* b, int64_t k,
+__attribute__((target("avx2,fma"))) void load_nt_panel(const float* const* rows, int64_t k0,
                                                        int64_t lanes, int64_t kb,
                                                        double* panel) {
   for (int64_t g = 0; g < kNtTileN; g += 4) {
     double* dst = panel + g;
     int64_t kk = 0;
     if (g + 4 <= lanes) {
-      const float* r0 = b + g * k;
+      const float* r0 = rows[g] + k0;
+      const float* r1 = rows[g + 1] + k0;
+      const float* r2 = rows[g + 2] + k0;
+      const float* r3 = rows[g + 3] + k0;
       for (; kk + 4 <= kb; kk += 4) {
         __m128 x0 = _mm_loadu_ps(r0 + kk);
-        __m128 x1 = _mm_loadu_ps(r0 + k + kk);
-        __m128 x2 = _mm_loadu_ps(r0 + 2 * k + kk);
-        __m128 x3 = _mm_loadu_ps(r0 + 3 * k + kk);
+        __m128 x1 = _mm_loadu_ps(r1 + kk);
+        __m128 x2 = _mm_loadu_ps(r2 + kk);
+        __m128 x3 = _mm_loadu_ps(r3 + kk);
         _MM_TRANSPOSE4_PS(x0, x1, x2, x3);
         _mm256_storeu_pd(dst + kk * kNtTileN, _mm256_cvtps_pd(x0));
         _mm256_storeu_pd(dst + (kk + 1) * kNtTileN, _mm256_cvtps_pd(x1));
@@ -280,7 +284,7 @@ __attribute__((target("avx2,fma"))) void load_nt_panel(const float* b, int64_t k
     }
     for (; kk < kb; ++kk) {
       for (int64_t l = 0; l < 4; ++l) {
-        dst[kk * kNtTileN + l] = g + l < lanes ? b[(g + l) * k + kk] : 0.0;
+        dst[kk * kNtTileN + l] = g + l < lanes ? rows[g + l][k0 + kk] : 0.0;
       }
     }
   }
@@ -289,47 +293,38 @@ __attribute__((target("avx2,fma"))) void load_nt_panel(const float* b, int64_t k
 }  // namespace
 
 __attribute__((target("avx2,fma"))) void matmul_nt_f32_avx2(
-    const float* a, const float* b, int64_t rows, int64_t k, int64_t n, float* c) {
+    const tensor::SegmentedRows& a, const float* const* b_rows, int64_t rows, int64_t k,
+    int64_t n, double* acc) {
   if (rows <= 0) return;
-  // Tile-outer: one 16-column tile sweeps all of k, so its 16 B rows and
-  // the A rows are read as a few contiguous streams. acc carries the
-  // tile's double chains across k blocks; the block's panel and A rows
-  // stay cache-resident while the row pairs sweep them.
-  std::vector<double> acc(static_cast<std::size_t>(rows * kNtTileN));
+  // Block-outer: one k block's A rows are converted once and stay
+  // cache-resident while every 16-column tile sweeps them; acc carries
+  // the chains between blocks (and between calls).
+  const int64_t ld = (n + kNtTileN - 1) / kNtTileN * kNtTileN;
   std::vector<double> panel(static_cast<std::size_t>(kNtBlockK * kNtTileN));
   std::vector<double> ad(static_cast<std::size_t>(rows * kNtBlockK));
-  for (int64_t j0 = 0; j0 < n; j0 += kNtTileN) {
-    const int64_t lanes = std::min(kNtTileN, n - j0);
-    std::fill(acc.begin(), acc.end(), 0.0);
-    for (int64_t k0 = 0; k0 < k; k0 += kNtBlockK) {
-      const int64_t kb = std::min(kNtBlockK, k - k0);
-      load_nt_panel(b + j0 * k + k0, k, lanes, kb, panel.data());
-      for (int64_t r = 0; r < rows; ++r) {
-        const float* src = a + r * k + k0;
-        double* dst = ad.data() + r * kNtBlockK;
-        for (int64_t kk = 0; kk < kb; ++kk) dst[kk] = src[kk];
-      }
+  for (int64_t k0 = 0; k0 < k; k0 += kNtBlockK) {
+    const int64_t kb = std::min(kNtBlockK, k - k0);
+    for (int64_t r = 0; r < rows; ++r) {
+      double* dst = ad.data() + r * kNtBlockK;
+      a.for_each_run(r, k0, kb, [dst](int64_t off, const float* src, int64_t len) {
+        for (int64_t t = 0; t < len; ++t) dst[off + t] = src[t];
+      });
+    }
+    for (int64_t j0 = 0; j0 < n; j0 += kNtTileN) {
+      load_nt_panel(b_rows + j0, k0, std::min(kNtTileN, n - j0), kb, panel.data());
       int64_t r = 0;
       for (; r + 2 <= rows; r += 2) {
-        matmul_nt_tile<2>(ad.data() + r * kNtBlockK, panel.data(), kb,
-                          acc.data() + r * kNtTileN);
+        matmul_nt_tile<2>(ad.data() + r * kNtBlockK, panel.data(), kb, acc + r * ld + j0, ld);
       }
       if (r < rows) {
-        matmul_nt_tile<1>(ad.data() + r * kNtBlockK, panel.data(), kb,
-                          acc.data() + r * kNtTileN);
+        matmul_nt_tile<1>(ad.data() + r * kNtBlockK, panel.data(), kb, acc + r * ld + j0, ld);
       }
-    }
-    // The pad lanes past n are never written out.
-    for (int64_t r = 0; r < rows; ++r) {
-      float* crow = c + r * n + j0;
-      const double* arow = acc.data() + r * kNtTileN;
-      for (int64_t l = 0; l < lanes; ++l) crow[l] += static_cast<float>(arow[l]);
     }
   }
 }
 
 __attribute__((target("avx2,fma"))) void matmul_f32_avx2(
-    const float* a, const float* b, int64_t ldb, int64_t m, int64_t k, int64_t n, float* c,
+    const float* a, const float* const* b_rows, int64_t m, int64_t k, int64_t n, float* c,
     int64_t ldc) {
   const float* brows[4];
   float vs[4];
@@ -341,7 +336,7 @@ __attribute__((target("avx2,fma"))) void matmul_f32_avx2(
       const float aval = arow[kk];
       if (aval == 0.0F) continue;  // pruned entries stay exact no-ops
       vs[cnt] = aval;
-      brows[cnt] = b + kk * ldb;
+      brows[cnt] = b_rows[kk];
       if (++cnt == 4) {
         axpy_group(crow, n, vs, brows, 4);
         cnt = 0;
@@ -428,29 +423,16 @@ struct MaskedPass {
 }  // namespace
 
 __attribute__((target("avx2,fma"))) void matmul_nt_masked_f32_avx2(
-    const float* a, const float* b, const uint8_t* keep, int64_t m, int64_t k, int64_t n,
-    float* c) {
-  // Work items: (B row j, 4-row group of A) pairs with a kept entry, in
-  // ascending (j, group) order. A B row's items form chunks of up to
-  // kMaskedChunk, and consecutive chunks form passes of up to kMaskedPass.
-  const int64_t mp = (m + 3) / 4 * 4;
-  std::vector<int64_t> item_col, item_group;
-  for (int64_t j = 0; j < n; ++j) {
-    for (int64_t g = 0; g < mp; g += 4) {
-      bool any = false;
-      for (int64_t r = g; r < std::min(g + 4, m); ++r) any = any || keep[r * n + j] != 0;
-      if (!any) continue;
-      item_col.push_back(j);
-      item_group.push_back(g);
-    }
-  }
-  const auto items = static_cast<int64_t>(item_col.size());
+    const tensor::SegmentedRows& a, const float* const* b_rows, int64_t m, int64_t k,
+    const int64_t* item_col, const int64_t* item_group, int64_t items, double* acc) {
   if (items == 0) return;
-  // The A panel holds one k block of all m rows as doubles, [kk][mp]; its
-  // pad rows stay zero and their lanes are never written out.
+  // A B row's items form chunks of up to kMaskedChunk, and consecutive
+  // chunks form passes of up to kMaskedPass. The A panel holds one k
+  // block of all m rows as doubles, [kk][mp]; its pad rows stay zero and
+  // their lanes are never written out.
+  const int64_t mp = (m + 3) / 4 * 4;
   const int64_t block_k = std::clamp<int64_t>(4096 / mp / 4 * 4, 4, kMaskedBlockK);
   std::vector<double> panel(static_cast<std::size_t>(block_k * mp), 0.0);
-  std::vector<double> acc(static_cast<std::size_t>(items * 4), 0.0);
   std::vector<MaskedPass> passes;
   {
     int64_t t = 0;
@@ -458,13 +440,11 @@ __attribute__((target("avx2,fma"))) void matmul_nt_masked_f32_avx2(
       MaskedPass pass;
       int counts[kMaskedPass] = {};
       for (int i = 0; i < kMaskedPass && t < items; ++i) {
-        const int64_t j = item_col[static_cast<std::size_t>(t)];
+        const int64_t j = item_col[t];
         pass.col[i] = j;
-        pass.acc[i] = acc.data() + 4 * t;
-        while (counts[i] < kMaskedChunk && t < items &&
-               item_col[static_cast<std::size_t>(t)] == j) {
-          pass.lane[kMaskedChunk * i + counts[i]] =
-              panel.data() + item_group[static_cast<std::size_t>(t)];
+        pass.acc[i] = acc + 4 * t;
+        while (counts[i] < kMaskedChunk && t < items && item_col[t] == j) {
+          pass.lane[kMaskedChunk * i + counts[i]] = panel.data() + item_group[t];
           ++counts[i];
           ++t;
         }
@@ -478,22 +458,15 @@ __attribute__((target("avx2,fma"))) void matmul_nt_masked_f32_avx2(
     const int64_t kb = std::min(block_k, k - k0);
     const int64_t ahead = std::min(block_k, k - k0 - kb);
     for (int64_t r = 0; r < m; ++r) {
-      const float* src = a + r * k + k0;
-      for (int64_t kk = 0; kk < kb; ++kk) panel[static_cast<std::size_t>(kk * mp + r)] = src[kk];
+      double* dst = panel.data() + r;
+      a.for_each_run(r, k0, kb, [dst, mp](int64_t off, const float* src, int64_t len) {
+        for (int64_t t = 0; t < len; ++t) dst[(off + t) * mp] = src[t];
+      });
     }
     for (const MaskedPass& pass : passes) {
       const float* rows[kMaskedPass];
-      for (int i = 0; i < kMaskedPass; ++i) rows[i] = b + pass.col[i] * k + k0;
+      for (int i = 0; i < kMaskedPass; ++i) rows[i] = b_rows[pass.col[i]] + k0;
       kMaskedPassFns[pass.fn](pass.lane, rows, mp, kb, ahead, pass.acc);
-    }
-  }
-  for (int64_t t = 0; t < items; ++t) {
-    const int64_t j = item_col[static_cast<std::size_t>(t)];
-    const int64_t g = item_group[static_cast<std::size_t>(t)];
-    for (int64_t r = g; r < std::min(g + 4, m); ++r) {
-      if (keep[r * n + j] != 0) {
-        c[r * n + j] += static_cast<float>(acc[static_cast<std::size_t>(4 * t + r - g)]);
-      }
     }
   }
 }
@@ -508,11 +481,12 @@ void csr_spmm_t_i8_avx2(const int64_t*, const int32_t*, const int8_t*, const flo
                         int64_t, const float*, int64_t, float*) {}
 void csr_spmm_t_i4_avx2(const int64_t*, const int32_t*, const uint8_t*, const float*,
                         int64_t, const float*, int64_t, float*) {}
-void matmul_nt_f32_avx2(const float*, const float*, int64_t, int64_t, int64_t, float*) {}
-void matmul_nt_masked_f32_avx2(const float*, const float*, const uint8_t*, int64_t,
-                               int64_t, int64_t, float*) {}
-void matmul_f32_avx2(const float*, const float*, int64_t, int64_t, int64_t, int64_t,
-                     float*, int64_t) {}
+void matmul_nt_f32_avx2(const tensor::SegmentedRows&, const float* const*, int64_t, int64_t,
+                        int64_t, double*) {}
+void matmul_nt_masked_f32_avx2(const tensor::SegmentedRows&, const float* const*, int64_t,
+                               int64_t, const int64_t*, const int64_t*, int64_t, double*) {}
+void matmul_f32_avx2(const float*, const float* const*, int64_t, int64_t, int64_t, float*,
+                     int64_t) {}
 
 #endif
 

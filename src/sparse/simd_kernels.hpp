@@ -33,6 +33,8 @@
 
 #include <cstdint>
 
+#include "tensor/matmul.hpp"
+
 namespace ndsnn::sparse::simd {
 
 /// True when this build contains the AVX2 intrinsic bodies (x86-64 with
@@ -60,34 +62,36 @@ void csr_spmm_t_i4_avx2(const int64_t* row_ptr, const int32_t* col_idx,
                         const uint8_t* q4, const float* scale, int64_t rows,
                         const float* bt, int64_t m, float* cp);
 
-/// Dense matmul_nt over all m rows of A with B [n x k] row-major:
-/// c[i, j] += float(double chain over ascending kk of a[i, kk] * b[j, kk]).
-/// k-blocked and register-tiled: for each 16-column tile, 128 k-columns
-/// of its B rows at a time are transposed into a double panel, and 2 rows
-/// x 16 columns of double accumulators stay in registers across the
-/// block, carried between blocks in a small per-call buffer. Bitwise
-/// equal to the scalar gather.
-void matmul_nt_f32_avx2(const float* a, const float* b, int64_t m, int64_t k,
-                        int64_t n, float* c);
+/// One k block of matmul_nt over all m rows of A: for each row i and
+/// each B row j (its kb columns at b_rows[j]), acc[i * ld + j] continues
+/// its double chain over ascending kk of a(i, kk) * b_rows[j][kk], where
+/// ld is n rounded up to 16 (the pad entries are scratch). Per block of
+/// 128 k-columns the A rows are converted to double once; each 16-row
+/// tile of B is transposed into a double panel and 2 rows x 16 columns
+/// of accumulators stay in registers across the block. Bitwise equal to
+/// the scalar gather (tensor::NtChains).
+void matmul_nt_f32_avx2(const tensor::SegmentedRows& a, const float* const* b_rows, int64_t m,
+                        int64_t k, int64_t n, double* acc);
 
-/// matmul_nt over all m rows at the entries whose keep byte ([m x n],
-/// row-major) is nonzero; the others are not written. A-stationary: per
-/// k block, all m rows of A go into a double panel [kk][m rounded up to
-/// 4]. Each (B row j, 4-row group of A) with a kept entry is one work
-/// item, a 4-lane double chain of b[j, kk] (broadcast) times the group's
-/// panel lanes, so B is read row by row and only the rows with a kept
-/// entry are read at all. A pass runs up to 8 items of up to 4 B rows,
-/// 8 chains in flight. Each kept entry's chain ascends kk from 0, so it
-/// is bitwise the scalar gather.
-void matmul_nt_masked_f32_avx2(const float* a, const float* b, const uint8_t* keep,
-                               int64_t m, int64_t k, int64_t n, float* c);
+/// One k block of matmul_nt at the kept entries only. The work items are
+/// (B row item_col[t], 4-row group item_group[t] of A) pairs with a kept
+/// entry, ascending; item t carries the chains of the group's 4 rows in
+/// acc[4t, 4t + 4). A-stationary: per k block, all m rows of A go into a
+/// double panel [kk][m rounded up to 4]. Each item is a 4-lane double
+/// chain of b_rows[j][kk] (broadcast) times the group's panel lanes, so B
+/// is read row by row and only the rows with a kept entry are read at
+/// all. A pass runs up to 8 items of up to 4 B rows, 8 chains in flight.
+/// Each chain ascends kk, so it is bitwise the scalar gather.
+void matmul_nt_masked_f32_avx2(const tensor::SegmentedRows& a, const float* const* b_rows,
+                               int64_t m, int64_t k, const int64_t* item_col,
+                               const int64_t* item_group, int64_t items, double* acc);
 
 /// Dense matmul over all m rows of A: the i-k-j axpy with the zero-skip
 /// preserved (pruned weights must stay exact no-ops — adding an
 /// explicit 0 term could flip a -0.0 output) and the C row held across
-/// up to 4 surviving nonzeros per pass. B [k, n] and C rows have row
-/// strides ldb and ldc (blocks of larger matrices).
-void matmul_f32_avx2(const float* a, const float* b, int64_t ldb, int64_t m,
-                     int64_t k, int64_t n, float* c, int64_t ldc);
+/// up to 4 surviving nonzeros per pass. Row kk of B is b_rows[kk][0, n);
+/// C rows are ldc apart (blocks of larger matrices).
+void matmul_f32_avx2(const float* a, const float* const* b_rows, int64_t m, int64_t k,
+                     int64_t n, float* c, int64_t ldc);
 
 }  // namespace ndsnn::sparse::simd

@@ -19,6 +19,19 @@ void ConvGeometry::validate() const {
   // columns that do not fit a full stride are simply not visited.
 }
 
+ConvGeometry ConvGeometry::of(const Tensor& input, int64_t kernel, int64_t stride,
+                              int64_t padding) {
+  ConvGeometry g;
+  g.batch = input.dim(0);
+  g.in_channels = input.dim(1);
+  g.in_h = input.dim(2);
+  g.in_w = input.dim(3);
+  g.kernel_h = g.kernel_w = kernel;
+  g.stride = stride;
+  g.padding = padding;
+  return g;
+}
+
 namespace {
 
 /// The output columns [lo, hi) whose input column ox*stride + kw - padding
@@ -38,17 +51,14 @@ ValidSpan valid_span(const ConvGeometry& g, int64_t kw) {
 
 }  // namespace
 
-void im2col_into(const Tensor& input, const ConvGeometry& g, Tensor& cols) {
+Tensor im2col(const Tensor& input, const ConvGeometry& g) {
   g.validate();
   if (input.rank() != 4 || input.dim(0) != g.batch || input.dim(1) != g.in_channels ||
       input.dim(2) != g.in_h || input.dim(3) != g.in_w) {
     throw std::invalid_argument("im2col: input shape " + input.shape().str() +
                                 " does not match geometry");
   }
-  if (cols.rank() != 2 || cols.dim(0) != g.patch_rows() || cols.dim(1) != g.patch_cols()) {
-    throw std::invalid_argument("im2col: cols shape " + cols.shape().str() +
-                                " does not match geometry");
-  }
+  Tensor cols(Shape{g.patch_rows(), g.patch_cols()});
   const int64_t oh = g.out_h(), ow = g.out_w();
   const float* src = input.data();
   float* dst = cols.data();
@@ -57,8 +67,8 @@ void im2col_into(const Tensor& input, const ConvGeometry& g, Tensor& cols) {
   const int64_t chw = g.in_channels * hw;
 
   // Each (row, n, oy) segment of ow columns is: zeros, one in-bounds span
-  // (a plain copy at stride 1), zeros. The zeros are already there, so
-  // only the in-bounds span is written.
+  // (a plain copy at stride 1), zeros. The zeros are there from the
+  // allocation, so only the in-bounds span is written.
   for (int64_t c = 0; c < g.in_channels; ++c) {
     for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
       for (int64_t kw = 0; kw < g.kernel_w; ++kw) {
@@ -85,12 +95,6 @@ void im2col_into(const Tensor& input, const ConvGeometry& g, Tensor& cols) {
       }
     }
   }
-}
-
-Tensor im2col(const Tensor& input, const ConvGeometry& g) {
-  g.validate();
-  Tensor cols(Shape{g.patch_rows(), g.patch_cols()});
-  im2col_into(input, g, cols);
   return cols;
 }
 

@@ -1,9 +1,13 @@
 // im2col / col2im lowering for 2-D convolution.
 //
-// Convolution is computed as GEMM over patch matrices:
+// The lowering that defines a conv as a GEMM over the patch matrix:
 //   X [N, C, H, W]  -- im2col -->  cols [C*KH*KW, N*OH*OW]
 //   W [F, C*KH*KW]  * cols  ->  Y [F, N*OH*OW]  -> reshape [N, F, OH, OW]
-// col2im is the adjoint, used for input gradients.
+// col2im is its adjoint. The whole-batch im2col and col2im are reference
+// lowerings, run by tests only: no conv kernel builds the whole patch
+// matrix. The conv GEMMs (conv_gemm.hpp) stage the patch columns of a
+// cache-sized block of samples themselves, and the training input
+// gradient scatters one patch row at a time with col2im_row_add.
 #pragma once
 
 #include "tensor/tensor.hpp"
@@ -29,20 +33,18 @@ struct ConvGeometry {
   /// Throws when kernel/stride/padding are inconsistent with the input.
   void validate() const;
 
-  bool operator==(const ConvGeometry&) const = default;
+  /// The geometry of a square `kernel` over input [N, C, H, W] (not
+  /// validated).
+  [[nodiscard]] static ConvGeometry of(const Tensor& input, int64_t kernel, int64_t stride,
+                                       int64_t padding);
 };
 
-/// Lower input [N, C, H, W] into the patch matrix [C*KH*KW, N*OH*OW].
+/// Lower input [N, C, H, W] into the patch matrix [C*KH*KW, N*OH*OW]
+/// (reference lowering).
 [[nodiscard]] Tensor im2col(const Tensor& input, const ConvGeometry& g);
 
-/// im2col into `cols` [C*KH*KW, N*OH*OW], which must already have that
-/// shape. Only the in-bounds entries are written; the padding entries,
-/// whose positions depend on the geometry alone, are never written and
-/// must already be zero. So `cols` is either freshly zero-filled or was
-/// last written by im2col_into with an equal geometry.
-void im2col_into(const Tensor& input, const ConvGeometry& g, Tensor& cols);
-
-/// Adjoint of im2col: scatter-add patch matrix back to [N, C, H, W].
+/// Adjoint of im2col: scatter-add patch matrix back to [N, C, H, W]
+/// (reference lowering).
 [[nodiscard]] Tensor col2im(const Tensor& cols, const ConvGeometry& g);
 
 /// col2im of one patch row: scatter-add `row_values` (N*OH*OW values,

@@ -155,10 +155,11 @@ Tensor whole_matrix_input_grad(const Conv2d& layer, const Tensor& grad_output,
 }
 
 // One layer driven through a sequence of steps, reset_state() between
-// them, keeps its patch matrix wherever the geometry repeats. Every
+// them, keeps its saved-input storage wherever the shape repeats. Every
 // step must match a freshly built twin with the same parameters bit
-// for bit: outputs, dW, db and dx. The per-sample output and input
-// gradient must also equal the whole-matrix GEMMs bit for bit.
+// for bit: outputs, dW, db and dx. The block-staged output and the
+// per-patch-row input gradient must also equal the whole-matrix GEMMs
+// bit for bit.
 TEST(Conv2dTest, ReusedWorkspaceMatchesFreshLayerBitwise) {
   struct Config {
     int64_t c, f, k, stride, padding;
@@ -167,7 +168,7 @@ TEST(Conv2dTest, ReusedWorkspaceMatchesFreshLayerBitwise) {
   const std::vector<Config> configs = {
       {3, 4, 3, 2, 1, true}, {2, 5, 5, 1, 2, false}, {2, 3, 3, 2, 1, false},
       {3, 2, 3, 1, 0, true},
-      // 2x2 output planes: per-sample GEMMs narrower than one AVX2 vector.
+      // 2x2 output planes: several samples per staged block.
       {2, 3, 7, 2, 0, true}};
   struct Step {
     int64_t batch;

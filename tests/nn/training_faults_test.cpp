@@ -1,27 +1,30 @@
-// Fault budget of a steady training step. Conv2d keeps its patch matrix
-// across steps and builds the input gradient one sample at a time, so a
-// LeNet-5 train_step at a fixed batch shape allocates no patch-sized
-// buffer, with or without gradient masks. A step that page-faults more
-// pages than one conv1 patch matrix holds is re-allocating one.
+// Allocation budgets of training. Conv2d stages its patches a cache-sized
+// block at a time and keeps its saved input and input-gradient
+// workspaces across steps, so a LeNet-5 train_step at a fixed batch
+// shape page-faults a fixed, small number of pages, with or without
+// gradient masks, and one conv forward + weight gradient never holds a
+// whole-batch patch matrix.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
+#include "nn/conv2d.hpp"
 #include "nn/models/zoo.hpp"
 #include "tensor/random.hpp"
 
 #if defined(__linux__)
 #include <sys/resource.h>
-#include <unistd.h>
 #endif
 
 namespace ndsnn::nn {
 namespace {
 
-const char* fault_budget_skip_reason() {
+const char* allocation_skip_reason() {
 #if !defined(__linux__)
-  return "minor-fault counts are read with Linux getrusage";
+  return "fault and peak-RSS counts are read with Linux getrusage";
 #elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   return "sanitizer allocators map and poison memory on their own schedule";
 #elif defined(__has_feature)
@@ -33,18 +36,28 @@ const char* fault_budget_skip_reason() {
 }
 
 #if defined(__linux__)
-long minor_faults() {
+rusage self_usage() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
-  return usage.ru_minflt;
+  return usage;
 }
 #endif
 
+/// Page budget of a steady LeNet-5 train_step at batch 32, T = 2. It is
+/// the size the conv1 patch matrix [3*5*5, T*N*32*32] fp32 had in 4 KiB
+/// pages when Conv2d still kept one; a step that faults that many pages
+/// is re-allocating an activation-sized buffer every step. What a step
+/// still faults (~1.9-2.3 K pages unmasked) is the neuron side: BN and
+/// LIF outputs are fresh tensors every step (a per-layer probe counted
+/// BN1's forward at 352 pages, the LIF forwards at 768 + 384 and the LIF
+/// backwards at 128 + 384).
+constexpr double kStepFaultBudgetPages = 4800.0;
+
 /// Minor page faults per steady LeNet-5 train_step at batch 32, T = 2,
-/// next to the budget: one conv1 patch matrix in pages. With `masked`,
-/// the conv weights are pruned to random masks whose gradient masks the
-/// layers hold, so the steps run the masked weight gradient and the
-/// weight-sparse input gradient.
+/// next to kStepFaultBudgetPages. With `masked`, the conv weights are
+/// pruned to random masks whose gradient masks the layers hold, so the
+/// steps run the masked weight gradient and the weight-sparse input
+/// gradient.
 void expect_faults_within_budget(bool masked) {
 #if defined(__linux__)
   ModelSpec spec;
@@ -82,31 +95,67 @@ void expect_faults_within_budget(bool masked) {
   step();
   step();
   constexpr int kMeasured = 4;
-  const long before = minor_faults();
+  const long before = self_usage().ru_minflt;
   for (int i = 0; i < kMeasured; ++i) step();
-  const double per_step = static_cast<double>(minor_faults() - before) / kMeasured;
+  const double per_step = static_cast<double>(self_usage().ru_minflt - before) / kMeasured;
 
-  // conv1's patch matrix: [3*5*5, T*N*32*32] fp32.
-  const double patch_pages = 75.0 * (spec.timesteps * kBatch * 32 * 32) * sizeof(float) /
-                             static_cast<double>(sysconf(_SC_PAGESIZE));
   std::printf("minor faults per %strain_step: %.1f (budget %.0f pages)\n",
-              masked ? "masked " : "", per_step, patch_pages);
-  EXPECT_LT(per_step, patch_pages);
+              masked ? "masked " : "", per_step, kStepFaultBudgetPages);
+  EXPECT_LT(per_step, kStepFaultBudgetPages);
 #else
   (void)masked;
 #endif
 }
 
-TEST(TrainingFaultsTest, SteadyTrainStepFaultsLessThanOnePatchMatrix) {
-  if (const char* reason = fault_budget_skip_reason()) GTEST_SKIP() << reason;
+TEST(TrainingFaultsTest, SteadyTrainStepFaultsWithinPageBudget) {
+  if (const char* reason = allocation_skip_reason()) GTEST_SKIP() << reason;
   expect_faults_within_budget(/*masked=*/false);
 }
 
 // The masked weight gradient and the weight-sparse input gradient keep
 // their workspaces across steps too.
-TEST(TrainingFaultsTest, SteadyMaskedTrainStepFaultsLessThanOnePatchMatrix) {
-  if (const char* reason = fault_budget_skip_reason()) GTEST_SKIP() << reason;
+TEST(TrainingFaultsTest, SteadyMaskedTrainStepFaultsWithinPageBudget) {
+  if (const char* reason = allocation_skip_reason()) GTEST_SKIP() << reason;
   expect_faults_within_budget(/*masked=*/true);
+}
+
+#if defined(__linux__)
+/// One forward + weight gradient of LeNet-5's conv1 shape on a batch
+/// whose whole-batch patch matrix, [3*5*5, 256*32*32] fp32, would be
+/// 78.6 MB. Exits 0 when the peak RSS grew by less than that matrix.
+[[noreturn]] void conv_peak_rss_check() {
+  constexpr int64_t kBatch = 256;
+  tensor::Rng rng(5);
+  Conv2d conv(3, 6, 5, 1, 2, rng);
+  tensor::Tensor x(tensor::Shape{kBatch, 3, 32, 32});
+  x.fill_uniform(rng, 0.0F, 1.0F);
+  const long before_kb = self_usage().ru_maxrss;
+  {
+    const tensor::Tensor y = conv.forward(x, /*training=*/true);
+    tensor::Tensor gy(y.shape());
+    gy.fill_uniform(rng, -1.0F, 1.0F);
+    conv.accumulate_grads(gy);
+  }
+  const double growth_bytes = 1024.0 * static_cast<double>(self_usage().ru_maxrss - before_kb);
+  const double patch_bytes = 75.0 * kBatch * 32 * 32 * sizeof(float);
+  std::fprintf(stderr, "peak RSS growth %.1f MB (one patch matrix %.1f MB)\n",
+               growth_bytes / 1e6, patch_bytes / 1e6);
+  std::exit(growth_bytes < patch_bytes ? 0 : 1);
+}
+#endif
+
+// The peak RSS may grow by the output, the output gradient, the saved
+// input and one staged patch block (~16 MB), never by a patch matrix.
+// The check runs in a freshly started copy of this binary (gtest's
+// threadsafe death-test style), so no earlier test's peak hides growth.
+TEST(TrainingFaultsDeathTest, ConvPeakRssGrowsLessThanOnePatchMatrix) {
+  if (const char* reason = allocation_skip_reason()) GTEST_SKIP() << reason;
+#if defined(__linux__)
+  const std::string style = testing::GTEST_FLAG(death_test_style);
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(conv_peak_rss_check(), testing::ExitedWithCode(0), "peak RSS growth");
+  testing::GTEST_FLAG(death_test_style) = style;
+#endif
 }
 
 }  // namespace
