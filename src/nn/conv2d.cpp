@@ -38,8 +38,10 @@ tensor::Tensor Conv2d::forward(const tensor::Tensor& input, bool /*training*/) {
   g.validate();
   saved_input_ = input;  // reuses the storage while the shape repeats
   has_saved_ = true;
-  tensor::Tensor out = tensor::conv2d_gemm(
-      input, weight_.reshaped(tensor::Shape{out_channels_, in_channels_ * kernel_ * kernel_}), g);
+  tensor::Tensor out;
+  tensor::conv2d_gemm(
+      input, weight_.reshaped(tensor::Shape{out_channels_, in_channels_ * kernel_ * kernel_}), g,
+      out);
   if (has_bias_) tensor::add_channel_bias_(out, bias_);
   return out;
 }

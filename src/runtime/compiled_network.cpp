@@ -5,7 +5,6 @@
 #include <cmath>
 #include <initializer_list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -32,35 +31,11 @@
 #include "tensor/ops.hpp"
 #include "util/thread_pool.hpp"
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 namespace ndsnn::runtime {
 
 using tensor::Tensor;
 
 namespace {
-
-/// Every plan op returns a fresh output tensor, so each infer allocates
-/// and frees the same few activation-sized blocks (0.3-1.5 MB for
-/// LeNet-5 at 64 rows). Under glibc's default policy such blocks are
-/// mmapped, or returned to the system when the heap top shrinks, and are
-/// page-faulted in again on every call, unless an earlier free of a
-/// larger block happened to raise glibc's dynamic thresholds, which
-/// nothing in a serving or training process guarantees. So the first
-/// lowering pins both thresholds to the values a free of a 32 MB block
-/// leaves. Keeping each op's buffers across calls (ROADMAP) would make
-/// this unnecessary.
-void keep_activation_blocks_on_heap() {
-#if defined(__GLIBC__)
-  static std::once_flag once;
-  std::call_once(once, [] {
-    mallopt(M_MMAP_THRESHOLD, 32 << 20);
-    mallopt(M_TRIM_THRESHOLD, 64 << 20);
-  });
-#endif
-}
 
 /// kAuto lowers a weight layer to CSR at or above this weight sparsity;
 /// below it the dense GEMM wins (CSR pays indexing overhead per value).
@@ -349,7 +324,6 @@ CompiledNetwork CompiledNetwork::compile(const nn::SpikingNetwork& net,
 CompiledNetwork CompiledNetwork::lower(const nn::SpikingNetwork& net,
                                        const CompileOptions& opts,
                                        std::vector<sparse::Precision> recorded) {
-  keep_activation_blocks_on_heap();
   if (opts.num_threads < 0) {
     throw std::invalid_argument("CompiledNetwork: num_threads must be >= 0 (0 = hardware)");
   }

@@ -22,7 +22,7 @@ BatchNormOp::BatchNormOp(const nn::BatchNorm2d& src)
   }
 }
 
-Activation BatchNormOp::run(const Activation& input) const {
+void BatchNormOp::run_into(const Activation& input, Activation& out) const {
   const Tensor& in = input.tensor;
   if (in.rank() != 4 || in.dim(1) != channels_) {
     throw std::invalid_argument("BatchNormOp: expected [M, " + std::to_string(channels_) +
@@ -32,9 +32,8 @@ Activation BatchNormOp::run(const Activation& input) const {
   trace::ScopedSpan span("bn-normalize", "phase");
   span.rows(m);
   span.bytes(channels_ * 4 * static_cast<int64_t>(sizeof(float)));
-  Tensor out(in.shape());
   const float* src = in.data();
-  float* dst = out.data();
+  float* dst = out.reset(in.shape()).data();
   for (int64_t c = 0; c < channels_; ++c) {
     const float mean = mean_.at(c), inv_std = inv_std_.at(c);
     const float g = gamma_.at(c), b = beta_.at(c);
@@ -45,7 +44,6 @@ Activation BatchNormOp::run(const Activation& input) const {
       }
     }
   }
-  return Activation(std::move(out));
 }
 
 OpReport BatchNormOp::report() const { return {layer_name_, "bn", 0, 0, 0.0, false}; }

@@ -16,7 +16,7 @@ class BatchNormOp final : public Op {
  public:
   explicit BatchNormOp(const nn::BatchNorm2d& src);
 
-  [[nodiscard]] Activation run(const Activation& input) const override;
+  void run_into(const Activation& input, Activation& out) const override;
   [[nodiscard]] OpReport report() const override;
 
  private:

@@ -28,21 +28,22 @@ ConvOp::ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision
   if (has_bias_) bias_ = src.bias();
 }
 
-Tensor ConvOp::run_dense(const Tensor& input) const {
+void ConvOp::run_dense(const Tensor& input, Tensor& out) const {
   if (store_.kernel == Kernel::kCsr) {
     trace::ScopedSpan span("conv-direct", "phase");
     span.rows(input.dim(0));
     span.bytes(store_.bytes);
-    return store_.csr.conv2d(input, kernel_, stride_, padding_);
+    store_.csr.conv2d(input, kernel_, stride_, padding_, out);
+    return;
   }
   trace::ScopedSpan span("conv-gemm", "phase");
   span.rows(input.dim(0));
   span.bytes(store_.bytes);
-  return tensor::conv2d_gemm(input, store_.dense,
-                             tensor::ConvGeometry::of(input, kernel_, stride_, padding_), tier_);
+  tensor::conv2d_gemm(input, store_.dense,
+                      tensor::ConvGeometry::of(input, kernel_, stride_, padding_), out, tier_);
 }
 
-Tensor ConvOp::run_event(const Activation& input) const {
+void ConvOp::run_event(const Activation& input, Tensor& out) const {
   const Tensor& in = input.tensor;
   const int64_t m = in.dim(0), h = in.dim(2), w = in.dim(3);
   const int64_t oh = (h + 2 * padding_ - kernel_) / stride_ + 1;
@@ -54,7 +55,7 @@ Tensor ConvOp::run_event(const Activation& input) const {
   const int64_t in_plane = h * w;
   const int64_t row_size = in_channels_ * in_plane;
   const int64_t plane = oh * ow;
-  Tensor out(Shape{m, out_channels_, oh, ow});
+  out.assign_zeros(Shape{m, out_channels_, oh, ow});
 
   const bool use_events =
       input.has_events && input.events.rows == m && input.events.row_size == row_size;
@@ -100,17 +101,20 @@ Tensor ConvOp::run_event(const Activation& input) const {
       }
     }
   }
-  return out;
 }
 
-Activation ConvOp::run(const Activation& input) const {
+void ConvOp::run_into(const Activation& input, Activation& out) const {
   if (input.tensor.rank() != 4 || input.tensor.dim(1) != in_channels_) {
     throw std::invalid_argument("ConvOp: expected [M, " + std::to_string(in_channels_) +
                                 ", H, W], got " + input.tensor.shape().str());
   }
-  Tensor out = event_ ? run_event(input) : run_dense(input.tensor);
-  if (has_bias_) tensor::add_channel_bias_(out, bias_);
-  return Activation(std::move(out));
+  out.has_events = false;
+  if (event_) {
+    run_event(input, out.tensor);
+  } else {
+    run_dense(input.tensor, out.tensor);
+  }
+  if (has_bias_) tensor::add_channel_bias_(out.tensor, bias_);
 }
 
 OpReport ConvOp::report() const {

@@ -30,12 +30,12 @@ class ConvOp final : public Op {
   ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision, bool event,
          const CompileOptions& opts);
 
-  [[nodiscard]] Activation run(const Activation& input) const override;
+  void run_into(const Activation& input, Activation& out) const override;
   [[nodiscard]] OpReport report() const override;
 
  private:
-  [[nodiscard]] tensor::Tensor run_dense(const tensor::Tensor& input) const;
-  [[nodiscard]] tensor::Tensor run_event(const Activation& input) const;
+  void run_dense(const tensor::Tensor& input, tensor::Tensor& out) const;
+  void run_event(const Activation& input, tensor::Tensor& out) const;
 
   std::string layer_name_;
   /// Kernel tier resolved once at construction (see LinearOp::tier_).

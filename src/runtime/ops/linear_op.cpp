@@ -66,16 +66,18 @@ Tensor LinearOp::run_event(const Activation& input) const {
   return out;
 }
 
-Activation LinearOp::run(const Activation& input) const {
+void LinearOp::run_into(const Activation& input, Activation& out) const {
   // The dense kernels validate shapes themselves; check up front so the
   // event path rejects the same inputs instead of reading out of bounds.
   if (input.tensor.rank() != 2 || input.tensor.dim(1) != in_features_) {
     throw std::invalid_argument("LinearOp: expected [M, " + std::to_string(in_features_) +
                                 "], got " + input.tensor.shape().str());
   }
-  Tensor out = event_ ? run_event(input) : run_dense(input.tensor);
-  if (has_bias_) tensor::add_row_bias_(out, bias_);
-  return Activation(std::move(out));
+  // The output stays a fresh tensor of the returning kernels: it is
+  // [M, out_features], a few KB on LeNet-5.
+  out.tensor = event_ ? run_event(input) : run_dense(input.tensor);
+  out.has_events = false;
+  if (has_bias_) tensor::add_row_bias_(out.tensor, bias_);
 }
 
 OpReport LinearOp::report() const {

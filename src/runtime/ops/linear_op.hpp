@@ -25,7 +25,7 @@ class LinearOp final : public Op {
   LinearOp(const nn::Linear& src, Kernel kernel, sparse::Precision precision, bool event,
            const CompileOptions& opts);
 
-  [[nodiscard]] Activation run(const Activation& input) const override;
+  void run_into(const Activation& input, Activation& out) const override;
   [[nodiscard]] OpReport report() const override;
 
  private:

@@ -14,18 +14,35 @@ using tensor::Tensor;
 
 namespace {
 
-/// The op's output: the spike train, plus its event view when
-/// `emit_events` says a consumer reads one. The span records the
-/// observed firing rate: free from the view when there is one, else
-/// counted from the spikes, only while tracing.
-Activation with_events(Tensor spikes, bool emit_events, trace::ScopedSpan& span) {
+/// Completes the op's output once `out.tensor` holds the spike train:
+/// attaches its event view when `emit_events` says a consumer reads one.
+/// The span records the observed firing rate: free from the view when
+/// there is one, else counted from the spikes, only while tracing.
+void finish_spikes(Activation& out, bool emit_events, trace::ScopedSpan& span) {
+  out.has_events = emit_events;
   if (!emit_events) {
-    if (span.active()) span.rate(trace::nonzero_fraction(spikes));
-    return Activation(std::move(spikes));
+    if (span.active()) span.rate(trace::nonzero_fraction(out.tensor));
+    return;
   }
-  SpikeBatch events = SpikeBatch::scan(spikes);
-  span.rate(events.rate());
-  return {std::move(spikes), std::move(events)};
+  out.events.rescan(out.tensor);
+  span.rate(out.events.rate());
+}
+
+/// A fresh output of `spikes`, finished as above (streamed steps).
+Activation with_events(Tensor spikes, bool emit_events, trace::ScopedSpan& span) {
+  Activation out(std::move(spikes));
+  finish_spikes(out, emit_events, span);
+  return out;
+}
+
+/// `n` zero-filled floats of neuron state: slot `slot` (0-2) of the
+/// calling thread's run_into() scratch, kept from call to call (pool
+/// lanes are threads, so no two lanes share it).
+float* state_scratch(int slot, int64_t n) {
+  thread_local std::vector<float> buffers[3];
+  std::vector<float>& b = buffers[slot];
+  b.assign(static_cast<std::size_t>(n), 0.0F);
+  return b.data();
 }
 
 int64_t per_step(const Tensor& in, int64_t timesteps, const char* op) {
@@ -78,21 +95,20 @@ LifOp::LifOp(std::string layer_name, const snn::LifConfig& config, int64_t times
       timesteps_(timesteps),
       emit_events_(emit_events) {}
 
-Activation LifOp::run(const Activation& input) const {
+void LifOp::run_into(const Activation& input, Activation& out) const {
   const Tensor& in_t = input.tensor;
   const int64_t step = per_step(in_t, timesteps_, "LifOp");
   trace::ScopedSpan span("lif-dynamics", "phase");
   span.rows(in_t.dim(0));
-  Tensor out(in_t.shape());
-  std::vector<float> vmt(static_cast<std::size_t>(step));  // v[t] - theta, rolling
+  float* vmt = state_scratch(0, step);  // v[t] - theta, rolling
   const float* in = in_t.data();
-  float* spk = out.data();
-  snn::lif_step(in, nullptr, nullptr, vmt.data(), spk, step, alpha_, theta_);
+  float* spk = out.reset(in_t.shape()).data();
+  snn::lif_step(in, nullptr, nullptr, vmt, spk, step, alpha_, theta_);
   for (int64_t t = 1; t < timesteps_; ++t) {
     float* ot = spk + t * step;
-    snn::lif_step(in + t * step, vmt.data(), ot - step, vmt.data(), ot, step, alpha_, theta_);
+    snn::lif_step(in + t * step, vmt, ot - step, vmt, ot, step, alpha_, theta_);
   }
-  return with_events(std::move(out), emit_events_, span);
+  finish_spikes(out, emit_events_, span);
 }
 
 std::unique_ptr<OpState> LifOp::make_state() const {
@@ -128,24 +144,22 @@ AlifOp::AlifOp(std::string layer_name, const snn::AlifConfig& config, int64_t ti
       timesteps_(timesteps),
       emit_events_(emit_events) {}
 
-Activation AlifOp::run(const Activation& input) const {
+void AlifOp::run_into(const Activation& input, Activation& out) const {
   const Tensor& in_t = input.tensor;
   const int64_t step = per_step(in_t, timesteps_, "AlifOp");
   trace::ScopedSpan span("alif-dynamics", "phase");
   span.rows(in_t.dim(0));
-  Tensor out(in_t.shape());
-  const auto n = static_cast<std::size_t>(step);
-  std::vector<float> v(n, 0.0F);
-  std::vector<float> trace(n, 0.0F);
-  std::vector<float> dist(n);
+  float* v = state_scratch(0, step);
+  float* trace = state_scratch(1, step);
+  float* dist = state_scratch(2, step);
   const float* in = in_t.data();
-  float* spk = out.data();
+  float* spk = out.reset(in_t.shape()).data();
   for (int64_t t = 0; t < timesteps_; ++t) {
     float* ot = spk + t * step;
-    snn::alif_step(config_, in + t * step, t == 0 ? nullptr : ot - step, v.data(),
-                   trace.data(), dist.data(), ot, step);
+    snn::alif_step(config_, in + t * step, t == 0 ? nullptr : ot - step, v, trace, dist, ot,
+                   step);
   }
-  return with_events(std::move(out), emit_events_, span);
+  finish_spikes(out, emit_events_, span);
 }
 
 std::unique_ptr<OpState> AlifOp::make_state() const {

@@ -26,7 +26,7 @@ class LifOp final : public Op {
   LifOp(std::string layer_name, const snn::LifConfig& config, int64_t timesteps,
         bool emit_events);
 
-  [[nodiscard]] Activation run(const Activation& input) const override;
+  void run_into(const Activation& input, Activation& out) const override;
   [[nodiscard]] OpReport report() const override;
 
   /// Streaming: carries v - theta and the last spikes per neuron across
@@ -48,7 +48,7 @@ class AlifOp final : public Op {
   AlifOp(std::string layer_name, const snn::AlifConfig& config, int64_t timesteps,
          bool emit_events);
 
-  [[nodiscard]] Activation run(const Activation& input) const override;
+  void run_into(const Activation& input, Activation& out) const override;
   [[nodiscard]] OpReport report() const override;
 
   /// Streaming: carries {v, adaptation trace, previous spike} per

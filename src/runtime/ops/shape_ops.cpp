@@ -1,5 +1,6 @@
 #include "runtime/ops/shape_ops.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -12,30 +13,27 @@ namespace ndsnn::runtime {
 using tensor::Shape;
 using tensor::Tensor;
 
-Activation AvgPoolOp::run(const Activation& input) const {
+void AvgPoolOp::run_into(const Activation& input, Activation& out) const {
   const Tensor& in = input.tensor;
   if (in.rank() != 4 || in.dim(2) % k_ != 0 || in.dim(3) % k_ != 0) {
     throw std::invalid_argument("AvgPoolOp: bad input " + in.shape().str());
   }
   const int64_t m = in.dim(0), c = in.dim(1), h = in.dim(2), w = in.dim(3);
   const int64_t oh = h / k_, ow = w / k_;
-  Tensor out(Shape{m, c, oh, ow});
-  nn::avg_pool2d(in.data(), out.data(), m * c, h, w, k_);
-  return Activation(std::move(out));
+  nn::avg_pool2d(in.data(), out.reset(Shape{m, c, oh, ow}).data(), m * c, h, w, k_);
 }
 
 OpReport AvgPoolOp::report() const { return {layer_name_, "pool", 0, 0, 0.0, false}; }
 
-Activation MaxPoolOp::run(const Activation& input) const {
+void MaxPoolOp::run_into(const Activation& input, Activation& out) const {
   const Tensor& in = input.tensor;
   if (in.rank() != 4 || in.dim(2) % k_ != 0 || in.dim(3) % k_ != 0) {
     throw std::invalid_argument("MaxPoolOp: bad input " + in.shape().str());
   }
   const int64_t m = in.dim(0), c = in.dim(1), h = in.dim(2), w = in.dim(3);
   const int64_t oh = h / k_, ow = w / k_;
-  Tensor out(Shape{m, c, oh, ow});
   const float* src = in.data();
-  float* dst = out.data();
+  float* dst = out.reset(Shape{m, c, oh, ow}).data();
   for (int64_t mc = 0; mc < m * c; ++mc) {
     const float* plane = src + mc * h * w;
     float* oplane = dst + mc * oh * ow;
@@ -52,75 +50,83 @@ Activation MaxPoolOp::run(const Activation& input) const {
       }
     }
   }
-  return Activation(std::move(out));
 }
 
 OpReport MaxPoolOp::report() const { return {layer_name_, "pool", 0, 0, 0.0, false}; }
 
-Activation GlobalAvgPoolOp::run(const Activation& input) const {
+void GlobalAvgPoolOp::run_into(const Activation& input, Activation& out) const {
   const Tensor& in = input.tensor;
   if (in.rank() != 4) {
     throw std::invalid_argument("GlobalAvgPoolOp: expected rank-4, got " + in.shape().str());
   }
   const int64_t m = in.dim(0), c = in.dim(1), plane = in.dim(2) * in.dim(3);
-  Tensor out(Shape{m, c});
   const float inv = 1.0F / static_cast<float>(plane);
   const float* src = in.data();
+  float* dst = out.reset(Shape{m, c}).data();
   for (int64_t mc = 0; mc < m * c; ++mc) {
     double acc = 0.0;
     const float* p = src + mc * plane;
     for (int64_t i = 0; i < plane; ++i) acc += p[i];
-    out.at(mc) = static_cast<float>(acc) * inv;
+    dst[mc] = static_cast<float>(acc) * inv;
   }
-  return Activation(std::move(out));
 }
 
 OpReport GlobalAvgPoolOp::report() const { return {"GlobalAvgPool", "pool", 0, 0, 0.0, false}; }
 
-Activation FlattenOp::run(const Activation& input) const {
+void FlattenOp::run_into(const Activation& input, Activation& out) const {
   const Tensor& in = input.tensor;
   if (in.rank() < 2) {
     throw std::invalid_argument("FlattenOp: expected rank >= 2, got " + in.shape().str());
   }
   const int64_t m = in.dim(0);
-  Tensor out = in.reshaped(Shape{m, in.numel() / m});
+  std::copy(in.data(), in.data() + in.numel(), out.reset(Shape{m, in.numel() / m}).data());
   // The event view indexes [row, flat-within-row] — invariant under the
   // reshape — so it passes straight through to the linear layers behind.
-  return input.has_events ? Activation(std::move(out), input.events)
-                          : Activation(std::move(out));
+  if (input.has_events) {
+    out.events = input.events;
+    out.has_events = true;
+  }
 }
 
 OpReport FlattenOp::report() const { return {"Flatten", "reshape", 0, 0, 0.0, false}; }
 
-Activation ResidualOp::run(const Activation& input) const {
+void ResidualOp::run_into(const Activation& input, Activation& out) const {
   // The block's sub-ops are invisible to Plan::execute (only the
   // residual op itself gets a plan-level span), so when tracing is on
   // each sub-op records its own "op" span here — that is where most of
   // a resnet plan's time actually goes.
   const bool traced = trace::enabled();
-  const auto run_sub = [traced](const std::unique_ptr<Op>& op, const Activation& in) {
-    return traced ? trace::run_op_instrumented(*op, op->report(), in, nullptr, 0)
-                  : op->run(in);
+  const auto run_sub = [traced](const Op& op, const Activation& in, Activation& sub_out) {
+    if (traced) {
+      trace::run_op_instrumented(op, op.report(), in, sub_out, nullptr, 0);
+    } else {
+      op.run_into(in, sub_out);
+    }
+  };
+  // The chains' intermediates are fresh per call; only the block's
+  // output lands in the kept `out`.
+  const auto run_fresh = [&run_sub](const Op& op, const Activation& in) {
+    Activation sub_out;
+    run_sub(op, in, sub_out);
+    return sub_out;
   };
   // Chain through pointers so the identity shortcut never copies the
   // input activation (main_ is never empty: conv1..bn2).
   Activation main;
   const Activation* cur = &input;
   for (const auto& op : main_) {
-    main = run_sub(op, *cur);
+    main = run_fresh(*op, *cur);
     cur = &main;
   }
   Activation shortcut;
   const Activation* scur = &input;
   for (const auto& op : shortcut_) {
-    shortcut = run_sub(op, *scur);
+    shortcut = run_fresh(*op, *scur);
     scur = &shortcut;
   }
   tensor::add_(main.tensor, scur->tensor);
-  const Activation summed(std::move(main.tensor));
-  return traced
-             ? trace::run_op_instrumented(*out_lif_, out_lif_->report(), summed, nullptr, 0)
-             : out_lif_->run(summed);
+  main.has_events = false;
+  run_sub(*out_lif_, main, out);
 }
 
 namespace {

@@ -24,7 +24,7 @@ class AvgPoolOp final : public Op {
   AvgPoolOp(std::string layer_name, int64_t k)
       : layer_name_(std::move(layer_name)), k_(k) {}
 
-  [[nodiscard]] Activation run(const Activation& input) const override;
+  void run_into(const Activation& input, Activation& out) const override;
   [[nodiscard]] OpReport report() const override;
 
  private:
@@ -37,7 +37,7 @@ class MaxPoolOp final : public Op {
   MaxPoolOp(std::string layer_name, int64_t k)
       : layer_name_(std::move(layer_name)), k_(k) {}
 
-  [[nodiscard]] Activation run(const Activation& input) const override;
+  void run_into(const Activation& input, Activation& out) const override;
   [[nodiscard]] OpReport report() const override;
 
  private:
@@ -47,13 +47,13 @@ class MaxPoolOp final : public Op {
 
 class GlobalAvgPoolOp final : public Op {
  public:
-  [[nodiscard]] Activation run(const Activation& input) const override;
+  void run_into(const Activation& input, Activation& out) const override;
   [[nodiscard]] OpReport report() const override;
 };
 
 class FlattenOp final : public Op {
  public:
-  [[nodiscard]] Activation run(const Activation& input) const override;
+  void run_into(const Activation& input, Activation& out) const override;
   [[nodiscard]] OpReport report() const override;
 };
 
@@ -67,7 +67,7 @@ class ResidualOp final : public Op {
         shortcut_(std::move(shortcut)),
         out_lif_(std::move(out_lif)) {}
 
-  [[nodiscard]] Activation run(const Activation& input) const override;
+  void run_into(const Activation& input, Activation& out) const override;
   [[nodiscard]] OpReport report() const override;
 
   /// Streaming: nested per-sub-op states (the block's BN-LIF chains and

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cstddef>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "runtime/trace.hpp"
-#include "snn/encoder.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ndsnn::runtime {
@@ -42,23 +43,28 @@ WeightStore::WeightStore(const tensor::Tensor& weight, Kernel picked,
 
 SpikeBatch SpikeBatch::scan(const tensor::Tensor& t) {
   SpikeBatch b;
-  b.rows = t.rank() >= 1 ? t.dim(0) : 1;
-  b.row_size = b.rows > 0 ? t.numel() / b.rows : 0;
-  b.row_ptr.assign(static_cast<std::size_t>(b.rows) + 1, 0);
+  b.rescan(t);
+  return b;
+}
+
+void SpikeBatch::rescan(const tensor::Tensor& t) {
+  rows = t.rank() >= 1 ? t.dim(0) : 1;
+  row_size = rows > 0 ? t.numel() / rows : 0;
+  row_ptr.assign(static_cast<std::size_t>(rows) + 1, 0);
+  idx.clear();
   // One row's candidates at a time, branch-free: write every index and
   // advance past it only when its element is nonzero (-0.0F is not).
-  std::vector<int32_t> row_idx(static_cast<std::size_t>(b.row_size));
+  std::vector<int32_t> row_idx(static_cast<std::size_t>(row_size));
   const float* p = t.data();
-  for (int64_t r = 0; r < b.rows; ++r, p += b.row_size) {
+  for (int64_t r = 0; r < rows; ++r, p += row_size) {
     std::size_t n = 0;
-    for (int64_t j = 0; j < b.row_size; ++j) {
+    for (int64_t j = 0; j < row_size; ++j) {
       row_idx[n] = static_cast<int32_t>(j);
       n += p[j] != 0.0F;
     }
-    b.idx.insert(b.idx.end(), row_idx.begin(), row_idx.begin() + static_cast<std::ptrdiff_t>(n));
-    b.row_ptr[static_cast<std::size_t>(r) + 1] = static_cast<int64_t>(b.idx.size());
+    idx.insert(idx.end(), row_idx.begin(), row_idx.begin() + static_cast<std::ptrdiff_t>(n));
+    row_ptr[static_cast<std::size_t>(r) + 1] = static_cast<int64_t>(idx.size());
   }
-  return b;
 }
 
 double SpikeBatch::rate() const {
@@ -69,18 +75,38 @@ double SpikeBatch::rate() const {
 
 namespace {
 
-/// Direct-encode the invariant prefix's output: its rows repeated
-/// `timesteps` times, time-major.
-Activation tile_time_major(Activation x, int64_t timesteps) {
-  if (timesteps == 1) return x;
-  snn::DirectEncoder encoder;
-  return Activation(encoder.encode(x.tensor, timesteps));
+/// The activations of one execution on the calling thread: the input
+/// copy and two buffers each op's output and the tiled prefix take in
+/// turn, so an op never writes the buffer it reads. Kept from call to
+/// call; sized by the largest activation the thread has run.
+struct ExecBuffers {
+  Activation input;
+  Activation turn[2];
+
+  Activation& other_than(const Activation* x) { return x == &turn[0] ? turn[1] : turn[0]; }
+};
+
+/// Direct-encode the invariant prefix's output into `out`: its rows
+/// repeated `timesteps` times, time-major (as snn::DirectEncoder).
+void tile_time_major(const Activation& x, int64_t timesteps, Activation& out) {
+  const tensor::Shape& s = x.tensor.shape();
+  std::vector<int64_t> dims = s.dims();
+  if (dims.empty()) throw std::invalid_argument("Plan::execute: input has no batch dim");
+  dims[0] *= timesteps;
+  float* dst = out.reset(tensor::Shape(std::move(dims))).data();
+  const int64_t step = x.tensor.numel();
+  for (int64_t t = 0; t < timesteps; ++t) {
+    std::copy(x.tensor.data(), x.tensor.data() + step, dst + t * step);
+  }
 }
 
-/// Run the plan's ops on `x`, tiling the invariant prefix's output to
-/// `timesteps` time-major copies (timesteps == 1 leaves it as is).
-tensor::Tensor run_ops(const Plan& plan, tensor::Tensor input, int64_t timesteps) {
-  Activation x(std::move(input));
+/// Run the plan's ops on `input`, tiling the invariant prefix's output
+/// to `timesteps` time-major copies (timesteps == 1 leaves it as is).
+tensor::Tensor run_ops(const Plan& plan, const tensor::Tensor& input, int64_t timesteps) {
+  thread_local ExecBuffers buffers;
+  buffers.input.tensor = input;  // copies into the storage of the last call
+  buffers.input.has_events = false;
+  const Activation* x = &buffers.input;
   const auto& ops = plan.ops;
   const std::size_t prefix = std::min(plan.invariant_prefix, ops.size());
   // With tracing and profiling off (the default), the only
@@ -88,23 +114,32 @@ tensor::Tensor run_ops(const Plan& plan, tensor::Tensor input, int64_t timesteps
   // predicts perfectly across a serving run.
   PlanProfile* prof = plan.profile && plan.profile->enabled() ? plan.profile.get() : nullptr;
   const bool instrumented = prof != nullptr || trace::enabled();
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (i == prefix) x = tile_time_major(std::move(x), timesteps);
-    x = instrumented ? trace::run_op_instrumented(*ops[i], plan.reports[i], x, prof, i)
-                     : ops[i]->run(x);
+  for (std::size_t i = 0; i <= ops.size(); ++i) {
+    if (i == prefix && timesteps > 1) {
+      Activation& tiled = buffers.other_than(x);
+      tile_time_major(*x, timesteps, tiled);
+      x = &tiled;
+    }
+    if (i == ops.size()) break;
+    Activation& out = buffers.other_than(x);
+    if (instrumented) {
+      trace::run_op_instrumented(*ops[i], plan.reports[i], *x, out, prof, i);
+    } else {
+      ops[i]->run_into(*x, out);
+    }
+    x = &out;
   }
-  if (prefix == ops.size()) x = tile_time_major(std::move(x), timesteps);
-  return std::move(x.tensor);
+  return x->tensor;
 }
 
 }  // namespace
 
-tensor::Tensor Plan::execute(tensor::Tensor batch) const {
-  return run_ops(*this, std::move(batch), timesteps);
+tensor::Tensor Plan::execute(const tensor::Tensor& batch) const {
+  return run_ops(*this, batch, timesteps);
 }
 
-tensor::Tensor Plan::execute_time_major(tensor::Tensor window) const {
-  return run_ops(*this, std::move(window), 1);
+tensor::Tensor Plan::execute_time_major(const tensor::Tensor& window) const {
+  return run_ops(*this, window, 1);
 }
 
 int64_t Plan::stored_weights() const {

@@ -75,6 +75,8 @@ struct SpikeBatch {
   /// usable view arrives, and StreamSession scans each input frame for
   /// its delta path.
   [[nodiscard]] static SpikeBatch scan(const tensor::Tensor& t);
+  /// The same scan into this view, reusing its storage.
+  void rescan(const tensor::Tensor& t);
 
   /// Fraction of nonzero elements over everything indexed.
   [[nodiscard]] double rate() const;
@@ -104,6 +106,15 @@ struct Activation {
   explicit Activation(tensor::Tensor t) : tensor(std::move(t)) {}
   Activation(tensor::Tensor t, SpikeBatch e)
       : tensor(std::move(t)), events(std::move(e)), has_events(true) {}
+
+  /// Makes this a zero-filled `shape` tensor with no event view, in the
+  /// storage it already holds (Tensor::assign_zeros); the event view
+  /// keeps its storage for a later rescan.
+  tensor::Tensor& reset(tensor::Shape shape) {
+    tensor.assign_zeros(std::move(shape));
+    has_events = false;
+    return tensor;
+  }
 };
 
 /// What one compiled op is and how sparse its weights are (for plan
@@ -143,7 +154,13 @@ struct OpState {
 };
 
 /// One inference op of the compiled plan. Implementations are immutable
-/// after construction; run() must be safe to call from many threads.
+/// after construction; run_into() must be safe to call from many threads.
+///
+/// Buffers: run_into() writes the whole output (tensor, event view and
+/// has_events) into `out`, in the storage `out` already holds where it
+/// is large enough. Plan::execute passes each op a buffer an earlier op
+/// or call left behind, so a repeated call page-faults nothing in; the
+/// bits never depend on what `out` held before.
 ///
 /// Streaming: make_state()/step() execute the op one timestep at a time
 /// over [N, ...] frames instead of a whole [T*N, ...] window. The
@@ -160,8 +177,15 @@ class Op {
   Op(const Op&) = delete;
   Op& operator=(const Op&) = delete;
 
-  [[nodiscard]] virtual Activation run(const Activation& input) const = 0;
+  virtual void run_into(const Activation& input, Activation& out) const = 0;
   [[nodiscard]] virtual OpReport report() const = 0;
+
+  /// run_into() a fresh Activation.
+  [[nodiscard]] Activation run(const Activation& input) const {
+    Activation out;
+    run_into(input, out);
+    return out;
+  }
 
   /// Fresh streaming state, or nullptr for stateless ops. A nullptr
   /// also tells the session the op is safe to delta-skip on empty input
@@ -219,13 +243,17 @@ struct Plan {
   /// produces (an event view is dropped), and
   /// the remaining ops run on that. Stateless ops are row-independent,
   /// so this is bitwise identical to running every op on the encoded
-  /// batch. Taken by value: callers move a temporary in.
-  [[nodiscard]] tensor::Tensor execute(tensor::Tensor batch) const;
+  /// batch. The input copy, the tiled rows and every op output live in
+  /// buffers of the calling thread kept from call to call (pool lanes
+  /// and request workers are threads, so no two calls share them). A
+  /// repeated call at one shape allocates only the logits, the linear
+  /// ops' outputs and residual blocks' inner chains.
+  [[nodiscard]] tensor::Tensor execute(const tensor::Tensor& batch) const;
 
   /// Run every op on an already time-major window [T*N, ...] as is, with
   /// no prefix hoist: the whole-window reference StreamSession is pinned
   /// against.
-  [[nodiscard]] tensor::Tensor execute_time_major(tensor::Tensor window) const;
+  [[nodiscard]] tensor::Tensor execute_time_major(const tensor::Tensor& window) const;
 
   /// Weight elements stored by the plan (CSR nnz + dense fallback sizes).
   [[nodiscard]] int64_t stored_weights() const;

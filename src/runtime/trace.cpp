@@ -260,12 +260,12 @@ double nonzero_fraction(const tensor::Tensor& t) {
   return static_cast<double>(nz) / static_cast<double>(n);
 }
 
-Activation run_op_instrumented(const Op& op, const OpReport& report, const Activation& in,
-                               PlanProfile* profile, std::size_t index) {
+void run_op_instrumented(const Op& op, const OpReport& report, const Activation& in,
+                         Activation& out, PlanProfile* profile, std::size_t index) {
   const bool traced = enabled();
   const int64_t in_bytes = in.tensor.numel() * static_cast<int64_t>(sizeof(float));
   const double t0 = now_us();
-  Activation out = op.run(in);
+  op.run_into(in, out);
   const double dur = now_us() - t0;
 
   const int64_t rows = out.tensor.rank() >= 1 ? out.tensor.dim(0) : 1;
@@ -295,7 +295,6 @@ Activation run_op_instrumented(const Op& op, const OpReport& report, const Activ
               out.tensor.numel() * static_cast<int64_t>(sizeof(float));
     record(std::move(s));
   }
-  return out;
 }
 
 }  // namespace trace

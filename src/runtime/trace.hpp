@@ -214,9 +214,8 @@ namespace trace {
 /// observed spike rate, approximate bytes touched) and folds the
 /// sample into `profile` slot `index` when non-null. The op sees the
 /// exact same input either way, so outputs stay bitwise identical.
-[[nodiscard]] Activation run_op_instrumented(const Op& op, const OpReport& report,
-                                             const Activation& in, PlanProfile* profile,
-                                             std::size_t index);
+void run_op_instrumented(const Op& op, const OpReport& report, const Activation& in,
+                         Activation& out, PlanProfile* profile, std::size_t index);
 }  // namespace trace
 
 }  // namespace ndsnn::runtime

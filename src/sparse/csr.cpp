@@ -217,6 +217,13 @@ void conv_block(const std::vector<ConvTap>& taps, const float* x, float* o, int6
 
 tensor::Tensor Csr::conv2d(const tensor::Tensor& input, int64_t kernel, int64_t stride,
                            int64_t padding) const {
+  tensor::Tensor out;
+  conv2d(input, kernel, stride, padding, out);
+  return out;
+}
+
+void Csr::conv2d(const tensor::Tensor& input, int64_t kernel, int64_t stride, int64_t padding,
+                 tensor::Tensor& out) const {
   if (input.rank() != 4 || kernel < 1 || stride < 1 || padding < 0 ||
       input.dim(1) * kernel * kernel != cols_) {
     throw std::invalid_argument("Csr::conv2d: expected input [M, C, H, W] with C * " +
@@ -233,7 +240,7 @@ tensor::Tensor Csr::conv2d(const tensor::Tensor& input, int64_t kernel, int64_t 
   const int64_t oh = (h + 2 * padding - kernel) / stride + 1;
   const int64_t ow = (w + 2 * padding - kernel) / stride + 1;
   const int64_t plane = oh * ow, sample = input.dim(1) * h * w;
-  tensor::Tensor out(tensor::Shape{m, rows_, oh, ow});
+  out.assign_zeros(tensor::Shape{m, rows_, oh, ow});
   const float* xp = input.data();
   float* op = out.data();
 
@@ -262,7 +269,10 @@ tensor::Tensor Csr::conv2d(const tensor::Tensor& input, int64_t kernel, int64_t 
   // them. Blocks of one sample read the input and write the output in
   // place.
   const int64_t nb = std::clamp<int64_t>(kConvBlockFloats / plane, 1, std::max<int64_t>(m, 1));
-  std::vector<float> interleaved;
+  // Scratch of the calling thread, kept from call to call; every element
+  // read below is written first.
+  thread_local std::vector<float> interleaved, acc;
+  thread_local std::vector<ConvTap> taps;
   if (nb > 1) {
     interleaved.resize(static_cast<std::size_t>(m * sample));
     for (int64_t m0 = 0; m0 < m; m0 += nb) {
@@ -274,8 +284,7 @@ tensor::Tensor Csr::conv2d(const tensor::Tensor& input, int64_t kernel, int64_t 
       }
     }
   }
-  std::vector<float> acc(static_cast<std::size_t>(nb > 1 ? nb * plane : 0));
-  std::vector<ConvTap> taps;
+  acc.resize(static_cast<std::size_t>(nb > 1 ? nb * plane : 0));
   for (int64_t f = 0; f < rows_; ++f) {
     decode(f, taps);
     for (int64_t m0 = 0; m0 < m; m0 += nb) {
@@ -296,7 +305,6 @@ tensor::Tensor Csr::conv2d(const tensor::Tensor& input, int64_t kernel, int64_t 
       }
     }
   }
-  return out;
 }
 
 namespace {

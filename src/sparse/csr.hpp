@@ -86,6 +86,11 @@ class Csr {
   /// same bits. Throws std::invalid_argument on a bad shape or geometry.
   [[nodiscard]] tensor::Tensor conv2d(const tensor::Tensor& input, int64_t kernel,
                                       int64_t stride, int64_t padding) const;
+  /// The same into `out` (not `input`), reshaped with
+  /// Tensor::assign_zeros, so a buffer kept across calls is written in
+  /// place; the staging scratch is kept per thread.
+  void conv2d(const tensor::Tensor& input, int64_t kernel, int64_t stride, int64_t padding,
+              tensor::Tensor& out) const;
 
   /// C[m, rows] = B * Aᵀ for dense B [m, cols] (the "T" variant; linear
   /// layers: x[M, in] * Wᵀ with W stored CSR [out, in]). On fp32

@@ -180,8 +180,8 @@ int64_t conv_block_samples(const ConvGeometry& g) {
   return std::clamp<int64_t>(kConvStageBytes / sample_bytes, 1, std::max<int64_t>(g.batch, 1));
 }
 
-Tensor conv2d_gemm(const Tensor& input, const Tensor& wmat, const ConvGeometry& g,
-                   util::simd::Tier tier) {
+void conv2d_gemm(const Tensor& input, const Tensor& wmat, const ConvGeometry& g, Tensor& out,
+                 util::simd::Tier tier) {
   check_input(input, g);
   if (wmat.rank() != 2 || wmat.dim(1) != g.patch_rows()) {
     throw std::invalid_argument("conv2d_gemm: weight shape " + wmat.shape().str() +
@@ -189,7 +189,7 @@ Tensor conv2d_gemm(const Tensor& input, const Tensor& wmat, const ConvGeometry& 
   }
   const int64_t f = wmat.dim(0);
   const int64_t plane = g.out_h() * g.out_w();
-  Tensor out(Shape{g.batch, f, g.out_h(), g.out_w()});
+  out.assign_zeros(Shape{g.batch, f, g.out_h(), g.out_w()});
   PatchBlocks blocks(input, g);
   const int64_t per_block = blocks.per_block();
   // A block of several samples runs as one GEMM into [F, nb*plane],
@@ -213,7 +213,6 @@ Tensor conv2d_gemm(const Tensor& input, const Tensor& wmat, const ConvGeometry& 
       }
     }
   }
-  return out;
 }
 
 void conv2d_weight_grad(const Tensor& grad_output, const Tensor& input, const ConvGeometry& g,

@@ -31,9 +31,11 @@ inline constexpr int64_t kConvStageBytes = 256 * 1024;
 /// kConvStageBytes, at least one.
 [[nodiscard]] int64_t conv_block_samples(const ConvGeometry& g);
 
-/// out [N, F, OH, OW] = wmat [F, C*KH*KW] * im2col(input, g), without bias.
-[[nodiscard]] Tensor conv2d_gemm(const Tensor& input, const Tensor& wmat, const ConvGeometry& g,
-                                 util::simd::Tier tier = util::simd::Tier::kAuto);
+/// out [N, F, OH, OW] = wmat [F, C*KH*KW] * im2col(input, g), without
+/// bias. `out` (not `input`) is reshaped with Tensor::assign_zeros, so a
+/// buffer kept across calls is written in place.
+void conv2d_gemm(const Tensor& input, const Tensor& wmat, const ConvGeometry& g, Tensor& out,
+                 util::simd::Tier tier = util::simd::Tier::kAuto);
 
 /// dw [F, C*KH*KW] += gy * im2col(input, g)ᵀ, where grad_output
 /// [N, F, OH, OW] is read as gy [F, N*OH*OW]. With a keep mask

@@ -11,6 +11,11 @@ namespace ndsnn::tensor {
 Tensor::Tensor(Shape shape)
     : shape_(std::move(shape)), data_(static_cast<std::size_t>(shape_.numel()), 0.0F) {}
 
+void Tensor::assign_zeros(Shape shape) {
+  data_.assign(static_cast<std::size_t>(shape.numel()), 0.0F);
+  shape_ = std::move(shape);
+}
+
 Tensor::Tensor(Shape shape, float value)
     : shape_(std::move(shape)), data_(static_cast<std::size_t>(shape_.numel()), value) {}
 

@@ -59,6 +59,11 @@ class Tensor {
   /// it: after `std::move(t).reshaped(s)`, `t` may only be assigned to.
   [[nodiscard]] Tensor reshaped(Shape new_shape) &&;
 
+  /// Reshapes to `shape`, zero-filled, in the storage this tensor
+  /// already holds whenever it is large enough: how a buffer kept
+  /// across calls takes each call's output.
+  void assign_zeros(Shape shape);
+
   /// In-place fills.
   void fill(float value);
   void zero() { fill(0.0F); }

@@ -14,6 +14,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/models/zoo.hpp"
 #include "tensor/random.hpp"
+#include "../testing_env.hpp"
 
 #if defined(__linux__)
 #include <sys/resource.h>
@@ -22,18 +23,7 @@
 namespace ndsnn::nn {
 namespace {
 
-const char* allocation_skip_reason() {
-#if !defined(__linux__)
-  return "fault and peak-RSS counts are read with Linux getrusage";
-#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  return "sanitizer allocators map and poison memory on their own schedule";
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  return "sanitizer allocators map and poison memory on their own schedule";
-#endif
-#endif
-  return nullptr;
-}
+using difftest::allocation_skip_reason;
 
 #if defined(__linux__)
 rusage self_usage() {

@@ -10,8 +10,11 @@
 // at two blocks plus one sample (the last block is cut short mid-batch),
 // on every tier this host runs. The channel axis covers both staging
 // routes: one-sample blocks at stride 1 read their patch rows in place,
-// every other block is copied out. Every cell is checked; nothing here is
-// timed.
+// every other block is copied out. The forward and ConvOp write into one
+// output buffer kept across all cells, as the plan's buffers are kept
+// across calls, so each cell also checks that a reused, differently
+// shaped, dirty buffer gives the fresh bits. Every cell is checked;
+// nothing here is timed.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -135,6 +138,8 @@ TEST(ConvGemmSweepTest, BlockedConvMatchesWholeMatrixBitwise) {
   ASSERT_GT(cells.size(), 80U);
   tensor::Rng rng(difftest::env_seed() ^ 0xC0417ULL);
   int64_t split_mid_batch = 0, one_sample_blocks = 0;
+  Tensor y;            // conv2d_gemm's output, kept across cells
+  Activation op_out;   // ConvOp's output, kept across cells
   for (const Cell& cell : cells) {
     SCOPED_TRACE(testing::Message() << "c" << cell.channels << " k" << cell.k << " s"
                                     << cell.stride << " p" << cell.padding << " out "
@@ -163,7 +168,8 @@ TEST(ConvGemmSweepTest, BlockedConvMatchesWholeMatrixBitwise) {
     for (const Tier tier : tiers()) {
       SCOPED_TRACE(util::simd::name(tier));
       const Tensor y_ref = to_nchw(tensor::matmul(wmat, cols, tier), g);
-      EXPECT_TRUE(bitwise_equal(tensor::conv2d_gemm(x, wmat, g, tier), y_ref)) << "forward";
+      tensor::conv2d_gemm(x, wmat, g, y, tier);
+      EXPECT_TRUE(bitwise_equal(y, y_ref)) << "forward";
 
       Tensor dw_ref = dw0;
       tensor::matmul_nt_acc(gy_rows, cols, dw_ref, tier);
@@ -186,7 +192,9 @@ TEST(ConvGemmSweepTest, BlockedConvMatchesWholeMatrixBitwise) {
                       CompileOptions{});
       Tensor op_ref = y_ref;
       tensor::add_channel_bias_(op_ref, layer_src.bias());
-      EXPECT_TRUE(bitwise_equal(op.run(Activation(x)).tensor, op_ref)) << "ConvOp dense";
+      op.run_into(Activation(x), op_out);
+      EXPECT_TRUE(bitwise_equal(op_out.tensor, op_ref)) << "ConvOp dense";
+      EXPECT_FALSE(op_out.has_events);
     }
   }
   // The 2x2 planes stage many samples per block, so some batches end
@@ -202,8 +210,9 @@ TEST(ConvGemmSweepTest, RejectsMismatchedShapes) {
   g.in_h = g.in_w = 6;
   g.kernel_h = g.kernel_w = 3;
   const Tensor x(Shape{2, 3, 6, 6});
-  EXPECT_THROW((void)tensor::conv2d_gemm(x, Tensor(Shape{4, 26}), g), std::invalid_argument);
-  EXPECT_THROW((void)tensor::conv2d_gemm(Tensor(Shape{2, 3, 6, 5}), Tensor(Shape{4, 27}), g),
+  Tensor y;
+  EXPECT_THROW(tensor::conv2d_gemm(x, Tensor(Shape{4, 26}), g, y), std::invalid_argument);
+  EXPECT_THROW(tensor::conv2d_gemm(Tensor(Shape{2, 3, 6, 5}), Tensor(Shape{4, 27}), g, y),
                std::invalid_argument);
   Tensor dw(Shape{4, 27});
   EXPECT_THROW(tensor::conv2d_weight_grad(Tensor(Shape{2, 4, 3, 3}), x, g, nullptr, dw),

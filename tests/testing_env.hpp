@@ -4,7 +4,8 @@
 // failures are reproducible: export the logged NDSNN_TEST_SEED locally
 // to replay the identical sequence. The heavier differential harness
 // (network generation, backend sweeps) lives in runtime/testing.hpp.
-// timing_gate_skip_reason() decides where wall-clock ratio gates bind;
+// timing_gate_skip_reason() decides where wall-clock ratio gates bind,
+// allocation_skip_reason() where page-fault and peak-RSS budgets do;
 // TierGuard scopes a forced SIMD kernel tier.
 #pragma once
 
@@ -53,6 +54,22 @@ inline const char* timing_gate_skip_reason() {
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
   return "timing gate does not bind under ASan/TSan";
+#endif
+#endif
+  return nullptr;
+}
+
+/// Why a page-fault or peak-RSS budget cannot bind in this build, or
+/// nullptr when it can: both are read with Linux getrusage, and
+/// sanitizer allocators map and poison memory on their own schedule.
+inline const char* allocation_skip_reason() {
+#if !defined(__linux__)
+  return "fault and peak-RSS counts are read with Linux getrusage";
+#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return "sanitizer allocators map and poison memory on their own schedule";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  return "sanitizer allocators map and poison memory on their own schedule";
 #endif
 #endif
   return nullptr;
