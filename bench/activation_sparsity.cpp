@@ -62,9 +62,9 @@ Tensor spike_input(int64_t rows, int64_t in, double rate, Rng& rng) {
   return x;
 }
 
-/// The event path of runtime::LinearOp without a SpikeBatch view: scan
-/// the input into one (SpikeBatch::scan), then per row gather through
-/// Wᵀ into double accumulators.
+/// The event path of runtime::LinearOp: scan the input into a
+/// SpikeBatch (SpikeBatch::scan), then per row gather through Wᵀ into
+/// double accumulators.
 Tensor event_spmm_t(const Csr& csr_t, const Tensor& x) {
   const int64_t m = x.dim(0), in = x.dim(1), out = csr_t.cols();
   Tensor y(Shape{m, out});

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <initializer_list>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -62,9 +61,7 @@ constexpr float kQuantMaxError = 0.02F;
 /// and the best available estimate of its nonzero fraction. Neuron-layer
 /// rates come from the network's recorded firing rates when a forward
 /// pass ran (Layer::last_spike_rate), else from kFiringRateEstimate; all
-/// of them aggregate into a snn::SpikeStats summary the plan reports. It
-/// also tracks which neuron ops' event views reach the next layer, so
-/// each neuron op builds a view only when that layer reads it.
+/// of them aggregate into a snn::SpikeStats summary the plan reports.
 struct Lowering {
   const CompileOptions& opts;
   /// A v3 checkpoint's per-weight-layer precisions in body order; they
@@ -73,14 +70,6 @@ struct Lowering {
   bool spiking = false;  ///< next layer's input is a spike train
   double rate = 1.0;     ///< estimated nonzero fraction of that input
   snn::SpikeStats stats; ///< per-neuron-layer rate aggregate
-  bool dry = false;       ///< walk state only, build no ops (pre-pass)
-  /// Per neuron op, in walk order: an event-driven weight op reads its
-  /// view. The dry pass fills it; the build pass reads it.
-  std::vector<bool> emits;
-  std::size_t neuron_index = 0;  ///< neuron ops seen, in walk order
-  /// The neuron op (index into `emits`) whose view the next layer sees:
-  /// the producer of the current activation, carried through Flatten.
-  std::optional<std::size_t> view;
   std::size_t weight_index = 0;  ///< weight layers seen, in body order
                                  ///< (indexes `recorded`)
 
@@ -107,22 +96,6 @@ struct Lowering {
   /// k*k inputs is, so the union bound k*k*rate caps the outgoing rate.
   void pooled(int64_t k) {
     if (spiking) rate = std::min(1.0, rate * static_cast<double>(k * k));
-  }
-
-  /// The next layer consumes the current activation. If it reads events
-  /// (an event-driven weight op), the neuron op whose view reaches it
-  /// emits one. Either way no view gets past it.
-  void consume_view(bool reads) {
-    if (reads && view) emits[*view] = true;
-    view.reset();
-  }
-
-  /// A neuron op produces the current activation: returns whether it
-  /// builds an event view (known once the dry pass has run).
-  bool neuron_output() {
-    view = neuron_index++;
-    if (dry) emits.push_back(false);
-    return emits[*view];
   }
 
   /// Should the weight layer consuming the current activation run
@@ -196,43 +169,28 @@ std::vector<std::unique_ptr<Op>> compile_chain(
   return ops;
 }
 
-/// One function serves both passes of the staged compile: the dry
-/// pre-pass walks the identical dataflow-state transitions (so the
-/// event decisions cannot diverge between passes) but skips the weight
-/// measurement and op construction, only recording into Lowering which
-/// neuron ops feed an event-driven weight op — the ones that pay for
-/// SpikeBatch emission.
 std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
   if (const auto* linear = dynamic_cast<const nn::Linear*>(&layer)) {
     const bool event = lw.event_for_weight_layer();
-    lw.consume_view(event);
     lw.now_dense();
-    if (lw.dry) return nullptr;
     const Kernel kernel = pick_kernel(linear->weight(), lw.opts);
     const sparse::Precision precision = pick_precision(linear->weight(), kernel, event, lw);
     return std::make_unique<LinearOp>(*linear, kernel, precision, event, lw.opts);
   }
   if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&layer)) {
     const bool event = lw.event_for_weight_layer();
-    lw.consume_view(event);
     lw.now_dense();
-    if (lw.dry) return nullptr;
     const Kernel kernel = pick_kernel(conv->weight(), lw.opts);
     const sparse::Precision precision = pick_precision(conv->weight(), kernel, event, lw);
     return std::make_unique<ConvOp>(*conv, kernel, precision, event, lw.opts);
   }
   if (const auto* bn = dynamic_cast<const nn::BatchNorm2d*>(&layer)) {
-    lw.consume_view(false);
     lw.now_dense();  // the affine shift makes zeros non-zero
-    if (lw.dry) return nullptr;
     return std::make_unique<BatchNormOp>(*bn);
   }
   if (const auto* lif = dynamic_cast<const nn::LifActivation*>(&layer)) {
     lw.now_spiking(lif->last_spike_rate());
-    const bool emit = lw.neuron_output();
-    if (lw.dry) return nullptr;
-    return std::make_unique<LifOp>(lif->name(), lif->lif().config(),
-                                   lif->lif().timesteps(), emit);
+    return std::make_unique<LifOp>(lif->name(), lif->lif().config(), lif->lif().timesteps());
   }
   if (const auto* plif = dynamic_cast<const nn::PlifActivation*>(&layer)) {
     // PLIF at inference is a LIF with the trained leak alpha = sigmoid(a).
@@ -240,44 +198,31 @@ std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
     cfg.alpha = plif->plif().alpha();
     cfg.threshold = plif->plif().config().threshold;
     lw.now_spiking(plif->last_spike_rate());
-    const bool emit = lw.neuron_output();
-    if (lw.dry) return nullptr;
-    return std::make_unique<LifOp>(plif->name(), cfg, plif->plif().timesteps(), emit);
+    return std::make_unique<LifOp>(plif->name(), cfg, plif->plif().timesteps());
   }
   if (const auto* alif = dynamic_cast<const nn::AlifActivation*>(&layer)) {
     lw.now_spiking(alif->last_spike_rate());
-    const bool emit = lw.neuron_output();
-    if (lw.dry) return nullptr;
     return std::make_unique<AlifOp>(alif->name(), alif->alif().config(),
-                                    alif->alif().timesteps(), emit);
+                                    alif->alif().timesteps());
   }
-  // Pooling returns a view-less activation.
   if (const auto* avg = dynamic_cast<const nn::AvgPool2d*>(&layer)) {
-    lw.consume_view(false);
     lw.pooled(avg->k());
-    if (lw.dry) return nullptr;
     return std::make_unique<AvgPoolOp>(avg->name(), avg->k());
   }
   if (const auto* max = dynamic_cast<const nn::MaxPool2d*>(&layer)) {
-    lw.consume_view(false);
     lw.pooled(max->k());
-    if (lw.dry) return nullptr;
     return std::make_unique<MaxPoolOp>(max->name(), max->k());
   }
   if (dynamic_cast<const nn::GlobalAvgPool*>(&layer) != nullptr) {
-    lw.consume_view(false);
     lw.now_dense();  // whole-plane averages are rarely exactly zero
-    if (lw.dry) return nullptr;
     return std::make_unique<GlobalAvgPoolOp>();
   }
   if (dynamic_cast<const nn::Flatten*>(&layer) != nullptr) {
-    if (lw.dry) return nullptr;
-    return std::make_unique<FlattenOp>();  // spiking-ness and views pass through
+    return std::make_unique<FlattenOp>();  // spiking-ness passes through
   }
   if (const auto* res = dynamic_cast<const nn::ResidualBlock*>(&layer)) {
-    // Both chains fork off the same incoming activation state. conv1
-    // consumes the incoming view; a projection shortcut's conv, seeing
-    // the same state, takes the same event decision.
+    // Both chains fork off the same incoming activation state, so a
+    // projection shortcut's conv takes conv1's event decision.
     const bool in_spiking = lw.spiking;
     const double in_rate = lw.rate;
     auto main = compile_chain(
@@ -288,7 +233,6 @@ std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
     // The output LIF consumes main + shortcut (dense sums).
     lw.now_dense();
     auto out_lif = compile_layer(res->lif_out(), lw);
-    if (lw.dry) return nullptr;
     return std::make_unique<ResidualOp>(res->name(), std::move(main), std::move(shortcut),
                                         std::move(out_lif));
   }
@@ -335,16 +279,7 @@ CompiledNetwork CompiledNetwork::lower(const nn::SpikingNetwork& net,
   CompiledNetwork compiled;
   compiled.plan_.timesteps = net.timesteps();
   const nn::Sequential& body = net.body();
-  // Stage 1 (dry): walk the dataflow state to learn which neuron ops
-  // feed an event-driven weight op. Stage 2 builds the ops; a neuron op
-  // emits SpikeBatch views only when stage 1 found it such a consumer.
-  Lowering dry_walk(opts);
-  dry_walk.dry = true;
-  for (std::size_t i = 0; i < body.size(); ++i) {
-    (void)compile_layer(body.layer(i), dry_walk);
-  }
   Lowering lw(opts);
-  lw.emits = std::move(dry_walk.emits);
   lw.recorded = std::move(recorded);
   for (std::size_t i = 0; i < body.size(); ++i) {
     compiled.plan_.ops.push_back(compile_layer(body.layer(i), lw));

@@ -24,9 +24,8 @@
 //      layers' recorded rates (aggregated with snn::SpikeStats);
 //      CompileOptions::activation_mode forces one path everywhere.
 //   3. Emit the Plan IR (src/runtime/plan.hpp): per-op kernels under
-//      src/runtime/ops/. When some weight op runs event-driven, every
-//      neuron op scans its spike train into a SpikeBatch active-index
-//      view, so the event ops downstream need no scan of their own.
+//      src/runtime/ops/. An event-driven weight op scans its own input
+//      into a SpikeBatch active-index view on every run.
 //
 // Every path — any backend x any activation mode — produces bitwise
 // identical logits to the interpreted SpikingNetwork::predict: linear

@@ -82,7 +82,7 @@ struct InferenceResult {
   tensor::Tensor logits;
   double latency_ms = 0.0;
   /// Streaming only: plan stages skipped by the delta path for this
-  /// step (empty input SpikeBatch -> cached zero-input output reused).
+  /// step (all-+0.0 stage input -> cached zero-input output reused).
   int64_t skipped_ops = 0;
 };
 

@@ -1,8 +1,7 @@
 // BatchNormOp: BatchNorm2d folded to eval statistics at compile time.
 // Keeps the eval-path arithmetic of nn::BatchNorm2d::forward (same
 // operation order, precomputed inv_std) so compiled outputs match
-// interpreted eval outputs bitwise. The affine shift makes zeros
-// non-zero, so any incoming event view is dropped.
+// interpreted eval outputs bitwise.
 #pragma once
 
 #include <string>

@@ -43,8 +43,7 @@ void ConvOp::run_dense(const Tensor& input, Tensor& out) const {
                       tensor::ConvGeometry::of(input, kernel_, stride_, padding_), out, tier_);
 }
 
-void ConvOp::run_event(const Activation& input, Tensor& out) const {
-  const Tensor& in = input.tensor;
+void ConvOp::run_event(const Tensor& in, Tensor& out) const {
   const int64_t m = in.dim(0), h = in.dim(2), w = in.dim(3);
   const int64_t oh = (h + 2 * padding_ - kernel_) / stride_ + 1;
   const int64_t ow = (w + 2 * padding_ - kernel_) / stride_ + 1;
@@ -57,11 +56,10 @@ void ConvOp::run_event(const Activation& input, Tensor& out) const {
   const int64_t plane = oh * ow;
   out.assign_zeros(Shape{m, out_channels_, oh, ow});
 
-  const bool use_events =
-      input.has_events && input.events.rows == m && input.events.row_size == row_size;
-  SpikeBatch scanned;
-  if (!use_events) scanned = SpikeBatch::scan(in);
-  const SpikeBatch& events = use_events ? input.events : scanned;
+  // The active inputs, scanned into the calling thread's view, kept from
+  // call to call.
+  thread_local SpikeBatch events;
+  events.rescan(in);
 
   trace::ScopedSpan span("event-scatter", "phase");
   span.rows(m);
@@ -108,9 +106,8 @@ void ConvOp::run_into(const Activation& input, Activation& out) const {
     throw std::invalid_argument("ConvOp: expected [M, " + std::to_string(in_channels_) +
                                 ", H, W], got " + input.tensor.shape().str());
   }
-  out.has_events = false;
   if (event_) {
-    run_event(input, out.tensor);
+    run_event(input.tensor, out.tensor);
   } else {
     run_dense(input.tensor, out.tensor);
   }

@@ -5,10 +5,11 @@
 // writes the [N, F, OH, OW] output with no patch matrix, for fp32 and
 // quantised planes alike. Dense runs tensor::conv2d_gemm, the
 // cache-blocked patch GEMM of nn::Conv2d::forward, with its bits. Event
-// path, whatever the kernel: for each active (nonzero) input pixel,
-// enumerate the kernel offsets it reaches (the im2col mapping evaluated
-// on the fly) and scatter value * Wᵀ[patch-column], held as CSR, into
-// the output plane (sparse::Csr::scatter_row). Every path accumulates
+// path, whatever the kernel: scan the input for its active (nonzero)
+// pixels (SpikeBatch::rescan), and for each one enumerate the kernel
+// offsets it reaches (the im2col mapping evaluated on the fly) and
+// scatter value * Wᵀ[patch-column], held as CSR, into the output plane
+// (sparse::Csr::scatter_row). Every path accumulates
 // each output element over ascending patch-column index in float
 // mul-then-add steps, and skipped zero terms (silent pixels, pruned
 // weights) are exact no-ops on an accumulator that starts at +0:
@@ -35,7 +36,7 @@ class ConvOp final : public Op {
 
  private:
   void run_dense(const tensor::Tensor& input, tensor::Tensor& out) const;
-  void run_event(const Activation& input, tensor::Tensor& out) const;
+  void run_event(const tensor::Tensor& input, tensor::Tensor& out) const;
 
   std::string layer_name_;
   /// Kernel tier resolved once at construction (see LinearOp::tier_).

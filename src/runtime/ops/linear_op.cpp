@@ -33,18 +33,14 @@ Tensor LinearOp::run_dense(const Tensor& input) const {
                                        : tensor::matmul_nt(input, store_.dense, tier_);
 }
 
-Tensor LinearOp::run_event(const Activation& input) const {
-  const Tensor& in = input.tensor;
+void LinearOp::run_event(const Tensor& in, Tensor& out) const {
   const int64_t m = in.dim(0);
-  Tensor out(Shape{m, out_features_});
-
-  // The event view is usable only when it indexes exactly this layout
-  // (it survives flatten, not pooling / batch norm); otherwise scan.
-  const bool use_events =
-      input.has_events && input.events.rows == m && input.events.row_size == in_features_;
-  SpikeBatch scanned;
-  if (!use_events) scanned = SpikeBatch::scan(in);
-  const SpikeBatch& events = use_events ? input.events : scanned;
+  // The active inputs and the per-output accumulators live in buffers of
+  // the calling thread, kept from call to call.
+  thread_local SpikeBatch events;
+  thread_local std::vector<double> acc;
+  events.rescan(in);
+  acc.resize(static_cast<std::size_t>(out_features_));
 
   trace::ScopedSpan span("event-gather", "phase");
   span.rows(m);
@@ -52,8 +48,8 @@ Tensor LinearOp::run_event(const Activation& input) const {
   span.bytes(store_.bytes);
 
   const float* inp = in.data();
+  out.assign_zeros(Shape{m, out_features_});
   float* outp = out.data();
-  std::vector<double> acc(static_cast<std::size_t>(out_features_));
   for (int64_t i = 0; i < m; ++i) {
     std::fill(acc.begin(), acc.end(), 0.0);
     store_.csr.spmv_gather(inp + i * in_features_, events.active_begin(i),
@@ -63,7 +59,6 @@ Tensor LinearOp::run_event(const Activation& input) const {
       orow[r] = static_cast<float>(acc[static_cast<std::size_t>(r)]);
     }
   }
-  return out;
 }
 
 void LinearOp::run_into(const Activation& input, Activation& out) const {
@@ -73,10 +68,13 @@ void LinearOp::run_into(const Activation& input, Activation& out) const {
     throw std::invalid_argument("LinearOp: expected [M, " + std::to_string(in_features_) +
                                 "], got " + input.tensor.shape().str());
   }
-  // The output stays a fresh tensor of the returning kernels: it is
-  // [M, out_features], a few KB on LeNet-5.
-  out.tensor = event_ ? run_event(input) : run_dense(input.tensor);
-  out.has_events = false;
+  // The dense kernels return a fresh output: it is [M, out_features], a
+  // few KB on LeNet-5.
+  if (event_) {
+    run_event(input.tensor, out.tensor);
+  } else {
+    out.tensor = run_dense(input.tensor);
+  }
   if (has_bias_) tensor::add_row_bias_(out.tensor, bias_);
 }
 

@@ -1,11 +1,12 @@
 // LinearOp: fully-connected weight op of the compiled plan.
 //
 // Dense-activation path: CSR spmm_t or matmul_nt over the whole input
-// matrix. Event path: per input row, gather only the active (nonzero)
-// input features through Wᵀ held as CSR (sparse::Csr::spmv_gather) into
-// per-output double accumulators — the identical ascending-index double
-// accumulation the dense paths run, restricted to the terms that are
-// not exact no-ops, so both paths agree bitwise.
+// matrix. Event path: scan the input for its active (nonzero) features
+// (SpikeBatch::rescan), then per input row gather only those through Wᵀ
+// held as CSR (sparse::Csr::spmv_gather) into per-output double
+// accumulators — the identical ascending-index double accumulation the
+// dense paths run, restricted to the terms that are not exact no-ops,
+// so both paths agree bitwise.
 #pragma once
 
 #include <string>
@@ -30,7 +31,7 @@ class LinearOp final : public Op {
 
  private:
   [[nodiscard]] tensor::Tensor run_dense(const tensor::Tensor& input) const;
-  [[nodiscard]] tensor::Tensor run_event(const Activation& input) const;
+  void run_event(const tensor::Tensor& input, tensor::Tensor& out) const;
 
   std::string layer_name_;
   /// Kernel tier fixed at construction (util::simd::active()), so a

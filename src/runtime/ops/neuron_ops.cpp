@@ -14,25 +14,10 @@ using tensor::Tensor;
 
 namespace {
 
-/// Completes the op's output once `out.tensor` holds the spike train:
-/// attaches its event view when `emit_events` says a consumer reads one.
-/// The span records the observed firing rate: free from the view when
-/// there is one, else counted from the spikes, only while tracing.
-void finish_spikes(Activation& out, bool emit_events, trace::ScopedSpan& span) {
-  out.has_events = emit_events;
-  if (!emit_events) {
-    if (span.active()) span.rate(trace::nonzero_fraction(out.tensor));
-    return;
-  }
-  out.events.rescan(out.tensor);
-  span.rate(out.events.rate());
-}
-
-/// A fresh output of `spikes`, finished as above (streamed steps).
-Activation with_events(Tensor spikes, bool emit_events, trace::ScopedSpan& span) {
-  Activation out(std::move(spikes));
-  finish_spikes(out, emit_events, span);
-  return out;
+/// Records the firing rate of the spike train `spikes` on `span`, only
+/// while tracing.
+void record_rate(const Tensor& spikes, trace::ScopedSpan& span) {
+  if (span.active()) span.rate(trace::nonzero_fraction(spikes));
 }
 
 /// `n` zero-filled floats of neuron state: slot `slot` (0-2) of the
@@ -87,13 +72,11 @@ void ensure_stream_size(std::vector<float>& buf, int64_t step) {
 
 }  // namespace
 
-LifOp::LifOp(std::string layer_name, const snn::LifConfig& config, int64_t timesteps,
-             bool emit_events)
+LifOp::LifOp(std::string layer_name, const snn::LifConfig& config, int64_t timesteps)
     : layer_name_(std::move(layer_name)),
       alpha_(config.alpha),
       theta_(config.threshold),
-      timesteps_(timesteps),
-      emit_events_(emit_events) {}
+      timesteps_(timesteps) {}
 
 void LifOp::run_into(const Activation& input, Activation& out) const {
   const Tensor& in_t = input.tensor;
@@ -108,7 +91,7 @@ void LifOp::run_into(const Activation& input, Activation& out) const {
     float* ot = spk + t * step;
     snn::lif_step(in + t * step, vmt, ot - step, vmt, ot, step, alpha_, theta_);
   }
-  finish_spikes(out, emit_events_, span);
+  record_rate(out.tensor, span);
 }
 
 std::unique_ptr<OpState> LifOp::make_state() const {
@@ -130,19 +113,14 @@ Activation LifOp::step(const Activation& input, OpState* state) const {
   st->first = false;
   Tensor out(in_t.shape());
   std::copy(st->prev.begin(), st->prev.end(), out.data());
-  // Streamed steps always carry the view: StreamSession's delta path
-  // reads it to find a silent step, whatever op comes next.
-  return with_events(std::move(out), /*emit_events=*/true, span);
+  record_rate(out, span);
+  return Activation(std::move(out));
 }
 
 OpReport LifOp::report() const { return {layer_name_, "lif", 0, 0, 0.0, false}; }
 
-AlifOp::AlifOp(std::string layer_name, const snn::AlifConfig& config, int64_t timesteps,
-               bool emit_events)
-    : layer_name_(std::move(layer_name)),
-      config_(config),
-      timesteps_(timesteps),
-      emit_events_(emit_events) {}
+AlifOp::AlifOp(std::string layer_name, const snn::AlifConfig& config, int64_t timesteps)
+    : layer_name_(std::move(layer_name)), config_(config), timesteps_(timesteps) {}
 
 void AlifOp::run_into(const Activation& input, Activation& out) const {
   const Tensor& in_t = input.tensor;
@@ -159,7 +137,7 @@ void AlifOp::run_into(const Activation& input, Activation& out) const {
     snn::alif_step(config_, in + t * step, t == 0 ? nullptr : ot - step, v, trace, dist, ot,
                    step);
   }
-  finish_spikes(out, emit_events_, span);
+  record_rate(out.tensor, span);
 }
 
 std::unique_ptr<OpState> AlifOp::make_state() const {
@@ -181,7 +159,8 @@ Activation AlifOp::step(const Activation& input, OpState* state) const {
                  step);
   Tensor out(in_t.shape());
   std::copy(st->prev_spike.begin(), st->prev_spike.end(), out.data());
-  return with_events(std::move(out), /*emit_events=*/true, span);
+  record_rate(out, span);
+  return Activation(std::move(out));
 }
 
 OpReport AlifOp::report() const { return {layer_name_, "alif", 0, 0, 0.0, false}; }

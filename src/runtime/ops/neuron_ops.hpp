@@ -4,13 +4,8 @@
 // per-step buffers instead of the full saved trace BPTT needs. Each
 // timestep is snn::lif_step / snn::alif_step, the same kernels
 // snn::LifLayer, PlifLayer and AlifLayer::forward run, so compiled and
-// interpreted paths agree bitwise.
-//
-// When `emit_events` is set (compile found an event-driven weight op
-// that reads this op's output, directly or through Flatten) run() scans
-// its finished spike train into a SpikeBatch view (SpikeBatch::scan), so
-// that consumer skips the scan of its own. step() always builds the
-// view: the streaming delta path reads it to spot silent steps.
+// interpreted paths agree bitwise. While tracing, the op's span records
+// the firing rate of its spike train (trace::nonzero_fraction).
 #pragma once
 
 #include <string>
@@ -23,8 +18,7 @@ namespace ndsnn::runtime {
 
 class LifOp final : public Op {
  public:
-  LifOp(std::string layer_name, const snn::LifConfig& config, int64_t timesteps,
-        bool emit_events);
+  LifOp(std::string layer_name, const snn::LifConfig& config, int64_t timesteps);
 
   void run_into(const Activation& input, Activation& out) const override;
   [[nodiscard]] OpReport report() const override;
@@ -40,13 +34,11 @@ class LifOp final : public Op {
   std::string layer_name_;
   float alpha_, theta_;
   int64_t timesteps_;
-  bool emit_events_;
 };
 
 class AlifOp final : public Op {
  public:
-  AlifOp(std::string layer_name, const snn::AlifConfig& config, int64_t timesteps,
-         bool emit_events);
+  AlifOp(std::string layer_name, const snn::AlifConfig& config, int64_t timesteps);
 
   void run_into(const Activation& input, Activation& out) const override;
   [[nodiscard]] OpReport report() const override;
@@ -63,7 +55,6 @@ class AlifOp final : public Op {
   std::string layer_name_;
   snn::AlifConfig config_;
   int64_t timesteps_;
-  bool emit_events_;
 };
 
 }  // namespace ndsnn::runtime

@@ -80,12 +80,6 @@ void FlattenOp::run_into(const Activation& input, Activation& out) const {
   }
   const int64_t m = in.dim(0);
   std::copy(in.data(), in.data() + in.numel(), out.reset(Shape{m, in.numel() / m}).data());
-  // The event view indexes [row, flat-within-row] — invariant under the
-  // reshape — so it passes straight through to the linear layers behind.
-  if (input.has_events) {
-    out.events = input.events;
-    out.has_events = true;
-  }
 }
 
 OpReport FlattenOp::report() const { return {"Flatten", "reshape", 0, 0, 0.0, false}; }
@@ -125,7 +119,6 @@ void ResidualOp::run_into(const Activation& input, Activation& out) const {
     scur = &shortcut;
   }
   tensor::add_(main.tensor, scur->tensor);
-  main.has_events = false;
   run_sub(*out_lif_, main, out);
 }
 

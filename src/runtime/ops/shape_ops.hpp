@@ -1,12 +1,6 @@
 // Shape/structure ops of the compiled plan: pooling, flatten and the
-// residual block container.
-//
-// Event-view propagation: FlattenOp forwards an incoming SpikeBatch
-// untouched (reshaping neither the rows nor the per-row flat indices).
-// Both poolings drop the view (an event consumer downstream rescans,
-// cheap next to its GEMM). ResidualOp threads Activations through its
-// compiled sub-chains, so events flow into the block's convs and out of
-// its output LIF.
+// residual block container. ResidualOp threads Activations through its
+// compiled main and shortcut chains and sums them into its output LIF.
 #pragma once
 
 #include <memory>
@@ -77,9 +71,6 @@ class ResidualOp final : public Op {
   [[nodiscard]] std::unique_ptr<OpState> make_state() const override;
   [[nodiscard]] Activation step(const Activation& input,
                                 OpState* state) const override;
-
-  /// The main chain conv1 -> bn1 -> lif1 -> conv2 -> bn2, in run order.
-  [[nodiscard]] const std::vector<std::unique_ptr<Op>>& main_chain() const { return main_; }
 
  private:
   std::string layer_name_;

@@ -50,21 +50,27 @@ SpikeBatch SpikeBatch::scan(const tensor::Tensor& t) {
 void SpikeBatch::rescan(const tensor::Tensor& t) {
   rows = t.rank() >= 1 ? t.dim(0) : 1;
   row_size = rows > 0 ? t.numel() / rows : 0;
-  row_ptr.assign(static_cast<std::size_t>(rows) + 1, 0);
+  row_ptr.resize(static_cast<std::size_t>(rows) + 1);
+  row_ptr[0] = 0;
+  // Branch-free, straight into idx: write every index of a row past the
+  // ones kept so far and advance past it only when its element is
+  // nonzero (-0.0F is not). While scanning, idx has room for a whole row
+  // past the kept indices; it shrinks to them at the end.
   idx.clear();
-  // One row's candidates at a time, branch-free: write every index and
-  // advance past it only when its element is nonzero (-0.0F is not).
-  std::vector<int32_t> row_idx(static_cast<std::size_t>(row_size));
+  std::size_t kept = 0;
   const float* p = t.data();
   for (int64_t r = 0; r < rows; ++r, p += row_size) {
+    idx.resize(std::max(idx.size(), kept + static_cast<std::size_t>(row_size)));
+    int32_t* out = idx.data() + kept;
     std::size_t n = 0;
     for (int64_t j = 0; j < row_size; ++j) {
-      row_idx[n] = static_cast<int32_t>(j);
+      out[n] = static_cast<int32_t>(j);
       n += p[j] != 0.0F;
     }
-    idx.insert(idx.end(), row_idx.begin(), row_idx.begin() + static_cast<std::ptrdiff_t>(n));
-    row_ptr[static_cast<std::size_t>(r) + 1] = static_cast<int64_t>(idx.size());
+    kept += n;
+    row_ptr[static_cast<std::size_t>(r) + 1] = static_cast<int64_t>(kept);
   }
+  idx.resize(kept);
 }
 
 double SpikeBatch::rate() const {
@@ -105,7 +111,6 @@ void tile_time_major(const Activation& x, int64_t timesteps, Activation& out) {
 tensor::Tensor run_ops(const Plan& plan, const tensor::Tensor& input, int64_t timesteps) {
   thread_local ExecBuffers buffers;
   buffers.input.tensor = input;  // copies into the storage of the last call
-  buffers.input.has_events = false;
   const Activation* x = &buffers.input;
   const auto& ops = plan.ops;
   const std::size_t prefix = std::min(plan.invariant_prefix, ops.size());

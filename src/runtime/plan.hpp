@@ -3,14 +3,11 @@
 // CompiledNetwork::compile lowers a trained SpikingNetwork into a Plan:
 // an immutable sequence of Ops (src/runtime/ops/) plus per-op reports.
 // Ops exchange `Activation` values — the dense time-major tensor the
-// interpreted network would produce, optionally annotated with a
-// `SpikeBatch` event view (per-row active-index lists) that a neuron op
-// scans from its finished spike train when an event-driven weight op
-// reads its output. That op consumes the view to skip work proportional
-// to the firing rate;
-// every op still produces the bitwise-identical dense tensor, so the
-// event path stays pinned against SpikingNetwork::predict by the
-// differential harness.
+// interpreted network would produce. An event-driven weight op scans its
+// own input into a `SpikeBatch` (per-row active-index lists) and skips
+// work proportional to the firing rate; every op still produces the
+// bitwise-identical dense tensor, so the event path stays pinned against
+// SpikingNetwork::predict by the differential harness.
 #pragma once
 
 #include <cstdint>
@@ -59,10 +56,10 @@ struct WeightStore {
 };
 
 /// Sparse view of a time-major activation [M, features]: for each row m
-/// the ascending list of feature indices whose value is nonzero. A
-/// neuron op scans it from its spike train (mostly zeros at typical
-/// 5-20% firing rates) when an event-driven weight op reads that train,
-/// and the weight op iterates it instead of scanning the dense tensor.
+/// the ascending list of feature indices whose value is nonzero. The
+/// event paths of ConvOp and LinearOp scan their input into one (spike
+/// trains are mostly zeros at typical 5-20% firing rates) and iterate it
+/// instead of the dense tensor.
 struct SpikeBatch {
   int64_t rows = 0;              ///< M = T * N (time-major batch rows)
   int64_t row_size = 0;          ///< features per row
@@ -70,12 +67,10 @@ struct SpikeBatch {
   std::vector<int32_t> idx;      ///< active indices, ascending per row
 
   /// Build by scanning a dense [M, ...] tensor (rows = dim(0)), one row
-  /// at a time. Neuron ops emit their views this way, the event paths of
-  /// ConvOp and LinearOp scan their whole input this way whenever no
-  /// usable view arrives, and StreamSession scans each input frame for
-  /// its delta path.
+  /// at a time.
   [[nodiscard]] static SpikeBatch scan(const tensor::Tensor& t);
-  /// The same scan into this view, reusing its storage.
+  /// The same scan into this view, reusing its storage: a view kept
+  /// across calls allocates nothing once it has held the largest scan.
   void rescan(const tensor::Tensor& t);
 
   /// Fraction of nonzero elements over everything indexed.
@@ -90,29 +85,17 @@ struct SpikeBatch {
   }
 };
 
-/// What flows between ops: the dense activation plus an optional event
-/// view. A neuron op attaches one when compile found an event-driven
-/// weight op reading its output (directly, through Flatten, or as a
-/// residual block's input), and on every streamed step(), where the
-/// delta path reads it; Flatten forwards it. Every other op (weight
-/// ops, batch norm, pooling) leaves `has_events` false, and consumers
-/// that want events then rescan the dense tensor.
+/// What flows between ops: the dense activation.
 struct Activation {
   tensor::Tensor tensor;
-  SpikeBatch events;
-  bool has_events = false;
 
   Activation() = default;
   explicit Activation(tensor::Tensor t) : tensor(std::move(t)) {}
-  Activation(tensor::Tensor t, SpikeBatch e)
-      : tensor(std::move(t)), events(std::move(e)), has_events(true) {}
 
-  /// Makes this a zero-filled `shape` tensor with no event view, in the
-  /// storage it already holds (Tensor::assign_zeros); the event view
-  /// keeps its storage for a later rescan.
+  /// Makes this a zero-filled `shape` tensor in the storage it already
+  /// holds (Tensor::assign_zeros).
   tensor::Tensor& reset(tensor::Shape shape) {
     tensor.assign_zeros(std::move(shape));
-    has_events = false;
     return tensor;
   }
 };
@@ -156,11 +139,11 @@ struct OpState {
 /// One inference op of the compiled plan. Implementations are immutable
 /// after construction; run_into() must be safe to call from many threads.
 ///
-/// Buffers: run_into() writes the whole output (tensor, event view and
-/// has_events) into `out`, in the storage `out` already holds where it
-/// is large enough. Plan::execute passes each op a buffer an earlier op
-/// or call left behind, so a repeated call page-faults nothing in; the
-/// bits never depend on what `out` held before.
+/// Buffers: run_into() writes the whole output tensor into `out`, in the
+/// storage `out` already holds where it is large enough. Plan::execute
+/// passes each op a buffer an earlier op or call left behind, so a
+/// repeated call page-faults nothing in; the bits never depend on what
+/// `out` held before.
 ///
 /// Streaming: make_state()/step() execute the op one timestep at a time
 /// over [N, ...] frames instead of a whole [T*N, ...] window. The
@@ -240,14 +223,13 @@ struct Plan {
   /// Run the plan on `batch` [N, ...] direct-encoded over `timesteps`
   /// steps: the invariant prefix runs on the N rows, its output is
   /// tiled to the time-major [T*N, ...] layout DirectEncoder::encode
-  /// produces (an event view is dropped), and
-  /// the remaining ops run on that. Stateless ops are row-independent,
+  /// produces, and the remaining ops run on that. Stateless ops are row-independent,
   /// so this is bitwise identical to running every op on the encoded
   /// batch. The input copy, the tiled rows and every op output live in
   /// buffers of the calling thread kept from call to call (pool lanes
   /// and request workers are threads, so no two calls share them). A
-  /// repeated call at one shape allocates only the logits, the linear
-  /// ops' outputs and residual blocks' inner chains.
+  /// repeated call at one shape allocates only the logits, the dense
+  /// linear kernels' outputs and residual blocks' inner chains.
   [[nodiscard]] tensor::Tensor execute(const tensor::Tensor& batch) const;
 
   /// Run every op on an already time-major window [T*N, ...] as is, with

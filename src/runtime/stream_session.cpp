@@ -1,6 +1,9 @@
 #include "runtime/stream_session.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -27,6 +30,13 @@ struct StreamMetrics {
   }
 };
 
+/// Every element of `t` is +0.0F: all of its bits are clear.
+bool all_positive_zero(const Tensor& t) {
+  const float* p = t.data();
+  return std::all_of(p, p + t.numel(),
+                     [](float v) { return std::bit_cast<uint32_t>(v) == 0U; });
+}
+
 double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                    start)
@@ -48,19 +58,10 @@ StreamSession::StreamSession(const CompiledNetwork& net) : plan_(&net.plan_ir())
   }
 }
 
-Activation StreamSession::make_input(const Tensor& frame) {
-  if (frame.rank() < 2) {
-    throw std::invalid_argument("StreamSession: expected a frame [N, ...], got " +
-                                frame.shape().str());
-  }
-  return {frame, SpikeBatch::scan(frame)};
-}
-
 Activation StreamSession::run_stage(Stage& stage, const Activation& input,
                                     int64_t* skips) {
-  const bool silent = input.has_events && input.events.idx.empty();
-  if (silent && !stage.state) {
-    // Delta path: a stateless op on an all-zero input always produces
+  if (!stage.state && all_positive_zero(input.tensor)) {
+    // Delta path: a stateless op on an all-+0.0 input always produces
     // the same output for a given shape — cache it the first time (by
     // actually running the op, so e.g. a bias lands in the cache
     // exactly as computed) and reuse it afterwards.
@@ -82,9 +83,13 @@ Activation StreamSession::run_stage(Stage& stage, const Activation& input,
 }
 
 InferenceResult StreamSession::step(const InferenceRequest& request) {
+  if (request.batch.rank() < 2) {
+    throw std::invalid_argument("StreamSession: expected a frame [N, ...], got " +
+                                request.batch.shape().str());
+  }
   const auto start = std::chrono::steady_clock::now();
   int64_t skips = 0;
-  Activation x = make_input(request.batch);
+  Activation x(request.batch);
   for (auto& stage : stages_) x = run_stage(stage, x, &skips);
   ++steps_;
   StreamMetrics::get().steps.add(1);

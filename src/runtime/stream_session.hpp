@@ -9,14 +9,15 @@
 // output with per-event latency instead of per-window. A session runs
 // its stages serially on the calling thread.
 //
-// Delta path: a stateless stage whose input SpikeBatch is empty this
-// step reuses a cached zero-input output (computed once per input
-// shape by actually running the op — a linear layer's bias replicated
-// over rows, exactly what running it would produce) instead of
-// executing its kernels. Each reuse is observable: a "delta-skip" trace
-// span, the stream.delta_skips metric, and InferenceResult::
-// skipped_ops. Stateful stages (neuron dynamics, residual blocks)
-// always run — membranes decay even on silent steps.
+// Delta path: a stateless stage whose input is all +0.0 this step (every
+// bit clear) reuses a cached zero-input output (computed once per input
+// shape by actually running the op on such an input — a linear layer's
+// bias replicated over rows, exactly what running it would produce)
+// instead of executing its kernels. A -0.0 element runs the op, so the
+// cache never answers an input it was not filled from. Each reuse is
+// observable: a "delta-skip" trace span, the stream.delta_skips metric,
+// and InferenceResult::skipped_ops. Stateful stages (neuron dynamics,
+// residual blocks) always run — membranes decay even on silent steps.
 //
 // Correctness contract: feeding T frames through a session one step()
 // at a time produces per-step outputs whose time-major concatenation is
@@ -81,12 +82,6 @@ class StreamSession {
     tensor::Shape zero_in_shape;
     Activation zero_out;
   };
-
-  /// Wrap one frame as the stage-0 input: attaches the scanned
-  /// SpikeBatch view so an all-zero frame is recognisably empty to the
-  /// delta path (bitwise-neutral — non-event ops ignore the view, and
-  /// event kernels multiply by the actual values).
-  [[nodiscard]] static Activation make_input(const tensor::Tensor& frame);
 
   /// Run (or delta-skip) one stage for one step; bumps *skips on skip.
   [[nodiscard]] Activation run_stage(Stage& stage, const Activation& input,

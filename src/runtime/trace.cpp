@@ -269,12 +269,9 @@ void run_op_instrumented(const Op& op, const OpReport& report, const Activation&
   const double dur = now_us() - t0;
 
   const int64_t rows = out.tensor.rank() >= 1 ? out.tensor.dim(0) : 1;
-  double rate = -1.0;
-  if (out.has_events) {
-    rate = out.events.rate();
-  } else if (report.kind == "lif" || report.kind == "alif") {
-    rate = nonzero_fraction(out.tensor);
-  }
+  // A residual block outputs its output LIF's spike train.
+  const bool spikes = report.kind == "lif" || report.kind == "alif" || report.kind == "residual";
+  const double rate = spikes ? nonzero_fraction(out.tensor) : -1.0;
   if (profile != nullptr) profile->record(index, dur, rows, rate);
   if (traced) {
     Span s;

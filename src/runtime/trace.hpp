@@ -206,7 +206,7 @@ class PlanProfile {
 
 namespace trace {
 /// Observed nonzero fraction of a dense tensor: the spike rate of a
-/// neuron op's output when it built no event view.
+/// neuron op's output.
 [[nodiscard]] double nonzero_fraction(const tensor::Tensor& t);
 
 /// Run one op through the instrumented path: times the run, records an

@@ -35,17 +35,20 @@ long minor_faults() {
 constexpr double kInferFaultBudgetPages = 48.0;
 
 /// Compiles LeNet-5 (3x32x32, T = 2) pruned to `sparsity` with random
-/// masks and runs a serial plan on one batch of 32: two warm-up calls,
-/// then eight measured ones. Exits 0 when they fault fewer pages per
-/// call than kInferFaultBudgetPages.
-[[noreturn]] void plan_fault_check(double sparsity) {
+/// masks under `mode` and runs a serial plan on one batch of 32: two
+/// warm-up calls, then eight measured ones. Exits 0 when they fault
+/// fewer pages per call than kInferFaultBudgetPages.
+[[noreturn]] void plan_fault_check(double sparsity,
+                                   ActivationMode mode = ActivationMode::kAuto) {
   nn::ModelSpec spec;
   spec.in_channels = 3;
   spec.image_size = 32;
   spec.timesteps = 2;
   const auto net = nn::make_lenet5(spec);
   if (sparsity > 0.0) difftest::apply_random_masks(*net, sparsity, 11);
-  const CompiledNetwork plan = CompiledNetwork::compile(*net);
+  CompileOptions opts;
+  opts.activation_mode = mode;
+  const CompiledNetwork plan = CompiledNetwork::compile(*net, opts);
   tensor::Rng rng(3);
   tensor::Tensor batch(tensor::Shape{32, 3, 32, 32});
   batch.fill_uniform(rng, 0.0F, 1.0F);
@@ -67,7 +70,8 @@ constexpr double kInferFaultBudgetPages = 48.0;
 // their defaults: no earlier test's frees can make fresh buffers cheap.
 // Dense weights take the dense GEMM conv; at 95% sparsity the convs run
 // Csr::conv2d and the event scatter, the plan perfbench's plan_batch
-// serves.
+// serves. The forced event plan scans every weight op's input, conv1's
+// [32, 3, 32, 32] batch included.
 TEST(PlanFaultsDeathTest, SteadyInferFaultsWithinPageBudget) {
   if (const char* reason = difftest::allocation_skip_reason()) GTEST_SKIP() << reason;
 #if defined(__linux__)
@@ -77,6 +81,9 @@ TEST(PlanFaultsDeathTest, SteadyInferFaultsWithinPageBudget) {
       << "dense plan";
   EXPECT_EXIT(plan_fault_check(0.95), testing::ExitedWithCode(0), "minor faults per infer")
       << "95% sparse plan";
+  EXPECT_EXIT(plan_fault_check(0.95, ActivationMode::kEvent), testing::ExitedWithCode(0),
+              "minor faults per infer")
+      << "95% sparse event plan";
   testing::GTEST_FLAG(death_test_style) = style;
 #endif
 }

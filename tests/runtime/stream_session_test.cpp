@@ -5,8 +5,8 @@
 // whole-window Plan::execute pass exactly, per step, across every backend x activation mode (and on quantised plans,
 // where both sides share the same plan, the contract still holds
 // bitwise). On top of that: the delta path must observably skip
-// stateless stages on empty input steps (trace span + metric +
-// InferenceResult::skipped_ops), reset() must restore first-step
+// stateless stages whose step input is all +0.0, and only those (trace
+// span + metric + InferenceResult::skipped_ops), reset() must restore first-step
 // semantics, MaxPool and PLIF/ALIF stacks must stream and compile
 // bitwise, and the per-event p99 of a stream must beat the whole-window
 // pass.
@@ -104,7 +104,7 @@ TEST(StreamSessionTest, StreamedMatchesWholeWindowBitwiseAcrossBackends) {
   tensor::Rng rng(difftest::env_seed());
   std::vector<difftest::NetConfig> cases;
   // Pinned: an all-silent scenario (every step exercises the delta
-  // path) and a saturated one (event views at full rate) regardless of
+  // path) and a saturated one (event ops at full rate) regardless of
   // seed and sweep size.
   difftest::NetConfig pinned;
   pinned.image = 8;
@@ -248,11 +248,11 @@ TEST(StreamSessionTest, ResetRestoresFirstStepSemantics) {
   EXPECT_THROW((void)session.step(frames[0]), std::invalid_argument);
 }
 
-// A LIF whose plan output carries no event view (it feeds AvgPool, not
-// an event-driven weight op) still builds one on each streamed step, so
-// the pool behind it is delta-skipped on a repeated silent frame. The
-// conv has no bias, so zero frames keep the LIF silent.
-TEST(StreamSessionTest, PoolBehindSilentLifIsSkippedWithoutAViewReader) {
+// Every stateless stage whose input is all +0.0 is delta-skipped, so a
+// repeated silent frame skips the conv and, behind the silent LIF, the
+// pool, flatten and linear. The conv has no bias, so zero frames keep
+// the LIF silent.
+TEST(StreamSessionTest, StagesBehindSilentLifAreDeltaSkipped) {
   constexpr int64_t kSteps = 4;
   tensor::Rng rng(4141);
   snn::LifConfig lif;
@@ -272,8 +272,6 @@ TEST(StreamSessionTest, PoolBehindSilentLifIsSkippedWithoutAViewReader) {
   const Plan& plan = compiled.plan_ir();
   ASSERT_EQ(plan.reports[1].kind, "lif");
   ASSERT_EQ(plan.reports[2].kind, "pool");
-  const Activation conv_out = plan.ops[0]->run(Activation(concat_time_major(frames)));
-  EXPECT_FALSE(plan.ops[1]->run(conv_out).has_events) << "no op of the plan reads LIF's view";
 
   const Tensor window_out = plan.execute_time_major(concat_time_major(frames));
   StreamSession session(compiled);
@@ -285,10 +283,40 @@ TEST(StreamSessionTest, PoolBehindSilentLifIsSkippedWithoutAViewReader) {
                              "step " + std::to_string(t));
   }
   // Step 0 fills the zero-input caches. Step 1 skips the conv (silent
-  // frame) and the pool (silent LIF view); Flatten and the linear get
-  // the pool's view-less output and run.
+  // frame), then the pool, flatten and linear behind the silent LIF.
   EXPECT_EQ(skipped[0], 0);
-  EXPECT_EQ(skipped[1], 2);
+  EXPECT_EQ(skipped[1], 4);
+}
+
+// A frame of -0.0F is not silent (its sign bits are set), so the session
+// runs the ops on it instead of answering from the caches a +0.0F frame
+// filled. A max pool keeps the sign of zero, so a cached +0.0F answer
+// would show in the output.
+TEST(StreamSessionTest, NegativeZeroFrameIsNotDeltaSkipped) {
+  constexpr int64_t kSteps = 3;
+  auto body = std::make_unique<nn::Sequential>();
+  body->emplace<nn::MaxPool2d>(2);
+  body->emplace<nn::Flatten>();
+  const nn::SpikingNetwork net(std::move(body), kSteps);
+  const CompiledNetwork compiled = CompiledNetwork::compile(net, difftest::options_for());
+
+  const Tensor zero(Shape{2, 1, 4, 4});
+  Tensor negative_zero(Shape{2, 1, 4, 4});
+  negative_zero.fill(-0.0F);
+  const std::vector<Tensor> frames{zero, negative_zero, zero};
+  const Tensor window_out = compiled.plan_ir().execute_time_major(concat_time_major(frames));
+  StreamSession session(compiled);
+  std::vector<int64_t> skipped;
+  for (std::size_t t = 0; t < frames.size(); ++t) {
+    const InferenceResult r = session.step(frames[t]);
+    skipped.push_back(r.skipped_ops);
+    difftest::expect_bitwise(r.logits, step_slice(window_out, static_cast<int64_t>(t), 2),
+                             "step " + std::to_string(t));
+  }
+  EXPECT_TRUE(std::signbit(window_out.at(2 * 4))) << "the window keeps -0.0 at step 1";
+  // Step 0 fills the caches, step 1 runs both ops, and step 2 reuses the
+  // +0.0 caches of step 0.
+  EXPECT_EQ(skipped, (std::vector<int64_t>{0, 0, 2}));
 }
 
 /// Nearest-rank percentile (rank ceil(q * n), as ExecutorStats and

@@ -21,7 +21,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <ios>
@@ -42,9 +44,9 @@ namespace ndsnn::difftest {
 
 /// Input regime of a scenario. Beyond the uniform-random default, the
 /// firing-rate extremes matter to the event-driven path: an all-zero
-/// batch keeps every spike train silent (empty SpikeBatch views,
-/// n_active == 0 kernels), a saturated batch drives LIF layers to fire
-/// on every step (event path degenerates to full gather).
+/// batch keeps every spike train silent (event ops scan empty
+/// SpikeBatches, n_active == 0 kernels), a saturated batch drives LIF
+/// layers to fire on every step (event path degenerates to full gather).
 enum class InputKind { kRandom, kSilent, kSaturated };
 
 inline const char* input_kind_name(InputKind k) {
@@ -219,13 +221,14 @@ inline runtime::CompileOptions options_for(
   return opts;
 }
 
-/// Bitwise tensor equality; on the first mismatch reports the flat index
-/// and both float values at full precision, then stops.
+/// Bitwise tensor equality (float == would let -0.0F match +0.0F); on
+/// the first mismatch reports the flat index and both float values at
+/// full precision, then stops.
 inline void expect_bitwise(const tensor::Tensor& got, const tensor::Tensor& want,
                            const std::string& context) {
   ASSERT_EQ(got.shape(), want.shape()) << context;
   for (int64_t i = 0; i < want.numel(); ++i) {
-    ASSERT_EQ(got.at(i), want.at(i))
+    ASSERT_EQ(std::bit_cast<uint32_t>(got.at(i)), std::bit_cast<uint32_t>(want.at(i)))
         << context << " diverges at flat index " << i << " (got "
         << std::hexfloat << got.at(i) << ", want " << want.at(i) << std::defaultfloat << ")";
   }

@@ -151,9 +151,8 @@ TEST_F(TraceTest, EveryPlanOpEmitsASpan) {
 }
 
 TEST_F(TraceTest, NeuronPhaseSpansRecordTheFiringRate) {
-  // A lenet5 kAuto plan builds views only on the LIFs feeding event
-  // linears; every lif-dynamics span still records the rate its op
-  // span observed, with a view or without one.
+  // Every lif-dynamics span of a lenet5 plan records the rate its op
+  // span observed.
   NetConfig cfg;
   cfg.seed = env_seed() ^ 0x11FULL;
   const auto net = build_network(cfg);
