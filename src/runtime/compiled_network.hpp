@@ -151,9 +151,9 @@ class CompiledNetwork {
                                                        const CompileOptions& opts = {});
 
   /// One-shot inference through the consolidated request/result pair
-  /// (runtime/inference.hpp) — the same vocabulary the batched
-  /// (BatchExecutor::submit) and streaming (StreamSession::step) paths
-  /// speak. Mean logits over `timesteps()` of direct encoding, matching
+  /// (runtime/inference.hpp) — the request the batched path
+  /// (BatchExecutor::submit) takes, the result every path, streaming
+  /// (StreamSession::step) included, answers with. Mean logits over `timesteps()` of direct encoding, matching
   /// SpikingNetwork::predict; `latency_ms` is the call's wall time, the
   /// SLO class is ignored (no queue on the direct path). A plan with
   /// several lanes runs one contiguous row shard per lane (see

@@ -1,10 +1,10 @@
-// The consolidated inference request/result pair shared by every
-// serving entry point:
+// The consolidated inference request/result pair of the serving entry
+// points:
 //
 //   - one-shot:   CompiledNetwork::infer(InferenceRequest)
 //   - batched:    BatchExecutor::submit(InferenceRequest)
-//   - streaming:  StreamSession::step(InferenceRequest) and the
-//                 executor's submit_stream()
+//   - streaming:  StreamSession::step(frame) and the executor's
+//                 submit_stream(), which take one timestep's bare frame
 //
 // Every path answers with an InferenceResult, never a bare tensor;
 // callers that want classes take tensor::argmax_rows of its logits.
@@ -64,9 +64,8 @@ class BackpressureError : public ShedError {
   using ShedError::ShedError;
 };
 
-/// One unit of inference work. For the one-shot and batched paths
-/// `batch` is a static input batch [N, ...]; for the streaming path it
-/// is ONE timestep's frame [N, ...] of an open session.
+/// One unit of one-shot or batched inference work: `batch` is a static
+/// input batch [N, ...].
 struct InferenceRequest {
   tensor::Tensor batch;
   SloClass slo = SloClass::kInteractive;

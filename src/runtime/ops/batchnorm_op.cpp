@@ -22,7 +22,7 @@ BatchNormOp::BatchNormOp(const nn::BatchNorm2d& src)
   }
 }
 
-void BatchNormOp::run_into(const Activation& input, Activation& out) const {
+void BatchNormOp::run_into(const Activation& input, Activation& out, OpState* /*carry*/) const {
   const Tensor& in = input.tensor;
   if (in.rank() != 4 || in.dim(1) != channels_) {
     throw std::invalid_argument("BatchNormOp: expected [M, " + std::to_string(channels_) +

@@ -15,7 +15,7 @@ class BatchNormOp final : public Op {
  public:
   explicit BatchNormOp(const nn::BatchNorm2d& src);
 
-  void run_into(const Activation& input, Activation& out) const override;
+  void run_into(const Activation& input, Activation& out, OpState* carry) const override;
   [[nodiscard]] OpReport report() const override;
 
  private:

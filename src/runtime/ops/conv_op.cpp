@@ -8,7 +8,6 @@
 
 namespace ndsnn::runtime {
 
-using tensor::Shape;
 using tensor::Tensor;
 
 ConvOp::ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision,
@@ -54,7 +53,7 @@ void ConvOp::run_event(const Tensor& in, Tensor& out) const {
   const int64_t in_plane = h * w;
   const int64_t row_size = in_channels_ * in_plane;
   const int64_t plane = oh * ow;
-  out.assign_zeros(Shape{m, out_channels_, oh, ow});
+  out.assign_zeros({m, out_channels_, oh, ow});
 
   // The active inputs, scanned into the calling thread's view, kept from
   // call to call.
@@ -101,7 +100,7 @@ void ConvOp::run_event(const Tensor& in, Tensor& out) const {
   }
 }
 
-void ConvOp::run_into(const Activation& input, Activation& out) const {
+void ConvOp::run_into(const Activation& input, Activation& out, OpState* /*carry*/) const {
   if (input.tensor.rank() != 4 || input.tensor.dim(1) != in_channels_) {
     throw std::invalid_argument("ConvOp: expected [M, " + std::to_string(in_channels_) +
                                 ", H, W], got " + input.tensor.shape().str());

@@ -31,7 +31,7 @@ class ConvOp final : public Op {
   ConvOp(const nn::Conv2d& src, Kernel kernel, sparse::Precision precision, bool event,
          const CompileOptions& opts);
 
-  void run_into(const Activation& input, Activation& out) const override;
+  void run_into(const Activation& input, Activation& out, OpState* carry) const override;
   [[nodiscard]] OpReport report() const override;
 
  private:

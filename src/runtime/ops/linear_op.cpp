@@ -11,7 +11,6 @@
 
 namespace ndsnn::runtime {
 
-using tensor::Shape;
 using tensor::Tensor;
 
 LinearOp::LinearOp(const nn::Linear& src, Kernel kernel, sparse::Precision precision,
@@ -48,7 +47,7 @@ void LinearOp::run_event(const Tensor& in, Tensor& out) const {
   span.bytes(store_.bytes);
 
   const float* inp = in.data();
-  out.assign_zeros(Shape{m, out_features_});
+  out.assign_zeros({m, out_features_});
   float* outp = out.data();
   for (int64_t i = 0; i < m; ++i) {
     std::fill(acc.begin(), acc.end(), 0.0);
@@ -61,7 +60,7 @@ void LinearOp::run_event(const Tensor& in, Tensor& out) const {
   }
 }
 
-void LinearOp::run_into(const Activation& input, Activation& out) const {
+void LinearOp::run_into(const Activation& input, Activation& out, OpState* /*carry*/) const {
   // The dense kernels validate shapes themselves; check up front so the
   // event path rejects the same inputs instead of reading out of bounds.
   if (input.tensor.rank() != 2 || input.tensor.dim(1) != in_features_) {

@@ -26,7 +26,7 @@ class LinearOp final : public Op {
   LinearOp(const nn::Linear& src, Kernel kernel, sparse::Precision precision, bool event,
            const CompileOptions& opts);
 
-  void run_into(const Activation& input, Activation& out) const override;
+  void run_into(const Activation& input, Activation& out, OpState* carry) const override;
   [[nodiscard]] OpReport report() const override;
 
  private:

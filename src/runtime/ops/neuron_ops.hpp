@@ -1,13 +1,16 @@
 // Neuron ops of the compiled plan: LIF (also PLIF at inference, whose
-// trained leak folds into a LifConfig) and ALIF dynamics over the T
-// timesteps of one call. Inference-only: membrane state lives in rolling
-// per-step buffers instead of the full saved trace BPTT needs. Each
-// timestep is snn::lif_step / snn::alif_step, the same kernels
-// snn::LifLayer, PlifLayer and AlifLayer::forward run, so compiled and
-// interpreted paths agree bitwise. While tracing, the op's span records
-// the firing rate of its spike train (trace::nonzero_fraction).
+// trained leak folds into a LifConfig) and ALIF dynamics. Inference-only:
+// membrane state lives in rolling per-neuron buffers instead of the full
+// saved trace BPTT needs. Each op runs one loop over its frames: the T
+// timesteps of a window from rest, or one frame from a streamed carry
+// (Op::run_into). Each frame is snn::lif_step / snn::alif_step, the same
+// kernels snn::LifLayer, PlifLayer and AlifLayer::forward run, so
+// compiled, streamed and interpreted paths agree bitwise. While tracing,
+// the op's span records the firing rate of its spike train
+// (trace::nonzero_fraction).
 #pragma once
 
+#include <memory>
 #include <string>
 
 #include "runtime/plan.hpp"
@@ -20,15 +23,12 @@ class LifOp final : public Op {
  public:
   LifOp(std::string layer_name, const snn::LifConfig& config, int64_t timesteps);
 
-  void run_into(const Activation& input, Activation& out) const override;
+  void run_into(const Activation& input, Activation& out, OpState* carry) const override;
   [[nodiscard]] OpReport report() const override;
 
-  /// Streaming: carries v - theta and the last spikes per neuron across
-  /// step() calls and makes the same lif_step calls as run(), so T step()
-  /// calls are bitwise identical to one run() over the time-major window.
+  /// Carries v - theta and the last spikes per neuron from one frame to
+  /// the next.
   [[nodiscard]] std::unique_ptr<OpState> make_state() const override;
-  [[nodiscard]] Activation step(const Activation& input,
-                                OpState* state) const override;
 
  private:
   std::string layer_name_;
@@ -40,16 +40,12 @@ class AlifOp final : public Op {
  public:
   AlifOp(std::string layer_name, const snn::AlifConfig& config, int64_t timesteps);
 
-  void run_into(const Activation& input, Activation& out) const override;
+  void run_into(const Activation& input, Activation& out, OpState* carry) const override;
   [[nodiscard]] OpReport report() const override;
 
-  /// Streaming: carries {v, adaptation trace, previous spike} per
-  /// neuron. ALIF's recurrence is uniform in t (zero-initialised state
-  /// reproduces the first window step), so step() is one alif_step call
-  /// of run().
+  /// Carries {v, adaptation trace, previous spike} per neuron from one
+  /// frame to the next.
   [[nodiscard]] std::unique_ptr<OpState> make_state() const override;
-  [[nodiscard]] Activation step(const Activation& input,
-                                OpState* state) const override;
 
  private:
   std::string layer_name_;

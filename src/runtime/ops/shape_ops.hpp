@@ -1,6 +1,7 @@
 // Shape/structure ops of the compiled plan: pooling, flatten and the
 // residual block container. ResidualOp threads Activations through its
-// compiled main and shortcut chains and sums them into its output LIF.
+// compiled main and shortcut chains and sums them into its output LIF,
+// handing each sub-op its own slot of the block's carry.
 #pragma once
 
 #include <memory>
@@ -18,7 +19,7 @@ class AvgPoolOp final : public Op {
   AvgPoolOp(std::string layer_name, int64_t k)
       : layer_name_(std::move(layer_name)), k_(k) {}
 
-  void run_into(const Activation& input, Activation& out) const override;
+  void run_into(const Activation& input, Activation& out, OpState* carry) const override;
   [[nodiscard]] OpReport report() const override;
 
  private:
@@ -31,7 +32,7 @@ class MaxPoolOp final : public Op {
   MaxPoolOp(std::string layer_name, int64_t k)
       : layer_name_(std::move(layer_name)), k_(k) {}
 
-  void run_into(const Activation& input, Activation& out) const override;
+  void run_into(const Activation& input, Activation& out, OpState* carry) const override;
   [[nodiscard]] OpReport report() const override;
 
  private:
@@ -41,13 +42,13 @@ class MaxPoolOp final : public Op {
 
 class GlobalAvgPoolOp final : public Op {
  public:
-  void run_into(const Activation& input, Activation& out) const override;
+  void run_into(const Activation& input, Activation& out, OpState* carry) const override;
   [[nodiscard]] OpReport report() const override;
 };
 
 class FlattenOp final : public Op {
  public:
-  void run_into(const Activation& input, Activation& out) const override;
+  void run_into(const Activation& input, Activation& out, OpState* carry) const override;
   [[nodiscard]] OpReport report() const override;
 };
 
@@ -61,16 +62,14 @@ class ResidualOp final : public Op {
         shortcut_(std::move(shortcut)),
         out_lif_(std::move(out_lif)) {}
 
-  void run_into(const Activation& input, Activation& out) const override;
+  void run_into(const Activation& input, Activation& out, OpState* carry) const override;
   [[nodiscard]] OpReport report() const override;
 
-  /// Streaming: nested per-sub-op states (the block's BN-LIF chains and
+  /// One nested carry slot per sub-op (the block's BN-LIF chains and
   /// output LIF each carry their own membranes). Non-null even when
-  /// every sub-op is stateless — the block must never be delta-skipped
+  /// every sub-op is stateless: the block must never be delta-skipped
   /// wholesale, its neurons decay on empty steps.
   [[nodiscard]] std::unique_ptr<OpState> make_state() const override;
-  [[nodiscard]] Activation step(const Activation& input,
-                                OpState* state) const override;
 
  private:
   std::string layer_name_;

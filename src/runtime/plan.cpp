@@ -128,9 +128,9 @@ tensor::Tensor run_ops(const Plan& plan, const tensor::Tensor& input, int64_t ti
     if (i == ops.size()) break;
     Activation& out = buffers.other_than(x);
     if (instrumented) {
-      trace::run_op_instrumented(*ops[i], plan.reports[i], *x, out, prof, i);
+      trace::run_op_instrumented(*ops[i], plan.reports[i], *x, out, nullptr, prof, i);
     } else {
-      ops[i]->run_into(*x, out);
+      ops[i]->run_into(*x, out, nullptr);
     }
     x = &out;
   }

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -92,10 +93,14 @@ struct Activation {
   Activation() = default;
   explicit Activation(tensor::Tensor t) : tensor(std::move(t)) {}
 
-  /// Makes this a zero-filled `shape` tensor in the storage it already
-  /// holds (Tensor::assign_zeros).
-  tensor::Tensor& reset(tensor::Shape shape) {
-    tensor.assign_zeros(std::move(shape));
+  /// Makes this a zero-filled `shape` (or `dims`) tensor in the storage
+  /// it already holds (Tensor::assign_zeros).
+  tensor::Tensor& reset(const tensor::Shape& shape) {
+    tensor.assign_zeros(shape);
+    return tensor;
+  }
+  tensor::Tensor& reset(std::initializer_list<int64_t> dims) {
+    tensor.assign_zeros(dims);
     return tensor;
   }
 };
@@ -125,13 +130,13 @@ struct OpReport {
   util::simd::Tier tier = util::simd::Tier::kScalar;
 };
 
-/// Opaque per-session mutable state of one op for streaming execution
-/// (StreamSession): the membrane/adaptation carry of a neuron op, the
-/// nested states of a residual block. Ops that keep no state across
-/// timesteps (weight ops, BN, pooling, reshape — all row-independent)
-/// have none. Owned by the session, one instance per (session, op);
-/// never shared between sessions, so step() may mutate it freely while
-/// the op itself stays immutable and thread-safe.
+/// The state an op carries from one timestep to the next while a
+/// StreamSession feeds it frame by frame: the membrane/adaptation carry
+/// of a neuron op, the nested carries of a residual block. Ops that keep
+/// nothing across timesteps (weight ops, BN, pooling, reshape, all
+/// row-independent) have none. Owned by the session, one instance per
+/// (session, op) and never shared between sessions, so run_into() may
+/// mutate it freely while the op itself stays immutable and thread-safe.
 struct OpState {
   virtual ~OpState() = default;
 };
@@ -139,20 +144,22 @@ struct OpState {
 /// One inference op of the compiled plan. Implementations are immutable
 /// after construction; run_into() must be safe to call from many threads.
 ///
+/// run_into() is the one way to execute an op, with two cases:
+/// - `carry == nullptr`: `input` is a whole time-major window
+///   [T*N, ...] and the op starts from rest (Plan::execute);
+/// - `carry` non-null: `input` is one frame [N, ...] that continues
+///   `*carry`, the instance make_state() returned (StreamSession).
+/// Stateless ops ignore `carry`: their math is row-independent, so one
+/// frame's rows run alone are bitwise the rows of the window. A stateful
+/// op runs the same loop either way, over T frames from rest or over one
+/// frame from its carry, so T carried calls reproduce the window bitwise,
+/// slice for slice.
+///
 /// Buffers: run_into() writes the whole output tensor into `out`, in the
 /// storage `out` already holds where it is large enough. Plan::execute
-/// passes each op a buffer an earlier op or call left behind, so a
-/// repeated call page-faults nothing in; the bits never depend on what
-/// `out` held before.
-///
-/// Streaming: make_state()/step() execute the op one timestep at a time
-/// over [N, ...] frames instead of a whole [T*N, ...] window. The
-/// default covers every stateless op exactly — their math is
-/// row-independent, so running one step's rows alone is bitwise
-/// identical to running them inside the window. Stateful ops (neuron
-/// dynamics, residual blocks) override both; the contract is that
-/// feeding T frames through step() in order reproduces run() on the
-/// time-major concatenation bitwise, slice for slice.
+/// and StreamSession pass each op a buffer an earlier call left behind,
+/// so a repeated call page-faults nothing in; the bits never depend on
+/// what `out` held before.
 class Op {
  public:
   virtual ~Op() = default;
@@ -160,31 +167,22 @@ class Op {
   Op(const Op&) = delete;
   Op& operator=(const Op&) = delete;
 
-  virtual void run_into(const Activation& input, Activation& out) const = 0;
+  virtual void run_into(const Activation& input, Activation& out, OpState* carry) const = 0;
   [[nodiscard]] virtual OpReport report() const = 0;
 
-  /// run_into() a fresh Activation.
+  /// run_into() a whole window into a fresh Activation.
   [[nodiscard]] Activation run(const Activation& input) const {
     Activation out;
-    run_into(input, out);
+    run_into(input, out, nullptr);
     return out;
   }
 
-  /// Fresh streaming state, or nullptr for stateless ops. A nullptr
+  /// A fresh carry at rest, or nullptr for stateless ops. A nullptr
   /// also tells the session the op is safe to delta-skip on empty input
-  /// steps (stateful ops must run every step — membranes decay even
+  /// steps (stateful ops must run every step: membranes decay even
   /// with no input spikes).
   [[nodiscard]] virtual std::unique_ptr<OpState> make_state() const {
     return nullptr;
-  }
-
-  /// Run one timestep. `input.tensor` is one frame [N, ...]; `state` is
-  /// the instance make_state() returned (nullptr for stateless ops,
-  /// which must not touch it).
-  [[nodiscard]] virtual Activation step(const Activation& input,
-                                        OpState* state) const {
-    (void)state;
-    return run(input);
   }
 };
 
@@ -228,8 +226,9 @@ struct Plan {
   /// batch. The input copy, the tiled rows and every op output live in
   /// buffers of the calling thread kept from call to call (pool lanes
   /// and request workers are threads, so no two calls share them). A
-  /// repeated call at one shape allocates only the logits, the dense
-  /// linear kernels' outputs and residual blocks' inner chains.
+  /// repeated call at one shape allocates only the logits, the tiled
+  /// rows' time-major dims, the dense linear kernels' outputs and
+  /// residual blocks' inner chains.
   [[nodiscard]] tensor::Tensor execute(const tensor::Tensor& batch) const;
 
   /// Run every op on an already time-major window [T*N, ...] as is, with

@@ -58,8 +58,8 @@ StreamSession::StreamSession(const CompiledNetwork& net) : plan_(&net.plan_ir())
   }
 }
 
-Activation StreamSession::run_stage(Stage& stage, const Activation& input,
-                                    int64_t* skips) {
+const Activation& StreamSession::run_stage(Stage& stage, const Activation& input,
+                                           int64_t* skips) {
   if (!stage.state && all_positive_zero(input.tensor)) {
     // Delta path: a stateless op on an all-+0.0 input always produces
     // the same output for a given shape — cache it the first time (by
@@ -73,35 +73,28 @@ Activation StreamSession::run_stage(Stage& stage, const Activation& input,
       ++*skips;
       return stage.zero_out;
     }
-    Activation out = stage.op->step(input, nullptr);
+    stage.op->run_into(input, stage.zero_out, nullptr);
     stage.zero_in_shape = input.tensor.shape();
-    stage.zero_out = out;
     stage.zero_cached = true;
-    return out;
+    return stage.zero_out;
   }
-  return stage.op->step(input, stage.state.get());
-}
-
-InferenceResult StreamSession::step(const InferenceRequest& request) {
-  if (request.batch.rank() < 2) {
-    throw std::invalid_argument("StreamSession: expected a frame [N, ...], got " +
-                                request.batch.shape().str());
-  }
-  const auto start = std::chrono::steady_clock::now();
-  int64_t skips = 0;
-  Activation x(request.batch);
-  for (auto& stage : stages_) x = run_stage(stage, x, &skips);
-  ++steps_;
-  StreamMetrics::get().steps.add(1);
-  InferenceResult result;
-  result.logits = std::move(x.tensor);
-  result.skipped_ops = skips;
-  result.latency_ms = ms_since(start);
-  return result;
+  stage.op->run_into(input, stage.out, stage.state.get());
+  return stage.out;
 }
 
 InferenceResult StreamSession::step(const Tensor& frame) {
-  return step(InferenceRequest{frame, SloClass::kStream});
+  if (frame.rank() < 2) {
+    throw std::invalid_argument("StreamSession: expected a frame [N, ...], got " +
+                                frame.shape().str());
+  }
+  const auto start = std::chrono::steady_clock::now();
+  int64_t skips = 0;
+  input_.tensor = frame;
+  const Activation* x = &input_;
+  for (auto& stage : stages_) x = &run_stage(stage, *x, &skips);
+  ++steps_;
+  StreamMetrics::get().steps.add(1);
+  return InferenceResult{x->tensor, ms_since(start), skips};
 }
 
 void StreamSession::reset() {

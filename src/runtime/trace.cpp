@@ -261,11 +261,12 @@ double nonzero_fraction(const tensor::Tensor& t) {
 }
 
 void run_op_instrumented(const Op& op, const OpReport& report, const Activation& in,
-                         Activation& out, PlanProfile* profile, std::size_t index) {
+                         Activation& out, OpState* carry, PlanProfile* profile,
+                         std::size_t index) {
   const bool traced = enabled();
   const int64_t in_bytes = in.tensor.numel() * static_cast<int64_t>(sizeof(float));
   const double t0 = now_us();
-  op.run_into(in, out);
+  op.run_into(in, out, carry);
   const double dur = now_us() - t0;
 
   const int64_t rows = out.tensor.rank() >= 1 ? out.tensor.dim(0) : 1;

@@ -209,13 +209,15 @@ namespace trace {
 /// neuron op's output.
 [[nodiscard]] double nonzero_fraction(const tensor::Tensor& t);
 
-/// Run one op through the instrumented path: times the run, records an
-/// "op" span when tracing is enabled (kind/backend/precision, rows,
-/// observed spike rate, approximate bytes touched) and folds the
-/// sample into `profile` slot `index` when non-null. The op sees the
-/// exact same input either way, so outputs stay bitwise identical.
+/// Run one op through the instrumented path: times run_into(in, out,
+/// carry), records an "op" span when tracing is enabled
+/// (kind/backend/precision, rows, observed spike rate, approximate bytes
+/// touched) and folds the sample into `profile` slot `index` when
+/// non-null. The op sees the exact same input either way, so outputs
+/// stay bitwise identical.
 void run_op_instrumented(const Op& op, const OpReport& report, const Activation& in,
-                         Activation& out, PlanProfile* profile, std::size_t index);
+                         Activation& out, OpState* carry, PlanProfile* profile,
+                         std::size_t index);
 }  // namespace trace
 
 }  // namespace ndsnn::runtime

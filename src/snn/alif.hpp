@@ -12,7 +12,8 @@
 // gradient is exact, with phi evaluated at v[t] - theta[t].
 //
 // alif_step below is the one home of this update: AlifLayer and the
-// compiled plan's AlifOp (whole window and streamed) both call it.
+// compiled plan's AlifOp both call it, AlifOp from one loop over a whole
+// window's frames or over one streamed frame from its carry.
 #pragma once
 
 #include <cstdint>

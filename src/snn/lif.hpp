@@ -22,8 +22,9 @@
 // given T at construction and slices internally.
 //
 // lif_step below is the one home of Eq. 1: LifLayer, PlifLayer (with its
-// trained leak) and the compiled plan's LifOp (whole window and streamed)
-// all advance their membranes through it.
+// trained leak) and the compiled plan's LifOp all advance their membranes
+// through it. LifOp calls it from one loop, over a whole window's frames
+// or over one streamed frame from its carry.
 #pragma once
 
 #include <cstdint>

@@ -240,7 +240,7 @@ void Csr::conv2d(const tensor::Tensor& input, int64_t kernel, int64_t stride, in
   const int64_t oh = (h + 2 * padding - kernel) / stride + 1;
   const int64_t ow = (w + 2 * padding - kernel) / stride + 1;
   const int64_t plane = oh * ow, sample = input.dim(1) * h * w;
-  out.assign_zeros(tensor::Shape{m, rows_, oh, ow});
+  out.assign_zeros({m, rows_, oh, ow});
   const float* xp = input.data();
   float* op = out.data();
 

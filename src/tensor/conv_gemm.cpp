@@ -189,7 +189,7 @@ void conv2d_gemm(const Tensor& input, const Tensor& wmat, const ConvGeometry& g,
   }
   const int64_t f = wmat.dim(0);
   const int64_t plane = g.out_h() * g.out_w();
-  out.assign_zeros(Shape{g.batch, f, g.out_h(), g.out_w()});
+  out.assign_zeros({g.batch, f, g.out_h(), g.out_w()});
   PatchBlocks blocks(input, g);
   const int64_t per_block = blocks.per_block();
   // A block of several samples runs as one GEMM into [F, nb*plane],

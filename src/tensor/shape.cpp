@@ -1,5 +1,6 @@
 #include "tensor/shape.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -8,6 +9,13 @@ namespace ndsnn::tensor {
 Shape::Shape(std::initializer_list<int64_t> dims) : dims_(dims) { validate(); }
 
 Shape::Shape(std::vector<int64_t> dims) : dims_(std::move(dims)) { validate(); }
+
+void Shape::assign(std::initializer_list<int64_t> dims) {
+  // Checked before dims_ changes, so a bad list leaves this shape as it
+  // was; Shape(dims) throws the constructor's error.
+  if (std::any_of(dims.begin(), dims.end(), [](int64_t d) { return d < 1; })) (void)Shape(dims);
+  dims_.assign(dims);
+}
 
 void Shape::validate() const {
   for (const int64_t d : dims_) {

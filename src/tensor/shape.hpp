@@ -17,6 +17,9 @@ class Shape {
   Shape(std::initializer_list<int64_t> dims);
   explicit Shape(std::vector<int64_t> dims);
 
+  /// Replaces the dims in the storage this shape already holds.
+  void assign(std::initializer_list<int64_t> dims);
+
   [[nodiscard]] int64_t rank() const { return static_cast<int64_t>(dims_.size()); }
   [[nodiscard]] int64_t dim(int64_t i) const;
   [[nodiscard]] int64_t operator[](int64_t i) const { return dim(i); }

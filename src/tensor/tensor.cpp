@@ -11,9 +11,14 @@ namespace ndsnn::tensor {
 Tensor::Tensor(Shape shape)
     : shape_(std::move(shape)), data_(static_cast<std::size_t>(shape_.numel()), 0.0F) {}
 
-void Tensor::assign_zeros(Shape shape) {
+void Tensor::assign_zeros(const Shape& shape) {
   data_.assign(static_cast<std::size_t>(shape.numel()), 0.0F);
-  shape_ = std::move(shape);
+  shape_ = shape;
+}
+
+void Tensor::assign_zeros(std::initializer_list<int64_t> dims) {
+  shape_.assign(dims);
+  data_.assign(static_cast<std::size_t>(shape_.numel()), 0.0F);
 }
 
 Tensor::Tensor(Shape shape, float value)

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -59,10 +60,12 @@ class Tensor {
   /// it: after `std::move(t).reshaped(s)`, `t` may only be assigned to.
   [[nodiscard]] Tensor reshaped(Shape new_shape) &&;
 
-  /// Reshapes to `shape`, zero-filled, in the storage this tensor
-  /// already holds whenever it is large enough: how a buffer kept
-  /// across calls takes each call's output.
-  void assign_zeros(Shape shape);
+  /// Reshapes to `shape` (or `dims`), zero-filled, in the storage this
+  /// tensor already holds whenever it is large enough, the shape's own
+  /// included: how a buffer kept across calls takes each call's output
+  /// without allocating.
+  void assign_zeros(const Shape& shape);
+  void assign_zeros(std::initializer_list<int64_t> dims);
 
   /// In-place fills.
   void fill(float value);

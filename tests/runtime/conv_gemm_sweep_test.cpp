@@ -192,7 +192,7 @@ TEST(ConvGemmSweepTest, BlockedConvMatchesWholeMatrixBitwise) {
                       CompileOptions{});
       Tensor op_ref = y_ref;
       tensor::add_channel_bias_(op_ref, layer_src.bias());
-      op.run_into(Activation(x), op_out);
+      op.run_into(Activation(x), op_out, nullptr);
       EXPECT_TRUE(bitwise_equal(op_out.tensor, op_ref)) << "ConvOp dense";
     }
   }

@@ -2,7 +2,8 @@
 //
 // The load-bearing property is bitwise equivalence: feeding T frames
 // through a session one step() at a time must reproduce the
-// whole-window Plan::execute pass exactly, per step, across every backend x activation mode (and on quantised plans,
+// whole-window Plan::execute pass exactly, per step, across every
+// backend x activation mode, residual blocks included (and on quantised plans,
 // where both sides share the same plan, the contract still holds
 // bitwise). On top of that: the delta path must observably skip
 // stateless stages whose step input is all +0.0, and only those (trace
@@ -65,7 +66,7 @@ Tensor step_slice(const Tensor& window_out, int64_t t, int64_t rows_per_step) {
 /// Per-step input frames for a scenario: one distinctly-salted batch
 /// per step, with one all-zero frame mixed in so every scenario crosses
 /// the delta path at least once. Always exactly cfg.timesteps frames —
-/// LifOp::run splits the whole-window input into the plan's compiled
+/// LifOp::run_into splits the whole-window input into the plan's compiled
 /// timesteps, so the window pass is the streamed run's sequential
 /// reference only when the stream length matches the plan's T.
 std::vector<Tensor> scenario_frames(const difftest::NetConfig& cfg) {
@@ -104,8 +105,9 @@ TEST(StreamSessionTest, StreamedMatchesWholeWindowBitwiseAcrossBackends) {
   tensor::Rng rng(difftest::env_seed());
   std::vector<difftest::NetConfig> cases;
   // Pinned: an all-silent scenario (every step exercises the delta
-  // path) and a saturated one (event ops at full rate) regardless of
-  // seed and sweep size.
+  // path), a saturated one (event ops at full rate) and a resnet19 (its
+  // residual blocks carry nested neuron state) regardless of seed and
+  // sweep size.
   difftest::NetConfig pinned;
   pinned.image = 8;
   pinned.seed = 97;
@@ -115,6 +117,15 @@ TEST(StreamSessionTest, StreamedMatchesWholeWindowBitwiseAcrossBackends) {
   cases.push_back(pinned);
   pinned.input = difftest::InputKind::kSaturated;
   cases.push_back(pinned);
+  difftest::NetConfig resnet;
+  resnet.arch = "resnet19";
+  resnet.image = 16;
+  resnet.channels = 3;
+  resnet.width_scale = 0.0625;
+  resnet.timesteps = 3;
+  resnet.sparsity = 0.9;
+  resnet.seed = 97;
+  cases.push_back(resnet);
   for (int i = 0; i < configs; ++i) cases.push_back(difftest::random_config(rng));
 
   for (std::size_t i = 0; i < cases.size(); ++i) {

@@ -1,14 +1,16 @@
 // Tracing and plan profiling: the observability layer must never change
 // what the runtime computes. Pins the span ring's wraparound contract,
 // the bitwise identity of traced vs untraced execution across the
-// differential harness, per-op span coverage of a compiled plan, the
-// PlanProfile aggregates, and the Chrome trace-event JSON shape.
+// differential harness, per-op span coverage of a compiled plan and of a
+// streamed residual block, the PlanProfile aggregates, and the Chrome
+// trace-event JSON shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
+#include "runtime/stream_session.hpp"
 #include "runtime/trace.hpp"
 #include "testing.hpp"
 
@@ -148,6 +150,35 @@ TEST_F(TraceTest, EveryPlanOpEmitsASpan) {
     EXPECT_EQ(op_spans[i].rows, cfg.batch * (i < prefix ? 1 : cfg.timesteps))
         << op_spans[i].name;
   }
+}
+
+TEST_F(TraceTest, StreamedResidualBlocksEmitTheirSubOpSpans) {
+  // A residual block runs its sub-ops the same way for a window and for
+  // a streamed frame, so a traced stream step records every sub-op span
+  // a traced infer records besides the plan-level ones.
+  NetConfig cfg;
+  cfg.arch = "resnet19";
+  cfg.image = 16;
+  cfg.channels = 3;
+  cfg.width_scale = 0.0625;
+  cfg.seed = env_seed() ^ 0x2E5ULL;
+  const auto net = build_network(cfg);
+  const CompiledNetwork plan = CompiledNetwork::compile(*net, options_for());
+  runtime::StreamSession session(plan);
+  const auto op_spans = [] {
+    std::size_t n = 0;
+    for (const trace::Span& s : trace::snapshot()) n += std::string(s.cat) == "op";
+    trace::reset();
+    return n;
+  };
+  trace::set_enabled(true);
+  (void)plan.infer({random_batch(cfg), {}});
+  const std::size_t window = op_spans();
+  (void)session.step(random_batch(cfg));
+  const std::size_t streamed = op_spans();
+  trace::set_enabled(false);
+  ASSERT_GT(window, plan.plan().size());
+  EXPECT_EQ(streamed, window - plan.plan().size());
 }
 
 TEST_F(TraceTest, NeuronPhaseSpansRecordTheFiringRate) {

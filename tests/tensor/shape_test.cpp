@@ -39,6 +39,16 @@ TEST(ShapeTest, ZeroDimRejected) {
   EXPECT_THROW(Shape({-1}), std::invalid_argument);
 }
 
+TEST(ShapeTest, AssignKeepsStorageAndRejectsZeroDimsUnchanged) {
+  Shape s{2, 3, 4};
+  const int64_t* storage = s.dims().data();
+  s.assign({5, 6});
+  EXPECT_EQ(s, (Shape{5, 6}));
+  EXPECT_EQ(s.dims().data(), storage);
+  EXPECT_THROW(s.assign({5, 0}), std::invalid_argument);
+  EXPECT_EQ(s, (Shape{5, 6}));
+}
+
 TEST(ShapeTest, RowMajorStrides) {
   Shape s{2, 3, 4};
   const auto strides = s.strides();

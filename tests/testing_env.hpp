@@ -5,8 +5,8 @@
 // to replay the identical sequence. The heavier differential harness
 // (network generation, backend sweeps) lives in runtime/testing.hpp.
 // timing_gate_skip_reason() decides where wall-clock ratio gates bind,
-// allocation_skip_reason() where page-fault and peak-RSS budgets do;
-// TierGuard scopes a forced SIMD kernel tier.
+// allocation_skip_reason() where page-fault, peak-RSS and allocation
+// budgets do; TierGuard scopes a forced SIMD kernel tier.
 #pragma once
 
 #include <cstdio>
@@ -14,6 +14,18 @@
 #include <cstdint>
 
 #include "util/cpuinfo.hpp"
+
+// 1 under ASan or TSan (gcc or clang), else 0.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define NDSNN_ASAN_OR_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define NDSNN_ASAN_OR_TSAN 1
+#endif
+#endif
+#ifndef NDSNN_ASAN_OR_TSAN
+#define NDSNN_ASAN_OR_TSAN 0
+#endif
 
 namespace ndsnn::difftest {
 
@@ -49,30 +61,25 @@ inline int env_int(const char* name, int fallback) {
 inline const char* timing_gate_skip_reason() {
 #if !defined(NDEBUG)
   return "timing gate binds only in NDEBUG builds";
-#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#elif NDSNN_ASAN_OR_TSAN
   return "timing gate does not bind under ASan/TSan";
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  return "timing gate does not bind under ASan/TSan";
-#endif
-#endif
+#else
   return nullptr;
+#endif
 }
 
-/// Why a page-fault or peak-RSS budget cannot bind in this build, or
-/// nullptr when it can: both are read with Linux getrusage, and
-/// sanitizer allocators map and poison memory on their own schedule.
+/// Why a page-fault, peak-RSS or allocation-count budget cannot bind in
+/// this build, or nullptr when it can: faults and peak RSS are read with
+/// Linux getrusage, and sanitizer allocators map and poison memory on
+/// their own schedule and own operator new.
 inline const char* allocation_skip_reason() {
 #if !defined(__linux__)
   return "fault and peak-RSS counts are read with Linux getrusage";
-#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#elif NDSNN_ASAN_OR_TSAN
   return "sanitizer allocators map and poison memory on their own schedule";
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  return "sanitizer allocators map and poison memory on their own schedule";
-#endif
-#endif
+#else
   return nullptr;
+#endif
 }
 
 /// Forces a SIMD kernel tier for its scope and restores kAuto after. A
