@@ -47,15 +47,12 @@ void clear_grad_masks(nn::SpikingNetwork& network) {
 double Trainer::evaluate() {
   // A serial fp32 plan's logits are bitwise those of predict (the
   // runtime's contract, for every backend), so the counts are
-  // eval_step's, at a fraction of the interpreted forward's cost. CSR on
-  // every weight layer: a dense conv fallback would allocate a patch
-  // matrix on top of the training workspaces. Networks the runtime
-  // cannot lower (non-direct encoders) fall back to eval_step.
+  // eval_step's, at a fraction of the interpreted forward's cost.
+  // Networks the runtime cannot lower (non-direct encoders) fall back to
+  // eval_step.
   std::optional<runtime::CompiledNetwork> plan;
   try {
-    runtime::CompileOptions options;
-    options.backend = runtime::Backend::kCsr;
-    plan.emplace(runtime::CompiledNetwork::compile(network_, options));
+    plan.emplace(runtime::CompiledNetwork::compile(network_, runtime::CompileOptions{}));
   } catch (const std::invalid_argument&) {
   }
   int64_t correct = 0, total = 0;

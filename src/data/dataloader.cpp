@@ -31,7 +31,7 @@ std::optional<Batch> DataLoader::next() {
   if (take < batch_size_ && drop_last_) return std::nullopt;
   std::vector<int64_t> indices(order_.begin() + cursor_, order_.begin() + cursor_ + take);
   cursor_ += take;
-  return make_batch(dataset_, indices);
+  return make_batch(dataset_, indices, &util::ThreadPool::shared());
 }
 
 int64_t DataLoader::batches_per_epoch() const {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "tensor/tensor.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ndsnn::data {
 
@@ -14,10 +15,13 @@ struct Sample {
   int64_t label = 0;
 };
 
+/// get() must be safe to call from several threads at once: make_batch
+/// synthesizes a batch's samples on the lanes of a pool.
 class Dataset {
  public:
   virtual ~Dataset() = default;
   [[nodiscard]] virtual int64_t size() const = 0;
+  /// Sample `index`, a pure function of the index (no state changes).
   [[nodiscard]] virtual Sample get(int64_t index) const = 0;
   [[nodiscard]] virtual int64_t num_classes() const = 0;
   [[nodiscard]] virtual int64_t channels() const = 0;
@@ -31,6 +35,9 @@ struct Batch {
   [[nodiscard]] int64_t size() const { return static_cast<int64_t>(labels.size()); }
 };
 
-[[nodiscard]] Batch make_batch(const Dataset& dataset, const std::vector<int64_t>& indices);
+/// With a pool, the samples are fetched on its lanes, a range of them per
+/// lane, each into its own slot: the batch is bitwise the serial one.
+[[nodiscard]] Batch make_batch(const Dataset& dataset, const std::vector<int64_t>& indices,
+                               util::ThreadPool* pool = nullptr);
 
 }  // namespace ndsnn::data

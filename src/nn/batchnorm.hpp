@@ -11,12 +11,20 @@ namespace ndsnn::nn {
 
 /// BatchNorm2d with affine parameters and running statistics.
 /// gamma/beta are trainable but never pruned.
+///
+/// Channels are independent: the forward (statistics, running averages,
+/// normalisation) and the backward (the two sums, dgamma, dbeta, dx) of a
+/// channel run on one lane in the serial order, so splitting channels over
+/// a pool is bitwise the serial pass. The normalised input is saved in
+/// storage kept across steps.
 class BatchNorm2d final : public Layer {
  public:
   explicit BatchNorm2d(int64_t channels, float eps = 1e-5F, float momentum = 0.1F);
 
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
-  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  void forward_into(const tensor::Tensor& input, tensor::Tensor& out, bool training,
+                    util::ThreadPool* pool) override;
+  void backward_into(const tensor::Tensor& grad_output, tensor::Tensor& grad_input,
+                     util::ThreadPool* pool) override;
   [[nodiscard]] std::vector<ParamRef> params() override;
   [[nodiscard]] std::string name() const override;
   void reset_state() override;

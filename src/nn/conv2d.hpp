@@ -18,9 +18,13 @@ namespace ndsnn::nn {
 /// the whole-matrix GEMMs' bits. The layer saves only a copy of its
 /// input, whose storage lives across steps (reset_state() keeps it), so
 /// a training step at a steady batch shape allocates no input-sized
-/// buffer for it. The input gradient is built one patch row at a time
-/// from the weight's nonzeros (a sparse::Csr of Wᵀ, the layout the
-/// runtime's event conv reads).
+/// buffer for it. The input gradient is built one patch row of one sample
+/// at a time from the weight's nonzeros (a sparse::Csr of Wᵀ, the layout
+/// the runtime's event conv reads).
+///
+/// Over a pool, the forward splits
+/// sample blocks, the weight gradient its entries and the input gradient
+/// its samples; see conv_gemm.hpp. Each output keeps its serial chain.
 ///
 /// Under a GradMask (see layer.hpp) the weight gradient is computed only
 /// at the kept entries while masked_grad_pays(); otherwise the dense GEMM
@@ -31,10 +35,12 @@ class Conv2d final : public Layer {
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel, int64_t stride,
          int64_t padding, tensor::Rng& rng, bool bias = false);
 
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
-  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  /// dW (and db) only: skips the Wᵀ·gy GEMM and col2im of backward().
-  void accumulate_grads(const tensor::Tensor& grad_output) override;
+  void forward_into(const tensor::Tensor& input, tensor::Tensor& out, bool training,
+                    util::ThreadPool* pool) override;
+  void backward_into(const tensor::Tensor& grad_output, tensor::Tensor& grad_input,
+                     util::ThreadPool* pool) override;
+  /// dW (and db) only: skips the Wᵀ·gy walk and col2im of backward().
+  void accumulate_grads(const tensor::Tensor& grad_output, util::ThreadPool* pool) override;
   [[nodiscard]] std::vector<ParamRef> params() override;
   [[nodiscard]] std::string name() const override;
   /// Drops the saved forward but keeps the saved input's storage.
@@ -68,8 +74,6 @@ class Conv2d final : public Layer {
   [[nodiscard]] const tensor::Tensor& bias() const { return bias_; }
 
  private:
-  /// Accumulates dW (and db) of the saved forward.
-  void accumulate_param_grads(const tensor::Tensor& grad_output);
 
   int64_t in_channels_, out_channels_, kernel_, stride_, padding_;
   bool has_bias_;
@@ -80,9 +84,6 @@ class Conv2d final : public Layer {
   tensor::Tensor saved_input_;  // [M, C, H, W], storage kept across steps
   bool has_saved_ = false;      // a forward is saved for backward
   GradMask grad_mask_;
-  // Input-gradient workspace: one patch row of the input gradient
-  // matrix, [M, OH*OW].
-  std::vector<float> dx_row_;
 };
 
 }  // namespace ndsnn::nn

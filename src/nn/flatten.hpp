@@ -7,8 +7,10 @@ namespace ndsnn::nn {
 
 class Flatten final : public Layer {
  public:
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
-  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  void forward_into(const tensor::Tensor& input, tensor::Tensor& out, bool training,
+                    util::ThreadPool* pool) override;
+  void backward_into(const tensor::Tensor& grad_output, tensor::Tensor& grad_input,
+                     util::ThreadPool* pool) override;
   [[nodiscard]] std::string name() const override { return "Flatten"; }
   void reset_state() override;
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "tensor/tensor.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ndsnn::nn {
 
@@ -74,6 +75,18 @@ struct MaskedLayerView {
 };
 
 /// Abstract layer with manual forward/backward.
+///
+/// A layer writes its outputs into a tensor the caller hands it
+/// (Tensor::assign_shape / assign_zeros reuse its storage), so a caller
+/// that keeps its buffers across steps (Sequential does) allocates nothing
+/// per step. Whatever a layer saves for backward it keeps in its own
+/// storage, never by reference to its input or output.
+///
+/// Every pass takes the pool its kernels split their outputs over (null:
+/// inline). A lane takes a range of outputs and runs each one's whole
+/// accumulation in the serial order, so the results are bitwise the same
+/// for any pool. SpikingNetwork trains on util::ThreadPool::shared() and
+/// runs predict/eval_step inline.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -81,18 +94,37 @@ class Layer {
   Layer(const Layer&) = delete;
   Layer& operator=(const Layer&) = delete;
 
-  /// Compute outputs; `training` toggles behaviours like BN statistics.
-  [[nodiscard]] virtual tensor::Tensor forward(const tensor::Tensor& input, bool training) = 0;
+  /// Compute outputs into `out`, which must not be `input`; `training`
+  /// toggles behaviours like BN statistics.
+  virtual void forward_into(const tensor::Tensor& input, tensor::Tensor& out, bool training,
+                            util::ThreadPool* pool) = 0;
 
-  /// Propagate dL/d(output) to dL/d(input), accumulating parameter grads.
-  [[nodiscard]] virtual tensor::Tensor backward(const tensor::Tensor& grad_output) = 0;
+  /// Propagate dL/d(output) to dL/d(input) into `grad_input` (not
+  /// `grad_output`), accumulating parameter grads.
+  virtual void backward_into(const tensor::Tensor& grad_output, tensor::Tensor& grad_input,
+                             util::ThreadPool* pool) = 0;
 
   /// Accumulate parameter grads only, for a layer whose input gradient
   /// nobody reads (the first layer of a network). The grads are bitwise
-  /// those backward() accumulates; layers override this to skip the
+  /// those backward_into() accumulates; layers override this to skip the
   /// input-gradient work.
-  virtual void accumulate_grads(const tensor::Tensor& grad_output) {
-    (void)backward(grad_output);
+  virtual void accumulate_grads(const tensor::Tensor& grad_output, util::ThreadPool* pool) {
+    tensor::Tensor unused;
+    backward_into(grad_output, unused, pool);
+  }
+
+  /// forward_into() a fresh tensor, inline.
+  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool training) {
+    tensor::Tensor out;
+    forward_into(input, out, training, nullptr);
+    return out;
+  }
+
+  /// backward_into() a fresh tensor, inline.
+  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output) {
+    tensor::Tensor grad_input;
+    backward_into(grad_output, grad_input, nullptr);
+    return grad_input;
   }
 
   /// Parameter views (empty for stateless layers).

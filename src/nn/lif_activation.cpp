@@ -2,12 +2,14 @@
 
 namespace ndsnn::nn {
 
-tensor::Tensor LifActivation::forward(const tensor::Tensor& input, bool /*training*/) {
-  return lif_.forward(input);
+void LifActivation::forward_into(const tensor::Tensor& input, tensor::Tensor& out,
+                                 bool /*training*/, util::ThreadPool* pool) {
+  lif_.forward_into(input, out, pool);
 }
 
-tensor::Tensor LifActivation::backward(const tensor::Tensor& grad_output) {
-  return lif_.backward(grad_output);
+void LifActivation::backward_into(const tensor::Tensor& grad_output, tensor::Tensor& grad_input,
+                                  util::ThreadPool* pool) {
+  lif_.backward_into(grad_output, grad_input, pool);
 }
 
 std::string LifActivation::name() const {

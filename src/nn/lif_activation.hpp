@@ -13,8 +13,10 @@ class LifActivation final : public Layer {
   LifActivation(snn::LifConfig config, int64_t timesteps)
       : lif_(config, timesteps) {}
 
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
-  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  void forward_into(const tensor::Tensor& input, tensor::Tensor& out, bool training,
+                    util::ThreadPool* pool) override;
+  void backward_into(const tensor::Tensor& grad_output, tensor::Tensor& grad_input,
+                     util::ThreadPool* pool) override;
   [[nodiscard]] std::string name() const override;
   void reset_state() override { lif_.reset_state(); }
   [[nodiscard]] double last_spike_rate() const override { return lif_.last_spike_rate(); }

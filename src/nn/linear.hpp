@@ -15,14 +15,21 @@ namespace ndsnn::nn {
 /// dense kernel vectorizes 16 columns at a time, and at NDSNN's LeNet-5
 /// fc1 densities (4-12%) nearly every block of 8 or 16 columns holds a
 /// kept entry, so skipping blocks saves nothing.
+///
+/// Over a pool, the forward and the weight gradient split rows of their
+/// outputs and the input gradient splits input features, each entry
+/// keeping its serial chain. The saved input and the input-gradient
+/// workspaces live across steps.
 class Linear final : public Layer {
  public:
   /// Kaiming-initialized weights; zero bias. `bias` can be disabled.
   Linear(int64_t in_features, int64_t out_features, tensor::Rng& rng, bool bias = true);
 
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
-  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  void accumulate_grads(const tensor::Tensor& grad_output) override;
+  void forward_into(const tensor::Tensor& input, tensor::Tensor& out, bool training,
+                    util::ThreadPool* pool) override;
+  void backward_into(const tensor::Tensor& grad_output, tensor::Tensor& grad_input,
+                     util::ThreadPool* pool) override;
+  void accumulate_grads(const tensor::Tensor& grad_output, util::ThreadPool* pool) override;
   [[nodiscard]] std::vector<ParamRef> params() override;
   [[nodiscard]] std::string name() const override;
   void reset_state() override;

@@ -16,12 +16,13 @@ StepResult SpikingNetwork::train_step(const tensor::Tensor& batch,
                                       const std::vector<int64_t>& labels) {
   body_->reset_state();
   const tensor::Tensor encoded = encoder_->encode(batch, timesteps_);
-  const tensor::Tensor step_logits = body_->forward(encoded, /*training=*/true);
-  const tensor::Tensor mean_logits = mean_over_time(step_logits, timesteps_);
+  util::ThreadPool* pool = &util::ThreadPool::shared();
+  body_->forward_into(encoded, step_logits_, /*training=*/true, pool);
+  const tensor::Tensor mean_logits = mean_over_time(step_logits_, timesteps_);
   const LossResult lr = loss_.compute(mean_logits, labels);
 
   const tensor::Tensor grad_steps = broadcast_over_time(lr.grad_logits, timesteps_);
-  body_->accumulate_grads(grad_steps);  // the input is a leaf: no input grad
+  body_->accumulate_grads(grad_steps, pool);  // the input is a leaf: no input grad
 
   StepResult r;
   r.loss = lr.loss;
@@ -46,8 +47,8 @@ StepResult SpikingNetwork::eval_step(const tensor::Tensor& batch,
 tensor::Tensor SpikingNetwork::predict(const tensor::Tensor& batch) {
   body_->reset_state();
   const tensor::Tensor encoded = encoder_->encode(batch, timesteps_);
-  const tensor::Tensor step_logits = body_->forward(encoded, /*training=*/false);
-  return mean_over_time(step_logits, timesteps_);
+  body_->forward_into(encoded, step_logits_, /*training=*/false, /*pool=*/nullptr);
+  return mean_over_time(step_logits_, timesteps_);
 }
 
 int64_t SpikingNetwork::prunable_weight_count() {

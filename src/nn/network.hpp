@@ -54,6 +54,7 @@ class SpikingNetwork {
   int64_t timesteps_;
   std::unique_ptr<snn::Encoder> encoder_;
   CrossEntropyLoss loss_;
+  tensor::Tensor step_logits_;  // [T*N, classes], kept across steps
 };
 
 }  // namespace ndsnn::nn

@@ -9,17 +9,18 @@ PlifActivation::PlifActivation(snn::PlifConfig config, int64_t timesteps)
   leak_param_.at(0) = plif_.raw_leak();
 }
 
-tensor::Tensor PlifActivation::forward(const tensor::Tensor& input, bool /*training*/) {
+void PlifActivation::forward_into(const tensor::Tensor& input, tensor::Tensor& out,
+                                  bool /*training*/, util::ThreadPool* /*pool*/) {
   // Optimizer writes into leak_param_; sync before using it.
   plif_.raw_leak() = leak_param_.at(0);
-  return plif_.forward(input);
+  out = plif_.forward(input);
 }
 
-tensor::Tensor PlifActivation::backward(const tensor::Tensor& grad_output) {
+void PlifActivation::backward_into(const tensor::Tensor& grad_output,
+                                   tensor::Tensor& grad_input, util::ThreadPool* /*pool*/) {
   plif_.raw_leak_grad() = 0.0F;
-  tensor::Tensor gin = plif_.backward(grad_output);
+  grad_input = plif_.backward(grad_output);
   leak_grad_.at(0) += plif_.raw_leak_grad();
-  return gin;
 }
 
 std::vector<ParamRef> PlifActivation::params() {
@@ -33,12 +34,14 @@ std::string PlifActivation::name() const {
 
 void PlifActivation::reset_state() { plif_.reset_state(); }
 
-tensor::Tensor AlifActivation::forward(const tensor::Tensor& input, bool /*training*/) {
-  return alif_.forward(input);
+void AlifActivation::forward_into(const tensor::Tensor& input, tensor::Tensor& out,
+                                  bool /*training*/, util::ThreadPool* /*pool*/) {
+  out = alif_.forward(input);
 }
 
-tensor::Tensor AlifActivation::backward(const tensor::Tensor& grad_output) {
-  return alif_.backward(grad_output);
+void AlifActivation::backward_into(const tensor::Tensor& grad_output,
+                                   tensor::Tensor& grad_input, util::ThreadPool* /*pool*/) {
+  grad_input = alif_.backward(grad_output);
 }
 
 std::string AlifActivation::name() const {

@@ -14,8 +14,10 @@ class PlifActivation final : public Layer {
  public:
   PlifActivation(snn::PlifConfig config, int64_t timesteps);
 
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
-  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  void forward_into(const tensor::Tensor& input, tensor::Tensor& out, bool training,
+                    util::ThreadPool* pool) override;
+  void backward_into(const tensor::Tensor& grad_output, tensor::Tensor& grad_input,
+                     util::ThreadPool* pool) override;
   [[nodiscard]] std::vector<ParamRef> params() override;
   [[nodiscard]] std::string name() const override;
   void reset_state() override;
@@ -37,8 +39,10 @@ class AlifActivation final : public Layer {
  public:
   AlifActivation(snn::AlifConfig config, int64_t timesteps) : alif_(config, timesteps) {}
 
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
-  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  void forward_into(const tensor::Tensor& input, tensor::Tensor& out, bool training,
+                    util::ThreadPool* pool) override;
+  void backward_into(const tensor::Tensor& grad_output, tensor::Tensor& grad_input,
+                     util::ThreadPool* pool) override;
   [[nodiscard]] std::string name() const override;
   void reset_state() override { alif_.reset_state(); }
   [[nodiscard]] double last_spike_rate() const override { return alif_.last_spike_rate(); }

@@ -55,13 +55,16 @@ inline void avg_pool2d(const float* src, float* dst, int64_t planes, int64_t h, 
 }
 
 /// Average pooling with kernel == stride == k. Input [M, C, H, W] with H
-/// and W divisible by k.
+/// and W divisible by k. Planes are independent, so both passes split
+/// whole planes over a pool.
 class AvgPool2d final : public Layer {
  public:
   explicit AvgPool2d(int64_t k);
 
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
-  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  void forward_into(const tensor::Tensor& input, tensor::Tensor& out, bool training,
+                    util::ThreadPool* pool) override;
+  void backward_into(const tensor::Tensor& grad_output, tensor::Tensor& grad_input,
+                     util::ThreadPool* pool) override;
   [[nodiscard]] std::string name() const override;
   void reset_state() override;
 
@@ -78,8 +81,10 @@ class MaxPool2d final : public Layer {
  public:
   explicit MaxPool2d(int64_t k);
 
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
-  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  void forward_into(const tensor::Tensor& input, tensor::Tensor& out, bool training,
+                    util::ThreadPool* pool) override;
+  void backward_into(const tensor::Tensor& grad_output, tensor::Tensor& grad_input,
+                     util::ThreadPool* pool) override;
   [[nodiscard]] std::string name() const override;
   void reset_state() override;
 
@@ -95,8 +100,10 @@ class MaxPool2d final : public Layer {
 /// Global average pooling: [M, C, H, W] -> [M, C].
 class GlobalAvgPool final : public Layer {
  public:
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
-  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  void forward_into(const tensor::Tensor& input, tensor::Tensor& out, bool training,
+                    util::ThreadPool* pool) override;
+  void backward_into(const tensor::Tensor& grad_output, tensor::Tensor& grad_input,
+                     util::ThreadPool* pool) override;
   [[nodiscard]] std::string name() const override { return "GlobalAvgPool"; }
   void reset_state() override;
 

@@ -19,41 +19,42 @@ ResidualBlock::ResidualBlock(int64_t in_channels, int64_t out_channels, int64_t 
   lif_out_ = std::make_unique<LifActivation>(lif, timesteps);
 }
 
-tensor::Tensor ResidualBlock::forward(const tensor::Tensor& input, bool training) {
-  tensor::Tensor main = conv1_->forward(input, training);
-  main = bn1_->forward(main, training);
-  main = lif1_->forward(main, training);
-  main = conv2_->forward(main, training);
-  main = bn2_->forward(main, training);
-
-  tensor::Tensor shortcut = input;
+void ResidualBlock::forward_into(const tensor::Tensor& input, tensor::Tensor& out, bool training,
+                                 util::ThreadPool* pool) {
+  conv1_->forward_into(input, a_, training, pool);
+  bn1_->forward_into(a_, b_, training, pool);
+  lif1_->forward_into(b_, a_, training, pool);
+  conv2_->forward_into(a_, b_, training, pool);
+  bn2_->forward_into(b_, sum_, training, pool);
   if (shortcut_conv_) {
-    shortcut = shortcut_conv_->forward(input, training);
-    shortcut = shortcut_bn_->forward(shortcut, training);
+    shortcut_conv_->forward_into(input, a_, training, pool);
+    shortcut_bn_->forward_into(a_, b_, training, pool);
+    tensor::add_(sum_, b_);
+  } else {
+    tensor::add_(sum_, input);
   }
-  tensor::add_(main, shortcut);
-  return lif_out_->forward(main, training);
+  lif_out_->forward_into(sum_, out, training, pool);
 }
 
-tensor::Tensor ResidualBlock::backward(const tensor::Tensor& grad_output) {
-  const tensor::Tensor gsum = lif_out_->backward(grad_output);
+void ResidualBlock::backward_into(const tensor::Tensor& grad_output, tensor::Tensor& grad_input,
+                                  util::ThreadPool* pool) {
+  lif_out_->backward_into(grad_output, sum_, pool);
 
   // Main path.
-  tensor::Tensor g = bn2_->backward(gsum);
-  g = conv2_->backward(g);
-  g = lif1_->backward(g);
-  g = bn1_->backward(g);
-  tensor::Tensor gin = conv1_->backward(g);
+  bn2_->backward_into(sum_, a_, pool);
+  conv2_->backward_into(a_, b_, pool);
+  lif1_->backward_into(b_, a_, pool);
+  bn1_->backward_into(a_, b_, pool);
+  conv1_->backward_into(b_, grad_input, pool);
 
   // Shortcut path.
   if (shortcut_conv_) {
-    tensor::Tensor gs = shortcut_bn_->backward(gsum);
-    gs = shortcut_conv_->backward(gs);
-    tensor::add_(gin, gs);
+    shortcut_bn_->backward_into(sum_, a_, pool);
+    shortcut_conv_->backward_into(a_, b_, pool);
+    tensor::add_(grad_input, b_);
   } else {
-    tensor::add_(gin, gsum);
+    tensor::add_(grad_input, sum_);
   }
-  return gin;
 }
 
 std::vector<ParamRef> ResidualBlock::params() {

@@ -21,8 +21,10 @@ class ResidualBlock final : public Layer {
   ResidualBlock(int64_t in_channels, int64_t out_channels, int64_t stride,
                 const snn::LifConfig& lif, int64_t timesteps, tensor::Rng& rng);
 
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
-  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  void forward_into(const tensor::Tensor& input, tensor::Tensor& out, bool training,
+                    util::ThreadPool* pool) override;
+  void backward_into(const tensor::Tensor& grad_output, tensor::Tensor& grad_input,
+                     util::ThreadPool* pool) override;
   [[nodiscard]] std::vector<ParamRef> params() override;
   [[nodiscard]] std::string name() const override;
   void reset_state() override;
@@ -48,6 +50,8 @@ class ResidualBlock final : public Layer {
   std::unique_ptr<Conv2d> shortcut_conv_;     // null for identity shortcut
   std::unique_ptr<BatchNorm2d> shortcut_bn_;  // null for identity shortcut
   std::unique_ptr<LifActivation> lif_out_;
+  // Activations and gradients inside the block, kept across steps.
+  tensor::Tensor a_, b_, sum_;
 };
 
 }  // namespace ndsnn::nn

@@ -10,23 +10,45 @@ Sequential& Sequential::add(LayerPtr layer) {
   return *this;
 }
 
-tensor::Tensor Sequential::forward(const tensor::Tensor& input, bool training) {
-  tensor::Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward(x, training);
-  return x;
+void Sequential::forward_into(const tensor::Tensor& input, tensor::Tensor& out, bool training,
+                              util::ThreadPool* pool) {
+  if (layers_.empty()) {
+    out = input;
+    return;
+  }
+  const tensor::Tensor* x = &input;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    tensor::Tensor& y = i + 1 == layers_.size() ? out : buffers_[i % 2];
+    layers_[i]->forward_into(*x, y, training, pool);
+    x = &y;
+  }
 }
 
-tensor::Tensor Sequential::backward(const tensor::Tensor& grad_output) {
-  tensor::Tensor g = grad_output;
-  for (std::size_t i = layers_.size(); i-- > 0;) g = layers_[i]->backward(g);
-  return g;
+const tensor::Tensor& Sequential::backward_through(std::size_t first,
+                                                   const tensor::Tensor& grad_output,
+                                                   tensor::Tensor* last_out,
+                                                   util::ThreadPool* pool) {
+  const tensor::Tensor* g = &grad_output;
+  for (std::size_t i = layers_.size(); i-- > first;) {
+    tensor::Tensor& gx = i == first && last_out != nullptr ? *last_out : buffers_[i % 2];
+    layers_[i]->backward_into(*g, gx, pool);
+    g = &gx;
+  }
+  return *g;
 }
 
-void Sequential::accumulate_grads(const tensor::Tensor& grad_output) {
+void Sequential::backward_into(const tensor::Tensor& grad_output, tensor::Tensor& grad_input,
+                               util::ThreadPool* pool) {
+  if (layers_.empty()) {
+    grad_input = grad_output;
+    return;
+  }
+  (void)backward_through(0, grad_output, &grad_input, pool);
+}
+
+void Sequential::accumulate_grads(const tensor::Tensor& grad_output, util::ThreadPool* pool) {
   if (layers_.empty()) return;
-  tensor::Tensor g = grad_output;
-  for (std::size_t i = layers_.size(); i-- > 1;) g = layers_[i]->backward(g);
-  layers_[0]->accumulate_grads(g);
+  layers_[0]->accumulate_grads(backward_through(1, grad_output, nullptr, pool), pool);
 }
 
 std::vector<ParamRef> Sequential::params() {

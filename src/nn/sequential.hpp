@@ -9,6 +9,10 @@
 namespace ndsnn::nn {
 
 /// Runs layers in order on forward, reverse order on backward. Owns them.
+///
+/// Activations and gradients between layers pass through two buffers
+/// kept across steps and used in turn (no layer keeps a reference to its
+/// input or output), so a step at a steady shape allocates none of them.
 class Sequential final : public Layer {
  public:
   Sequential() = default;
@@ -25,10 +29,13 @@ class Sequential final : public Layer {
     return ref;
   }
 
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
-  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  /// backward() through layers n-1..1, then accumulate_grads() on layer 0.
-  void accumulate_grads(const tensor::Tensor& grad_output) override;
+  void forward_into(const tensor::Tensor& input, tensor::Tensor& out, bool training,
+                    util::ThreadPool* pool) override;
+  void backward_into(const tensor::Tensor& grad_output, tensor::Tensor& grad_input,
+                     util::ThreadPool* pool) override;
+  /// backward_into() through layers n-1..1, then accumulate_grads() on
+  /// layer 0.
+  void accumulate_grads(const tensor::Tensor& grad_output, util::ThreadPool* pool) override;
   [[nodiscard]] std::vector<ParamRef> params() override;
   [[nodiscard]] std::string name() const override;
   void reset_state() override;
@@ -43,7 +50,14 @@ class Sequential final : public Layer {
   void collect_spike_rates(std::vector<double>& rates) const;
 
  private:
+  /// Runs backward_into() through layers [first, size) in reverse,
+  /// returning the gradient at layer `first`'s input; it is `last_out`
+  /// when given, else one of buffers_.
+  const tensor::Tensor& backward_through(std::size_t first, const tensor::Tensor& grad_output,
+                                         tensor::Tensor* last_out, util::ThreadPool* pool);
+
   std::vector<LayerPtr> layers_;
+  tensor::Tensor buffers_[2];  // between-layer activations, then gradients
 };
 
 }  // namespace ndsnn::nn

@@ -319,8 +319,9 @@ CompiledNetwork CompiledNetwork::from_checkpoint(const std::string& path,
 
 Tensor CompiledNetwork::mean_logits(const Tensor& batch) const {
   // Direct encoding (compile() rejected every other encoder kind) is
-  // folded into execute(): the invariant prefix runs on the N rows.
-  const Tensor x = plan_.execute(batch);
+  // folded into execute(): the invariant prefix runs on the N rows. The
+  // step logits are averaged straight from the thread's kept buffer.
+  const Tensor& x = plan_.execute(batch);
   if (x.rank() != 2) {
     throw std::invalid_argument("CompiledNetwork::infer: body produced non-matrix logits " +
                                 x.shape().str());

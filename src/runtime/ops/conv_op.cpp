@@ -39,7 +39,8 @@ void ConvOp::run_dense(const Tensor& input, Tensor& out) const {
   span.rows(input.dim(0));
   span.bytes(store_.bytes);
   tensor::conv2d_gemm(input, store_.dense,
-                      tensor::ConvGeometry::of(input, kernel_, stride_, padding_), out, tier_);
+                      tensor::ConvGeometry::of(input, kernel_, stride_, padding_), out,
+                      /*pool=*/nullptr, tier_);
 }
 
 void ConvOp::run_event(const Tensor& in, Tensor& out) const {

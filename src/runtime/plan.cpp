@@ -108,7 +108,8 @@ void tile_time_major(const Activation& x, int64_t timesteps, Activation& out) {
 
 /// Run the plan's ops on `input`, tiling the invariant prefix's output
 /// to `timesteps` time-major copies (timesteps == 1 leaves it as is).
-tensor::Tensor run_ops(const Plan& plan, const tensor::Tensor& input, int64_t timesteps) {
+const tensor::Tensor& run_ops(const Plan& plan, const tensor::Tensor& input,
+                              int64_t timesteps) {
   thread_local ExecBuffers buffers;
   buffers.input.tensor = input;  // copies into the storage of the last call
   const Activation* x = &buffers.input;
@@ -139,11 +140,11 @@ tensor::Tensor run_ops(const Plan& plan, const tensor::Tensor& input, int64_t ti
 
 }  // namespace
 
-tensor::Tensor Plan::execute(const tensor::Tensor& batch) const {
+const tensor::Tensor& Plan::execute(const tensor::Tensor& batch) const {
   return run_ops(*this, batch, timesteps);
 }
 
-tensor::Tensor Plan::execute_time_major(const tensor::Tensor& window) const {
+const tensor::Tensor& Plan::execute_time_major(const tensor::Tensor& window) const {
   return run_ops(*this, window, 1);
 }
 

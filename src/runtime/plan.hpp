@@ -226,15 +226,17 @@ struct Plan {
   /// batch. The input copy, the tiled rows and every op output live in
   /// buffers of the calling thread kept from call to call (pool lanes
   /// and request workers are threads, so no two calls share them). A
-  /// repeated call at one shape allocates only the logits, the tiled
-  /// rows' time-major dims, the dense linear kernels' outputs and
-  /// residual blocks' inner chains.
-  [[nodiscard]] tensor::Tensor execute(const tensor::Tensor& batch) const;
+  /// repeated call at one shape allocates only the tiled rows'
+  /// time-major dims, the dense linear kernels' outputs and residual
+  /// blocks' inner chains. The result is the last op's buffer: it stays
+  /// valid until the calling thread's next execute() or
+  /// execute_time_major(), so copy it to keep it longer.
+  [[nodiscard]] const tensor::Tensor& execute(const tensor::Tensor& batch) const;
 
   /// Run every op on an already time-major window [T*N, ...] as is, with
   /// no prefix hoist: the whole-window reference StreamSession is pinned
-  /// against.
-  [[nodiscard]] tensor::Tensor execute_time_major(const tensor::Tensor& window) const;
+  /// against. The result lives as execute()'s does.
+  [[nodiscard]] const tensor::Tensor& execute_time_major(const tensor::Tensor& window) const;
 
   /// Weight elements stored by the plan (CSR nnz + dense fallback sizes).
   [[nodiscard]] int64_t stored_weights() const;

@@ -32,6 +32,7 @@
 
 #include "snn/surrogate.hpp"
 #include "tensor/tensor.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ndsnn::snn {
 
@@ -72,6 +73,10 @@ inline void lif_step(const float* current, const float* vmt_prev, const float* s
 
 /// Stateful LIF layer operating on time-major batches.
 ///
+/// Neurons are independent: over a pool, each lane takes a range of
+/// them and runs their frames in time order (forward ascending, backward
+/// descending), so any lane count is bitwise the serial pass.
+///
 /// forward() consumes the synaptic current for all T steps at once
 /// ([T*N, d...]) and emits the spike train of identical shape; backward()
 /// runs the reverse-time recursion and returns dL/dI.
@@ -79,14 +84,22 @@ class LifLayer {
  public:
   LifLayer(LifConfig config, int64_t timesteps);
 
-  /// Spike train o from synaptic current I. Stores per-step (v - theta)
-  /// for the backward pass.
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& current);
+  /// Spike train o from synaptic current I into `spikes` (not `current`).
+  /// Stores per-step (v - theta) for the backward pass, in storage kept
+  /// across batches.
+  void forward_into(const tensor::Tensor& current, tensor::Tensor& spikes,
+                    util::ThreadPool* pool = nullptr);
 
-  /// dL/dI from dL/do. Must follow a forward() with the same shape.
+  /// dL/dI from dL/do into `grad_current` (not `grad_spikes`). Must follow
+  /// a forward with the same shape.
+  void backward_into(const tensor::Tensor& grad_spikes, tensor::Tensor& grad_current,
+                     util::ThreadPool* pool = nullptr);
+
+  /// forward_into() / backward_into() a fresh tensor, serially.
+  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& current);
   [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_spikes);
 
-  /// Discard stored state (between batches).
+  /// Discard stored state (between batches); the storage is kept.
   void reset_state();
 
   [[nodiscard]] const LifConfig& config() const { return config_; }
@@ -98,9 +111,8 @@ class LifLayer {
  private:
   LifConfig config_;
   int64_t timesteps_;
-  // Saved from forward, both shaped [T*N, d...] flattened:
+  // Saved from forward, shaped [T*N, d...]:
   tensor::Tensor saved_vmt_;     ///< v[t] - theta per element
-  tensor::Tensor saved_spikes_;  ///< o[t] per element
   int64_t step_size_ = 0;        ///< N * prod(d...) elements per timestep
   bool has_saved_ = false;
   double last_spike_rate_ = 0.0;

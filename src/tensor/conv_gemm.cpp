@@ -68,13 +68,16 @@ T* sized(std::vector<T>& v, int64_t n) {
 /// (a wide plane) points its patch rows into a [C, KW, HP, OW] stack of
 /// those planes: KW copies of the input, not KH*KW. A block of several
 /// samples (small planes), or any stride but 1, is copied out from the
-/// padded stack to a [C*KH*KW, nb*OH*OW] matrix.
+/// padded stack to a [C*KH*KW, nb*OH*OW] matrix. Only the input channels
+/// [c0, c1) are staged, for a caller that reads only their patch rows.
 class PatchBlocks {
  public:
-  PatchBlocks(const Tensor& input, const ConvGeometry& g)
+  PatchBlocks(const Tensor& input, const ConvGeometry& g, int64_t c0, int64_t c1)
       : input_(input),
         g_(g),
         buf_(stage_buffers()),
+        c0_(c0),
+        c1_(c1),
         hp_(g.in_h + 2 * g.padding),
         wp_(g.in_w + 2 * g.padding),
         ow_(g.out_w()),
@@ -93,8 +96,8 @@ class PatchBlocks {
   [[nodiscard]] int64_t per_block() const { return per_block_; }
 
   /// The patch rows of samples [n0, n0 + nb), nb <= per_block(): row r's
-  /// nb*OH*OW columns are rows[r][0, nb*OH*OW), in im2col's order. They
-  /// stay valid until the next call.
+  /// nb*OH*OW columns are rows[r][0, nb*OH*OW), in im2col's order, for the
+  /// rows of the staged channels. They stay valid until the next call.
   const float* const* stage(int64_t n0, int64_t nb) {
     const int64_t cols_n = nb * plane_;
     const float** rows = buf_.rows.data();
@@ -134,17 +137,17 @@ class PatchBlocks {
   /// the shifted stack.
   void load_sample(int64_t n, bool shift) {
     const int64_t channels = g_.in_channels, h = g_.in_h, w = g_.in_w, pad = g_.padding;
-    const int64_t hp = hp_, wp = wp_, ow = ow_, kernel_w = g_.kernel_w;
+    const int64_t hp = hp_, wp = wp_, ow = ow_, kernel_w = g_.kernel_w, c0 = c0_, c1 = c1_;
     const float* sample = input_.data() + n * channels * h * w;
     float* padded = buf_.padded.data();
-    for (int64_t c = 0; c < channels; ++c) {
+    for (int64_t c = c0; c < c1; ++c) {
       for (int64_t y = 0; y < h; ++y) {
         copy_row(padded + (c * hp + y + pad) * wp + pad, sample + (c * h + y) * w, w, 1);
       }
     }
     if (!shift) return;
     float* shifted = buf_.shifted.data();
-    for (int64_t c = 0; c < channels; ++c) {
+    for (int64_t c = c0; c < c1; ++c) {
       for (int64_t kw = 0; kw < kernel_w; ++kw) {
         float* plane_kw = shifted + (c * kernel_w + kw) * hp * ow;
         for (int64_t y = 0; y < hp; ++y) {
@@ -154,12 +157,12 @@ class PatchBlocks {
     }
   }
 
-  /// Calls fn(r, c, kh, kw) for every patch row r = (c, kh, kw), r
-  /// ascending.
+  /// Calls fn(r, c, kh, kw) for every patch row r = (c, kh, kw) of the
+  /// staged channels, r ascending.
   template <class Fn>
   void for_each_patch_row(Fn&& fn) const {
-    int64_t r = 0;
-    for (int64_t c = 0; c < g_.in_channels; ++c) {
+    int64_t r = c0_ * g_.kernel_h * g_.kernel_w;
+    for (int64_t c = c0_; c < c1_; ++c) {
       for (int64_t kh = 0; kh < g_.kernel_h; ++kh) {
         for (int64_t kw = 0; kw < g_.kernel_w; ++kw) fn(r++, c, kh, kw);
       }
@@ -169,8 +172,15 @@ class PatchBlocks {
   const Tensor& input_;
   const ConvGeometry& g_;
   StageBuffers& buf_;
-  int64_t hp_, wp_, ow_, plane_, per_block_;
+  int64_t c0_, c1_, hp_, wp_, ow_, plane_, per_block_;
 };
+
+/// Filters per chunk of the weight gradient kept even: the AVX2 dW body
+/// holds two filters' chains per register tile.
+constexpr int64_t kFilterPair = 2;
+/// Patch rows per chunk of the weight gradient come in whole 16-row
+/// tiles, the AVX2 dW body's column tile.
+constexpr int64_t kRowTile = 16;
 
 }  // namespace
 
@@ -181,7 +191,7 @@ int64_t conv_block_samples(const ConvGeometry& g) {
 }
 
 void conv2d_gemm(const Tensor& input, const Tensor& wmat, const ConvGeometry& g, Tensor& out,
-                 util::simd::Tier tier) {
+                 util::ThreadPool* pool, util::simd::Tier tier) {
   check_input(input, g);
   if (wmat.rank() != 2 || wmat.dim(1) != g.patch_rows()) {
     throw std::invalid_argument("conv2d_gemm: weight shape " + wmat.shape().str() +
@@ -189,34 +199,44 @@ void conv2d_gemm(const Tensor& input, const Tensor& wmat, const ConvGeometry& g,
   }
   const int64_t f = wmat.dim(0);
   const int64_t plane = g.out_h() * g.out_w();
-  out.assign_zeros({g.batch, f, g.out_h(), g.out_w()});
-  PatchBlocks blocks(input, g);
-  const int64_t per_block = blocks.per_block();
-  // A block of several samples runs as one GEMM into [F, nb*plane],
-  // then is copied out to [nb, F, plane].
-  float* y = per_block > 1 ? sized(stage_buffers().out, f * per_block * plane) : nullptr;
-  for (int64_t n0 = 0; n0 < g.batch; n0 += per_block) {
-    const int64_t nb = std::min(per_block, g.batch - n0);
-    const int64_t cols_n = nb * plane;
-    const float* const* rows = blocks.stage(n0, nb);
-    float* dst = out.data() + n0 * f * plane;
-    if (nb == 1) {
-      matmul_acc_rows(wmat, rows, dst, plane, plane, tier);
-      continue;
-    }
-    std::fill(y, y + f * cols_n, 0.0F);
-    matmul_acc_rows(wmat, rows, y, cols_n, cols_n, tier);
-    for (int64_t s = 0; s < nb; ++s) {
-      for (int64_t ff = 0; ff < f; ++ff) {
-        const float* src = y + ff * cols_n + s * plane;
-        std::copy(src, src + plane, dst + (s * f + ff) * plane);
-      }
-    }
-  }
+  out.assign_shape({g.batch, f, g.out_h(), g.out_w()});
+  const int64_t per_block = conv_block_samples(g);
+  const int64_t blocks = (g.batch + per_block - 1) / per_block;
+  // Blocks are independent: a lane stages and multiplies a range of
+  // them in its own buffers, each exactly as the serial loop would.
+  const int64_t block_macs = f * g.patch_rows() * per_block * plane;
+  util::ThreadPool::for_ranges(
+      pool, blocks, std::max<int64_t>(1, kConvGrainMacs / block_macs), [&](int64_t b0, int64_t b1) {
+        PatchBlocks stager(input, g, 0, g.in_channels);
+        // A block of several samples runs as one GEMM into [F, nb*plane],
+        // then is copied out to [nb, F, plane].
+        float* y = per_block > 1 ? sized(stage_buffers().out, f * per_block * plane) : nullptr;
+        for (int64_t b = b0; b < b1; ++b) {
+          const int64_t n0 = b * per_block;
+          const int64_t nb = std::min(per_block, g.batch - n0);
+          const int64_t cols_n = nb * plane;
+          const float* const* rows = stager.stage(n0, nb);
+          float* dst = out.data() + n0 * f * plane;
+          if (nb == 1) {
+            std::fill(dst, dst + f * plane, 0.0F);
+            matmul_acc_rows(wmat, rows, dst, plane, plane, tier);
+            continue;
+          }
+          std::fill(y, y + f * cols_n, 0.0F);
+          matmul_acc_rows(wmat, rows, y, cols_n, cols_n, tier);
+          for (int64_t s = 0; s < nb; ++s) {
+            for (int64_t ff = 0; ff < f; ++ff) {
+              const float* src = y + ff * cols_n + s * plane;
+              std::copy(src, src + plane, dst + (s * f + ff) * plane);
+            }
+          }
+        }
+      });
 }
 
 void conv2d_weight_grad(const Tensor& grad_output, const Tensor& input, const ConvGeometry& g,
-                        const uint8_t* keep, Tensor& dw, util::simd::Tier tier) {
+                        const uint8_t* keep, Tensor& dw, util::ThreadPool* pool,
+                        util::simd::Tier tier) {
   check_input(input, g);
   const int64_t rows = g.patch_rows(), plane = g.out_h() * g.out_w();
   if (grad_output.rank() != 4 || grad_output.dim(0) != g.batch ||
@@ -226,16 +246,47 @@ void conv2d_weight_grad(const Tensor& grad_output, const Tensor& input, const Co
                                 " or dW " + dw.shape().str() + " does not match geometry");
   }
   const int64_t f = dw.dim(0);
-  PatchBlocks blocks(input, g);
-  const int64_t per_block = blocks.per_block();
-  NtChains chains(f, rows, keep, tier);
-  for (int64_t n0 = 0; n0 < g.batch; n0 += per_block) {
-    const int64_t nb = std::min(per_block, g.batch - n0);
-    // The block's columns of gy: sample n's [F, plane] planes, in order.
-    chains.add(SegmentedRows{grad_output.data() + n0 * f * plane, plane, plane, f * plane},
-               blocks.stage(n0, nb), nb * plane);
+  const int64_t per_block = conv_block_samples(g);
+  // Every dW entry is one double chain over all columns, so lanes split
+  // the entries, never the columns: chunk (row range, filter group)
+  // carries the chains of its entries over every block, staging only the
+  // input channels its patch rows read. Row ranges are whole 16-row
+  // tiles; when there are too few tiles for two chunks per lane, the
+  // filters are split into groups of whole pairs too.
+  const int64_t tiles = (rows + kRowTile - 1) / kRowTile;
+  const int64_t pairs = (f + kFilterPair - 1) / kFilterPair;
+  int64_t row_chunks = 1, filter_chunks = 1;
+  if (util::ThreadPool::range_count(pool, f * rows * g.patch_cols(), kConvGrainMacs) > 1) {
+    const int64_t target = 2 * pool->lanes();
+    row_chunks = std::min(tiles, target);
+    filter_chunks = std::min(pairs, (target + row_chunks - 1) / row_chunks);
   }
-  chains.finish(dw.data());
+  const int64_t kk = g.kernel_h * g.kernel_w;
+  const auto chunk = [&](int64_t c) {
+    const int64_t rc = c / filter_chunks, fc = c % filter_chunks;
+    const int64_t r0 = std::min(rows, rc * tiles / row_chunks * kRowTile);
+    const int64_t r1 = std::min(rows, (rc + 1) * tiles / row_chunks * kRowTile);
+    const int64_t f0 = std::min(f, fc * pairs / filter_chunks * kFilterPair);
+    const int64_t f1 = std::min(f, (fc + 1) * pairs / filter_chunks * kFilterPair);
+    if (r0 == r1 || f0 == f1) return;
+    PatchBlocks stager(input, g, r0 / kk, (r1 - 1) / kk + 1);
+    NtChains chains(f1 - f0, r1 - r0, keep == nullptr ? nullptr : keep + f0 * rows + r0, tier,
+                    rows);
+    for (int64_t n0 = 0; n0 < g.batch; n0 += per_block) {
+      const int64_t nb = std::min(per_block, g.batch - n0);
+      // The block's columns of gy: sample n's [F, plane] planes, in order.
+      chains.add(SegmentedRows{grad_output.data() + (n0 * f + f0) * plane, plane, plane,
+                               f * plane},
+                 stager.stage(n0, nb) + r0, nb * plane);
+    }
+    chains.finish(dw.data() + f0 * rows + r0);
+  };
+  const int64_t chunks = row_chunks * filter_chunks;
+  if (chunks == 1) {
+    chunk(0);
+  } else {
+    pool->parallel_chunks(chunks, chunk);
+  }
 }
 
 }  // namespace ndsnn::tensor

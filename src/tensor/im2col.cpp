@@ -149,12 +149,13 @@ Tensor col2im(const Tensor& cols, const ConvGeometry& g) {
   return out;
 }
 
-void col2im_row_add(const float* row_values, const ConvGeometry& g, int64_t row, Tensor& out) {
-  if (row < 0 || row >= g.patch_rows() || out.rank() != 4 || out.dim(0) != g.batch ||
-      out.dim(1) != g.in_channels || out.dim(2) != g.in_h || out.dim(3) != g.in_w) {
-    throw std::invalid_argument("col2im_row_add: bad row or output shape " + out.shape().str());
+void col2im_row_add(const float* row_values, const ConvGeometry& g, int64_t row, float* sample) {
+  if (row < 0 || row >= g.patch_rows()) {
+    throw std::invalid_argument("col2im_row_add: bad row " + std::to_string(row));
   }
-  col2im_row(row_values, g.out_h() * g.out_w(), g, row, out.data());
+  ConvGeometry one = g;
+  one.batch = 1;
+  col2im_row(row_values, g.out_h() * g.out_w(), one, row, sample);
 }
 
 }  // namespace ndsnn::tensor

@@ -7,7 +7,8 @@
 // lowerings, run by tests only: no conv kernel builds the whole patch
 // matrix. The conv GEMMs (conv_gemm.hpp) stage the patch columns of a
 // cache-sized block of samples themselves, and the training input
-// gradient scatters one patch row at a time with col2im_row_add.
+// gradient scatters one patch row of one sample at a time with
+// col2im_row_add.
 #pragma once
 
 #include "tensor/tensor.hpp"
@@ -47,11 +48,12 @@ struct ConvGeometry {
 /// (reference lowering).
 [[nodiscard]] Tensor col2im(const Tensor& cols, const ConvGeometry& g);
 
-/// col2im of one patch row: scatter-add `row_values` (N*OH*OW values,
-/// row `row` of the patch matrix) into `out` [N, C, H, W]. Calling it
-/// for the rows in ascending order gives every pixel its adds in
-/// col2im's order; a row that is all zeros may be skipped (its adds of
-/// +0 change no pixel, whose sum starts at +0).
-void col2im_row_add(const float* row_values, const ConvGeometry& g, int64_t row, Tensor& out);
+/// col2im of one patch row of one sample: scatter-add `row_values` (the
+/// sample's OH*OW values of row `row` of the patch matrix) into its
+/// [C, H, W] planes at `sample`. Calling it for the rows in ascending
+/// order gives every pixel its adds in col2im's order; a row that is all
+/// zeros may be skipped (its adds of +0 change no pixel, whose sum starts
+/// at +0). Samples are independent.
+void col2im_row_add(const float* row_values, const ConvGeometry& g, int64_t row, float* sample);
 
 }  // namespace ndsnn::tensor

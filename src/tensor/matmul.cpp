@@ -1,5 +1,6 @@
 #include "tensor/matmul.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -41,6 +42,12 @@ void gemm_acc(const float* pa, const float* const* b_rows, float* pc, int64_t ld
   }
 }
 
+/// Rows of C per lane range for a GEMM doing `row_macs` multiply-adds
+/// per row of C.
+int64_t row_grain(int64_t row_macs) {
+  return std::max<int64_t>(1, kGemmGrainMacs / std::max<int64_t>(row_macs, 1));
+}
+
 /// Pointers to the rows of a row-major matrix, `ld` floats apart.
 std::vector<const float*> row_pointers(const float* data, int64_t rows, int64_t ld) {
   std::vector<const float*> out(static_cast<std::size_t>(rows));
@@ -49,7 +56,8 @@ std::vector<const float*> row_pointers(const float* data, int64_t rows, int64_t 
 }
 }  // namespace
 
-void matmul_acc(const Tensor& a, const Tensor& b, Tensor& c, util::simd::Tier tier) {
+void matmul_acc(const Tensor& a, const Tensor& b, Tensor& c, util::simd::Tier tier,
+                util::ThreadPool* pool) {
   check_rank2(a, "A");
   check_rank2(b, "B");
   const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
@@ -57,7 +65,10 @@ void matmul_acc(const Tensor& a, const Tensor& b, Tensor& c, util::simd::Tier ti
     throw std::invalid_argument("matmul_acc: shape mismatch A" + a.shape().str() + " B" +
                                 b.shape().str() + " C" + c.shape().str());
   }
-  gemm_acc(a.data(), row_pointers(b.data(), k, n).data(), c.data(), n, m, k, n, tier);
+  const std::vector<const float*> rows = row_pointers(b.data(), k, n);
+  util::ThreadPool::for_ranges(pool, m, row_grain(k * n), [&](int64_t i0, int64_t i1) {
+    gemm_acc(a.data() + i0 * k, rows.data(), c.data() + i0 * n, n, i1 - i0, k, n, tier);
+  });
 }
 
 void matmul_acc_rows(const Tensor& a, const float* const* b_rows, float* c, int64_t ldc,
@@ -73,7 +84,7 @@ Tensor matmul(const Tensor& a, const Tensor& b, util::simd::Tier tier) {
   return c;
 }
 
-void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& c) {
+void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& c, util::ThreadPool* pool) {
   check_rank2(a, "A");
   check_rank2(b, "B");
   const int64_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
@@ -84,16 +95,18 @@ void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& c) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float* arow = pa + kk * m;
-    const float* brow = pb + kk * n;
-    for (int64_t i = 0; i < m; ++i) {
-      const float aval = arow[i];
-      if (aval == 0.0F) continue;
-      float* crow = pc + i * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] += aval * brow[j];
+  util::ThreadPool::for_ranges(pool, m, row_grain(k * n), [&](int64_t i0, int64_t i1) {
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float* arow = pa + kk * m;
+      const float* brow = pb + kk * n;
+      for (int64_t i = i0; i < i1; ++i) {
+        const float aval = arow[i];
+        if (aval == 0.0F) continue;
+        float* crow = pc + i * n;
+        for (int64_t j = 0; j < n; ++j) crow[j] += aval * brow[j];
+      }
     }
-  }
+  });
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
@@ -102,9 +115,10 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-NtChains::NtChains(int64_t m, int64_t n, const uint8_t* keep, util::simd::Tier tier)
+NtChains::NtChains(int64_t m, int64_t n, const uint8_t* keep, util::simd::Tier tier, int64_t ld)
     : m_(m),
       n_(n),
+      ld_(ld == 0 ? n : ld),
       keep_(keep),
       avx2_(util::simd::resolve(tier) == util::simd::Tier::kAvx2 && simd::built_with_avx2()) {
   if (avx2_ && keep_ != nullptr) {
@@ -113,7 +127,7 @@ NtChains::NtChains(int64_t m, int64_t n, const uint8_t* keep, util::simd::Tier t
     for (int64_t j = 0; j < n_; ++j) {
       for (int64_t g = 0; g < m_; g += 4) {
         bool any = false;
-        for (int64_t r = g; r < std::min(g + 4, m_); ++r) any = any || keep_[r * n_ + j] != 0;
+        for (int64_t r = g; r < std::min(g + 4, m_); ++r) any = any || keep_[r * ld_ + j] != 0;
         if (!any) continue;
         item_col_.push_back(j);
         item_group_.push_back(g);
@@ -140,7 +154,7 @@ void NtChains::add(const SegmentedRows& a, const float* const* b_rows, int64_t k
   }
   for (int64_t i = 0; i < m_; ++i) {
     for (int64_t j = 0; j < n_; ++j) {
-      if (keep_ != nullptr && keep_[i * n_ + j] == 0) continue;
+      if (keep_ != nullptr && keep_[i * ld_ + j] == 0) continue;
       const float* brow = b_rows[j];
       double acc = acc_[static_cast<std::size_t>(i * ld_acc_ + j)];
       a.for_each_run(i, 0, kb, [&](int64_t off, const float* src, int64_t len) {
@@ -157,8 +171,8 @@ void NtChains::finish(float* c) const {
       const int64_t j = item_col_[t];
       const int64_t g = item_group_[t];
       for (int64_t r = g; r < std::min(g + 4, m_); ++r) {
-        if (keep_[r * n_ + j] != 0) {
-          c[r * n_ + j] += static_cast<float>(acc_[4 * t + static_cast<std::size_t>(r - g)]);
+        if (keep_[r * ld_ + j] != 0) {
+          c[r * ld_ + j] += static_cast<float>(acc_[4 * t + static_cast<std::size_t>(r - g)]);
         }
       }
     }
@@ -166,8 +180,8 @@ void NtChains::finish(float* c) const {
   }
   for (int64_t i = 0; i < m_; ++i) {
     for (int64_t j = 0; j < n_; ++j) {
-      if (keep_ != nullptr && keep_[i * n_ + j] == 0) continue;
-      c[i * n_ + j] += static_cast<float>(acc_[static_cast<std::size_t>(i * ld_acc_ + j)]);
+      if (keep_ != nullptr && keep_[i * ld_ + j] == 0) continue;
+      c[i * ld_ + j] += static_cast<float>(acc_[static_cast<std::size_t>(i * ld_acc_ + j)]);
     }
   }
 }
@@ -175,7 +189,7 @@ void NtChains::finish(float* c) const {
 namespace {
 /// C += A * Bᵀ over all of k, at keep's entries when keep is given.
 void nt_acc(const char* name, const Tensor& a, const Tensor& b, const uint8_t* keep, Tensor& c,
-            util::simd::Tier tier) {
+            util::simd::Tier tier, util::ThreadPool* pool) {
   check_rank2(a, "A");
   check_rank2(b, "B");
   const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
@@ -183,14 +197,18 @@ void nt_acc(const char* name, const Tensor& a, const Tensor& b, const uint8_t* k
     throw std::invalid_argument(std::string(name) + ": shape mismatch A" + a.shape().str() +
                                 " B" + b.shape().str() + " C" + c.shape().str());
   }
-  NtChains chains(m, n, keep, tier);
-  chains.add(SegmentedRows{a.data(), k, k, 0}, row_pointers(b.data(), n, k).data(), k);
-  chains.finish(c.data());
+  const std::vector<const float*> rows = row_pointers(b.data(), n, k);
+  util::ThreadPool::for_ranges(pool, m, row_grain(k * n), [&](int64_t i0, int64_t i1) {
+    NtChains chains(i1 - i0, n, keep == nullptr ? nullptr : keep + i0 * n, tier);
+    chains.add(SegmentedRows{a.data() + i0 * k, k, k, 0}, rows.data(), k);
+    chains.finish(c.data() + i0 * n);
+  });
 }
 }  // namespace
 
-void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& c, util::simd::Tier tier) {
-  nt_acc("matmul_nt_acc", a, b, nullptr, c, tier);
+void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& c, util::simd::Tier tier,
+                   util::ThreadPool* pool) {
+  nt_acc("matmul_nt_acc", a, b, nullptr, c, tier, pool);
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b, util::simd::Tier tier) {
@@ -200,9 +218,9 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b, util::simd::Tier tier) {
 }
 
 void matmul_nt_masked_acc(const Tensor& a, const Tensor& b, const uint8_t* keep, Tensor& c,
-                          util::simd::Tier tier) {
+                          util::simd::Tier tier, util::ThreadPool* pool) {
   if (keep == nullptr) throw std::invalid_argument("matmul_nt_masked_acc: keep is null");
-  nt_acc("matmul_nt_masked_acc", a, b, keep, c, tier);
+  nt_acc("matmul_nt_masked_acc", a, b, keep, c, tier, pool);
 }
 
 }  // namespace ndsnn::tensor

@@ -30,6 +30,11 @@
 // gradient of conv_gemm.hpp feeds one staged patch block at a time) and
 // still get every entry's single rounding.
 // matmul_tn (training-only, off the inference hot path) stays scalar.
+//
+// The accumulating GEMMs take an optional util::ThreadPool: with one,
+// they split the rows of C into ranges, one per lane, and each entry
+// keeps the chain it has inline, so the result is bitwise the serial
+// one. Null (the default, and what every plan op passes) runs inline.
 #pragma once
 
 #include <algorithm>
@@ -37,6 +42,7 @@
 
 #include "tensor/tensor.hpp"
 #include "util/cpuinfo.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ndsnn::tensor {
 
@@ -46,19 +52,27 @@ namespace ndsnn::tensor {
 [[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b,
                                util::simd::Tier tier = util::simd::Tier::kAuto);
 
+/// Multiply-adds per lane below which a GEMM runs inline. Waking a pool's
+/// lanes took ~20 us on a 4-vCPU Xeon (a 56 us loop ran in 34 us over 4
+/// lanes), about as long as 64 K scalar multiply-adds.
+inline constexpr int64_t kGemmGrainMacs = 64 * 1024;
+
 /// C += A * B (accumulating variant used by BPTT weight-gradient sums).
 void matmul_acc(const Tensor& a, const Tensor& b, Tensor& c,
-                util::simd::Tier tier = util::simd::Tier::kAuto);
+                util::simd::Tier tier = util::simd::Tier::kAuto,
+                util::ThreadPool* pool = nullptr);
 /// matmul_acc with B given by its rows: C [M, n] += A [M, K] * B [K, n],
 /// where row kk of B is b_rows[kk][0, n) and rows of C are `ldc` floats
 /// apart. Every output gets matmul_acc's rounding sequence.
 void matmul_acc_rows(const Tensor& a, const float* const* b_rows, float* c, int64_t ldc,
                      int64_t n, util::simd::Tier tier = util::simd::Tier::kAuto);
 /// C += Aᵀ * B
-void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& c);
+void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& c,
+                   util::ThreadPool* pool = nullptr);
 /// C += A * Bᵀ
 void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& c,
-                   util::simd::Tier tier = util::simd::Tier::kAuto);
+                   util::simd::Tier tier = util::simd::Tier::kAuto,
+                   util::ThreadPool* pool = nullptr);
 /// matmul_nt_acc at the entries of C whose `keep` byte (row-major, C's
 /// shape) is nonzero; the other entries of C are not touched. Each kept
 /// entry gets matmul_nt_acc's double chain over ascending k, so it is
@@ -67,7 +81,8 @@ void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& c,
 /// entry, so its work follows the kept fraction; at high kept fractions
 /// the dense kernel is faster.
 void matmul_nt_masked_acc(const Tensor& a, const Tensor& b, const uint8_t* keep, Tensor& c,
-                          util::simd::Tier tier = util::simd::Tier::kAuto);
+                          util::simd::Tier tier = util::simd::Tier::kAuto,
+                          util::ThreadPool* pool = nullptr);
 
 /// The rows of a GEMM operand whose columns lie in runs of `seg`: column
 /// kk of row r is at data[(kk / seg) * seg_stride + r * ld + kk % seg].
@@ -96,20 +111,22 @@ struct SegmentedRows {
 /// every entry's double chain over the next block, finish() rounds each
 /// chain to float once and adds it to C. Every entry is bitwise
 /// matmul_nt_acc's however k is split, on either tier. With a `keep` mask
-/// (row-major [m, n] bytes, which must outlive the chains) only the kept
-/// entries are computed and added: matmul_nt_masked_acc's.
+/// (row-major bytes of C's layout, which must outlive the chains) only
+/// the kept entries are computed and added: matmul_nt_masked_acc's. C
+/// and keep have rows `ld` apart (ld >= n; 0 means n), so the chains of
+/// a block of columns of a larger C run on their own.
 class NtChains {
  public:
   NtChains(int64_t m, int64_t n, const uint8_t* keep,
-           util::simd::Tier tier = util::simd::Tier::kAuto);
+           util::simd::Tier tier = util::simd::Tier::kAuto, int64_t ld = 0);
   /// The next kb columns of k: A's from `a` (its columns [0, kb)), B's
   /// row j from b_rows[j][0, kb).
   void add(const SegmentedRows& a, const float* const* b_rows, int64_t kb);
-  /// c [m, n] row-major += every (kept) chain, rounded to float.
+  /// c [m, n] (rows ld apart) += every (kept) chain, rounded to float.
   void finish(float* c) const;
 
  private:
-  int64_t m_, n_;
+  int64_t m_, n_, ld_;
   const uint8_t* keep_;
   bool avx2_;
   int64_t ld_acc_ = 0;  // row stride of acc_ (all but the AVX2 masked body)

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <vector>
 
 namespace ndsnn::tensor {
 
@@ -54,20 +55,65 @@ int64_t Rng::uniform_int(int64_t n) {
   return static_cast<int64_t>(x % un);
 }
 
+namespace {
+
+/// Box-Muller pairs per lane below which fill_normal runs inline: a pair
+/// takes ~70 ns on a 4-vCPU Xeon, so 4 K take ~0.3 ms, well past the
+/// ~20 us it takes to wake a pool's lanes.
+constexpr int64_t kNormalGrain = 4096;
+
+/// The Box-Muller transform of (u1, u2): the cos normal, then the sin one.
+struct NormalPair {
+  float first, second;
+};
+
+inline NormalPair box_muller(double u1, double u2) {
+  const double radius = std::sqrt(-2.0 * std::log(u1));
+  const double angle = 2.0 * std::numbers::pi * u2;
+  return {static_cast<float>(radius * std::cos(angle)),
+          static_cast<float>(radius * std::sin(angle))};
+}
+
+}  // namespace
+
+double Rng::box_muller_u1() {
+  double u1 = uniform01();
+  while (u1 <= 1e-12) u1 = uniform01();
+  return u1;
+}
+
 float Rng::normal() {
   if (has_cached_normal_) {
     has_cached_normal_ = false;
     return cached_normal_;
   }
-  // Box-Muller transform.
-  double u1 = uniform01();
-  while (u1 <= 1e-12) u1 = uniform01();
-  const double u2 = uniform01();
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double angle = 2.0 * std::numbers::pi * u2;
-  cached_normal_ = static_cast<float>(radius * std::sin(angle));
+  const double u1 = box_muller_u1();
+  const NormalPair pair = box_muller(u1, uniform01());
+  cached_normal_ = pair.second;
   has_cached_normal_ = true;
-  return static_cast<float>(radius * std::cos(angle));
+  return pair.first;
+}
+
+void Rng::fill_normal(float* out, int64_t n, float mean, float stddev, util::ThreadPool* pool) {
+  int64_t i = 0;
+  if (n > 0 && has_cached_normal_) {
+    out[i++] = mean + stddev * normal();
+  }
+  const int64_t pairs = (n - i) / 2;
+  std::vector<double> u(static_cast<std::size_t>(2 * pairs));
+  for (int64_t p = 0; p < pairs; ++p) {
+    u[static_cast<std::size_t>(2 * p)] = box_muller_u1();
+    u[static_cast<std::size_t>(2 * p + 1)] = uniform01();
+  }
+  util::ThreadPool::for_ranges(pool, pairs, kNormalGrain, [&](int64_t p0, int64_t p1) {
+    for (int64_t p = p0; p < p1; ++p) {
+      const NormalPair pair =
+          box_muller(u[static_cast<std::size_t>(2 * p)], u[static_cast<std::size_t>(2 * p + 1)]);
+      out[i + 2 * p] = mean + stddev * pair.first;
+      out[i + 2 * p + 1] = mean + stddev * pair.second;
+    }
+  });
+  if (i + 2 * pairs < n) out[n - 1] = mean + stddev * normal();  // caches its pair's second
 }
 
 bool Rng::bernoulli(double p) { return uniform01() < p; }

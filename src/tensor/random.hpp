@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/thread_pool.hpp"
+
 namespace ndsnn::tensor {
 
 /// SplitMix64: seeds xoshiro and serves as a cheap stateless mixer.
@@ -41,6 +43,13 @@ class Rng {
   /// Standard normal (Box-Muller, cached second value).
   float normal();
 
+  /// out[i] = mean + stddev * normal() for i < n: the same values, and
+  /// the same stream state afterwards, as n calls in order. The uniforms
+  /// are drawn in stream order; with a pool, the Box-Muller transforms
+  /// (the log, sqrt and sincos that dominate) run on its lanes, a range
+  /// of pairs each.
+  void fill_normal(float* out, int64_t n, float mean, float stddev, util::ThreadPool* pool);
+
   /// True with probability p.
   bool bernoulli(double p);
 
@@ -51,6 +60,9 @@ class Rng {
   [[nodiscard]] Rng fork();
 
  private:
+  /// Box-Muller's first uniform, redrawn while it is ~0.
+  double box_muller_u1();
+
   uint64_t s_[4];
   bool has_cached_normal_ = false;
   float cached_normal_ = 0.0F;

@@ -16,6 +16,16 @@ void Tensor::assign_zeros(const Shape& shape) {
   shape_ = shape;
 }
 
+void Tensor::assign_shape(const Shape& shape) {
+  data_.resize(static_cast<std::size_t>(shape.numel()));
+  shape_ = shape;
+}
+
+void Tensor::assign_shape(std::initializer_list<int64_t> dims) {
+  shape_.assign(dims);
+  data_.resize(static_cast<std::size_t>(shape_.numel()));
+}
+
 void Tensor::assign_zeros(std::initializer_list<int64_t> dims) {
   shape_.assign(dims);
   data_.assign(static_cast<std::size_t>(shape_.numel()), 0.0F);
@@ -72,7 +82,10 @@ void Tensor::fill_uniform(Rng& rng, float lo, float hi) {
 }
 
 void Tensor::fill_normal(Rng& rng, float mean, float stddev) {
-  for (auto& x : data_) x = mean + stddev * rng.normal();
+  // Weight init of a wide layer (LeNet-5's fc1: 123 K normals, most of a
+  // model build) transforms its pairs on the training pool.
+  util::ThreadPool* pool = numel() >= kParallelNormals ? &util::ThreadPool::shared() : nullptr;
+  rng.fill_normal(data_.data(), numel(), mean, stddev, pool);
 }
 
 void Tensor::fill_kaiming(Rng& rng, int64_t fan_in) {

@@ -67,14 +67,24 @@ class Tensor {
   void assign_zeros(const Shape& shape);
   void assign_zeros(std::initializer_list<int64_t> dims);
 
+  /// Reshapes to `shape` in the storage this tensor already holds
+  /// whenever it is large enough, like assign_zeros, but writes no
+  /// element: the values are left as they were (zero where the storage
+  /// grew), for a caller that overwrites every element.
+  void assign_shape(const Shape& shape);
+  void assign_shape(std::initializer_list<int64_t> dims);
+
   /// In-place fills.
   void fill(float value);
   void zero() { fill(0.0F); }
 
   /// Uniform in [lo, hi).
   void fill_uniform(Rng& rng, float lo, float hi);
-  /// Gaussian N(mean, stddev).
+  /// Gaussian N(mean, stddev): the values of numel() rng.normal() calls
+  /// in order. Tensors of at least kParallelNormals elements run their
+  /// Box-Muller transforms on util::ThreadPool::shared().
   void fill_normal(Rng& rng, float mean, float stddev);
+  static constexpr int64_t kParallelNormals = 16 * 1024;
   /// Kaiming-He normal for a layer with the given fan-in.
   void fill_kaiming(Rng& rng, int64_t fan_in);
 

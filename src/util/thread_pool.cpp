@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/metrics.hpp"
@@ -44,6 +45,16 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
+}
+
+ThreadPool& ThreadPool::shared() {
+  static ThreadPool pool(resolve_lanes(0));
+  return pool;
+}
+
+int64_t ThreadPool::range_count(const ThreadPool* pool, int64_t n, int64_t grain) {
+  if (pool == nullptr || pool->lanes() <= 1 || n <= 0) return 1;
+  return std::clamp<int64_t>(n / std::max<int64_t>(grain, 1), 1, pool->lanes());
 }
 
 int64_t ThreadPool::resolve_lanes(int64_t requested) {

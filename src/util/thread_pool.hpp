@@ -1,14 +1,23 @@
 // Shared execution thread pool.
 //
-// One fixed set of worker threads serves a compiled plan's batch shards
-// (runtime::Plan owns the pool; CompiledNetwork::infer runs one row
-// shard of the batch per lane through the serial plan), so a call pays
-// a queue handoff instead of a thread spawn. parallel_chunks() is a blocking fork-join: the
-// calling thread claims chunks alongside the workers (a pool of `lanes`
-// applies `lanes` execution lanes with lanes-1 helper threads), and
-// concurrent calls from different threads — the BatchExecutor's request
-// workers sharing one plan pool — interleave in the queue and steal
-// chunks from whichever call is in flight.
+// One fixed set of worker threads per pool, so a fork-join pays a queue
+// handoff instead of a thread spawn. Two kinds of caller use pools:
+// - a compiled plan owns one (runtime::Plan); CompiledNetwork::infer runs
+//   one row shard of the batch per lane through the serial plan;
+// - training uses the process-wide ThreadPool::shared(), created on first
+//   use: the forward with training = true, BPTT, the weight gradients,
+//   data::make_batch and weight init (Rng::fill_normal) split their
+//   independent outputs across its lanes.
+//   A lane may take a range of outputs, never a piece of one output's
+//   accumulation chain, so every output keeps the serial order and the
+//   trained weights are bitwise those of a serial run. Inference forwards
+//   and every plan op stay serial.
+// parallel_chunks() is a blocking fork-join: the calling thread claims
+// chunks alongside the workers (a pool of `lanes` applies `lanes`
+// execution lanes with lanes-1 helper threads), and concurrent calls from
+// different threads (the BatchExecutor's request workers sharing one plan
+// pool) interleave in the queue and steal chunks from whichever call is
+// in flight.
 //
 // Telemetry: dispatches increment the process metrics registry
 // (pool.fork_joins / pool.chunks — relaxed counters, one atomic add per
@@ -24,6 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace ndsnn::util {
@@ -46,6 +56,10 @@ class ThreadPool {
   /// taken literally.
   [[nodiscard]] static int64_t resolve_lanes(int64_t requested);
 
+  /// The process-wide pool of resolve_lanes(0) lanes that training
+  /// kernels split their outputs over, created on first use.
+  [[nodiscard]] static ThreadPool& shared();
+
   [[nodiscard]] int64_t lanes() const { return lanes_; }
 
   /// Blocking fork-join: invoke fn(c) for every c in [0, chunks), in
@@ -53,6 +67,23 @@ class ThreadPool {
   /// chunks completed; the first chunk exception (if any) is rethrown
   /// here. fn must not call back into the pool (no nesting).
   void parallel_chunks(int64_t chunks, const std::function<void(int64_t)>& fn);
+
+  /// Splits [0, n) into up to `pool->lanes()` contiguous ranges of
+  /// near-equal size, each of at least `grain` items, and calls fn(begin,
+  /// end) for each, in parallel on `pool`. A null pool, a one-lane pool or
+  /// an n below 2 * grain runs fn(0, n) inline.
+  template <class Fn>
+  static void for_ranges(ThreadPool* pool, int64_t n, int64_t grain, Fn&& fn) {
+    const int64_t ranges = range_count(pool, n, grain);
+    if (ranges <= 1) {
+      if (n > 0) fn(int64_t{0}, n);
+      return;
+    }
+    pool->parallel_chunks(ranges, [&](int64_t c) { fn(c * n / ranges, (c + 1) * n / ranges); });
+  }
+
+  /// The number of ranges for_ranges() splits [0, n) into.
+  [[nodiscard]] static int64_t range_count(const ThreadPool* pool, int64_t n, int64_t grain);
 
  private:
   /// One fork-join call in flight. Chunks are claimed with an atomic

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <set>
 
 #include "data/synthetic.hpp"
@@ -86,6 +88,30 @@ TEST(DataLoaderTest, BadBatchSizeThrows) {
 TEST(MakeBatchTest, EmptyIndicesThrows) {
   SyntheticVision ds(tiny());
   EXPECT_THROW((void)make_batch(ds, {}), std::invalid_argument);
+}
+
+// make_batch fetches a batch's samples on the lanes of a pool, each into
+// its own slot: on 1..4 lanes the batch is bitwise the serial one, for
+// batches of one, a ragged few and more samples than lanes.
+TEST(DataLoaderTest, MakeBatchOnPoolsMatchesSerialBitwise) {
+  SyntheticSpec spec = tiny(40);
+  spec.channels = 3;
+  SyntheticVision ds(spec);
+  const std::vector<std::vector<int64_t>> index_sets = {
+      {7}, {3, 1, 4}, {0, 5, 9, 2, 6, 8, 1, 3, 7, 11, 13, 12, 10, 39, 38, 20, 21}};
+  for (int64_t lanes = 1; lanes <= 4; ++lanes) {
+    util::ThreadPool pool(lanes);
+    for (const auto& indices : index_sets) {
+      const Batch ref = make_batch(ds, indices);
+      const Batch got = make_batch(ds, indices, &pool);
+      ASSERT_EQ(got.images.shape(), ref.images.shape());
+      EXPECT_EQ(std::memcmp(got.images.data(), ref.images.data(),
+                            static_cast<std::size_t>(ref.images.numel()) * sizeof(float)),
+                0)
+          << indices.size() << " samples, " << lanes << " lanes";
+      EXPECT_EQ(got.labels, ref.labels);
+    }
+  }
 }
 
 }  // namespace

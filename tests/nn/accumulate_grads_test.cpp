@@ -55,7 +55,7 @@ void check_twins(Layer& full, Layer& lean, const Tensor& input, const Shape& out
     ASSERT_EQ(yf.shape(), out_shape);
     const Tensor gy = random_tensor(out_shape, 100 + round);
     (void)full.backward(gy);
-    lean.accumulate_grads(gy);
+    lean.accumulate_grads(gy, nullptr);
     expect_same_grads(full, lean);
   }
 }

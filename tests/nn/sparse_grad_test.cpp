@@ -162,7 +162,7 @@ TEST(SparseGradTest, ConvMaskedGradAndSparseDxMatchDenseThenMask) {
 
           // accumulate_grads (first layer: no dx) keeps the same dW.
           zero_grads(mp);
-          masked.accumulate_grads(gy);
+          masked.accumulate_grads(gy, nullptr);
           Tensor dw_first = *mp[0].grad;
           apply_keep(dw_first, keep);
           EXPECT_TRUE(bitwise_equal(dw_first, dw_dense)) << "dW via accumulate_grads";

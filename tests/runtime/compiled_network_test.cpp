@@ -176,8 +176,10 @@ TEST(CompiledNetworkTest, ExecuteMatchesTimeMajorOnEncodedBatch) {
   const CompiledNetwork compiled = CompiledNetwork::compile(*net);
   const Tensor batch = random_batch(2, 1, 8, 3);
   const Tensor encoded = snn::DirectEncoder().encode(batch, spec.timesteps);
-  expect_bitwise(compiled.plan_ir().execute(batch),
-                 compiled.plan_ir().execute_time_major(encoded), "lenet5 T=3");
+  // Both results live in the thread's kept buffers: copy the first out
+  // before the second call overwrites them.
+  const Tensor hoisted = compiled.plan_ir().execute(batch);
+  expect_bitwise(hoisted, compiled.plan_ir().execute_time_major(encoded), "lenet5 T=3");
 }
 
 // Heuristic pin: the sparsity bar is inclusive. An unstructured mask

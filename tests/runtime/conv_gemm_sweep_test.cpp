@@ -168,13 +168,13 @@ TEST(ConvGemmSweepTest, BlockedConvMatchesWholeMatrixBitwise) {
     for (const Tier tier : tiers()) {
       SCOPED_TRACE(util::simd::name(tier));
       const Tensor y_ref = to_nchw(tensor::matmul(wmat, cols, tier), g);
-      tensor::conv2d_gemm(x, wmat, g, y, tier);
+      tensor::conv2d_gemm(x, wmat, g, y, nullptr, tier);
       EXPECT_TRUE(bitwise_equal(y, y_ref)) << "forward";
 
       Tensor dw_ref = dw0;
       tensor::matmul_nt_acc(gy_rows, cols, dw_ref, tier);
       Tensor dw = dw0;
-      tensor::conv2d_weight_grad(gy, x, g, nullptr, dw, tier);
+      tensor::conv2d_weight_grad(gy, x, g, nullptr, dw, nullptr, tier);
       EXPECT_TRUE(bitwise_equal(dw, dw_ref)) << "dense dW";
 
       for (const double density : {1.0, 0.3, 0.05}) {
@@ -182,7 +182,7 @@ TEST(ConvGemmSweepTest, BlockedConvMatchesWholeMatrixBitwise) {
         Tensor masked_ref = dw0;
         tensor::matmul_nt_masked_acc(gy_rows, cols, keep.data(), masked_ref, tier);
         Tensor masked = dw0;
-        tensor::conv2d_weight_grad(gy, x, g, keep.data(), masked, tier);
+        tensor::conv2d_weight_grad(gy, x, g, keep.data(), masked, nullptr, tier);
         EXPECT_TRUE(bitwise_equal(masked, masked_ref)) << "masked dW at density " << density;
       }
 
@@ -210,15 +210,19 @@ TEST(ConvGemmSweepTest, RejectsMismatchedShapes) {
   g.kernel_h = g.kernel_w = 3;
   const Tensor x(Shape{2, 3, 6, 6});
   Tensor y;
-  EXPECT_THROW(tensor::conv2d_gemm(x, Tensor(Shape{4, 26}), g, y), std::invalid_argument);
-  EXPECT_THROW(tensor::conv2d_gemm(Tensor(Shape{2, 3, 6, 5}), Tensor(Shape{4, 27}), g, y),
+  EXPECT_THROW(tensor::conv2d_gemm(x, Tensor(Shape{4, 26}), g, y, nullptr),
                std::invalid_argument);
+  EXPECT_THROW(
+      tensor::conv2d_gemm(Tensor(Shape{2, 3, 6, 5}), Tensor(Shape{4, 27}), g, y, nullptr),
+      std::invalid_argument);
   Tensor dw(Shape{4, 27});
-  EXPECT_THROW(tensor::conv2d_weight_grad(Tensor(Shape{2, 4, 3, 3}), x, g, nullptr, dw),
-               std::invalid_argument);
+  EXPECT_THROW(
+      tensor::conv2d_weight_grad(Tensor(Shape{2, 4, 3, 3}), x, g, nullptr, dw, nullptr),
+      std::invalid_argument);
   Tensor dw_bad(Shape{5, 27});
-  EXPECT_THROW(tensor::conv2d_weight_grad(Tensor(Shape{2, 4, 4, 4}), x, g, nullptr, dw_bad),
-               std::invalid_argument);
+  EXPECT_THROW(
+      tensor::conv2d_weight_grad(Tensor(Shape{2, 4, 4, 4}), x, g, nullptr, dw_bad, nullptr),
+      std::invalid_argument);
 }
 
 }  // namespace

@@ -59,11 +59,10 @@ constexpr double kInferFaultBudgetPages = 48.0;
 /// operator new calls of one steady forced-event infer at batch 32:
 ///   1. InferenceResult's default logits, a one-float scalar Tensor;
 ///   2. the time-major dims tile_time_major builds for the tiled prefix;
-///   3-4. execute()'s [T*N, 10] step logits, copied out of the kept
-///        buffer (dims and data);
-///   5-6. mean_over_time's [N, 10] mean logits (dims and data).
+///   3-4. mean_over_time's [N, 10] mean logits (dims and data), averaged
+///        straight from execute()'s kept [T*N, 10] step logits.
 /// Every op writes into a kept buffer, its shape included.
-constexpr long kInferAllocations = 6;
+constexpr long kInferAllocations = 4;
 
 /// operator new calls of one steady stream step: its result's [N, 10]
 /// logits, copied out of the last stage's kept buffer (dims and data).

@@ -218,12 +218,19 @@ TEST(Im2colTest, Col2imMatchesPerElementReferenceBitwise) {
     cols.fill_uniform(rng, -1.0F, 1.0F);
     for (int64_t i = 0; i < cols.numel(); i += 3) cols.at(i) *= 1.0e6F;
     EXPECT_TRUE(bitwise_equal(col2im(cols, g), naive_col2im(cols, g))) << describe(g);
-    // One patch row at a time, rows ascending, from that row alone.
+    // One patch row of one sample at a time, rows ascending per sample,
+    // from that row alone.
     Tensor per_row(Shape{g.batch, g.in_channels, g.in_h, g.in_w});
-    std::vector<float> row(static_cast<std::size_t>(g.patch_cols()));
-    for (int64_t r = 0; r < g.patch_rows(); ++r) {
-      for (int64_t l = 0; l < g.patch_cols(); ++l) row[static_cast<std::size_t>(l)] = cols.at(r, l);
-      col2im_row_add(row.data(), g, r, per_row);
+    const int64_t plane = g.out_h() * g.out_w();
+    const int64_t sample_size = g.in_channels * g.in_h * g.in_w;
+    std::vector<float> row(static_cast<std::size_t>(plane));
+    for (int64_t n = 0; n < g.batch; ++n) {
+      for (int64_t r = 0; r < g.patch_rows(); ++r) {
+        for (int64_t p = 0; p < plane; ++p) {
+          row[static_cast<std::size_t>(p)] = cols.at(r, n * plane + p);
+        }
+        col2im_row_add(row.data(), g, r, per_row.data() + n * sample_size);
+      }
     }
     EXPECT_TRUE(bitwise_equal(per_row, naive_col2im(cols, g))) << "per row: " << describe(g);
   }

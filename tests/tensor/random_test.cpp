@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <set>
 #include <vector>
+
+#include "tensor/tensor.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ndsnn::tensor {
 namespace {
@@ -81,6 +86,44 @@ TEST(SplitMix64Test, KnownSequenceIsStable) {
   SplitMix64 sm2(0);
   EXPECT_EQ(sm2.next(), first);
   EXPECT_NE(sm.next(), first);
+}
+
+// fill_normal draws its uniforms in stream order and transforms the
+// Box-Muller pairs on the lanes of a pool: on 1..4 lanes, inline, and
+// through Tensor::fill_normal, the values and the stream state after are
+// bitwise those of n normal() calls, for odd and even n, with and
+// without a normal cached from an earlier call.
+TEST(RngTest, FillNormalOnPoolsMatchesNormalCallsBitwise) {
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (int64_t lanes = 1; lanes <= 4; ++lanes) {
+    pools.push_back(std::make_unique<util::ThreadPool>(lanes));
+  }
+  for (const int64_t n : {int64_t{0}, int64_t{1}, int64_t{2}, int64_t{33333}, int64_t{40000}}) {
+    for (const bool cached : {false, true}) {
+      Rng ref(77);
+      if (cached) (void)ref.normal();
+      Rng start = ref;
+      std::vector<float> want(static_cast<std::size_t>(n));
+      for (float& x : want) x = 0.5F + 2.0F * ref.normal();
+      const float next = ref.normal();
+      for (const auto& pool : pools) {
+        Rng rng = start;
+        std::vector<float> got(static_cast<std::size_t>(n), -1.0F);
+        rng.fill_normal(got.data(), n, 0.5F, 2.0F, pool.get());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
+            << n << " values, cached " << cached << ", "
+            << (pool ? pool->lanes() : 0) << " lanes";
+        EXPECT_EQ(rng.normal(), next) << "stream state after " << n << " values";
+      }
+      if (n == 0) continue;  // a Shape has no zero dims
+      Rng rng = start;
+      Tensor t(Shape{n});
+      t.fill_normal(rng, 0.5F, 2.0F);
+      EXPECT_EQ(std::memcmp(t.data(), want.data(), want.size() * sizeof(float)), 0);
+      EXPECT_EQ(rng.normal(), next);
+    }
+  }
 }
 
 }  // namespace
