@@ -7,9 +7,9 @@
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
-#include "nn/lif_activation.hpp"
 #include "nn/linear.hpp"
 #include "nn/models/zoo.hpp"
+#include "nn/neuron_activations.hpp"
 #include "nn/pool.hpp"
 #include "nn/residual.hpp"
 

@@ -10,7 +10,7 @@
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/layer.hpp"
-#include "nn/lif_activation.hpp"
+#include "nn/neuron_activations.hpp"
 #include "snn/lif.hpp"
 #include "tensor/random.hpp"
 

@@ -13,7 +13,6 @@
 #include "nn/checkpoint.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
-#include "nn/lif_activation.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/neuron_activations.hpp"
@@ -190,20 +189,16 @@ std::unique_ptr<Op> compile_layer(const nn::Layer& layer, Lowering& lw) {
   }
   if (const auto* lif = dynamic_cast<const nn::LifActivation*>(&layer)) {
     lw.now_spiking(lif->last_spike_rate());
-    return std::make_unique<LifOp>(lif->name(), lif->lif().config(), lif->lif().timesteps());
+    return std::make_unique<LifOp>(lif->name(), lif->config(), lif->timesteps());
   }
   if (const auto* plif = dynamic_cast<const nn::PlifActivation*>(&layer)) {
     // PLIF at inference is a LIF with the trained leak alpha = sigmoid(a).
-    snn::LifConfig cfg;
-    cfg.alpha = plif->plif().alpha();
-    cfg.threshold = plif->plif().config().threshold;
     lw.now_spiking(plif->last_spike_rate());
-    return std::make_unique<LifOp>(plif->name(), cfg, plif->plif().timesteps());
+    return std::make_unique<LifOp>(plif->name(), plif->lif_config(), plif->timesteps());
   }
   if (const auto* alif = dynamic_cast<const nn::AlifActivation*>(&layer)) {
     lw.now_spiking(alif->last_spike_rate());
-    return std::make_unique<AlifOp>(alif->name(), alif->alif().config(),
-                                    alif->alif().timesteps());
+    return std::make_unique<AlifOp>(alif->name(), alif->config(), alif->timesteps());
   }
   if (const auto* avg = dynamic_cast<const nn::AvgPool2d*>(&layer)) {
     lw.pooled(avg->k());

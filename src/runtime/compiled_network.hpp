@@ -40,7 +40,7 @@
 // (see runtime::BatchExecutor). Neuron membrane state lives on the stack
 // of each infer(): activations are time-major [T*N, ...] and the LIF op
 // carries v/o across the T timesteps inside one call, exactly like
-// snn::LifLayer::forward. Direct encoding repeats the input frame at
+// nn::LifActivation's forward. Direct encoding repeats the input frame at
 // every step, so the stateless ops ahead of the first neuron op (conv1
 // -> BN1) compute T identical row blocks; the plan runs them once on the
 // N input rows and tiles their output to T*N (Plan::invariant_prefix).

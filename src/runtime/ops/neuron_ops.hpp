@@ -4,10 +4,10 @@
 // saved trace BPTT needs. Each op runs one loop over its frames: the T
 // timesteps of a window from rest, or one frame from a streamed carry
 // (Op::run_into). Each frame is snn::lif_step / snn::alif_step, the same
-// kernels snn::LifLayer, PlifLayer and AlifLayer::forward run, so
-// compiled, streamed and interpreted paths agree bitwise. While tracing,
-// the op's span records the firing rate of its spike train
-// (trace::nonzero_fraction).
+// kernels the forwards of nn::LifActivation, PlifActivation and
+// AlifActivation run, so compiled, streamed and interpreted paths agree
+// bitwise. While tracing, the op's span records the firing rate of its
+// spike train (trace::nonzero_fraction).
 #pragma once
 
 #include <memory>

@@ -9,17 +9,18 @@
 //
 // BPTT treats the adaptation trace as detached (standard practice: the
 // threshold path's gradient is small and noisy); the membrane recursion
-// gradient is exact, with phi evaluated at v[t] - theta[t].
+// gradient is exact, with phi evaluated at v[t] - theta[t]. That is LIF's
+// recursion with the reset path detached, so nn::AlifActivation runs
+// snn::lif_backward on its saved v[t] - theta[t].
 //
-// alif_step below is the one home of this update: AlifLayer and the
-// compiled plan's AlifOp both call it, AlifOp from one loop over a whole
-// window's frames or over one streamed frame from its carry.
+// alif_step below is the one home of this update: nn::AlifActivation and
+// the compiled plan's AlifOp both call it, AlifOp from one loop over a
+// whole window's frames or over one streamed frame from its carry.
 #pragma once
 
 #include <cstdint>
 
 #include "snn/surrogate.hpp"
-#include "tensor/tensor.hpp"
 
 namespace ndsnn::snn {
 
@@ -49,26 +50,5 @@ inline void alif_step(const AlifConfig& c, const float* current, const float* sp
     spikes[i] = heaviside(dist[i]);
   }
 }
-
-class AlifLayer {
- public:
-  AlifLayer(AlifConfig config, int64_t timesteps);
-
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& current);
-  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_spikes);
-  void reset_state();
-
-  [[nodiscard]] const AlifConfig& config() const { return config_; }
-  [[nodiscard]] int64_t timesteps() const { return timesteps_; }
-  [[nodiscard]] double last_spike_rate() const { return last_spike_rate_; }
-
- private:
-  AlifConfig config_;
-  int64_t timesteps_;
-  tensor::Tensor saved_vmt_;  // v[t] - theta[t]
-  int64_t step_size_ = 0;
-  bool has_saved_ = false;
-  double last_spike_rate_ = 0.0;
-};
 
 }  // namespace ndsnn::snn

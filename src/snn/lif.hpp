@@ -1,4 +1,4 @@
-// Leaky Integrate-and-Fire neuron layer with exact BPTT (Eqs. 1-2).
+// Leaky Integrate-and-Fire neuron kernels with exact BPTT (Eqs. 1-2).
 //
 // Forward dynamics per timestep t (Eq. 1):
 //     v[t] = alpha * v[t-1] + I[t] - theta * o[t-1]      (1a)
@@ -18,20 +18,20 @@
 // The paper's Eq. 2b omits the reset path (standard "detach reset" trick
 // from SpikingJelly); `detach_reset` toggles it, default true to match.
 //
-// Data layout: activations are time-major [T*N, feat...]; the layer is
-// given T at construction and slices internally.
+// Data layout: activations are time-major [T*N, feat...], T frames of
+// `step` neurons each.
 //
-// lif_step below is the one home of Eq. 1: LifLayer, PlifLayer (with its
-// trained leak) and the compiled plan's LifOp all advance their membranes
-// through it. LifOp calls it from one loop, over a whole window's frames
-// or over one streamed frame from its carry.
+// lif_step below is the one home of Eq. 1: the training layers
+// (nn::LifActivation, nn::PlifActivation with its trained leak) run it
+// through lif_forward, and the compiled plan's LifOp calls it from one
+// loop, over a whole window's frames or over one streamed frame from its
+// carry. lif_backward is the one home of Eq. 2, for LIF, PLIF and ALIF's
+// membrane recursion.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "snn/surrogate.hpp"
-#include "tensor/tensor.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ndsnn::snn {
@@ -44,6 +44,18 @@ struct LifConfig {
   SurrogateKind surrogate = SurrogateKind::kAtan;
 
   /// Throws std::invalid_argument when outside valid ranges.
+  void validate() const;
+};
+
+/// Configuration of a Parametric LIF (PLIF) layer: LIF with a trainable
+/// leak alpha = sigmoid(a) (Fang et al., "Incorporating Learnable Membrane
+/// Time Constant...", the lineage of the paper's ref [18]).
+struct PlifConfig {
+  float initial_alpha = 0.5F;   ///< starting leak (mapped through logit)
+  float threshold = 1.0F;
+  bool detach_reset = true;
+  SurrogateKind surrogate = SurrogateKind::kAtan;
+
   void validate() const;
 };
 
@@ -71,51 +83,24 @@ inline void lif_step(const float* current, const float* vmt_prev, const float* s
   }
 }
 
-/// Stateful LIF layer operating on time-major batches.
-///
-/// Neurons are independent: over a pool, each lane takes a range of
-/// them and runs their frames in time order (forward ascending, backward
-/// descending), so any lane count is bitwise the serial pass.
-///
-/// forward() consumes the synaptic current for all T steps at once
-/// ([T*N, d...]) and emits the spike train of identical shape; backward()
-/// runs the reverse-time recursion and returns dL/dI.
-class LifLayer {
- public:
-  LifLayer(LifConfig config, int64_t timesteps);
+/// Neurons per lane below which the neuron kernels run inline: a pool
+/// wakes its lanes in ~20 us on a 4-vCPU Xeon, about what 16 K neurons
+/// take over T = 2 frames on one core.
+constexpr int64_t kNeuronGrain = 16 * 1024;
 
-  /// Spike train o from synaptic current I into `spikes` (not `current`).
-  /// Stores per-step (v - theta) for the backward pass, in storage kept
-  /// across batches.
-  void forward_into(const tensor::Tensor& current, tensor::Tensor& spikes,
-                    util::ThreadPool* pool = nullptr);
+/// Eq. 1 over a time-major window from rest: `current`, `vmt` and
+/// `spikes` hold `timesteps` frames of `step` neurons. Writes v[t] - theta
+/// and o[t] for every frame and returns the number of spikes. Over a
+/// pool, each lane takes a range of neurons and runs their frames in
+/// time order, so any lane count is bitwise the serial pass.
+int64_t lif_forward(const float* current, int64_t timesteps, int64_t step, float alpha,
+                    float theta, float* vmt, float* spikes, util::ThreadPool* pool);
 
-  /// dL/dI from dL/do into `grad_current` (not `grad_spikes`). Must follow
-  /// a forward with the same shape.
-  void backward_into(const tensor::Tensor& grad_spikes, tensor::Tensor& grad_current,
-                     util::ThreadPool* pool = nullptr);
-
-  /// forward_into() / backward_into() a fresh tensor, serially.
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& current);
-  [[nodiscard]] tensor::Tensor backward(const tensor::Tensor& grad_spikes);
-
-  /// Discard stored state (between batches); the storage is kept.
-  void reset_state();
-
-  [[nodiscard]] const LifConfig& config() const { return config_; }
-  [[nodiscard]] int64_t timesteps() const { return timesteps_; }
-
-  /// Fraction of ones in the last emitted spike train (for SpikeStats).
-  [[nodiscard]] double last_spike_rate() const { return last_spike_rate_; }
-
- private:
-  LifConfig config_;
-  int64_t timesteps_;
-  // Saved from forward, shaped [T*N, d...]:
-  tensor::Tensor saved_vmt_;     ///< v[t] - theta per element
-  int64_t step_size_ = 0;        ///< N * prod(d...) elements per timestep
-  bool has_saved_ = false;
-  double last_spike_rate_ = 0.0;
-};
+/// The BPTT recursion of Eq. 2 over the same window: dL/dI into
+/// `grad_current` (eps[t]) from dL/do and the saved v - theta, frames in
+/// descending t per neuron, neurons split over the pool like
+/// lif_forward.
+void lif_backward(const float* grad_spikes, const float* vmt, int64_t timesteps, int64_t step,
+                  const LifConfig& config, float* grad_current, util::ThreadPool* pool);
 
 }  // namespace ndsnn::snn

@@ -10,9 +10,9 @@
 #include "data/synthetic.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
-#include "nn/lif_activation.hpp"
 #include "nn/linear.hpp"
 #include "nn/models/zoo.hpp"
+#include "nn/neuron_activations.hpp"
 #include "snn/encoder.hpp"
 
 namespace ndsnn::core {

@@ -1,14 +1,14 @@
-#include "snn/alif.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "snn/lif.hpp"
+#include "nn/neuron_activations.hpp"
 
-namespace ndsnn::snn {
+namespace ndsnn::nn {
 namespace {
 
+using snn::AlifConfig;
+using snn::LifConfig;
 using tensor::Shape;
 using tensor::Tensor;
 
@@ -29,27 +29,27 @@ TEST(AlifConfigTest, Validation) {
 }
 
 TEST(AlifTest, ZeroBetaReducesToLif) {
-  AlifLayer alif(config(0.0F), 4);
+  AlifActivation alif(config(0.0F), 4);
   LifConfig lc;
   lc.alpha = 0.5F;
-  LifLayer lif(lc, 4);
+  LifActivation lif(lc, 4);
   Tensor current(Shape{4, 2},
                  std::vector<float>{0.8F, 1.5F, 0.8F, 0.2F, 0.8F, 1.5F, 0.8F, 0.2F});
-  const Tensor a = alif.forward(current);
-  const Tensor b = lif.forward(current);
+  const Tensor a = alif.forward(current, true);
+  const Tensor b = lif.forward(current, true);
   for (int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a.at(i), b.at(i)) << i;
 }
 
 TEST(AlifTest, AdaptationSuppressesSustainedFiring) {
   // Constant strong drive: ALIF must fire strictly less than LIF because
   // every spike raises the threshold.
-  AlifLayer alif(config(0.5F), 16);
+  AlifActivation alif(config(0.5F), 16);
   LifConfig lc;
   lc.alpha = 0.5F;
-  LifLayer lif(lc, 16);
+  LifActivation lif(lc, 16);
   Tensor current(Shape{16, 8}, 1.5F);
-  (void)alif.forward(current);
-  (void)lif.forward(current);
+  (void)alif.forward(current, true);
+  (void)lif.forward(current, true);
   EXPECT_LT(alif.last_spike_rate(), lif.last_spike_rate());
   EXPECT_GT(alif.last_spike_rate(), 0.0);
 }
@@ -57,18 +57,18 @@ TEST(AlifTest, AdaptationSuppressesSustainedFiring) {
 TEST(AlifTest, StrongerAdaptationFiresLess) {
   double prev_rate = 1.0;
   for (const float beta : {0.1F, 0.5F, 1.5F}) {
-    AlifLayer alif(config(beta), 16);
+    AlifActivation alif(config(beta), 16);
     Tensor current(Shape{16, 4}, 1.5F);
-    (void)alif.forward(current);
+    (void)alif.forward(current, true);
     EXPECT_LE(alif.last_spike_rate(), prev_rate + 1e-9) << "beta " << beta;
     prev_rate = alif.last_spike_rate();
   }
 }
 
 TEST(AlifTest, BackwardProducesFiniteGrads) {
-  AlifLayer alif(config(), 4);
+  AlifActivation alif(config(), 4);
   Tensor current(Shape{4, 3}, 0.9F);
-  (void)alif.forward(current);
+  (void)alif.forward(current, true);
   Tensor g(Shape{4, 3}, 1.0F);
   const Tensor gin = alif.backward(g);
   for (int64_t i = 0; i < gin.numel(); ++i) {
@@ -77,11 +77,11 @@ TEST(AlifTest, BackwardProducesFiniteGrads) {
 }
 
 TEST(AlifTest, OrderingChecks) {
-  AlifLayer alif(config(), 2);
+  AlifActivation alif(config(), 2);
   Tensor g(Shape{2, 1});
   EXPECT_THROW((void)alif.backward(g), std::logic_error);
-  EXPECT_THROW(AlifLayer(config(), 0), std::invalid_argument);
+  EXPECT_THROW(AlifActivation(config(), 0), std::invalid_argument);
 }
 
 }  // namespace
-}  // namespace ndsnn::snn
+}  // namespace ndsnn::nn

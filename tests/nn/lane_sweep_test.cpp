@@ -1,9 +1,10 @@
 // Lane sweep: every training kernel that splits its outputs over a
 // util::ThreadPool runs on pools of 1, 2, 3 and 4 lanes and must equal
 // its inline run (null pool) bit for bit: the conv forward, the dense and
-// masked weight gradients, the conv input gradient, BatchNorm, LIF,
-// AvgPool and Linear. A lane may take a range of outputs, never part of
-// one output's accumulation chain, so any lane count gives the same bits.
+// masked weight gradients, the conv input gradient, BatchNorm, LIF, PLIF
+// (with its leak gradient), ALIF, AvgPool and Linear. A lane may take a
+// range of outputs, never part of one output's accumulation chain, so any
+// lane count gives the same bits.
 //
 // Shapes are ragged (odd planes, 3 input channels, 6 filters, a batch of
 // one) and large enough that every kernel passes its grain and actually
@@ -17,8 +18,8 @@
 
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/lif_activation.hpp"
 #include "nn/linear.hpp"
+#include "nn/neuron_activations.hpp"
 #include "nn/pool.hpp"
 #include "tensor/conv_gemm.hpp"
 #include "tensor/random.hpp"
@@ -231,6 +232,44 @@ TEST(LaneSweepTest, LifMatchesInline) {
       got.forward_into(x3, y, true, pool.get());
       EXPECT_EQ(got.last_spike_rate(), ref.last_spike_rate()) << pool->lanes() << " lanes";
     }
+  }
+}
+
+TEST(LaneSweepTest, PlifMatchesInline) {
+  // A leak moved off its initial value through params(), as SGD moves
+  // it; the leak gradient is a parameter gradient of the sweep.
+  snn::PlifConfig config;
+  config.initial_alpha = 0.3F;
+  for (const bool detach : {true, false}) {
+    config.detach_reset = detach;
+    const auto x = two_inputs(Shape{66, 8, 17, 15}, 66);
+    const auto gy = two_inputs(Shape{66, 8, 17, 15}, 68);
+    expect_lane_invariant(
+        [&] {
+          auto plif = std::make_unique<PlifActivation>(config, 2);
+          plif->params()[0].value->at(0) += 1.25F;
+          return plif;
+        },
+        x, gy, detach ? "plif" : "plif, reset attached");
+  }
+}
+
+TEST(LaneSweepTest, AlifMatchesInline) {
+  snn::AlifConfig config;
+  config.alpha = 0.75F;
+  config.threshold = 0.3F;  // fires often enough that the adaptation matters
+  const auto x = two_inputs(Shape{66, 8, 17, 15}, 67);
+  const auto gy = two_inputs(Shape{66, 8, 17, 15}, 69);
+  expect_lane_invariant([&] { return std::make_unique<AlifActivation>(config, 2); }, x, gy,
+                        "alif");
+  AlifActivation ref(config, 3), got(config, 3);
+  Tensor y;
+  const Tensor x3 = random_tensor(Shape{99, 8, 17, 15}, 65);
+  ref.forward_into(x3, y, true, nullptr);
+  EXPECT_GT(ref.last_spike_rate(), 0.0);
+  for (const auto& pool : pools()) {
+    got.forward_into(x3, y, true, pool.get());
+    EXPECT_EQ(got.last_spike_rate(), ref.last_spike_rate()) << pool->lanes() << " lanes";
   }
 }
 

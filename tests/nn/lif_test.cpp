@@ -1,12 +1,13 @@
-#include "snn/lif.hpp"
-
 #include <gtest/gtest.h>
 
-#include "tensor/random.hpp"
+#include "nn/neuron_activations.hpp"
 
-namespace ndsnn::snn {
+namespace ndsnn::nn {
 namespace {
 
+using snn::LifConfig;
+using snn::SurrogateKind;
+using snn::surrogate_grad;
 using tensor::Shape;
 using tensor::Tensor;
 
@@ -25,9 +26,9 @@ TEST(LifConfigTest, Validation) {
 }
 
 TEST(LifTest, SingleStepFiresAtThreshold) {
-  LifLayer lif(config(), /*timesteps=*/1);
+  LifActivation lif(config(), /*timesteps=*/1);
   Tensor current(Shape{1, 2}, std::vector<float>{0.9F, 1.0F});
-  const Tensor spikes = lif.forward(current);
+  const Tensor spikes = lif.forward(current, true);
   EXPECT_EQ(spikes.at(0), 0.0F);  // 0.9 < theta
   EXPECT_EQ(spikes.at(1), 1.0F);  // 1.0 >= theta
 }
@@ -38,9 +39,9 @@ TEST(LifTest, MembraneIntegratesWithLeak) {
   //  v2 = 0.3+0.6=0.9  -> no spike
   //  v3 = 0.45+0.6=1.05-> spike
   //  v4 = 0.5*1.05+0.6-1 = 0.125 -> no spike (reset applied at t=4)
-  LifLayer lif(config(), 4);
+  LifActivation lif(config(), 4);
   Tensor current(Shape{4, 1}, std::vector<float>{0.6F, 0.6F, 0.6F, 0.6F});
-  const Tensor spikes = lif.forward(current);
+  const Tensor spikes = lif.forward(current, true);
   EXPECT_EQ(spikes.at(0), 0.0F);
   EXPECT_EQ(spikes.at(1), 0.0F);
   EXPECT_EQ(spikes.at(2), 1.0F);
@@ -49,45 +50,45 @@ TEST(LifTest, MembraneIntegratesWithLeak) {
 
 TEST(LifTest, ResetBySubtractionExact) {
   // Large drive: v1 = 2.0 -> spike. v2 = 0.5*2.0 + 0 - 1*1 = 0 -> no spike.
-  LifLayer lif(config(), 2);
+  LifActivation lif(config(), 2);
   Tensor current(Shape{2, 1}, std::vector<float>{2.0F, 0.0F});
-  const Tensor spikes = lif.forward(current);
+  const Tensor spikes = lif.forward(current, true);
   EXPECT_EQ(spikes.at(0), 1.0F);
   EXPECT_EQ(spikes.at(1), 0.0F);
 }
 
 TEST(LifTest, SpikeRateTracked) {
-  LifLayer lif(config(), 2);
+  LifActivation lif(config(), 2);
   Tensor current(Shape{2, 2}, std::vector<float>{2.0F, 0.0F, 2.0F, 0.0F});
-  (void)lif.forward(current);
+  (void)lif.forward(current, true);
   EXPECT_NEAR(lif.last_spike_rate(), 0.5, 1e-9);
 }
 
 TEST(LifTest, NumelNotDivisibleByTimestepsThrows) {
-  LifLayer lif(config(), 3);
+  LifActivation lif(config(), 3);
   Tensor current(Shape{2, 2});
-  EXPECT_THROW((void)lif.forward(current), std::invalid_argument);
+  EXPECT_THROW((void)lif.forward(current, true), std::invalid_argument);
 }
 
 TEST(LifTest, BackwardBeforeForwardThrows) {
-  LifLayer lif(config(), 1);
+  LifActivation lif(config(), 1);
   Tensor g(Shape{1, 1});
   EXPECT_THROW((void)lif.backward(g), std::logic_error);
 }
 
 TEST(LifTest, BackwardShapeMismatchThrows) {
-  LifLayer lif(config(), 1);
+  LifActivation lif(config(), 1);
   Tensor current(Shape{1, 2});
-  (void)lif.forward(current);
+  (void)lif.forward(current, true);
   Tensor g(Shape{1, 3});
   EXPECT_THROW((void)lif.backward(g), std::invalid_argument);
 }
 
 TEST(LifTest, BackwardSingleStepIsSurrogateScaled) {
   // T=1: eps = delta * phi(v - theta).
-  LifLayer lif(config(), 1);
+  LifActivation lif(config(), 1);
   Tensor current(Shape{1, 1}, std::vector<float>{0.8F});
-  (void)lif.forward(current);
+  (void)lif.forward(current, true);
   Tensor g(Shape{1, 1}, std::vector<float>{2.0F});
   const Tensor gin = lif.backward(g);
   const float phi = surrogate_grad(SurrogateKind::kAtan, 0.8F - 1.0F);
@@ -98,9 +99,9 @@ TEST(LifTest, BackwardPropagatesThroughTimeWithLeak) {
   // T=2, detach_reset=true:
   //   eps[1] = d1 * phi(v1-theta)
   //   eps[0] = d0 * phi(v0-theta) + alpha * eps[1]
-  LifLayer lif(config(), 2);
+  LifActivation lif(config(), 2);
   Tensor current(Shape{2, 1}, std::vector<float>{0.4F, 0.4F});
-  (void)lif.forward(current);
+  (void)lif.forward(current, true);
   // v0 = 0.4; v1 = 0.2 + 0.4 = 0.6 (no spikes, no reset).
   Tensor g(Shape{2, 1}, std::vector<float>{1.0F, 1.0F});
   const Tensor gin = lif.backward(g);
@@ -115,12 +116,12 @@ TEST(LifTest, BackwardPropagatesThroughTimeWithLeak) {
 TEST(LifTest, AttachedResetChangesGradient) {
   LifConfig with_reset = config();
   with_reset.detach_reset = false;
-  LifLayer a(config(), 3);
-  LifLayer b(with_reset, 3);
+  LifActivation a(config(), 3);
+  LifActivation b(with_reset, 3);
   // Drive hard enough to spike at t=0 so the reset path is active.
   Tensor current(Shape{3, 1}, std::vector<float>{1.5F, 0.9F, 0.9F});
-  (void)a.forward(current);
-  (void)b.forward(current);
+  (void)a.forward(current, true);
+  (void)b.forward(current, true);
   Tensor g(Shape{3, 1}, 1.0F);
   const Tensor ga = a.backward(g);
   const Tensor gb = b.backward(g);
@@ -128,9 +129,9 @@ TEST(LifTest, AttachedResetChangesGradient) {
 }
 
 TEST(LifTest, ResetStateClearsSaved) {
-  LifLayer lif(config(), 1);
+  LifActivation lif(config(), 1);
   Tensor current(Shape{1, 1});
-  (void)lif.forward(current);
+  (void)lif.forward(current, true);
   lif.reset_state();
   Tensor g(Shape{1, 1});
   EXPECT_THROW((void)lif.backward(g), std::logic_error);
@@ -144,9 +145,9 @@ TEST_P(LifAlphaSweep, HigherDriveNeverFiresLess) {
   const float alpha = GetParam();
   int64_t prev_spikes = 0;
   for (const float drive : {0.1F, 0.3F, 0.5F, 0.8F, 1.2F}) {
-    LifLayer lif(config(alpha), 8);
+    LifActivation lif(config(alpha), 8);
     Tensor current(Shape{8, 1}, drive);
-    const Tensor spikes = lif.forward(current);
+    const Tensor spikes = lif.forward(current, true);
     int64_t count = 0;
     for (int64_t i = 0; i < spikes.numel(); ++i) count += spikes.at(i) != 0.0F;
     EXPECT_GE(count, prev_spikes) << "alpha=" << alpha << " drive=" << drive;
@@ -157,4 +158,4 @@ TEST_P(LifAlphaSweep, HigherDriveNeverFiresLess) {
 INSTANTIATE_TEST_SUITE_P(Leaks, LifAlphaSweep, ::testing::Values(0.25F, 0.5F, 0.9F, 1.0F));
 
 }  // namespace
-}  // namespace ndsnn::snn
+}  // namespace ndsnn::nn

@@ -5,8 +5,8 @@
 #include <cmath>
 
 #include "nn/flatten.hpp"
-#include "nn/lif_activation.hpp"
 #include "nn/linear.hpp"
+#include "nn/neuron_activations.hpp"
 #include "tensor/random.hpp"
 
 namespace ndsnn::nn {

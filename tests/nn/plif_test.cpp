@@ -1,5 +1,3 @@
-#include "snn/plif.hpp"
-
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -8,12 +6,14 @@
 #include <string>
 #include <vector>
 
-#include "snn/lif.hpp"
+#include "nn/neuron_activations.hpp"
 #include "tensor/random.hpp"
 
-namespace ndsnn::snn {
+namespace ndsnn::nn {
 namespace {
 
+using snn::LifConfig;
+using snn::PlifConfig;
 using tensor::Shape;
 using tensor::Tensor;
 
@@ -33,20 +33,20 @@ TEST(PlifConfigTest, Validation) {
 }
 
 TEST(PlifTest, InitialAlphaRoundTripsThroughSigmoid) {
-  PlifLayer layer(config(0.7F), 2);
+  PlifActivation layer(config(0.7F), 2);
   EXPECT_NEAR(layer.alpha(), 0.7F, 1e-5F);
 }
 
 TEST(PlifTest, MatchesLifForwardAtSameLeak) {
   // With alpha fixed, PLIF forward must equal LIF forward exactly.
-  PlifLayer plif(config(0.5F), 4);
+  PlifActivation plif(config(0.5F), 4);
   LifConfig lc;
   lc.alpha = 0.5F;
-  LifLayer lif(lc, 4);
+  LifActivation lif(lc, 4);
   Tensor current(Shape{4, 3}, std::vector<float>{0.6F, 1.2F, 0.1F, 0.6F, 0.0F, 0.9F,
                                                  0.6F, 0.4F, 0.9F, 0.6F, 0.8F, 0.9F});
-  const Tensor a = plif.forward(current);
-  const Tensor b = lif.forward(current);
+  const Tensor a = plif.forward(current, true);
+  const Tensor b = lif.forward(current, true);
   for (int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a.at(i), b.at(i)) << i;
 }
 
@@ -71,13 +71,13 @@ TEST(PlifTest, MatchesLifBitwiseAtTrainedLeak) {
           "T=" + std::to_string(t_steps) + " detach_reset=" + std::to_string(detach);
       PlifConfig pc = config(0.3F);
       pc.detach_reset = detach;
-      PlifLayer plif(pc, t_steps);
-      plif.raw_leak() += 1.25F;  // an SGD update away from the initial leak
+      PlifActivation plif(pc, t_steps);
+      plif.params()[0].value->at(0) += 1.25F;  // an SGD update away from the initial leak
       LifConfig lc;
       lc.alpha = plif.alpha();
       lc.threshold = pc.threshold;
       lc.detach_reset = detach;
-      LifLayer lif(lc, t_steps);
+      LifActivation lif(lc, t_steps);
       ASSERT_NE(lc.alpha, 0.3F);
 
       tensor::Rng rng(7 + static_cast<uint64_t>(t_steps));
@@ -88,7 +88,7 @@ TEST(PlifTest, MatchesLifBitwiseAtTrainedLeak) {
       Tensor grad(current.shape());
       grad.fill_uniform(rng, -1.0F, 1.0F);
 
-      expect_bitwise(plif.forward(current), lif.forward(current), ctx + " spikes");
+      expect_bitwise(plif.forward(current, true), lif.forward(current, true), ctx + " spikes");
       expect_bitwise(plif.backward(grad), lif.backward(grad), ctx + " dL/dI");
       EXPECT_EQ(plif.last_spike_rate(), lif.last_spike_rate()) << ctx;
       EXPECT_GT(lif.last_spike_rate(), 0.0) << ctx;
@@ -102,43 +102,42 @@ TEST(PlifTest, LeakGradientMatchesFiniteDifference) {
   // perturb alpha, rerun, and check the analytic gradient at least has
   // the sign of the smoothed finite difference on a no-spike trace
   // (below threshold everywhere the surrogate is the only path).
-  PlifLayer layer(config(0.6F), 3);
+  PlifActivation layer(config(0.6F), 3);
   Tensor current(Shape{3, 1}, std::vector<float>{0.3F, 0.3F, 0.3F});
-  (void)layer.forward(current);
+  (void)layer.forward(current, true);
   Tensor g(Shape{3, 1}, 1.0F);
-  layer.raw_leak_grad() = 0.0F;
   (void)layer.backward(g);
   // Membrane never crosses threshold; higher leak -> higher v -> spikes
   // closer -> surrogate-positive gradient. eps[t] > 0 and v[t-1] > 0 for
   // t >= 1, so the leak gradient must be strictly positive.
-  EXPECT_GT(layer.raw_leak_grad(), 0.0F);
+  EXPECT_GT(layer.params()[0].grad->at(0), 0.0F);
 }
 
 TEST(PlifTest, BackwardShapeAndOrderingChecks) {
-  PlifLayer layer(config(), 2);
+  PlifActivation layer(config(), 2);
   Tensor g(Shape{2, 2});
   EXPECT_THROW((void)layer.backward(g), std::logic_error);
   Tensor current(Shape{2, 2}, 0.4F);
-  (void)layer.forward(current);
+  (void)layer.forward(current, true);
   Tensor bad(Shape{2, 3});
   EXPECT_THROW((void)layer.backward(bad), std::invalid_argument);
 }
 
 TEST(PlifTest, SpikeRateTracked) {
-  PlifLayer layer(config(), 1);
+  PlifActivation layer(config(), 1);
   Tensor current(Shape{1, 4}, std::vector<float>{2.0F, 0.0F, 2.0F, 0.0F});
-  (void)layer.forward(current);
+  (void)layer.forward(current, true);
   EXPECT_NEAR(layer.last_spike_rate(), 0.5, 1e-9);
 }
 
 TEST(PlifTest, ResetStateClears) {
-  PlifLayer layer(config(), 1);
+  PlifActivation layer(config(), 1);
   Tensor current(Shape{1, 1}, 0.5F);
-  (void)layer.forward(current);
+  (void)layer.forward(current, true);
   layer.reset_state();
   Tensor g(Shape{1, 1});
   EXPECT_THROW((void)layer.backward(g), std::logic_error);
 }
 
 }  // namespace
-}  // namespace ndsnn::snn
+}  // namespace ndsnn::nn

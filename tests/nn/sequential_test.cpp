@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "nn/flatten.hpp"
-#include "nn/lif_activation.hpp"
 #include "nn/linear.hpp"
+#include "nn/neuron_activations.hpp"
 #include "tensor/random.hpp"
 
 namespace ndsnn::nn {

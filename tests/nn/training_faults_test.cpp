@@ -8,11 +8,17 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/flatten.hpp"
+#include "nn/linear.hpp"
 #include "nn/models/zoo.hpp"
+#include "nn/neuron_activations.hpp"
+#include "nn/pool.hpp"
 #include "tensor/random.hpp"
 #include "../testing_env.hpp"
 
@@ -45,29 +51,58 @@ rusage self_usage() {
 /// activation-sized buffer faults more: BN1's output alone is 384 pages.
 constexpr double kStepFaultBudgetPages = 128.0;
 
-/// Minor page faults per steady LeNet-5 train_step at batch 32, T = 2,
-/// next to kStepFaultBudgetPages. With `masked`, the conv weights are
-/// pruned to random masks whose gradient masks the layers hold, so the
-/// steps run the masked weight gradient and the weight-sparse input
-/// gradient.
-void expect_faults_within_budget(bool masked) {
+/// A batch of 32 [3, 32, 32] images drawn from N(0.5, 1).
+tensor::Tensor step_images(tensor::Rng& rng) {
+  tensor::Tensor images(tensor::Shape{32, 3, 32, 32});
+  images.fill_normal(rng, 0.5F, 1.0F);
+  return images;
+}
+
+/// Minor page faults per steady train_step of `net` on `images`, next
+/// to kStepFaultBudgetPages.
+void expect_steady_faults_within_budget(SpikingNetwork& net, const tensor::Tensor& images,
+                                        const char* what) {
 #if defined(__linux__)
+  const int64_t batch = images.dim(0);
+  std::vector<int64_t> labels(static_cast<std::size_t>(batch));
+  for (int64_t i = 0; i < batch; ++i) labels[static_cast<std::size_t>(i)] = i % 10;
+  const std::vector<ParamRef> params = net.params();
+  const auto step = [&] {
+    zero_grads(params);
+    (void)net.train_step(images, labels);
+  };
+  step();
+  step();
+  constexpr int kMeasured = 4;
+  const long before = self_usage().ru_minflt;
+  for (int i = 0; i < kMeasured; ++i) step();
+  const double per_step = static_cast<double>(self_usage().ru_minflt - before) / kMeasured;
+
+  std::printf("minor faults per %s train_step: %.1f (budget %.0f pages)\n", what, per_step,
+              kStepFaultBudgetPages);
+  EXPECT_LT(per_step, kStepFaultBudgetPages);
+#else
+  (void)net;
+  (void)images;
+  (void)what;
+#endif
+}
+
+/// LeNet-5 at T = 2. With `masked`, the conv weights are pruned to
+/// random masks whose gradient masks the layers hold, so the steps run
+/// the masked weight gradient and the weight-sparse input gradient.
+void expect_lenet_faults_within_budget(bool masked) {
   ModelSpec spec;
   spec.in_channels = 3;
   spec.image_size = 32;
   spec.timesteps = 2;
   auto net = make_lenet5(spec);
-  constexpr int64_t kBatch = 32;
   tensor::Rng rng(7);
-  tensor::Tensor images(tensor::Shape{kBatch, 3, 32, 32});
-  images.fill_normal(rng, 0.5F, 1.0F);
-  std::vector<int64_t> labels(kBatch);
-  for (int64_t i = 0; i < kBatch; ++i) labels[static_cast<std::size_t>(i)] = i % 10;
-  const std::vector<ParamRef> params = net->params();
+  const tensor::Tensor images = step_images(rng);
   if (masked) {
     const std::vector<float> densities = {0.35F, 0.12F};
     std::size_t conv = 0;
-    for (const ParamRef& p : params) {
+    for (const ParamRef& p : net->params()) {
       if (p.grad_mask == nullptr) continue;
       std::vector<uint8_t> keep(static_cast<std::size_t>(p.value->numel()));
       for (int64_t i = 0; i < p.value->numel(); ++i) {
@@ -79,36 +114,39 @@ void expect_faults_within_budget(bool masked) {
     }
     ASSERT_EQ(conv, densities.size());
   }
-
-  const auto step = [&] {
-    zero_grads(params);
-    (void)net->train_step(images, labels);
-  };
-  step();
-  step();
-  constexpr int kMeasured = 4;
-  const long before = self_usage().ru_minflt;
-  for (int i = 0; i < kMeasured; ++i) step();
-  const double per_step = static_cast<double>(self_usage().ru_minflt - before) / kMeasured;
-
-  std::printf("minor faults per %strain_step: %.1f (budget %.0f pages)\n",
-              masked ? "masked " : "", per_step, kStepFaultBudgetPages);
-  EXPECT_LT(per_step, kStepFaultBudgetPages);
-#else
-  (void)masked;
-#endif
+  expect_steady_faults_within_budget(*net, images, masked ? "masked LeNet-5" : "LeNet-5");
 }
 
 TEST(TrainingFaultsTest, SteadyTrainStepFaultsWithinPageBudget) {
   if (const char* reason = allocation_skip_reason()) GTEST_SKIP() << reason;
-  expect_faults_within_budget(/*masked=*/false);
+  expect_lenet_faults_within_budget(/*masked=*/false);
 }
 
 // The masked weight gradient and the weight-sparse input gradient keep
 // their workspaces across steps too.
 TEST(TrainingFaultsTest, SteadyMaskedTrainStepFaultsWithinPageBudget) {
   if (const char* reason = allocation_skip_reason()) GTEST_SKIP() << reason;
-  expect_faults_within_budget(/*masked=*/true);
+  expect_lenet_faults_within_budget(/*masked=*/true);
+}
+
+// PLIF and ALIF keep their saved state and workspaces across steps like
+// LIF: a conv -> BN -> PLIF -> pool -> conv -> BN -> ALIF -> pool body.
+TEST(TrainingFaultsTest, SteadyPlifAlifTrainStepFaultsWithinPageBudget) {
+  if (const char* reason = allocation_skip_reason()) GTEST_SKIP() << reason;
+  tensor::Rng rng(7);
+  auto body = std::make_unique<Sequential>();
+  body->emplace<Conv2d>(3, 16, 3, 1, 1, rng);
+  body->emplace<BatchNorm2d>(16);
+  body->emplace<PlifActivation>(snn::PlifConfig{}, 2);
+  body->emplace<AvgPool2d>(2);
+  body->emplace<Conv2d>(16, 32, 3, 1, 1, rng);
+  body->emplace<BatchNorm2d>(32);
+  body->emplace<AlifActivation>(snn::AlifConfig{}, 2);
+  body->emplace<AvgPool2d>(2);
+  body->emplace<Flatten>();
+  body->emplace<Linear>(32 * 8 * 8, 10, rng);
+  SpikingNetwork net(std::move(body), 2);
+  expect_steady_faults_within_budget(net, step_images(rng), "PLIF/ALIF");
 }
 
 #if defined(__linux__)

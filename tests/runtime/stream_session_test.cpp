@@ -22,7 +22,6 @@
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
-#include "nn/lif_activation.hpp"
 #include "nn/linear.hpp"
 #include "nn/neuron_activations.hpp"
 #include "nn/pool.hpp"
@@ -460,7 +459,7 @@ TEST(StreamSessionTest, PlifAlifPlanMatchesPredictAndStreamsBitwise) {
   auto body = std::make_unique<nn::Sequential>();
   body->emplace<nn::Conv2d>(1, 4, 3, 1, 1, rng);
   body->emplace<nn::BatchNorm2d>(4);
-  const auto& plif = body->emplace<nn::PlifActivation>(plif_cfg, spec.timesteps);
+  auto& plif = body->emplace<nn::PlifActivation>(plif_cfg, spec.timesteps);
   body->emplace<nn::AvgPool2d>(2);
   body->emplace<nn::Flatten>();
   body->emplace<nn::Linear>(4 * 4 * 4, 32, rng);
@@ -500,6 +499,15 @@ TEST(StreamSessionTest, PlifAlifPlanMatchesPredictAndStreamsBitwise) {
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
+
+  // A leak written through params(), as Sgd::step and load_checkpoint
+  // do, must reach compile() and name() before any forward runs.
+  plif.params()[0].value->at(0) = 2.5F;
+  const std::string alpha = "alpha=" + std::to_string(1.0F / (1.0F + std::exp(-2.5F)));
+  EXPECT_NE(plif.name().find(alpha), std::string::npos) << plif.name();
+  const CompiledNetwork compiled = CompiledNetwork::compile(*net, difftest::options_for());
+  difftest::expect_bitwise(compiled.infer({batch, {}}).logits, net->predict(batch),
+                           "leak written through params()");
 }
 
 }  // namespace
